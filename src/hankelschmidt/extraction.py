@@ -16,7 +16,7 @@ canonicalized to theta(0) = 0, p(0) >= 0 and phi in (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .blaschke import (
 from .hardy import (
     BoundaryGrid,
     HardyVector,
+    _horner,
     basis_matrix,
     boundary_to_coefficients,
     default_grid_size,
@@ -52,8 +53,8 @@ from .hankel import (
     hankel_apply,
     linear_hankel_apply,
 )
-from .spectral import SchmidtBlock, orthonormalize, subspace_gap
-from .symbols import RationalSymbol, fourier_coefficients, symbol_from_coefficients
+from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
+from .symbols import RationalSymbol, _as_symbol, fourier_coefficients
 
 __all__ = [
     "Representation",
@@ -78,12 +79,17 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Representation:
-    """The triple (p, theta, phi) with E(s) = p K_theta, theta(0) = 0."""
+    """The triple (p, theta, phi) with E(s) = p K_theta, theta(0) = 0.
+
+    `residuals` is the verify_representation report that
+    extract_representation gated on; None for a hand-built triple.
+    """
 
     p: HardyVector
     theta: BlaschkeProduct
     phi: float
     canonicalized_at: complex = 0.0 + 0.0j
+    residuals: RepresentationResiduals | None = None
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,7 @@ def recover_theta(
         )
 
     grid = grid_points(default_grid_size(max(16, 4 * (d + 1))))
-    y = grid * _polyval_ascending(num, grid) / _polyval_ascending(den, grid)
+    y = grid * _horner(num, grid) / _horner(den, grid)
     inner_dev = float(np.max(np.abs(np.abs(y) - 1.0)))
     if inner_dev > inner_tol:
         raise ExtractionError(
@@ -265,13 +271,6 @@ def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     return roots[order]
 
 
-def _polyval_ascending(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def _wrap_phase(phi: float) -> float:
     out = math.remainder(float(phi), 2 * math.pi)
     if out <= -math.pi:
@@ -296,11 +295,12 @@ def extract_representation(
 
     branch: "auto" picks the direct route when the projection of the constant
     onto the block exceeds the 0.1 threshold, otherwise conjugates to a base
-    point; "direct"/"mobius" force a route.  All representation invariants
-    (multiplier isometry, subspace equality, action formula) are asserted at
-    tolerance `tol` before returning.
+    point; "direct"/"mobius" force a route.  The result is checked once by
+    verify_representation, whose report is returned as `rep.residuals`; the
+    multiplier isometry (to 0.1 * tol), subspace equality and action formula
+    (to tol) are asserted on it before returning.
     """
-    sym = _coerce_symbol(sym)
+    sym = _as_symbol(sym)
     if branch not in ("auto", "direct", "mobius"):
         raise ValueError(f"unknown branch {branch!r}")
     n = block.order
@@ -317,14 +317,22 @@ def extract_representation(
             raise ValueError("base point must lie in the open disk")
         p, theta, phi = _extract_via_mobius(sym, block, alpha, oversample=oversample)
     p, theta, phi = _canonicalize(p, theta, phi, oversample=oversample)
-    _assert_invariants(gamma, block, p, theta, phi, tol, oversample=oversample)
-    return Representation(p=p, theta=theta, phi=phi, canonicalized_at=alpha)
-
-
-def _coerce_symbol(sym) -> RationalSymbol:
-    if isinstance(sym, RationalSymbol):
-        return sym
-    return symbol_from_coefficients(sym)
+    if theta.degree != block.multiplicity:
+        raise ExtractionError(
+            f"inner degree {theta.degree} != block multiplicity {block.multiplicity}"
+        )
+    rep = Representation(p=p, theta=theta, phi=phi, canonicalized_at=alpha)
+    res = verify_representation(
+        sym, block, rep, gamma=gamma,
+        model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol)), oversample=oversample,
+    )
+    if res.isometry > 0.1 * tol:
+        raise ExtractionError(f"multiplier is not isometric: deviation {res.isometry:.3e}")
+    if res.subspace_gap > tol:
+        raise ExtractionError(f"subspace gap {res.subspace_gap:.3e} exceeds tolerance {tol:.1e}")
+    if res.action > tol:
+        raise ExtractionError(f"action residual {res.action:.3e} exceeds tolerance {tol:.1e}")
+    return replace(rep, residuals=res)
 
 
 def _extract_direct(
@@ -403,59 +411,6 @@ def _canonicalize(
     return p, theta, _wrap_phase(phi)
 
 
-def _assert_invariants(
-    gamma: HankelMatrix,
-    block: SchmidtBlock,
-    p: HardyVector,
-    theta: BlaschkeProduct,
-    phi: float,
-    tol: float,
-    oversample: int = 2,
-) -> None:
-    n = block.order
-    if theta.degree != block.multiplicity:
-        raise ExtractionError(
-            f"inner degree {theta.degree} != block multiplicity {block.multiplicity}"
-        )
-    basis = tm_basis(theta, n, tail_tol=max(1e-10, 1e-2 * tol))
-    grid_m = default_grid_size(n, oversample)
-    p_samples = sample_on_grid(p, grid_m).samples
-    prods = []
-    iso = 0.0
-    for e in basis:
-        pe, _ = multiply_by_boundary(e, p_samples, n)
-        prods.append(pe)
-        iso = max(iso, abs(pe.norm() - 1.0))
-    if iso > 0.1 * tol:
-        raise ExtractionError(f"multiplier is not isometric: deviation {iso:.3e}")
-    gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
-    if gap > tol:
-        raise ExtractionError(f"subspace gap {gap:.3e} exceeds tolerance {tol:.1e}")
-    action = _action_residual(gamma, block.s, p_samples, basis, theta, phi, n)
-    if action > tol:
-        raise ExtractionError(f"action residual {action:.3e} exceeds tolerance {tol:.1e}")
-
-
-def _action_residual(
-    gamma: HankelMatrix,
-    s: float,
-    p_samples: np.ndarray,
-    basis: list[HardyVector],
-    theta: BlaschkeProduct,
-    phi: float,
-    n: int,
-) -> float:
-    phase = np.exp(1j * phi)
-    worst = 0.0
-    for e in basis:
-        pe, _ = multiply_by_boundary(e, p_samples, n)
-        lhs = hankel_apply(gamma, pe)
-        ce = conjugation_c_theta(theta, e, basis=basis)
-        rhs, _ = multiply_by_boundary(ce, p_samples, n)
-        worst = max(worst, float(np.linalg.norm(lhs.coeffs - s * phase * rhs.coeffs)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -479,7 +434,7 @@ def verify_representation(
     relaxes the basis truncation gate; anything it admits stays far below
     the reported residual scale.
     """
-    sym = _coerce_symbol(sym)
+    sym = _as_symbol(sym)
     n = block.order
     if gamma is None:
         gamma = build_hankel_matrix(sym, n)
@@ -487,17 +442,9 @@ def verify_representation(
     s = block.s
     phase = np.exp(1j * rep.phi)
 
-    basis = tm_basis(rep.theta, n, tail_tol=model_tail_tol)
-    grid_m = default_grid_size(n, oversample)
-    grid = grid_points(grid_m)
-    p_samples = sample_on_grid(rep.p, grid_m).samples
-
-    prods = []
-    iso = 0.0
-    for e in basis:
-        pe, _ = multiply_by_boundary(e, p_samples, n)
-        prods.append(pe)
-        iso = max(iso, abs(pe.norm() - 1.0))
+    basis, p_samples, prods = _weighted_model_space(rep, n, model_tail_tol, oversample)
+    grid = grid_points(p_samples.size)
+    iso = max((abs(pe.norm() - 1.0) for pe in prods), default=0.0)
     gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
 
     action = 0.0
@@ -508,7 +455,7 @@ def verify_representation(
         action = max(action, float(np.linalg.norm(lhs.coeffs - s * phase * rhs.coeffs)))
 
     near_dist, near_u = _near_invariance(block, u)
-    linear = _linear_form_residual(gamma, block, rep, p_samples, basis, grid, n)
+    linear = _linear_form_residual(gamma, block, rep, p_samples, basis, prods, grid, n)
     u_s = _symbol_projection_residual(block, rep, u, p_samples, grid, n)
     inner_dev = float(np.max(np.abs(np.abs(blaschke_eval(rep.theta, grid)) - 1.0)))
     return RepresentationResiduals(
@@ -522,6 +469,16 @@ def verify_representation(
         theta_inner=inner_dev,
         p_origin=float(abs(rep.p.coeffs[0])),
     )
+
+
+def _weighted_model_space(
+    rep: Representation, n: int, model_tail_tol: float = 1e-8, oversample: int = 2
+) -> tuple[list[HardyVector], np.ndarray, list[HardyVector]]:
+    """Takenaka-Malmquist basis e_k of K_theta, boundary samples of p, and the p e_k."""
+    basis = tm_basis(rep.theta, n, tail_tol=model_tail_tol)
+    p_samples = sample_on_grid(rep.p, default_grid_size(n, oversample)).samples
+    prods = [multiply_by_boundary(e, p_samples, n)[0] for e in basis]
+    return basis, p_samples, prods
 
 
 def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:
@@ -545,20 +502,13 @@ def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:
     return worst_dist, worst_ip
 
 
-def _nullspace_of_row(row: np.ndarray) -> np.ndarray:
-    d = row.shape[1]
-    if np.linalg.norm(row) < 1e-14:
-        return np.eye(d, dtype=np.complex128)
-    _, _, vh = np.linalg.svd(row)
-    return np.conj(vh[1:, :]).T
-
-
 def _linear_form_residual(
     gamma: HankelMatrix,
     block: SchmidtBlock,
     rep: Representation,
     p_samples: np.ndarray,
     basis: list[HardyVector],
+    prods: list[HardyVector],
     grid: np.ndarray,
     n: int,
 ) -> float:
@@ -576,8 +526,7 @@ def _linear_form_residual(
         inner_samples = blaschke_eval(reduced, grid)
     inner_samples = np.exp(1j * rep.phi) * inner_samples
     worst = 0.0
-    for e in basis:
-        pe, _ = multiply_by_boundary(e, p_samples, n)
+    for e, pe in zip(basis, prods):
         lhs = linear_hankel_apply(gamma, conjugation_C(pe))
         e_samples = sample_on_grid(e, grid.size).samples
         rhs, _ = boundary_to_coefficients(

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .hardy import HardyVector, hardy
-from .symbols import RationalSymbol, fourier_coefficients, symbol_from_coefficients, tail_bound
+from .symbols import _as_symbol, fourier_coefficients, tail_bound
 
 __all__ = [
     "HankelMatrix",
@@ -47,12 +47,6 @@ class HankelMatrix:
     @property
     def order(self) -> int:
         return self.gamma.shape[0]
-
-
-def _as_symbol(sym) -> RationalSymbol:
-    if isinstance(sym, RationalSymbol):
-        return sym
-    return symbol_from_coefficients(sym)
 
 
 def build_hankel_matrix(sym, order: int) -> HankelMatrix:

@@ -146,10 +146,16 @@ def evaluate(f: HardyVector, z) -> complex | np.ndarray:
     zs = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zs) > 1 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disk")
-    acc = np.zeros_like(zs)
-    for c in f.coeffs[::-1]:
-        acc = acc * zs + c
+    acc = _horner(f.coeffs, zs)
     return complex(acc) if np.isscalar(z) or zs.ndim == 0 else acc
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's scheme, for ascending coefficients."""
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

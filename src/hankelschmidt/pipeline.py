@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import (
-    ExtractionError,
-    Representation,
-    extract_representation,
-    verify_representation,
-)
+from .extraction import ExtractionError, Representation, extract_representation
 from .hankel import build_hankel_matrix, residuals_from_matrix
 from .spectral import schmidt_decompose
 from .suites import suite_identities, suite_mobius, suite_model_spaces, suite_theorem
@@ -87,7 +82,9 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     """Full pipeline: coefficients, Hankel matrix, Schmidt blocks, representations.
 
     Block pass/fail flags come from verify_tol alone; numerically suspect
-    clusters are carried through but marked unreliable.
+    clusters are carried through but marked unreliable.  The report fails
+    as a whole when the blocks miss part of the numerical rank or when the
+    truncation tail bound exceeds verify_tol.
     """
     config = config or AnalysisConfig()
     n = config.n
@@ -117,13 +114,9 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
                 sym, block, tol=config.verify_tol, gamma=gamma,
                 oversample=config.grid_oversample,
             )
-            residuals = verify_representation(
-                sym, block, rep, gamma=gamma, oversample=config.grid_oversample
-            )
-            gated = residuals.gated()
-            passed = all(v <= config.verify_tol for v in gated.values())
+            passed = all(v <= config.verify_tol for v in rep.residuals.gated().values())
             entry["representation"] = _representation_entry(rep)
-            entry["residuals"] = {k: float(v) for k, v in residuals.as_dict().items()}
+            entry["residuals"] = {k: float(v) for k, v in rep.residuals.as_dict().items()}
             entry["pass"] = bool(passed)
         except (ExtractionError, ValueError) as exc:
             entry["error"] = str(exc)
@@ -135,6 +128,20 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             any_unreliable = True
             warnings.extend(f"s = {block.s:.6g}: {w}" for w in block.warnings)
         block_entries.append(entry)
+
+    covered = sum(b.multiplicity for b in blocks)
+    if covered < numerical_rank:
+        all_pass = False
+        warnings.append(
+            f"blocks cover rank {covered} of numerical rank {numerical_rank}: "
+            "Schmidt subspaces below the kernel cutoff were dropped"
+        )
+    if gamma.tail > config.verify_tol:
+        all_pass = False
+        warnings.append(
+            f"truncation tail bound {gamma.tail:.3e} exceeds verify_tol "
+            f"{config.verify_tol:.1e}: increase n"
+        )
 
     return {
         "symbol": symbol_to_dict(sym),

@@ -50,6 +50,34 @@ class SchmidtBlock:
         return self.basis.shape[0]
 
 
+def _eigen_clusters(
+    h: HankelMatrix, cluster_tol: float, kernel_tol: float
+) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """Eigenpairs of Gamma Gamma^* in descending order, grouped into clusters.
+
+    Eigenvalues below kernel_tol * lambda_max are the kernel; the rest are
+    split into runs that stay within cluster_tol (relative) of the run's
+    first eigenvalue.  Clusters are lists of indices into the returned
+    eigenvalues; there are none when lambda_max is not positive and finite.
+    """
+    eigvals, eigvecs = np.linalg.eigh(hankel_square(h))
+    eigvals = eigvals[::-1]
+    eigvecs = eigvecs[:, ::-1]
+    lam_max = float(eigvals[0]) if eigvals.size else 0.0
+    clusters: list[list[int]] = []
+    if lam_max <= 0 or not np.isfinite(lam_max):
+        return eigvals, eigvecs, clusters
+    cutoff = kernel_tol * lam_max
+    for i, lam in enumerate(eigvals):
+        if lam < cutoff:
+            break
+        if clusters and eigvals[clusters[-1][0]] - lam < cluster_tol * eigvals[clusters[-1][0]]:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return eigvals, eigvecs, clusters
+
+
 def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
     out = v.copy()
     for j in range(out.shape[1]):
@@ -86,27 +114,12 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[Schmid
     """
     if not 0 < cluster_tol < 1:
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
-    m = hankel_square(h)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
-    lam_max = float(eigvals[0]) if eigvals.size else 0.0
-    if lam_max <= 0 or not np.isfinite(lam_max):
+    eigvals, eigvecs, clusters = _eigen_clusters(h, cluster_tol, kernel_tol=cluster_tol)
+    if not clusters:
         return []
-    cutoff = cluster_tol * lam_max
-
-    clusters: list[list[int]] = []
-    for i, lam in enumerate(eigvals):
-        if lam < cutoff:
-            break
-        if clusters and eigvals[clusters[-1][0]] - lam < cluster_tol * eigvals[clusters[-1][0]]:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    noise_floor = np.finfo(float).eps * lam_max * h.order
+    noise_floor = np.finfo(float).eps * float(eigvals[0]) * h.order
     blocks = []
-    for ci, idx in enumerate(clusters):
+    for idx in clusters:
         lams = eigvals[idx]
         spread = float(lams[0] - lams[-1])
         mean = float(np.mean(lams))
@@ -172,33 +185,23 @@ def takagi_factorize(
     if scale > 0 and sym_defect > 1e-12 * scale:
         raise ValueError(f"matrix is not complex symmetric: ||G - G^T|| = {sym_defect:.3e}")
 
-    m = hankel_square(h)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
-    lam_max = float(eigvals[0]) if n else 0.0
-
+    eigvals, eigvecs, clusters = _eigen_clusters(
+        h, cluster_tol, kernel_tol=max(cluster_tol, np.finfo(float).eps * n)
+    )
     u_cols = np.zeros((n, n), dtype=np.complex128)
     sigma = np.zeros(n)
-    if lam_max <= 0:
+    if not clusters:
         return np.eye(n, dtype=np.complex128), sigma
 
-    cutoff = max(cluster_tol * lam_max, np.finfo(float).eps * lam_max * n)
     pos = 0
-    i = 0
-    while i < n and eigvals[i] >= cutoff:
-        j = i
-        while j + 1 < n and eigvals[i] - eigvals[j + 1] < cluster_tol * eigvals[i]:
-            j += 1
-        idx = np.arange(i, j + 1)
+    for idx in clusters:
         v = eigvecs[:, idx]
         s = float(np.sqrt(np.mean(eigvals[idx])))
         small = v.conj().T @ gamma @ np.conj(v) / s
         x = _takagi_cluster_rotation(small)
-        u_cols[:, pos : pos + idx.size] = v @ x
-        sigma[pos : pos + idx.size] = s
-        pos += idx.size
-        i = j + 1
+        u_cols[:, pos : pos + len(idx)] = v @ x
+        sigma[pos : pos + len(idx)] = s
+        pos += len(idx)
     if pos < n:
         u_cols[:, pos:] = eigvecs[:, pos:]
 
@@ -222,6 +225,14 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(r)))):
         raise ValueError("columns are numerically rank deficient")
     return q
+
+
+def _nullspace_of_row(row: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as columns) of the vectors annihilated by a 1 x d row."""
+    if np.linalg.norm(row) < 1e-14:
+        return np.eye(row.shape[1], dtype=np.complex128)
+    _, _, vh = np.linalg.svd(row)
+    return np.conj(vh[1:, :]).T
 
 
 def subspace_gap(a: np.ndarray, b: np.ndarray, gram_tol: float = 1e-8) -> float:

@@ -25,9 +25,9 @@ from .blaschke import (
 from .extraction import (
     DIRECT_BRANCH_THRESHOLD,
     ExtractionError,
+    _weighted_model_space,
     extract_representation,
     extremal_projection,
-    verify_representation,
 )
 from .hankel import build_hankel_matrix, identity_residuals
 from .hardy import (
@@ -39,7 +39,7 @@ from .hardy import (
     multiply_by_boundary,
     sample_on_grid,
 )
-from .spectral import orthonormalize, schmidt_decompose, subspace_gap
+from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
 from .symbols import PoleTerm, RationalSymbol, fourier_coefficients, tail_bound
 
 __all__ = [
@@ -208,7 +208,7 @@ def _frostman_invariance_check(
 
 def _lemma_backward_shift_gap(b: BlaschkeProduct, v: np.ndarray, order: int) -> float:
     """Gap between S*(K meet constants-perp) and K meet (S*B)-perp."""
-    lhs_null = _nullspace_of_functional(v[0, :][None, :])
+    lhs_null = _nullspace_of_row(v[0, :][None, :])
     if lhs_null.shape[1] == 0:
         lhs = np.zeros((order, 0), dtype=np.complex128)
     else:
@@ -219,20 +219,13 @@ def _lemma_backward_shift_gap(b: BlaschkeProduct, v: np.ndarray, order: int) -> 
     theta_c = blaschke_coefficients(b, order + 1).coeffs
     s_theta[:order] = theta_c[1:]
     c = v.conj().T @ s_theta
-    rhs_null = _nullspace_of_functional(c[None, :].conj())
+    rhs_null = _nullspace_of_row(c[None, :].conj())
     rhs = v @ rhs_null if rhs_null.shape[1] else np.zeros((order, 0), dtype=np.complex128)
     if lhs.shape[1] != rhs.shape[1]:
         return 1.0
     if lhs.shape[1] == 0:
         return 0.0
     return subspace_gap(lhs, rhs)
-
-
-def _nullspace_of_functional(row: np.ndarray) -> np.ndarray:
-    if np.linalg.norm(row) < 1e-14:
-        return np.eye(row.shape[1], dtype=np.complex128)
-    _, _, vh = np.linalg.svd(row)
-    return np.conj(vh[1:, :]).T
 
 
 def suite_mobius(seed: int, count: int = 20, order: int = 128, alpha_max: float = 0.5) -> dict:
@@ -351,8 +344,7 @@ def suite_theorem(seed: int, count: int = 100, order: int = 128, tol: float = 1e
                 continue
             n_blocks += 1
             try:
-                rep = extract_representation(sym, block, tol=tol, gamma=gamma)
-                res = verify_representation(sym, block, rep, gamma=gamma)
+                res = extract_representation(sym, block, tol=tol, gamma=gamma).residuals
             except (ExtractionError, ValueError) as exc:
                 failures.append(f"symbol {i}, s = {block.s:.6g}: {exc}")
                 continue
@@ -426,15 +418,14 @@ def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e
             n_mobius += 1
         try:
             rep = extract_representation(w.coeffs, bw, tol=tol, gamma=gamma_w)
-            res = verify_representation(w.coeffs, bw, rep, gamma=gamma_w)
         except (ExtractionError, ValueError) as exc:
             failures.append(f"case {cases}: {exc}")
             continue
-        worst_res = max(worst_res, max(res.gated().values()))
+        worst_res = max(worst_res, max(rep.residuals.gated().values()))
         mapped, _ = mobius_conjugate_function(HardyVector(block.basis[:, 0]), m, order)
         image = orthonormalize(basis_matrix([mapped]))
-        prods = _weighted_model_basis(rep, order)
-        gap = subspace_gap(image, prods)
+        _, _, prods = _weighted_model_space(rep, order)
+        gap = subspace_gap(image, orthonormalize(basis_matrix(prods)))
         worst_gap = max(worst_gap, gap)
         if gap > tol:
             failures.append(f"case {cases}: image gap {gap:.3e}")
@@ -463,12 +454,3 @@ def _kernel_combination_zero(sym: RationalSymbol, f: np.ndarray) -> complex | No
         return None
     z = (beta[0] + beta[1]) / denom
     return complex(z)
-
-
-def _weighted_model_basis(rep, order: int) -> np.ndarray:
-    p_samples = sample_on_grid(rep.p, default_grid_size(order)).samples
-    cols = []
-    for e in tm_basis(rep.theta, order, tail_tol=1e-8):
-        pe, _ = multiply_by_boundary(e, p_samples, order)
-        cols.append(pe)
-    return orthonormalize(basis_matrix(cols))

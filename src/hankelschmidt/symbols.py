@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_coefficients
-from .hardy import HardyVector
+from .hardy import HardyVector, _horner
 
 __all__ = [
     "PoleTerm",
@@ -87,6 +87,11 @@ def symbol_from_coefficients(coeffs) -> RationalSymbol:
     return RationalSymbol(poly=np.asarray(c, dtype=np.complex128))
 
 
+def _as_symbol(sym) -> RationalSymbol:
+    """A RationalSymbol as is; anything else as the polynomial of its coefficients."""
+    return sym if isinstance(sym, RationalSymbol) else symbol_from_coefficients(sym)
+
+
 def _binomial_weights(n: np.ndarray, m: int) -> np.ndarray:
     """C(n + m - 1, m - 1) for m = 1..4, exact in double precision at desk scale."""
     if m == 1:
@@ -112,9 +117,7 @@ def fourier_coefficients(sym: RationalSymbol, order: int) -> HardyVector:
 def evaluate_symbol(sym: RationalSymbol, z) -> np.ndarray | complex:
     """Evaluate the rational symbol on |z| <= 1 in closed form."""
     zs = np.asarray(z, dtype=np.complex128)
-    acc = np.zeros_like(zs)
-    for c in sym.poly[::-1]:
-        acc = acc * zs + c
+    acc = _horner(sym.poly, zs)
     for term in sym.poles:
         acc = acc + term.c / (1 - np.conj(term.b) * zs) ** term.m
     return complex(acc) if acc.ndim == 0 else acc
@@ -234,14 +237,15 @@ def symbol_from_inner(b: BlaschkeProduct, order: int = 64) -> RationalSymbol:
 # JSON interchange
 
 
+def _is_real_number(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real_number(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real_number, value)):
         return complex(value[0], value[1])
     raise SymbolFormatError(f"{where}: expected [re, im], got {value!r}")
 
@@ -267,7 +271,7 @@ def parse_symbol(doc: dict) -> RationalSymbol:
         b = _parse_complex(entry.get("b"), f"poles[{i}].b")
         c = _parse_complex(entry.get("c", 1.0), f"poles[{i}].c")
         m = entry.get("m", 1)
-        if not isinstance(m, int):
+        if not isinstance(m, int) or isinstance(m, bool):
             raise SymbolFormatError(f"poles[{i}].m: expected an integer, got {m!r}")
         if abs(b) >= 1:
             raise SymbolFormatError(

@@ -140,3 +140,26 @@ def test_analysis_exit_code_two_for_unreliable():
     assert analysis_exit_code(report) == 2
     report = {"pass": False, "blocks": [{"reliable": True}]}
     assert analysis_exit_code(report) == 2
+
+
+def test_analyze_flags_dropped_small_block(tmp_path, capsys):
+    # k_0.5 + 1e-5 k_-0.3: the small block lies below the kernel cutoff
+    doc = {"poles": [{"b": [0.5, 0.0], "m": 1, "c": [1.0, 0.0]},
+                     {"b": [-0.3, 0.0], "m": 1, "c": [1e-5, 0.0]}]}
+    code = main(["analyze", write_json(tmp_path / "small.json", doc), "--n", "128"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["pass"] is False
+    assert report["numerical_rank"] == 2 and len(report["blocks"]) == 1
+    assert any("numerical rank 2" in w for w in report["warnings"])
+
+
+def test_analyze_flags_truncation_tail(tmp_path, capsys):
+    # a pole at 0.99 is far from resolved at N=128: tail bound about 2
+    doc = {"poles": [{"b": [0.99, 0.0], "m": 1, "c": [1.0, 0.0]}]}
+    code = main(["analyze", write_json(tmp_path / "pole.json", doc), "--n", "128"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["pass"] is False
+    assert report["tail_bound"] > 1.0
+    assert any("tail bound" in w for w in report["warnings"])

@@ -328,3 +328,26 @@ def test_extract_rejects_bad_branch_name():
     block = schmidt_decompose(gamma)[0]
     with pytest.raises(ValueError):
         extract_representation(sym, block, gamma=gamma, branch="sideways")
+
+
+# ---------------------------------------------------------------------------
+# extraction gates on the verification report
+
+
+@pytest.mark.parametrize("branch, base_point", [("direct", None), ("mobius", 0.3 + 0.1j)])
+def test_extraction_residuals_equal_verify_representation(branch, base_point):
+    sym = rank_one_symbol(a=0.7)
+    gamma = build_hankel_matrix(sym, 128)
+    block = schmidt_decompose(gamma)[0]
+    rep = extract_representation(sym, block, gamma=gamma, branch=branch, base_point=base_point)
+    assert (rep.canonicalized_at != 0) == (branch == "mobius")
+    assert rep.residuals == verify_representation(sym, block, rep, gamma=gamma)
+
+
+def test_extract_isometry_gate_raises_at_tiny_tolerance():
+    # ||p e_0|| - 1 is 2.2e-16 here, above 0.1 * tol
+    sym = rank_one_symbol(a=0.7)
+    gamma = build_hankel_matrix(sym, 128)
+    block = schmidt_decompose(gamma)[0]
+    with pytest.raises(ExtractionError, match="not isometric"):
+        extract_representation(sym, block, gamma=gamma, tol=1e-17)

@@ -215,3 +215,19 @@ def test_parse_symbol_rejects_unknown_fields():
         parse_symbol({"poly": [], "polez": []})
     with pytest.raises(SymbolFormatError, match=r"poles\[0\]"):
         parse_symbol({"poles": [{"b": [0.5, 0], "radius": 2}]})
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"poles": [{"b": [0.5, 0.0], "m": True, "c": [1.0, 0.0]}]}, r"poles\[0\]\.m"),
+        ({"poles": [{"b": [0.5, 0.0], "m": 1, "c": True}]}, r"poles\[0\]\.c"),
+        ({"poles": [{"b": [0.5, 0.0], "m": 1, "c": [1.0, False]}]}, r"poles\[0\]\.c"),
+        ({"poles": [{"b": [True, 0.0], "m": 1, "c": [1.0, 0.0]}]}, r"poles\[0\]\.b"),
+        ({"poly": [True]}, r"poly\[0\]"),
+        ({"poly": [[0.0, True]]}, r"poly\[0\]"),
+    ],
+)
+def test_parse_symbol_rejects_booleans(doc, field):
+    with pytest.raises(SymbolFormatError, match=field):
+        parse_symbol(doc)
