@@ -98,10 +98,6 @@ def toeplitz_multiplier(p, order: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col, row)
 
 
-def _shift_matrix(order: int) -> np.ndarray:
-    return np.eye(order, k=-1, dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class IdentityResiduals:
     """Interior-block operator-norm residuals of the Hankel identities."""
@@ -141,27 +137,26 @@ def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals
     """Identity residuals computed from an explicit matrix (fault injection entry point)."""
     gamma = np.asarray(gamma, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
-    n = gamma.shape[0]
-    s = _shift_matrix(n)
-    st = s.T
+    k = gamma.shape[0] - 1
 
-    # S* H = H S: both sides read u_hat(n+m+1); compare the common interior.
-    b2 = float(np.linalg.norm((st @ gamma)[: n - 1, : n - 1] - (gamma @ s)[: n - 1, : n - 1], 2))
+    # Shift products are slices: (S^T A)[i, j] = A[i+1, j] and (A S)[i, j] = A[i, j+1].
+    b2 = _opnorm(gamma[1:, :k] - gamma[:k, 1:])
 
     m2 = gamma @ np.conj(gamma)
-    lhs = (st @ m2 @ s)[: n - 1, : n - 1]
-    rhs = (m2 - np.outer(u, np.conj(u)))[: n - 1, : n - 1]
-    b3 = float(np.linalg.norm(lhs - rhs, 2))
+    uu = np.outer(u[:k], np.conj(u[:k]))
+    b3 = _opnorm(m2[1:, 1:] - (m2[:k, :k] - uu))
 
-    hu = gamma @ np.conj(u)
-    lhs4 = (st @ m2 - m2 @ st)[: n - 1, : n - 1]
-    rank1 = np.outer(st @ hu, _unit(n, 0)) - np.outer(u, np.conj(s @ u))
-    b4 = float(np.linalg.norm(lhs4 - rank1[: n - 1, : n - 1], 2))
+    # (A S^T)[i, j] = A[i, j-1]; the rank-one terms fill column 0 and (S u)[j] = u[j-1].
+    d4 = m2[1:, :k].copy()
+    d4[:, 0] -= (gamma @ np.conj(u))[1:]
+    d4[:, 1:] -= m2[:k, : k - 1]
+    d4[:, 1:] += uu[:, : k - 1]
+    b4 = _opnorm(d4)
 
-    b5 = float(np.linalg.norm(gamma - gamma.T, 2))
+    b5 = _opnorm(gamma - gamma.T)
 
-    t = toeplitz_multiplier(u, n)
-    toep = float(np.linalg.norm((st @ t @ s)[: n - 1, : n - 1] - t[: n - 1, : n - 1], 2))
+    t = toeplitz_multiplier(u, k + 1)
+    toep = _opnorm(t[1:, 1:] - t[:k, :k])
 
     return IdentityResiduals(
         shift_intertwine=b2,
@@ -172,7 +167,6 @@ def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals
     )
 
 
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n, dtype=np.complex128)
-    e[k] = 1.0
-    return e
+def _opnorm(diff: np.ndarray) -> float:
+    """Spectral norm, skipping the SVD when the matrix is exactly zero."""
+    return float(np.linalg.norm(diff, 2)) if diff.any() else 0.0

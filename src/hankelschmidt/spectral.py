@@ -93,14 +93,15 @@ def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
 def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
     """Basis of span(vectors) that depends only on the subspace.
 
-    Pivoted QR of the orthogonal projector gives a deterministic,
-    rotation-independent orthonormal basis; column phases are then pinned by
-    the first significant entry.
+    The QR of the projector columns V V^*[:, piv] is deterministic and
+    rotation-independent; V is an isometry, so the pivots of V^* are those of
+    the projector.  Column phases are pinned by the first significant entry.
     """
     d = vectors.shape[1]
-    proj = vectors @ vectors.conj().T
-    q, _, _ = scipy.linalg.qr(proj, mode="economic", pivoting=True)
-    return _canonical_column_phases(q[:, :d])
+    vh = vectors.conj().T
+    _, piv = scipy.linalg.qr(vh, mode="r", pivoting=True)
+    q, _ = scipy.linalg.qr(vectors @ vh[:, piv[:d]], mode="economic")
+    return _canonical_column_phases(q)
 
 
 def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[SchmidtBlock]:
@@ -239,7 +240,8 @@ def subspace_gap(a: np.ndarray, b: np.ndarray, gram_tol: float = 1e-8) -> float:
     """Operator-norm distance ||P_A - P_B|| between two subspaces.
 
     Both inputs are N x d matrices with orthonormal columns (checked to
-    gram_tol); the result lies in [0, 1].
+    gram_tol); the result lies in [0, 1], and for equal dimensions it is
+    ||B - A A^* B||, the sine of the largest principal angle.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -253,5 +255,6 @@ def subspace_gap(a: np.ndarray, b: np.ndarray, gram_tol: float = 1e-8) -> float:
         gram = mat.conj().T @ mat
         if np.linalg.norm(gram - np.eye(mat.shape[1])) > gram_tol:
             raise ValueError(f"{name} basis is not orthonormal to {gram_tol:.1e}")
-    diff = a @ a.conj().T - b @ b.conj().T
-    return float(min(1.0, np.linalg.norm(diff, 2)))
+    if a.shape[1] != b.shape[1] or a.shape[1] == 0:
+        return float(a.shape[1] != b.shape[1])
+    return float(min(1.0, np.linalg.norm(b - a @ (a.conj().T @ b), 2)))

@@ -45,6 +45,8 @@ class PoleTerm:
     c: complex
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.b, self.m, self.c)):
+            raise SymbolFormatError(f"pole fields b, m, c must be numbers, not booleans: {self!r}")
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "c", complex(self.c))
         if abs(self.b) >= 1:

@@ -20,6 +20,7 @@ from hankelschmidt.hankel import (
     hankel_square,
     identity_residuals,
     linear_hankel_apply,
+    residuals_from_matrix,
     toeplitz_multiplier,
 )
 from hankelschmidt.suites import random_symbol
@@ -143,6 +144,54 @@ def test_shift_intertwine_interior_exact():
     rng = np.random.default_rng(5)
     res = identity_residuals(random_symbol(rng), 64)
     assert res.shift_intertwine == 0.0
+    assert res.symmetry == 0.0
+    assert res.toeplitz_compression == 0.0
+
+
+def shift_matrix_residuals(gamma, u):
+    """The identity residuals written with explicit shift matrices S, S^T."""
+    n = gamma.shape[0]
+    k = n - 1
+    s = np.eye(n, k=-1, dtype=np.complex128)
+    st = s.T
+    e0 = np.zeros(n, dtype=np.complex128)
+    e0[0] = 1.0
+    m2 = gamma @ np.conj(gamma)
+    hu = gamma @ np.conj(u)
+    t = toeplitz_multiplier(u, n)
+    rank1 = np.outer(st @ hu, e0) - np.outer(u, np.conj(s @ u))
+    diffs = {
+        "shift_intertwine": (st @ gamma)[:k, :k] - (gamma @ s)[:k, :k],
+        "square_compression": (st @ m2 @ s)[:k, :k] - (m2 - np.outer(u, np.conj(u)))[:k, :k],
+        "square_commutator": (st @ m2 - m2 @ st)[:k, :k] - rank1[:k, :k],
+        "symmetry": gamma - gamma.T,
+        "toeplitz_compression": (st @ t @ s)[:k, :k] - t[:k, :k],
+    }
+    return {name: float(np.linalg.norm(d, 2)) for name, d in diffs.items()}
+
+
+def faulty_matrices(rng, n):
+    """Non-Hankel, non-symmetric and fault-injected inputs (gamma, u)."""
+    h = build_hankel_matrix(random_symbol(rng), n)
+    u = h.gamma[:, 0].copy()
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    flipped = h.gamma.copy()
+    flipped[n // 2, n - 1] += 1e-6
+    symmetric_not_hankel = noise + noise.T
+    yield noise, rng.normal(size=n) + 1j * rng.normal(size=n)
+    yield flipped, u
+    yield symmetric_not_hankel, u
+    yield h.gamma + 1e-9 * noise, u
+    yield h.gamma, u + 1e-7 * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_residuals_equal_shift_matrix_formulation(n):
+    cases = list(faulty_matrices(np.random.default_rng(n), n))
+    for gamma, u in cases:
+        assert residuals_from_matrix(gamma, u).as_dict() == shift_matrix_residuals(gamma, u)
+    noise = residuals_from_matrix(*cases[0])
+    assert min(noise.shift_intertwine, noise.square_compression, noise.square_commutator, noise.symmetry) > 0
 
 
 def test_pairing_symmetry_random_vectors():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelschmidt.blaschke import MobiusMap, mobius_conjugate_symbol
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_square
 from hankelschmidt.spectral import (
+    _canonical_cluster_basis,
+    _canonical_column_phases,
     orthonormalize,
     schmidt_decompose,
     subspace_gap,
@@ -185,3 +190,82 @@ def test_gap_rejects_non_orthonormal():
     a = np.array([[1.0], [1.0]])
     with pytest.raises(ValueError):
         subspace_gap(a, a)
+
+
+def projector_gap(a, b):
+    """||P_A - P_B|| from the N x N projectors."""
+    return float(min(1.0, np.linalg.norm(a @ a.conj().T - b @ b.conj().T, 2)))
+
+
+def random_isometry(rng, n, d):
+    q, _ = np.linalg.qr(rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 48),
+    d_a=st.integers(0, 4),
+    d_b=st.integers(0, 4),
+    log_angles=st.lists(st.floats(-12.0, float(np.log10(np.pi / 2))), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gap_matches_projector_formula(n, d_a, d_b, log_angles, seed):
+    rng = np.random.default_rng(seed)
+    d_a, d_b = min(d_a, n), min(d_b, n)
+    if d_a == d_b and 2 * d_a <= n:
+        # principal angles 10**log_angles between span(q[:, :d]) and span(b)
+        angles = 10.0 ** np.array(log_angles[:d_a])
+        q = random_isometry(rng, n, 2 * d_a)
+        a = q[:, :d_a]
+        b = (q[:, :d_a] * np.cos(angles) + q[:, d_a:] * np.sin(angles)) @ random_isometry(rng, d_a, d_a)
+        expected = float(np.sin(angles.max())) if d_a else 0.0
+        assert abs(subspace_gap(a, b) - expected) < 1e-14
+    else:
+        a, b = random_isometry(rng, n, d_a), random_isometry(rng, n, d_b)
+    assert abs(subspace_gap(a, b) - projector_gap(a, b)) < 1e-14
+
+
+def test_gap_tiny_rotation_is_resolved():
+    rng = np.random.default_rng(8)
+    q = random_isometry(rng, 32, 2)
+    t = 1e-10
+    b = q[:, :1] * np.cos(t) + q[:, 1:] * np.sin(t)
+    assert abs(subspace_gap(q[:, :1], b) - t) < 1e-14
+
+
+def test_gap_dimension_mismatch_and_empty():
+    rng = np.random.default_rng(9)
+    q = random_isometry(rng, 16, 3)
+    assert subspace_gap(q[:, :2], q) == 1.0
+    assert subspace_gap(q[:, :0], q[:, :1]) == 1.0
+    assert subspace_gap(q[:, :0], q[:, :0]) == 0.0
+
+
+def projector_qr_basis(vectors):
+    """The canonical basis from the pivoted QR of the N x N projector."""
+    d = vectors.shape[1]
+    q, _, _ = scipy.linalg.qr(vectors @ vectors.conj().T, mode="economic", pivoting=True)
+    return _canonical_column_phases(q[:, :d])
+
+
+def cluster_inputs():
+    rng = np.random.default_rng(10)
+    for n, d in ((8, 1), (16, 4), (64, 2), (128, 3), (256, 4)):
+        yield rng, random_isometry(rng, n, d)
+    h = build_hankel_matrix(random_symbol(rng), 128)
+    _, vecs = np.linalg.eigh(hankel_square(h))
+    yield rng, vecs[:, -3:]
+
+
+def test_canonical_basis_matches_projector_qr():
+    # the shift symbol's block spans e_0, e_1: its projector columns tie exactly
+    tied = schmidt_decompose(build_hankel_matrix(symbol_from_coefficients([0, 1]), 16))[0].basis
+    for v in [tied, *(v for _, v in cluster_inputs())]:
+        assert np.max(np.abs(_canonical_cluster_basis(v) - projector_qr_basis(v))) < 1e-14
+
+
+def test_canonical_basis_depends_only_on_subspace():
+    for rng, v in cluster_inputs():
+        rotated = v @ random_isometry(rng, v.shape[1], v.shape[1])
+        assert np.max(np.abs(_canonical_cluster_basis(rotated) - _canonical_cluster_basis(v))) < 1e-12

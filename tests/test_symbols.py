@@ -231,3 +231,11 @@ def test_parse_symbol_rejects_unknown_fields():
 def test_parse_symbol_rejects_booleans(doc, field):
     with pytest.raises(SymbolFormatError, match=field):
         parse_symbol(doc)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, False])
+@pytest.mark.parametrize("field", ["b", "m", "c"])
+def test_pole_term_rejects_booleans(field, value):
+    fields = {"b": 0.5, "m": 1, "c": 1.0, field: value}
+    with pytest.raises(SymbolFormatError, match=rf"{field}=(np\.)?{bool(value)}"):
+        PoleTerm(**fields)
