@@ -106,7 +106,6 @@ class IdentityResiduals:
     square_compression: float      # S* H^2 S = H^2 - (., u) u
     square_commutator: float       # S* H^2 - H^2 S* = (., 1) S* H u - (., S u) u
     symmetry: float                # (H f, g) = (H g, f), i.e. Gamma = Gamma^T
-    toeplitz_compression: float    # S* T_p S = T_p for analytic Toeplitz
 
     def as_dict(self) -> dict:
         return {
@@ -114,7 +113,6 @@ class IdentityResiduals:
             "square_compression": self.square_compression,
             "square_commutator": self.square_commutator,
             "symmetry": self.symmetry,
-            "toeplitz_compression": self.toeplitz_compression,
         }
 
     def max(self) -> float:
@@ -155,15 +153,11 @@ def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals
 
     b5 = _opnorm(gamma - gamma.T)
 
-    t = toeplitz_multiplier(u, k + 1)
-    toep = _opnorm(t[1:, 1:] - t[:k, :k])
-
     return IdentityResiduals(
         shift_intertwine=b2,
         square_compression=b3,
         square_commutator=b4,
         symmetry=b5,
-        toeplitz_compression=toep,
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .extraction import ExtractionError, Representation, extract_representation
 from .hankel import build_hankel_matrix, residuals_from_matrix
-from .spectral import schmidt_decompose
+from .spectral import schmidt_spectrum
 from .suites import suite_identities, suite_mobius, suite_model_spaces, suite_theorem
 from .symbols import (
     RationalSymbol,
@@ -90,12 +90,11 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     n = config.n
     u = fourier_coefficients(sym, n)
     gamma = build_hankel_matrix(sym, n)
-    sing = np.linalg.svd(gamma.gamma, compute_uv=False)
-    smax = float(sing[0]) if sing.size else 0.0
-    numerical_rank = int(np.sum(sing > 1e-10 * smax)) if smax > 0 else 0
+    sing, blocks = schmidt_spectrum(gamma, config.cluster_tol)
+    sing = sing[sing > 1e-10 * sing[0]]
+    numerical_rank = int(sing.size)
     identities = residuals_from_matrix(gamma.gamma, u.coeffs)
 
-    blocks = schmidt_decompose(gamma, config.cluster_tol)
     block_entries = []
     warnings: list[str] = []
     all_pass = True
@@ -155,7 +154,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
         "tail_bound": float(gamma.tail),
         "kronecker_rank_bound": int(kronecker_rank_bound(sym)),
         "numerical_rank": numerical_rank,
-        "singular_values": [float(s) for s in sing if smax > 0 and s > 1e-10 * smax],
+        "singular_values": [float(s) for s in sing],
         "blocks": block_entries,
         "identity_residuals": {k: float(v) for k, v in identities.as_dict().items()},
         "warnings": warnings,

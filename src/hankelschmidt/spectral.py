@@ -1,8 +1,8 @@
 """Schmidt subspaces, Takagi factorization and subspace distances.
 
-Schmidt subspaces are eigenspaces of the Hermitian matrix Gamma Gamma^*,
-which is the numerically robust primitive; the complex-symmetric (Takagi)
-structure is recovered per eigenvalue cluster afterwards.
+Schmidt subspaces ker(H^2 - s^2) are left singular subspaces of Gamma, so one
+SVD per matrix gives the blocks and the singular values; the complex-symmetric
+(Takagi) structure is recovered per cluster afterwards.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .hankel import HankelMatrix, hankel_square
+from .hankel import HankelMatrix
 
 __all__ = [
     "SchmidtBlock",
+    "schmidt_spectrum",
     "schmidt_decompose",
     "takagi_factorize",
     "subspace_gap",
@@ -53,20 +54,20 @@ class SchmidtBlock:
 def _eigen_clusters(
     h: HankelMatrix, cluster_tol: float, kernel_tol: float
 ) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Eigenpairs of Gamma Gamma^* in descending order, grouped into clusters.
+    """Singular values s and left singular vectors of Gamma, grouped into clusters.
 
-    Eigenvalues below kernel_tol * lambda_max are the kernel; the rest are
-    split into runs that stay within cluster_tol (relative) of the run's
-    first eigenvalue.  Clusters are lists of indices into the returned
-    eigenvalues; there are none when lambda_max is not positive and finite.
+    Each (s^2, vector) is an eigenpair of Gamma Gamma^*, in descending order.
+    Eigenvalues below kernel_tol * lambda_max are the kernel; the rest are split
+    into runs that stay within cluster_tol (relative) of the run's first one.
+    Clusters are lists of indices into s; there are none when lambda_max is not
+    positive and finite.  The right singular vectors are freed at once.
     """
-    eigvals, eigvecs = np.linalg.eigh(hankel_square(h))
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
+    left, sing = scipy.linalg.svd(h.gamma)[:2]
+    eigvals = sing**2
     lam_max = float(eigvals[0]) if eigvals.size else 0.0
     clusters: list[list[int]] = []
     if lam_max <= 0 or not np.isfinite(lam_max):
-        return eigvals, eigvecs, clusters
+        return sing, left, clusters
     cutoff = kernel_tol * lam_max
     for i, lam in enumerate(eigvals):
         if lam < cutoff:
@@ -75,7 +76,7 @@ def _eigen_clusters(
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    return eigvals, eigvecs, clusters
+    return sing, left, clusters
 
 
 def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
@@ -91,11 +92,12 @@ def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
-    """Basis of span(vectors) that depends only on the subspace.
+    """Basis of span(vectors) that depends only on the subspace, barring exact ties.
 
-    The QR of the projector columns V V^*[:, piv] is deterministic and
-    rotation-independent; V is an isometry, so the pivots of V^* are those of
-    the projector.  Column phases are pinned by the first significant entry.
+    The QR of the projector columns V V^*[:, piv] is rotation-independent; V is
+    an isometry, so the pivots of V^* are the projector's.  Exactly tied column
+    norms (the symbol z at N=16) leave the pivot to rounding, so the input basis
+    decides it.  Column phases are pinned by the first significant entry.
     """
     d = vectors.shape[1]
     vh = vectors.conj().T
@@ -104,20 +106,23 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
     return _canonical_column_phases(q)
 
 
-def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[SchmidtBlock]:
-    """Schmidt blocks of the operator, ordered by descending singular value.
+def schmidt_spectrum(
+    h: HankelMatrix, cluster_tol: float = 1e-8
+) -> tuple[np.ndarray, list[SchmidtBlock]]:
+    """All singular values of Gamma, descending, and the Schmidt blocks, from one SVD.
 
-    Eigenvalues of Gamma Gamma^* below cluster_tol * lambda_max are the
-    kernel; the rest are grouped into clusters of relative spread below
-    cluster_tol, each yielding one block with s = sqrt(cluster mean).
-    Ill-separated clusters (gap within 10x of the internal spreads) are
-    flagged as unreliable.
+    The eigenvalues s^2 of Gamma Gamma^* below cluster_tol * lambda_max are
+    the kernel; the rest are grouped into clusters of relative spread below
+    cluster_tol, each yielding one block with s = sqrt(cluster mean) and the
+    canonical basis of its left singular vectors.  Ill-separated clusters
+    (gap within 10x of the internal spreads) are flagged as unreliable.
     """
     if not 0 < cluster_tol < 1:
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
-    eigvals, eigvecs, clusters = _eigen_clusters(h, cluster_tol, kernel_tol=cluster_tol)
+    sing, left, clusters = _eigen_clusters(h, cluster_tol, kernel_tol=cluster_tol)
     if not clusters:
-        return []
+        return sing, []
+    eigvals = sing**2
     noise_floor = np.finfo(float).eps * float(eigvals[0]) * h.order
     blocks = []
     for idx in clusters:
@@ -134,7 +139,7 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[Schmid
             warns.append("ill-separated cluster: results near this gap are unreliable")
         if len(idx) > 1 and spread > 1e3 * noise_floor:
             warns.append("cluster spread far above noise floor: possible false merge")
-        basis = _canonical_cluster_basis(eigvecs[:, idx])
+        basis = _canonical_cluster_basis(left[:, idx])
         blocks.append(
             SchmidtBlock(
                 s=float(np.sqrt(mean)),
@@ -145,7 +150,12 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[Schmid
                 warnings=tuple(warns),
             )
         )
-    return blocks
+    return sing, blocks
+
+
+def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[SchmidtBlock]:
+    """The Schmidt blocks of schmidt_spectrum, ordered by descending singular value."""
+    return schmidt_spectrum(h, cluster_tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +184,33 @@ def takagi_factorize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Takagi form Gamma = U diag(sigma) U^T of the complex symmetric block.
 
-    Eigenvalue clusters of Gamma Gamma^* are rotated so the restricted
-    bilinear form becomes s times the identity; kernel columns complete U to
-    a unitary.  Fails if the reconstruction residual exceeds residual_tol
-    relative to ||Gamma||.
+    Clusters of left singular vectors of Gamma are rotated so the restricted
+    bilinear form becomes s times the identity; the remaining left singular
+    vectors complete U to a unitary.  Fails if the reconstruction residual
+    exceeds residual_tol relative to ||Gamma||, the top singular value.
     """
     gamma = h.gamma
     n = gamma.shape[0]
+    sing, left, clusters = _eigen_clusters(
+        h, cluster_tol, kernel_tol=max(cluster_tol, np.finfo(float).eps * n)
+    )
     sym_defect = float(np.linalg.norm(gamma - gamma.T))
-    scale = float(np.linalg.norm(gamma, 2)) if n else 0.0
+    scale = float(sing[0]) if n else 0.0
     if scale > 0 and sym_defect > 1e-12 * scale:
         raise ValueError(f"matrix is not complex symmetric: ||G - G^T|| = {sym_defect:.3e}")
 
-    eigvals, eigvecs, clusters = _eigen_clusters(
-        h, cluster_tol, kernel_tol=max(cluster_tol, np.finfo(float).eps * n)
-    )
     u_cols = np.zeros((n, n), dtype=np.complex128)
     sigma = np.zeros(n)
-    if not clusters:
-        return np.eye(n, dtype=np.complex128), sigma
-
     pos = 0
     for idx in clusters:
-        v = eigvecs[:, idx]
-        s = float(np.sqrt(np.mean(eigvals[idx])))
+        v = left[:, idx]
+        s = float(np.sqrt(np.mean(sing[idx] ** 2)))
         small = v.conj().T @ gamma @ np.conj(v) / s
         x = _takagi_cluster_rotation(small)
         u_cols[:, pos : pos + len(idx)] = v @ x
         sigma[pos : pos + len(idx)] = s
         pos += len(idx)
-    if pos < n:
-        u_cols[:, pos:] = eigvecs[:, pos:]
+    u_cols[:, pos:] = left[:, pos:]
 
     recon = u_cols @ (sigma[:, None] * u_cols.T)
     residual = float(np.linalg.norm(recon - gamma, 2))

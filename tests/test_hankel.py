@@ -145,7 +145,6 @@ def test_shift_intertwine_interior_exact():
     res = identity_residuals(random_symbol(rng), 64)
     assert res.shift_intertwine == 0.0
     assert res.symmetry == 0.0
-    assert res.toeplitz_compression == 0.0
 
 
 def shift_matrix_residuals(gamma, u):
@@ -158,14 +157,12 @@ def shift_matrix_residuals(gamma, u):
     e0[0] = 1.0
     m2 = gamma @ np.conj(gamma)
     hu = gamma @ np.conj(u)
-    t = toeplitz_multiplier(u, n)
     rank1 = np.outer(st @ hu, e0) - np.outer(u, np.conj(s @ u))
     diffs = {
         "shift_intertwine": (st @ gamma)[:k, :k] - (gamma @ s)[:k, :k],
         "square_compression": (st @ m2 @ s)[:k, :k] - (m2 - np.outer(u, np.conj(u)))[:k, :k],
         "square_commutator": (st @ m2 - m2 @ st)[:k, :k] - rank1[:k, :k],
         "symmetry": gamma - gamma.T,
-        "toeplitz_compression": (st @ t @ s)[:k, :k] - t[:k, :k],
     }
     return {name: float(np.linalg.norm(d, 2)) for name, d in diffs.items()}
 

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from hankelschmidt.blaschke import MobiusMap, mobius_conjugate_symbol
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_square
+from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     _canonical_cluster_basis,
     _canonical_column_phases,
     orthonormalize,
     schmidt_decompose,
+    schmidt_spectrum,
     subspace_gap,
     takagi_factorize,
 )
@@ -106,6 +108,63 @@ def test_canonical_phase_normalization():
             lead = col[np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]]
             assert abs(lead.imag) < 1e-10
             assert lead.real > 0
+
+
+def test_spectrum_blocks_equal_decompose():
+    rng = np.random.default_rng(5)
+    for n in (16, 64, 128):
+        h = build_hankel_matrix(random_symbol(rng), n)
+        sing, blocks = schmidt_spectrum(h)
+        assert sing.shape == (n,) and np.all(np.diff(sing) <= 0)
+        expected = schmidt_decompose(h)
+        assert len(blocks) == len(expected)
+        for x, y in zip(blocks, expected):
+            assert np.array_equal(x.basis, y.basis)
+            assert (x.s, x.spread, x.separation, x.reliable, x.warnings) == (
+                y.s, y.spread, y.separation, y.reliable, y.warnings
+            )
+
+
+def exact_singular_values(bs, cs):
+    """Nonzero singular values for the symbol sum c_j k_{b_j}, from its r x r Gram problem."""
+    b = np.asarray(bs, dtype=complex)
+    c = np.asarray(cs, dtype=complex)
+    k = 1.0 / (1.0 - b[:, None] * np.conj(b[None, :]))
+    m = np.diag(c) @ np.conj(k) @ np.diag(np.conj(c)) @ k
+    return np.sort(np.sqrt(np.linalg.eigvals(m).real))[::-1]
+
+
+def test_small_block_singular_value_is_exact():
+    # eigenvalues of Gamma Gamma^* carry noise near eps * lambda_max, which is
+    # large against s^2 for a block this small; the SVD resolves s directly
+    bs, cs = (0.6, 0.5j), (1.0, 1e-3)
+    sym = RationalSymbol(poles=tuple(PoleTerm(b=b, m=1, c=c) for b, c in zip(bs, cs)))
+    blocks = schmidt_decompose(build_hankel_matrix(sym, 128))
+    exact = exact_singular_values(bs, cs)
+    assert len(blocks) == 2
+    assert abs(exact[1] - 7.459432e-4) < 1e-9
+    for block, s in zip(blocks, exact):
+        assert abs(block.s - s) <= 1e-11 * s
+
+
+def test_analyze_factors_gamma_once(monkeypatch):
+    n = 64
+    calls = []
+
+    def counted(kind, fn):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                calls.append((kind, kwargs.get("compute_uv", True)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    sym = RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=1.0), PoleTerm(b=-0.3j, m=1, c=0.7)))
+    report = analyze_symbol(sym, AnalysisConfig(n=n))
+    assert report["pass"] and report["numerical_rank"] == 2
+    assert calls == [("svd", True)]
 
 
 # ---------------------------------------------------------------------------
