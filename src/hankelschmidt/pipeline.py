@@ -13,7 +13,7 @@ import numpy as np
 
 from .extraction import ExtractionError, Representation, extract_representation
 from .hankel import build_hankel_matrix, residuals_from_matrix
-from .spectral import schmidt_spectrum
+from .spectral import schmidt_decompose
 from .suites import suite_identities, suite_mobius, suite_model_spaces, suite_theorem
 from .symbols import (
     RationalSymbol,
@@ -90,7 +90,8 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     n = config.n
     u = fourier_coefficients(sym, n)
     gamma = build_hankel_matrix(sym, n)
-    sing, blocks = schmidt_spectrum(gamma, config.cluster_tol)
+    blocks = schmidt_decompose(gamma, config.cluster_tol)
+    sing = blocks.singular_values
     sing = sing[sing > 1e-10 * sing[0]]
     numerical_rank = int(sing.size)
     identities = residuals_from_matrix(gamma.gamma, u.coeffs)

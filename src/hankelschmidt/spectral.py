@@ -16,7 +16,7 @@ from .hankel import HankelMatrix
 
 __all__ = [
     "SchmidtBlock",
-    "schmidt_spectrum",
+    "SchmidtBlocks",
     "schmidt_decompose",
     "takagi_factorize",
     "subspace_gap",
@@ -49,6 +49,19 @@ class SchmidtBlock:
     @property
     def order(self) -> int:
         return self.basis.shape[0]
+
+
+class SchmidtBlocks(list):
+    """Schmidt blocks by descending s, with every singular value of Gamma.
+
+    singular_values comes from the same SVD as the blocks: all N values,
+    descending, the kernel included.
+    """
+
+    def __init__(self, blocks, singular_values: np.ndarray):
+        super().__init__(blocks)
+        self.singular_values = singular_values
+        self.singular_values.setflags(write=False)
 
 
 def _eigen_clusters(
@@ -106,10 +119,8 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
     return _canonical_column_phases(q)
 
 
-def schmidt_spectrum(
-    h: HankelMatrix, cluster_tol: float = 1e-8
-) -> tuple[np.ndarray, list[SchmidtBlock]]:
-    """All singular values of Gamma, descending, and the Schmidt blocks, from one SVD.
+def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBlocks:
+    """Schmidt blocks of Gamma and all its singular values, from one SVD.
 
     The eigenvalues s^2 of Gamma Gamma^* below cluster_tol * lambda_max are
     the kernel; the rest are grouped into clusters of relative spread below
@@ -121,7 +132,7 @@ def schmidt_spectrum(
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
     sing, left, clusters = _eigen_clusters(h, cluster_tol, kernel_tol=cluster_tol)
     if not clusters:
-        return sing, []
+        return SchmidtBlocks([], sing)
     eigvals = sing**2
     noise_floor = np.finfo(float).eps * float(eigvals[0]) * h.order
     blocks = []
@@ -150,12 +161,7 @@ def schmidt_spectrum(
                 warnings=tuple(warns),
             )
         )
-    return sing, blocks
-
-
-def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> list[SchmidtBlock]:
-    """The Schmidt blocks of schmidt_spectrum, ordered by descending singular value."""
-    return schmidt_spectrum(h, cluster_tol)[1]
+    return SchmidtBlocks(blocks, sing)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hankelschmidt.spectral import (
     _canonical_column_phases,
     orthonormalize,
     schmidt_decompose,
-    schmidt_spectrum,
     subspace_gap,
     takagi_factorize,
 )
@@ -110,19 +109,18 @@ def test_canonical_phase_normalization():
             assert lead.real > 0
 
 
-def test_spectrum_blocks_equal_decompose():
+def test_decompose_carries_all_singular_values():
     rng = np.random.default_rng(5)
     for n in (16, 64, 128):
         h = build_hankel_matrix(random_symbol(rng), n)
-        sing, blocks = schmidt_spectrum(h)
+        blocks = schmidt_decompose(h)
+        sing = blocks.singular_values
         assert sing.shape == (n,) and np.all(np.diff(sing) <= 0)
-        expected = schmidt_decompose(h)
-        assert len(blocks) == len(expected)
-        for x, y in zip(blocks, expected):
-            assert np.array_equal(x.basis, y.basis)
-            assert (x.s, x.spread, x.separation, x.reliable, x.warnings) == (
-                y.s, y.spread, y.separation, y.reliable, y.warnings
-            )
+        assert not sing.flags.writeable
+        ref = np.linalg.svd(h.gamma, compute_uv=False)
+        assert np.max(np.abs(sing - ref)) <= 1e-12 * ref[0]
+        for b in blocks:
+            assert np.min(np.abs(sing - b.s)) <= 1e-8 * b.s
 
 
 def exact_singular_values(bs, cs):
