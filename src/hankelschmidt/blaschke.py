@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .hardy import (
     BoundaryGrid,
@@ -115,17 +116,17 @@ def _denominator_from_zeros(zeros: np.ndarray) -> np.ndarray:
 
 
 def _series_div(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients of num(z)/den(z) with den(0) != 0, by long division."""
-    out = np.zeros(order, dtype=np.complex128)
-    num = np.asarray(num, dtype=np.complex128)
+    """Taylor coefficients of num(z)/den(z) with den(0) != 0, by long division.
+
+    Long division is forward substitution with the lower-triangular Toeplitz
+    matrix of den, whose band den.size - 1 wide is solved by one BLAS tbsv.
+    """
     den = np.asarray(den, dtype=np.complex128)
-    for n in range(order):
-        acc = num[n] if n < num.size else 0.0
-        kmax = min(n, den.size - 1)
-        if kmax:
-            acc -= np.dot(den[1 : kmax + 1], out[n - kmax : n][::-1])
-        out[n] = acc / den[0]
-    return out
+    out = np.zeros(order, dtype=np.complex128)
+    k = min(order, np.size(num))
+    out[:k] = np.asarray(num, dtype=np.complex128)[:k]
+    band = np.repeat(den[:, None], order, axis=1)
+    return scipy.linalg.blas.ztbsv(den.size - 1, band, out, lower=1)
 
 
 def blaschke_coefficients(b: BlaschkeProduct, order: int) -> HardyVector:

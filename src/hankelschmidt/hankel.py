@@ -4,6 +4,10 @@ The anti-linear operator acts as f -> Gamma @ conj(f) on coefficient
 vectors, where Gamma[n, m] = u_hat(n + m) is filled from 2N-1 exactly
 generated coefficients.  The linear realization is f -> Gamma @ f, and the
 two are linked by plain coefficientwise conjugation.
+
+For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
+is numerically its leading J x J block (_numerical_order); the identity
+residuals here and the SVD in spectral work on that block.
 """
 
 from __future__ import annotations
@@ -132,10 +136,21 @@ def identity_residuals(sym, order: int) -> IdentityResiduals:
 
 
 def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals:
-    """Identity residuals computed from an explicit matrix (fault injection entry point)."""
+    """Identity residuals computed from an explicit matrix (fault injection entry point).
+
+    Only the leading block of order J + 2 is used, J = _numerical_order(gamma, u).
+    Every entry of a full difference matrix outside that block reads only
+    terms with an index >= J: entries of gamma or u (at most eps^2 ||Gamma||),
+    of gamma conj(gamma) (eps^2 ||Gamma||^2) or rank-one products with u
+    (eps^2 ||Gamma|| ||u||).  The margin of two covers square_commutator, whose
+    column j reads column j - 1 of gamma conj(gamma) and u[j - 1].  When
+    J + 2 >= N this is the full computation.
+    """
     gamma = np.asarray(gamma, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
-    k = gamma.shape[0] - 1
+    m = min(gamma.shape[0], _numerical_order(gamma, u) + 2)
+    gamma, u = gamma[:m, :m], u[:m]
+    k = m - 1
 
     # Shift products are slices: (S^T A)[i, j] = A[i+1, j] and (A S)[i, j] = A[i, j+1].
     b2 = _opnorm(gamma[1:, :k] - gamma[:k, 1:])
@@ -164,3 +179,29 @@ def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals
 def _opnorm(diff: np.ndarray) -> float:
     """Spectral norm, skipping the SVD when the matrix is exactly zero."""
     return float(np.linalg.norm(diff, 2)) if diff.any() else 0.0
+
+
+def _numerical_order(gamma: np.ndarray, u: np.ndarray | None = None) -> int:
+    """Smallest order J >= min(2, N) at which Gamma is numerically its leading J x J block.
+
+    The entries of gamma outside that block, together with the entries of u
+    from index J on, have l2 norm at most eps^2 times the largest column norm
+    of gamma, itself at most ||Gamma||_2.  Entries are divided by the largest
+    one before squaring, so J does not depend on the scale.  For a rational
+    symbol, Gamma[n, m] decays like |b|^(n + m), so J is well below N when the
+    poles stay well inside the disk; noise above that level gives J = N.
+    """
+    n = gamma.shape[0]
+    floor = min(2, n)
+    a = np.abs(gamma)
+    v = np.zeros(n) if u is None else np.abs(u)
+    scale = max(a.max(initial=0.0), v.max(initial=0.0))
+    if scale == 0:
+        return floor
+    a = (a / scale) ** 2
+    # shell[k]: squared entries with max(i, j) == k, and |u[k]|^2
+    shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0) + (v / scale) ** 2
+    dropped = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
+    bound = np.finfo(float).eps ** 4 * a.sum(axis=0).max()
+    fits = np.flatnonzero(dropped[floor:] <= bound)
+    return floor + int(fits[0]) if fits.size else n

@@ -2,7 +2,9 @@
 
 Schmidt subspaces ker(H^2 - s^2) are left singular subspaces of Gamma, so one
 SVD per matrix gives the blocks and the singular values; the complex-symmetric
-(Takagi) structure is recovered per cluster afterwards.
+(Takagi) structure is recovered per cluster afterwards.  The SVD factors only
+Gamma's leading J x J block, J = hankel._numerical_order(Gamma): the entries
+outside it are below eps^2 ||Gamma||, so the cost follows J, not N.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .hankel import HankelMatrix
+from .hankel import HankelMatrix, _numerical_order
 
 __all__ = [
     "SchmidtBlock",
@@ -74,8 +76,19 @@ def _eigen_clusters(
     into runs that stay within cluster_tol (relative) of the run's first one.
     Clusters are lists of indices into s; there are none when lambda_max is not
     positive and finite.  The right singular vectors are freed at once.
+
+    Only the leading J x J block is factored, J = _numerical_order(h.gamma):
+    the entries outside it move no singular value by more than eps^2 ||Gamma||,
+    and a singular subspace by at most that over its gap.  The left factor is
+    completed to an N x N unitary by the identity on the trailing coordinates,
+    and s by N - J exact zeros.
     """
-    left, sing = scipy.linalg.svd(h.gamma)[:2]
+    n, j = h.order, _numerical_order(h.gamma)
+    left_j, sing_j = scipy.linalg.svd(h.gamma[:j, :j])[:2]
+    left = np.eye(n, dtype=np.complex128)
+    left[:j, :j] = left_j
+    sing = np.zeros(n)
+    sing[:j] = sing_j
     eigvals = sing**2
     lam_max = float(eigvals[0]) if eigvals.size else 0.0
     clusters: list[list[int]] = []

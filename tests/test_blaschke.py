@@ -3,6 +3,7 @@ import pytest
 
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
+    _series_div,
     MobiusMap,
     blaschke_coefficients,
     blaschke_eval,
@@ -72,6 +73,36 @@ def test_series_matches_boundary_sampling():
         series = blaschke_coefficients(b, n).coeffs
         sampled, _ = boundary_to_coefficients(BoundaryGrid(blaschke_eval(b, GRID)), n)
         assert np.linalg.norm(series - sampled.coeffs) < 1e-10
+
+
+def long_division(num, den, order):
+    """Taylor coefficients of num/den, one coefficient at a time."""
+    out = np.zeros(order, dtype=np.complex128)
+    for n in range(order):
+        acc = num[n] if n < len(num) else 0.0
+        kmax = min(n, len(den) - 1)
+        if kmax:
+            acc -= np.dot(den[1 : kmax + 1], out[n - kmax : n][::-1])
+        out[n] = acc / den[0]
+    return out
+
+
+def test_series_div_matches_long_division():
+    rng = np.random.default_rng(12)
+    cases = [([1.0], [1.0], 1), ([1.0, 2.0, 3.0], [1.0, 0.5], 1), ([0.0, 1.0], [2.0], 5)]
+    for _ in range(20):
+        zeros = random_blaschke(rng).zeros
+        lead = rng.normal() + 1j * rng.normal()  # den[0] != 1
+        den = lead * np.poly(1 / np.conj(zeros))[::-1] / np.prod(-1 / np.conj(zeros))
+        size = rng.integers(1, 6)
+        num = rng.normal(size=size) + 1j * rng.normal(size=size)
+        cases.append((num, den, int(rng.integers(1, 400))))
+    for num, den, order in cases:
+        num, den = np.asarray(num, dtype=complex), np.asarray(den, dtype=complex)
+        ref = long_division(num, den, order)
+        out = _series_div(num, den, order)
+        assert out.shape == (order,)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_canonical_blaschke_leading_coefficient_positive():

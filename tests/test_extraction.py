@@ -9,6 +9,7 @@ from hankelschmidt.blaschke import (
     mobius_conjugate_symbol,
     tm_basis,
 )
+from hankelschmidt import extraction
 from hankelschmidt.extraction import (
     ExtractionError,
     Representation,
@@ -344,10 +345,20 @@ def test_extraction_residuals_equal_verify_representation(branch, base_point):
     assert rep.residuals == verify_representation(sym, block, rep, gamma=gamma)
 
 
-def test_extract_isometry_gate_raises_at_tiny_tolerance():
-    # ||p e_0|| - 1 is 2.2e-16 here, above 0.1 * tol
+def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
+    # p scaled by 1 + 3e-10 deviates from an isometry by 3e-10 > 0.1 * tol;
+    # the subspace gap and the action residual are unchanged by the scale
     sym = rank_one_symbol(a=0.7)
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    with pytest.raises(ExtractionError, match="not isometric"):
-        extract_representation(sym, block, gamma=gamma, tol=1e-17)
+    rep = extract_representation(sym, block, gamma=gamma, tol=1e-9)
+    assert rep.residuals.isometry < 1e-15
+    canonicalize = extraction._canonicalize
+
+    def scaled(p, theta, phi, oversample=2):
+        p, theta, phi = canonicalize(p, theta, phi, oversample=oversample)
+        return HardyVector(p.coeffs * (1 + 3e-10)), theta, phi
+
+    monkeypatch.setattr(extraction, "_canonicalize", scaled)
+    with pytest.raises(ExtractionError, match="not isometric: deviation 3.0"):
+        extract_representation(sym, block, gamma=gamma, tol=1e-9)

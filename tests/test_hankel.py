@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelschmidt.hardy import (
     BoundaryGrid,
@@ -14,6 +16,7 @@ from hankelschmidt.hardy import (
     unit,
 )
 from hankelschmidt.hankel import (
+    _numerical_order,
     build_hankel_matrix,
     conjugation_C,
     hankel_apply,
@@ -28,6 +31,7 @@ from hankelschmidt.symbols import (
     PoleTerm,
     RationalSymbol,
     evaluate_symbol,
+    fourier_coefficients,
     symbol_from_coefficients,
     tail_bound,
 )
@@ -189,6 +193,101 @@ def test_residuals_equal_shift_matrix_formulation(n):
         assert residuals_from_matrix(gamma, u).as_dict() == shift_matrix_residuals(gamma, u)
     noise = residuals_from_matrix(*cases[0])
     assert min(noise.shift_intertwine, noise.square_compression, noise.square_commutator, noise.symmetry) > 0
+
+
+EPS2 = np.finfo(float).eps ** 2
+
+
+def dropped_norm(gamma, u, j):
+    """l2 norm of the entries of gamma outside its leading j x j block and of u[j:]."""
+    outside = np.ones(gamma.shape, dtype=bool)
+    outside[:j, :j] = False
+    return float(np.sqrt(np.sum(np.abs(gamma[outside]) ** 2) + np.sum(np.abs(u[j:]) ** 2)))
+
+
+pole_terms = st.builds(
+    lambda r, t, m, c, phase: PoleTerm(b=r * np.exp(1j * t), m=m, c=c * np.exp(1j * phase)),
+    st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi), st.integers(1, 3),
+    st.floats(1e-3, 2.0), st.floats(0.0, 2 * np.pi),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poles=st.lists(pole_terms, min_size=1, max_size=4), n=st.sampled_from([16, 64, 128, 256]))
+def test_numerical_order_is_the_smallest_order_within_bound(poles, n):
+    sym = RationalSymbol(poles=tuple(poles))
+    gamma = build_hankel_matrix(sym, n).gamma
+    u = fourier_coefficients(sym, n).coeffs
+    bound = EPS2 * np.max(np.linalg.norm(gamma, axis=0))
+    for v in (np.zeros(n), u):
+        j = _numerical_order(gamma, v)
+        assert min(2, n) <= j <= n
+        assert dropped_norm(gamma, v, j) <= bound * (1 + 1e-9)
+        if j > min(2, n):
+            assert dropped_norm(gamma, v, j - 1) > bound * (1 - 1e-9)
+    j = _numerical_order(gamma)
+    assert _numerical_order(gamma * 1e-200) == j
+    assert _numerical_order(gamma * 1e200) == j
+    # a fault in the last column or the last coefficient of u forces J = N
+    scale = np.max(np.abs(gamma))
+    if scale > 0:
+        faulty = gamma.copy()
+        faulty[0, -1] += 1e-20 * scale
+        assert _numerical_order(faulty) == n
+        tail = u.copy()
+        tail[-1] += 1e-20 * scale
+        assert _numerical_order(gamma, tail) == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+def test_numerical_order_of_zero_matrix_is_floor(n):
+    zero = np.zeros((n, n), dtype=complex)
+    assert _numerical_order(zero) == min(2, n)
+    assert _numerical_order(zero, np.zeros(n)) == min(2, n)
+
+
+def test_trimmed_residuals_keep_index_margin():
+    # square_commutator's column J is square_compression's column J - 1: a fault
+    # at index J - 1 reaches it, outside the leading J + 1 block of the
+    # difference matrices but inside J + 2
+    n = 256
+    sym = RationalSymbol(poles=(PoleTerm(b=0.4, m=1, c=1.0), PoleTerm(b=-0.3j, m=2, c=0.5)))
+    gamma = build_hankel_matrix(sym, n).gamma
+    u = fourier_coefficients(sym, n).coeffs
+    j = _numerical_order(gamma, u)
+    assert j + 2 < n
+    faulty_gamma = gamma.copy()
+    faulty_gamma[j - 1, 0] += 1e-7
+    faulty_gamma[0, j - 1] += 1e-7
+    faulty_u = u.copy()
+    faulty_u[j - 1] += 1e-7
+    for g, v in ((faulty_gamma, u), (gamma, faulty_u)):
+        assert _numerical_order(g, v) == j
+        got = residuals_from_matrix(g, v).as_dict()
+        ref = shift_matrix_residuals(g, v)
+        assert ref["square_commutator"] > 1e-8
+        for name, value in ref.items():
+            assert abs(got[name] - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_trimmed_residuals_match_full_oracle(n):
+    # the symbol of test_spectral.py's trimmed-path tests: J < N at both orders
+    sym = RationalSymbol(poles=(
+        PoleTerm(b=0.8, m=1, c=1.0),
+        PoleTerm(b=-0.5j, m=1, c=0.7 - 0.2j),
+        PoleTerm(b=0.3 + 0.2j, m=2, c=0.4),
+    ))
+    gamma = build_hankel_matrix(sym, n).gamma
+    u = fourier_coefficients(sym, n).coeffs
+    assert _numerical_order(gamma, u) + 2 < n
+    got = residuals_from_matrix(gamma, u).as_dict()
+    # the full difference matrices add only entries of order eps^2 ||Gamma||^2
+    # to the trimmed ones, so the rounding-level residuals agree far below
+    # eps ||Gamma||^2 (the largest column norm is at most ||Gamma||)
+    scale = np.max(np.linalg.norm(gamma, axis=0)) ** 2
+    for name, value in shift_matrix_residuals(gamma, u).items():
+        assert abs(got[name] - value) <= 1e-17 * scale
 
 
 def test_pairing_symmetry_random_vectors():

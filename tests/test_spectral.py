@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelschmidt.blaschke import MobiusMap, mobius_conjugate_symbol
-from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_square
+from hankelschmidt.hankel import HankelMatrix, _numerical_order, build_hankel_matrix, hankel_square
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     _canonical_cluster_basis,
@@ -165,6 +165,50 @@ def test_analyze_factors_gamma_once(monkeypatch):
     assert calls == [("svd", True)]
 
 
+# poles up to |b| = 0.8 and a double pole: Gamma is numerically of order J < N
+# at N = 512 and 1024, with no subnormal entries in the full reference; the
+# identity residuals of the same symbol are checked in test_hankel.py
+TRIMMED_SYMBOL = RationalSymbol(poles=(
+    PoleTerm(b=0.8, m=1, c=1.0),
+    PoleTerm(b=-0.5j, m=1, c=0.7 - 0.2j),
+    PoleTerm(b=0.3 + 0.2j, m=2, c=0.4),
+))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_trimmed_factorization_matches_full_svd(n):
+    h = build_hankel_matrix(TRIMMED_SYMBOL, n)
+    j = _numerical_order(h.gamma)
+    assert j < n
+    blocks = schmidt_decompose(h)
+    left, sing, _ = np.linalg.svd(h.gamma)
+    assert np.max(np.abs(blocks.singular_values - sing)) <= 1e-12 * sing[0]
+    assert [b.multiplicity for b in blocks] == [1, 1, 1, 1]
+    for i, b in enumerate(blocks):
+        assert subspace_gap(b.basis, left[:, i : i + 1]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_analyze_factors_leading_block_once(monkeypatch, n):
+    j = _numerical_order(build_hankel_matrix(TRIMMED_SYMBOL, n).gamma)
+    assert j < n
+    calls = []
+
+    def counted(kind, fn):
+        def wrapper(a, *args, **kwargs):
+            if min(np.shape(a)) >= j:
+                calls.append((kind, np.shape(a), kwargs.get("compute_uv", True)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    report = analyze_symbol(TRIMMED_SYMBOL, AnalysisConfig(n=n))
+    assert report["pass"] and report["numerical_rank"] == 4
+    assert calls == [("svd", (j, j), True)]
+
+
 # ---------------------------------------------------------------------------
 # Takagi
 
@@ -200,6 +244,18 @@ def test_takagi_matches_svd_and_fixed_point():
                 continue
             v = u[:, j]
             assert np.linalg.norm(h.gamma @ np.conj(v) - sigma[j] * v) < 1e-10 * max(sv[0], 1.0)
+
+
+def test_takagi_completes_trimmed_factor_to_unitary():
+    sym = RationalSymbol(poles=(PoleTerm(b=0.4, m=1, c=1.0), PoleTerm(b=-0.3j, m=2, c=0.5)))
+    n = 256
+    h = build_hankel_matrix(sym, n)
+    assert _numerical_order(h.gamma) < n
+    u, sigma = takagi_factorize(h)
+    sv = np.linalg.svd(h.gamma, compute_uv=False)
+    assert np.max(np.abs(sigma - sv)) < 1e-12 * sv[0]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
+    assert np.linalg.norm(u @ np.diag(sigma) @ u.T - h.gamma, 2) < 1e-12 * sv[0]
 
 
 def test_takagi_sigma_invariant_under_conjugation():
