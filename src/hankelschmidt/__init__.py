@@ -35,7 +35,6 @@ from .hankel import (
     build_hankel_matrix,
     conjugation_C,
     hankel_apply,
-    hankel_square,
     identity_residuals,
     linear_hankel_apply,
 )
@@ -50,7 +49,7 @@ from .extraction import (
     verify_representation,
 )
 from .pipeline import AnalysisConfig, analyze_symbol, verify_suites
-from .spectral import SchmidtBlock, schmidt_decompose, subspace_gap, takagi_factorize
+from .spectral import SchmidtBlock, schmidt_decompose, subspace_gap
 from .symbols import (
     PoleTerm,
     RationalSymbol,

@@ -55,10 +55,10 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         z = np.atleast_1d(np.asarray(self.zeros, dtype=np.complex128))
-        if z.size and np.max(np.abs(z)) >= 1:
+        if not np.all(np.abs(z) < 1):
             raise ValueError(f"Blaschke zeros must lie in the open disk, max |a| = {np.max(np.abs(z))}")
         p = complex(self.phase)
-        if abs(abs(p) - 1) > 1e-12:
+        if not abs(abs(p) - 1) <= 1e-12:
             raise ValueError(f"phase must be unimodular, got |phase| = {abs(p)}")
         object.__setattr__(self, "zeros", z)
         object.__setattr__(self, "phase", p / abs(p))
@@ -77,7 +77,7 @@ class MobiusMap:
 
     def __post_init__(self):
         a = complex(self.alpha)
-        if abs(a) >= 1:
+        if not abs(a) < 1:
             raise ValueError(f"Moebius parameter must satisfy |alpha| < 1, got {abs(a)}")
         object.__setattr__(self, "alpha", a)
 
@@ -251,7 +251,7 @@ def frostman_shift(
     boundary, and g_alpha returned as an order-`order` coefficient vector.
     """
     alpha = complex(alpha)
-    if abs(alpha) >= 1:
+    if not abs(alpha) < 1:
         raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {abs(alpha)}")
     num = b.phase * _poly_from_roots(b.zeros)
     den = _denominator_from_zeros(b.zeros)
@@ -303,7 +303,7 @@ def _sort_complex(values: np.ndarray) -> np.ndarray:
 
 
 def mobius_conjugate_function(
-    f: HardyVector, m: MobiusMap, order: int | None = None, oversample: int = 2
+    f: HardyVector, m: MobiusMap, order: int | None = None
 ) -> tuple[HardyVector, float]:
     """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z)).
 
@@ -313,16 +313,14 @@ def mobius_conjugate_function(
     """
     if order is None:
         order = f.order
-    grid = default_grid_size(max(order, f.order), oversample)
+    grid = default_grid_size(max(order, f.order))
     z = grid_points(grid)
     w = mobius_eval(m, z)
     samples = np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z) * evaluate(f, w)
     return boundary_to_coefficients(BoundaryGrid(samples), order)
 
 
-def mobius_conjugate_symbol(
-    sym, m: MobiusMap, order: int, oversample: int = 2
-) -> tuple[HardyVector, float]:
+def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[HardyVector, float]:
     """Symbol of the conjugated Hankel operator: w = -S*((S u) o mu).
 
     Returns the first `order` Taylor coefficients of w together with the
@@ -331,7 +329,7 @@ def mobius_conjugate_symbol(
     """
     from .symbols import evaluate_symbol
 
-    grid = default_grid_size(order + 1, oversample)
+    grid = default_grid_size(order + 1)
     z = grid_points(grid)
     w = mobius_eval(m, z)
     samples = w * evaluate_symbol(sym, w)

@@ -61,15 +61,6 @@ def _parse_alpha(text: str) -> complex:
     raise SymbolFormatError(f"--alpha expects RE or RE,IM, got {text!r}")
 
 
-def _config_from_args(args) -> AnalysisConfig:
-    return AnalysisConfig(
-        n=args.n,
-        cluster_tol=args.cluster_tol,
-        verify_tol=args.verify_tol,
-        seed=getattr(args, "seed", 0),
-    )
-
-
 def _parse_blaschke_file(doc: dict) -> BlaschkeProduct:
     if not isinstance(doc, dict) or set(doc) - {"phase", "zeros"}:
         raise SymbolFormatError("Blaschke file must be an object with fields 'phase' and 'zeros'")
@@ -82,7 +73,7 @@ def _parse_blaschke_file(doc: dict) -> BlaschkeProduct:
         if not (isinstance(z, (list, tuple)) and len(z) == 2):
             raise SymbolFormatError(f"zeros[{i}]: expected [re, im], got {z!r}")
         zeros.append(complex(z[0], z[1]))
-        if abs(zeros[-1]) >= 1:
+        if not abs(zeros[-1]) < 1:
             raise SymbolFormatError(f"zeros[{i}] has modulus {abs(zeros[-1]):.6g} >= 1")
     if not (isinstance(phase_raw, (list, tuple)) and len(phase_raw) == 2):
         raise SymbolFormatError(f"'phase': expected [re, im], got {phase_raw!r}")
@@ -95,14 +86,14 @@ def _parse_blaschke_file(doc: dict) -> BlaschkeProduct:
 
 def _cmd_analyze(args) -> int:
     sym = parse_symbol(_load_json(args.symbol))
-    config = _config_from_args(args)
+    config = AnalysisConfig(n=args.n, cluster_tol=args.cluster_tol, verify_tol=args.verify_tol)
     report = analyze_symbol(sym, config)
     _emit(report, args.out)
     return analysis_exit_code(report)
 
 
 def _cmd_verify(args) -> int:
-    config = _config_from_args(args)
+    config = AnalysisConfig(n=args.n, verify_tol=args.verify_tol, seed=args.seed)
     report = verify_suites(config, perturb=args.perturb)
     _emit(report, args.out)
     return verify_exit_code(report)
@@ -111,7 +102,7 @@ def _cmd_verify(args) -> int:
 def _cmd_conjugate(args) -> int:
     sym = parse_symbol(_load_json(args.symbol))
     alpha = _parse_alpha(args.alpha)
-    if abs(alpha) >= 1:
+    if not abs(alpha) < 1:
         raise SymbolFormatError(f"--alpha must lie in the open disk, got |alpha| = {abs(alpha):.6g}")
     w, residual = mobius_conjugate_symbol(sym, MobiusMap(alpha), args.n)
     report = {
@@ -127,7 +118,7 @@ def _cmd_conjugate(args) -> int:
 def _cmd_frostman(args) -> int:
     b = _parse_blaschke_file(_load_json(args.blaschke))
     alpha = _parse_alpha(args.alpha)
-    if abs(alpha) >= 1:
+    if not abs(alpha) < 1:
         raise SymbolFormatError(f"--alpha must lie in the open disk, got |alpha| = {abs(alpha):.6g}")
     shifted, g = frostman_shift(b, alpha, args.n)
     report = {
@@ -144,8 +135,6 @@ def _cmd_frostman(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=128, help="truncation order (power of two)")
-    parser.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-8)
-    parser.add_argument("--verify-tol", dest="verify_tol", type=float, default=1e-6)
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
 
@@ -159,10 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="analyze a rational symbol file")
     p_analyze.add_argument("symbol", help="JSON symbol file")
     _add_common(p_analyze)
+    p_analyze.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=1e-8)
+    p_analyze.add_argument("--verify-tol", dest="verify_tol", type=float, default=1e-6)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="run the seeded verification suites")
     _add_common(p_verify)
+    p_verify.add_argument("--verify-tol", dest="verify_tol", type=float, default=1e-6)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--perturb", type=float, default=0.0,

@@ -289,7 +289,6 @@ def extract_representation(
     branch: str = "auto",
     base_point: complex | None = None,
     gamma: HankelMatrix | None = None,
-    oversample: int = 2,
 ) -> Representation:
     """Extract the canonical representation of a Schmidt block.
 
@@ -313,18 +312,17 @@ def extract_representation(
         alpha = 0.0 + 0.0j
     else:
         alpha = complex(base_point) if base_point is not None else base_point_select(block)
-        if abs(alpha) >= 1:
+        if not abs(alpha) < 1:
             raise ValueError("base point must lie in the open disk")
-        p, theta, phi = _extract_via_mobius(sym, block, alpha, oversample=oversample)
-    p, theta, phi = _canonicalize(p, theta, phi, oversample=oversample)
+        p, theta, phi = _extract_via_mobius(sym, block, alpha)
+    p, theta, phi = _canonicalize(p, theta, phi)
     if theta.degree != block.multiplicity:
         raise ExtractionError(
             f"inner degree {theta.degree} != block multiplicity {block.multiplicity}"
         )
     rep = Representation(p=p, theta=theta, phi=phi, canonicalized_at=alpha)
     res = verify_representation(
-        sym, block, rep, gamma=gamma,
-        model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol)), oversample=oversample,
+        sym, block, rep, gamma=gamma, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol))
     )
     if res.isometry > 0.1 * tol:
         raise ExtractionError(f"multiplier is not isometric: deviation {res.isometry:.3e}")
@@ -351,31 +349,27 @@ def _extract_direct(
 
 
 def _extract_via_mobius(
-    sym: RationalSymbol,
-    block: SchmidtBlock,
-    alpha: complex,
-    work_order: int | None = None,
-    oversample: int = 2,
+    sym: RationalSymbol, block: SchmidtBlock, alpha: complex
 ) -> tuple[HardyVector, BlaschkeProduct, float]:
     # Conjugated functions decay like 1/|mu(1/conj(b))| per coefficient, which
     # can be slow; the conjugated subproblem therefore runs at a higher
     # internal order and everything is mapped back to the block's order at the end.
     n = block.order
-    n_w = work_order if work_order is not None else min(max(4 * n, 512), 1024)
+    n_w = min(max(4 * n, 512), 1024)
     m = MobiusMap(alpha)
-    w, _ = mobius_conjugate_symbol(sym, m, 2 * n_w - 1, oversample=oversample)
+    w, _ = mobius_conjugate_symbol(sym, m, 2 * n_w - 1)
     gamma_w = build_hankel_matrix(w.coeffs, n_w)
 
     mapped = []
     for j in range(block.multiplicity):
-        g, _ = mobius_conjugate_function(HardyVector(block.basis[:, j]), m, n_w, oversample)
+        g, _ = mobius_conjugate_function(HardyVector(block.basis[:, j]), m, n_w)
         mapped.append(g)
     basis_w = orthonormalize(basis_matrix(mapped))
     block_w = SchmidtBlock(s=block.s, basis=basis_w)
 
     p_w, theta_w, phi_w = _extract_direct(gamma_w, block_w)
 
-    grid = grid_points(default_grid_size(n_w, oversample))
+    grid = grid_points(default_grid_size(n_w))
     p_samples = evaluate(p_w, mobius_eval(m, grid))
     p, _ = boundary_to_coefficients(BoundaryGrid(p_samples), n)
     theta = compose_with_mobius(theta_w, m)
@@ -383,7 +377,7 @@ def _extract_via_mobius(
 
 
 def _canonicalize(
-    p: HardyVector, theta: BlaschkeProduct, phi: float, oversample: int = 2
+    p: HardyVector, theta: BlaschkeProduct, phi: float
 ) -> tuple[HardyVector, BlaschkeProduct, float]:
     """Normalize to theta(0) = 0 (Frostman shift, flipping the phase sign),
     canonical theta phase, p(0) >= 0, phi in (-pi, pi]."""
@@ -391,7 +385,7 @@ def _canonicalize(
     t0 = complex(blaschke_eval(theta, 0.0))
     if abs(t0) > 1e-10:
         shifted, _ = frostman_shift(theta, t0, n)
-        grid = grid_points(default_grid_size(n, oversample))
+        grid = grid_points(default_grid_size(n))
         g_samples = (1 - np.conj(t0) * blaschke_eval(theta, grid)) / np.sqrt(1 - abs(t0) ** 2)
         p, _ = multiply_by_boundary(p, g_samples, n)
         theta = shifted
@@ -421,7 +415,6 @@ def verify_representation(
     rep: Representation,
     gamma: HankelMatrix | None = None,
     model_tail_tol: float = 1e-8,
-    oversample: int = 2,
 ) -> RepresentationResiduals:
     """Residual report for a representation against its block and symbol.
 
@@ -442,7 +435,7 @@ def verify_representation(
     s = block.s
     phase = np.exp(1j * rep.phi)
 
-    basis, p_samples, prods = _weighted_model_space(rep, n, model_tail_tol, oversample)
+    basis, p_samples, prods = _weighted_model_space(rep, n, model_tail_tol)
     grid = grid_points(p_samples.size)
     iso = max((abs(pe.norm() - 1.0) for pe in prods), default=0.0)
     gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
@@ -472,11 +465,11 @@ def verify_representation(
 
 
 def _weighted_model_space(
-    rep: Representation, n: int, model_tail_tol: float = 1e-8, oversample: int = 2
+    rep: Representation, n: int, model_tail_tol: float = 1e-8
 ) -> tuple[list[HardyVector], np.ndarray, list[HardyVector]]:
     """Takenaka-Malmquist basis e_k of K_theta, boundary samples of p, and the p e_k."""
     basis = tm_basis(rep.theta, n, tail_tol=model_tail_tol)
-    p_samples = sample_on_grid(rep.p, default_grid_size(n, oversample)).samples
+    p_samples = sample_on_grid(rep.p, default_grid_size(n)).samples
     prods = [multiply_by_boundary(e, p_samples, n)[0] for e in basis]
     return basis, p_samples, prods
 

@@ -25,10 +25,8 @@ __all__ = [
     "IdentityResiduals",
     "build_hankel_matrix",
     "hankel_apply",
-    "hankel_square",
     "linear_hankel_apply",
     "conjugation_C",
-    "toeplitz_multiplier",
     "identity_residuals",
     "residuals_from_matrix",
 ]
@@ -73,11 +71,6 @@ def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
     return HardyVector(h.gamma @ np.conj(f.coeffs))
 
 
-def hankel_square(h: HankelMatrix) -> np.ndarray:
-    """The Hermitian PSD matrix Gamma Gamma^* whose eigenspaces are the Schmidt subspaces."""
-    return h.gamma @ np.conj(h.gamma)
-
-
 def linear_hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
     """Linear action f -> Gamma @ f."""
     f = hardy(f)
@@ -89,17 +82,6 @@ def linear_hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
 def conjugation_C(f: HardyVector) -> HardyVector:
     """Coefficientwise conjugation, realizing C f(z) = conj(f(conj(z)))."""
     return HardyVector(np.conj(hardy(f).coeffs))
-
-
-def toeplitz_multiplier(p, order: int) -> np.ndarray:
-    """Lower-triangular Toeplitz matrix of multiplication by an analytic p."""
-    c = p.coeffs if isinstance(p, HardyVector) else np.asarray(p, dtype=np.complex128)
-    col = np.zeros(order, dtype=np.complex128)
-    k = min(order, c.size)
-    col[:k] = c[:k]
-    row = np.zeros(order, dtype=np.complex128)
-    row[0] = col[0]
-    return scipy.linalg.toeplitz(col, row)
 
 
 @dataclass(frozen=True)

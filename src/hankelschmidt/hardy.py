@@ -104,7 +104,7 @@ def unit(n: int, order: int) -> HardyVector:
 def szego_kernel(a: complex, order: int) -> HardyVector:
     """Truncated reproducing kernel k_a(z) = 1/(1 - conj(a) z), |a| < 1."""
     a = complex(a)
-    if abs(a) >= 1:
+    if not abs(a) < 1:
         raise ValueError(f"kernel point must lie in the open disk, got |a| = {abs(a)}")
     return HardyVector(np.conj(a) ** np.arange(order))
 
@@ -180,10 +180,14 @@ class BoundaryGrid:
         return self.samples.size
 
 
-def default_grid_size(order: int, oversample: int = 2) -> int:
-    """Power-of-two grid size >= 2*oversample*order (Nyquist x oversample)."""
+def default_grid_size(order: int) -> int:
+    """Power-of-two grid size >= 4*order: Nyquist for the order, oversampled 2x.
+
+    This is the package's one grid policy; every boundary computation sizes
+    its grid here.
+    """
     m = 1
-    while m < 2 * oversample * order:
+    while m < 4 * order:
         m *= 2
     return m
 
@@ -192,10 +196,10 @@ def grid_points(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def sample_on_grid(f: HardyVector, m: int | None = None, oversample: int = 2) -> BoundaryGrid:
+def sample_on_grid(f: HardyVector, m: int | None = None) -> BoundaryGrid:
     """Boundary samples of f via zero-padded inverse FFT."""
     if m is None:
-        m = default_grid_size(f.order, oversample)
+        m = default_grid_size(f.order)
     if m < f.order:
         raise ValueError(f"grid size {m} below truncation order {f.order}")
     return BoundaryGrid(np.fft.ifft(f.padded(m)) * m)

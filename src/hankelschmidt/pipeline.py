@@ -20,7 +20,6 @@ from .symbols import (
     fourier_coefficients,
     kronecker_rank_bound,
     symbol_to_dict,
-    tail_bound,
 )
 
 __all__ = [
@@ -35,10 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs shared by every analysis; defaults are desk-scale."""
+    """Settings of a run; defaults are desk-scale.
+
+    analyze_symbol applies n, cluster_tol and verify_tol; verify_suites
+    applies n, verify_tol and seed.  Each report lists only what it applied.
+    """
 
     n: int = 128
-    grid_oversample: int = 2
     cluster_tol: float = 1e-8
     verify_tol: float = 1e-6
     seed: int = 0
@@ -50,8 +52,6 @@ class AnalysisConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if self.grid_oversample < 1:
-            raise ValueError("grid_oversample must be >= 1")
 
 
 def complex_pair(z) -> list[float]:
@@ -110,10 +110,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             "warnings": list(block.warnings),
         }
         try:
-            rep = extract_representation(
-                sym, block, tol=config.verify_tol, gamma=gamma,
-                oversample=config.grid_oversample,
-            )
+            rep = extract_representation(sym, block, tol=config.verify_tol, gamma=gamma)
             passed = all(v <= config.verify_tol for v in rep.residuals.gated().values())
             entry["representation"] = _representation_entry(rep)
             entry["residuals"] = {k: float(v) for k, v in rep.residuals.as_dict().items()}
@@ -147,10 +144,8 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
         "symbol": symbol_to_dict(sym),
         "config": {
             "n": config.n,
-            "grid_oversample": config.grid_oversample,
             "cluster_tol": config.cluster_tol,
             "verify_tol": config.verify_tol,
-            "seed": config.seed,
         },
         "tail_bound": float(gamma.tail),
         "kronecker_rank_bound": int(kronecker_rank_bound(sym)),
@@ -198,8 +193,6 @@ def verify_suites(
     return {
         "config": {
             "n": config.n,
-            "grid_oversample": config.grid_oversample,
-            "cluster_tol": config.cluster_tol,
             "verify_tol": config.verify_tol,
             "seed": config.seed,
         },

@@ -1,8 +1,7 @@
-"""Schmidt subspaces, Takagi factorization and subspace distances.
+"""Schmidt subspaces and subspace distances.
 
 Schmidt subspaces ker(H^2 - s^2) are left singular subspaces of Gamma, so one
-SVD per matrix gives the blocks and the singular values; the complex-symmetric
-(Takagi) structure is recovered per cluster afterwards.  The SVD factors only
+SVD per matrix gives the blocks and the singular values.  The SVD factors only
 Gamma's leading J x J block, J = hankel._numerical_order(Gamma): the entries
 outside it are below eps^2 ||Gamma||, so the cost follows J, not N.
 """
@@ -20,7 +19,6 @@ __all__ = [
     "SchmidtBlock",
     "SchmidtBlocks",
     "schmidt_decompose",
-    "takagi_factorize",
     "subspace_gap",
     "orthonormalize",
 ]
@@ -66,45 +64,6 @@ class SchmidtBlocks(list):
         self.singular_values.setflags(write=False)
 
 
-def _eigen_clusters(
-    h: HankelMatrix, cluster_tol: float, kernel_tol: float
-) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Singular values s and left singular vectors of Gamma, grouped into clusters.
-
-    Each (s^2, vector) is an eigenpair of Gamma Gamma^*, in descending order.
-    Eigenvalues below kernel_tol * lambda_max are the kernel; the rest are split
-    into runs that stay within cluster_tol (relative) of the run's first one.
-    Clusters are lists of indices into s; there are none when lambda_max is not
-    positive and finite.  The right singular vectors are freed at once.
-
-    Only the leading J x J block is factored, J = _numerical_order(h.gamma):
-    the entries outside it move no singular value by more than eps^2 ||Gamma||,
-    and a singular subspace by at most that over its gap.  The left factor is
-    completed to an N x N unitary by the identity on the trailing coordinates,
-    and s by N - J exact zeros.
-    """
-    n, j = h.order, _numerical_order(h.gamma)
-    left_j, sing_j = scipy.linalg.svd(h.gamma[:j, :j])[:2]
-    left = np.eye(n, dtype=np.complex128)
-    left[:j, :j] = left_j
-    sing = np.zeros(n)
-    sing[:j] = sing_j
-    eigvals = sing**2
-    lam_max = float(eigvals[0]) if eigvals.size else 0.0
-    clusters: list[list[int]] = []
-    if lam_max <= 0 or not np.isfinite(lam_max):
-        return sing, left, clusters
-    cutoff = kernel_tol * lam_max
-    for i, lam in enumerate(eigvals):
-        if lam < cutoff:
-            break
-        if clusters and eigvals[clusters[-1][0]] - lam < cluster_tol * eigvals[clusters[-1][0]]:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return sing, left, clusters
-
-
 def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
     out = v.copy()
     for j in range(out.shape[1]):
@@ -135,19 +94,42 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
 def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBlocks:
     """Schmidt blocks of Gamma and all its singular values, from one SVD.
 
-    The eigenvalues s^2 of Gamma Gamma^* below cluster_tol * lambda_max are
-    the kernel; the rest are grouped into clusters of relative spread below
-    cluster_tol, each yielding one block with s = sqrt(cluster mean) and the
-    canonical basis of its left singular vectors.  Ill-separated clusters
-    (gap within 10x of the internal spreads) are flagged as unreliable.
+    Each (s^2, left singular vector) is an eigenpair of Gamma Gamma^*, in
+    descending order.  Eigenvalues below cluster_tol * lambda_max are the
+    kernel; the rest are split into runs that stay within cluster_tol
+    (relative) of the run's first one, each yielding one block with
+    s = sqrt(run mean) and the canonical basis of its left singular vectors.
+    There are no blocks when lambda_max is not positive and finite.
+    Ill-separated clusters (gap within 10x of the internal spreads) are
+    flagged as unreliable.
+
+    Only the leading J x J block is factored, J = _numerical_order(h.gamma):
+    the entries outside it move no singular value by more than eps^2 ||Gamma||,
+    and a singular subspace by at most that over its gap.  The left factor is
+    completed to an N x N unitary by the identity on the trailing coordinates,
+    and s by N - J exact zeros; the right singular vectors are freed at once.
     """
     if not 0 < cluster_tol < 1:
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
-    sing, left, clusters = _eigen_clusters(h, cluster_tol, kernel_tol=cluster_tol)
-    if not clusters:
-        return SchmidtBlocks([], sing)
+    n, j = h.order, _numerical_order(h.gamma)
+    left_j, sing_j = scipy.linalg.svd(h.gamma[:j, :j])[:2]
+    left = np.eye(n, dtype=np.complex128)
+    left[:j, :j] = left_j
+    sing = np.zeros(n)
+    sing[:j] = sing_j
     eigvals = sing**2
-    noise_floor = np.finfo(float).eps * float(eigvals[0]) * h.order
+    lam_max = float(eigvals[0]) if eigvals.size else 0.0
+    if lam_max <= 0 or not np.isfinite(lam_max):
+        return SchmidtBlocks([], sing)
+    clusters: list[list[int]] = []
+    for i, lam in enumerate(eigvals):
+        if lam < cluster_tol * lam_max:
+            break
+        if clusters and eigvals[clusters[-1][0]] - lam < cluster_tol * eigvals[clusters[-1][0]]:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    noise_floor = np.finfo(float).eps * lam_max * n
     blocks = []
     for idx in clusters:
         lams = eigvals[idx]
@@ -175,70 +157,6 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
             )
         )
     return SchmidtBlocks(blocks, sing)
-
-
-# ---------------------------------------------------------------------------
-# Takagi factorization
-
-
-def _takagi_cluster_rotation(small: np.ndarray) -> np.ndarray:
-    """Unitary X with M = X X^T for a unitary symmetric M, via the real embedding.
-
-    The real symmetric matrix [[Re M, Im M], [Im M, -Re M]] has +-1 eigenvalue
-    pairs; eigenvectors (x; y) at +1 give complex-orthonormal v = x + i y with
-    M conj(v) = v.
-    """
-    d = small.shape[0]
-    re, im = small.real, small.imag
-    big = np.block([[re, im], [im, -re]])
-    vals, vecs = np.linalg.eigh(big)
-    pos = np.argsort(vals)[::-1][:d]
-    x = vecs[:d, pos]
-    y = vecs[d:, pos]
-    return x + 1j * y
-
-
-def takagi_factorize(
-    h: HankelMatrix, cluster_tol: float = 1e-8, residual_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Takagi form Gamma = U diag(sigma) U^T of the complex symmetric block.
-
-    Clusters of left singular vectors of Gamma are rotated so the restricted
-    bilinear form becomes s times the identity; the remaining left singular
-    vectors complete U to a unitary.  Fails if the reconstruction residual
-    exceeds residual_tol relative to ||Gamma||, the top singular value.
-    """
-    gamma = h.gamma
-    n = gamma.shape[0]
-    sing, left, clusters = _eigen_clusters(
-        h, cluster_tol, kernel_tol=max(cluster_tol, np.finfo(float).eps * n)
-    )
-    sym_defect = float(np.linalg.norm(gamma - gamma.T))
-    scale = float(sing[0]) if n else 0.0
-    if scale > 0 and sym_defect > 1e-12 * scale:
-        raise ValueError(f"matrix is not complex symmetric: ||G - G^T|| = {sym_defect:.3e}")
-
-    u_cols = np.zeros((n, n), dtype=np.complex128)
-    sigma = np.zeros(n)
-    pos = 0
-    for idx in clusters:
-        v = left[:, idx]
-        s = float(np.sqrt(np.mean(sing[idx] ** 2)))
-        small = v.conj().T @ gamma @ np.conj(v) / s
-        x = _takagi_cluster_rotation(small)
-        u_cols[:, pos : pos + len(idx)] = v @ x
-        sigma[pos : pos + len(idx)] = s
-        pos += len(idx)
-    u_cols[:, pos:] = left[:, pos:]
-
-    recon = u_cols @ (sigma[:, None] * u_cols.T)
-    residual = float(np.linalg.norm(recon - gamma, 2))
-    if residual > residual_tol * max(scale, 1e-300):
-        raise ValueError(
-            f"Takagi reconstruction residual {residual:.3e} exceeds "
-            f"{residual_tol:.1e} * ||Gamma|| = {residual_tol * scale:.3e}"
-        )
-    return u_cols, sigma
 
 
 # ---------------------------------------------------------------------------

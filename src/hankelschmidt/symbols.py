@@ -49,7 +49,7 @@ class PoleTerm:
             raise SymbolFormatError(f"pole fields b, m, c must be numbers, not booleans: {self!r}")
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "c", complex(self.c))
-        if abs(self.b) >= 1:
+        if not abs(self.b) < 1:
             raise SymbolFormatError(
                 f"pole parameter b = {self.b} has |b| = {abs(self.b):.6g} >= 1; "
                 "symbols must be analytic past the closed disk"
@@ -275,7 +275,7 @@ def parse_symbol(doc: dict) -> RationalSymbol:
         m = entry.get("m", 1)
         if not isinstance(m, int) or isinstance(m, bool):
             raise SymbolFormatError(f"poles[{i}].m: expected an integer, got {m!r}")
-        if abs(b) >= 1:
+        if not abs(b) < 1:
             raise SymbolFormatError(
                 f"poles[{i}].b = [{b.real}, {b.imag}] has |b| = {abs(b):.6g} >= 1"
             )

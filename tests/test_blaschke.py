@@ -319,3 +319,23 @@ def test_mobius_map_involution_on_grid():
     m = MobiusMap(0.4 + 0.1j)
     z = GRID
     assert np.max(np.abs(mobius_eval(m, mobius_eval(m, z)) - z)) < 1e-12
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BlaschkeProduct([NAN]), "open disk"),
+        (lambda: BlaschkeProduct([0.3, complex(0.1, NAN)]), "open disk"),
+        (lambda: BlaschkeProduct([0.3], NAN), "unimodular"),
+        (lambda: MobiusMap(NAN), "Moebius parameter"),
+        (lambda: MobiusMap(complex(0.2, NAN)), "Moebius parameter"),
+        (lambda: frostman_shift(BlaschkeProduct([0.3]), NAN, 16), "Frostman parameter"),
+    ],
+    ids=["zero", "zero-imag", "phase", "mobius", "mobius-imag", "frostman"],
+)
+def test_nan_parameters_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

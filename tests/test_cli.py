@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -163,3 +164,52 @@ def test_analyze_flags_truncation_tail(tmp_path, capsys):
     assert report["pass"] is False
     assert report["tail_bound"] > 1.0
     assert any("tail bound" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize(
+    "command, zeros, alpha, message",
+    [
+        ("frostman", [[0.5, 0.0]], "nan", "--alpha"),
+        ("frostman", [[float("nan"), 0.0]], "0.2", r"zeros\[0\]"),
+        ("conjugate", None, "nan", "--alpha"),
+    ],
+    ids=["frostman-alpha", "frostman-zero", "conjugate-alpha"],
+)
+def test_cli_rejects_nan_inputs(tmp_path, capsys, command, zeros, alpha, message):
+    if command == "frostman":
+        path = write_json(tmp_path / "b.json", {"phase": [1.0, 0.0], "zeros": zeros})
+    else:
+        path = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
+    assert main([command, path, "--alpha", alpha, "--n", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjugate", "z.json", "--alpha", "0.2", "--cluster-tol", "1e-8"],
+        ["conjugate", "z.json", "--alpha", "0.2", "--verify-tol", "1e-6"],
+        ["frostman", "b.json", "--alpha", "0.2", "--cluster-tol", "1e-8"],
+        ["frostman", "b.json", "--alpha", "0.2", "--verify-tol", "1e-6"],
+        ["verify", "--cluster-tol", "1e-8"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_apply(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_report_config_lists_applied_settings(tmp_path, capsys):
+    path = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
+    main(["analyze", path, "--n", "16", "--cluster-tol", "1e-7", "--verify-tol", "1e-5"])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"n": 16, "cluster_tol": 1e-7, "verify_tol": 1e-5}
+    assert list(config) == ["n", "cluster_tol", "verify_tol"]
+    report = verify_suites(AnalysisConfig(n=32, verify_tol=1e-5, seed=5), identity_count=1,
+                           blaschke_count=1, alpha_count=1, mobius_count=1, theorem_count=1)
+    assert report["config"] == {"n": 32, "verify_tol": 1e-5, "seed": 5}
+    assert list(report["config"]) == ["n", "verify_tol", "seed"]

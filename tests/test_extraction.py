@@ -355,10 +355,19 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
     assert rep.residuals.isometry < 1e-15
     canonicalize = extraction._canonicalize
 
-    def scaled(p, theta, phi, oversample=2):
-        p, theta, phi = canonicalize(p, theta, phi, oversample=oversample)
+    def scaled(p, theta, phi):
+        p, theta, phi = canonicalize(p, theta, phi)
         return HardyVector(p.coeffs * (1 + 3e-10)), theta, phi
 
     monkeypatch.setattr(extraction, "_canonicalize", scaled)
     with pytest.raises(ExtractionError, match="not isometric: deviation 3.0"):
         extract_representation(sym, block, gamma=gamma, tol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.0, float("nan"), complex(0.3, float("nan"))])
+def test_extract_rejects_base_point_outside_disk(alpha):
+    sym = rank_one_symbol()
+    gamma = build_hankel_matrix(sym, 64)
+    block = schmidt_decompose(gamma)[0]
+    with pytest.raises(ValueError, match="base point"):
+        extract_representation(sym, block, gamma=gamma, branch="mobius", base_point=alpha)

@@ -20,11 +20,9 @@ from hankelschmidt.hankel import (
     build_hankel_matrix,
     conjugation_C,
     hankel_apply,
-    hankel_square,
     identity_residuals,
     linear_hankel_apply,
     residuals_from_matrix,
-    toeplitz_multiplier,
 )
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import (
@@ -84,7 +82,7 @@ def test_apply_szego_closed_form():
 
 def test_square_shift_symbol_block_identity():
     h = build_hankel_matrix(symbol_from_coefficients([0, 1]), 8)
-    m = hankel_square(h)
+    m = h.gamma @ np.conj(h.gamma)
     assert np.allclose(m[:2, :2], np.eye(2))
     assert np.allclose(m[2:, 2:], 0)
 
@@ -92,7 +90,7 @@ def test_square_shift_symbol_block_identity():
 def test_square_rank_one_eigenvalue():
     n = 128
     h = build_hankel_matrix(rank_one_symbol(), n)
-    m = hankel_square(h)
+    m = h.gamma @ np.conj(h.gamma)
     vals = np.linalg.eigvalsh(m)
     assert abs(vals[-1] - (4.0 / 3.0) ** 2) < 1e-10
     assert np.all(np.abs(vals[:-1]) < 1e-12)
@@ -101,7 +99,7 @@ def test_square_rank_one_eigenvalue():
 def test_square_hermitian_exactly():
     rng = np.random.default_rng(2)
     h = build_hankel_matrix(random_symbol(rng), 64)
-    m = hankel_square(h)
+    m = h.gamma @ np.conj(h.gamma)
     assert np.linalg.norm(m - m.conj().T) == 0.0
 
 
@@ -317,16 +315,6 @@ def test_boundary_route_agreement():
         samples = evaluate_symbol(sym, z) * np.conj(sample_on_grid(f, 4 * n).samples)
         projected, _ = boundary_to_coefficients(BoundaryGrid(samples), n)
         assert np.linalg.norm(direct.coeffs - projected.coeffs) < 10 * h.tail + 1e-10
-
-
-def test_toeplitz_multiplier_is_convolution():
-    p = HardyVector([1.0, 2.0, 3.0])
-    t = toeplitz_multiplier(p, 5)
-    f = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    out = t @ f
-    expected = np.zeros(5)
-    expected[:4] = np.convolve([1, 2, 3], [1, 1])
-    assert np.allclose(out, expected)
 
 
 def test_order_mismatch_rejected():

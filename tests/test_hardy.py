@@ -158,3 +158,9 @@ def test_parseval_on_grid():
 def test_grid_size_validation():
     with pytest.raises(ValueError):
         BoundaryGrid(np.ones(12))  # not a power of two
+
+
+@pytest.mark.parametrize("a", [1.0, float("nan"), complex(0.2, float("nan"))])
+def test_szego_kernel_point_in_open_disk(a):
+    with pytest.raises(ValueError, match="open disk"):
+        szego_kernel(a, 8)

@@ -4,8 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelschmidt.blaschke import MobiusMap, mobius_conjugate_symbol
-from hankelschmidt.hankel import HankelMatrix, _numerical_order, build_hankel_matrix, hankel_square
+from hankelschmidt.hankel import HankelMatrix, _numerical_order, build_hankel_matrix
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     _canonical_cluster_basis,
@@ -13,7 +12,6 @@ from hankelschmidt.spectral import (
     orthonormalize,
     schmidt_decompose,
     subspace_gap,
-    takagi_factorize,
 )
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import PoleTerm, RationalSymbol, symbol_from_coefficients
@@ -70,7 +68,7 @@ def test_blocks_invariant_under_antilinear_action():
 def test_eigenspace_residual():
     rng = np.random.default_rng(2)
     h = build_hankel_matrix(random_symbol(rng), 64)
-    m = hankel_square(h)
+    m = h.gamma @ np.conj(h.gamma)
     for b in schmidt_decompose(h):
         assert np.linalg.norm(m @ b.basis - b.s**2 * b.basis) < 1e-10 * max(b.s**2, 1.0)
 
@@ -210,74 +208,6 @@ def test_analyze_factors_leading_block_once(monkeypatch, n):
 
 
 # ---------------------------------------------------------------------------
-# Takagi
-
-
-def test_takagi_real_diagonal():
-    h = HankelMatrix(np.diag([3.0, 1.0, 0.0]).astype(complex))
-    u, sigma = takagi_factorize(h)
-    assert np.allclose(u, np.eye(3))
-    assert np.allclose(sigma, [3.0, 1.0, 0.0])
-
-
-def test_takagi_antidiagonal():
-    gamma = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    u, sigma = takagi_factorize(HankelMatrix(gamma))
-    assert np.allclose(sigma, [1.0, 1.0])
-    assert np.linalg.norm(u @ np.diag(sigma) @ u.T - gamma) < 1e-12
-    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-12
-
-
-def test_takagi_matches_svd_and_fixed_point():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        sym = random_symbol(rng)
-        h = build_hankel_matrix(sym, 48)
-        u, sigma = takagi_factorize(h)
-        sv = np.linalg.svd(h.gamma, compute_uv=False)
-        assert np.max(np.abs(sigma - sv)) < 1e-10 * max(sv[0], 1.0)
-        recon = u @ np.diag(sigma) @ u.T
-        assert np.linalg.norm(recon - h.gamma, 2) < 1e-10 * max(sv[0], 1.0)
-        # Schmidt-pair fixed-point form on the nonzero part
-        for j in range(len(sigma)):
-            if sigma[j] < 1e-8 * sv[0]:
-                continue
-            v = u[:, j]
-            assert np.linalg.norm(h.gamma @ np.conj(v) - sigma[j] * v) < 1e-10 * max(sv[0], 1.0)
-
-
-def test_takagi_completes_trimmed_factor_to_unitary():
-    sym = RationalSymbol(poles=(PoleTerm(b=0.4, m=1, c=1.0), PoleTerm(b=-0.3j, m=2, c=0.5)))
-    n = 256
-    h = build_hankel_matrix(sym, n)
-    assert _numerical_order(h.gamma) < n
-    u, sigma = takagi_factorize(h)
-    sv = np.linalg.svd(h.gamma, compute_uv=False)
-    assert np.max(np.abs(sigma - sv)) < 1e-12 * sv[0]
-    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
-    assert np.linalg.norm(u @ np.diag(sigma) @ u.T - h.gamma, 2) < 1e-12 * sv[0]
-
-
-def test_takagi_sigma_invariant_under_conjugation():
-    rng = np.random.default_rng(6)
-    sym = random_symbol(rng)
-    n = 96
-    h = build_hankel_matrix(sym, n)
-    w, _ = mobius_conjugate_symbol(sym, MobiusMap(0.3 - 0.2j), 2 * n - 1)
-    hw = build_hankel_matrix(w.coeffs, n)
-    _, s1 = takagi_factorize(h)
-    _, s2 = takagi_factorize(hw)
-    keep = s1 > 1e-8 * max(s1[0], 1.0)
-    assert np.max(np.abs(s1[keep] - s2[keep])) < 1e-8 + 10 * h.tail
-
-
-def test_takagi_requires_symmetry():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        takagi_factorize(HankelMatrix(bad))
-
-
-# ---------------------------------------------------------------------------
 # subspace gap
 
 
@@ -367,7 +297,7 @@ def cluster_inputs():
     for n, d in ((8, 1), (16, 4), (64, 2), (128, 3), (256, 4)):
         yield rng, random_isometry(rng, n, d)
     h = build_hankel_matrix(random_symbol(rng), 128)
-    _, vecs = np.linalg.eigh(hankel_square(h))
+    _, vecs = np.linalg.eigh(h.gamma @ np.conj(h.gamma))
     yield rng, vecs[:, -3:]
 
 

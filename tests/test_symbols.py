@@ -239,3 +239,11 @@ def test_pole_term_rejects_booleans(field, value):
     fields = {"b": 0.5, "m": 1, "c": 1.0, field: value}
     with pytest.raises(SymbolFormatError, match=rf"{field}=(np\.)?{bool(value)}"):
         PoleTerm(**fields)
+
+
+@pytest.mark.parametrize("b", [[float("nan"), 0.0], [0.5, float("nan")]])
+def test_nan_pole_rejected(b):
+    with pytest.raises(SymbolFormatError, match="pole parameter"):
+        PoleTerm(b=complex(*b), m=1, c=1.0)
+    with pytest.raises(SymbolFormatError, match=r"poles\[0\]\.b"):
+        parse_symbol({"poles": [{"b": b, "m": 1, "c": [1.0, 0.0]}]})
