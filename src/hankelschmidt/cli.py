@@ -23,6 +23,7 @@ from .pipeline import (
     AnalysisConfig,
     analysis_exit_code,
     analyze_symbol,
+    check_order,
     complex_pair,
     verify_exit_code,
     verify_suites,
@@ -100,6 +101,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
+    check_order(args.n)
     sym = parse_symbol(_load_json(args.symbol))
     alpha = _parse_alpha(args.alpha)
     if not abs(alpha) < 1:
@@ -116,6 +118,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_frostman(args) -> int:
+    check_order(args.n)
     b = _parse_blaschke_file(_load_json(args.blaschke))
     alpha = _parse_alpha(args.alpha)
     if not abs(alpha) < 1:

@@ -24,6 +24,7 @@ from .symbols import (
 
 __all__ = [
     "AnalysisConfig",
+    "check_order",
     "analyze_symbol",
     "analysis_exit_code",
     "verify_suites",
@@ -32,12 +33,20 @@ __all__ = [
 ]
 
 
+def check_order(n: int) -> None:
+    """Reject a truncation order that is not a power of two in [16, 1024]."""
+    if n < 16 or n > 1024 or (n & (n - 1)) != 0:
+        raise ValueError(f"truncation order must be a power of two in [16, 1024], got {n}")
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Settings of a run; defaults are desk-scale.
 
     analyze_symbol applies n, cluster_tol and verify_tol; verify_suites
     applies n, verify_tol and seed.  Each report lists only what it applied.
+    cluster_tol only decides which singular values merge into one block; the
+    kernel cutoff is spectral.RANK_TOL.
     """
 
     n: int = 128
@@ -46,8 +55,7 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 16 or self.n > 1024 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"truncation order must be a power of two in [16, 1024], got {self.n}")
+        check_order(self.n)
         for name in ("cluster_tol", "verify_tol"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -81,19 +89,19 @@ def _representation_entry(rep: Representation) -> dict:
 def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) -> dict:
     """Full pipeline: coefficients, Hankel matrix, Schmidt blocks, representations.
 
-    Block pass/fail flags come from verify_tol alone; numerically suspect
-    clusters are carried through but marked unreliable.  The report fails
-    as a whole when the blocks miss part of the numerical rank or when the
-    truncation tail bound exceeds verify_tol.
+    schmidt_decompose decides the kernel, so the numerical rank is the
+    blocks' total multiplicity.  Block pass/fail flags come from verify_tol
+    alone; numerically suspect clusters are carried through but marked
+    unreliable.  The report fails as a whole when the truncation tail bound
+    exceeds verify_tol.
     """
     config = config or AnalysisConfig()
     n = config.n
     u = fourier_coefficients(sym, n)
     gamma = build_hankel_matrix(sym, n)
     blocks = schmidt_decompose(gamma, config.cluster_tol)
-    sing = blocks.singular_values
-    sing = sing[sing > 1e-10 * sing[0]]
-    numerical_rank = int(sing.size)
+    numerical_rank = sum(b.multiplicity for b in blocks)
+    sing = blocks.singular_values[:numerical_rank]
     identities = residuals_from_matrix(gamma.gamma, u.coeffs)
 
     block_entries = []
@@ -126,13 +134,6 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             warnings.extend(f"s = {block.s:.6g}: {w}" for w in block.warnings)
         block_entries.append(entry)
 
-    covered = sum(b.multiplicity for b in blocks)
-    if covered < numerical_rank:
-        all_pass = False
-        warnings.append(
-            f"blocks cover rank {covered} of numerical rank {numerical_rank}: "
-            "Schmidt subspaces below the kernel cutoff were dropped"
-        )
     if gamma.tail > config.verify_tol:
         all_pass = False
         warnings.append(

@@ -1,7 +1,7 @@
 """Schmidt subspaces and subspace distances.
 
 Schmidt subspaces ker(H^2 - s^2) are left singular subspaces of Gamma, so one
-SVD per matrix gives the blocks and the singular values.  The SVD factors only
+SVD per matrix gives the blocks, the singular values and the numerical rank.  The SVD factors only
 Gamma's leading J x J block, J = hankel._numerical_order(Gamma): the entries
 outside it are below eps^2 ||Gamma||, so the cost follows J, not N.
 """
@@ -22,6 +22,8 @@ __all__ = [
     "subspace_gap",
     "orthonormalize",
 ]
+
+RANK_TOL = 1e-10  # singular values at or below RANK_TOL * s_max are the kernel
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,15 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
 def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBlocks:
     """Schmidt blocks of Gamma and all its singular values, from one SVD.
 
-    Each (s^2, left singular vector) is an eigenpair of Gamma Gamma^*, in
-    descending order.  Eigenvalues below cluster_tol * lambda_max are the
-    kernel; the rest are split into runs that stay within cluster_tol
-    (relative) of the run's first one, each yielding one block with
-    s = sqrt(run mean) and the canonical basis of its left singular vectors.
-    There are no blocks when lambda_max is not positive and finite.
-    Ill-separated clusters (gap within 10x of the internal spreads) are
-    flagged as unreliable.
+    Singular values s <= RANK_TOL * s_max are the kernel, so the blocks'
+    multiplicities add up to the numerical rank.  The rest are split into
+    runs that stay within cluster_tol (relative) of the run's first value,
+    each yielding one block with s = sqrt(mean s^2) and the canonical basis
+    of its left singular vectors.  There are no blocks when s_max is not
+    positive and finite.  Spread, separation and the noise floor
+    eps * s_max * N are on the scale of s, where the SVD's error is about
+    eps * s_max; clusters whose gap is within 10x of their spread or of the
+    noise floor are flagged as unreliable.
 
     Only the leading J x J block is factored, J = _numerical_order(h.gamma):
     the entries outside it move no singular value by more than eps^2 ||Gamma||,
@@ -117,29 +120,26 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     left[:j, :j] = left_j
     sing = np.zeros(n)
     sing[:j] = sing_j
-    eigvals = sing**2
-    lam_max = float(eigvals[0]) if eigvals.size else 0.0
-    if lam_max <= 0 or not np.isfinite(lam_max):
+    s_max = float(sing[0]) if sing.size else 0.0
+    if s_max <= 0 or not np.isfinite(s_max):
         return SchmidtBlocks([], sing)
     clusters: list[list[int]] = []
-    for i, lam in enumerate(eigvals):
-        if lam < cluster_tol * lam_max:
+    for i, s in enumerate(sing):
+        if s <= RANK_TOL * s_max:
             break
-        if clusters and eigvals[clusters[-1][0]] - lam < cluster_tol * eigvals[clusters[-1][0]]:
+        if clusters and sing[clusters[-1][0]] - s < cluster_tol * sing[clusters[-1][0]]:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    noise_floor = np.finfo(float).eps * lam_max * n
+    noise_floor = np.finfo(float).eps * s_max * n
     blocks = []
     for idx in clusters:
-        lams = eigvals[idx]
-        spread = float(lams[0] - lams[-1])
-        mean = float(np.mean(lams))
-        below = eigvals[idx[-1] + 1] if idx[-1] + 1 < eigvals.size else 0.0
-        above = eigvals[idx[0] - 1] if idx[0] > 0 else None
-        separation = float(lams[-1] - below)
-        if above is not None:
-            separation = min(separation, float(above - lams[0]))
+        vals = sing[idx]
+        spread = float(vals[0] - vals[-1])
+        below = sing[idx[-1] + 1] if idx[-1] + 1 < sing.size else 0.0
+        separation = float(vals[-1] - below)
+        if idx[0] > 0:
+            separation = min(separation, float(sing[idx[0] - 1] - vals[0]))
         warns = []
         if separation < 10 * max(spread, noise_floor):
             warns.append("ill-separated cluster: results near this gap are unreliable")
@@ -148,7 +148,7 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
         basis = _canonical_cluster_basis(left[:, idx])
         blocks.append(
             SchmidtBlock(
-                s=float(np.sqrt(mean)),
+                s=float(np.sqrt(np.mean(vals**2))),
                 basis=basis,
                 spread=spread,
                 separation=separation,

@@ -49,6 +49,8 @@ class PoleTerm:
             raise SymbolFormatError(f"pole fields b, m, c must be numbers, not booleans: {self!r}")
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "c", complex(self.c))
+        if not np.isfinite(self.c):
+            raise SymbolFormatError(f"pole residue c = {self.c} must be finite")
         if not abs(self.b) < 1:
             raise SymbolFormatError(
                 f"pole parameter b = {self.b} has |b| = {abs(self.b):.6g} >= 1; "
@@ -246,10 +248,14 @@ def _is_real_number(value) -> bool:
 
 def _parse_complex(value, where: str) -> complex:
     if _is_real_number(value):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real_number, value)):
-        return complex(value[0], value[1])
-    raise SymbolFormatError(f"{where}: expected [re, im], got {value!r}")
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real_number, value)):
+        z = complex(value[0], value[1])
+    else:
+        raise SymbolFormatError(f"{where}: expected [re, im], got {value!r}")
+    if not np.isfinite(z):
+        raise SymbolFormatError(f"{where}: expected finite [re, im], got {value!r}")
+    return z
 
 
 def parse_symbol(doc: dict) -> RationalSymbol:

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from hankelschmidt.cli import main
@@ -143,16 +144,20 @@ def test_analysis_exit_code_two_for_unreliable():
     assert analysis_exit_code(report) == 2
 
 
-def test_analyze_flags_dropped_small_block(tmp_path, capsys):
-    # k_0.5 + 1e-5 k_-0.3: the small block lies below the kernel cutoff
-    doc = {"poles": [{"b": [0.5, 0.0], "m": 1, "c": [1.0, 0.0]},
-                     {"b": [-0.3, 0.0], "m": 1, "c": [1e-5, 0.0]}]}
+def test_analyze_finds_small_block(tmp_path, capsys):
+    # k_0.5 + 1e-5 k_-0.3: a block at about 4e-6 s_max, far above the kernel
+    bs, cs = np.array([0.5, -0.3]), np.array([1.0, 1e-5])
+    doc = {"poles": [{"b": [b, 0.0], "m": 1, "c": [c, 0.0]} for b, c in zip(bs, cs)]}
     code = main(["analyze", write_json(tmp_path / "small.json", doc), "--n", "128"])
     report = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert report["pass"] is False
-    assert report["numerical_rank"] == 2 and len(report["blocks"]) == 1
-    assert any("numerical rank 2" in w for w in report["warnings"])
+    assert code == 0
+    assert report["pass"] is True and report["warnings"] == []
+    assert report["numerical_rank"] == 2 and len(report["blocks"]) == 2
+    assert all(b["pass"] and b["reliable"] for b in report["blocks"])
+    # s^2 are the eigenvalues of diag(c) K diag(c) K with K = 1 / (1 - b_i b_j)
+    k = 1.0 / (1.0 - np.outer(bs, bs))
+    exact = np.sqrt(np.sort(np.linalg.eigvals(np.diag(cs) @ k @ np.diag(cs) @ k).real))
+    assert abs(report["blocks"][1]["s"] - exact[0]) <= 1e-9 * exact[0]
 
 
 def test_analyze_flags_truncation_tail(tmp_path, capsys):
@@ -213,3 +218,22 @@ def test_report_config_lists_applied_settings(tmp_path, capsys):
                            blaschke_count=1, alpha_count=1, mobius_count=1, theorem_count=1)
     assert report["config"] == {"n": 32, "verify_tol": 1e-5, "seed": 5}
     assert list(report["config"]) == ["n", "verify_tol", "seed"]
+
+
+@pytest.mark.parametrize("n", ["0", "3", "-4", "2048"])
+@pytest.mark.parametrize("command", ["conjugate", "frostman"])
+def test_cli_rejects_bad_truncation_order(tmp_path, capsys, command, n):
+    if command == "frostman":
+        path = write_json(tmp_path / "b.json", {"phase": [1.0, 0.0], "zeros": [[0.5, 0.0]]})
+    else:
+        path = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
+    assert main([command, path, "--alpha", "0.2", "--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: truncation order must be a power of two in [16, 1024], got {n}\n"
+
+
+def test_cli_names_non_finite_residue(tmp_path, capsys):
+    doc = {"poles": [{"b": [0.5, 0.0], "m": 1, "c": [float("nan"), 0.0]}]}
+    assert main(["analyze", write_json(tmp_path / "nan.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "poles[0].c" in err

@@ -52,7 +52,7 @@ def test_multiplicities_and_kernel_account_for_dimension():
     blocks = schmidt_decompose(h)
     total = sum(b.multiplicity for b in blocks)
     sing = np.linalg.svd(h.gamma, compute_uv=False)
-    kernel_dim = int(np.sum(sing**2 < 1e-8 * sing[0] ** 2))
+    kernel_dim = int(np.sum(sing <= 1e-10 * sing[0]))
     assert total + kernel_dim == n
 
 
@@ -82,6 +82,15 @@ def test_false_merge_is_flagged():
     assert len(blocks) == 1
     assert blocks[0].multiplicity == 2
     assert not blocks[0].reliable
+
+
+def test_separation_is_on_the_singular_value_scale():
+    # diag(2, 1): the gap is 1 in s, where on s^2 it would be 3
+    h = HankelMatrix(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex))
+    blocks = schmidt_decompose(h)
+    assert [b.s for b in blocks] == [2.0, 1.0]
+    assert [b.separation for b in blocks] == [1.0, 1.0]
+    assert [b.spread for b in blocks] == [0.0, 0.0]
 
 
 def test_decomposition_deterministic():

@@ -241,6 +241,25 @@ def test_pole_term_rejects_booleans(field, value):
         PoleTerm(**fields)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_non_finite_residue_rejected(c):
+    with pytest.raises(SymbolFormatError, match="residue"):
+        PoleTerm(b=0.5, m=1, c=c)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"poles": [{"b": [0.5, 0.0], "m": 1, "c": [float("nan"), 0.0]}]}, r"poles\[0\]\.c"),
+        ({"poles": [{"b": [0.5, 0.0], "m": 1, "c": float("inf")}]}, r"poles\[0\]\.c"),
+        ({"poly": [[1.0, 0.0], [0.0, 0.0], [0.0, float("-inf")]]}, r"poly\[2\]"),
+    ],
+)
+def test_parse_symbol_names_non_finite_field(doc, field):
+    with pytest.raises(SymbolFormatError, match=field + ": expected finite"):
+        parse_symbol(doc)
+
+
 @pytest.mark.parametrize("b", [[float("nan"), 0.0], [0.5, float("nan")]])
 def test_nan_pole_rejected(b):
     with pytest.raises(SymbolFormatError, match="pole parameter"):
