@@ -171,7 +171,8 @@ def _numerical_order(gamma: np.ndarray, u: np.ndarray | None = None) -> int:
     of gamma, itself at most ||Gamma||_2.  Entries are divided by the largest
     one before squaring, so J does not depend on the scale.  For a rational
     symbol, Gamma[n, m] decays like |b|^(n + m), so J is well below N when the
-    poles stay well inside the disk; noise above that level gives J = N.
+    poles stay well inside the disk; noise above that level, or a non-finite
+    entry, gives J = N.
     """
     n = gamma.shape[0]
     floor = min(2, n)
@@ -180,6 +181,8 @@ def _numerical_order(gamma: np.ndarray, u: np.ndarray | None = None) -> int:
     scale = max(a.max(initial=0.0), v.max(initial=0.0))
     if scale == 0:
         return floor
+    if not np.isfinite(scale):
+        return n
     a = (a / scale) ** 2
     # shell[k]: squared entries with max(i, j) == k, and |u[k]|^2
     shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0) + (v / scale) ** 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hankelschmidt.hankel import HankelMatrix, _numerical_order, build_hankel_matrix
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
+    RANGE_BLOCK,
     _canonical_cluster_basis,
     _canonical_column_phases,
     orthonormalize,
@@ -42,7 +43,8 @@ def test_rank_one_block():
 
 def test_zero_symbol_no_blocks():
     h = build_hankel_matrix(symbol_from_coefficients([0.0]), 16)
-    assert schmidt_decompose(h) == []
+    blocks = schmidt_decompose(h)
+    assert blocks == [] and np.array_equal(blocks.singular_values, np.zeros(16))
 
 
 def test_multiplicities_and_kernel_account_for_dimension():
@@ -152,24 +154,39 @@ def test_small_block_singular_value_is_exact():
         assert abs(block.s - s) <= 1e-11 * s
 
 
-def test_analyze_factors_gamma_once(monkeypatch):
-    n = 64
+def record_factorizations(monkeypatch):
+    """(kind, shape, compute_uv) of every SVD and eigh run from now on."""
     calls = []
 
     def counted(kind, fn):
         def wrapper(a, *args, **kwargs):
-            if np.shape(a) == (n, n):
-                calls.append((kind, kwargs.get("compute_uv", True)))
+            calls.append((kind, np.shape(a), kwargs.get("compute_uv", True)))
             return fn(a, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    return calls
+
+
+def assert_gamma_factored_once(calls, j, rank):
+    """No SVD or eigh of order >= J, and one SVD with vectors of a k x J matrix, k near the rank."""
+    assert all(min(shape) < j for _, shape, _ in calls)
+    gamma_svds = [call for call in calls if call[0] == "svd" and call[1][1:] == (j,)]
+    assert len(gamma_svds) == 1
+    _, (k, _), compute_uv = gamma_svds[0]
+    assert compute_uv and rank <= k <= rank + RANGE_BLOCK
+
+
+def test_analyze_factors_gamma_once(monkeypatch):
+    n = 64
     sym = RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=1.0), PoleTerm(b=-0.3j, m=1, c=0.7)))
+    j = _numerical_order(build_hankel_matrix(sym, n).gamma)
+    calls = record_factorizations(monkeypatch)
     report = analyze_symbol(sym, AnalysisConfig(n=n))
     assert report["pass"] and report["numerical_rank"] == 2
-    assert calls == [("svd", True)]
+    assert_gamma_factored_once(calls, j, 2)
 
 
 # poles up to |b| = 0.8 and a double pole: Gamma is numerically of order J < N
@@ -182,38 +199,95 @@ TRIMMED_SYMBOL = RationalSymbol(poles=(
 ))
 
 
+def assert_matches_dense_svd(h, value_tol, gap_tol):
+    blocks = schmidt_decompose(h)
+    left, sing, _ = np.linalg.svd(h.gamma)
+    assert np.max(np.abs(blocks.singular_values - sing)) <= value_tol * sing[0]
+    first = 0
+    for b in blocks:
+        assert subspace_gap(b.basis, left[:, first : first + b.multiplicity]) <= gap_tol
+        first += b.multiplicity
+    return blocks
+
+
 @pytest.mark.parametrize("n", [512, 1024])
 def test_trimmed_factorization_matches_full_svd(n):
     h = build_hankel_matrix(TRIMMED_SYMBOL, n)
-    j = _numerical_order(h.gamma)
-    assert j < n
-    blocks = schmidt_decompose(h)
-    left, sing, _ = np.linalg.svd(h.gamma)
-    assert np.max(np.abs(blocks.singular_values - sing)) <= 1e-12 * sing[0]
+    assert _numerical_order(h.gamma) < n
+    blocks = assert_matches_dense_svd(h, 1e-12, 1e-12)
     assert [b.multiplicity for b in blocks] == [1, 1, 1, 1]
-    for i, b in enumerate(blocks):
-        assert subspace_gap(b.basis, left[:, i : i + 1]) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_analyze_factors_leading_block_once(monkeypatch, n):
     j = _numerical_order(build_hankel_matrix(TRIMMED_SYMBOL, n).gamma)
     assert j < n
-    calls = []
-
-    def counted(kind, fn):
-        def wrapper(a, *args, **kwargs):
-            if min(np.shape(a)) >= j:
-                calls.append((kind, np.shape(a), kwargs.get("compute_uv", True)))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    calls = record_factorizations(monkeypatch)
     report = analyze_symbol(TRIMMED_SYMBOL, AnalysisConfig(n=n))
     assert report["pass"] and report["numerical_rank"] == 4
-    assert calls == [("svd", (j, j), True)]
+    assert_gamma_factored_once(calls, j, 4)
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e-150, 2.0**500, 2.0**-500])
+def test_factorization_is_scale_invariant(factor):
+    h = build_hankel_matrix(random_symbol(np.random.default_rng(12)), 128)
+    ref = schmidt_decompose(h)
+    scaled = schmidt_decompose(HankelMatrix(h.gamma * factor))
+    if np.log2(factor).is_integer():
+        # a power of two scales every entry exactly, so nothing else moves
+        assert np.array_equal(scaled.singular_values, ref.singular_values * factor)
+        assert all(np.array_equal(x.basis, y.basis) for x, y in zip(scaled, ref))
+    else:
+        # rounding c * Gamma moves each entry by eps / 2 relative, so s moves by about eps * s_max
+        err = np.abs(scaled.singular_values - ref.singular_values * factor)
+        assert np.max(err) <= 1e-14 * ref.singular_values[0] * factor
+    assert [b.multiplicity for b in scaled] == [b.multiplicity for b in ref]
+    for x, y in zip(scaled, ref):
+        assert np.max(np.abs(x.basis - y.basis)) <= 1e-12
+
+
+def test_full_numerical_rank_matches_dense_svd():
+    # a degree-63 polynomial whose coefficients grow by 2 per degree: Gamma is
+    # anti-triangular and well conditioned, so J = N = 64 and k = 64
+    rng = np.random.default_rng(1)
+    coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.5 ** np.arange(63, -1, -1)
+    h = build_hankel_matrix(symbol_from_coefficients(coeffs), 64)
+    assert _numerical_order(h.gamma) == 64
+    blocks = assert_matches_dense_svd(h, 1e-12, 1e-10)
+    assert sum(b.multiplicity for b in blocks) == 64
+    assert np.all(blocks.singular_values > 0)
+
+
+def test_graded_range_stays_orthonormal():
+    # 14 poles with residues from 1 down to 1e-9: more directions than one
+    # range step takes, and later ones come from residual columns far below
+    # the largest, where a basis not orthogonalized again against Q loses
+    # orthogonality and moves s by up to 1e-2 s_max
+    rng = np.random.default_rng(0)
+    bs = 0.75 * np.exp(2j * np.pi * np.arange(14) / 14)
+    cs = 10.0 ** -rng.uniform(0, 9, size=14)
+    sym = RationalSymbol(poles=tuple(PoleTerm(b=complex(b), m=1, c=float(c)) for b, c in zip(bs, cs)))
+    blocks = assert_matches_dense_svd(build_hankel_matrix(sym, 128), 1e-12, 1e-6)
+    v = np.hstack([b.basis for b in blocks])
+    assert v.shape[1] >= 13
+    assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) <= 1e-13
+
+
+def test_pole_near_circle_factors_at_its_rank():
+    h = build_hankel_matrix(RationalSymbol(poles=(PoleTerm(b=0.99, m=1, c=1.0),)), 512)
+    assert _numerical_order(h.gamma) == 512
+    blocks = schmidt_decompose(h)
+    assert np.count_nonzero(blocks.singular_values) <= 2
+    dense = scipy.linalg.svd(h.gamma, compute_uv=False)
+    assert len(blocks) == 1 and abs(blocks[0].s - dense[0]) <= 1e-12 * dense[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_matrix_is_rejected(bad):
+    g = build_hankel_matrix(symbol_from_coefficients([1.0, 0.5]), 16).gamma.copy()
+    g[3, 4] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        schmidt_decompose(HankelMatrix(g))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +384,18 @@ def cluster_inputs():
     yield rng, vecs[:, -3:]
 
 
-def test_canonical_basis_matches_projector_qr():
+def tied_basis():
     # the shift symbol's block spans e_0, e_1: its projector columns tie exactly
-    tied = schmidt_decompose(build_hankel_matrix(symbol_from_coefficients([0, 1]), 16))[0].basis
-    for v in [tied, *(v for _, v in cluster_inputs())]:
+    return schmidt_decompose(build_hankel_matrix(symbol_from_coefficients([0, 1]), 16))[0].basis
+
+
+def test_canonical_basis_matches_projector_qr():
+    for v in [tied_basis(), *(v for _, v in cluster_inputs())]:
         assert np.max(np.abs(_canonical_cluster_basis(v) - projector_qr_basis(v))) < 1e-14
 
 
 def test_canonical_basis_depends_only_on_subspace():
-    for rng, v in cluster_inputs():
+    tied = [(np.random.default_rng(seed), tied_basis()) for seed in range(200)]
+    for rng, v in [*cluster_inputs(), *tied]:
         rotated = v @ random_isometry(rng, v.shape[1], v.shape[1])
         assert np.max(np.abs(_canonical_cluster_basis(rotated) - _canonical_cluster_basis(v))) < 1e-12
