@@ -209,22 +209,19 @@ def _distance_to_span(h: HardyVector, basis: list[HardyVector]) -> float:
 
 
 def conjugation_c_theta(
-    b: BlaschkeProduct,
-    h: HardyVector,
-    membership_tol: float = 1e-8,
-    basis: list[HardyVector] | None = None,
+    b: BlaschkeProduct, h: HardyVector, basis: list[HardyVector] | None = None
 ) -> HardyVector:
     """Anti-linear involution h -> conj(z) * B(z) * conj(h(z)) on K_B.
 
-    The input must lie in K_B (checked against the Takenaka-Malmquist span,
-    which may be passed in to avoid recomputation); the image is computed on
+    The input must lie in K_B to 1e-8 (checked against the Takenaka-Malmquist
+    span, which may be passed in to avoid recomputation); the image is computed on
     the boundary and projected back.
     """
     if basis is None:
         basis = tm_basis(b, h.order)
     dist = _distance_to_span(h, basis)
-    if dist > membership_tol * max(h.norm(), 1.0):
-        raise ValueError(f"input is {dist:.3e} away from the model space, beyond {membership_tol:.1e}")
+    if dist > 1e-8 * max(h.norm(), 1.0):
+        raise ValueError(f"input is {dist:.3e} away from the model space, beyond 1.0e-08")
     m = default_grid_size(h.order)
     z = grid_points(m)
     samples = np.conj(z) * blaschke_eval(b, z) * np.conj(sample_on_grid(h, m).samples)

@@ -28,7 +28,7 @@ from .pipeline import (
     verify_exit_code,
     verify_suites,
 )
-from .symbols import SymbolFormatError, parse_symbol
+from .symbols import SymbolFormatError, _parse_complex, parse_symbol
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -65,20 +65,14 @@ def _parse_alpha(text: str) -> complex:
 def _parse_blaschke_file(doc: dict) -> BlaschkeProduct:
     if not isinstance(doc, dict) or set(doc) - {"phase", "zeros"}:
         raise SymbolFormatError("Blaschke file must be an object with fields 'phase' and 'zeros'")
-    phase_raw = doc.get("phase", [1.0, 0.0])
     zeros_raw = doc.get("zeros", [])
     if not isinstance(zeros_raw, list):
         raise SymbolFormatError("'zeros' must be a list of [re, im] pairs")
-    zeros = []
-    for i, z in enumerate(zeros_raw):
-        if not (isinstance(z, (list, tuple)) and len(z) == 2):
-            raise SymbolFormatError(f"zeros[{i}]: expected [re, im], got {z!r}")
-        zeros.append(complex(z[0], z[1]))
-        if not abs(zeros[-1]) < 1:
-            raise SymbolFormatError(f"zeros[{i}] has modulus {abs(zeros[-1]):.6g} >= 1")
-    if not (isinstance(phase_raw, (list, tuple)) and len(phase_raw) == 2):
-        raise SymbolFormatError(f"'phase': expected [re, im], got {phase_raw!r}")
-    phase = complex(phase_raw[0], phase_raw[1])
+    zeros = [_parse_complex(z, f"zeros[{i}]") for i, z in enumerate(zeros_raw)]
+    for i, z in enumerate(zeros):
+        if not abs(z) < 1:
+            raise SymbolFormatError(f"zeros[{i}] has modulus {abs(z):.6g} >= 1")
+    phase = _parse_complex(doc.get("phase", [1.0, 0.0]), "phase")
     try:
         return BlaschkeProduct(np.array(zeros, dtype=np.complex128), phase)
     except ValueError as exc:

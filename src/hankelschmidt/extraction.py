@@ -6,11 +6,16 @@ anti-linear action
 
     f = p h  |->  s e^{i phi} p conj(z) theta conj(h),    h in K_theta.
 
-This module recovers (p, theta, phi) from a computed SchmidtBlock.  The
-direct route applies when the subspace has a usable component along the
-constant function; otherwise the problem is conjugated by a Moebius map to
-a base point where it does, solved there, and mapped back.  Results are
-canonicalized to theta(0) = 0, p(0) >= 0 and phi in (-pi, pi].
+This module recovers (p, theta, phi) from a computed SchmidtBlock by one
+route, at a base point alpha in the disk.  For the representative with
+theta(alpha) = 0 the reproducing kernel of E(s) is p(z) conj(p(w)) k_w(z)
+at w = alpha, so the projection of the Szego kernel k_alpha onto the block
+is conj(p(alpha)) p k_alpha: dividing it by k_alpha gives p up to a
+unimodular constant, and H applied to it gives theta.  The base point is 0
+(the direct route) when the constant function has a usable component in
+the block, otherwise a grid point where the block's pointwise energy is
+largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
+phi in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -22,16 +27,11 @@ import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
-    MobiusMap,
     blaschke_eval,
     canonical_blaschke,
-    compose_with_mobius,
     conjugation_c_theta,
     fit_unimodular_constant,
     frostman_shift,
-    mobius_conjugate_function,
-    mobius_conjugate_symbol,
-    mobius_eval,
     tm_basis,
 )
 from .hardy import (
@@ -41,7 +41,6 @@ from .hardy import (
     basis_matrix,
     boundary_to_coefficients,
     default_grid_size,
-    evaluate,
     grid_points,
     multiply_by_boundary,
     sample_on_grid,
@@ -54,7 +53,7 @@ from .hankel import (
     linear_hankel_apply,
 )
 from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
-from .symbols import RationalSymbol, _as_symbol, fourier_coefficients
+from .symbols import _as_symbol, fourier_coefficients
 
 __all__ = [
     "Representation",
@@ -119,16 +118,16 @@ class RepresentationResiduals:
             "p_origin": self.p_origin,
         }
 
-    def gated(self, p_origin_floor: float = 1e-3) -> dict:
+    def gated(self) -> dict:
         """The five checks gating acceptance; near-invariance only counts when
-        the multiplier has a usable value at the origin."""
+        the multiplier has a usable value at the origin (|p(0)| > 1e-3)."""
         out = {
             "subspace_gap": self.subspace_gap,
             "isometry": self.isometry,
             "action": self.action,
             "linear_form": self.linear_form,
         }
-        if self.p_origin > p_origin_floor:
+        if self.p_origin > 1e-3:
             out["near_invariance"] = max(self.near_invariance, self.near_invariance_u)
         else:
             out["near_invariance"] = 0.0
@@ -138,8 +137,8 @@ class RepresentationResiduals:
 def extremal_projection(block: SchmidtBlock) -> tuple[HardyVector, float]:
     """Orthogonal projection of the constant function onto the block.
 
-    With theta(0) = 0 this equals conj(p(0)) p, so its norm is |p(0)|; a
-    norm near zero signals the orthogonal branch.
+    With theta(0) = 0 this equals conj(p(0)) p, so its norm is |p(0)|; at
+    or below DIRECT_BRANCH_THRESHOLD extraction moves off the origin.
     """
     q = block.basis @ np.conj(block.basis[0, :])
     return HardyVector(q), float(np.linalg.norm(q))
@@ -147,12 +146,10 @@ def extremal_projection(block: SchmidtBlock) -> tuple[HardyVector, float]:
 
 def base_point_select(
     block: SchmidtBlock,
-    radii: tuple[float, ...] = BASE_POINT_RADII,
-    n_angles: int = BASE_POINT_ANGLES,
     threshold: float = 1e-6,
     direct_threshold: float = DIRECT_BRANCH_THRESHOLD,
 ) -> complex:
-    """Deterministic base point for the Moebius branch.
+    """Deterministic base point for extraction.
 
     Returns 0 when the projection of the constant onto the block is already
     usable; otherwise the grid point (concentric rings, 16 angles) maximizing
@@ -163,8 +160,10 @@ def base_point_select(
         return 0.0 + 0.0j
     best_alpha = None
     best_val = -1.0
-    for r in radii:
-        angles = [0.0] if r == 0.0 else [2 * np.pi * k / n_angles for k in range(n_angles)]
+    for r in BASE_POINT_RADII:
+        angles = [0.0] if r == 0.0 else [
+            2 * np.pi * k / BASE_POINT_ANGLES for k in range(BASE_POINT_ANGLES)
+        ]
         for t in angles:
             alpha = r * np.exp(1j * t)
             vec = np.power(alpha, np.arange(block.order)) @ block.basis
@@ -185,32 +184,36 @@ def base_point_select(
 
 
 def recover_theta(
-    p: HardyVector, hup: HardyVector, s: float, d: int, inner_tol: float = 1e-6
+    p: HardyVector, hq: HardyVector, s: float, d: int, alpha: complex
 ) -> tuple[BlaschkeProduct, float, float]:
-    """Recover theta (theta(0) = 0, degree d) and the phase from H_u p = s e^{i phi} p S* theta.
+    """Recover theta (theta(alpha) = 0, degree d) and phi from p and H q, q = p k^_alpha.
 
-    Solves the triangular convolution system jointly for the numerator and
-    denominator of S* theta: the smallest singular vector of
+    k^_alpha = sqrt(1 - |alpha|^2) / (1 - conj(alpha) z) is the unit kernel,
+    and the action formula at h = k^_alpha reads
+    H q = s e^{i phi} p theta sqrt(1 - |alpha|^2) / (z - alpha); at alpha = 0
+    that is H p = s e^{i phi} p S* theta.  With rhs = H q / s, the smallest
+    singular vector of the triangular convolution system
 
         [ T_p[:, :d] | -T_rhs[:, :d+1] ]
 
     gives polynomials (R, D) with p R = rhs D as power series, so
-    theta = z R / D up to the unimodular constant, which is then fitted on
-    the boundary.  Returns (theta, phi, boundary fit residual).  Fails if
-    the recovered function is not inner to inner_tol.
+    e^{i phi} theta = (z - alpha) R / D / sqrt(1 - |alpha|^2), whose
+    unimodular constant is then fitted on the boundary.  Returns (theta,
+    phi, boundary fit residual).  Fails if the recovered function is not
+    inner to 1e-6.
     """
     if d < 1:
         raise ValueError("theta degree must be at least 1")
     if s <= 0:
         raise ValueError("singular value must be positive")
     n = p.order
-    nrm = hup.norm()
+    nrm = hq.norm()
     if abs(nrm - s) > 0.01 * s:
         raise ExtractionError(
-            f"inconsistent data: ||H_u p|| = {nrm:.6g} but s = {s:.6g}; "
-            "the input is not a unit multiplier of this block"
+            f"inconsistent data: ||H q|| = {nrm:.6g} but s = {s:.6g}; "
+            "the input is not a unit vector of this block"
         )
-    rhs = hup.coeffs / s
+    rhs = hq.coeffs / s
     cols = np.zeros((n, 2 * d + 1), dtype=np.complex128)
     for j in range(d):
         cols[j:, j] = p.coeffs[: n - j]
@@ -243,14 +246,15 @@ def recover_theta(
         )
 
     grid = grid_points(default_grid_size(max(16, 4 * (d + 1))))
-    y = grid * _horner(num, grid) / _horner(den, grid)
+    r = math.sqrt(1 - abs(alpha) ** 2)
+    y = (grid - alpha) * _horner(num, grid) / _horner(den, grid) / r
     inner_dev = float(np.max(np.abs(np.abs(y) - 1.0)))
-    if inner_dev > inner_tol:
+    if inner_dev > 1e-6:
         raise ExtractionError(
             f"fitted function deviates from unit boundary modulus by {inner_dev:.3e}; "
             "upstream data does not define an inner function"
         )
-    zeros = np.concatenate([np.zeros(1, dtype=np.complex128), zero_list])
+    zeros = np.concatenate([[alpha], zero_list])
     theta = canonical_blaschke(zeros)
     phase, fit_residual = fit_unimodular_constant(y, blaschke_eval(theta, grid))
     phi = _wrap_phase(np.angle(phase))
@@ -272,10 +276,10 @@ def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
 
 
 def _wrap_phase(phi: float) -> float:
+    """phi modulo 2 pi in (-pi, pi].  Values within four ulps above -pi are
+    reported as pi, so a phase of pi up to rounding cannot jump by 2 pi."""
     out = math.remainder(float(phi), 2 * math.pi)
-    if out <= -math.pi:
-        out += 2 * math.pi
-    return out
+    return math.pi if out <= -math.pi + 4 * math.ulp(math.pi) else out
 
 
 # ---------------------------------------------------------------------------
@@ -286,36 +290,27 @@ def extract_representation(
     sym,
     block: SchmidtBlock,
     tol: float = 1e-7,
-    branch: str = "auto",
     base_point: complex | None = None,
     gamma: HankelMatrix | None = None,
 ) -> Representation:
     """Extract the canonical representation of a Schmidt block.
 
-    branch: "auto" picks the direct route when the projection of the constant
-    onto the block exceeds the 0.1 threshold, otherwise conjugates to a base
-    point; "direct"/"mobius" force a route.  The result is checked once by
+    The multiplier is read off the projection of the unit reproducing kernel
+    at the base point onto the block (_extract_at).  base_point None takes
+    base_point_select's: 0, the direct route, when the projection of the
+    constant onto the block exceeds the 0.1 threshold, otherwise a grid
+    point of largest pointwise energy.  The result is checked once by
     verify_representation, whose report is returned as `rep.residuals`; the
     multiplier isometry (to 0.1 * tol), subspace equality and action formula
     (to tol) are asserted on it before returning.
     """
     sym = _as_symbol(sym)
-    if branch not in ("auto", "direct", "mobius"):
-        raise ValueError(f"unknown branch {branch!r}")
-    n = block.order
     if gamma is None:
-        gamma = build_hankel_matrix(sym, n)
-    _, nq = extremal_projection(block)
-    use_direct = branch == "direct" or (branch == "auto" and nq > DIRECT_BRANCH_THRESHOLD)
-    if use_direct:
-        p, theta, phi = _extract_direct(gamma, block)
-        alpha = 0.0 + 0.0j
-    else:
-        alpha = complex(base_point) if base_point is not None else base_point_select(block)
-        if not abs(alpha) < 1:
-            raise ValueError("base point must lie in the open disk")
-        p, theta, phi = _extract_via_mobius(sym, block, alpha)
-    p, theta, phi = _canonicalize(p, theta, phi)
+        gamma = build_hankel_matrix(sym, block.order)
+    alpha = base_point_select(block) if base_point is None else complex(base_point)
+    if not abs(alpha) < 1:
+        raise ValueError("base point must lie in the open disk")
+    p, theta, phi = _canonicalize(*_extract_at(gamma, block, alpha))
     if theta.degree != block.multiplicity:
         raise ExtractionError(
             f"inner degree {theta.degree} != block multiplicity {block.multiplicity}"
@@ -333,47 +328,30 @@ def extract_representation(
     return replace(rep, residuals=res)
 
 
-def _extract_direct(
-    gamma: HankelMatrix, block: SchmidtBlock
+def _extract_at(
+    gamma: HankelMatrix, block: SchmidtBlock, alpha: complex
 ) -> tuple[HardyVector, BlaschkeProduct, float]:
-    q, nq = extremal_projection(block)
+    """(p, theta, phi) for the representative with theta(alpha) = 0.
+
+    q is the normalized projection of the unit kernel k^_alpha onto the
+    block, p k^_alpha up to a unimodular constant; dividing by k^_alpha is
+    the coefficient shift p_n = (q_n - conj(alpha) q_{n-1}) / sqrt(1 - |alpha|^2).
+    """
+    r = math.sqrt(1 - abs(alpha) ** 2)
+    kernel = r * np.conj(alpha) ** np.arange(block.order)
+    q = block.basis @ (block.basis.conj().T @ kernel)
+    nq = float(np.linalg.norm(q))
     if nq < 1e-6:
         raise ExtractionError(
-            f"projection of the constant onto the block is {nq:.3e}; "
-            "the direct route cannot normalize the multiplier"
+            f"projection of the kernel at the base point onto the block is {nq:.3e}; "
+            "the multiplier cannot be normalized"
         )
-    p = HardyVector(q.coeffs / nq)
-    hup = hankel_apply(gamma, p)
-    theta, phi, _ = recover_theta(p, hup, block.s, block.multiplicity)
+    q = q / nq
+    p = q.copy()
+    p[1:] -= np.conj(alpha) * q[:-1]
+    p = HardyVector(p / r)
+    theta, phi, _ = recover_theta(p, hankel_apply(gamma, q), block.s, block.multiplicity, alpha)
     return p, theta, phi
-
-
-def _extract_via_mobius(
-    sym: RationalSymbol, block: SchmidtBlock, alpha: complex
-) -> tuple[HardyVector, BlaschkeProduct, float]:
-    # Conjugated functions decay like 1/|mu(1/conj(b))| per coefficient, which
-    # can be slow; the conjugated subproblem therefore runs at a higher
-    # internal order and everything is mapped back to the block's order at the end.
-    n = block.order
-    n_w = min(max(4 * n, 512), 1024)
-    m = MobiusMap(alpha)
-    w, _ = mobius_conjugate_symbol(sym, m, 2 * n_w - 1)
-    gamma_w = build_hankel_matrix(w.coeffs, n_w)
-
-    mapped = []
-    for j in range(block.multiplicity):
-        g, _ = mobius_conjugate_function(HardyVector(block.basis[:, j]), m, n_w)
-        mapped.append(g)
-    basis_w = orthonormalize(basis_matrix(mapped))
-    block_w = SchmidtBlock(s=block.s, basis=basis_w)
-
-    p_w, theta_w, phi_w = _extract_direct(gamma_w, block_w)
-
-    grid = grid_points(default_grid_size(n_w))
-    p_samples = evaluate(p_w, mobius_eval(m, grid))
-    p, _ = boundary_to_coefficients(BoundaryGrid(p_samples), n)
-    theta = compose_with_mobius(theta_w, m)
-    return p, theta, _wrap_phase(phi_w + math.pi)
 
 
 def _canonicalize(

@@ -67,10 +67,10 @@ def complex_pair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _vector_pairs(coeffs: np.ndarray, keep_at_least: int = 1) -> list[list[float]]:
+def _vector_pairs(coeffs: np.ndarray) -> list[list[float]]:
     c = np.asarray(coeffs)
     nz = np.flatnonzero(np.abs(c) > 1e-14)
-    last = max(int(nz[-1]) + 1 if nz.size else 1, keep_at_least)
+    last = int(nz[-1]) + 1 if nz.size else 1
     return [complex_pair(v) for v in c[:last]]
 
 

@@ -243,11 +243,11 @@ def _nullspace_of_row(row: np.ndarray) -> np.ndarray:
     return np.conj(vh[1:, :]).T
 
 
-def subspace_gap(a: np.ndarray, b: np.ndarray, gram_tol: float = 1e-8) -> float:
+def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Operator-norm distance ||P_A - P_B|| between two subspaces.
 
     Both inputs are N x d matrices with orthonormal columns (checked to
-    gram_tol); the result lies in [0, 1], and for equal dimensions it is
+    1e-8); the result lies in [0, 1], and for equal dimensions it is
     ||B - A A^* B||, the sine of the largest principal angle.
     """
     a = np.asarray(a, dtype=np.complex128)
@@ -260,8 +260,8 @@ def subspace_gap(a: np.ndarray, b: np.ndarray, gram_tol: float = 1e-8) -> float:
         raise ValueError(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
     for name, mat in (("first", a), ("second", b)):
         gram = mat.conj().T @ mat
-        if np.linalg.norm(gram - np.eye(mat.shape[1])) > gram_tol:
-            raise ValueError(f"{name} basis is not orthonormal to {gram_tol:.1e}")
+        if np.linalg.norm(gram - np.eye(mat.shape[1])) > 1e-8:
+            raise ValueError(f"{name} basis is not orthonormal to 1.0e-08")
     if a.shape[1] != b.shape[1] or a.shape[1] == 0:
         return float(a.shape[1] != b.shape[1])
     return float(min(1.0, np.linalg.norm(b - a @ (a.conj().T @ b), 2)))

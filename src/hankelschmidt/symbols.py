@@ -80,10 +80,6 @@ class RationalSymbol:
         object.__setattr__(self, "poles", tuple(self.poles))
         self.poly.setflags(write=False)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.poles and not np.any(self.poly)
-
 
 def symbol_from_coefficients(coeffs) -> RationalSymbol:
     """Treat a raw coefficient list as a polynomial symbol."""

@@ -193,11 +193,11 @@ def test_criterion_7_mobius_branch_coverage():
     ok = (
         result["pass"]
         and result["count"] == 20
-        and result["mobius_branch_fired"] == 20
+        and result["base_point_off_origin"] == 20
         and result["max_residuals"]["image_gap"] < 1e-6
     )
     _report(
-        "criterion 7: orthogonal-branch extraction via Moebius conjugation",
+        "criterion 7: extraction off the origin for blocks orthogonal to constants",
         ok,
         f"20 cases, image gap {result['max_residuals']['image_gap']:.1e}, {elapsed:.2f}s",
     )

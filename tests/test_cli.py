@@ -112,6 +112,22 @@ def test_cli_frostman_rejects_bad_file(tmp_path, capsys):
     assert "zeros[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"zeros": [[0.1, False]]}, "zeros[0]"),
+        ({"phase": [True, 0], "zeros": [[0.5, 0.0]]}, "phase"),
+        ({"zeros": [["0.5", 0.0]]}, "zeros[0]"),
+    ],
+    ids=["boolean-zero", "boolean-phase", "string-zero"],
+)
+def test_cli_frostman_names_non_numeric_field(tmp_path, capsys, doc, field):
+    path = write_json(tmp_path / "b.json", doc)
+    assert main(["frostman", path, "--alpha", "0.2", "--n", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected [re, im]") and "Traceback" not in err
+
+
 def test_cli_alpha_outside_disk(tmp_path, capsys):
     good = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
     assert main(["conjugate", good, "--alpha", "1.5"]) == 1

@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,12 +24,23 @@ from hankelschmidt.extraction import (
     verify_representation,
 )
 from hankelschmidt.hankel import build_hankel_matrix, hankel_apply
-from hankelschmidt.hardy import HardyVector, basis_matrix, one, szego_kernel, unit
+from hankelschmidt.hardy import (
+    HardyVector,
+    basis_matrix,
+    default_grid_size,
+    multiply_by_boundary,
+    one,
+    sample_on_grid,
+    szego_kernel,
+    unit,
+)
+from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import SchmidtBlock, orthonormalize, schmidt_decompose, subspace_gap
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import (
     PoleTerm,
     RationalSymbol,
+    parse_symbol,
     symbol_from_coefficients,
     symbol_from_inner,
 )
@@ -111,7 +126,7 @@ def test_recover_theta_shift_symbol():
     gamma = build_hankel_matrix(symbol_from_coefficients([0, 1]), n)
     p = one(n)
     hup = hankel_apply(gamma, p)
-    theta, phi, fit = recover_theta(p, hup, 1.0, 2)
+    theta, phi, fit = recover_theta(p, hup, 1.0, 2, 0.0)
     assert theta.degree == 2
     assert np.allclose(theta.zeros, 0)
     assert abs(phi) < 1e-12
@@ -127,7 +142,7 @@ def test_recover_theta_rank_one():
     k = szego_kernel(0.5, n)
     p = HardyVector(k.coeffs / k.norm())
     hup = hankel_apply(gamma, p)
-    theta, phi, fit = recover_theta(p, hup, 4.0 / 3.0, 1)
+    theta, phi, fit = recover_theta(p, hup, 4.0 / 3.0, 1, 0.0)
     assert theta.degree == 1
     assert abs(theta.zeros[0]) < 1e-12
     assert abs(phi) < 1e-10
@@ -141,9 +156,25 @@ def test_recover_theta_output_is_inner():
     block = schmidt_decompose(gamma)[0]
     q, nq = extremal_projection(block)
     p = HardyVector(q.coeffs / nq)
-    theta, _, _ = recover_theta(p, hankel_apply(gamma, p), block.s, block.multiplicity)
+    theta, _, _ = recover_theta(p, hankel_apply(gamma, p), block.s, block.multiplicity, 0.0)
     z = np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
     assert np.max(np.abs(np.abs(blaschke_eval(theta, z)) - 1)) < 1e-10
+
+
+def test_recover_theta_at_base_point_places_the_zero_there():
+    # u = k_0.5: E = C k_0.5 with p = sqrt(3)/2 k_0.5 and theta = z; the
+    # representative with theta(alpha) = 0 is the Frostman shift of z
+    n, alpha = 128, 0.3 + 0.1j
+    gamma = build_hankel_matrix(rank_one_symbol(), n)
+    k = szego_kernel(0.5, n)
+    q = HardyVector(k.coeffs / k.norm())
+    r = np.sqrt(1 - abs(alpha) ** 2)
+    p = q.coeffs.copy()
+    p[1:] -= np.conj(alpha) * q.coeffs[:-1]
+    theta, _, fit = recover_theta(HardyVector(p / r), hankel_apply(gamma, q), 4.0 / 3.0, 1, alpha)
+    assert theta.degree == 1
+    assert abs(theta.zeros[0] - alpha) < 1e-15
+    assert fit < 1e-12
 
 
 def test_recover_theta_rejects_inconsistent_scale():
@@ -152,7 +183,7 @@ def test_recover_theta_rejects_inconsistent_scale():
     p = one(n)
     hup = hankel_apply(gamma, p)
     with pytest.raises(ExtractionError):
-        recover_theta(p, hup, 2.0, 2)
+        recover_theta(p, hup, 2.0, 2, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +276,52 @@ def test_branch_independence_when_projection_moderate():
     _, nq = extremal_projection(block)
     assert 0.1 < nq < 1.0
 
-    rep_a = extract_representation(sym, block, gamma=gamma, branch="direct")
-    rep_b = extract_representation(sym, block, gamma=gamma, branch="mobius", base_point=0.3 + 0.1j)
-    for rep in (rep_a, rep_b):
+    reps = [extract_representation(sym, block, gamma=gamma, base_point=alpha)
+            for alpha in (0.0, 0.3 + 0.1j, -0.5j)]
+    assert [rep.canonicalized_at for rep in reps] == [0.0, 0.3 + 0.1j, -0.5j]
+    for rep in reps:
         res = verify_representation(sym, block, rep, gamma=gamma)
         assert max(res.gated().values()) < 1e-6
 
     def weighted_basis(rep):
         cols = []
-        from hankelschmidt.hardy import default_grid_size, multiply_by_boundary, sample_on_grid
-
         ps = sample_on_grid(rep.p, default_grid_size(n)).samples
         for e in tm_basis(rep.theta, n):
             pe, _ = multiply_by_boundary(e, ps, n)
             cols.append(pe)
         return orthonormalize(basis_matrix(cols))
 
-    assert subspace_gap(weighted_basis(rep_a), weighted_basis(rep_b)) < 1e-6
+    # the canonical triple does not depend on the base point
+    first = reps[0]
+    for rep in reps[1:]:
+        assert subspace_gap(weighted_basis(first), weighted_basis(rep)) < 1e-12
+        assert np.linalg.norm(rep.p.coeffs - first.p.coeffs) < 1e-12
+        assert np.max(np.abs(rep.theta.zeros - first.theta.zeros)) < 1e-12
+        assert abs(rep.theta.phase - first.theta.phase) < 1e-12
+        assert abs(rep.phi - first.phi) < 1e-12
+
+
+def test_small_block_off_the_origin_is_exact():
+    # block 3 of this draw (s = 0.12 s_max) is extracted at a base point off
+    # the origin, at the block's own order
+    report = analyze_symbol(random_symbol(np.random.default_rng(20)), AnalysisConfig(n=128))
+    block = report["blocks"][2]
+    assert block["representation"]["canonicalized_at"] != [0.0, 0.0]
+    assert block["residuals"]["subspace_gap"] <= 1e-13
+    assert block["residuals"]["action"] <= 1e-13
+
+
+def test_wrap_phase_reports_pi_at_the_branch_cut():
+    assert extraction._wrap_phase(-3.1415926535897927) == math.pi
+    assert extraction._wrap_phase(-math.pi) == math.pi
+    assert extraction._wrap_phase(3 * math.pi) == math.pi
+    assert extraction._wrap_phase(-3.14159265358979) < 0  # 3e-15 above -pi stays
+
+
+def test_triple_pole_phase_is_pi():
+    path = Path(__file__).resolve().parent.parent / "bench" / "hard_cases" / "triple-pole.json"
+    report = analyze_symbol(parse_symbol(json.loads(path.read_text())), AnalysisConfig(n=128))
+    assert report["blocks"][1]["representation"]["phi"] == math.pi
 
 
 def test_verify_flags_perturbed_theta():
@@ -323,25 +383,17 @@ def test_u_s_cross_check_small_on_exact_data():
     assert res.u_s_cross < 1e-9
 
 
-def test_extract_rejects_bad_branch_name():
-    sym = rank_one_symbol()
-    gamma = build_hankel_matrix(sym, 32)
-    block = schmidt_decompose(gamma)[0]
-    with pytest.raises(ValueError):
-        extract_representation(sym, block, gamma=gamma, branch="sideways")
-
-
 # ---------------------------------------------------------------------------
 # extraction gates on the verification report
 
 
-@pytest.mark.parametrize("branch, base_point", [("direct", None), ("mobius", 0.3 + 0.1j)])
-def test_extraction_residuals_equal_verify_representation(branch, base_point):
+@pytest.mark.parametrize("base_point", [None, 0.3 + 0.1j])
+def test_extraction_residuals_equal_verify_representation(base_point):
     sym = rank_one_symbol(a=0.7)
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(sym, block, gamma=gamma, branch=branch, base_point=base_point)
-    assert (rep.canonicalized_at != 0) == (branch == "mobius")
+    rep = extract_representation(sym, block, gamma=gamma, base_point=base_point)
+    assert rep.canonicalized_at == (base_point or 0)
     assert rep.residuals == verify_representation(sym, block, rep, gamma=gamma)
 
 
@@ -370,4 +422,4 @@ def test_extract_rejects_base_point_outside_disk(alpha):
     gamma = build_hankel_matrix(sym, 64)
     block = schmidt_decompose(gamma)[0]
     with pytest.raises(ValueError, match="base point"):
-        extract_representation(sym, block, gamma=gamma, branch="mobius", base_point=alpha)
+        extract_representation(sym, block, gamma=gamma, base_point=alpha)

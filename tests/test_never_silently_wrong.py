@@ -116,3 +116,20 @@ def test_analyze_is_correct_or_flagged(case):
     result = outcome(report, analysis_exit_code(report), exact_singular_values(poly, poles))
     event(f"{layout(poly, poles)}: {result}")
     assert result != "silently wrong", report
+
+
+def test_multiple_poles_with_small_blocks_are_correct():
+    # three poles of multiplicity 4, 1 and 4: the three smallest blocks, at
+    # 4.7e-7 to 3.5e-9 s_max, are extracted at base points off the origin
+    poles = [
+        (complex(-0.5373490293139898, 0.5420310713300576), 4,
+         complex(-0.1817340575870318, -0.7765437434910089)),
+        (complex(-0.6240873297441091, 0.35041257921138325), 1,
+         complex(-0.26417203063295636, -0.3836678708723362)),
+        (complex(-0.23289309139962888, 0.276432820411099), 4,
+         complex(0.32094578325073536, -0.1981513590391076)),
+    ]
+    sym = RationalSymbol(poles=tuple(PoleTerm(b=b, m=m, c=c) for b, m, c in poles))
+    report = analyze_symbol(sym, AnalysisConfig(n=N))
+    exact = exact_singular_values(np.zeros(0), poles)
+    assert outcome(report, analysis_exit_code(report), exact) == "correct", report
