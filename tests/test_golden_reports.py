@@ -2,7 +2,8 @@
 
 tests/golden_reports.json holds the reports of the four bench/hard_cases at
 N=128 and of six seeded suites.random_symbol draws at N=128 and N=512, as
-written by commit b5c198b, which factored Gamma with a dense J x J SVD.
+written by commit 43899d4, which extracts every block by projecting the
+reproducing kernel at its base point.
 Keys, list lengths, strings (warnings included), booleans (pass and
 reliable flags) and integers (multiplicities, ranks) must be identical;
 every float must lie within 1e-9 * max(1, |reference|), the phase phi
