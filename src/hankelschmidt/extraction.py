@@ -45,15 +45,8 @@ from .hardy import (
     multiply_by_boundary,
     sample_on_grid,
 )
-from .hankel import (
-    HankelMatrix,
-    build_hankel_matrix,
-    conjugation_C,
-    hankel_apply,
-    linear_hankel_apply,
-)
+from .hankel import HankelMatrix, conjugation_C, hankel_apply, linear_hankel_apply
 from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
-from .symbols import _as_symbol, fourier_coefficients
 
 __all__ = [
     "Representation",
@@ -144,19 +137,15 @@ def extremal_projection(block: SchmidtBlock) -> tuple[HardyVector, float]:
     return HardyVector(q), float(np.linalg.norm(q))
 
 
-def base_point_select(
-    block: SchmidtBlock,
-    threshold: float = 1e-6,
-    direct_threshold: float = DIRECT_BRANCH_THRESHOLD,
-) -> complex:
+def base_point_select(block: SchmidtBlock) -> complex:
     """Deterministic base point for extraction.
 
     Returns 0 when the projection of the constant onto the block is already
     usable; otherwise the grid point (concentric rings, 16 angles) maximizing
-    the block's pointwise energy sum_j |f_j(alpha)|^2.
+    the block's pointwise energy sum_j |f_j(alpha)|^2, which must exceed 1e-6.
     """
     _, nq = extremal_projection(block)
-    if nq > direct_threshold:
+    if nq > DIRECT_BRANCH_THRESHOLD:
         return 0.0 + 0.0j
     best_alpha = None
     best_val = -1.0
@@ -171,9 +160,9 @@ def base_point_select(
             if val > best_val:
                 best_val = val
                 best_alpha = alpha
-    if best_val <= threshold:
+    if best_val <= 1e-6:
         raise ExtractionError(
-            f"no base point on the selection grid carries energy above {threshold:.1e}; "
+            "no base point on the selection grid carries energy above 1.0e-06; "
             "the subspace is numerically zero on the grid"
         )
     return complex(best_alpha)
@@ -287,26 +276,25 @@ def _wrap_phase(phi: float) -> float:
 
 
 def extract_representation(
-    sym,
+    gamma: HankelMatrix,
     block: SchmidtBlock,
     tol: float = 1e-7,
     base_point: complex | None = None,
-    gamma: HankelMatrix | None = None,
 ) -> Representation:
-    """Extract the canonical representation of a Schmidt block.
+    """Extract the canonical representation of a Schmidt block of Gamma.
 
-    The multiplier is read off the projection of the unit reproducing kernel
-    at the base point onto the block (_extract_at).  base_point None takes
-    base_point_select's: 0, the direct route, when the projection of the
-    constant onto the block exceeds the 0.1 threshold, otherwise a grid
-    point of largest pointwise energy.  The result is checked once by
-    verify_representation, whose report is returned as `rep.residuals`; the
-    multiplier isometry (to 0.1 * tol), subspace equality and action formula
-    (to tol) are asserted on it before returning.
+    Only the operator is needed: the block is a singular subspace of gamma,
+    and the symbol's coefficients, where verification needs them, are
+    gamma's first column (gamma.u).  The multiplier is read off the
+    projection of the unit reproducing kernel at the base point onto the
+    block (_extract_at).  base_point None takes base_point_select's: 0, the
+    direct route, when the projection of the constant onto the block exceeds
+    the 0.1 threshold, otherwise a grid point of largest pointwise energy.
+    The result is checked once by verify_representation, whose report is
+    returned as `rep.residuals`; the multiplier isometry (to 0.1 * tol),
+    subspace equality and action formula (to tol) are asserted on it before
+    returning.
     """
-    sym = _as_symbol(sym)
-    if gamma is None:
-        gamma = build_hankel_matrix(sym, block.order)
     alpha = base_point_select(block) if base_point is None else complex(base_point)
     if not abs(alpha) < 1:
         raise ValueError("base point must lie in the open disk")
@@ -317,7 +305,7 @@ def extract_representation(
         )
     rep = Representation(p=p, theta=theta, phi=phi, canonicalized_at=alpha)
     res = verify_representation(
-        sym, block, rep, gamma=gamma, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol))
+        gamma, block, rep, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol))
     )
     if res.isometry > 0.1 * tol:
         raise ExtractionError(f"multiplier is not isometric: deviation {res.isometry:.3e}")
@@ -358,14 +346,17 @@ def _canonicalize(
     p: HardyVector, theta: BlaschkeProduct, phi: float
 ) -> tuple[HardyVector, BlaschkeProduct, float]:
     """Normalize to theta(0) = 0 (Frostman shift, flipping the phase sign),
-    canonical theta phase, p(0) >= 0, phi in (-pi, pi]."""
+    canonical theta phase, p(0) >= 0, phi in (-pi, pi].
+
+    The shift multiplies p by g = (1 - conj(t0) theta) / sqrt(1 - |t0|^2);
+    coefficient k of the product reads g only up to k, so the truncated
+    convolution with g's first n coefficients is exact.
+    """
     n = p.order
     t0 = complex(blaschke_eval(theta, 0.0))
     if abs(t0) > 1e-10:
-        shifted, _ = frostman_shift(theta, t0, n)
-        grid = grid_points(default_grid_size(n))
-        g_samples = (1 - np.conj(t0) * blaschke_eval(theta, grid)) / np.sqrt(1 - abs(t0) ** 2)
-        p, _ = multiply_by_boundary(p, g_samples, n)
+        shifted, g = frostman_shift(theta, t0, n)
+        p = HardyVector(np.convolve(p.coeffs, g.coeffs)[:n])
         theta = shifted
         phi = phi + math.pi
     canon = canonical_blaschke(theta.zeros)
@@ -388,13 +379,15 @@ def _canonicalize(
 
 
 def verify_representation(
-    sym,
+    gamma: HankelMatrix,
     block: SchmidtBlock,
     rep: Representation,
-    gamma: HankelMatrix | None = None,
     model_tail_tol: float = 1e-8,
 ) -> RepresentationResiduals:
-    """Residual report for a representation against its block and symbol.
+    """Residual report for a representation against its block and Gamma.
+
+    The symbol enters only through its coefficients u_hat(0..N-1), read
+    from Gamma's first column (gamma.u).
 
     Checks, in order: the subspace equality, the isometric-multiplier
     property, the anti-linear action formula, near-S*-invariance of the
@@ -405,11 +398,8 @@ def verify_representation(
     relaxes the basis truncation gate; anything it admits stays far below
     the reported residual scale.
     """
-    sym = _as_symbol(sym)
     n = block.order
-    if gamma is None:
-        gamma = build_hankel_matrix(sym, n)
-    u = fourier_coefficients(sym, n).coeffs
+    u = gamma.u
     s = block.s
     phase = np.exp(1j * rep.phi)
 

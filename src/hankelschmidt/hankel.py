@@ -34,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HankelMatrix:
-    """N x N block of the Hankel matrix of a symbol, with its truncation tail."""
+    """N x N block of the Hankel matrix of a symbol, with its truncation tail.
+
+    The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
+    so Gamma alone carries everything extraction and verification read.
+    """
 
     gamma: np.ndarray
     tail: float = 0.0
@@ -49,6 +53,11 @@ class HankelMatrix:
     @property
     def order(self) -> int:
         return self.gamma.shape[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        """u_hat(0..N-1), Gamma's first column as a contiguous copy."""
+        return self.gamma[:, 0].copy()
 
 
 def build_hankel_matrix(sym, order: int) -> HankelMatrix:
@@ -111,10 +120,8 @@ def identity_residuals(sym, order: int) -> IdentityResiduals:
     All comparisons restrict to the leading (order-1) block so that exact
     identities are not polluted by the truncation edge.
     """
-    sym = _as_symbol(sym)
     h = build_hankel_matrix(sym, order)
-    u = fourier_coefficients(sym, order).coeffs
-    return residuals_from_matrix(h.gamma, u)
+    return residuals_from_matrix(h.gamma, h.u)
 
 
 def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals:

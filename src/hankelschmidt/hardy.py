@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "HardyVector",
     "BoundaryGrid",
-    "ProjectionError",
     "TruncationWarning",
     "hardy",
     "one",
@@ -33,10 +32,6 @@ __all__ = [
     "multiply_by_boundary",
     "basis_matrix",
 ]
-
-
-class ProjectionError(ValueError):
-    """Raised when a boundary projection drops more energy than allowed."""
 
 
 class TruncationWarning(UserWarning):
@@ -205,24 +200,17 @@ def sample_on_grid(f: HardyVector, m: int | None = None) -> BoundaryGrid:
     return BoundaryGrid(np.fft.ifft(f.padded(m)) * m)
 
 
-def boundary_to_coefficients(
-    grid: BoundaryGrid, order: int, max_residual: float | None = None
-) -> tuple[HardyVector, float]:
+def boundary_to_coefficients(grid: BoundaryGrid, order: int) -> tuple[HardyVector, float]:
     """Analytic projection of boundary samples onto coefficients 0..order-1.
 
     Returns the projected HardyVector together with the l2 norm of the
-    discarded bins (negative frequencies and the positive tail alike).  With
-    max_residual set, a larger drop raises ProjectionError.
+    discarded bins (negative frequencies and the positive tail alike).
     """
     m = grid.size
     if m < 2 * order:
         raise ValueError(f"grid size {m} < 2*order = {2 * order}: projection would alias")
     bins = np.fft.fft(grid.samples) / m
     residual = float(np.linalg.norm(bins[order:]))
-    if max_residual is not None and residual > max_residual:
-        raise ProjectionError(
-            f"projection residual {residual:.3e} exceeds allowed {max_residual:.3e}"
-        )
     return HardyVector(bins[:order]), residual
 
 

@@ -15,12 +15,7 @@ from .extraction import ExtractionError, Representation, extract_representation
 from .hankel import build_hankel_matrix, residuals_from_matrix
 from .spectral import schmidt_decompose
 from .suites import suite_identities, suite_mobius, suite_model_spaces, suite_theorem
-from .symbols import (
-    RationalSymbol,
-    fourier_coefficients,
-    kronecker_rank_bound,
-    symbol_to_dict,
-)
+from .symbols import RationalSymbol, kronecker_rank_bound, symbol_to_dict
 
 __all__ = [
     "AnalysisConfig",
@@ -97,12 +92,11 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     """
     config = config or AnalysisConfig()
     n = config.n
-    u = fourier_coefficients(sym, n)
     gamma = build_hankel_matrix(sym, n)
     blocks = schmidt_decompose(gamma, config.cluster_tol)
     numerical_rank = sum(b.multiplicity for b in blocks)
     sing = blocks.singular_values[:numerical_rank]
-    identities = residuals_from_matrix(gamma.gamma, u.coeffs)
+    identities = residuals_from_matrix(gamma.gamma, gamma.u)
 
     block_entries = []
     warnings: list[str] = []
@@ -118,7 +112,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             "warnings": list(block.warnings),
         }
         try:
-            rep = extract_representation(sym, block, tol=config.verify_tol, gamma=gamma)
+            rep = extract_representation(gamma, block, tol=config.verify_tol)
             passed = all(v <= config.verify_tol for v in rep.residuals.gated().values())
             entry["representation"] = _representation_entry(rep)
             entry["residuals"] = {k: float(v) for k, v in rep.residuals.as_dict().items()}

@@ -138,7 +138,7 @@ def tail_bound(sym: RationalSymbol, order: int) -> float:
     return total
 
 
-def _pole_tail(c: float, b: float, m: int, start: int, max_steps: int = 100_000) -> float:
+def _pole_tail(c: float, b: float, m: int, start: int) -> float:
     if b == 0.0:
         return 0.0 if start >= m else c * float(_binomial_weights(np.array([0]), m)[0])
     if m == 1:
@@ -152,7 +152,7 @@ def _pole_tail(c: float, b: float, m: int, start: int, max_steps: int = 100_000)
     while (n + m) / (n + 1) * b >= 1.0 - 1e-12:
         acc += term(n) ** 2
         n += 1
-        if n - start > max_steps:
+        if n - start > 100_000:
             return float("inf")
     rho = (n + m) / (n + 1) * b
     acc += term(n) ** 2 / (1 - rho * rho)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
@@ -23,7 +24,7 @@ from hankelschmidt.extraction import (
     recover_theta,
     verify_representation,
 )
-from hankelschmidt.hankel import build_hankel_matrix, hankel_apply
+from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_apply
 from hankelschmidt.hardy import (
     HardyVector,
     basis_matrix,
@@ -110,11 +111,10 @@ def test_base_point_avoids_common_zero():
 
 
 def test_base_point_fails_on_numerically_zero_block():
-    c = np.zeros(8, dtype=complex)
-    c[0] = 1.0
-    block = SchmidtBlock(s=1.0, basis=c[:, None])
-    with pytest.raises(ExtractionError):
-        base_point_select(block, direct_threshold=2.0, threshold=2.0)
+    # span{z^30}: the grid energy is at most 0.75^60 ~ 3e-8, below the 1e-6 floor
+    block = block_from_columns(1.0, [unit(30, 128)])
+    with pytest.raises(ExtractionError, match="numerically zero"):
+        base_point_select(block)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +196,12 @@ def test_extract_pure_inner_cube():
     gamma = build_hankel_matrix(sym, n)
     blocks = schmidt_decompose(gamma)
     assert len(blocks) == 1 and blocks[0].multiplicity == 3
-    rep = extract_representation(sym, blocks[0], gamma=gamma)
+    rep = extract_representation(gamma, blocks[0])
     # p is a unimodular constant
     assert abs(abs(rep.p.coeffs[0]) - 1.0) < 1e-10
     assert np.linalg.norm(rep.p.coeffs[1:]) < 1e-10
     assert np.allclose(rep.theta.zeros, 0)
-    res = verify_representation(sym, blocks[0], rep, gamma=gamma)
+    res = verify_representation(gamma, blocks[0], rep)
     assert res.action < 1e-9
 
 
@@ -211,12 +211,25 @@ def test_extract_rank_one_closed_forms():
     gamma = build_hankel_matrix(sym, n)
     block = schmidt_decompose(gamma)[0]
     assert abs(block.s - 4.0 / 3.0) < 1e-10
-    rep = extract_representation(sym, block, gamma=gamma)
+    rep = extract_representation(gamma, block)
     assert rep.theta.degree == 1
     assert abs(rep.theta.zeros[0]) < 1e-12
     assert abs(rep.phi) < 1e-10
     expected = np.sqrt(3) / 2 * szego_kernel(0.5, n).coeffs
     assert np.linalg.norm(rep.p.coeffs - expected) < 1e-10
+
+
+def test_extract_from_gamma_alone():
+    # Gamma filled directly from u_hat(n) = 2^{-n}; no symbol object exists
+    n = 128
+    c = 2.0 ** -np.arange(2 * n - 1)
+    gamma = HankelMatrix(scipy.linalg.hankel(c[:n], c[n - 1 :]))
+    rep = extract_representation(gamma, schmidt_decompose(gamma)[0])
+    assert np.array_equal(rep.theta.zeros, [0])
+    expected = np.sqrt(3) / 2 * szego_kernel(0.5, n).coeffs
+    assert np.max(np.abs(rep.p.coeffs - expected)) < 1e-12
+    built = build_hankel_matrix(rank_one_symbol(), n)
+    assert rep.residuals == extract_representation(built, schmidt_decompose(built)[0]).residuals
 
 
 def test_extract_theta_degree_equals_multiplicity():
@@ -227,7 +240,7 @@ def test_extract_theta_degree_equals_multiplicity():
         for block in schmidt_decompose(gamma):
             if not block.reliable:
                 continue
-            rep = extract_representation(sym, block, gamma=gamma)
+            rep = extract_representation(gamma, block)
             assert rep.theta.degree == block.multiplicity
 
 
@@ -236,7 +249,7 @@ def test_extract_canonical_form():
     sym = random_symbol(rng)
     gamma = build_hankel_matrix(sym, 64)
     for block in schmidt_decompose(gamma):
-        rep = extract_representation(sym, block, gamma=gamma)
+        rep = extract_representation(gamma, block)
         assert abs(blaschke_eval(rep.theta, 0.0)) < 1e-10  # theta(0) = 0
         assert -np.pi < rep.phi <= np.pi
         p0 = rep.p.coeffs[0]
@@ -258,8 +271,8 @@ def test_extract_mobius_branch_consistency_with_mapped_subspace():
     block_w = schmidt_decompose(gamma_w)[0]
     assert abs(block_w.s - block0.s) < 1e-8
 
-    rep = extract_representation(w.coeffs, block_w, gamma=gamma_w)
-    res = verify_representation(w.coeffs, block_w, rep, gamma=gamma_w)
+    rep = extract_representation(gamma_w, block_w)
+    res = verify_representation(gamma_w, block_w, rep)
     assert max(res.gated().values()) < 1e-7
 
     mapped, _ = mobius_conjugate_function(HardyVector(block0.basis[:, 0]), m, n)
@@ -276,11 +289,11 @@ def test_branch_independence_when_projection_moderate():
     _, nq = extremal_projection(block)
     assert 0.1 < nq < 1.0
 
-    reps = [extract_representation(sym, block, gamma=gamma, base_point=alpha)
+    reps = [extract_representation(gamma, block, base_point=alpha)
             for alpha in (0.0, 0.3 + 0.1j, -0.5j)]
     assert [rep.canonicalized_at for rep in reps] == [0.0, 0.3 + 0.1j, -0.5j]
     for rep in reps:
-        res = verify_representation(sym, block, rep, gamma=gamma)
+        res = verify_representation(gamma, block, rep)
         assert max(res.gated().values()) < 1e-6
 
     def weighted_basis(rep):
@@ -329,8 +342,8 @@ def test_verify_flags_perturbed_theta():
     n = 64
     gamma = build_hankel_matrix(sym, n)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(sym, block, gamma=gamma)
-    res = verify_representation(sym, block, rep, gamma=gamma)
+    rep = extract_representation(gamma, block)
+    res = verify_representation(gamma, block, rep)
     assert max(res.gated().values()) < 1e-9
 
     bad_zeros = rep.theta.zeros.copy()
@@ -341,7 +354,7 @@ def test_verify_flags_perturbed_theta():
         phi=rep.phi,
         canonicalized_at=rep.canonicalized_at,
     )
-    res_bad = verify_representation(sym, block, bad, gamma=gamma)
+    res_bad = verify_representation(gamma, block, bad)
     assert res_bad.subspace_gap > 1e-3
     assert res_bad.action > 1e-3
 
@@ -350,8 +363,8 @@ def test_verify_isometry_field_on_exact_input():
     sym = rank_one_symbol()
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(sym, block, gamma=gamma)
-    res = verify_representation(sym, block, rep, gamma=gamma)
+    rep = extract_representation(gamma, block)
+    res = verify_representation(gamma, block, rep)
     assert res.isometry < 1e-9
 
 
@@ -365,8 +378,8 @@ def test_near_invariance_property_when_p_usable():
         for block in schmidt_decompose(gamma):
             if not block.reliable:
                 continue
-            rep = extract_representation(sym, block, gamma=gamma)
-            res = verify_representation(sym, block, rep, gamma=gamma)
+            rep = extract_representation(gamma, block)
+            res = verify_representation(gamma, block, rep)
             if res.p_origin > 1e-3 and block.multiplicity > 0:
                 assert res.near_invariance < 1e-7
                 assert res.near_invariance_u < 1e-7
@@ -378,8 +391,8 @@ def test_u_s_cross_check_small_on_exact_data():
     sym = rank_one_symbol()
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(sym, block, gamma=gamma)
-    res = verify_representation(sym, block, rep, gamma=gamma)
+    rep = extract_representation(gamma, block)
+    res = verify_representation(gamma, block, rep)
     assert res.u_s_cross < 1e-9
 
 
@@ -392,9 +405,9 @@ def test_extraction_residuals_equal_verify_representation(base_point):
     sym = rank_one_symbol(a=0.7)
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(sym, block, gamma=gamma, base_point=base_point)
+    rep = extract_representation(gamma, block, base_point=base_point)
     assert rep.canonicalized_at == (base_point or 0)
-    assert rep.residuals == verify_representation(sym, block, rep, gamma=gamma)
+    assert rep.residuals == verify_representation(gamma, block, rep)
 
 
 def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
@@ -403,7 +416,7 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
     sym = rank_one_symbol(a=0.7)
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(sym, block, gamma=gamma, tol=1e-9)
+    rep = extract_representation(gamma, block, tol=1e-9)
     assert rep.residuals.isometry < 1e-15
     canonicalize = extraction._canonicalize
 
@@ -413,7 +426,7 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
 
     monkeypatch.setattr(extraction, "_canonicalize", scaled)
     with pytest.raises(ExtractionError, match="not isometric: deviation 3.0"):
-        extract_representation(sym, block, gamma=gamma, tol=1e-9)
+        extract_representation(gamma, block, tol=1e-9)
 
 
 @pytest.mark.parametrize("alpha", [1.0, float("nan"), complex(0.3, float("nan"))])
@@ -422,4 +435,4 @@ def test_extract_rejects_base_point_outside_disk(alpha):
     gamma = build_hankel_matrix(sym, 64)
     block = schmidt_decompose(gamma)[0]
     with pytest.raises(ValueError, match="base point"):
-        extract_representation(sym, block, gamma=gamma, base_point=alpha)
+        extract_representation(gamma, block, base_point=alpha)

@@ -50,6 +50,20 @@ def test_build_rank_one_outer_product():
     assert np.linalg.norm(h.gamma - np.outer(v, v)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [16, 128, 512])
+def test_u_is_the_exact_coefficient_vector(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        poles = tuple(PoleTerm(b=t.b, m=int(rng.integers(1, 5)), c=t.c)
+                      for t in random_symbol(rng).poles)
+        deg = int(rng.integers(0, 4))
+        poly = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        sym = RationalSymbol(poly=poly, poles=poles)
+        u = build_hankel_matrix(sym, n).u
+        assert u.flags.c_contiguous
+        assert np.array_equal(u, fourier_coefficients(sym, n).coeffs)
+
+
 def test_symmetry_exact():
     rng = np.random.default_rng(0)
     for _ in range(5):

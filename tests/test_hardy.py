@@ -4,7 +4,6 @@ import pytest
 from hankelschmidt.hardy import (
     BoundaryGrid,
     HardyVector,
-    ProjectionError,
     TruncationWarning,
     boundary_to_coefficients,
     coshift,
@@ -132,14 +131,6 @@ def test_boundary_antianalytic_projection_oracle():
     expected[0] = 1.0
     assert np.linalg.norm(back.coeffs - expected) < 1e-12
     assert abs(residual - 1.0 / np.sqrt(3.0)) < 1e-12
-
-
-def test_boundary_projection_threshold():
-    m = 256
-    z = grid_points(m)
-    samples = 1.0 / (1.0 - 0.5 * np.conj(z))
-    with pytest.raises(ProjectionError):
-        boundary_to_coefficients(BoundaryGrid(samples), 32, max_residual=1e-3)
 
 
 def test_boundary_requires_headroom():
