@@ -23,6 +23,7 @@ from .hardy import (
     boundary_to_coefficients,
     coshift,
     evaluate,
+    hankel_product,
     inner_product,
     one,
     sample_on_grid,

@@ -4,10 +4,12 @@ A finite Blaschke product is stored by its zeros and a unimodular phase,
 
     B(z) = phase * prod_j (a_j - z) / (1 - conj(a_j) z),      |a_j| < 1,
 
-so a zero at the origin contributes the factor (-z).  All products of
-coefficient vectors with boundary functions go through sample-then-project
-on an oversampled grid, and every routine that returns a Blaschke product
-fixes its phase by a least-squares fit on the boundary.
+so a zero at the origin contributes the factor (-z).  Products with B are
+computed from its exact Taylor coefficients (blaschke_coefficients): the
+conjugation C_B on K_B is the Hankel product with symbol S*B.  The boundary
+grid is used only where a function is evaluated on the circle: Moebius
+compositions, which are sampled and projected, and the least-squares fit
+that fixes the phase of every Blaschke product a routine returns.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .hardy import (
     default_grid_size,
     evaluate,
     grid_points,
+    hankel_product,
     one,
-    sample_on_grid,
 )
 
 __all__ = [
@@ -211,22 +213,20 @@ def _distance_to_span(h: HardyVector, basis: list[HardyVector]) -> float:
 def conjugation_c_theta(
     b: BlaschkeProduct, h: HardyVector, basis: list[HardyVector] | None = None
 ) -> HardyVector:
-    """Anti-linear involution h -> conj(z) * B(z) * conj(h(z)) on K_B.
+    """Anti-linear involution h -> P_+(conj(z) * B(z) * conj(h(z))) on K_B.
 
     The input must lie in K_B to 1e-8 (checked against the Takenaka-Malmquist
-    span, which may be passed in to avoid recomputation); the image is computed on
-    the boundary and projected back.
+    span, which may be passed in to avoid recomputation).  The image is the
+    Hankel product with symbol S*B, (C_B h)_k = sum_j B^(k+j+1) conj(h_j),
+    from B's exact Taylor coefficients to order 2N.
     """
     if basis is None:
         basis = tm_basis(b, h.order)
     dist = _distance_to_span(h, basis)
     if dist > 1e-8 * max(h.norm(), 1.0):
         raise ValueError(f"input is {dist:.3e} away from the model space, beyond 1.0e-08")
-    m = default_grid_size(h.order)
-    z = grid_points(m)
-    samples = np.conj(z) * blaschke_eval(b, z) * np.conj(sample_on_grid(h, m).samples)
-    out, _ = boundary_to_coefficients(BoundaryGrid(samples), h.order)
-    return out
+    theta = blaschke_coefficients(b, 2 * h.order).coeffs
+    return HardyVector(hankel_product(theta[1:], h.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ unimodular constant, and H applied to it gives theta.  The base point is 0
 (the direct route) when the constant function has a usable component in
 the block, otherwise a grid point where the block's pointwise energy is
 largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
-phi in (-pi, pi].
+phi in (-pi, pi].  Verification works on coefficients: p e_k is a
+truncated convolution and C_theta is the Hankel product with symbol
+S* theta.  Only the inner fit of recover_theta and the theta_inner check
+evaluate on the boundary grid.
 """
 
 from __future__ import annotations
@@ -27,23 +30,20 @@ import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
+    blaschke_coefficients,
     blaschke_eval,
     canonical_blaschke,
-    conjugation_c_theta,
     fit_unimodular_constant,
     frostman_shift,
     tm_basis,
 )
 from .hardy import (
-    BoundaryGrid,
     HardyVector,
     _horner,
     basis_matrix,
-    boundary_to_coefficients,
     default_grid_size,
     grid_points,
-    multiply_by_boundary,
-    sample_on_grid,
+    hankel_product,
 )
 from .hankel import HankelMatrix, conjugation_C, hankel_apply, linear_hankel_apply
 from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
@@ -397,27 +397,39 @@ def verify_representation(
     of the symbol onto the block against its closed form.  model_tail_tol
     relaxes the basis truncation gate; anything it admits stays far below
     the reported residual scale.
+
+    Everything but the innerness of theta is computed in coefficient space
+    from theta's Taylor coefficients to order 2N: products are truncated
+    convolutions, C_theta e = Gamma_{S* theta} conj(e), and p conj(z) theta
+    has analytic part S*(p theta), which is p theta / z since theta(0) = 0.
     """
     n = block.order
     u = gamma.u
     s = block.s
     phase = np.exp(1j * rep.phi)
 
-    basis, p_samples, prods = _weighted_model_space(rep, n, model_tail_tol)
-    grid = grid_points(p_samples.size)
+    basis, prods = _weighted_model_space(rep, n, model_tail_tol)
     iso = max((abs(pe.norm() - 1.0) for pe in prods), default=0.0)
     gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
 
+    theta_hat = blaschke_coefficients(rep.theta, 2 * n).coeffs
+    p_theta_over_z = np.convolve(rep.p.coeffs, theta_hat)[1 : 2 * n]
     action = 0.0
+    linear = 0.0
     for e, pe in zip(basis, prods):
-        lhs = hankel_apply(gamma, pe)
-        ce = conjugation_c_theta(rep.theta, e, basis=basis)
-        rhs, _ = multiply_by_boundary(ce, p_samples, n)
-        action = max(action, float(np.linalg.norm(lhs.coeffs - s * phase * rhs.coeffs)))
+        rhs = np.convolve(rep.p.coeffs, hankel_product(theta_hat[1:], e.coeffs))[:n]
+        lhs = hankel_apply(gamma, pe).coeffs
+        action = max(action, float(np.linalg.norm(lhs - s * phase * rhs)))
+        # G_u C(p e) = s P_+(p e^{i phi} (theta / z) conj(e))
+        rhs = hankel_product(phase * p_theta_over_z, e.coeffs)
+        lhs = linear_hankel_apply(gamma, conjugation_C(pe)).coeffs
+        linear = max(linear, float(np.linalg.norm(lhs - s * rhs)))
 
     near_dist, near_u = _near_invariance(block, u)
-    linear = _linear_form_residual(gamma, block, rep, p_samples, basis, prods, grid, n)
-    u_s = _symbol_projection_residual(block, rep, u, p_samples, grid, n)
+    # the block projection of the symbol is s e^{i phi} p(0) p (theta / z)
+    u_s = block.basis @ (block.basis.conj().T @ u)
+    u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p.coeffs[0] * p_theta_over_z[:n]))
+    grid = grid_points(default_grid_size(n))
     inner_dev = float(np.max(np.abs(np.abs(blaschke_eval(rep.theta, grid)) - 1.0)))
     return RepresentationResiduals(
         subspace_gap=gap,
@@ -426,7 +438,7 @@ def verify_representation(
         near_invariance=near_dist,
         near_invariance_u=near_u,
         linear_form=linear,
-        u_s_cross=u_s,
+        u_s_cross=u_s_cross,
         theta_inner=inner_dev,
         p_origin=float(abs(rep.p.coeffs[0])),
     )
@@ -434,12 +446,11 @@ def verify_representation(
 
 def _weighted_model_space(
     rep: Representation, n: int, model_tail_tol: float = 1e-8
-) -> tuple[list[HardyVector], np.ndarray, list[HardyVector]]:
-    """Takenaka-Malmquist basis e_k of K_theta, boundary samples of p, and the p e_k."""
+) -> tuple[list[HardyVector], list[HardyVector]]:
+    """Takenaka-Malmquist basis e_k of K_theta and the products p e_k (truncated convolutions)."""
     basis = tm_basis(rep.theta, n, tail_tol=model_tail_tol)
-    p_samples = sample_on_grid(rep.p, default_grid_size(n)).samples
-    prods = [multiply_by_boundary(e, p_samples, n)[0] for e in basis]
-    return basis, p_samples, prods
+    prods = [HardyVector(np.convolve(rep.p.coeffs, e.coeffs)[:n]) for e in basis]
+    return basis, prods
 
 
 def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:
@@ -461,54 +472,3 @@ def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:
         worst_dist = max(worst_dist, float(np.linalg.norm(resid)))
         worst_ip = max(worst_ip, float(abs(np.vdot(u, sf))) / u_scale)
     return worst_dist, worst_ip
-
-
-def _linear_form_residual(
-    gamma: HankelMatrix,
-    block: SchmidtBlock,
-    rep: Representation,
-    p_samples: np.ndarray,
-    basis: list[HardyVector],
-    prods: list[HardyVector],
-    grid: np.ndarray,
-    n: int,
-) -> float:
-    """Residual of G_u C(p e_k) = s p * (e^{i phi} theta / z) * conj(e_k).
-
-    With theta(0) = 0 the inner factor theta/z is again a Blaschke product,
-    so the identity takes the phase-absorbed product form.
-    """
-    zero_idx = np.flatnonzero(np.abs(rep.theta.zeros) < 1e-8)
-    if zero_idx.size == 0:
-        inner_samples = np.conj(grid) * blaschke_eval(rep.theta, grid)
-    else:
-        rest = np.delete(rep.theta.zeros, zero_idx[0])
-        reduced = BlaschkeProduct(rest, -rep.theta.phase)
-        inner_samples = blaschke_eval(reduced, grid)
-    inner_samples = np.exp(1j * rep.phi) * inner_samples
-    worst = 0.0
-    for e, pe in zip(basis, prods):
-        lhs = linear_hankel_apply(gamma, conjugation_C(pe))
-        e_samples = sample_on_grid(e, grid.size).samples
-        rhs, _ = boundary_to_coefficients(
-            BoundaryGrid(p_samples * inner_samples * np.conj(e_samples)), n
-        )
-        worst = max(worst, float(np.linalg.norm(lhs.coeffs - block.s * rhs.coeffs)))
-    return worst
-
-
-def _symbol_projection_residual(
-    block: SchmidtBlock,
-    rep: Representation,
-    u: np.ndarray,
-    p_samples: np.ndarray,
-    grid: np.ndarray,
-    n: int,
-) -> float:
-    """Cross-check the block projection of the symbol against s e^{i phi} p(0) p (theta/z)."""
-    u_s = block.basis @ (block.basis.conj().T @ u)
-    p0 = rep.p.coeffs[0]
-    samples = p_samples * np.conj(grid) * blaschke_eval(rep.theta, grid)
-    target, _ = boundary_to_coefficients(BoundaryGrid(samples), n)
-    rhs = block.s * np.exp(1j * rep.phi) * p0 * target.coeffs
-    return float(np.linalg.norm(u_s - rhs))

@@ -31,7 +31,6 @@ from .hardy import (
     evaluate,
     grid_points,
     multiply_by_boundary,
-    sample_on_grid,
 )
 from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
 from .symbols import PoleTerm, RationalSymbol, fourier_coefficients, tail_bound
@@ -179,21 +178,21 @@ def _frostman_invariance_check(
     work = order
     while work <= 1024:
         try:
-            shifted, _ = frostman_shift(b, alpha, work)
+            shifted, g = frostman_shift(b, alpha, work)
             shifted_basis = tm_basis(shifted, work)
         except ValueError:
             work *= 2
             continue
-        grid = grid_points(default_grid_size(work))
         v = basis_matrix(tm_basis(b, work))
-        g_samples = (1 - np.conj(alpha) * blaschke_eval(b, grid)) / np.sqrt(1 - abs(alpha) ** 2)
         iso = 0.0
         cols = []
         for h in shifted_basis:
-            gh, _ = multiply_by_boundary(h, g_samples, work)
+            gh = HardyVector(np.convolve(g.coeffs, h.coeffs)[:work])
             iso = max(iso, abs(gh.norm() - 1.0))
             cols.append(gh)
         gap = subspace_gap(v, orthonormalize(basis_matrix(cols)))
+        grid = grid_points(default_grid_size(work))
+        g_samples = (1 - np.conj(alpha) * blaschke_eval(b, grid)) / np.sqrt(1 - abs(alpha) ** 2)
         ident = g_samples * blaschke_eval(shifted, grid) + blaschke_eval(b, grid) * np.conj(g_samples)
         return gap, iso, float(np.max(np.abs(ident)))
     return None
@@ -290,14 +289,14 @@ def _lemma_change_of_variable_gap(rng: np.random.Generator, order: int) -> float
     alpha = 0.3 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     m = MobiusMap(alpha)
     p = _random_unit_hardy(rng, order, support=8)
-    grid = grid_points(default_grid_size(order))
-    p_samples = sample_on_grid(p, grid.size).samples
     lhs_cols = []
     for e in tm_basis(b, order):
-        pe, _ = multiply_by_boundary(e, p_samples, order)
+        pe = HardyVector(np.convolve(p.coeffs, e.coeffs)[:order])
         mapped, _ = mobius_conjugate_function(pe, m, order)
         lhs_cols.append(mapped)
     composed = compose_with_mobius(b, m)
+    # p o mu is no longer a polynomial, so this product stays on the boundary
+    grid = grid_points(default_grid_size(order))
     pmu_samples = evaluate(p, mobius_eval(m, grid))
     rhs_cols = []
     for e in tm_basis(composed, order):
@@ -408,7 +407,7 @@ def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e
         worst_res = max(worst_res, max(rep.residuals.gated().values()))
         mapped, _ = mobius_conjugate_function(HardyVector(block.basis[:, 0]), m, order)
         image = orthonormalize(basis_matrix([mapped]))
-        _, _, prods = _weighted_model_space(rep, order)
+        _, prods = _weighted_model_space(rep, order)
         gap = subspace_gap(image, orthonormalize(basis_matrix(prods)))
         worst_gap = max(worst_gap, gap)
         if gap > tol:

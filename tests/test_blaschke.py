@@ -21,6 +21,7 @@ from hankelschmidt.hardy import (
     HardyVector,
     basis_matrix,
     boundary_to_coefficients,
+    default_grid_size,
     grid_points,
     inner_product,
     one,
@@ -184,6 +185,24 @@ def test_conjugation_is_isometric_involution():
     v = basis_matrix(basis)
     resid = image.coeffs - v @ (v.conj().T @ image.coeffs)
     assert np.linalg.norm(resid) < 1e-10
+
+
+def test_conjugation_matches_boundary_formula():
+    # oracle: conj(z) theta(z) conj(h(z)) sampled on 4N points, then projected
+    rng = np.random.default_rng(11)
+    n = 128
+    z = grid_points(default_grid_size(n))
+    worst = 0.0
+    for _ in range(50):
+        b = random_blaschke(rng)
+        theta_z = blaschke_eval(b, z)
+        basis = tm_basis(b, n)
+        for h in basis:
+            samples = np.conj(z) * theta_z * np.conj(sample_on_grid(h, z.size).samples)
+            expected, _ = boundary_to_coefficients(BoundaryGrid(samples), n)
+            out = conjugation_c_theta(b, h, basis=basis)
+            worst = max(worst, float(np.linalg.norm(out.coeffs - expected.coeffs)))
+    assert worst < 1e-13
 
 
 def test_conjugation_rejects_outsiders():

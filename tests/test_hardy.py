@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hankelschmidt.hardy import (
     BoundaryGrid,
@@ -9,6 +10,7 @@ from hankelschmidt.hardy import (
     coshift,
     evaluate,
     grid_points,
+    hankel_product,
     inner_product,
     one,
     sample_on_grid,
@@ -149,6 +151,27 @@ def test_parseval_on_grid():
 def test_grid_size_validation():
     with pytest.raises(ValueError):
         BoundaryGrid(np.ones(12))  # not a power of two
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 128])
+def test_hankel_product_matches_explicit_hankel_matrix(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    expected = scipy.linalg.hankel(a[:n], a[n - 1 : 2 * n - 1]) @ np.conj(f)
+    assert np.linalg.norm(hankel_product(a, f) - expected) < 1e-12 * np.linalg.norm(expected)
+
+
+def test_hankel_product_reads_only_2n_minus_1_coefficients():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=40) + 1j * rng.normal(size=40)
+    f = rng.normal(size=8) + 1j * rng.normal(size=8)
+    assert np.array_equal(hankel_product(a, f), hankel_product(a[:15], f))
+
+
+def test_hankel_product_rejects_short_symbol():
+    with pytest.raises(ValueError, match="needs 15"):
+        hankel_product(np.ones(14), np.ones(8))
 
 
 @pytest.mark.parametrize("a", [1.0, float("nan"), complex(0.2, float("nan"))])
