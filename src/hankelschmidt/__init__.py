@@ -34,10 +34,8 @@ from .hardy import (
 from .hankel import (
     HankelMatrix,
     build_hankel_matrix,
-    conjugation_C,
     hankel_apply,
     identity_residuals,
-    linear_hankel_apply,
 )
 from .extraction import (
     ExtractionError,

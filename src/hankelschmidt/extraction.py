@@ -17,14 +17,15 @@ the block, otherwise a grid point where the block's pointwise energy is
 largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
 phi in (-pi, pi].  Verification works on coefficients: p e_k is a
 truncated convolution and C_theta is the Hankel product with symbol
-S* theta.  Only the inner fit of recover_theta and the theta_inner check
-evaluate on the boundary grid.
+S* theta.  Only the inner fit of recover_theta evaluates on the boundary
+grid; theta is inner by construction of BlaschkeProduct, so verification
+does not re-check it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .hardy import (
     grid_points,
     hankel_product,
 )
-from .hankel import HankelMatrix, conjugation_C, hankel_apply, linear_hankel_apply
+from .hankel import HankelMatrix, hankel_apply
 from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
 
 __all__ = [
@@ -93,32 +94,19 @@ class RepresentationResiduals:
     action: float
     near_invariance: float
     near_invariance_u: float
-    linear_form: float
     u_s_cross: float
-    theta_inner: float
     p_origin: float
 
     def as_dict(self) -> dict:
-        return {
-            "subspace_gap": self.subspace_gap,
-            "isometry": self.isometry,
-            "action": self.action,
-            "near_invariance": self.near_invariance,
-            "near_invariance_u": self.near_invariance_u,
-            "linear_form": self.linear_form,
-            "u_s_cross": self.u_s_cross,
-            "theta_inner": self.theta_inner,
-            "p_origin": self.p_origin,
-        }
+        return asdict(self)
 
     def gated(self) -> dict:
-        """The five checks gating acceptance; near-invariance only counts when
+        """The four checks gating acceptance; near-invariance only counts when
         the multiplier has a usable value at the origin (|p(0)| > 1e-3)."""
         out = {
             "subspace_gap": self.subspace_gap,
             "isometry": self.isometry,
             "action": self.action,
-            "linear_form": self.linear_form,
         }
         if self.p_origin > 1e-3:
             out["near_invariance"] = max(self.near_invariance, self.near_invariance_u)
@@ -392,16 +380,14 @@ def verify_representation(
     Checks, in order: the subspace equality, the isometric-multiplier
     property, the anti-linear action formula, near-S*-invariance of the
     block (distance of S*f to the block and the normalized pairing with the
-    symbol, for f in the block orthogonal to constants), the linear-Hankel
-    form with the phase absorbed into the inner factor, and the projection
+    symbol, for f in the block orthogonal to constants), and the projection
     of the symbol onto the block against its closed form.  model_tail_tol
     relaxes the basis truncation gate; anything it admits stays far below
     the reported residual scale.
 
-    Everything but the innerness of theta is computed in coefficient space
-    from theta's Taylor coefficients to order 2N: products are truncated
-    convolutions, C_theta e = Gamma_{S* theta} conj(e), and p conj(z) theta
-    has analytic part S*(p theta), which is p theta / z since theta(0) = 0.
+    Everything is computed in coefficient space from theta's Taylor
+    coefficients to order 2N: products are truncated convolutions and
+    C_theta e = Gamma_{S* theta} conj(e).
     """
     n = block.order
     u = gamma.u
@@ -413,33 +399,24 @@ def verify_representation(
     gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
 
     theta_hat = blaschke_coefficients(rep.theta, 2 * n).coeffs
-    p_theta_over_z = np.convolve(rep.p.coeffs, theta_hat)[1 : 2 * n]
     action = 0.0
-    linear = 0.0
     for e, pe in zip(basis, prods):
         rhs = np.convolve(rep.p.coeffs, hankel_product(theta_hat[1:], e.coeffs))[:n]
         lhs = hankel_apply(gamma, pe).coeffs
         action = max(action, float(np.linalg.norm(lhs - s * phase * rhs)))
-        # G_u C(p e) = s P_+(p e^{i phi} (theta / z) conj(e))
-        rhs = hankel_product(phase * p_theta_over_z, e.coeffs)
-        lhs = linear_hankel_apply(gamma, conjugation_C(pe)).coeffs
-        linear = max(linear, float(np.linalg.norm(lhs - s * rhs)))
 
     near_dist, near_u = _near_invariance(block, u)
-    # the block projection of the symbol is s e^{i phi} p(0) p (theta / z)
+    # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0
     u_s = block.basis @ (block.basis.conj().T @ u)
-    u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p.coeffs[0] * p_theta_over_z[:n]))
-    grid = grid_points(default_grid_size(n))
-    inner_dev = float(np.max(np.abs(np.abs(blaschke_eval(rep.theta, grid)) - 1.0)))
+    p_theta_over_z = np.convolve(rep.p.coeffs, theta_hat)[1 : n + 1]
+    u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p.coeffs[0] * p_theta_over_z))
     return RepresentationResiduals(
         subspace_gap=gap,
         isometry=iso,
         action=action,
         near_invariance=near_dist,
         near_invariance_u=near_u,
-        linear_form=linear,
         u_s_cross=u_s_cross,
-        theta_inner=inner_dev,
         p_origin=float(abs(rep.p.coeffs[0])),
     )
 

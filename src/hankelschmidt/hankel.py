@@ -2,8 +2,7 @@
 
 The anti-linear operator acts as f -> Gamma @ conj(f) on coefficient
 vectors, where Gamma[n, m] = u_hat(n + m) is filled from 2N-1 exactly
-generated coefficients.  The linear realization is f -> Gamma @ f, and the
-two are linked by plain coefficientwise conjugation.
+generated coefficients.
 
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
 is numerically its leading J x J block (_numerical_order); the identity
@@ -12,7 +11,7 @@ residuals here and the SVD in spectral work on that block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,8 +24,6 @@ __all__ = [
     "IdentityResiduals",
     "build_hankel_matrix",
     "hankel_apply",
-    "linear_hankel_apply",
-    "conjugation_C",
     "identity_residuals",
     "residuals_from_matrix",
 ]
@@ -80,19 +77,6 @@ def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
     return HardyVector(h.gamma @ np.conj(f.coeffs))
 
 
-def linear_hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
-    """Linear action f -> Gamma @ f."""
-    f = hardy(f)
-    if f.order != h.order:
-        raise ValueError(f"order mismatch: matrix {h.order}, vector {f.order}")
-    return HardyVector(h.gamma @ f.coeffs)
-
-
-def conjugation_C(f: HardyVector) -> HardyVector:
-    """Coefficientwise conjugation, realizing C f(z) = conj(f(conj(z)))."""
-    return HardyVector(np.conj(hardy(f).coeffs))
-
-
 @dataclass(frozen=True)
 class IdentityResiduals:
     """Interior-block operator-norm residuals of the Hankel identities."""
@@ -103,12 +87,7 @@ class IdentityResiduals:
     symmetry: float                # (H f, g) = (H g, f), i.e. Gamma = Gamma^T
 
     def as_dict(self) -> dict:
-        return {
-            "shift_intertwine": self.shift_intertwine,
-            "square_compression": self.square_compression,
-            "square_commutator": self.square_commutator,
-            "symmetry": self.symmetry,
-        }
+        return asdict(self)
 
     def max(self) -> float:
         return max(self.as_dict().values())

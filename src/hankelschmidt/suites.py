@@ -315,9 +315,7 @@ def suite_theorem(seed: int, count: int = 100, order: int = 128, tol: float = 1e
         "isometry": 0.0,
         "action": 0.0,
         "near_invariance": 0.0,
-        "linear_form": 0.0,
     }
-    worst_inner = 0.0
     n_blocks = 0
     n_unreliable = 0
     failures: list[str] = []
@@ -338,12 +336,6 @@ def suite_theorem(seed: int, count: int = 100, order: int = 128, tol: float = 1e
                 worst[name] = max(worst[name], value)
                 if value > tol:
                     failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")
-            worst_inner = max(worst_inner, res.theta_inner)
-            if res.theta_inner > 1e-8:
-                failures.append(
-                    f"symbol {i}, s = {block.s:.6g}: theta_inner = {res.theta_inner:.3e}"
-                )
-    worst["theta_inner"] = worst_inner
     return {
         "count": count,
         "order": order,

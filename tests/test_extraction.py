@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,52 @@ def test_u_s_cross_check_small_on_exact_data():
     rep = extract_representation(gamma, block)
     res = verify_representation(gamma, block, rep)
     assert res.u_s_cross < 1e-9
+
+
+def test_action_catches_each_fault_class():
+    # A wrong phase, multiplier or inner factor breaks H(p e) = s e^{i phi} p C_theta e,
+    # and the action residual moves by about s times the fault.  Both sides
+    # scale with s, so below s ~ 1e-3 these faults stay under a 1e-6 gate.
+    rng = np.random.default_rng(2)
+    checked = 0
+    for _ in range(3):
+        gamma = build_hankel_matrix(random_symbol(rng), 128)
+        for block in schmidt_decompose(gamma):
+            rep = extract_representation(gamma, block)
+            noise = rng.normal(size=128) + 1j * rng.normal(size=128)
+            zeros = rep.theta.zeros.copy()
+            zeros[-1] += 1e-3
+            faults = [
+                replace(rep, phi=rep.phi + 1e-3),
+                replace(rep, p=HardyVector(rep.p.coeffs + 1e-4 * noise / np.linalg.norm(noise))),
+                replace(rep, theta=BlaschkeProduct(zeros, rep.theta.phase)),
+            ]
+            for bad in faults:
+                action = verify_representation(gamma, block, bad).action
+                assert action > 1e-5 * block.s
+                if block.s > 1e-3:
+                    assert action > 1e-6
+            checked += 1
+    assert checked >= 6
+
+
+def test_near_invariance_on_a_block_of_multiplicity_three():
+    gamma = build_hankel_matrix(symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j])), 128)
+    (block,) = schmidt_decompose(gamma)
+    assert block.multiplicity == 3 and abs(block.s - 1.0) < 1e-12
+    rep = extract_representation(gamma, block)
+    res = verify_representation(gamma, block, rep)
+    assert res.near_invariance < 1e-12
+    assert res.near_invariance_u < 1e-12
+
+    # turn one basis column by 1e-3 towards a unit vector orthogonal to the block
+    v = block.basis.copy()
+    x = np.random.default_rng(5).normal(size=128).astype(np.complex128)
+    w = x - v @ (v.conj().T @ x)
+    w /= np.linalg.norm(w)
+    v[:, 1] = math.cos(1e-3) * v[:, 1] + math.sin(1e-3) * w
+    res_turned = verify_representation(gamma, replace(block, basis=v), rep)
+    assert res_turned.near_invariance > 1e-4
 
 
 # ---------------------------------------------------------------------------

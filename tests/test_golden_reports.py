@@ -3,7 +3,9 @@
 tests/golden_reports.json holds the reports of the four bench/hard_cases at
 N=128 and of six seeded suites.random_symbol draws at N=128 and N=512, as
 written by commit 43899d4, which extracts every block by projecting the
-reproducing kernel at its base point.
+reproducing kernel at its base point.  The linear_form and theta_inner
+residuals it held were later deleted from the file key by key, leaving
+every other value as written.
 Keys, list lengths, strings (warnings included), booleans (pass and
 reliable flags) and integers (multiplicities, ranks) must be identical;
 every float must lie within 1e-9 * max(1, |reference|), the phase phi

@@ -18,10 +18,8 @@ from hankelschmidt.hardy import (
 from hankelschmidt.hankel import (
     _numerical_order,
     build_hankel_matrix,
-    conjugation_C,
     hankel_apply,
     identity_residuals,
-    linear_hankel_apply,
     residuals_from_matrix,
 )
 from hankelschmidt.suites import random_symbol
@@ -115,27 +113,6 @@ def test_square_hermitian_exactly():
     h = build_hankel_matrix(random_symbol(rng), 64)
     m = h.gamma @ np.conj(h.gamma)
     assert np.linalg.norm(m - m.conj().T) == 0.0
-
-
-def test_conjugation_C():
-    f = HardyVector(1j * one(4).coeffs)
-    assert np.allclose(conjugation_C(f).coeffs, -1j * one(4).coeffs)
-
-
-def test_linear_action_example():
-    # z * (Jz) = 1 on the circle
-    h = build_hankel_matrix(symbol_from_coefficients([0, 1]), 8)
-    out = linear_hankel_apply(h, unit(1, 8))
-    assert np.allclose(out.coeffs, one(8).coeffs)
-
-
-def test_linear_equals_antilinear_after_conjugation():
-    rng = np.random.default_rng(3)
-    h = build_hankel_matrix(random_symbol(rng), 64)
-    f = HardyVector(rng.normal(size=64) + 1j * rng.normal(size=64))
-    lhs = linear_hankel_apply(h, f)
-    rhs = hankel_apply(h, conjugation_C(f))
-    assert np.array_equal(lhs.coeffs, rhs.coeffs)
 
 
 def test_identities_polynomial_symbol_exact():
