@@ -378,12 +378,13 @@ def verify_representation(
     from Gamma's first column (gamma.u).
 
     Checks, in order: the subspace equality, the isometric-multiplier
-    property, the anti-linear action formula, near-S*-invariance of the
-    block (distance of S*f to the block and the normalized pairing with the
-    symbol, for f in the block orthogonal to constants), and the projection
-    of the symbol onto the block against its closed form.  model_tail_tol
-    relaxes the basis truncation gate; anything it admits stays far below
-    the reported residual scale.
+    property, the anti-linear action formula (divided by s, so a gate on it
+    checks phi, p and theta to the same tolerance at every s),
+    near-S*-invariance of the block (distance of S*f to the block and the
+    normalized pairing with the symbol, for f in the block orthogonal to
+    constants), and the projection of the symbol onto the block against its
+    closed form.  model_tail_tol relaxes the basis truncation gate; anything
+    it admits stays far below the reported residual scale.
 
     Everything is computed in coefficient space from theta's Taylor
     coefficients to order 2N: products are truncated convolutions and
@@ -403,7 +404,7 @@ def verify_representation(
     for e, pe in zip(basis, prods):
         rhs = np.convolve(rep.p.coeffs, hankel_product(theta_hat[1:], e.coeffs))[:n]
         lhs = hankel_apply(gamma, pe).coeffs
-        action = max(action, float(np.linalg.norm(lhs - s * phase * rhs)))
+        action = max(action, float(np.linalg.norm(lhs - s * phase * rhs)) / s)
 
     near_dist, near_u = _near_invariance(block, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0

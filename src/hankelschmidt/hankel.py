@@ -5,8 +5,12 @@ vectors, where Gamma[n, m] = u_hat(n + m) is filled from 2N-1 exactly
 generated coefficients.
 
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
-is numerically its leading J x J block (_numerical_order); the identity
-residuals here and the SVD in spectral work on that block.
+is numerically its leading J x J block (_numerical_order): the part outside
+has l2 norm at most eps^2 c, c the largest column norm, and the SVD in
+spectral works on that block.  The identity residuals here are rounding
+noise of about eps c^2 and work on a smaller block, cut where the part
+outside is at most 1e-4 eps c (residuals_from_matrix).  A pole near the
+circle, such as 0.99, keeps both blocks at order N.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ __all__ = [
     "identity_residuals",
     "residuals_from_matrix",
 ]
+
+_EPS = float(np.finfo(float).eps)
+# identity residuals cut Gamma where its dropped part is below this times c
+_RESIDUAL_TOL = 1e-4 * _EPS
 
 
 @dataclass(frozen=True)
@@ -106,17 +114,40 @@ def identity_residuals(sym, order: int) -> IdentityResiduals:
 def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals:
     """Identity residuals computed from an explicit matrix (fault injection entry point).
 
-    Only the leading block of order J + 2 is used, J = _numerical_order(gamma, u).
-    Every entry of a full difference matrix outside that block reads only
-    terms with an index >= J: entries of gamma or u (at most eps^2 ||Gamma||),
-    of gamma conj(gamma) (eps^2 ||Gamma||^2) or rank-one products with u
-    (eps^2 ||Gamma|| ||u||).  The margin of two covers square_commutator, whose
-    column j reads column j - 1 of gamma conj(gamma) and u[j - 1].  When
-    J + 2 >= N this is the full computation.
+    Only the leading block of order m = J_r + 2 is used, where
+    J_r = _numerical_order(gamma, u, _RESIDUAL_TOL): outside the leading
+    J_r x J_r block, gamma and u[J_r:] together have l2 norm at most
+    delta c, with delta = _RESIDUAL_TOL = 1e-4 eps and c the largest column
+    norm of gamma.  The residuals are rounding noise of about eps c^2, so
+    this cut is looser than the spectral one (eps^2 c), and any fault larger
+    than delta c lies inside the block.  When m >= N this is the full
+    computation.
+
+    Why the values hold.  Let E = gamma - gamma_J and e = u - u_J, where
+    gamma_J and u_J are zero at every index >= J_r, so ||E||_F, ||e|| <= delta c;
+    write c' = max(c, ||u||) and use ||gamma||_2 <= ||gamma||_F <= sqrt(N) c.
+    (1) For (gamma_J, u_J) every full difference matrix vanishes outside its
+    leading block of order J_r + 1: an entry there reads an index >= J_r,
+    square_commutator's column j reading gamma_J conj(gamma_J) and u_J at
+    j - 1.  So the full residuals of (gamma_J, u_J) are the trimmed ones of
+    their leading m x m block, m = J_r + 2.  (2) Replacing (gamma_J, u_J) by
+    (gamma, u), in the full computation or in the trimmed one, moves the
+    difference matrices in Frobenius norm, and so each spectral norm, by at
+    most: 2 delta c for shift_intertwine and symmetry (each entry of E enters
+    twice); for square_compression 2 delta c (||gamma|| + ||gamma_J||) from
+    the two slices of gamma conj(gamma) = gamma_J conj(gamma_J) + E conj(gamma)
+    + gamma_J conj(E), plus 2 ||u|| delta c from u u^H, together
+    (4 sqrt(N) + 2) delta c c'; for square_commutator one more term,
+    gamma conj(u) - gamma_J conj(u_J) = E conj(u) + gamma_J conj(e), so
+    (5 sqrt(N) + 3) delta c c'.  (1) and (2) twice give |trimmed - full|
+    <= 4 delta c for the two linear residuals and <= (10 sqrt(N) + 6)
+    delta c c' for the two squares, at most 7.3e-18 c c' for N <= 1024.
+    This bounds the exact values; the products inside the block round alike
+    on both sides.
     """
     gamma = np.asarray(gamma, dtype=np.complex128)
     u = np.asarray(u, dtype=np.complex128)
-    m = min(gamma.shape[0], _numerical_order(gamma, u) + 2)
+    m = min(gamma.shape[0], _numerical_order(gamma, u, _RESIDUAL_TOL) + 2)
     gamma, u = gamma[:m, :m], u[:m]
     k = m - 1
 
@@ -149,16 +180,18 @@ def _opnorm(diff: np.ndarray) -> float:
     return float(np.linalg.norm(diff, 2)) if diff.any() else 0.0
 
 
-def _numerical_order(gamma: np.ndarray, u: np.ndarray | None = None) -> int:
+def _numerical_order(
+    gamma: np.ndarray, u: np.ndarray | None = None, tol: float = _EPS**2
+) -> int:
     """Smallest order J >= min(2, N) at which Gamma is numerically its leading J x J block.
 
     The entries of gamma outside that block, together with the entries of u
-    from index J on, have l2 norm at most eps^2 times the largest column norm
-    of gamma, itself at most ||Gamma||_2.  Entries are divided by the largest
-    one before squaring, so J does not depend on the scale.  For a rational
-    symbol, Gamma[n, m] decays like |b|^(n + m), so J is well below N when the
-    poles stay well inside the disk; noise above that level, or a non-finite
-    entry, gives J = N.
+    from index J on, have l2 norm at most tol (eps^2 unless given) times the
+    largest column norm of gamma, itself at most ||Gamma||_2.  Entries are
+    divided by the largest one before squaring, so J does not depend on the
+    scale.  For a rational symbol, Gamma[n, m] decays like |b|^(n + m), so J
+    is well below N when the poles stay well inside the disk; noise above
+    that level, or a non-finite entry, gives J = N.
     """
     n = gamma.shape[0]
     floor = min(2, n)
@@ -173,6 +206,6 @@ def _numerical_order(gamma: np.ndarray, u: np.ndarray | None = None) -> int:
     # shell[k]: squared entries with max(i, j) == k, and |u[k]|^2
     shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0) + (v / scale) ** 2
     dropped = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
-    bound = np.finfo(float).eps ** 4 * a.sum(axis=0).max()
+    bound = tol**2 * a.sum(axis=0).max()
     fits = np.flatnonzero(dropped[floor:] <= bound)
     return floor + int(fits[0]) if fits.size else n

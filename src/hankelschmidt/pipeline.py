@@ -172,8 +172,10 @@ def verify_suites(
 
     Deterministic for a fixed seed; the perturbation knob corrupts the
     Hankel symmetry inside the identity suite so that failure paths are
-    exercised.
+    exercised.  It must be finite and nonnegative.
     """
+    if not (np.isfinite(perturb) and perturb >= 0):
+        raise ValueError(f"perturb must be finite and >= 0, got {perturb!r}")
     config = config or AnalysisConfig()
     identity = suite_identities(config.seed, identity_count, config.n, perturb=perturb)
     model = suite_model_spaces(config.seed + 1, blaschke_count, alpha_count, config.n)

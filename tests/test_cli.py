@@ -153,6 +153,17 @@ def test_verify_perturbation_fails():
     assert verify_exit_code(report) == 3
 
 
+@pytest.mark.parametrize("perturb", ["-1e-3", "nan"])
+def test_cli_verify_rejects_negative_or_nan_perturbation(perturb, capsys):
+    # neither injects a fault, so a report would claim a check that never ran
+    assert main(["verify", "--n", "16", f"--perturb={perturb}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: perturb must be finite and >= 0" in captured.err
+    with pytest.raises(ValueError, match="perturb"):
+        verify_suites(AnalysisConfig(n=16), perturb=float(perturb))
+
+
 def test_analysis_exit_code_two_for_unreliable():
     report = {"pass": True, "blocks": [{"reliable": False}]}
     assert analysis_exit_code(report) == 2

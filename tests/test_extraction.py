@@ -398,9 +398,8 @@ def test_u_s_cross_check_small_on_exact_data():
 
 
 def test_action_catches_each_fault_class():
-    # A wrong phase, multiplier or inner factor breaks H(p e) = s e^{i phi} p C_theta e,
-    # and the action residual moves by about s times the fault.  Both sides
-    # scale with s, so below s ~ 1e-3 these faults stay under a 1e-6 gate.
+    # A wrong phase, multiplier or inner factor breaks H(p e) = s e^{i phi} p C_theta e;
+    # the action residual is divided by s, so it moves by about the fault at every s.
     rng = np.random.default_rng(2)
     checked = 0
     for _ in range(3):
@@ -416,10 +415,9 @@ def test_action_catches_each_fault_class():
                 replace(rep, theta=BlaschkeProduct(zeros, rep.theta.phase)),
             ]
             for bad in faults:
-                action = verify_representation(gamma, block, bad).action
-                assert action > 1e-5 * block.s
-                if block.s > 1e-3:
-                    assert action > 1e-6
+                res = verify_representation(gamma, block, bad)
+                assert res.action > 1e-5
+                assert max(res.gated().values()) > 1e-6
             checked += 1
     assert checked >= 6
 

@@ -16,6 +16,7 @@ from hankelschmidt.hardy import (
     unit,
 )
 from hankelschmidt.hankel import (
+    _RESIDUAL_TOL,
     _numerical_order,
     build_hankel_matrix,
     hankel_apply,
@@ -226,6 +227,50 @@ def test_numerical_order_is_the_smallest_order_within_bound(poles, n):
         tail = u.copy()
         tail[-1] += 1e-20 * scale
         assert _numerical_order(gamma, tail) == n
+
+
+def residual_cut_bound(gamma, u, name):
+    """residuals_from_matrix's documented bound on |trimmed - full| for one residual."""
+    n = gamma.shape[0]
+    c = np.max(np.linalg.norm(gamma, axis=0))
+    if name in ("shift_intertwine", "symmetry"):
+        return 4 * _RESIDUAL_TOL * c
+    return (10 * np.sqrt(n) + 6) * _RESIDUAL_TOL * c * max(c, np.linalg.norm(u))
+
+
+@settings(max_examples=20, deadline=None)
+@given(poles=st.lists(pole_terms, min_size=1, max_size=4), n=st.sampled_from([64, 128, 256, 512]))
+def test_residual_order_is_the_smallest_within_its_bound(poles, n):
+    gamma = build_hankel_matrix(RationalSymbol(poles=tuple(poles)), n).gamma
+    u = gamma[:, 0].copy()
+    c = np.max(np.linalg.norm(gamma, axis=0))
+    bound = _RESIDUAL_TOL * c
+    j = _numerical_order(gamma, u, _RESIDUAL_TOL)
+    assert min(2, n) <= j <= _numerical_order(gamma, u)
+    assert dropped_norm(gamma, u, j) <= bound * (1 + 1e-9)
+    if j > min(2, n):
+        assert dropped_norm(gamma, u, j - 1) > bound * (1 - 1e-9)
+
+    clean = residuals_from_matrix(gamma, u).as_dict()
+    if j + 2 < n:  # otherwise the computation is the full one
+        for name, value in shift_matrix_residuals(gamma, u).items():
+            assert abs(clean[name] - value) <= residual_cut_bound(gamma, u, name)
+
+    # a single entry of 10 delta c at index N - 1 forces the full block, on
+    # which test_residuals_equal_shift_matrix_formulation holds exactly; in
+    # Gamma[0, N - 1] it breaks the symmetry by its size.  u[N - 1] reaches
+    # the residuals only through Gamma[:, N - 1] conj(u[N - 1]), far below
+    # their rounding noise, so there the cut is what shows.
+    fault = 10 * bound
+    faulty_gamma = gamma.copy()
+    faulty_gamma[0, -1] += fault
+    faulty_u = u.copy()
+    faulty_u[-1] += fault
+    assert _numerical_order(faulty_gamma, u, _RESIDUAL_TOL) == n
+    assert _numerical_order(gamma, faulty_u, _RESIDUAL_TOL) == n
+    if j < n:
+        assert clean["symmetry"] == 0.0
+        assert residuals_from_matrix(faulty_gamma, u).symmetry > 0.9 * fault
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
