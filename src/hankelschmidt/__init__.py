@@ -31,12 +31,7 @@ from .hardy import (
     szego_kernel,
     unit,
 )
-from .hankel import (
-    HankelMatrix,
-    build_hankel_matrix,
-    hankel_apply,
-    identity_residuals,
-)
+from .hankel import HankelMatrix, build_hankel_matrix, hankel_apply
 from .extraction import (
     ExtractionError,
     Representation,

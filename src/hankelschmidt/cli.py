@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -51,15 +52,17 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_alpha(text: str) -> complex:
+    """--alpha RE or RE,IM, a point of the open disk."""
     try:
-        parts = text.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(x) for x in text.split(",")]
     except ValueError:
-        pass
-    raise SymbolFormatError(f"--alpha expects RE or RE,IM, got {text!r}")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise SymbolFormatError(f"--alpha expects RE or RE,IM, got {text!r}")
+    alpha = complex(*parts)
+    if not abs(alpha) < 1:
+        raise SymbolFormatError(f"--alpha must lie in the open disk, got |alpha| = {abs(alpha):.6g}")
+    return alpha
 
 
 def _parse_blaschke_file(doc: dict) -> BlaschkeProduct:
@@ -98,8 +101,6 @@ def _cmd_conjugate(args) -> int:
     check_order(args.n)
     sym = parse_symbol(_load_json(args.symbol))
     alpha = _parse_alpha(args.alpha)
-    if not abs(alpha) < 1:
-        raise SymbolFormatError(f"--alpha must lie in the open disk, got |alpha| = {abs(alpha):.6g}")
     w, residual = mobius_conjugate_symbol(sym, MobiusMap(alpha), args.n)
     report = {
         "alpha": complex_pair(alpha),
@@ -115,8 +116,6 @@ def _cmd_frostman(args) -> int:
     check_order(args.n)
     b = _parse_blaschke_file(_load_json(args.blaschke))
     alpha = _parse_alpha(args.alpha)
-    if not abs(alpha) < 1:
-        raise SymbolFormatError(f"--alpha must lie in the open disk, got |alpha| = {abs(alpha):.6g}")
     shifted, g = frostman_shift(b, alpha, args.n)
     report = {
         "alpha": complex_pair(alpha),
@@ -130,13 +129,22 @@ def _cmd_frostman(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads '-1e-3' and '-0.2,0.1' as values, not options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses '-1e-3'; no option here starts with '-' and a digit
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=128, help="truncation order (power of two)")
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hankelschmidt",
         description="Schmidt subspaces of finite-rank Hankel operators: analysis and verification.",
     )
@@ -178,10 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SymbolFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # SymbolFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

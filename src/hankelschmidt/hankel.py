@@ -5,17 +5,19 @@ vectors, where Gamma[n, m] = u_hat(n + m) is filled from 2N-1 exactly
 generated coefficients.
 
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
-is numerically its leading J x J block (_numerical_order): the part outside
-has l2 norm at most eps^2 c, c the largest column norm, and the SVD in
-spectral works on that block.  The identity residuals here are rounding
-noise of about eps c^2 and work on a smaller block, cut where the part
-outside is at most 1e-4 eps c (residuals_from_matrix).  A pole near the
-circle, such as 0.99, keeps both blocks at order N.
+is numerically its leading J x J block (HankelMatrix.numerical_order): the
+part outside has l2 norm at most eps^2 c, c the largest column norm, and the
+SVD in spectral works on that block.  The identity residuals here are
+rounding noise of about eps c^2 and work on a smaller block, cut where the
+part outside is at most 1e-4 eps c (residuals_from_matrix).  Both cuts read
+one decay scan, made once per matrix.  A pole near the circle, such as 0.99,
+keeps both blocks at order N.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +30,6 @@ __all__ = [
     "IdentityResiduals",
     "build_hankel_matrix",
     "hankel_apply",
-    "identity_residuals",
     "residuals_from_matrix",
 ]
 
@@ -43,6 +44,7 @@ class HankelMatrix:
 
     The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
     so Gamma alone carries everything extraction and verification read.
+    Gamma is read-only, so its decay scan (_decay) is made once and kept.
     """
 
     gamma: np.ndarray
@@ -63,6 +65,46 @@ class HankelMatrix:
     def u(self) -> np.ndarray:
         """u_hat(0..N-1), Gamma's first column as a contiguous copy."""
         return self.gamma[:, 0].copy()
+
+    @property
+    def largest_entry(self) -> float:
+        """max |Gamma[n, m]|; inf or nan when Gamma is not finite."""
+        return self._decay[0]
+
+    def numerical_order(self, tol: float = _EPS**2) -> int:
+        """Smallest order J >= min(2, N) at which Gamma is numerically its leading J x J block.
+
+        Outside that block Gamma has l2 norm at most tol (eps^2 unless given)
+        times its largest column norm, itself at most ||Gamma||_2.  J does
+        not depend on the scale of Gamma.  Noise above that level, or a
+        non-finite entry, gives J = N.
+        """
+        n = self.order
+        floor = min(2, n)
+        largest, dropped, column = self._decay
+        if largest == 0:
+            return floor
+        if not np.isfinite(largest):
+            return n
+        fits = np.flatnonzero(dropped[floor:] <= tol**2 * column)
+        return floor + int(fits[0]) if fits.size else n
+
+    @cached_property
+    def _decay(self) -> tuple[float, np.ndarray, float]:
+        """(largest |entry|, dropped, column) on the scale of the largest entry.
+
+        dropped[J] (J = 0..N) sums the squared entries outside the leading
+        J x J block, and column is the largest such sum over one column.
+        """
+        a = np.abs(self.gamma)
+        largest = a.max(initial=0.0)
+        if largest == 0 or not np.isfinite(largest):
+            return largest, np.zeros(0), 0.0
+        a = (a / largest) ** 2
+        # shell[k]: squared entries with max(i, j) == k
+        shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0)
+        dropped = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
+        return largest, dropped, a.sum(axis=0).max()
 
 
 def build_hankel_matrix(sym, order: int) -> HankelMatrix:
@@ -101,54 +143,43 @@ class IdentityResiduals:
         return max(self.as_dict().values())
 
 
-def identity_residuals(sym, order: int) -> IdentityResiduals:
-    """Residuals of the defining operator identities for the given symbol.
+def residuals_from_matrix(h: HankelMatrix) -> IdentityResiduals:
+    """Residuals of the operator identities of Gamma = h.gamma, with u its first column.
 
-    All comparisons restrict to the leading (order-1) block so that exact
-    identities are not polluted by the truncation edge.
-    """
-    h = build_hankel_matrix(sym, order)
-    return residuals_from_matrix(h.gamma, h.u)
+    Gamma may be any square matrix (the fault injection entry point).  The
+    comparisons stop one short of the truncation edge, and only the leading
+    block of order m = J_r + 2 is used, J_r = h.numerical_order(_RESIDUAL_TOL):
+    outside the leading J_r x J_r block, gamma has l2 norm at most delta c,
+    with delta = _RESIDUAL_TOL = 1e-4 eps and c the largest column norm of
+    gamma.  The residuals are rounding noise of about eps c^2, so this cut
+    is looser than the spectral one (eps^2 c), and any fault larger than
+    delta c lies inside the block.  When m >= N this is the full computation.
 
-
-def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals:
-    """Identity residuals computed from an explicit matrix (fault injection entry point).
-
-    Only the leading block of order m = J_r + 2 is used, where
-    J_r = _numerical_order(gamma, u, _RESIDUAL_TOL): outside the leading
-    J_r x J_r block, gamma and u[J_r:] together have l2 norm at most
-    delta c, with delta = _RESIDUAL_TOL = 1e-4 eps and c the largest column
-    norm of gamma.  The residuals are rounding noise of about eps c^2, so
-    this cut is looser than the spectral one (eps^2 c), and any fault larger
-    than delta c lies inside the block.  When m >= N this is the full
-    computation.
-
-    Why the values hold.  Let E = gamma - gamma_J and e = u - u_J, where
-    gamma_J and u_J are zero at every index >= J_r, so ||E||_F, ||e|| <= delta c;
-    write c' = max(c, ||u||) and use ||gamma||_2 <= ||gamma||_F <= sqrt(N) c.
-    (1) For (gamma_J, u_J) every full difference matrix vanishes outside its
+    Why the values hold.  Let E = gamma - gamma_J, where gamma_J is zero at
+    every index >= J_r, so ||E||_F <= delta c.  u and u_J are the first
+    columns of gamma and gamma_J, so ||u|| <= c, and e = u - u_J is a slice
+    of E: ||e|| <= ||E||_F <= delta c.  Use ||gamma||_2 <= ||gamma||_F <= sqrt(N) c.
+    (1) For gamma_J every full difference matrix vanishes outside its
     leading block of order J_r + 1: an entry there reads an index >= J_r,
     square_commutator's column j reading gamma_J conj(gamma_J) and u_J at
-    j - 1.  So the full residuals of (gamma_J, u_J) are the trimmed ones of
-    their leading m x m block, m = J_r + 2.  (2) Replacing (gamma_J, u_J) by
-    (gamma, u), in the full computation or in the trimmed one, moves the
-    difference matrices in Frobenius norm, and so each spectral norm, by at
-    most: 2 delta c for shift_intertwine and symmetry (each entry of E enters
+    j - 1.  So the full residuals of gamma_J are the trimmed ones of its
+    leading m x m block, m = J_r + 2.  (2) Replacing gamma_J by gamma, in
+    the full computation or in the trimmed one, moves the difference
+    matrices in Frobenius norm, and so each spectral norm, by at most:
+    2 delta c for shift_intertwine and symmetry (each entry of E enters
     twice); for square_compression 2 delta c (||gamma|| + ||gamma_J||) from
     the two slices of gamma conj(gamma) = gamma_J conj(gamma_J) + E conj(gamma)
     + gamma_J conj(E), plus 2 ||u|| delta c from u u^H, together
-    (4 sqrt(N) + 2) delta c c'; for square_commutator one more term,
+    (4 sqrt(N) + 2) delta c^2; for square_commutator one more term,
     gamma conj(u) - gamma_J conj(u_J) = E conj(u) + gamma_J conj(e), so
-    (5 sqrt(N) + 3) delta c c'.  (1) and (2) twice give |trimmed - full|
+    (5 sqrt(N) + 3) delta c^2.  (1) and (2) twice give |trimmed - full|
     <= 4 delta c for the two linear residuals and <= (10 sqrt(N) + 6)
-    delta c c' for the two squares, at most 7.3e-18 c c' for N <= 1024.
+    delta c^2 for the two squares, at most 7.3e-18 c^2 for N <= 1024.
     This bounds the exact values; the products inside the block round alike
     on both sides.
     """
-    gamma = np.asarray(gamma, dtype=np.complex128)
-    u = np.asarray(u, dtype=np.complex128)
-    m = min(gamma.shape[0], _numerical_order(gamma, u, _RESIDUAL_TOL) + 2)
-    gamma, u = gamma[:m, :m], u[:m]
+    m = min(h.order, h.numerical_order(_RESIDUAL_TOL) + 2)
+    gamma, u = h.gamma[:m, :m], h.u[:m]
     k = m - 1
 
     # Shift products are slices: (S^T A)[i, j] = A[i+1, j] and (A S)[i, j] = A[i, j+1].
@@ -178,34 +209,3 @@ def residuals_from_matrix(gamma: np.ndarray, u: np.ndarray) -> IdentityResiduals
 def _opnorm(diff: np.ndarray) -> float:
     """Spectral norm, skipping the SVD when the matrix is exactly zero."""
     return float(np.linalg.norm(diff, 2)) if diff.any() else 0.0
-
-
-def _numerical_order(
-    gamma: np.ndarray, u: np.ndarray | None = None, tol: float = _EPS**2
-) -> int:
-    """Smallest order J >= min(2, N) at which Gamma is numerically its leading J x J block.
-
-    The entries of gamma outside that block, together with the entries of u
-    from index J on, have l2 norm at most tol (eps^2 unless given) times the
-    largest column norm of gamma, itself at most ||Gamma||_2.  Entries are
-    divided by the largest one before squaring, so J does not depend on the
-    scale.  For a rational symbol, Gamma[n, m] decays like |b|^(n + m), so J
-    is well below N when the poles stay well inside the disk; noise above
-    that level, or a non-finite entry, gives J = N.
-    """
-    n = gamma.shape[0]
-    floor = min(2, n)
-    a = np.abs(gamma)
-    v = np.zeros(n) if u is None else np.abs(u)
-    scale = max(a.max(initial=0.0), v.max(initial=0.0))
-    if scale == 0:
-        return floor
-    if not np.isfinite(scale):
-        return n
-    a = (a / scale) ** 2
-    # shell[k]: squared entries with max(i, j) == k, and |u[k]|^2
-    shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0) + (v / scale) ** 2
-    dropped = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
-    bound = tol**2 * a.sum(axis=0).max()
-    fits = np.flatnonzero(dropped[floor:] <= bound)
-    return floor + int(fits[0]) if fits.size else n

@@ -96,7 +96,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     blocks = schmidt_decompose(gamma, config.cluster_tol)
     numerical_rank = sum(b.multiplicity for b in blocks)
     sing = blocks.singular_values[:numerical_rank]
-    identities = residuals_from_matrix(gamma.gamma, gamma.u)
+    identities = residuals_from_matrix(gamma)
 
     block_entries = []
     warnings: list[str] = []

@@ -3,7 +3,7 @@
 Schmidt subspaces ker(H^2 - s^2) are left singular subspaces of Gamma, so one
 factorization per matrix gives the blocks, the singular values and the
 numerical rank.  It works on Gamma's leading J x J block,
-J = hankel._numerical_order(Gamma), whose outside entries are below
+J = HankelMatrix.numerical_order(), whose outside entries are below
 eps^2 ||Gamma||, and stops at that block's numerical rank k: a basis Q of its
 range, certified by an explicit residual, and the SVD of the k x J matrix
 Q^H Gamma_J.  For a rational symbol k is the degree, so the cost is O(J^2 k).
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .hankel import HankelMatrix, _numerical_order
+from .hankel import HankelMatrix
 
 __all__ = [
     "SchmidtBlock",
@@ -155,10 +155,12 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     error is about eps * s_max; clusters whose gap is within 10x of their
     spread or of the noise floor are flagged as unreliable.
 
-    Only the leading J x J block is factored, J = _numerical_order(h.gamma):
+    Only the leading J x J block is factored, J = h.numerical_order():
     the entries outside it move no singular value by more than eps^2 ||Gamma||,
-    and a singular subspace by at most that over its gap.  That block is
-    scaled by the power of two at its largest entry (exactly), then
+    and a singular subspace by at most that over its gap.  Each of them is at
+    most eps^2 c < c / sqrt(N) <= max |Gamma|, c the largest column norm, so
+    Gamma's largest entry lies in the block.  The block is scaled by the power
+    of two at that entry (exactly), then
     _range_basis gives Q (J x k) and B = Q^H Gamma_J with a residual
     E = Gamma_J - Q B of Frobenius norm at most RANGE_TOL times the largest
     column norm.  Gamma_J^H Gamma_J = B^H B + E^H E, so every singular value
@@ -168,14 +170,13 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     """
     if not 0 < cluster_tol < 1:
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
-    n, j = h.order, _numerical_order(h.gamma)
-    gamma_j = h.gamma[:j, :j]
-    largest = np.abs(gamma_j).max(initial=0.0)
+    n, j, largest = h.order, h.numerical_order(), h.largest_entry
     if not np.isfinite(largest):
         raise ValueError("array must not contain infs or NaNs")
     sing = np.zeros(n)
     if largest == 0:
         return SchmidtBlocks([], sing)
+    gamma_j = h.gamma[:j, :j]
     exp = int(np.frexp(largest)[1])
     scaled = np.empty((j, j), dtype=np.complex128)
     np.ldexp(gamma_j.real, -exp, out=scaled.real)

@@ -23,7 +23,7 @@ from .blaschke import (
     tm_basis,
 )
 from .extraction import ExtractionError, _weighted_model_space, extract_representation
-from .hankel import build_hankel_matrix, identity_residuals, residuals_from_matrix
+from .hankel import HankelMatrix, build_hankel_matrix, residuals_from_matrix
 from .hardy import (
     HardyVector,
     basis_matrix,
@@ -33,7 +33,7 @@ from .hardy import (
     multiply_by_boundary,
 )
 from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
-from .symbols import PoleTerm, RationalSymbol, fourier_coefficients, tail_bound
+from .symbols import PoleTerm, RationalSymbol, fourier_coefficients
 
 __all__ = [
     "random_blaschke",
@@ -93,15 +93,13 @@ def suite_identities(seed: int, count: int = 50, order: int = 128, perturb: floa
     worst = {k: 0.0 for k in names}
     failures = {k: 0 for k in names}
     for _ in range(count):
-        sym = random_symbol(rng)
+        h = build_hankel_matrix(random_symbol(rng), order)
         if perturb > 0.0:
-            h = build_hankel_matrix(sym, order)
             gamma = h.gamma.copy()
             gamma[0, -1] += perturb
-            res = residuals_from_matrix(gamma, h.u)
-        else:
-            res = identity_residuals(sym, order)
-        threshold = max(1e-10, 10 * tail_bound(sym, order))
+            h = HankelMatrix(gamma, tail=h.tail)
+        res = residuals_from_matrix(h)
+        threshold = max(1e-10, 10 * h.tail)
         for name, value in res.as_dict().items():
             worst[name] = max(worst[name], value)
             if value > threshold:

@@ -128,6 +128,18 @@ def test_cli_frostman_names_non_numeric_field(tmp_path, capsys, doc, field):
     assert err.startswith(f"error: {field}: expected [re, im]") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["conjugate", "frostman"])
+@pytest.mark.parametrize("joined", [True, False], ids=["equals", "space"])
+def test_cli_reads_negative_alpha(tmp_path, capsys, command, joined):
+    if command == "frostman":
+        path = write_json(tmp_path / "b.json", {"phase": [1.0, 0.0], "zeros": [[0.5, 0.0]]})
+    else:
+        path = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
+    flag = ["--alpha=-0.2,0.1"] if joined else ["--alpha", "-0.2,0.1"]
+    assert main([command, path, *flag, "--n", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == [-0.2, 0.1]
+
+
 def test_cli_alpha_outside_disk(tmp_path, capsys):
     good = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
     assert main(["conjugate", good, "--alpha", "1.5"]) == 1
@@ -153,10 +165,15 @@ def test_verify_perturbation_fails():
     assert verify_exit_code(report) == 3
 
 
-@pytest.mark.parametrize("perturb", ["-1e-3", "nan"])
-def test_cli_verify_rejects_negative_or_nan_perturbation(perturb, capsys):
+@pytest.mark.parametrize(
+    "perturb, joined",
+    [("-1e-3", True), ("nan", True), ("-1e-3", False), ("nan", False)],
+    ids=["-1e-3", "nan", "space--1e-3", "space-nan"],
+)
+def test_cli_verify_rejects_negative_or_nan_perturbation(perturb, joined, capsys):
     # neither injects a fault, so a report would claim a check that never ran
-    assert main(["verify", "--n", "16", f"--perturb={perturb}"]) == 1
+    flag = [f"--perturb={perturb}"] if joined else ["--perturb", perturb]
+    assert main(["verify", "--n", "16", *flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: perturb must be finite and >= 0" in captured.err

@@ -17,12 +17,12 @@ from hankelschmidt.hardy import (
 )
 from hankelschmidt.hankel import (
     _RESIDUAL_TOL,
-    _numerical_order,
+    HankelMatrix,
     build_hankel_matrix,
     hankel_apply,
-    identity_residuals,
     residuals_from_matrix,
 )
+from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import (
     PoleTerm,
@@ -119,31 +119,32 @@ def test_square_hermitian_exactly():
 def test_identities_polynomial_symbol_exact():
     rng = np.random.default_rng(4)
     poly = rng.normal(size=16) + 1j * rng.normal(size=16)
-    res = identity_residuals(symbol_from_coefficients(poly), 64)
+    res = residuals_from_matrix(build_hankel_matrix(symbol_from_coefficients(poly), 64))
     assert res.max() < 1e-12
 
 
 def test_identities_rank_one_within_tail_threshold():
     sym = rank_one_symbol()
-    res = identity_residuals(sym, 64)
+    res = residuals_from_matrix(build_hankel_matrix(sym, 64))
     assert res.max() <= max(1e-10, 10 * tail_bound(sym, 64))
 
 
 def test_identities_zero_symbol():
-    res = identity_residuals(symbol_from_coefficients([0.0]), 32)
+    res = residuals_from_matrix(build_hankel_matrix(symbol_from_coefficients([0.0]), 32))
     assert res.max() == 0.0
 
 
 def test_shift_intertwine_interior_exact():
     rng = np.random.default_rng(5)
-    res = identity_residuals(random_symbol(rng), 64)
+    res = residuals_from_matrix(build_hankel_matrix(random_symbol(rng), 64))
     assert res.shift_intertwine == 0.0
     assert res.symmetry == 0.0
 
 
-def shift_matrix_residuals(gamma, u):
+def shift_matrix_residuals(gamma):
     """The identity residuals written with explicit shift matrices S, S^T."""
     n = gamma.shape[0]
+    u = gamma[:, 0]
     k = n - 1
     s = np.eye(n, k=-1, dtype=np.complex128)
     st = s.T
@@ -162,37 +163,34 @@ def shift_matrix_residuals(gamma, u):
 
 
 def faulty_matrices(rng, n):
-    """Non-Hankel, non-symmetric and fault-injected inputs (gamma, u)."""
+    """Non-Hankel, non-symmetric and fault-injected matrices."""
     h = build_hankel_matrix(random_symbol(rng), n)
-    u = h.gamma[:, 0].copy()
     noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     flipped = h.gamma.copy()
     flipped[n // 2, n - 1] += 1e-6
-    symmetric_not_hankel = noise + noise.T
-    yield noise, rng.normal(size=n) + 1j * rng.normal(size=n)
-    yield flipped, u
-    yield symmetric_not_hankel, u
-    yield h.gamma + 1e-9 * noise, u
-    yield h.gamma, u + 1e-7 * rng.normal(size=n)
+    yield noise
+    yield flipped
+    yield noise + noise.T
+    yield h.gamma + 1e-9 * noise
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
 def test_residuals_equal_shift_matrix_formulation(n):
     cases = list(faulty_matrices(np.random.default_rng(n), n))
-    for gamma, u in cases:
-        assert residuals_from_matrix(gamma, u).as_dict() == shift_matrix_residuals(gamma, u)
-    noise = residuals_from_matrix(*cases[0])
+    for gamma in cases:
+        assert residuals_from_matrix(HankelMatrix(gamma)).as_dict() == shift_matrix_residuals(gamma)
+    noise = residuals_from_matrix(HankelMatrix(cases[0]))
     assert min(noise.shift_intertwine, noise.square_compression, noise.square_commutator, noise.symmetry) > 0
 
 
 EPS2 = np.finfo(float).eps ** 2
 
 
-def dropped_norm(gamma, u, j):
-    """l2 norm of the entries of gamma outside its leading j x j block and of u[j:]."""
+def dropped_norm(gamma, j):
+    """l2 norm of the entries of gamma outside its leading j x j block."""
     outside = np.ones(gamma.shape, dtype=bool)
     outside[:j, :j] = False
-    return float(np.sqrt(np.sum(np.abs(gamma[outside]) ** 2) + np.sum(np.abs(u[j:]) ** 2)))
+    return float(np.linalg.norm(gamma[outside]))
 
 
 pole_terms = st.builds(
@@ -205,79 +203,69 @@ pole_terms = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(poles=st.lists(pole_terms, min_size=1, max_size=4), n=st.sampled_from([16, 64, 128, 256]))
 def test_numerical_order_is_the_smallest_order_within_bound(poles, n):
-    sym = RationalSymbol(poles=tuple(poles))
-    gamma = build_hankel_matrix(sym, n).gamma
-    u = fourier_coefficients(sym, n).coeffs
+    h = build_hankel_matrix(RationalSymbol(poles=tuple(poles)), n)
+    gamma = h.gamma
     bound = EPS2 * np.max(np.linalg.norm(gamma, axis=0))
-    for v in (np.zeros(n), u):
-        j = _numerical_order(gamma, v)
-        assert min(2, n) <= j <= n
-        assert dropped_norm(gamma, v, j) <= bound * (1 + 1e-9)
-        if j > min(2, n):
-            assert dropped_norm(gamma, v, j - 1) > bound * (1 - 1e-9)
-    j = _numerical_order(gamma)
-    assert _numerical_order(gamma * 1e-200) == j
-    assert _numerical_order(gamma * 1e200) == j
-    # a fault in the last column or the last coefficient of u forces J = N
+    j = h.numerical_order()
+    assert min(2, n) <= j <= n
+    assert dropped_norm(gamma, j) <= bound * (1 + 1e-9)
+    if j > min(2, n):
+        assert dropped_norm(gamma, j - 1) > bound * (1 - 1e-9)
+    assert HankelMatrix(gamma * 1e-200).numerical_order() == j
+    assert HankelMatrix(gamma * 1e200).numerical_order() == j
+    # a fault in the last column forces J = N
     scale = np.max(np.abs(gamma))
     if scale > 0:
         faulty = gamma.copy()
         faulty[0, -1] += 1e-20 * scale
-        assert _numerical_order(faulty) == n
-        tail = u.copy()
-        tail[-1] += 1e-20 * scale
-        assert _numerical_order(gamma, tail) == n
+        assert HankelMatrix(faulty).numerical_order() == n
 
 
-def residual_cut_bound(gamma, u, name):
+def residual_cut_bound(gamma, name):
     """residuals_from_matrix's documented bound on |trimmed - full| for one residual."""
     n = gamma.shape[0]
     c = np.max(np.linalg.norm(gamma, axis=0))
     if name in ("shift_intertwine", "symmetry"):
         return 4 * _RESIDUAL_TOL * c
-    return (10 * np.sqrt(n) + 6) * _RESIDUAL_TOL * c * max(c, np.linalg.norm(u))
+    return (10 * np.sqrt(n) + 6) * _RESIDUAL_TOL * c**2
 
 
 @settings(max_examples=20, deadline=None)
 @given(poles=st.lists(pole_terms, min_size=1, max_size=4), n=st.sampled_from([64, 128, 256, 512]))
 def test_residual_order_is_the_smallest_within_its_bound(poles, n):
-    gamma = build_hankel_matrix(RationalSymbol(poles=tuple(poles)), n).gamma
-    u = gamma[:, 0].copy()
+    h = build_hankel_matrix(RationalSymbol(poles=tuple(poles)), n)
+    gamma = h.gamma
     c = np.max(np.linalg.norm(gamma, axis=0))
     bound = _RESIDUAL_TOL * c
-    j = _numerical_order(gamma, u, _RESIDUAL_TOL)
-    assert min(2, n) <= j <= _numerical_order(gamma, u)
-    assert dropped_norm(gamma, u, j) <= bound * (1 + 1e-9)
+    j = h.numerical_order(_RESIDUAL_TOL)
+    assert min(2, n) <= j <= h.numerical_order()
+    assert dropped_norm(gamma, j) <= bound * (1 + 1e-9)
     if j > min(2, n):
-        assert dropped_norm(gamma, u, j - 1) > bound * (1 - 1e-9)
+        assert dropped_norm(gamma, j - 1) > bound * (1 - 1e-9)
 
-    clean = residuals_from_matrix(gamma, u).as_dict()
+    clean = residuals_from_matrix(h).as_dict()
     if j + 2 < n:  # otherwise the computation is the full one
-        for name, value in shift_matrix_residuals(gamma, u).items():
-            assert abs(clean[name] - value) <= residual_cut_bound(gamma, u, name)
+        for name, value in shift_matrix_residuals(gamma).items():
+            assert abs(clean[name] - value) <= residual_cut_bound(gamma, name)
 
     # a single entry of 10 delta c at index N - 1 forces the full block, on
     # which test_residuals_equal_shift_matrix_formulation holds exactly; in
-    # Gamma[0, N - 1] it breaks the symmetry by its size.  u[N - 1] reaches
-    # the residuals only through Gamma[:, N - 1] conj(u[N - 1]), far below
-    # their rounding noise, so there the cut is what shows.
+    # Gamma[0, N - 1] it breaks the symmetry by its size
     fault = 10 * bound
-    faulty_gamma = gamma.copy()
-    faulty_gamma[0, -1] += fault
-    faulty_u = u.copy()
-    faulty_u[-1] += fault
-    assert _numerical_order(faulty_gamma, u, _RESIDUAL_TOL) == n
-    assert _numerical_order(gamma, faulty_u, _RESIDUAL_TOL) == n
+    faulty = gamma.copy()
+    faulty[0, -1] += fault
+    faulty_h = HankelMatrix(faulty)
+    assert faulty_h.numerical_order(_RESIDUAL_TOL) == n
     if j < n:
         assert clean["symmetry"] == 0.0
-        assert residuals_from_matrix(faulty_gamma, u).symmetry > 0.9 * fault
+        assert residuals_from_matrix(faulty_h).symmetry > 0.9 * fault
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 def test_numerical_order_of_zero_matrix_is_floor(n):
-    zero = np.zeros((n, n), dtype=complex)
-    assert _numerical_order(zero) == min(2, n)
-    assert _numerical_order(zero, np.zeros(n)) == min(2, n)
+    h = HankelMatrix(np.zeros((n, n)))
+    assert h.numerical_order() == min(2, n)
+    assert h.numerical_order(_RESIDUAL_TOL) == min(2, n)
 
 
 def test_trimmed_residuals_keep_index_margin():
@@ -286,22 +274,20 @@ def test_trimmed_residuals_keep_index_margin():
     # difference matrices but inside J + 2
     n = 256
     sym = RationalSymbol(poles=(PoleTerm(b=0.4, m=1, c=1.0), PoleTerm(b=-0.3j, m=2, c=0.5)))
-    gamma = build_hankel_matrix(sym, n).gamma
-    u = fourier_coefficients(sym, n).coeffs
-    j = _numerical_order(gamma, u)
+    h = build_hankel_matrix(sym, n)
+    j = h.numerical_order()
     assert j + 2 < n
-    faulty_gamma = gamma.copy()
-    faulty_gamma[j - 1, 0] += 1e-7
-    faulty_gamma[0, j - 1] += 1e-7
-    faulty_u = u.copy()
-    faulty_u[j - 1] += 1e-7
-    for g, v in ((faulty_gamma, u), (gamma, faulty_u)):
-        assert _numerical_order(g, v) == j
-        got = residuals_from_matrix(g, v).as_dict()
-        ref = shift_matrix_residuals(g, v)
-        assert ref["square_commutator"] > 1e-8
-        for name, value in ref.items():
-            assert abs(got[name] - value) <= 1e-12 * value
+    # the fault in Gamma[j - 1, 0] is one in u as well
+    faulty = h.gamma.copy()
+    faulty[j - 1, 0] += 1e-7
+    faulty[0, j - 1] += 1e-7
+    faulty_h = HankelMatrix(faulty)
+    assert faulty_h.numerical_order(_RESIDUAL_TOL) == j
+    got = residuals_from_matrix(faulty_h).as_dict()
+    ref = shift_matrix_residuals(faulty)
+    assert ref["square_commutator"] > 1e-8
+    for name, value in ref.items():
+        assert abs(got[name] - value) <= 1e-12 * value
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -312,16 +298,35 @@ def test_trimmed_residuals_match_full_oracle(n):
         PoleTerm(b=-0.5j, m=1, c=0.7 - 0.2j),
         PoleTerm(b=0.3 + 0.2j, m=2, c=0.4),
     ))
-    gamma = build_hankel_matrix(sym, n).gamma
-    u = fourier_coefficients(sym, n).coeffs
-    assert _numerical_order(gamma, u) + 2 < n
-    got = residuals_from_matrix(gamma, u).as_dict()
+    h = build_hankel_matrix(sym, n)
+    gamma = h.gamma
+    assert h.numerical_order() + 2 < n
+    got = residuals_from_matrix(h).as_dict()
     # the full difference matrices add only entries of order eps^2 ||Gamma||^2
     # to the trimmed ones, so the rounding-level residuals agree far below
     # eps ||Gamma||^2 (the largest column norm is at most ||Gamma||)
     scale = np.max(np.linalg.norm(gamma, axis=0)) ** 2
-    for name, value in shift_matrix_residuals(gamma, u).items():
+    for name, value in shift_matrix_residuals(gamma).items():
         assert abs(got[name] - value) <= 1e-17 * scale
+
+
+@pytest.mark.parametrize("b, trimmed", [(0.5, True), (0.99, False)])
+def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
+    # the spectral cut and the residual cut read one decay scan of Gamma,
+    # whose shells come from one np.tril
+    n = 128
+    sym = rank_one_symbol(a=b)
+    assert (build_hankel_matrix(sym, n).numerical_order() < n) == trimmed
+    tril = np.tril
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args[0].shape)
+        return tril(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tril", counted)
+    analyze_symbol(sym, AnalysisConfig(n=n))
+    assert scans == [(n, n)]
 
 
 def test_pairing_symmetry_random_vectors():

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelschmidt.hankel import HankelMatrix, _numerical_order, build_hankel_matrix
+from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     RANGE_BLOCK,
@@ -182,7 +182,7 @@ def assert_gamma_factored_once(calls, j, rank):
 def test_analyze_factors_gamma_once(monkeypatch):
     n = 64
     sym = RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=1.0), PoleTerm(b=-0.3j, m=1, c=0.7)))
-    j = _numerical_order(build_hankel_matrix(sym, n).gamma)
+    j = build_hankel_matrix(sym, n).numerical_order()
     calls = record_factorizations(monkeypatch)
     report = analyze_symbol(sym, AnalysisConfig(n=n))
     assert report["pass"] and report["numerical_rank"] == 2
@@ -213,14 +213,14 @@ def assert_matches_dense_svd(h, value_tol, gap_tol):
 @pytest.mark.parametrize("n", [512, 1024])
 def test_trimmed_factorization_matches_full_svd(n):
     h = build_hankel_matrix(TRIMMED_SYMBOL, n)
-    assert _numerical_order(h.gamma) < n
+    assert h.numerical_order() < n
     blocks = assert_matches_dense_svd(h, 1e-12, 1e-12)
     assert [b.multiplicity for b in blocks] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 def test_analyze_factors_leading_block_once(monkeypatch, n):
-    j = _numerical_order(build_hankel_matrix(TRIMMED_SYMBOL, n).gamma)
+    j = build_hankel_matrix(TRIMMED_SYMBOL, n).numerical_order()
     assert j < n
     calls = record_factorizations(monkeypatch)
     report = analyze_symbol(TRIMMED_SYMBOL, AnalysisConfig(n=n))
@@ -252,7 +252,7 @@ def test_full_numerical_rank_matches_dense_svd():
     rng = np.random.default_rng(1)
     coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.5 ** np.arange(63, -1, -1)
     h = build_hankel_matrix(symbol_from_coefficients(coeffs), 64)
-    assert _numerical_order(h.gamma) == 64
+    assert h.numerical_order() == 64
     blocks = assert_matches_dense_svd(h, 1e-12, 1e-10)
     assert sum(b.multiplicity for b in blocks) == 64
     assert np.all(blocks.singular_values > 0)
@@ -275,7 +275,7 @@ def test_graded_range_stays_orthonormal():
 
 def test_pole_near_circle_factors_at_its_rank():
     h = build_hankel_matrix(RationalSymbol(poles=(PoleTerm(b=0.99, m=1, c=1.0),)), 512)
-    assert _numerical_order(h.gamma) == 512
+    assert h.numerical_order() == 512
     blocks = schmidt_decompose(h)
     assert np.count_nonzero(blocks.singular_values) <= 2
     dense = scipy.linalg.svd(h.gamma, compute_uv=False)
@@ -286,6 +286,7 @@ def test_pole_near_circle_factors_at_its_rank():
 def test_non_finite_matrix_is_rejected(bad):
     g = build_hankel_matrix(symbol_from_coefficients([1.0, 0.5]), 16).gamma.copy()
     g[3, 4] = bad
+    assert HankelMatrix(g).numerical_order() == 16
     with pytest.raises(ValueError, match="infs or NaNs"):
         schmidt_decompose(HankelMatrix(g))
 
