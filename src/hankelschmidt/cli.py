@@ -33,7 +33,8 @@ from .symbols import SymbolFormatError, _parse_complex, parse_symbol
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    # strict JSON: a NaN or infinite float is an error, never a bare token
+    text = json.dumps(report, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -10,8 +10,10 @@ part outside has l2 norm at most eps^2 c, c the largest column norm, and the
 SVD in spectral works on that block.  The identity residuals here are
 rounding noise of about eps c^2 and work on a smaller block, cut where the
 part outside is at most 1e-4 eps c (residuals_from_matrix).  Both cuts read
-one decay scan, made once per matrix.  A pole near the circle, such as 0.99,
-keeps both blocks at order N.
+one decay profile per matrix.  For a matrix from build_hankel_matrix it
+comes from the 2N-1 coefficients in O(N), since every entry of Gamma is one
+of them; only a matrix given entry by entry is scanned in full.  A pole
+near the circle, such as 0.99, keeps both blocks at order N.
 """
 
 from __future__ import annotations
@@ -44,18 +46,36 @@ class HankelMatrix:
 
     The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
     so Gamma alone carries everything extraction and verification read.
-    Gamma is read-only, so its decay scan (_decay) is made once and kept.
+    build_hankel_matrix also keeps all 2N-1 coefficients (`coeffs`), which
+    must equal Gamma's first column followed by the rest of its last row; a
+    matrix given entry by entry has none.  Gamma is read-only, copied first
+    when given as a view (its base could still change it), and coeffs is a
+    read-only copy, so the decay profile (_decay) is computed once and
+    kept: from coeffs in O(N) when they are there, else by a scan of all of
+    Gamma.  From coeffs it is made of suffix sums, summed from the tail:
+    the sums the cuts compare are about eps^4 of the total, and a
+    difference of prefix sums of order 1 would cancel them.
     """
 
     gamma: np.ndarray
     tail: float = 0.0
+    coeffs: np.ndarray | None = None
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.complex128)
+        g = _frozen(self.gamma)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {g.shape}")
         object.__setattr__(self, "gamma", g)
-        self.gamma.setflags(write=False)
+        if self.coeffs is None:
+            return
+        c = _frozen(np.array(self.coeffs, dtype=np.complex128))
+        n = g.shape[0]
+        if c.shape != (2 * n - 1,) or not (
+            np.array_equal(c[:n], g[:, 0], equal_nan=True)
+            and np.array_equal(c[n - 1 :], g[-1], equal_nan=True)
+        ):
+            raise ValueError("coeffs must be Gamma's first column followed by the rest of its last row")
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
@@ -95,16 +115,40 @@ class HankelMatrix:
 
         dropped[J] (J = 0..N) sums the squared entries outside the leading
         J x J block, and column is the largest such sum over one column.
+        From coeffs, with a_k = |u_hat(k)|^2 on that scale and Q[k] the sum
+        of a_i over i >= k: the entries with max(i, j) = m add up to
+        2 (Q[m] - Q[2m]) + a_2m, and column j to Q[j] - Q[j + N].
         """
-        a = np.abs(self.gamma)
+        n = self.order
+        a = np.abs(self.gamma if self.coeffs is None else self.coeffs)
         largest = a.max(initial=0.0)
         if largest == 0 or not np.isfinite(largest):
             return largest, np.zeros(0), 0.0
         a = (a / largest) ** 2
-        # shell[k]: squared entries with max(i, j) == k
-        shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0)
-        dropped = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
-        return largest, dropped, a.sum(axis=0).max()
+        if self.coeffs is None:
+            # shell[k]: squared entries with max(i, j) == k
+            shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0)
+            column = a.sum(axis=0).max()
+        else:
+            q = _suffix_sums(a)
+            m = np.arange(n)
+            shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
+            column = (q[:n] - q[n:]).max()
+        return largest, _suffix_sums(shell), column
+
+
+def _frozen(x) -> np.ndarray:
+    """x as a read-only complex array that no other array can write to."""
+    a = np.asarray(x, dtype=np.complex128)
+    if a.base is not None:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """s[k] = sum of x[i] over i >= k, for k = 0..len(x); s[len(x)] = 0."""
+    return np.append(np.cumsum(x[::-1])[::-1], 0.0)
 
 
 def build_hankel_matrix(sym, order: int) -> HankelMatrix:
@@ -116,7 +160,7 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
     sym = _as_symbol(sym)
     u = fourier_coefficients(sym, 2 * order - 1).coeffs
     gamma = scipy.linalg.hankel(u[:order], u[order - 1 :])
-    return HankelMatrix(gamma=gamma, tail=tail_bound(sym, order))
+    return HankelMatrix(gamma=gamma, tail=tail_bound(sym, order), coeffs=u)
 
 
 def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:

@@ -88,7 +88,8 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     blocks' total multiplicity.  Block pass/fail flags come from verify_tol
     alone; numerically suspect clusters are carried through but marked
     unreliable.  The report fails as a whole when the truncation tail bound
-    exceeds verify_tol.
+    exceeds verify_tol; a bound that is not finite reads null, so the
+    report stays strict JSON.
     """
     config = config or AnalysisConfig()
     n = config.n
@@ -142,7 +143,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             "cluster_tol": config.cluster_tol,
             "verify_tol": config.verify_tol,
         },
-        "tail_bound": float(gamma.tail),
+        "tail_bound": float(gamma.tail) if np.isfinite(gamma.tail) else None,
         "kronecker_rank_bound": int(kronecker_rank_bound(sym)),
         "numerical_rank": numerical_rank,
         "singular_values": [float(s) for s in sing],

@@ -52,14 +52,31 @@ def test_analyze_zero_symbol():
     assert analysis_exit_code(report) == 0
 
 
-def test_analyze_report_fields_finite():
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens RFC 8259 does not have."""
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_analyze_report_fields_finite(tmp_path, capsys):
     sym = RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=1.0),))
-    report = analyze_symbol(sym, AnalysisConfig(n=32))
-    text = json.dumps(report)
-    assert "NaN" not in text and "Infinity" not in text
+    report = strict_json(json.dumps(analyze_symbol(sym, AnalysisConfig(n=32))))
     assert report["numerical_rank"] == 1
     assert report["kronecker_rank_bound"] == 1
     assert report["tail_bound"] >= 0.0
+
+    # a triple pole this near the circle has no finite tail bound: the
+    # report reads null and still fails on the tail
+    near_circle = write_json(
+        tmp_path / "near.json", {"poles": [{"b": [0.99999999, 0.0], "m": 3, "c": [1.0, 0.0]}]}
+    )
+    assert main(["analyze", near_circle, "--n", "16"]) == 2
+    report = strict_json(capsys.readouterr().out)
+    assert report["tail_bound"] is None
+    assert report["pass"] is False
+    assert any("truncation tail bound" in w for w in report["warnings"])
 
 
 def test_cli_analyze_exit_codes(tmp_path, capsys):

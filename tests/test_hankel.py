@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelschmidt.hardy import (
@@ -23,6 +23,7 @@ from hankelschmidt.hankel import (
     residuals_from_matrix,
 )
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
+from hankelschmidt.spectral import schmidt_decompose
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import (
     PoleTerm,
@@ -312,8 +313,9 @@ def test_trimmed_residuals_match_full_oracle(n):
 
 @pytest.mark.parametrize("b, trimmed", [(0.5, True), (0.99, False)])
 def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
-    # the spectral cut and the residual cut read one decay scan of Gamma,
-    # whose shells come from one np.tril
+    # analyze reads both cuts from Gamma's 2N-1 coefficients: no N x N scan,
+    # whose shells come from np.tril; a matrix given entry by entry is
+    # scanned once, however often its cuts are read
     n = 128
     sym = rank_one_symbol(a=b)
     assert (build_hankel_matrix(sym, n).numerical_order() < n) == trimmed
@@ -326,7 +328,71 @@ def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
 
     monkeypatch.setattr(np, "tril", counted)
     analyze_symbol(sym, AnalysisConfig(n=n))
+    assert scans == []
+
+    entrywise = HankelMatrix(build_hankel_matrix(sym, n).gamma.copy())
+    entrywise.numerical_order()
+    entrywise.numerical_order(_RESIDUAL_TOL)
+    assert np.isfinite(entrywise.largest_entry)
     assert scans == [(n, n)]
+
+
+symbols_with_origin = st.builds(
+    lambda poles, origin, c, poly: RationalSymbol(
+        poly=np.asarray(poly, dtype=complex) if poly else np.zeros(1),
+        poles=tuple(poles) + ((PoleTerm(b=0.0, m=origin, c=c),) if origin else ()),
+    ),
+    st.lists(pole_terms, max_size=3),
+    st.integers(0, 3),
+    st.floats(1e-3, 2.0),
+    st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False), max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sym=symbols_with_origin, n=st.sampled_from([16, 64, 512, 1024]))
+@example(sym=RationalSymbol(), n=16)
+@example(sym=RationalSymbol(poles=(PoleTerm(b=0.0, m=3, c=1.0),)), n=1024)
+def test_decay_from_coefficients_matches_dense_scan(sym, n):
+    h = build_hankel_matrix(sym, n)
+    dense = HankelMatrix(h.gamma.copy())
+    assert dense.coeffs is None and h.coeffs is not None
+    assert h.numerical_order() == dense.numerical_order()
+    assert h.numerical_order(_RESIDUAL_TOL) == dense.numerical_order(_RESIDUAL_TOL)
+    assert h.largest_entry == dense.largest_entry
+    column, dense_column = h._decay[2], dense._decay[2]
+    assert abs(column - dense_column) <= 1e-14 * dense_column
+
+
+def test_coefficients_must_match_gamma():
+    h = build_hankel_matrix(rank_one_symbol(), 8)
+    u = h.coeffs.copy()
+    kept = HankelMatrix(h.gamma, coeffs=u)
+    for bad in (u[:-1], np.append(u, 0.0), u[:, None]):
+        with pytest.raises(ValueError):
+            HankelMatrix(h.gamma, coeffs=bad)
+    for k in (0, 7, 14):  # Gamma[0, 0], the corner Gamma[7, 0] and Gamma[7, 7]
+        bad = u.copy()
+        bad[k] += 1e-9
+        with pytest.raises(ValueError):
+            HankelMatrix(h.gamma, coeffs=bad)
+    assert not kept.coeffs.flags.writeable
+    u[3] = 7.0  # the matrix keeps its own copy
+    assert kept.coeffs[3] == h.coeffs[3]
+
+
+def test_view_of_writable_matrix_is_copied():
+    # a base that changes after the decay profile is cached must not change Gamma
+    n = 64
+    base = np.zeros((n, n), dtype=complex)
+    base[:] = build_hankel_matrix([1, 0.5, 0.25], n).gamma
+    h = HankelMatrix(base[:, :])
+    assert h.numerical_order() == 3
+    base[-1, -1] = 1.0
+    assert h.gamma[-1, -1] == 0.0
+    blocks = schmidt_decompose(h)
+    expected = np.linalg.svd(build_hankel_matrix([1, 0.5, 0.25], n).gamma, compute_uv=False)[:3]
+    assert np.allclose(blocks.singular_values[:3], expected, rtol=1e-12)
 
 
 def test_pairing_symmetry_random_vectors():
