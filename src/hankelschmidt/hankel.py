@@ -7,13 +7,15 @@ generated coefficients.
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
 is numerically its leading J x J block (HankelMatrix.numerical_order): the
 part outside has l2 norm at most eps^2 c, c the largest column norm, and the
-SVD in spectral works on that block.  The identity residuals here are
-rounding noise of about eps c^2 and work on a smaller block, cut where the
-part outside is at most 1e-4 eps c (residuals_from_matrix).  Both cuts read
-one decay profile per matrix.  For a matrix from build_hankel_matrix it
-comes from the 2N-1 coefficients in O(N), since every entry of Gamma is one
-of them; only a matrix given entry by entry is scanned in full.  A pole
-near the circle, such as 0.99, keeps both blocks at order N.
+SVD in spectral works on that block.  J is read from one decay profile per
+matrix.  For a matrix from build_hankel_matrix it comes from the 2N-1
+coefficients in O(N), since every entry of Gamma is one of them; only a
+matrix given entry by entry is scanned in full.
+
+The identity residuals hold exactly for every Hankel matrix, so for a
+matrix built from its coefficients residuals_from_matrix returns their
+exact values in closed form, in O(N); only a matrix given entry by entry,
+such as a fault-injected one, is compared entry by entry in full.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-# identity residuals cut Gamma where its dropped part is below this times c
-_RESIDUAL_TOL = 1e-4 * _EPS
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -46,36 +47,37 @@ class HankelMatrix:
 
     The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
     so Gamma alone carries everything extraction and verification read.
-    build_hankel_matrix also keeps all 2N-1 coefficients (`coeffs`), which
-    must equal Gamma's first column followed by the rest of its last row; a
-    matrix given entry by entry has none.  Gamma is read-only, copied first
-    when given as a view (its base could still change it), and coeffs is a
+    A matrix may instead be given by all 2N-1 coefficients (`coeffs`), as
+    build_hankel_matrix does; Gamma is then built from them, and a Gamma
+    given with them must equal that build entry for entry.  A matrix given
+    entry by entry has no coeffs.  Gamma is read-only, copied first when
+    given as a view (its base could still change it), and coeffs is a
     read-only copy, so the decay profile (_decay) is computed once and
     kept: from coeffs in O(N) when they are there, else by a scan of all of
     Gamma.  From coeffs it is made of suffix sums, summed from the tail:
-    the sums the cuts compare are about eps^4 of the total, and a
+    the sums the cut compares are about eps^4 of the total, and a
     difference of prefix sums of order 1 would cancel them.
     """
 
-    gamma: np.ndarray
+    gamma: np.ndarray | None = None
     tail: float = 0.0
     coeffs: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.coeffs is not None:
+            c = _frozen(np.array(self.coeffs, dtype=np.complex128))
+            if c.ndim != 1 or c.size % 2 == 0:
+                raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
+            n = (c.size + 1) // 2
+            built = scipy.linalg.hankel(c[:n], c[n - 1 :])
+            if self.gamma is not None and not np.array_equal(self.gamma, built, equal_nan=True):
+                raise ValueError("Gamma must be the Hankel matrix of coeffs")
+            object.__setattr__(self, "gamma", built)
+            object.__setattr__(self, "coeffs", c)
         g = _frozen(self.gamma)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {g.shape}")
         object.__setattr__(self, "gamma", g)
-        if self.coeffs is None:
-            return
-        c = _frozen(np.array(self.coeffs, dtype=np.complex128))
-        n = g.shape[0]
-        if c.shape != (2 * n - 1,) or not (
-            np.array_equal(c[:n], g[:, 0], equal_nan=True)
-            and np.array_equal(c[n - 1 :], g[-1], equal_nan=True)
-        ):
-            raise ValueError("coeffs must be Gamma's first column followed by the rest of its last row")
-        object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
@@ -91,13 +93,13 @@ class HankelMatrix:
         """max |Gamma[n, m]|; inf or nan when Gamma is not finite."""
         return self._decay[0]
 
-    def numerical_order(self, tol: float = _EPS**2) -> int:
+    def numerical_order(self) -> int:
         """Smallest order J >= min(2, N) at which Gamma is numerically its leading J x J block.
 
-        Outside that block Gamma has l2 norm at most tol (eps^2 unless given)
-        times its largest column norm, itself at most ||Gamma||_2.  J does
-        not depend on the scale of Gamma.  Noise above that level, or a
-        non-finite entry, gives J = N.
+        Outside that block Gamma has l2 norm at most eps^2 times its largest
+        column norm, itself at most ||Gamma||_2.  J does not depend on the
+        scale of Gamma.  Noise above that level, or a non-finite entry,
+        gives J = N.
         """
         n = self.order
         floor = min(2, n)
@@ -106,7 +108,7 @@ class HankelMatrix:
             return floor
         if not np.isfinite(largest):
             return n
-        fits = np.flatnonzero(dropped[floor:] <= tol**2 * column)
+        fits = np.flatnonzero(dropped[floor:] <= _EPS**4 * column)
         return floor + int(fits[0]) if fits.size else n
 
     @cached_property
@@ -155,12 +157,18 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
     """Gamma[n, m] = u_hat(n + m) from 2*order - 1 exact coefficients.
 
     Accepts a RationalSymbol or a raw coefficient vector (treated as a
-    polynomial symbol).
+    polynomial symbol).  Raises ValueError when N max|u_hat| reaches
+    sqrt(float max), where the squares of Gamma's singular values overflow.
     """
     sym = _as_symbol(sym)
     u = fourier_coefficients(sym, 2 * order - 1).coeffs
-    gamma = scipy.linalg.hankel(u[:order], u[order - 1 :])
-    return HankelMatrix(gamma=gamma, tail=tail_bound(sym, order), coeffs=u)
+    h = HankelMatrix(tail=tail_bound(sym, order), coeffs=u)
+    if not order * h.largest_entry < _SQRT_MAX:
+        raise ValueError(
+            f"coefficients up to {h.largest_entry:.3e} overflow the square of Gamma at order "
+            f"{order}: N max|u_hat| must stay below {_SQRT_MAX:.3e}"
+        )
+    return h
 
 
 def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
@@ -190,41 +198,31 @@ class IdentityResiduals:
 def residuals_from_matrix(h: HankelMatrix) -> IdentityResiduals:
     """Residuals of the operator identities of Gamma = h.gamma, with u its first column.
 
-    Gamma may be any square matrix (the fault injection entry point).  The
-    comparisons stop one short of the truncation edge, and only the leading
-    block of order m = J_r + 2 is used, J_r = h.numerical_order(_RESIDUAL_TOL):
-    outside the leading J_r x J_r block, gamma has l2 norm at most delta c,
-    with delta = _RESIDUAL_TOL = 1e-4 eps and c the largest column norm of
-    gamma.  The residuals are rounding noise of about eps c^2, so this cut
-    is looser than the spectral one (eps^2 c), and any fault larger than
-    delta c lies inside the block.  When m >= N this is the full computation.
+    Each residual is the spectral norm of a difference matrix, compared one
+    short of the truncation edge.  Gamma may be any square matrix (the fault
+    injection entry point); given entry by entry, the differences are formed
+    from Gamma and Gamma conj(Gamma) in full.
 
-    Why the values hold.  Let E = gamma - gamma_J, where gamma_J is zero at
-    every index >= J_r, so ||E||_F <= delta c.  u and u_J are the first
-    columns of gamma and gamma_J, so ||u|| <= c, and e = u - u_J is a slice
-    of E: ||e|| <= ||E||_F <= delta c.  Use ||gamma||_2 <= ||gamma||_F <= sqrt(N) c.
-    (1) For gamma_J every full difference matrix vanishes outside its
-    leading block of order J_r + 1: an entry there reads an index >= J_r,
-    square_commutator's column j reading gamma_J conj(gamma_J) and u_J at
-    j - 1.  So the full residuals of gamma_J are the trimmed ones of its
-    leading m x m block, m = J_r + 2.  (2) Replacing gamma_J by gamma, in
-    the full computation or in the trimmed one, moves the difference
-    matrices in Frobenius norm, and so each spectral norm, by at most:
-    2 delta c for shift_intertwine and symmetry (each entry of E enters
-    twice); for square_compression 2 delta c (||gamma|| + ||gamma_J||) from
-    the two slices of gamma conj(gamma) = gamma_J conj(gamma_J) + E conj(gamma)
-    + gamma_J conj(E), plus 2 ||u|| delta c from u u^H, together
-    (4 sqrt(N) + 2) delta c^2; for square_commutator one more term,
-    gamma conj(u) - gamma_J conj(u_J) = E conj(u) + gamma_J conj(e), so
-    (5 sqrt(N) + 3) delta c^2.  (1) and (2) twice give |trimmed - full|
-    <= 4 delta c for the two linear residuals and <= (10 sqrt(N) + 6)
-    delta c^2 for the two squares, at most 7.3e-18 c^2 for N <= 1024.
-    This bounds the exact values; the products inside the block round alike
-    on both sides.
+    For a matrix given by its coefficients a_k = u_hat(k), k = 0..2N-2, the
+    differences are known exactly.  Gamma[i, j] = a_(i+j), so the shift and
+    symmetry differences vanish.  Gamma conj(Gamma) has the entries
+    M[i, j] = sum over l < N of a_(i+l) conj(a_(l+j)), and moving i and j up
+    by one moves the window of l by one: M[i+1, j+1] - M[i, j] =
+    a_(i+N) conj(a_(j+N)) - a_i conj(a_j), where (., u) u adds a_i conj(a_j)
+    back.  So, with v = (a_N, ..., a_(2N-2)), Gamma's last row without its
+    first entry, the square-compression difference is v v^H, of norm
+    ||v||^2.  In the square commutator, column j >= 1 is the same with j - 1
+    in place of j, and in column 0, M[i+1, 0] = (Gamma conj(u))[i+1] cancels:
+    the difference is v [0, w^H] with w = v[:-1], of norm ||v|| ||w||.
+    These are read from v in O(N), with no product and no SVD.
     """
-    m = min(h.order, h.numerical_order(_RESIDUAL_TOL) + 2)
-    gamma, u = h.gamma[:m, :m], h.u[:m]
-    k = m - 1
+    if h.coeffs is not None:
+        v = h.coeffs[h.order :]
+        nv, nw = np.linalg.norm(v), np.linalg.norm(v[:-1])
+        return IdentityResiduals(0.0, float(nv * nv), float(nv * nw), 0.0)
+
+    gamma, u = h.gamma, h.u
+    k = h.order - 1
 
     # Shift products are slices: (S^T A)[i, j] = A[i+1, j] and (A S)[i, j] = A[i, j+1].
     b2 = _opnorm(gamma[1:, :k] - gamma[:k, 1:])

@@ -145,8 +145,9 @@ def _pole_tail(c: float, b: float, m: int, start: int) -> float:
         return c * b**start / np.sqrt(1 - b * b)
 
     def term(n: int) -> float:
-        return c * float(_binomial_weights(np.array([n]), m)[0]) * b**n
+        return float(_binomial_weights(np.array([n]), m)[0]) * b**n
 
+    # the sum is taken without c, so a large residue cannot overflow its squares
     acc = 0.0
     n = start
     while (n + m) / (n + 1) * b >= 1.0 - 1e-12:
@@ -156,7 +157,7 @@ def _pole_tail(c: float, b: float, m: int, start: int) -> float:
             return float("inf")
     rho = (n + m) / (n + 1) * b
     acc += term(n) ** 2 / (1 - rho * rho)
-    return float(np.sqrt(acc))
+    return c * float(np.sqrt(acc))
 
 
 def kronecker_rank_bound(sym: RationalSymbol) -> int:

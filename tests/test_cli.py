@@ -298,3 +298,14 @@ def test_cli_names_non_finite_residue(tmp_path, capsys):
     assert main(["analyze", write_json(tmp_path / "nan.json", doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "poles[0].c" in err
+
+
+def test_cli_rejects_a_residue_whose_square_overflows(tmp_path, capsys):
+    # the tail bound sums its squares without the residue, and Gamma's
+    # entries of 2.5e300 are refused before any square of them is formed
+    doc = {"poles": [{"b": [0.5, 0.0], "m": 4, "c": [1e300, 0.0]}]}
+    assert main(["analyze", write_json(tmp_path / "big.json", doc), "--n", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coefficients up to 2.500e+300 overflow")
+    assert "Traceback" not in captured.err

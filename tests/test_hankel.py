@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,6 @@ from hankelschmidt.hardy import (
     unit,
 )
 from hankelschmidt.hankel import (
-    _RESIDUAL_TOL,
     HankelMatrix,
     build_hankel_matrix,
     hankel_apply,
@@ -222,57 +223,50 @@ def test_numerical_order_is_the_smallest_order_within_bound(poles, n):
         assert HankelMatrix(faulty).numerical_order() == n
 
 
-def residual_cut_bound(gamma, name):
-    """residuals_from_matrix's documented bound on |trimmed - full| for one residual."""
-    n = gamma.shape[0]
+def dense_tolerance(gamma):
+    """N eps c^2, c the largest column norm: the rounding of the dense products."""
     c = np.max(np.linalg.norm(gamma, axis=0))
-    if name in ("shift_intertwine", "symmetry"):
-        return 4 * _RESIDUAL_TOL * c
-    return (10 * np.sqrt(n) + 6) * _RESIDUAL_TOL * c**2
+    return gamma.shape[0] * np.finfo(float).eps * c**2
 
 
 @settings(max_examples=20, deadline=None)
 @given(poles=st.lists(pole_terms, min_size=1, max_size=4), n=st.sampled_from([64, 128, 256, 512]))
-def test_residual_order_is_the_smallest_within_its_bound(poles, n):
+def test_closed_form_residuals_are_the_tail_norms(poles, n):
     h = build_hankel_matrix(RationalSymbol(poles=tuple(poles)), n)
     gamma = h.gamma
-    c = np.max(np.linalg.norm(gamma, axis=0))
-    bound = _RESIDUAL_TOL * c
-    j = h.numerical_order(_RESIDUAL_TOL)
-    assert min(2, n) <= j <= h.numerical_order()
-    assert dropped_norm(gamma, j) <= bound * (1 + 1e-9)
-    if j > min(2, n):
-        assert dropped_norm(gamma, j - 1) > bound * (1 - 1e-9)
+    # Gamma's last row without its first entry, in norms that do not underflow
+    v = np.abs(gamma[-1, 1:])
+    norm_v, norm_w = math.hypot(*v), math.hypot(*v[:-1])
+    got = residuals_from_matrix(h)
+    assert got.shift_intertwine == got.symmetry == 0.0
+    assert got.square_compression == pytest.approx(norm_v * norm_v, rel=1e-14, abs=1e-300)
+    assert got.square_commutator == pytest.approx(norm_v * norm_w, rel=1e-14, abs=1e-300)
+    dense = residuals_from_matrix(HankelMatrix(gamma)).as_dict()
+    for name, value in got.as_dict().items():
+        assert abs(dense[name] - value) <= dense_tolerance(gamma)
 
-    clean = residuals_from_matrix(h).as_dict()
-    if j + 2 < n:  # otherwise the computation is the full one
-        for name, value in shift_matrix_residuals(gamma).items():
-            assert abs(clean[name] - value) <= residual_cut_bound(gamma, name)
-
-    # a single entry of 10 delta c at index N - 1 forces the full block, on
-    # which test_residuals_equal_shift_matrix_formulation holds exactly; in
-    # Gamma[0, N - 1] it breaks the symmetry by its size
-    fault = 10 * bound
+    # when J < N, one entry of 1e-3 eps c at index N - 1 is not lost to
+    # rounding; given entry by entry it breaks the symmetry by its size, and
+    # given with the coefficients it is refused
+    fault = 1e-3 * np.finfo(float).eps * np.max(np.linalg.norm(gamma, axis=0))
     faulty = gamma.copy()
     faulty[0, -1] += fault
-    faulty_h = HankelMatrix(faulty)
-    assert faulty_h.numerical_order(_RESIDUAL_TOL) == n
-    if j < n:
-        assert clean["symmetry"] == 0.0
-        assert residuals_from_matrix(faulty_h).symmetry > 0.9 * fault
+    if h.numerical_order() < n:
+        assert residuals_from_matrix(HankelMatrix(faulty)).symmetry > 0.9 * fault
+        with pytest.raises(ValueError):
+            HankelMatrix(faulty, coeffs=h.coeffs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 def test_numerical_order_of_zero_matrix_is_floor(n):
     h = HankelMatrix(np.zeros((n, n)))
     assert h.numerical_order() == min(2, n)
-    assert h.numerical_order(_RESIDUAL_TOL) == min(2, n)
 
 
-def test_trimmed_residuals_keep_index_margin():
-    # square_commutator's column J is square_compression's column J - 1: a fault
-    # at index J - 1 reaches it, outside the leading J + 1 block of the
-    # difference matrices but inside J + 2
+def test_entrywise_fault_near_the_order_reaches_square_commutator():
+    # square_commutator's column J is square_compression's column J - 1: a
+    # symmetric fault at index J - 1, where the closed form's v is zero, must
+    # still show on the dense path, which a matrix given entry by entry takes
     n = 256
     sym = RationalSymbol(poles=(PoleTerm(b=0.4, m=1, c=1.0), PoleTerm(b=-0.3j, m=2, c=0.5)))
     h = build_hankel_matrix(sym, n)
@@ -282,18 +276,45 @@ def test_trimmed_residuals_keep_index_margin():
     faulty = h.gamma.copy()
     faulty[j - 1, 0] += 1e-7
     faulty[0, j - 1] += 1e-7
-    faulty_h = HankelMatrix(faulty)
-    assert faulty_h.numerical_order(_RESIDUAL_TOL) == j
-    got = residuals_from_matrix(faulty_h).as_dict()
-    ref = shift_matrix_residuals(faulty)
-    assert ref["square_commutator"] > 1e-8
-    for name, value in ref.items():
-        assert abs(got[name] - value) <= 1e-12 * value
+    with pytest.raises(ValueError):
+        HankelMatrix(faulty, coeffs=h.coeffs)
+    got = residuals_from_matrix(HankelMatrix(faulty)).as_dict()
+    assert got == shift_matrix_residuals(faulty)
+    assert got["square_commutator"] > 1e-8
+    assert residuals_from_matrix(h).square_commutator < 1e-30
+
+
+def gaussian_integer_hankel(rng, n):
+    coeffs = rng.integers(-5, 6, 2 * n - 1) + 1j * rng.integers(-5, 6, 2 * n - 1)
+    return HankelMatrix(coeffs=coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_closed_form_equals_shift_matrix_formulation(n):
+    # small Gaussian integers make every dense product exact, so the oracle
+    # carries only the rounding of its SVDs
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        h = gaussian_integer_hankel(rng, n)
+        got = residuals_from_matrix(h).as_dict()
+        for name, value in shift_matrix_residuals(h.gamma).items():
+            assert abs(got[name] - value) <= 4 * np.spacing(value)
+
+
+@pytest.mark.parametrize("n, draws", [(64, 10), (512, 2)])
+def test_closed_form_agrees_with_dense_oracle(n, draws):
+    rng = np.random.default_rng(n + 1)
+    for _ in range(draws):
+        h = build_hankel_matrix(random_symbol(rng), n)
+        got = residuals_from_matrix(h).as_dict()
+        for name, value in shift_matrix_residuals(h.gamma).items():
+            assert abs(got[name] - value) <= dense_tolerance(h.gamma)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
-def test_trimmed_residuals_match_full_oracle(n):
-    # the symbol of test_spectral.py's trimmed-path tests: J < N at both orders
+def test_closed_form_matches_full_oracle_on_a_trimmed_symbol(n):
+    # the symbol of test_spectral.py's trimmed-path tests: J < N at both
+    # orders, so v is far below eps c and the oracle is all rounding
     sym = RationalSymbol(poles=(
         PoleTerm(b=0.8, m=1, c=1.0),
         PoleTerm(b=-0.5j, m=1, c=0.7 - 0.2j),
@@ -303,19 +324,34 @@ def test_trimmed_residuals_match_full_oracle(n):
     gamma = h.gamma
     assert h.numerical_order() + 2 < n
     got = residuals_from_matrix(h).as_dict()
-    # the full difference matrices add only entries of order eps^2 ||Gamma||^2
-    # to the trimmed ones, so the rounding-level residuals agree far below
-    # eps ||Gamma||^2 (the largest column norm is at most ||Gamma||)
-    scale = np.max(np.linalg.norm(gamma, axis=0)) ** 2
+    assert max(got.values()) < 1e-90
     for name, value in shift_matrix_residuals(gamma).items():
-        assert abs(got[name] - value) <= 1e-17 * scale
+        assert abs(got[name] - value) <= dense_tolerance(gamma)
+
+
+def test_built_matrix_residuals_take_no_spectral_norm(monkeypatch):
+    # the pole at 0.99 has J = N; only the entry-by-entry copy reaches a 2-norm
+    h = build_hankel_matrix(rank_one_symbol(a=0.99), 128)
+    assert h.numerical_order() == 128
+    norm = np.linalg.norm
+    calls = []
+
+    def counted(x, ord=None, *args, **kwargs):
+        calls.append((np.ndim(x), ord))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    residuals_from_matrix(h)
+    assert all(ndim == 1 and ord is None for ndim, ord in calls)
+    residuals_from_matrix(HankelMatrix(h.gamma.copy()))
+    assert (2, 2) in calls
 
 
 @pytest.mark.parametrize("b, trimmed", [(0.5, True), (0.99, False)])
 def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
-    # analyze reads both cuts from Gamma's 2N-1 coefficients: no N x N scan,
+    # analyze reads the cut from Gamma's 2N-1 coefficients: no N x N scan,
     # whose shells come from np.tril; a matrix given entry by entry is
-    # scanned once, however often its cuts are read
+    # scanned once, however often its cut is read
     n = 128
     sym = rank_one_symbol(a=b)
     assert (build_hankel_matrix(sym, n).numerical_order() < n) == trimmed
@@ -332,7 +368,7 @@ def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
 
     entrywise = HankelMatrix(build_hankel_matrix(sym, n).gamma.copy())
     entrywise.numerical_order()
-    entrywise.numerical_order(_RESIDUAL_TOL)
+    entrywise.numerical_order()
     assert np.isfinite(entrywise.largest_entry)
     assert scans == [(n, n)]
 
@@ -358,7 +394,6 @@ def test_decay_from_coefficients_matches_dense_scan(sym, n):
     dense = HankelMatrix(h.gamma.copy())
     assert dense.coeffs is None and h.coeffs is not None
     assert h.numerical_order() == dense.numerical_order()
-    assert h.numerical_order(_RESIDUAL_TOL) == dense.numerical_order(_RESIDUAL_TOL)
     assert h.largest_entry == dense.largest_entry
     column, dense_column = h._decay[2], dense._decay[2]
     assert abs(column - dense_column) <= 1e-14 * dense_column
@@ -379,6 +414,23 @@ def test_coefficients_must_match_gamma():
     assert not kept.coeffs.flags.writeable
     u[3] = 7.0  # the matrix keeps its own copy
     assert kept.coeffs[3] == h.coeffs[3]
+
+
+def test_interior_fault_with_coefficients_is_refused():
+    # the coefficients fix every entry of Gamma, not only its first column
+    # and last row: a fault at Gamma[400, 400] must not be read through them
+    h = build_hankel_matrix(rank_one_symbol(), 512)
+    faulty = h.gamma.copy()
+    faulty[400, 400] += 0.5
+    with pytest.raises(ValueError, match="Hankel matrix of coeffs"):
+        HankelMatrix(faulty, coeffs=h.coeffs)
+    entrywise = HankelMatrix(faulty)
+    assert entrywise.numerical_order() == 401
+    assert schmidt_decompose(entrywise).singular_values[1] == pytest.approx(0.5, rel=1e-12)
+    assert residuals_from_matrix(entrywise).symmetry == 0.0
+    assert residuals_from_matrix(entrywise).shift_intertwine == pytest.approx(0.5)
+    rebuilt = HankelMatrix(h.gamma.copy(), coeffs=h.coeffs)
+    assert np.array_equal(rebuilt.gamma, h.gamma) and rebuilt.coeffs is not None
 
 
 def test_view_of_writable_matrix_is_copied():
