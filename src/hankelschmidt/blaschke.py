@@ -95,9 +95,8 @@ def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
     zs = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zs) > 1 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disk")
-    out = np.full_like(zs, b.phase)
-    for a in b.zeros:
-        out = out * (a - zs) / (1 - np.conj(a) * zs)
+    w = zs[..., None]
+    out = b.phase * np.prod((b.zeros - w) / (1 - np.conj(b.zeros) * w), axis=-1)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -164,19 +163,25 @@ def fit_unimodular_constant(target: np.ndarray, candidate: np.ndarray) -> tuple[
 # model spaces
 
 
-def _tm_element(zeros: np.ndarray, k: int, order: int) -> np.ndarray:
-    """Coefficients of the k-th Takenaka-Malmquist element for the given zeros."""
-    num = np.sqrt(1 - abs(zeros[k]) ** 2) * _poly_from_roots(zeros[:k])
-    den = _denominator_from_zeros(zeros[: k + 1])
-    return _series_div(num, den, order)
-
-
 def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[HardyVector]:
     """Orthonormal Takenaka-Malmquist basis of the model space K_B.
 
     Element k is the normalized Szego kernel at zero a_k times the partial
-    Blaschke product over the earlier zeros.  Rejects truncation orders at
-    which the basis elements have not decayed to tail_tol.
+    Blaschke product over the earlier zeros,
+
+        e_k = sqrt(1 - |a_k|^2) prod_{j<k} (a_j - z) / prod_{j<=k} (1 - conj(a_j) z),
+
+    so each element follows from the one before by a single factor,
+
+        e_k = e_{k-1} (a_{k-1} - z) sqrt(1 - |a_k|^2) / sqrt(1 - |a_{k-1}|^2)
+              / (1 - conj(a_k) z),
+
+    one multiplication by a linear polynomial and one division by another.
+    Every element is computed to order + 64 coefficients, which are exact
+    power-series coefficients (truncation commutes with both steps).
+    Rejects truncation orders at which the basis elements have not decayed
+    to tail_tol.  Each returned element has its first nonzero coefficient
+    real positive.
     """
     d = b.degree
     if d == 0:
@@ -184,10 +189,17 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
     if order < d + 1:
         raise ValueError(f"order {order} too small for a degree-{d} model space")
     extra = 64
+    a = b.zeros
+    r = np.sqrt(1 - np.abs(a) ** 2)
     out = []
+    c = np.array([r[0]], dtype=np.complex128)
     for k in range(d):
-        c = _tm_element(b.zeros, k, order + extra)
-        rate = float(np.max(np.abs(b.zeros[: k + 1])))
+        if k:
+            num = a[k - 1] * c
+            num[1:] -= c[:-1]
+            c = num * (r[k] / r[k - 1])
+        c = _series_div(c, np.array([1.0, -np.conj(a[k])]), order + extra)
+        rate = float(np.max(np.abs(a[: k + 1])))
         tail_sq = float(np.sum(np.abs(c[order:]) ** 2))
         if rate > 0:
             tail_sq += abs(c[-1]) ** 2 * rate**2 / max(1 - rate**2, 1e-16)
@@ -196,9 +208,9 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
                 f"order {order} insufficient for model-space basis: tail estimate "
                 f"{np.sqrt(tail_sq):.3e} exceeds {tail_tol:.1e}"
             )
-        c = c[:order]
-        lead = c[np.flatnonzero(np.abs(c) > 1e-12 * np.max(np.abs(c)))[0]]
-        out.append(HardyVector(c * (np.conj(lead) / abs(lead))))
+        e = c[:order]
+        lead = e[np.flatnonzero(np.abs(e) > 1e-12 * np.max(np.abs(e)))[0]]
+        out.append(HardyVector(e * (np.conj(lead) / abs(lead))))
     return out
 
 
@@ -253,7 +265,7 @@ def frostman_shift(
     num = b.phase * _poly_from_roots(b.zeros)
     den = _denominator_from_zeros(b.zeros)
     d = b.degree
-    poly = alpha * np.pad(den, (0, d + 1 - den.size)) - np.pad(num, (0, d + 1 - num.size))
+    poly = alpha * den - num
     roots = _stable_roots(poly)
     if roots.size != d:
         raise ValueError(f"Frostman root finding returned {roots.size} roots, expected {d}")
@@ -270,11 +282,13 @@ def frostman_shift(
     phase, dev = fit_unimodular_constant(target, blaschke_eval(shifted, z))
     if dev > 1e-9:
         raise ValueError(f"Frostman phase fit deviates by {dev:.3e} on the boundary")
-    shifted = BlaschkeProduct(roots, phase)
-    g = (one(order).coeffs - np.conj(alpha) * blaschke_coefficients(b, order).coeffs) / np.sqrt(
-        1 - abs(alpha) ** 2
-    )
-    return shifted, HardyVector(g)
+    return BlaschkeProduct(roots, phase), _frostman_multiplier(b, alpha, order)
+
+
+def _frostman_multiplier(b: BlaschkeProduct, alpha: complex, order: int) -> HardyVector:
+    """g_alpha = (1 - conj(alpha) B) / sqrt(1 - |alpha|^2) to the given order."""
+    g = one(order).coeffs - np.conj(alpha) * blaschke_coefficients(b, order).coeffs
+    return HardyVector(g / np.sqrt(1 - abs(alpha) ** 2))
 
 
 def _stable_roots(poly_ascending: np.ndarray) -> np.ndarray:

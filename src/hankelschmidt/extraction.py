@@ -336,21 +336,20 @@ def _canonicalize(
     """Normalize to theta(0) = 0 (Frostman shift, flipping the phase sign),
     canonical theta phase, p(0) >= 0, phi in (-pi, pi].
 
-    The shift multiplies p by g = (1 - conj(t0) theta) / sqrt(1 - |t0|^2);
-    coefficient k of the product reads g only up to k, so the truncated
-    convolution with g's first n coefficients is exact.
+    theta comes from recover_theta with its canonical phase, so only a
+    shifted theta needs it fixed again.  The shift multiplies p by
+    g = (1 - conj(t0) theta) / sqrt(1 - |t0|^2); coefficient k of the
+    product reads g only up to k, so the truncated convolution with g's
+    first n coefficients is exact.
     """
     n = p.order
     t0 = complex(blaschke_eval(theta, 0.0))
     if abs(t0) > 1e-10:
         shifted, g = frostman_shift(theta, t0, n)
         p = HardyVector(np.convolve(p.coeffs, g.coeffs)[:n])
-        theta = shifted
-        phi = phi + math.pi
-    canon = canonical_blaschke(theta.zeros)
-    rel = canon.phase / theta.phase
-    phi = phi - np.angle(rel)
-    theta = canon
+        canon = canonical_blaschke(shifted.zeros)
+        phi = phi + math.pi - np.angle(canon.phase / shifted.phase)
+        theta = canon
 
     c = p.coeffs
     mags = np.abs(c)

@@ -13,6 +13,7 @@ import numpy as np
 from .blaschke import (
     BlaschkeProduct,
     MobiusMap,
+    _frostman_multiplier,
     blaschke_coefficients,
     blaschke_eval,
     compose_with_mobius,
@@ -136,7 +137,7 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
         hits = 0
         while hits < n_alpha:
             alpha = 0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            result = _frostman_invariance_check(b, alpha, order)
+            result = _frostman_invariance_check(b, alpha, v)
             if result is None:
                 # shifted zeros too close to the circle even at the escalated
                 # orders; redraw the shift parameter
@@ -165,23 +166,32 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
 
 
 def _frostman_invariance_check(
-    b: BlaschkeProduct, alpha: complex, order: int
+    b: BlaschkeProduct, alpha: complex, v: np.ndarray
 ) -> tuple[float, float, float] | None:
     """Check K_B = g_alpha K_{B_alpha} at the smallest order that resolves the shift.
 
+    v holds K_B's orthonormal basis at the suite's order as columns.  B_alpha
+    does not depend on the order, so it is computed once; only the basis of
+    K_{B_alpha} escalates (with K_B's basis and g_alpha at the same order).
     Returns (subspace gap, multiplier isometry deviation, boundary identity
-    residual), or None if the shifted zeros sit too close to the circle for
-    any order up to 1024.
+    residual), or None if the shift fails or its zeros sit too close to the
+    circle for any order up to 1024.
     """
+    order = v.shape[0]
+    try:
+        shifted, g = frostman_shift(b, alpha, order)
+    except ValueError:
+        return None
     work = order
     while work <= 1024:
         try:
-            shifted, g = frostman_shift(b, alpha, work)
             shifted_basis = tm_basis(shifted, work)
+            if work > order:
+                v = basis_matrix(tm_basis(b, work))
+                g = _frostman_multiplier(b, alpha, work)
         except ValueError:
             work *= 2
             continue
-        v = basis_matrix(tm_basis(b, work))
         iso = 0.0
         cols = []
         for h in shifted_basis:
@@ -189,9 +199,13 @@ def _frostman_invariance_check(
             iso = max(iso, abs(gh.norm() - 1.0))
             cols.append(gh)
         gap = subspace_gap(v, orthonormalize(basis_matrix(cols)))
+        # B_alpha's phase was fitted on the order-sized grid; this identity
+        # is g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the work
+        # grid, with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that fit
         grid = grid_points(default_grid_size(work))
-        g_samples = (1 - np.conj(alpha) * blaschke_eval(b, grid)) / np.sqrt(1 - abs(alpha) ** 2)
-        ident = g_samples * blaschke_eval(shifted, grid) + blaschke_eval(b, grid) * np.conj(g_samples)
+        bz = blaschke_eval(b, grid)
+        g_samples = (1 - np.conj(alpha) * bz) / np.sqrt(1 - abs(alpha) ** 2)
+        ident = g_samples * blaschke_eval(shifted, grid) + bz * np.conj(g_samples)
         return gap, iso, float(np.max(np.abs(ident)))
     return None
 

@@ -104,13 +104,18 @@ def _binomial_weights(n: np.ndarray, m: int) -> np.ndarray:
 
 
 def fourier_coefficients(sym: RationalSymbol, order: int) -> HardyVector:
-    """Exact Taylor coefficients u_hat(0) .. u_hat(order-1)."""
+    """Exact Taylor coefficients u_hat(0) .. u_hat(order-1).
+
+    Coefficients that overflow are refused by HardyVector as non-finite,
+    so the overflow itself raises no numpy warning.
+    """
     n = np.arange(order)
     out = np.zeros(order, dtype=np.complex128)
     k = min(order, sym.poly.size)
     out[:k] = sym.poly[:k]
-    for term in sym.poles:
-        out += term.c * _binomial_weights(n, term.m) * np.conj(term.b) ** n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in sym.poles:
+            out += term.c * _binomial_weights(n, term.m) * np.conj(term.b) ** n
     return HardyVector(out)
 
 
@@ -147,14 +152,19 @@ def _pole_tail(c: float, b: float, m: int, start: int) -> float:
     def term(n: int) -> float:
         return float(_binomial_weights(np.array([n]), m)[0]) * b**n
 
+    def ratio_near_one(n: int) -> bool:
+        return (n + m) / (n + 1) * b >= 1.0 - 1e-12
+
+    # the term ratio falls with n, so a ratio still near 1 after 100 000
+    # steps is known before the loop: give up with inf at once
+    if ratio_near_one(start + 100_000):
+        return float("inf")
     # the sum is taken without c, so a large residue cannot overflow its squares
     acc = 0.0
     n = start
-    while (n + m) / (n + 1) * b >= 1.0 - 1e-12:
+    while ratio_near_one(n):
         acc += term(n) ** 2
         n += 1
-        if n - start > 100_000:
-            return float("inf")
     rho = (n + m) / (n + 1) * b
     acc += term(n) ** 2 / (1 - rho * rho)
     return c * float(np.sqrt(acc))

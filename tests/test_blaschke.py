@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
@@ -358,3 +359,58 @@ NAN = float("nan")
 def test_nan_parameters_rejected(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def product_formula_element(zeros, k, n):
+    """Coefficients 0..n-1 of sqrt(1 - |a_k|^2) prod_{j<k} (a_j - z) / prod_{j<=k} (1 - conj(a_j) z)."""
+    num = np.array([np.sqrt(1 - abs(zeros[k]) ** 2)], dtype=complex)
+    for a in zeros[:k]:
+        num = np.convolve(num, [a, -1.0])
+    den = np.array([1.0 + 0j])
+    for a in zeros[: k + 1]:
+        den = np.convolve(den, [1.0, -np.conj(a)])
+    impulse = np.zeros(n, dtype=complex)
+    impulse[0] = 1.0
+    return scipy.signal.lfilter(num, den, impulse)
+
+
+def product_formula_accepts(zeros, order, tail_tol=1e-10):
+    """The tail gate of tm_basis, applied to the product-formula elements."""
+    for k in range(zeros.size):
+        c = product_formula_element(zeros, k, order + 64)
+        rate = float(np.max(np.abs(zeros[: k + 1])))
+        tail_sq = float(np.sum(np.abs(c[order:]) ** 2))
+        if rate > 0:
+            tail_sq += abs(c[-1]) ** 2 * rate**2 / max(1 - rate**2, 1e-16)
+        if np.sqrt(tail_sq) > tail_tol:
+            return False
+    return True
+
+
+def test_tm_recurrence_matches_product_formula_near_the_circle():
+    rng = np.random.default_rng(17)
+    n = 256
+    worst = 0.0
+    for _ in range(40):
+        b = random_blaschke(rng, max_degree=6, max_radius=0.999)
+        for k, e in enumerate(tm_basis(b, n, tail_tol=np.inf)):
+            ref = product_formula_element(b.zeros, k, n)
+            lead = ref[np.flatnonzero(np.abs(ref) > 1e-12 * np.max(np.abs(ref)))[0]]
+            worst = max(worst, np.max(np.abs(e.coeffs - ref * np.conj(lead) / abs(lead))))
+    assert worst < 1e-13
+
+
+def test_tm_recurrence_accepts_and_rejects_as_the_product_formula():
+    rng = np.random.default_rng(23)
+    draws = [random_blaschke(rng, max_degree=5, max_radius=0.99) for _ in range(60)]
+    verdicts = []
+    for order in (16, 64, 256, 1024):
+        for b in draws:
+            try:
+                tm_basis(b, order)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == product_formula_accepts(b.zeros, order)
+            verdicts.append(accepted)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -309,3 +310,18 @@ def test_cli_rejects_a_residue_whose_square_overflows(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: coefficients up to 2.500e+300 overflow")
     assert "Traceback" not in captured.err
+
+
+def test_cli_reports_overflowing_coefficients_without_warnings(tmp_path, capsys):
+    # 1.7e308 times the binomial weights overflows to inf, and inf times a
+    # zero imaginary part to nan; the coefficients are refused as non-finite
+    doc = {"poles": [{"b": [0.5, 0.0], "m": 4, "c": [1.7e308, 0.0]}]}
+    path = write_json(tmp_path / "huge.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", path, "--n", "16"]) == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Warning" not in captured.err and "Traceback" not in captured.err

@@ -6,6 +6,7 @@ from hankelschmidt.hardy import (
     BoundaryGrid,
     HardyVector,
     TruncationWarning,
+    _horner,
     boundary_to_coefficients,
     coshift,
     evaluate,
@@ -178,3 +179,44 @@ def test_hankel_product_rejects_short_symbol():
 def test_szego_kernel_point_in_open_disk(a):
     with pytest.raises(ValueError, match="open disk"):
         szego_kernel(a, 8)
+
+
+def plain_horner(coeffs, z):
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 128, 255, 1025])
+def test_blocked_horner_matches_plain_horner(n):
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    radius = np.sqrt(rng.uniform(size=200))
+    interior = radius * np.exp(2j * np.pi * rng.uniform(size=200))
+    bound = n * np.finfo(float).eps * np.sum(np.abs(c))
+    for z in (interior, grid_points(512), np.asarray(0.6 - 0.7j)):
+        blocked = _horner(c, z)
+        assert blocked.shape == z.shape
+        assert np.max(np.abs(blocked - plain_horner(c, z))) <= bound
+    assert complex(_horner(c, np.asarray(0.0j))) == c[0]
+
+
+def test_blocked_horner_ignores_trailing_zeros_bit_for_bit():
+    rng = np.random.default_rng(0)
+    z = grid_points(256)
+    for n in (1, 15, 16, 17, 40):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for extra in (1, 15, 16, 100):
+            padded = np.concatenate([c, np.zeros(extra)])
+            assert np.array_equal(_horner(padded, z), _horner(c, z))
+    assert np.array_equal(_horner(np.zeros(5, dtype=complex), z), np.zeros(256))
+
+
+def test_grid_points_are_one_shared_read_only_array():
+    z = grid_points(64)
+    assert z is grid_points(64)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        z[0] = 2.0
+    assert np.allclose(z, np.exp(2j * np.pi * np.arange(64) / 64), rtol=0, atol=1e-15)

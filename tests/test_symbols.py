@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from hankelschmidt.symbols import (
     symbol_from_inner,
     symbol_to_dict,
     tail_bound,
+    _binomial_weights,
+    _pole_tail,
 )
 
 
@@ -266,3 +270,34 @@ def test_nan_pole_rejected(b):
         PoleTerm(b=complex(*b), m=1, c=1.0)
     with pytest.raises(SymbolFormatError, match=r"poles\[0\]\.b"):
         parse_symbol({"poles": [{"b": b, "m": 1, "c": [1.0, 0.0]}]})
+
+
+def looped_pole_tail(c, b, m, start):
+    """The ratio majorant of _pole_tail, giving up only after 100 000 steps."""
+    acc = 0.0
+    n = start
+    while (n + m) / (n + 1) * b >= 1.0 - 1e-12:
+        acc += (float(_binomial_weights(np.array([n]), m)[0]) * b**n) ** 2
+        n += 1
+        if n - start > 100_000:
+            return float("inf")
+    rho = (n + m) / (n + 1) * b
+    acc += (float(_binomial_weights(np.array([n]), m)[0]) * b**n) ** 2 / (1 - rho * rho)
+    return c * float(np.sqrt(acc))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("b", [0.5, 0.99, 0.9999, 0.99998])
+def test_pole_tail_equals_the_looped_majorant(m, b):
+    for start in (0, 16, 1000):
+        assert _pole_tail(1.5, b, m, start) == looped_pole_tail(1.5, b, m, start)
+
+
+def test_pole_tail_gives_up_near_the_circle_without_looping():
+    sym = geometric_symbol(b=0.99999999, c=1.0, m=3)
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert tail_bound(sym, 16) == np.inf
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
