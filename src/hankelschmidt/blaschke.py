@@ -6,10 +6,10 @@ A finite Blaschke product is stored by its zeros and a unimodular phase,
 
 so a zero at the origin contributes the factor (-z).  Products with B are
 computed from its exact Taylor coefficients (blaschke_coefficients): the
-conjugation C_B on K_B is the Hankel product with symbol S*B.  The boundary
-grid is used only where a function is evaluated on the circle: Moebius
-compositions, which are sampled and projected, and the least-squares fit
-that fixes the phase of every Blaschke product a routine returns.
+conjugation C_B on K_B is the Hankel product with symbol S*B.  Phases are
+read from coefficients or zeros in closed form; the boundary grid is used
+only by the Moebius conjugation of functions and symbols, which are
+sampled and projected.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import scipy.linalg
 from .hardy import (
     BoundaryGrid,
     HardyVector,
+    _lead_rotation,
     basis_matrix,
     boundary_to_coefficients,
     default_grid_size,
@@ -44,7 +45,6 @@ __all__ = [
     "mobius_conjugate_function",
     "mobius_conjugate_symbol",
     "compose_with_mobius",
-    "fit_unimodular_constant",
 ]
 
 
@@ -143,20 +143,7 @@ def canonical_blaschke(zeros) -> BlaschkeProduct:
     zeros = np.atleast_1d(np.asarray(zeros, dtype=np.complex128))
     raw = BlaschkeProduct(zeros, 1.0)
     c = blaschke_coefficients(raw, zeros.size + 1).coeffs
-    lead = c[np.flatnonzero(np.abs(c) > 1e-12 * np.max(np.abs(c)))[0]]
-    return BlaschkeProduct(zeros, np.conj(lead) / abs(lead))
-
-
-def fit_unimodular_constant(target: np.ndarray, candidate: np.ndarray) -> tuple[complex, float]:
-    """Least-squares unimodular c with target ~ c*candidate on a grid.
-
-    Returns (c, max deviation |target - c*candidate|).
-    """
-    num = np.vdot(candidate, target)
-    if abs(num) == 0:
-        raise ValueError("cannot fit a phase between orthogonal boundary functions")
-    c = num / abs(num)
-    return complex(c), float(np.max(np.abs(target - c * candidate)))
+    return BlaschkeProduct(zeros, _lead_rotation(c, 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +196,7 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
                 f"{np.sqrt(tail_sq):.3e} exceeds {tail_tol:.1e}"
             )
         e = c[:order]
-        lead = e[np.flatnonzero(np.abs(e) > 1e-12 * np.max(np.abs(e)))[0]]
-        out.append(HardyVector(e * (np.conj(lead) / abs(lead))))
+        out.append(HardyVector(e * _lead_rotation(e, 1e-12)))
     return out
 
 
@@ -255,18 +241,23 @@ def frostman_shift(
         B_alpha = (alpha - B) / (1 - conj(alpha) B),
         g_alpha = (1 - conj(alpha) B) / sqrt(1 - |alpha|^2),
 
-    B_alpha realized as a Blaschke product of the same degree (zeros are the
-    disk roots of alpha*Q - phase*P where B = phase*P/Q), phase fitted on the
-    boundary, and g_alpha returned as an order-`order` coefficient vector.
+    g_alpha as an order-`order` coefficient vector.  With B = phase*P/Q,
+    B_alpha = N/D for N = alpha*Q - phase*P and D = Q - conj(alpha)*phase*P:
+    its zeros r_j are the roots of N, D = D[0] prod_j (1 - conj(r_j) z), and
+    its phase is c = (-1)^d N[d] / D[0].  As |D| >= (1 - |alpha|)
+    prod_j (1 - |a_j|) on the circle, the l1 norms of N - c D[0] prod_j (r_j - z)
+    and D - D[0] prod_j (1 - conj(r_j) z), summed and divided by that bound,
+    bound the returned product's boundary deviation, which must be <= 1e-9.
     """
     alpha = complex(alpha)
     if not abs(alpha) < 1:
         raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {abs(alpha)}")
-    num = b.phase * _poly_from_roots(b.zeros)
-    den = _denominator_from_zeros(b.zeros)
+    phase_p = b.phase * _poly_from_roots(b.zeros)
+    q = _denominator_from_zeros(b.zeros)
     d = b.degree
-    poly = alpha * den - num
-    roots = _stable_roots(poly)
+    num = alpha * q - phase_p
+    den = q - np.conj(alpha) * phase_p
+    roots = _stable_roots(num)
     if roots.size != d:
         raise ValueError(f"Frostman root finding returned {roots.size} roots, expected {d}")
     if roots.size and np.max(np.abs(roots)) > 1 - 1e-10:
@@ -274,14 +265,14 @@ def frostman_shift(
             f"Frostman shift produced a zero of modulus {np.max(np.abs(roots)):.12f}, too close to the circle"
         )
     roots = _sort_complex(roots)
-    m = default_grid_size(max(order, 4 * (d + 1)))
-    z = grid_points(m)
-    bz = blaschke_eval(b, z)
-    target = (alpha - bz) / (1 - np.conj(alpha) * bz)
-    shifted = BlaschkeProduct(roots, 1.0)
-    phase, dev = fit_unimodular_constant(target, blaschke_eval(shifted, z))
+    phase = (-1) ** d * num[d] / den[0]
+    phase /= abs(phase)
+    dev = np.sum(np.abs(num - phase * den[0] * _poly_from_roots(roots))) + np.sum(
+        np.abs(den - den[0] * _denominator_from_zeros(roots))
+    )
+    dev /= (1 - abs(alpha)) * np.prod(1 - np.abs(b.zeros))
     if dev > 1e-9:
-        raise ValueError(f"Frostman phase fit deviates by {dev:.3e} on the boundary")
+        raise ValueError(f"Frostman shift deviates by up to {dev:.3e} on the boundary")
     return BlaschkeProduct(roots, phase), _frostman_multiplier(b, alpha, order)
 
 
@@ -349,13 +340,9 @@ def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[HardyVector,
 
 
 def compose_with_mobius(b: BlaschkeProduct, m: MobiusMap) -> BlaschkeProduct:
-    """B o mu as a Blaschke product: zeros move to mu(a_j), phase fitted on the boundary."""
-    zeros = _sort_complex(np.asarray(mobius_eval(m, b.zeros), dtype=np.complex128).reshape(-1))
-    grid = default_grid_size(4 * (b.degree + 1))
-    z = grid_points(grid)
-    target = blaschke_eval(b, mobius_eval(m, z))
-    candidate = BlaschkeProduct(zeros, 1.0)
-    phase, dev = fit_unimodular_constant(target, blaschke_eval(candidate, z))
-    if dev > 1e-9:
-        raise ValueError(f"Moebius composition phase fit deviates by {dev:.3e}")
-    return BlaschkeProduct(zeros, phase)
+    """B o mu in closed form: with phi_a(z) = (a - z) / (1 - conj(a) z),
+    phi_a o mu = -(1 - a conj(alpha)) / (1 - conj(a) alpha) * phi_{mu(a)},
+    so the zeros move to mu(a_j) and the phase gains these unimodular factors."""
+    a = b.zeros
+    phase = b.phase * np.prod(-(1 - a * np.conj(m.alpha)) / (1 - np.conj(a) * m.alpha))
+    return BlaschkeProduct(_sort_complex(mobius_eval(m, a)), phase)

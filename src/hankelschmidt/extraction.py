@@ -17,9 +17,10 @@ the block, otherwise a grid point where the block's pointwise energy is
 largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
 phi in (-pi, pi].  Verification works on coefficients: p e_k is a
 truncated convolution and C_theta is the Hankel product with symbol
-S* theta.  Only the inner fit of recover_theta evaluates on the boundary
-grid; theta is inner by construction of BlaschkeProduct, so verification
-does not re-check it.
+S* theta.  The Frostman shift of canonicalization reads its phase from
+coefficients.  Only recover_theta evaluates on the boundary grid, for its
+inner gate and the constant e^{i phi}; theta is inner by construction of
+BlaschkeProduct, so verification does not re-check it.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from .blaschke import (
     blaschke_coefficients,
     blaschke_eval,
     canonical_blaschke,
-    fit_unimodular_constant,
     frostman_shift,
     tm_basis,
 )
 from .hardy import (
     HardyVector,
     _horner,
+    _lead_rotation,
     basis_matrix,
     default_grid_size,
     grid_points,
@@ -233,7 +234,10 @@ def recover_theta(
         )
     zeros = np.concatenate([[alpha], zero_list])
     theta = canonical_blaschke(zeros)
-    phase, fit_residual = fit_unimodular_constant(y, blaschke_eval(theta, grid))
+    on_grid = blaschke_eval(theta, grid)
+    phase = np.vdot(on_grid, y)
+    phase /= abs(phase)
+    fit_residual = float(np.max(np.abs(y - phase * on_grid)))
     phi = _wrap_phase(np.angle(phase))
     return theta, phi, fit_residual
 
@@ -351,12 +355,8 @@ def _canonicalize(
         phi = phi + math.pi - np.angle(canon.phase / shifted.phase)
         theta = canon
 
-    c = p.coeffs
-    mags = np.abs(c)
-    idx = np.flatnonzero(mags > 1e-8 * mags.max())
-    lead = c[idx[0]] if idx.size else 1.0
-    rot = np.conj(lead) / abs(lead)
-    p = HardyVector(c * rot)
+    rot = _lead_rotation(p.coeffs, 1e-8)
+    p = HardyVector(p.coeffs * rot)
     phi = phi - 2 * np.angle(rot)
     return p, theta, _wrap_phase(phi)
 

@@ -10,7 +10,8 @@ analytic projection back to coefficients is a plain FFT that keeps the band
 0..N-1 and reports the dropped energy.  Polynomials are evaluated at many
 points by a blocked Horner scheme (_horner): one matrix product evaluates
 every block of 16 coefficients, and Horner's scheme in z^16 runs over the
-blocks, so the Python loop is N/16 steps long, not N.
+blocks, so the Python loop is N/16 steps long, not N.  _lead_rotation is
+the package's one rule for fixing a vector's unimodular constant.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ class HardyVector:
 
 def hardy(values) -> HardyVector:
     return values if isinstance(values, HardyVector) else HardyVector(values)
+
+
+def _lead_rotation(c: np.ndarray, rel: float):
+    """Unimodular rot making the first entry of c above rel * max|c| real
+    positive in c * rot; 1.0 when there is none (c = 0)."""
+    idx = np.flatnonzero(np.abs(c) > rel * np.abs(c).max())
+    return np.conj(c[idx[0]]) / abs(c[idx[0]]) if idx.size else 1.0
 
 
 def one(order: int) -> HardyVector:

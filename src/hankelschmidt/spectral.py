@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .hankel import HankelMatrix
+from .hardy import _lead_rotation
 
 __all__ = [
     "SchmidtBlock",
@@ -73,15 +74,7 @@ class SchmidtBlocks(list):
 
 
 def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        idx = np.flatnonzero(mags > 1e-8 * mags.max())
-        if idx.size:
-            c = col[idx[0]]
-            out[:, j] = col * (np.conj(c) / abs(c))
-    return out
+    return v * np.array([_lead_rotation(col, 1e-8) for col in v.T])
 
 
 def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:

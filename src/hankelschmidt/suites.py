@@ -175,7 +175,7 @@ def _frostman_invariance_check(
     K_{B_alpha} escalates (with K_B's basis and g_alpha at the same order).
     Returns (subspace gap, multiplier isometry deviation, boundary identity
     residual), or None if the shift fails or its zeros sit too close to the
-    circle for any order up to 1024.
+    circle for any order up to max(order, 1024).
     """
     order = v.shape[0]
     try:
@@ -183,7 +183,7 @@ def _frostman_invariance_check(
     except ValueError:
         return None
     work = order
-    while work <= 1024:
+    while work <= max(order, 1024):
         try:
             shifted_basis = tm_basis(shifted, work)
             if work > order:
@@ -199,9 +199,9 @@ def _frostman_invariance_check(
             iso = max(iso, abs(gh.norm() - 1.0))
             cols.append(gh)
         gap = subspace_gap(v, orthonormalize(basis_matrix(cols)))
-        # B_alpha's phase was fitted on the order-sized grid; this identity
-        # is g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the work
-        # grid, with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that fit
+        # B_alpha's phase was read from coefficients; this identity is
+        # g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the work
+        # grid, with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that phase
         grid = grid_points(default_grid_size(work))
         bz = blaschke_eval(b, grid)
         g_samples = (1 - np.conj(alpha) * bz) / np.sqrt(1 - abs(alpha) ** 2)

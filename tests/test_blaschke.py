@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from hankelschmidt import blaschke
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     _series_div,
@@ -221,7 +222,27 @@ def test_frostman_alpha_zero():
     shifted, g = frostman_shift(b, 0.0, 32)
     vals = blaschke_eval(shifted, GRID) + blaschke_eval(b, GRID)
     assert np.max(np.abs(vals)) < 1e-12  # B_0 = -B
+    assert abs(shifted.phase + b.phase) < 1e-15
     assert np.linalg.norm(g.coeffs - one(32).coeffs) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "phase, alpha, want",
+    [(1j, 0.3 + 0.1j, 0.6 - 0.8j), (1j, 0.5j, -1j), (1.0, 0.5, -1.0), (-1.0, 0.0, 1.0)],
+)
+def test_frostman_degree_zero_is_the_constant_shift(phase, alpha, want):
+    # B = phase is constant, so B_alpha = (alpha - phase) / (1 - conj(alpha) phase)
+    shifted, _ = frostman_shift(BlaschkeProduct([], phase), alpha, 16)
+    assert shifted.degree == 0
+    assert abs(shifted.phase - want) < 1e-15
+
+
+def test_frostman_gate_rejects_roots_off_by_1e_6(monkeypatch):
+    stable_roots = blaschke._stable_roots
+    monkeypatch.setattr(blaschke, "_stable_roots", lambda poly: stable_roots(poly) + 1e-6)
+    b = BlaschkeProduct([0.3, -0.2j], np.exp(0.7j))
+    with pytest.raises(ValueError, match="deviates"):
+        frostman_shift(b, 0.25 - 0.1j, 32)
 
 
 def test_frostman_degree_one_cancellation():
@@ -330,9 +351,31 @@ def test_compose_with_mobius_agrees_pointwise():
     m = MobiusMap(0.2 - 0.3j)
     composed = compose_with_mobius(b, m)
     assert composed.degree == b.degree
-    pts = 0.8 * np.exp(2j * np.pi * np.linspace(0, 1, 17))
+    for radius in (0.8, 1.0):
+        pts = radius * np.exp(2j * np.pi * np.linspace(0, 1, 17))
+        direct = blaschke_eval(b, mobius_eval(m, pts))
+        assert np.max(np.abs(blaschke_eval(composed, pts) - direct)) < 1e-10
+
+
+def test_compose_with_mobius_moves_the_zero_at_alpha_to_the_origin():
+    alpha = 0.35 - 0.2j
+    b = BlaschkeProduct([alpha, 0.1 + 0.4j], np.exp(0.3j))
+    m = MobiusMap(alpha)
+    composed = compose_with_mobius(b, m)
+    assert np.min(np.abs(composed.zeros)) < 1e-15
+    pts = np.concatenate([GRID, 0.6 * GRID[::8]])
     direct = blaschke_eval(b, mobius_eval(m, pts))
-    assert np.max(np.abs(blaschke_eval(composed, pts) - direct)) < 1e-10
+    assert np.max(np.abs(blaschke_eval(composed, pts) - direct)) < 1e-13
+
+
+def test_compose_with_mobius_alpha_zero_is_reflection():
+    # mu(z) = -z, so B o mu has zeros -a_j and phase (-1)^d times B's
+    b = BlaschkeProduct([0.3, -0.2j, 0.5 + 0.1j], np.exp(1.1j))
+    composed = compose_with_mobius(b, MobiusMap(0.0))
+    assert np.array_equal(np.sort_complex(composed.zeros), np.sort_complex(-b.zeros))
+    assert abs(composed.phase + b.phase) < 1e-15
+    direct = blaschke_eval(b, -GRID)
+    assert np.max(np.abs(blaschke_eval(composed, GRID) - direct)) < 1e-13
 
 
 def test_mobius_map_involution_on_grid():

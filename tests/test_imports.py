@@ -1,9 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name it exports is bound in it.
 
 An ast scan of src/hankelschmidt/*.py (the package __init__, which imports
 to re-export, excluded): a name bound by `import` or `from ... import` must
 appear as a name in the module's code or in its `__all__`.  Future imports
-are exempt.
+are exempt.  Since an `__all__` entry counts as a use, each entry of every
+module's `__all__`, the package __init__ included, must be bound at module
+level by a def, class, assignment or import; a stale entry would otherwise
+pass unnoticed.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hankelschmidt"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -30,20 +35,43 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree: ast.Module) -> list[str]:
+    out = []
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return used
+            out.extend(ast.literal_eval(node.value))
+    return out
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | set(exported_names(tree))
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """Names bound at module level by def, class, assignment or import."""
+    out = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     used = used_names(tree)
     return [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
+
+
+def unbound_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = bound_names(tree)
+    return [name for name in exported_names(tree) if name not in bound]
 
 
 def test_scan_flags_an_unused_import():
@@ -54,3 +82,13 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_flags_a_stale_export():
+    source = "from os import sep\nX = 1\nclass C: pass\ndef f(): pass\n__all__ = ['sep', 'X', 'C', 'f', 'gone']\n"
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_binds_every_export(path):
+    assert unbound_exports(path.read_text()) == []

@@ -109,3 +109,10 @@ def test_escalated_check_matches_a_direct_shift_at_the_work_order():
         got = suites._frostman_invariance_check(b, alpha, basis_matrix(tm_basis(b, ORDER)))
         want = direct_check(b, alpha, work)
         assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+
+def test_model_space_suite_returns_at_order_2048():
+    # the shifted basis must be allowed to resolve at the suite's own order
+    result = suites.suite_model_spaces(0, n_blaschke=1, n_alpha=1, order=2048)
+    assert result["pass"]
+    assert result["order"] == 2048
