@@ -244,10 +244,12 @@ def frostman_shift(
     g_alpha as an order-`order` coefficient vector.  With B = phase*P/Q,
     B_alpha = N/D for N = alpha*Q - phase*P and D = Q - conj(alpha)*phase*P:
     its zeros r_j are the roots of N, D = D[0] prod_j (1 - conj(r_j) z), and
-    its phase is c = (-1)^d N[d] / D[0].  As |D| >= (1 - |alpha|)
-    prod_j (1 - |a_j|) on the circle, the l1 norms of N - c D[0] prod_j (r_j - z)
-    and D - D[0] prod_j (1 - conj(r_j) z), summed and divided by that bound,
-    bound the returned product's boundary deviation, which must be <= 1e-9.
+    its phase is c = (-1)^d N[d] / D[0].  The gate is the relative backward
+    error of the zeros and phase: the l1 norms of N - c D[0] prod_j (r_j - z)
+    and D - D[0] prod_j (1 - conj(r_j) z), summed and divided by
+    (1 - |alpha|) (||N||_1 + ||D||_1), must be <= 1e-9.  On the circle the
+    returned product then deviates by at most 2 (1 + |alpha|) ||Q||_1 / min|Q|
+    times that error; the last factor is B's own conditioning, not the shift's.
     """
     alpha = complex(alpha)
     if not abs(alpha) < 1:
@@ -270,9 +272,9 @@ def frostman_shift(
     dev = np.sum(np.abs(num - phase * den[0] * _poly_from_roots(roots))) + np.sum(
         np.abs(den - den[0] * _denominator_from_zeros(roots))
     )
-    dev /= (1 - abs(alpha)) * np.prod(1 - np.abs(b.zeros))
+    dev /= (1 - abs(alpha)) * (np.sum(np.abs(num)) + np.sum(np.abs(den)))
     if dev > 1e-9:
-        raise ValueError(f"Frostman shift deviates by up to {dev:.3e} on the boundary")
+        raise ValueError(f"Frostman shift deviates from its coefficients by {dev:.3e} (relative)")
     return BlaschkeProduct(roots, phase), _frostman_multiplier(b, alpha, order)
 
 

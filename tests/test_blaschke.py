@@ -245,6 +245,26 @@ def test_frostman_gate_rejects_roots_off_by_1e_6(monkeypatch):
         frostman_shift(b, 0.25 - 0.1j, 32)
 
 
+@pytest.mark.parametrize(
+    "zeros, alpha",
+    [
+        ([0.999, -0.999, 0.999j], 0.3),
+        ([0.999, -0.999, 0.999j], 0.3 + 0.2j),
+        ([0.9999, 0.9999j, -0.9999, -0.9999j], 0.4),
+        (0.99 * np.exp(1j * np.linspace(0, 6, 8)), 0.5),
+    ],
+)
+def test_frostman_accepts_zeros_near_the_circle(zeros, alpha):
+    # The gate must not collapse with prod_j (1 - |a_j|): these shifts hold
+    # to 1e-10 on a fine boundary grid, where every zero's feature is resolved
+    b = BlaschkeProduct(zeros, np.exp(0.4j))
+    shifted, _ = frostman_shift(b, alpha, 32)
+    z = grid_points(1 << 16)
+    bz = blaschke_eval(b, z)
+    target = (alpha - bz) / (1 - np.conj(alpha) * bz)
+    assert np.max(np.abs(blaschke_eval(shifted, z) - target)) < 1e-10
+
+
 def test_frostman_degree_one_cancellation():
     # For B = z: g_alpha times the normalized kernel at alpha is the constant
     alpha = 0.37 - 0.21j
