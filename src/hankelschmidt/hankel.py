@@ -6,9 +6,10 @@ generated coefficients.
 
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
 is numerically its leading J x J block (HankelMatrix.numerical_order): the
-part outside has l2 norm at most eps^2 c, c the largest column norm, and the
-SVD in spectral works on that block.  J is read from one decay profile per
-matrix.  For a matrix from build_hankel_matrix it comes from the 2N-1
+part outside has l2 norm at most eps^2 c, c the largest column norm.  The
+SVD in spectral works on that block, and hankel_apply applies it, Gamma_J,
+so every product with Gamma costs O(J^2).  J is read from one decay profile
+per matrix.  For a matrix from build_hankel_matrix it comes from the 2N-1
 coefficients in O(N), since every entry of Gamma is one of them; only a
 matrix given entry by entry is scanned in full.
 
@@ -172,11 +173,26 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
 
 
 def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
-    """Anti-linear action f -> Gamma @ conj(f)."""
+    """Anti-linear action f -> Gamma_J @ conj(f), J = h.numerical_order().
+
+    Gamma_J is Gamma with the entries outside its leading J x J block set to
+    zero, the block the SVD in spectral factors: only f[:J] is read, rows
+    J..N-1 of the result are zero, and the product costs O(J^2).  Outside
+    the block Gamma has Frobenius norm at most eps^2 c, c <= ||Gamma|| its
+    largest column norm, so the result is within eps^2 ||Gamma|| ||f|| of
+    Gamma @ conj(f).  In an action residual, divided by a singular value
+    s > RANK_TOL s_max = 1e-10 ||Gamma||, that is at most
+    eps^2 1e10 ||f|| <= 5e-22 ||f||.  A matrix given entry by entry gets J
+    from a full scan, so noisy or fault-injected entries give J = N and
+    the full product.
+    """
     f = hardy(f)
     if f.order != h.order:
         raise ValueError(f"order mismatch: matrix {h.order}, vector {f.order}")
-    return HardyVector(h.gamma @ np.conj(f.coeffs))
+    j = h.numerical_order()
+    out = np.zeros(h.order, dtype=np.complex128)
+    out[:j] = h.gamma[:j, :j] @ np.conj(f.coeffs[:j])
+    return HardyVector(out)
 
 
 @dataclass(frozen=True)

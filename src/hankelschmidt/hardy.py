@@ -10,8 +10,11 @@ analytic projection back to coefficients is a plain FFT that keeps the band
 0..N-1 and reports the dropped energy.  Polynomials are evaluated at many
 points by a blocked Horner scheme (_horner): one matrix product evaluates
 every block of 16 coefficients, and Horner's scheme in z^16 runs over the
-blocks, so the Python loop is N/16 steps long, not N.  _lead_rotation is
-the package's one rule for fixing a vector's unimodular constant.
+blocks, so the Python loop is N/16 steps long, not N.  _support cuts a
+coefficient vector after its last nonzero entry, so a convolution with a
+vector that is exactly zero past order m costs O(N m), not O(N^2).
+_lead_rotation is the package's one rule for fixing a vector's unimodular
+constant.
 """
 
 from __future__ import annotations
@@ -90,6 +93,16 @@ class HardyVector:
 
 def hardy(values) -> HardyVector:
     return values if isinstance(values, HardyVector) else HardyVector(values)
+
+
+def _support(c: np.ndarray) -> np.ndarray:
+    """c up to its last nonzero coefficient; its first coefficient when c is zero.
+
+    A convolution with the result equals one with c wherever both are
+    defined: the dropped terms are products with exact zeros.
+    """
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1 if nz.size else 1]
 
 
 def _lead_rotation(c: np.ndarray, rel: float):
@@ -191,11 +204,8 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     plain scheme.
     """
     z = np.asarray(z)
-    nz = np.flatnonzero(coeffs)
     dtype = np.result_type(z, coeffs)
-    if nz.size == 0:
-        return np.zeros(z.shape, dtype=dtype)
-    c = coeffs[: nz[-1] + 1]
+    c = _support(coeffs)
     width = min(_HORNER_BLOCK, c.size)
     blocks = np.zeros((-(-c.size // width), width), dtype=c.dtype)
     blocks.flat[: c.size] = c

@@ -65,8 +65,8 @@ def complex_pair(z) -> list[float]:
 def _vector_pairs(coeffs: np.ndarray) -> list[list[float]]:
     c = np.asarray(coeffs)
     nz = np.flatnonzero(np.abs(c) > 1e-14)
-    last = int(nz[-1]) + 1 if nz.size else 1
-    return [complex_pair(v) for v in c[:last]]
+    c = c[: int(nz[-1]) + 1 if nz.size else 1]
+    return np.column_stack([c.real, c.imag]).tolist()
 
 
 def _representation_entry(rep: Representation) -> dict:

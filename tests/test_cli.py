@@ -294,6 +294,16 @@ def test_cli_rejects_bad_truncation_order(tmp_path, capsys, command, n):
     assert err == f"error: truncation order must be a power of two in [16, 1024], got {n}\n"
 
 
+def test_cli_analyzes_a_block_wider_than_half_the_order(tmp_path, capsys):
+    # u = z^7 at N = 16: a block of multiplicity 8, with 2d + 1 > N
+    path = write_json(tmp_path / "z7.json", {"poly": [[0, 0]] * 7 + [[1, 0]]})
+    assert main(["analyze", path, "--n", "16"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    block = json.loads(captured.out)["blocks"][0]
+    assert block["multiplicity"] == 8 and block["pass"] is True
+
+
 def test_cli_names_non_finite_residue(tmp_path, capsys):
     doc = {"poles": [{"b": [0.5, 0.0], "m": 1, "c": [float("nan"), 0.0]}]}
     assert main(["analyze", write_json(tmp_path / "nan.json", doc)]) == 1

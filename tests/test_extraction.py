@@ -111,6 +111,43 @@ def test_base_point_avoids_common_zero():
     assert abs(alpha - 0.3) > 1e-3
 
 
+def _base_point_by_loop(block):
+    """Reference for base_point_select's grid search: one point at a time."""
+    best_alpha, best_val = None, -1.0
+    for r in extraction.BASE_POINT_RADII:
+        angles = [0.0] if r == 0.0 else [
+            2 * np.pi * k / extraction.BASE_POINT_ANGLES
+            for k in range(extraction.BASE_POINT_ANGLES)
+        ]
+        for t in angles:
+            alpha = r * np.exp(1j * t)
+            vec = np.power(alpha, np.arange(block.order)) @ block.basis
+            val = float(np.sum(np.abs(vec) ** 2))
+            if val > best_val:
+                best_val, best_alpha = val, alpha
+    return complex(best_alpha)
+
+
+def test_base_point_grid_product_matches_the_loop():
+    # random blocks, zero past a random row and nearly orthogonal to the
+    # constants, and blocks of random symbols; those that leave the origin
+    rng = np.random.default_rng(21)
+    blocks = []
+    for _ in range(40):
+        n, d = 64, int(rng.integers(1, 4))
+        m = int(rng.integers(d + 1, n + 1))
+        cols = np.zeros((n, d), dtype=complex)
+        cols[:m] = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        cols[0] *= rng.uniform(0.0, 0.05)
+        blocks.append(SchmidtBlock(s=1.0, basis=orthonormalize(cols)))
+    for _ in range(30):
+        blocks += schmidt_decompose(build_hankel_matrix(random_symbol(rng), 128))
+    blocks = [b for b in blocks if extremal_projection(b)[1] <= extraction.DIRECT_BRANCH_THRESHOLD]
+    assert len(blocks) >= 30
+    for block in blocks:
+        assert base_point_select(block) == _base_point_by_loop(block)
+
+
 def test_base_point_fails_on_numerically_zero_block():
     # span{z^30}: the grid energy is at most 0.75^60 ~ 3e-8, below the 1e-6 floor
     block = block_from_columns(1.0, [unit(30, 128)])
@@ -176,6 +213,66 @@ def test_recover_theta_at_base_point_places_the_zero_there():
     assert theta.degree == 1
     assert abs(theta.zeros[0] - alpha) < 1e-15
     assert fit < 1e-12
+
+
+def _kernel_multiplier(block, alpha):
+    """(p, q) as _extract_at forms them: q the normalized block projection
+    of the unit kernel at alpha, and p = q / k^_alpha."""
+    r = math.sqrt(1 - abs(alpha) ** 2)
+    q = block.basis @ (block.basis.conj().T @ (r * np.conj(alpha) ** np.arange(block.order)))
+    q = q / np.linalg.norm(q)
+    p = q.copy()
+    p[1:] -= np.conj(alpha) * q[:-1]
+    return HardyVector(p / r), HardyVector(q)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3 - 0.2j])
+def test_recover_theta_on_trimmed_rows_matches_all_rows(alpha):
+    # hankel_apply leaves H q zero past J, so recover_theta factors only the
+    # rows before max(supp p, supp rhs) + d; the dense product Gamma conj(q)
+    # has no zero tail, so with it recover_theta factors all N rows
+    n = 512
+    symbols = [
+        symbol_from_inner(BlaschkeProduct([0.7, -0.5 + 0.5j, 0.6j], 1.0)),
+        random_symbol(np.random.default_rng(3)),
+    ]
+    checked = 0
+    for sym in symbols:
+        gamma = build_hankel_matrix(sym, n)
+        j = gamma.numerical_order()
+        assert j < n
+        for block in schmidt_decompose(gamma):
+            p, q = _kernel_multiplier(block, alpha)
+            trimmed = hankel_apply(gamma, q)
+            dense = HardyVector(gamma.gamma @ np.conj(q.coeffs))
+            assert not trimmed.coeffs[j:].any() and dense.coeffs[-1] != 0
+            d = block.multiplicity
+            theta_t, phi_t, _ = recover_theta(p, trimmed, block.s, d, alpha)
+            theta_d, phi_d, _ = recover_theta(p, dense, block.s, d, alpha)
+            assert np.max(np.abs(theta_t.zeros - theta_d.zeros)) <= 1e-13
+            assert abs(math.remainder(phi_t - phi_d, 2 * math.pi)) <= 1e-13
+            checked += d > 1
+    assert checked
+
+
+def test_recover_theta_with_more_unknowns_than_rows():
+    # u = z^7 at N = 16 has one block of multiplicity d = 8, so the system
+    # has 2d + 1 = 17 columns but 16 rows: the null vector is the last row
+    # of the full V, and theta = z^8
+    n = 16
+    gamma = build_hankel_matrix(symbol_from_coefficients([0] * 7 + [1]), n)
+    blocks = schmidt_decompose(gamma)
+    assert len(blocks) == 1 and blocks[0].multiplicity == 8
+    rep = extract_representation(gamma, blocks[0])
+    assert rep.theta.degree == 8
+    assert np.max(np.abs(rep.theta.zeros)) < 1e-12
+    assert rep.residuals.action < 1e-12
+    # with d = 9 the null space has more than one dimension: an error, not a crash
+    gamma = build_hankel_matrix(symbol_from_coefficients([0] * 8 + [1]), n)
+    block = schmidt_decompose(gamma)[0]
+    assert block.multiplicity == 9
+    with pytest.raises(ExtractionError):
+        extract_representation(gamma, block)
 
 
 def test_recover_theta_rejects_inconsistent_scale():

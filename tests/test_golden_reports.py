@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
+from hankelschmidt.pipeline import AnalysisConfig, _vector_pairs, analyze_symbol, complex_pair
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import parse_symbol, symbol_to_dict
 
@@ -70,6 +70,22 @@ CASES = [] if __name__ == "__main__" else json.loads(GOLDEN.read_text())
 def test_report_matches_reference(case):
     report = analyze_symbol(parse_symbol(case["symbol"]), AnalysisConfig(n=case["n"]))
     assert_close(json.loads(json.dumps(report)), case["report"], "report")
+
+
+def test_vector_pairs_write_the_stored_bytes():
+    # one column_stack per vector writes the same JSON as one complex_pair
+    # per coefficient; zero padding and entries below 1e-14 are cut off
+    checked = 0
+    for case in CASES:
+        for block in case["report"]["blocks"]:
+            if "representation" not in block:
+                continue
+            stored = block["representation"]["p"]
+            c = np.array([complex(re, im) for re, im in stored] + [1e-15, 0.0])
+            assert json.dumps(_vector_pairs(c)) == json.dumps(stored)
+            assert json.dumps(_vector_pairs(c)) == json.dumps([complex_pair(z) for z in c[: len(stored)]])
+            checked += 1
+    assert checked > 0
 
 
 def test_reference_covers_every_input():

@@ -476,6 +476,37 @@ def test_boundary_route_agreement():
         assert np.linalg.norm(direct.coeffs - projected.coeffs) < 10 * h.tail + 1e-10
 
 
+def test_apply_is_gamma_j_within_its_bound():
+    # hankel_apply reads f[:J] and leaves rows J..N-1 zero; outside the
+    # leading J x J block Gamma has Frobenius norm <= eps^2 c, and the dense
+    # product itself rounds within N eps ||Gamma|| ||f||
+    n, eps = 512, np.finfo(float).eps
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        h = build_hankel_matrix(random_symbol(rng), n)
+        j = h.numerical_order()
+        assert j < n
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        out = hankel_apply(h, HardyVector(f)).coeffs
+        assert not out[j:].any()
+        c = np.linalg.norm(h.gamma, axis=0).max()
+        nf = np.linalg.norm(f)
+        bound = eps**2 * c * nf + n * eps * np.linalg.norm(h.gamma, 2) * nf
+        assert np.linalg.norm(out - h.gamma @ np.conj(f)) <= bound
+
+
+def test_apply_on_a_fault_injected_matrix_is_the_full_product():
+    # an entry given entry by entry far off the decay makes J = N
+    n = 128
+    rng = np.random.default_rng(9)
+    gamma = build_hankel_matrix(random_symbol(rng), n).gamma.copy()
+    gamma[0, -1] += 1e-3
+    h = HankelMatrix(gamma)
+    assert h.numerical_order() == n
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.array_equal(hankel_apply(h, HardyVector(f)).coeffs, gamma @ np.conj(f))
+
+
 def test_order_mismatch_rejected():
     h = build_hankel_matrix(symbol_from_coefficients([0, 1]), 8)
     with pytest.raises(ValueError):
