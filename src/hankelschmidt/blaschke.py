@@ -167,8 +167,7 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
     Every element is computed to order + 64 coefficients, which are exact
     power-series coefficients (truncation commutes with both steps).
     Rejects truncation orders at which the basis elements have not decayed
-    to tail_tol.  Each returned element has its first nonzero coefficient
-    real positive.
+    to tail_tol.
     """
     d = b.degree
     if d == 0:
@@ -195,8 +194,7 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
                 f"order {order} insufficient for model-space basis: tail estimate "
                 f"{np.sqrt(tail_sq):.3e} exceeds {tail_tol:.1e}"
             )
-        e = c[:order]
-        out.append(HardyVector(e * _lead_rotation(e, 1e-12)))
+        out.append(HardyVector(c[:order]))
     return out
 
 

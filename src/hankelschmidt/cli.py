@@ -46,8 +46,6 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SymbolFormatError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SymbolFormatError(f"{path} is not valid JSON: {exc}")
 
@@ -187,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # SymbolFormatError included
+    except (ValueError, OSError) as exc:  # SymbolFormatError, unreadable input, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

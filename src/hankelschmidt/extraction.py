@@ -390,11 +390,12 @@ def verify_representation(
     Checks, in order: the subspace equality, the isometric-multiplier
     property, the anti-linear action formula (divided by s, so a gate on it
     checks phi, p and theta to the same tolerance at every s),
-    near-S*-invariance of the block (distance of S*f to the block and the
-    normalized pairing with the symbol, for f in the block orthogonal to
-    constants), and the projection of the symbol onto the block against its
-    closed form.  model_tail_tol relaxes the basis truncation gate; anything
-    it admits stays far below the reported residual scale.
+    near-S*-invariance of the block (largest distance of S*f to the block
+    and largest normalized pairing with the symbol, over unit f in the
+    block orthogonal to constants), and the projection of the symbol onto
+    the block against its closed form.  model_tail_tol relaxes the basis
+    truncation gate; anything it admits stays far below the reported
+    residual scale.
 
     Everything is computed in coefficient space from theta's Taylor
     coefficients to order 2N: products are truncated convolutions, reading
@@ -451,21 +452,17 @@ def _weighted_model_space(
 
 
 def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:
+    """Near-S*-invariance of the block, read from the subspace W of its
+    functions that vanish at the origin: the operator norm of
+    (I - V V^*) S^* on W, and the norm of the pairing w -> <S^* w, u> over
+    the unit ball of W, divided by max(1, ||u||).  Both depend only on the
+    span of the block, not on its basis."""
     v = block.basis
-    row = v[0:1, :]
-    null = _nullspace_of_row(row)
-    if null.shape[1] == 0:
+    w = v @ _nullspace_of_row(v[0:1, :])
+    if w.shape[1] == 0:
         return 0.0, 0.0
-    w = v @ null
+    sw = np.zeros_like(w)
+    sw[:-1] = w[1:]
+    resid = sw - v @ (v.conj().T @ sw)
     u_scale = max(1.0, float(np.linalg.norm(u)))
-    worst_dist = 0.0
-    worst_ip = 0.0
-    for j in range(w.shape[1]):
-        f = w[:, j]
-        sf = np.empty_like(f)
-        sf[:-1] = f[1:]
-        sf[-1] = 0.0
-        resid = sf - v @ (v.conj().T @ sf)
-        worst_dist = max(worst_dist, float(np.linalg.norm(resid)))
-        worst_ip = max(worst_ip, float(abs(np.vdot(u, sf))) / u_scale)
-    return worst_dist, worst_ip
+    return float(np.linalg.norm(resid, 2)), float(np.linalg.norm(u.conj() @ sw)) / u_scale

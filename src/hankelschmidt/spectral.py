@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from .hankel import HankelMatrix
-from .hardy import _lead_rotation
 
 __all__ = [
     "SchmidtBlock",
@@ -34,7 +33,8 @@ RANGE_BLOCK = 8  # columns taken by the first range-basis step
 
 @dataclass(frozen=True)
 class SchmidtBlock:
-    """One singular value with an orthonormal basis of its Schmidt subspace."""
+    """One singular value with an orthonormal basis of its Schmidt subspace
+    (any basis: only its span carries meaning)."""
 
     s: float
     basis: np.ndarray
@@ -71,32 +71,6 @@ class SchmidtBlocks(list):
         super().__init__(blocks)
         self.singular_values = singular_values
         self.singular_values.setflags(write=False)
-
-
-def _canonical_column_phases(v: np.ndarray) -> np.ndarray:
-    return v * np.array([_lead_rotation(col, 1e-8) for col in v.T])
-
-
-def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
-    """Basis of span(vectors) that depends only on the subspace.
-
-    The QR of the projector columns V V^*[:, piv] is rotation-independent; V is
-    an isometry, so the projector's column pivots are those of V^*.  They are
-    chosen greedily: each step takes, among the columns whose remaining norm
-    is within a relative 1e-10 of the largest, the one of smallest index, so
-    exactly tied norms (the symbol z at N=16) do not leave the pivot to
-    rounding.  Column phases are pinned by the first significant entry.
-    """
-    rest = vectors.conj().T
-    piv = []
-    for _ in range(vectors.shape[1]):
-        norms = np.linalg.norm(rest, axis=0)
-        i = int(np.flatnonzero(norms >= (1 - 1e-10) * norms.max())[0])
-        piv.append(i)
-        v = rest[:, i] / norms[i]
-        rest = rest - np.outer(v, v.conj() @ rest)
-    q, _ = scipy.linalg.qr(vectors @ vectors.conj().T[:, piv], mode="economic")
-    return _canonical_column_phases(q)
 
 
 def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,9 +115,10 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     Singular values s <= RANK_TOL * s_max are the kernel, so the blocks'
     multiplicities add up to the numerical rank.  The rest are split into
     runs that stay within cluster_tol (relative) of the run's first value,
-    each yielding one block with s = sqrt(mean s^2) and the canonical basis
-    of its left singular vectors.  There are no blocks when Gamma is zero,
-    and a ValueError when it is not finite.  Spread, separation and the noise
+    each yielding one block with s = sqrt(mean s^2) and its left singular
+    vectors as the factorization gives them: no check or report reads more
+    than their span.  There are no blocks when Gamma is zero, and a
+    ValueError when it is not finite.  Spread, separation and the noise
     floor eps * s_max * N are on the scale of s, where the factorization's
     error is about eps * s_max; clusters whose gap is within 10x of their
     spread or of the noise floor are flagged as unreliable.
@@ -203,11 +178,10 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
             warns.append("ill-separated cluster: results near this gap are unreliable")
         if len(idx) > 1 and spread > 1e3 * noise_floor:
             warns.append("cluster spread far above noise floor: possible false merge")
-        basis = _canonical_cluster_basis(left[:, idx])
         blocks.append(
             SchmidtBlock(
                 s=float(np.sqrt(np.mean(vals**2))),
-                basis=basis,
+                basis=left[:, idx],
                 spread=spread,
                 separation=separation,
                 reliable=not warns,

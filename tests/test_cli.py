@@ -104,6 +104,29 @@ def test_cli_analyze_rejects_malformed_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def assert_one_error_line(err, path):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_cli_analyze_names_an_unreadable_input(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    assert main(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err, path)
+
+
+def test_cli_analyze_names_an_unwritable_out(tmp_path, capsys):
+    symbol = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]]})
+    out = str(tmp_path / "no-such-dir" / "report.json")
+    assert main(["analyze", symbol, "--n", "16", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err, out)
+
+
 def test_cli_conjugate(tmp_path, capsys):
     good = write_json(tmp_path / "z.json", {"poly": [[0, 0], [1, 0]], "poles": []})
     code = main(["conjugate", good, "--alpha", "0.4", "--n", "16"])

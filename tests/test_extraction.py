@@ -534,8 +534,66 @@ def test_near_invariance_on_a_block_of_multiplicity_three():
     w = x - v @ (v.conj().T @ x)
     w /= np.linalg.norm(w)
     v[:, 1] = math.cos(1e-3) * v[:, 1] + math.sin(1e-3) * w
-    res_turned = verify_representation(gamma, replace(block, basis=v), rep)
+    turned = replace(block, basis=v)
+    res_turned = verify_representation(gamma, turned, rep)
     assert res_turned.near_invariance > 1e-4
+    assert res_turned.near_invariance >= column_maxima(turned, gamma.u)[0][0]
+
+
+def column_maxima(block, u):
+    """Near-invariance as the largest values over the columns w_j of
+    W = V null(V[0]), a figure that depends on which basis W has, and the
+    number of columns."""
+    v = block.basis
+    w = v @ extraction._nullspace_of_row(v[0:1, :])
+    sw = np.zeros_like(w)
+    sw[:-1] = w[1:]
+    dist = np.linalg.norm(sw - v @ (v.conj().T @ sw), axis=0)
+    ip = np.abs(u.conj() @ sw) / max(1.0, np.linalg.norm(u))
+    return (float(dist.max(initial=0.0)), float(ip.max(initial=0.0))), w.shape[1]
+
+
+def span_test_blocks():
+    """(gamma, block): multiplicities 2 (u = z, whose basis columns tie at N=16),
+    3 and 5, and the blocks of multiplicity 1 of random symbols."""
+    gammas = [
+        build_hankel_matrix(symbol_from_coefficients([0, 1]), 16),
+        build_hankel_matrix(symbol_from_coefficients([0, 0, 1]), 16),
+        build_hankel_matrix(symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j])), 128),
+        build_hankel_matrix(
+            symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j, 0.5 - 0.3j, -0.2 - 0.6j])), 128
+        ),
+    ]
+    rng = np.random.default_rng(30)
+    gammas += [build_hankel_matrix(random_symbol(rng), 128) for _ in range(3)]
+    return [(gamma, block) for gamma in gammas for block in schmidt_decompose(gamma)]
+
+
+def test_extraction_depends_only_on_the_span():
+    rng = np.random.default_rng(31)
+    blocks = span_test_blocks()
+    assert sorted({b.multiplicity for _, b in blocks}) == [1, 2, 3, 5]
+    for gamma, block in blocks:
+        rep = extract_representation(gamma, block)
+        near = extraction._near_invariance(block, gamma.u)
+        passed = max(rep.residuals.gated().values()) <= 1e-6
+        d = block.multiplicity
+        for _ in range(20):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            turned = replace(block, basis=block.basis @ np.linalg.qr(z)[0])
+            got = extract_representation(gamma, turned)
+            assert np.max(np.abs(got.p.coeffs - rep.p.coeffs)) < 1e-12
+            assert np.max(np.abs(got.theta.zeros - rep.theta.zeros)) < 1e-12
+            assert abs(got.theta.phase - rep.theta.phase) < 1e-12
+            assert abs(math.remainder(got.phi - rep.phi, 2 * math.pi)) < 1e-12
+            got_near = extraction._near_invariance(turned, gamma.u)
+            assert np.max(np.abs(np.subtract(got_near, near))) < 1e-12
+            assert (max(got.residuals.gated().values()) <= 1e-6) == passed
+            # never below the column maxima of any basis, equal to them on one column
+            cols, width = column_maxima(turned, gamma.u)
+            assert all(g >= (1 - 1e-12) * c for g, c in zip(got_near, cols))
+            if width <= 1:
+                assert np.max(np.abs(np.subtract(got_near, cols))) < 1e-15
 
 
 # ---------------------------------------------------------------------------

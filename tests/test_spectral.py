@@ -8,8 +8,6 @@ from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     RANGE_BLOCK,
-    _canonical_cluster_basis,
-    _canonical_column_phases,
     orthonormalize,
     schmidt_decompose,
     subspace_gap,
@@ -105,17 +103,6 @@ def test_decomposition_deterministic():
     for x, y in zip(a, b):
         assert np.array_equal(x.basis, y.basis)
         assert x.s == y.s
-
-
-def test_canonical_phase_normalization():
-    rng = np.random.default_rng(4)
-    h = build_hankel_matrix(random_symbol(rng), 64)
-    for b in schmidt_decompose(h):
-        for j in range(b.multiplicity):
-            col = b.basis[:, j]
-            lead = col[np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]]
-            assert abs(lead.imag) < 1e-10
-            assert lead.real > 0
 
 
 def test_decompose_carries_all_singular_values():
@@ -367,36 +354,3 @@ def test_gap_dimension_mismatch_and_empty():
     assert subspace_gap(q[:, :2], q) == 1.0
     assert subspace_gap(q[:, :0], q[:, :1]) == 1.0
     assert subspace_gap(q[:, :0], q[:, :0]) == 0.0
-
-
-def projector_qr_basis(vectors):
-    """The canonical basis from the pivoted QR of the N x N projector."""
-    d = vectors.shape[1]
-    q, _, _ = scipy.linalg.qr(vectors @ vectors.conj().T, mode="economic", pivoting=True)
-    return _canonical_column_phases(q[:, :d])
-
-
-def cluster_inputs():
-    rng = np.random.default_rng(10)
-    for n, d in ((8, 1), (16, 4), (64, 2), (128, 3), (256, 4)):
-        yield rng, random_isometry(rng, n, d)
-    h = build_hankel_matrix(random_symbol(rng), 128)
-    _, vecs = np.linalg.eigh(h.gamma @ np.conj(h.gamma))
-    yield rng, vecs[:, -3:]
-
-
-def tied_basis():
-    # the shift symbol's block spans e_0, e_1: its projector columns tie exactly
-    return schmidt_decompose(build_hankel_matrix(symbol_from_coefficients([0, 1]), 16))[0].basis
-
-
-def test_canonical_basis_matches_projector_qr():
-    for v in [tied_basis(), *(v for _, v in cluster_inputs())]:
-        assert np.max(np.abs(_canonical_cluster_basis(v) - projector_qr_basis(v))) < 1e-14
-
-
-def test_canonical_basis_depends_only_on_subspace():
-    tied = [(np.random.default_rng(seed), tied_basis()) for seed in range(200)]
-    for rng, v in [*cluster_inputs(), *tied]:
-        rotated = v @ random_isometry(rng, v.shape[1], v.shape[1])
-        assert np.max(np.abs(_canonical_cluster_basis(rotated) - _canonical_cluster_basis(v))) < 1e-12
