@@ -11,7 +11,6 @@ from .blaschke import (
     blaschke_coefficients,
     blaschke_eval,
     compose_with_mobius,
-    conjugation_c_theta,
     frostman_shift,
     mobius_conjugate_function,
     mobius_conjugate_symbol,
@@ -23,7 +22,6 @@ from .hardy import (
     boundary_to_coefficients,
     coshift,
     evaluate,
-    hankel_product,
     inner_product,
     one,
     sample_on_grid,

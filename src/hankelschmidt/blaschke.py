@@ -5,8 +5,10 @@ A finite Blaschke product is stored by its zeros and a unimodular phase,
     B(z) = phase * prod_j (a_j - z) / (1 - conj(a_j) z),      |a_j| < 1,
 
 so a zero at the origin contributes the factor (-z).  Products with B are
-computed from its exact Taylor coefficients (blaschke_coefficients): the
-conjugation C_B on K_B is the Hankel product with symbol S*B.  Phases are
+computed from its exact Taylor coefficients (blaschke_coefficients).  The
+conjugation C_B needs neither: on the Takenaka-Malmquist basis of K_B
+(tm_basis) it is C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros
+in reverse order, which verification reads in closed form.  Phases are
 read from coefficients or zeros in closed form; the boundary grid is used
 only by the Moebius conjugation of functions and symbols, which are
 sampled and projected.
@@ -23,12 +25,10 @@ from .hardy import (
     BoundaryGrid,
     HardyVector,
     _lead_rotation,
-    basis_matrix,
     boundary_to_coefficients,
     default_grid_size,
     evaluate,
     grid_points,
-    hankel_product,
     one,
 )
 
@@ -39,7 +39,6 @@ __all__ = [
     "blaschke_coefficients",
     "canonical_blaschke",
     "tm_basis",
-    "conjugation_c_theta",
     "frostman_shift",
     "mobius_eval",
     "mobius_conjugate_function",
@@ -196,33 +195,6 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
             )
         out.append(HardyVector(c[:order]))
     return out
-
-
-def _distance_to_span(h: HardyVector, basis: list[HardyVector]) -> float:
-    if not basis:
-        return h.norm()
-    v = basis_matrix(basis)
-    c = h.coeffs
-    return float(np.linalg.norm(c - v @ (v.conj().T @ c)))
-
-
-def conjugation_c_theta(
-    b: BlaschkeProduct, h: HardyVector, basis: list[HardyVector] | None = None
-) -> HardyVector:
-    """Anti-linear involution h -> P_+(conj(z) * B(z) * conj(h(z))) on K_B.
-
-    The input must lie in K_B to 1e-8 (checked against the Takenaka-Malmquist
-    span, which may be passed in to avoid recomputation).  The image is the
-    Hankel product with symbol S*B, (C_B h)_k = sum_j B^(k+j+1) conj(h_j),
-    from B's exact Taylor coefficients to order 2N.
-    """
-    if basis is None:
-        basis = tm_basis(b, h.order)
-    dist = _distance_to_span(h, basis)
-    if dist > 1e-8 * max(h.norm(), 1.0):
-        raise ValueError(f"input is {dist:.3e} away from the model space, beyond 1.0e-08")
-    theta = blaschke_coefficients(b, 2 * h.order).coeffs
-    return HardyVector(hankel_product(theta[1:], h.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,17 @@ unimodular constant, and H applied to it gives theta.  The base point is 0
 the block, otherwise a grid point where the block's pointwise energy is
 largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
 phi in (-pi, pi].  Verification works on coefficients: p e_k is a
-truncated convolution and C_theta is the Hankel product with symbol
-S* theta.  Both follow Gamma's numerical order J, not N: Gamma acts as its
-leading J x J block (hankel_apply), the block bases are zero past row J,
-and every convolution with p reads p only up to its last nonzero
-coefficient, so on the direct route, where p is zero past order J, each
-costs O(N J).  The Frostman shift of canonicalization reads its phase from
-coefficients.  Only recover_theta evaluates on the boundary grid, for its
-inner gate and the constant e^{i phi}; theta is inner by construction of
-BlaschkeProduct, so verification does not re-check it.
+truncated convolution, and C_theta e_k is read in closed form, -lambda
+times the Takenaka-Malmquist basis of theta's zeros in reverse order, so
+it costs one more basis per block, none when d = 1.  The work follows
+Gamma's numerical order J, not N: Gamma acts as its leading J x J block
+(hankel_apply), the block bases are zero past row J, and every
+convolution with p reads p only up to its last nonzero coefficient, so on
+the direct route, where p is zero past order J, each costs O(N J).  The
+Frostman shift of canonicalization reads its phase from coefficients.
+Only recover_theta evaluates on the boundary grid, for its inner gate and
+the constant e^{i phi}; theta is inner by construction of BlaschkeProduct,
+so verification does not re-check it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .hardy import (
     basis_matrix,
     default_grid_size,
     grid_points,
-    hankel_product,
 )
 from .hankel import HankelMatrix, hankel_apply
 from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
@@ -397,34 +398,34 @@ def verify_representation(
     truncation gate; anything it admits stays far below the reported
     residual scale.
 
-    Everything is computed in coefficient space from theta's Taylor
-    coefficients to order 2N: products are truncated convolutions, reading
-    p up to its last nonzero coefficient, and C_theta e = Gamma_{S* theta}
-    conj(e).  Gamma acts as Gamma_J (hankel_apply), which moves the action
-    residual by at most 5e-22 ||p e_k||.
+    Everything is computed in coefficient space: products are truncated
+    convolutions, reading p up to its last nonzero coefficient, and
+    C_theta e_k is read in closed form from theta's zeros
+    (_conjugated_products).  The left side of the action comes from Gamma
+    alone, which acts as Gamma_J (hankel_apply) and so moves the action
+    residual by at most 5e-22 ||p e_k||; theta's Taylor coefficients are
+    needed only to order N + 1, for the symbol projection.
     """
     n = block.order
     u = gamma.u
     s = block.s
     phase = np.exp(1j * rep.phi)
 
-    basis, prods = _weighted_model_space(rep, n, model_tail_tol)
+    prods = _weighted_model_space(rep.theta, rep.p, n, model_tail_tol)
     iso = max((abs(pe.norm() - 1.0) for pe in prods), default=0.0)
     gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
 
-    theta_hat = blaschke_coefficients(rep.theta, 2 * n).coeffs
-    p = _support(rep.p.coeffs)
     action = 0.0
-    for e, pe in zip(basis, prods):
-        rhs = np.convolve(p, hankel_product(theta_hat[1:], e.coeffs))[:n]
+    for pe, pce in zip(prods, _conjugated_products(rep.theta, rep.p, prods, n, model_tail_tol)):
         lhs = hankel_apply(gamma, pe).coeffs
-        action = max(action, float(np.linalg.norm(lhs - s * phase * rhs)) / s)
+        action = max(action, float(np.linalg.norm(lhs - s * phase * pce)) / s)
 
     near_dist, near_u = _near_invariance(block, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
     # coefficient k <= n of p theta reads theta_hat only up to k
     u_s = block.basis @ (block.basis.conj().T @ u)
-    p_theta_over_z = np.convolve(p, theta_hat[: n + 1])[1 : n + 1]
+    theta_hat = blaschke_coefficients(rep.theta, n + 1).coeffs
+    p_theta_over_z = np.convolve(_support(rep.p.coeffs), theta_hat)[1 : n + 1]
     u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p.coeffs[0] * p_theta_over_z))
     return RepresentationResiduals(
         subspace_gap=gap,
@@ -438,17 +439,36 @@ def verify_representation(
 
 
 def _weighted_model_space(
-    rep: Representation, n: int, model_tail_tol: float = 1e-8
-) -> tuple[list[HardyVector], list[HardyVector]]:
-    """Takenaka-Malmquist basis e_k of K_theta and the products p e_k.
+    theta: BlaschkeProduct, p: HardyVector, n: int, model_tail_tol: float = 1e-8
+) -> list[HardyVector]:
+    """The products p e_k over the Takenaka-Malmquist basis e_k of K_theta,
+    truncated convolutions with p up to its last nonzero coefficient."""
+    c = _support(p.coeffs)
+    basis = tm_basis(theta, n, tail_tol=model_tail_tol)
+    return [HardyVector(np.convolve(c, e.coeffs)[:n]) for e in basis]
 
-    The products are truncated convolutions with p up to its last nonzero
-    coefficient.
+
+def _conjugated_products(
+    theta: BlaschkeProduct,
+    p: HardyVector,
+    prods: list[HardyVector],
+    n: int,
+    model_tail_tol: float,
+) -> list[np.ndarray]:
+    """p C_theta e_k for k = 0..d-1, given prods = p e_k (_weighted_model_space).
+
+    With theta = lambda prod_j b_(a_j), b_a = (a - z) / (1 - conj(a) z), and
+    conj(b_a) = 1 / b_a on the circle, C_theta e_k = theta conj(z) conj(e_k)
+    = lambda r_k prod_(j >= k) b_(a_j) / (z - a_k) = -lambda e~_(d-1-k),
+    because b_(a_k) / (z - a_k) = -1 / (1 - conj(a_k) z): e~ is the
+    Takenaka-Malmquist basis of theta's zeros in reverse order.  For d = 1,
+    e~_0 = e_0, so the products are read from prods, with no new work.
     """
-    basis = tm_basis(rep.theta, n, tail_tol=model_tail_tol)
-    p = _support(rep.p.coeffs)
-    prods = [HardyVector(np.convolve(p, e.coeffs)[:n]) for e in basis]
-    return basis, prods
+    d = theta.degree
+    flipped = prods if d == 1 else _weighted_model_space(
+        BlaschkeProduct(theta.zeros[::-1]), p, n, model_tail_tol
+    )
+    return [-theta.phase * flipped[d - 1 - k].coeffs for k in range(d)]
 
 
 def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:

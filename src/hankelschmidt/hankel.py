@@ -1,7 +1,7 @@
 """Truncated Hankel matrices and the operator identities they satisfy.
 
 The anti-linear operator acts as f -> Gamma @ conj(f) on coefficient
-vectors, where Gamma[n, m] = u_hat(n + m) is filled from 2N-1 exactly
+vectors, where Gamma[n, m] = u_hat(n + m) is given by 2N-1 exactly
 generated coefficients.
 
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
@@ -11,7 +11,10 @@ SVD in spectral works on that block, and hankel_apply applies it, Gamma_J,
 so every product with Gamma costs O(J^2).  J is read from one decay profile
 per matrix.  For a matrix from build_hankel_matrix it comes from the 2N-1
 coefficients in O(N), since every entry of Gamma is one of them; only a
-matrix given entry by entry is scanned in full.
+matrix given entry by entry is scanned in full.  Such a matrix keeps its
+coefficients as the operator: Gamma_J is built from them once and cached
+(HankelMatrix.gamma_j), and the full N x N Gamma only when a caller asks for
+it, so an analysis allocates no N x N array.
 
 The identity residuals hold exactly for every Hankel matrix, so for a
 matrix built from its coefficients residuals_from_matrix returns their
@@ -42,52 +45,61 @@ _EPS = float(np.finfo(float).eps)
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
 class HankelMatrix:
     """N x N block of the Hankel matrix of a symbol, with its truncation tail.
 
     The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
     so Gamma alone carries everything extraction and verification read.
     A matrix may instead be given by all 2N-1 coefficients (`coeffs`), as
-    build_hankel_matrix does; Gamma is then built from them, and a Gamma
-    given with them must equal that build entry for entry.  A matrix given
-    entry by entry has no coeffs.  Gamma is read-only, copied first when
-    given as a view (its base could still change it), and coeffs is a
-    read-only copy, so the decay profile (_decay) is computed once and
-    kept: from coeffs in O(N) when they are there, else by a scan of all of
-    Gamma.  From coeffs it is made of suffix sums, summed from the tail:
-    the sums the cut compares are about eps^4 of the total, and a
-    difference of prefix sums of order 1 would cancel them.
+    build_hankel_matrix does; a Gamma given with them must equal their
+    Hankel matrix entry for entry.  Then no N x N array is built up front:
+    the analysis reads only `gamma_j`, the leading J x J block
+    (J = numerical_order()), built from coeffs, and `u`, read from coeffs;
+    the full `gamma` is built on first access and kept.  A matrix given
+    entry by entry has no coeffs, and gamma_j is a view of its gamma.
+    Every array is read-only, Gamma copied first when given as a view (its
+    base could still change it), coeffs always copied, so the decay profile
+    (_decay) is computed once and kept: from coeffs in O(N) when they are
+    there, else by a scan of all of Gamma.  From coeffs it is made of
+    suffix sums, summed from the tail: the sums the cut compares are about
+    eps^4 of the total, and a difference of prefix sums of order 1 would
+    cancel them.
     """
 
-    gamma: np.ndarray | None = None
-    tail: float = 0.0
-    coeffs: np.ndarray | None = None
+    def __init__(self, gamma=None, tail: float = 0.0, coeffs=None):
+        self.__dict__.update(tail=tail, coeffs=None)
+        if coeffs is None:
+            g = _frozen(gamma)
+            if g.ndim != 2 or g.shape[0] != g.shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {g.shape}")
+            self.__dict__.update(gamma=g, order=g.shape[0])
+            return
+        c = _frozen(np.array(coeffs, dtype=np.complex128))
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
+        self.__dict__.update(coeffs=c, order=(c.size + 1) // 2)
+        if gamma is not None and not np.array_equal(gamma, self.gamma, equal_nan=True):
+            raise ValueError("Gamma must be the Hankel matrix of coeffs")
 
-    def __post_init__(self):
-        if self.coeffs is not None:
-            c = _frozen(np.array(self.coeffs, dtype=np.complex128))
-            if c.ndim != 1 or c.size % 2 == 0:
-                raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
-            n = (c.size + 1) // 2
-            built = scipy.linalg.hankel(c[:n], c[n - 1 :])
-            if self.gamma is not None and not np.array_equal(self.gamma, built, equal_nan=True):
-                raise ValueError("Gamma must be the Hankel matrix of coeffs")
-            object.__setattr__(self, "gamma", built)
-            object.__setattr__(self, "coeffs", c)
-        g = _frozen(self.gamma)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {g.shape}")
-        object.__setattr__(self, "gamma", g)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HankelMatrix is read-only: cannot set {name!r}")
 
-    @property
-    def order(self) -> int:
-        return self.gamma.shape[0]
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """The full N x N matrix; built from coeffs on first access."""
+        return _hankel(self.coeffs, self.order)
+
+    @cached_property
+    def gamma_j(self) -> np.ndarray:
+        """Gamma's leading J x J block, J = numerical_order(), the block the
+        analysis reads: contiguous when built from coeffs, else a view of gamma."""
+        j = self.numerical_order()
+        return self.gamma[:j, :j] if self.coeffs is None else _hankel(self.coeffs, j)
 
     @property
     def u(self) -> np.ndarray:
-        """u_hat(0..N-1), Gamma's first column as a contiguous copy."""
-        return self.gamma[:, 0].copy()
+        """u_hat(0..N-1), Gamma's first column: a read-only view of coeffs, else a copy."""
+        return self.gamma[:, 0].copy() if self.coeffs is None else self.coeffs[: self.order]
 
     @property
     def largest_entry(self) -> float:
@@ -149,6 +161,13 @@ def _frozen(x) -> np.ndarray:
     return a
 
 
+def _hankel(coeffs: np.ndarray, j: int) -> np.ndarray:
+    """The read-only j x j Hankel matrix of coeffs[:2j-1]."""
+    g = scipy.linalg.hankel(coeffs[:j], coeffs[j - 1 : 2 * j - 1])
+    g.setflags(write=False)
+    return g
+
+
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
     """s[k] = sum of x[i] over i >= k, for k = 0..len(x); s[len(x)] = 0."""
     return np.append(np.cumsum(x[::-1])[::-1], 0.0)
@@ -191,7 +210,7 @@ def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
         raise ValueError(f"order mismatch: matrix {h.order}, vector {f.order}")
     j = h.numerical_order()
     out = np.zeros(h.order, dtype=np.complex128)
-    out[:j] = h.gamma[:j, :j] @ np.conj(f.coeffs[:j])
+    out[:j] = h.gamma_j @ np.conj(f.coeffs[:j])
     return HardyVector(out)
 
 

@@ -1,10 +1,9 @@
 """Truncated Hardy-space arithmetic on the unit disk.
 
 Elements of H^2 are represented by their first N Taylor coefficients.
-Products of analytic functions are truncated convolutions, and the analytic
-part of a * conj(f) is the Hankel product of a's coefficients with f's
-(hankel_product), so neither needs the boundary.  Boundary values, for
-functions that really are evaluated on the circle, live on equispaced grids
+Products of analytic functions are truncated convolutions, so they do not
+need the boundary.  Boundary values, for functions that really are
+evaluated on the circle, live on equispaced grids
 e^{2*pi*i*k/M}, built once per size and shared read-only (grid_points); the
 analytic projection back to coefficients is a plain FFT that keeps the band
 0..N-1 and reports the dropped energy.  Polynomials are evaluated at many
@@ -37,7 +36,6 @@ __all__ = [
     "shift",
     "coshift",
     "evaluate",
-    "hankel_product",
     "grid_points",
     "default_grid_size",
     "sample_on_grid",
@@ -173,20 +171,6 @@ def evaluate(f: HardyVector, z) -> complex | np.ndarray:
         raise ValueError("evaluation point outside the closed unit disk")
     acc = _horner(f.coeffs, zs)
     return complex(acc) if np.isscalar(z) or zs.ndim == 0 else acc
-
-
-def hankel_product(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Coefficients 0..N-1 of P_+(a * conj(f)), N = len(f): sum_j a[k+j] conj(f[j]).
-
-    This is the Hankel matrix of a[0..2N-2] applied to conj(f), computed as
-    one convolution without forming the matrix; a needs 2N-1 coefficients.
-    """
-    n = len(f)
-    if len(a) < 2 * n - 1:
-        raise ValueError(
-            f"Hankel product of order {n} needs {2 * n - 1} coefficients of a, got {len(a)}"
-        )
-    return np.convolve(a[: 2 * n - 1], np.conj(f[::-1]))[n - 1 : 2 * n - 1]
 
 
 _HORNER_BLOCK = 16

@@ -127,8 +127,8 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     the entries outside it move no singular value by more than eps^2 ||Gamma||,
     and a singular subspace by at most that over its gap.  Each of them is at
     most eps^2 c < c / sqrt(N) <= max |Gamma|, c the largest column norm, so
-    Gamma's largest entry lies in the block.  The block is scaled by the power
-    of two at that entry (exactly), then
+    Gamma's largest entry lies in the block.  The block, h.gamma_j, is
+    scaled by the power of two at that entry (exactly), then
     _range_basis gives Q (J x k) and B = Q^H Gamma_J with a residual
     E = Gamma_J - Q B of Frobenius norm at most RANGE_TOL times the largest
     column norm.  Gamma_J^H Gamma_J = B^H B + E^H E, so every singular value
@@ -144,11 +144,10 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     sing = np.zeros(n)
     if largest == 0:
         return SchmidtBlocks([], sing)
-    gamma_j = h.gamma[:j, :j]
     exp = int(np.frexp(largest)[1])
     scaled = np.empty((j, j), dtype=np.complex128)
-    np.ldexp(gamma_j.real, -exp, out=scaled.real)
-    np.ldexp(gamma_j.imag, -exp, out=scaled.imag)
+    np.ldexp(h.gamma_j.real, -exp, out=scaled.real)
+    np.ldexp(h.gamma_j.imag, -exp, out=scaled.imag)
     q, b = _range_basis(scaled)
     u_b, sing_b = scipy.linalg.svd(b, full_matrices=False)[:2]
     k = sing_b.size

@@ -411,7 +411,7 @@ def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e
         worst_res = max(worst_res, max(rep.residuals.gated().values()))
         mapped, _ = mobius_conjugate_function(HardyVector(block.basis[:, 0]), m, order)
         image = orthonormalize(basis_matrix([mapped]))
-        _, prods = _weighted_model_space(rep, order)
+        prods = _weighted_model_space(rep.theta, rep.p, order)
         gap = subspace_gap(image, orthonormalize(basis_matrix(prods)))
         worst_gap = max(worst_gap, gap)
         if gap > tol:

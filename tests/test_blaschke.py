@@ -11,7 +11,6 @@ from hankelschmidt.blaschke import (
     blaschke_eval,
     canonical_blaschke,
     compose_with_mobius,
-    conjugation_c_theta,
     frostman_shift,
     mobius_conjugate_function,
     mobius_conjugate_symbol,
@@ -31,12 +30,14 @@ from hankelschmidt.hardy import (
     szego_kernel,
     unit,
 )
+from hankelschmidt.extraction import _conjugated_products
 from hankelschmidt.suites import random_blaschke
 from hankelschmidt.symbols import (
     PoleTerm,
     RationalSymbol,
     fourier_coefficients,
 )
+from oracles import hankel_product
 
 GRID = grid_points(256)
 
@@ -164,34 +165,52 @@ def test_tm_basis_insufficient_order_rejected():
         tm_basis(b, 32)
 
 
+def conjugate(b, h):
+    """C_B h = P_+(conj(z) B conj(h)) by the Hankel-product oracle, from B's
+    Taylor coefficients to order 2N."""
+    theta = blaschke_coefficients(b, 2 * h.order).coeffs
+    return HardyVector(hankel_product(theta[1:], h.coeffs))
+
+
+def closed_form(b, order):
+    """The Takenaka-Malmquist basis e_k of K_B and C_B e_k in closed form."""
+    basis = tm_basis(b, order)
+    return basis, _conjugated_products(b, one(order), basis, order, 1e-10)
+
+
 def test_conjugation_on_monomial_space():
     b = BlaschkeProduct([0.0, 0.0], 1.0)  # z^2 up to the product sign
-    h = one(32)
-    out = conjugation_c_theta(b, h)
     z = grid_points(128)
     expected, _ = boundary_to_coefficients(BoundaryGrid(np.conj(z) * blaschke_eval(b, z)), 32)
-    assert np.linalg.norm(out.coeffs - expected.coeffs) < 1e-12
+    assert np.linalg.norm(conjugate(b, one(32)).coeffs - expected.coeffs) < 1e-12
+    # one(32) is e_0, whose image is -phase * e~_1 = z
+    basis, images = closed_form(b, 32)
+    assert np.array_equal(basis[0].coeffs, one(32).coeffs)
+    assert np.array_equal(images[0], unit(1, 32).coeffs)
 
 
 def test_conjugation_is_isometric_involution():
     rng = np.random.default_rng(5)
     n = 128
     b = random_blaschke(rng, max_degree=5)
-    basis = tm_basis(b, n)
+    basis, images = closed_form(b, n)
     coefs = rng.normal(size=b.degree) + 1j * rng.normal(size=b.degree)
     h = HardyVector(basis_matrix(basis) @ coefs)
-    image = conjugation_c_theta(b, h)
+    image = conjugate(b, h)
     assert abs(image.norm() - h.norm()) < 1e-10
-    again = conjugation_c_theta(b, image)
+    again = conjugate(b, image)
     assert np.linalg.norm(again.coeffs - h.coeffs) < 1e-10
     # image stays inside the model space
     v = basis_matrix(basis)
     resid = image.coeffs - v @ (v.conj().T @ image.coeffs)
     assert np.linalg.norm(resid) < 1e-10
+    # C_B is anti-linear, so the closed form on the basis gives the same image
+    assert np.linalg.norm(np.column_stack(images) @ np.conj(coefs) - image.coeffs) < 1e-10
 
 
 def test_conjugation_matches_boundary_formula():
-    # oracle: conj(z) theta(z) conj(h(z)) sampled on 4N points, then projected
+    # oracle: conj(z) theta(z) conj(h(z)) sampled on 4N points, then projected;
+    # both the Hankel product and the closed form must match it
     rng = np.random.default_rng(11)
     n = 128
     z = grid_points(default_grid_size(n))
@@ -199,19 +218,13 @@ def test_conjugation_matches_boundary_formula():
     for _ in range(50):
         b = random_blaschke(rng)
         theta_z = blaschke_eval(b, z)
-        basis = tm_basis(b, n)
-        for h in basis:
+        basis, images = closed_form(b, n)
+        for h, closed in zip(basis, images):
             samples = np.conj(z) * theta_z * np.conj(sample_on_grid(h, z.size).samples)
             expected, _ = boundary_to_coefficients(BoundaryGrid(samples), n)
-            out = conjugation_c_theta(b, h, basis=basis)
-            worst = max(worst, float(np.linalg.norm(out.coeffs - expected.coeffs)))
+            for out in (conjugate(b, h).coeffs, closed):
+                worst = max(worst, float(np.linalg.norm(out - expected.coeffs)))
     assert worst < 1e-13
-
-
-def test_conjugation_rejects_outsiders():
-    b = BlaschkeProduct([0.0], 1.0)
-    with pytest.raises(ValueError):
-        conjugation_c_theta(b, unit(3, 32))
 
 
 # ---------------------------------------------------------------------------

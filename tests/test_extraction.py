@@ -10,6 +10,7 @@ import scipy.linalg
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     MobiusMap,
+    blaschke_coefficients,
     blaschke_eval,
     mobius_conjugate_function,
     mobius_conjugate_symbol,
@@ -46,6 +47,7 @@ from hankelschmidt.symbols import (
     symbol_from_coefficients,
     symbol_from_inner,
 )
+from oracles import hankel_product
 
 
 def block_from_columns(s, cols):
@@ -492,6 +494,34 @@ def test_u_s_cross_check_small_on_exact_data():
     rep = extract_representation(gamma, block)
     res = verify_representation(gamma, block, rep)
     assert res.u_s_cross < 1e-9
+
+
+def test_conjugation_closed_form_matches_hankel_product():
+    # C_theta e_k = -lambda e~_(d-1-k) against P_+(conj(z) theta conj(e_k)),
+    # the Hankel product of theta's Taylor coefficients 1..2N-1 with e_k
+    rng = np.random.default_rng(21)
+    worst = 0.0
+    for draw in range(200):
+        n = (128, 256, 512)[draw % 3]
+        d = int(rng.integers(1, 7))
+        zeros = 0.8 * np.sqrt(rng.uniform(size=d)) * np.exp(2j * np.pi * rng.uniform(size=d))
+        theta = BlaschkeProduct(zeros, np.exp(2j * np.pi * rng.uniform()))
+        basis = tm_basis(theta, n, tail_tol=1e-8)
+        theta_hat = blaschke_coefficients(theta, 2 * n).coeffs
+        closed = extraction._conjugated_products(theta, one(n), basis, n, 1e-8)
+        for e, image in zip(basis, closed):
+            worst = max(worst, float(np.linalg.norm(image - hankel_product(theta_hat[1:], e.coeffs))))
+    assert worst < 1e-13
+
+
+def test_conjugated_products_of_degree_one_reuse_the_products():
+    # for d = 1 the right side of the action is exactly -lambda p e_0
+    rng = np.random.default_rng(4)
+    p = HardyVector(rng.normal(size=64) + 1j * rng.normal(size=64))
+    theta = BlaschkeProduct([0.3 - 0.5j], np.exp(0.7j))
+    prods = extraction._weighted_model_space(theta, p, 64)
+    (image,) = extraction._conjugated_products(theta, p, prods, 64, 1e-8)
+    assert np.array_equal(image, -theta.phase * prods[0].coeffs)
 
 
 def test_action_catches_each_fault_class():

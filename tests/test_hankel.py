@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from hankelschmidt.hankel import (
     hankel_apply,
     residuals_from_matrix,
 )
+from hankelschmidt import pipeline
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import schmidt_decompose
 from hankelschmidt.suites import random_symbol
@@ -474,6 +476,40 @@ def test_boundary_route_agreement():
         samples = evaluate_symbol(sym, z) * np.conj(sample_on_grid(f, 4 * n).samples)
         projected, _ = boundary_to_coefficients(BoundaryGrid(samples), n)
         assert np.linalg.norm(direct.coeffs - projected.coeffs) < 10 * h.tail + 1e-10
+
+
+def test_analyze_builds_no_full_matrix(monkeypatch):
+    # a pole at 0.5 at N=512 has J << N: analyze reads only Gamma_J and u
+    n = 512
+    built = []
+    hankel_builder = scipy.linalg.hankel
+
+    def recording(c, r):
+        built.append((len(c), len(r)))
+        return hankel_builder(c, r)
+
+    monkeypatch.setattr(scipy.linalg, "hankel", recording)
+    matrices = []
+
+    def keep(sym, order):
+        matrices.append(build_hankel_matrix(sym, order))
+        return matrices[-1]
+
+    monkeypatch.setattr(pipeline, "build_hankel_matrix", keep)
+    report = analyze_symbol(rank_one_symbol(), AnalysisConfig(n=n))
+    (h,) = matrices
+    j = h.numerical_order()
+    assert report["pass"] and j < n // 4
+    assert built and max(max(shape) for shape in built) <= j
+    assert "gamma" not in vars(h)
+
+    monkeypatch.undo()
+    c = h.coeffs
+    assert np.array_equal(h.gamma, scipy.linalg.hankel(c[:n], c[n - 1 :]))
+    assert not h.gamma.flags.writeable and h.gamma is h.gamma
+    assert np.array_equal(h.gamma_j, h.gamma[:j, :j])
+    assert h.gamma_j.flags.c_contiguous and not h.gamma_j.flags.writeable
+    assert np.array_equal(h.u, h.gamma[:, 0])
 
 
 def test_apply_is_gamma_j_within_its_bound():

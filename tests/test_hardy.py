@@ -11,13 +11,13 @@ from hankelschmidt.hardy import (
     coshift,
     evaluate,
     grid_points,
-    hankel_product,
     inner_product,
     one,
     sample_on_grid,
     shift,
     szego_kernel,
 )
+from oracles import hankel_product
 
 
 def test_inner_product_unit_vector():
