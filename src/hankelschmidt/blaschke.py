@@ -11,7 +11,8 @@ conjugation C_B needs neither: on the Takenaka-Malmquist basis of K_B
 in reverse order, which verification reads in closed form.  Phases are
 read from coefficients or zeros in closed form; the boundary grid is used
 only by the Moebius conjugation of functions and symbols, which are
-sampled and projected.
+sampled and projected, and by the values of B that the suites' boundary
+identity reads (_on_grid).
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ import scipy.linalg
 from .hardy import (
     BoundaryGrid,
     HardyVector,
+    _as_input,
+    _columns,
+    _frozen,
+    _horner,
     _lead_rotation,
+    _project,
     boundary_to_coefficients,
     default_grid_size,
-    evaluate,
     grid_points,
     one,
 )
@@ -49,13 +54,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Finite Blaschke product: unimodular phase times disk-automorphism factors."""
+    """Finite Blaschke product: unimodular phase times disk-automorphism factors.
+
+    Immutable: the zeros are a read-only copy of the input, so what depends
+    only on B is computed once and kept on the instance, and dies with it:
+    its numerator and denominator (_polynomials), its Taylor coefficients
+    per order (blaschke_coefficients) and its values per grid (_on_grid).
+    """
 
     zeros: np.ndarray
     phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.zeros, dtype=np.complex128))
+        z = _frozen(self.zeros)
         if not np.all(np.abs(z) < 1):
             raise ValueError(f"Blaschke zeros must lie in the open disk, max |a| = {np.max(np.abs(z))}")
         p = complex(self.phase)
@@ -63,11 +74,12 @@ class BlaschkeProduct:
             raise ValueError(f"phase must be unimodular, got |phase| = {abs(p)}")
         object.__setattr__(self, "zeros", z)
         object.__setattr__(self, "phase", p / abs(p))
-        self.zeros.setflags(write=False)
+        object.__setattr__(self, "_kept", {})
 
     @property
     def degree(self) -> int:
         return self.zeros.size
+
 
 
 @dataclass(frozen=True)
@@ -129,11 +141,37 @@ def _series_div(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     return scipy.linalg.blas.ztbsv(den.size - 1, band, out, lower=1)
 
 
+def _polynomials(b: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending coefficients of phase * prod_j (a_j - z) and of
+    prod_j (1 - conj(a_j) z), B's numerator and denominator, computed once
+    and kept on B."""
+    polys = b._kept.get("polynomials")
+    if polys is None:
+        polys = b._kept["polynomials"] = (
+            b.phase * _poly_from_roots(b.zeros),
+            _denominator_from_zeros(b.zeros),
+        )
+        for poly in polys:
+            poly.setflags(write=False)
+    return polys
+
+
 def blaschke_coefficients(b: BlaschkeProduct, order: int) -> HardyVector:
-    """Exact Taylor coefficients of B via polynomial long division."""
-    num = b.phase * _poly_from_roots(b.zeros)
-    den = _denominator_from_zeros(b.zeros)
-    return HardyVector(_series_div(num, den, order))
+    """Exact Taylor coefficients of B via polynomial long division, computed
+    once per order and kept on B."""
+    coeffs = b._kept.get(("taylor", order))
+    if coeffs is None:
+        coeffs = b._kept["taylor", order] = HardyVector(_series_div(*_polynomials(b), order))
+    return coeffs
+
+
+def _on_grid(b: BlaschkeProduct, m: int) -> np.ndarray:
+    """B at the m-th roots of unity (grid_points(m)), computed once per m and
+    kept read-only on B."""
+    values = b._kept.get(("grid", m))
+    if values is None:
+        values = b._kept["grid", m] = _frozen(blaschke_eval(b, grid_points(m)))
+    return values
 
 
 def canonical_blaschke(zeros) -> BlaschkeProduct:
@@ -164,9 +202,11 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
 
     one multiplication by a linear polynomial and one division by another.
     Every element is computed to order + 64 coefficients, which are exact
-    power-series coefficients (truncation commutes with both steps).
-    Rejects truncation orders at which the basis elements have not decayed
-    to tail_tol.
+    power-series coefficients (truncation commutes with both steps), into
+    one row of a d x (order + 64) array.  Rejects truncation orders at which
+    the basis elements have not decayed to tail_tol: the tails of all
+    elements are estimated in one pass, and the error names the first
+    element whose tail exceeds tail_tol.
     """
     d = b.degree
     if d == 0:
@@ -176,25 +216,27 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
     extra = 64
     a = b.zeros
     r = np.sqrt(1 - np.abs(a) ** 2)
-    out = []
+    elements = np.empty((d, order + extra), dtype=np.complex128)
     c = np.array([r[0]], dtype=np.complex128)
     for k in range(d):
         if k:
             num = a[k - 1] * c
             num[1:] -= c[:-1]
             c = num * (r[k] / r[k - 1])
-        c = _series_div(c, np.array([1.0, -np.conj(a[k])]), order + extra)
-        rate = float(np.max(np.abs(a[: k + 1])))
-        tail_sq = float(np.sum(np.abs(c[order:]) ** 2))
-        if rate > 0:
-            tail_sq += abs(c[-1]) ** 2 * rate**2 / max(1 - rate**2, 1e-16)
-        if np.sqrt(tail_sq) > tail_tol:
-            raise ValueError(
-                f"order {order} insufficient for model-space basis: tail estimate "
-                f"{np.sqrt(tail_sq):.3e} exceeds {tail_tol:.1e}"
-            )
-        out.append(HardyVector(c[:order]))
-    return out
+        c = elements[k] = _series_div(c, np.array([1.0, -np.conj(a[k])]), order + extra)
+    # past order + 64 an element decays at least as fast as rate^n, rate its
+    # largest zero modulus so far: a geometric bound from its last coefficient
+    rate_sq = np.maximum.accumulate(np.abs(a)) ** 2
+    sq = np.abs(elements[:, order:]) ** 2
+    tail = np.sqrt(sq.sum(axis=1) + sq[:, -1] * rate_sq / np.maximum(1 - rate_sq, 1e-16))
+    failing = np.flatnonzero(tail > tail_tol)
+    if failing.size:
+        k = failing[0]
+        raise ValueError(
+            f"order {order} insufficient for model-space basis: tail estimate "
+            f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
+        )
+    return [HardyVector(e[:order]) for e in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +266,7 @@ def frostman_shift(
     alpha = complex(alpha)
     if not abs(alpha) < 1:
         raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {abs(alpha)}")
-    phase_p = b.phase * _poly_from_roots(b.zeros)
-    q = _denominator_from_zeros(b.zeros)
+    phase_p, q = _polynomials(b)
     d = b.degree
     num = alpha * q - phase_p
     den = q - np.conj(alpha) * phase_p
@@ -245,13 +286,8 @@ def frostman_shift(
     dev /= (1 - abs(alpha)) * (np.sum(np.abs(num)) + np.sum(np.abs(den)))
     if dev > 1e-9:
         raise ValueError(f"Frostman shift deviates from its coefficients by {dev:.3e} (relative)")
-    return BlaschkeProduct(roots, phase), _frostman_multiplier(b, alpha, order)
-
-
-def _frostman_multiplier(b: BlaschkeProduct, alpha: complex, order: int) -> HardyVector:
-    """g_alpha = (1 - conj(alpha) B) / sqrt(1 - |alpha|^2) to the given order."""
     g = one(order).coeffs - np.conj(alpha) * blaschke_coefficients(b, order).coeffs
-    return HardyVector(g / np.sqrt(1 - abs(alpha) ** 2))
+    return BlaschkeProduct(roots, phase), HardyVector(g / np.sqrt(1 - abs(alpha) ** 2))
 
 
 def _stable_roots(poly_ascending: np.ndarray) -> np.ndarray:
@@ -276,22 +312,23 @@ def _sort_complex(values: np.ndarray) -> np.ndarray:
 # Moebius conjugation
 
 
-def mobius_conjugate_function(
-    f: HardyVector, m: MobiusMap, order: int | None = None
-) -> tuple[HardyVector, float]:
+def mobius_conjugate_function(f, m: MobiusMap, order: int | None = None):
     """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z)).
 
     Computed on the boundary and projected; the reported residual is the
     energy dropped by the projection (f composed with mu is no longer a
-    polynomial, so the residual grows as |alpha| -> 1).
+    polynomial, so the residual grows as |alpha| -> 1).  f is a HardyVector,
+    giving (HardyVector, residual), or a matrix whose columns are coefficient
+    vectors, giving the matrix of conjugated columns and one residual per
+    column, from one evaluation of all columns and one FFT.
     """
+    cols = _columns(f)
     if order is None:
-        order = f.order
-    grid = default_grid_size(max(order, f.order))
-    z = grid_points(grid)
-    w = mobius_eval(m, z)
-    samples = np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z) * evaluate(f, w)
-    return boundary_to_coefficients(BoundaryGrid(samples), order)
+        order = cols.shape[0]
+    z = grid_points(default_grid_size(max(order, cols.shape[0])))
+    weight = np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z)
+    samples = weight[:, None] * _horner(cols, mobius_eval(m, z))
+    return _as_input(f, *_project(samples, order))
 
 
 def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[HardyVector, float]:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .hardy import HardyVector, hardy
+from .hardy import HardyVector, _frozen, hardy
 from .symbols import _as_symbol, fourier_coefficients, tail_bound
 
 __all__ = [
@@ -57,8 +57,8 @@ class HankelMatrix:
     (J = numerical_order()), built from coeffs, and `u`, read from coeffs;
     the full `gamma` is built on first access and kept.  A matrix given
     entry by entry has no coeffs, and gamma_j is a view of its gamma.
-    Every array is read-only, Gamma copied first when given as a view (its
-    base could still change it), coeffs always copied, so the decay profile
+    Every array is read-only, Gamma and coeffs copied first (_frozen), so
+    no caller's array can change them and the decay profile
     (_decay) is computed once and kept: from coeffs in O(N) when they are
     there, else by a scan of all of Gamma.  From coeffs it is made of
     suffix sums, summed from the tail: the sums the cut compares are about
@@ -74,7 +74,7 @@ class HankelMatrix:
                 raise ValueError(f"expected a square matrix, got shape {g.shape}")
             self.__dict__.update(gamma=g, order=g.shape[0])
             return
-        c = _frozen(np.array(coeffs, dtype=np.complex128))
+        c = _frozen(coeffs)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
         self.__dict__.update(coeffs=c, order=(c.size + 1) // 2)
@@ -150,15 +150,6 @@ class HankelMatrix:
             shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
             column = (q[:n] - q[n:]).max()
         return largest, _suffix_sums(shell), column
-
-
-def _frozen(x) -> np.ndarray:
-    """x as a read-only complex array that no other array can write to."""
-    a = np.asarray(x, dtype=np.complex128)
-    if a.base is not None:
-        a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 def _hankel(coeffs: np.ndarray, j: int) -> np.ndarray:

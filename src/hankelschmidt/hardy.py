@@ -9,11 +9,14 @@ analytic projection back to coefficients is a plain FFT that keeps the band
 0..N-1 and reports the dropped energy.  Polynomials are evaluated at many
 points by a blocked Horner scheme (_horner): one matrix product evaluates
 every block of 16 coefficients, and Horner's scheme in z^16 runs over the
-blocks, so the Python loop is N/16 steps long, not N.  _support cuts a
+blocks, so the Python loop is N/16 steps long, not N.  A set of functions,
+the columns of a coefficient matrix, is evaluated, multiplied on the
+boundary or projected in one pass: one matrix product and one FFT for all
+columns, whatever their number.  _support cuts a
 coefficient vector after its last nonzero entry, so a convolution with a
 vector that is exactly zero past order m costs O(N m), not O(N^2).
 _lead_rotation is the package's one rule for fixing a vector's unimodular
-constant.
+constant, and _frozen its one rule for the arrays a value object keeps.
 """
 
 from __future__ import annotations
@@ -49,8 +52,17 @@ class TruncationWarning(UserWarning):
     """Emitted when a shift pushes a nonzero coefficient past the truncation order."""
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only complex copy of x, at least 1-D, that no other array can
+    write to: neither the caller's array, which stays writable, nor the base
+    of a view."""
+    a = np.array(x, dtype=np.complex128, ndmin=1)
+    a.setflags(write=False)
+    return a
+
+
 def _as_coeffs(values) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    c = _frozen(values)
     if c.ndim != 1:
         raise ValueError(f"coefficient array must be 1-D, got shape {c.shape}")
     if c.size == 0:
@@ -62,13 +74,16 @@ def _as_coeffs(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HardyVector:
-    """Order-N truncation of an H^2 element, stored by Taylor coefficients."""
+    """Order-N truncation of an H^2 element, stored by Taylor coefficients.
+
+    The coefficients are a read-only copy of the input (_frozen), so no
+    caller's array can change them.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-        self.coeffs.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -179,30 +194,36 @@ _HORNER_BLOCK = 16
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] z^k for ascending coefficients, by blocks of 16.
 
-    Trailing zero coefficients are dropped first, so padding a polynomial
+    coeffs is one coefficient vector, or a matrix with one polynomial per
+    column; the result has z's shape, with one more axis for the columns of
+    a matrix.  Trailing zero rows are dropped first, so padding a polynomial
     with zeros leaves every bit of the result unchanged.  The powers
     z^0 .. z^15 are formed once; one matrix product evaluates each block
-    c[16 j : 16 j + 16] as a polynomial P_j(z), and Horner's scheme in
-    w = z^16 sums P_0 + w (P_1 + w (P_2 + ...)).  For |z| <= 1 the rounding
-    error stays within a small multiple of N eps sum_k |c_k|, as for the
-    plain scheme.
+    c[16 j : 16 j + 16] of every column as a polynomial P_j(z), and Horner's
+    scheme in w = z^16 sums P_0 + w (P_1 + w (P_2 + ...)).  A vector is the
+    one-column case of the same arithmetic.  For |z| <= 1 the rounding error
+    stays within a small multiple of N eps sum_k |c_k|, as for the plain
+    scheme.
     """
     z = np.asarray(z)
     dtype = np.result_type(z, coeffs)
-    c = _support(coeffs)
-    width = min(_HORNER_BLOCK, c.size)
-    blocks = np.zeros((-(-c.size // width), width), dtype=c.dtype)
-    blocks.flat[: c.size] = c
+    k = coeffs.shape[1] if coeffs.ndim == 2 else 1
+    nz = np.flatnonzero(coeffs)  # row-major, so the row of a flat index i is i // k
+    n = nz[-1] // k + 1 if nz.size else 1
+    width = min(_HORNER_BLOCK, n)
+    rows = -(-n // width)
+    blocks = np.zeros((k, rows * width), dtype=coeffs.dtype)
+    blocks[:, :n] = coeffs[:n].T
     powers = np.empty(z.shape + (width,), dtype=dtype)
     powers[..., 0] = 1.0
     powers[..., 1:] = z[..., None]
     np.cumprod(powers, axis=-1, out=powers)
-    parts = powers @ blocks.T
-    zw = powers[..., -1] * z
-    acc = parts[..., -1]
-    for j in range(blocks.shape[0] - 2, -1, -1):
-        acc = acc * zw + parts[..., j]
-    return acc
+    parts = powers @ blocks.reshape(k * rows, width).T  # column c * rows + j is P_j of column c
+    zw = (powers[..., -1] * z)[..., None]
+    acc = parts[..., rows - 1 :: rows]
+    for j in range(rows - 2, -1, -1):
+        acc = acc * zw + parts[..., j::rows]
+    return acc if coeffs.ndim == 2 else acc[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +237,10 @@ class BoundaryGrid:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
+        s = _frozen(self.samples)
         if s.ndim != 1 or s.size < 2 or (s.size & (s.size - 1)) != 0:
             raise ValueError("samples must be a 1-D array of power-of-two length >= 2")
         object.__setattr__(self, "samples", s)
-        self.samples.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -251,9 +271,7 @@ def sample_on_grid(f: HardyVector, m: int | None = None) -> BoundaryGrid:
     """Boundary samples of f via zero-padded inverse FFT."""
     if m is None:
         m = default_grid_size(f.order)
-    if m < f.order:
-        raise ValueError(f"grid size {m} below truncation order {f.order}")
-    return BoundaryGrid(np.fft.ifft(f.padded(m)) * m)
+    return BoundaryGrid(_sample_columns(f.coeffs[:, None], m)[:, 0])
 
 
 def boundary_to_coefficients(grid: BoundaryGrid, order: int) -> tuple[HardyVector, float]:
@@ -262,23 +280,53 @@ def boundary_to_coefficients(grid: BoundaryGrid, order: int) -> tuple[HardyVecto
     Returns the projected HardyVector together with the l2 norm of the
     discarded bins (negative frequencies and the positive tail alike).
     """
-    m = grid.size
+    coeffs, residuals = _project(grid.samples[:, None], order)
+    return HardyVector(coeffs[:, 0]), float(residuals[0])
+
+
+def multiply_by_boundary(f, boundary_values: np.ndarray, order: int | None = None):
+    """Project f(z) * g(z) given g's samples on a grid of matching size.
+
+    f is a HardyVector, giving (HardyVector, dropped l2 norm), or a matrix
+    of coefficient columns, giving the matrix of projected columns and one
+    dropped norm per column from one inverse FFT and one FFT.
+    """
+    g = np.asarray(boundary_values, dtype=np.complex128)
+    cols = _columns(f)
+    samples = _sample_columns(cols, g.size) * g[:, None]
+    return _as_input(f, *_project(samples, cols.shape[0] if order is None else order))
+
+
+def _columns(f) -> np.ndarray:
+    """The coefficient columns of a HardyVector (one) or of a matrix."""
+    return f.coeffs[:, None] if isinstance(f, HardyVector) else np.asarray(f, dtype=np.complex128)
+
+
+def _as_input(f, coeffs: np.ndarray, residuals: np.ndarray):
+    """Projected columns in the form f came in: (HardyVector, float) for a
+    HardyVector, else the coefficient matrix and the residual of each column."""
+    if isinstance(f, HardyVector):
+        return HardyVector(coeffs[:, 0]), float(residuals[0])
+    return coeffs, residuals
+
+
+def _sample_columns(cols: np.ndarray, m: int) -> np.ndarray:
+    """Samples at the m-th roots of unity of each column of cols, by one inverse FFT."""
+    if m < cols.shape[0]:
+        raise ValueError(f"grid size {m} below truncation order {cols.shape[0]}")
+    padded = np.zeros((m, cols.shape[1]), dtype=np.complex128)
+    padded[: cols.shape[0]] = cols
+    return np.fft.ifft(padded, axis=0) * m
+
+
+def _project(samples: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients 0..order-1 of each column of boundary samples (one FFT),
+    and the l2 norm of each column's discarded bins."""
+    m = samples.shape[0]
     if m < 2 * order:
         raise ValueError(f"grid size {m} < 2*order = {2 * order}: projection would alias")
-    bins = np.fft.fft(grid.samples) / m
-    residual = float(np.linalg.norm(bins[order:]))
-    return HardyVector(bins[:order]), residual
-
-
-def multiply_by_boundary(
-    f: HardyVector, boundary_values: np.ndarray, order: int | None = None
-) -> tuple[HardyVector, float]:
-    """Project f(z) * g(z) given g's samples on a grid of matching size."""
-    g = np.asarray(boundary_values, dtype=np.complex128)
-    fs = sample_on_grid(f, g.size)
-    if order is None:
-        order = f.order
-    return boundary_to_coefficients(BoundaryGrid(fs.samples * g), order)
+    bins = np.fft.fft(samples, axis=0) / m
+    return bins[:order], np.linalg.norm(bins[order:], axis=0)
 
 
 def basis_matrix(vectors) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .hankel import HankelMatrix
+from .hardy import _frozen
 
 __all__ = [
     "SchmidtBlock",
@@ -34,7 +35,8 @@ RANGE_BLOCK = 8  # columns taken by the first range-basis step
 @dataclass(frozen=True)
 class SchmidtBlock:
     """One singular value with an orthonormal basis of its Schmidt subspace
-    (any basis: only its span carries meaning)."""
+    (any basis: only its span carries meaning).  The basis is a read-only
+    copy of the input, so no caller's array can change it."""
 
     s: float
     basis: np.ndarray
@@ -44,11 +46,10 @@ class SchmidtBlock:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128)
+        b = _frozen(self.basis)
         if b.ndim != 2 or b.shape[1] == 0:
             raise ValueError(f"basis must be an N x d matrix with d >= 1, got shape {b.shape}")
         object.__setattr__(self, "basis", b)
-        self.basis.setflags(write=False)
 
     @property
     def multiplicity(self) -> int:

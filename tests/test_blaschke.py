@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -37,7 +39,7 @@ from hankelschmidt.symbols import (
     RationalSymbol,
     fourier_coefficients,
 )
-from oracles import hankel_product
+from oracles import hankel_product, tm_basis_recurrence
 
 GRID = grid_points(256)
 
@@ -60,6 +62,32 @@ def test_single_zero_values():
     b = BlaschkeProduct([0.5], 1.0)
     assert abs(blaschke_eval(b, 0.5)) < 1e-15
     assert abs(abs(blaschke_eval(b, 0.0)) - 0.5) < 1e-15
+
+
+def test_blaschke_product_owns_its_zeros():
+    zeros = np.array([0.5, 0.2j])
+    b = BlaschkeProduct(zeros)
+    zeros[0] = 0.9  # the caller's array stays writable
+    assert b.zeros[0] == 0.5
+    base = np.array([0.5, 0.2j, -0.3])
+    b = BlaschkeProduct(base[:2])
+    base[0] = 0.9
+    assert b.zeros[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        b.zeros[0] = 0.1
+
+
+def test_blaschke_product_keeps_its_coefficients_and_grid_values():
+    b = BlaschkeProduct([0.5, 0.2j, -0.3], 1j)
+    c = blaschke_coefficients(b, 64)
+    assert blaschke_coefficients(b, 64) is c
+    fresh = blaschke_coefficients(BlaschkeProduct(b.zeros.copy(), b.phase), 64)
+    assert np.array_equal(c.coeffs, fresh.coeffs)
+    on_grid = blaschke._on_grid(b, 256)
+    assert blaschke._on_grid(b, 256) is on_grid
+    assert np.array_equal(on_grid, blaschke_eval(b, GRID))
+    for kept in (*blaschke._polynomials(b), on_grid):
+        assert not kept.flags.writeable
 
 
 def test_zeros_must_stay_inside():
@@ -163,6 +191,35 @@ def test_tm_basis_insufficient_order_rejected():
     b = BlaschkeProduct([0.97], 1.0)
     with pytest.raises(ValueError):
         tm_basis(b, 32)
+
+
+def test_tm_basis_names_the_first_failing_element():
+    b = BlaschkeProduct([0.1, 0.97, 0.99])
+    _, tails = tm_basis_recurrence(b, 32)
+    assert tails[0] <= 1e-10 < min(tails[1:])
+    message = f"tail estimate {tails[1]:.3e} of element 1 exceeds 1.0e-10"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tm_basis(b, 32)
+
+
+def test_tm_basis_elements_equal_the_per_element_recurrence():
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for order in (16, 128, 512):
+        for _ in range(30):
+            b = random_blaschke(rng, max_degree=6, max_radius=0.99)
+            want, tails = tm_basis_recurrence(b, order)
+            got = tm_basis(b, order, tail_tol=np.inf)
+            assert len(got) == len(want)
+            assert all(np.array_equal(e.coeffs, w) for e, w in zip(got, want))
+            try:
+                tm_basis(b, order)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (max(tails) <= 1e-10)
+            verdicts.append(accepted)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def conjugate(b, h):
@@ -338,6 +395,22 @@ def test_mobius_function_isometry():
         f = HardyVector(rng.normal(size=24) + 1j * rng.normal(size=24))
         out, _ = mobius_conjugate_function(f, MobiusMap(0.4), 128)
         assert abs(out.norm() - f.norm()) < 1e-9
+
+
+def test_batched_mobius_conjugation_matches_each_column_alone():
+    rng = np.random.default_rng(31)
+    n, k = 128, 5
+    decay = 0.9 ** np.arange(n)
+    cols = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) * decay[:, None]
+    for alpha, order in ((0.3 - 0.2j, n), (0.45j, 64), (-0.1, 2 * n)):
+        m = MobiusMap(alpha)
+        mapped, residuals = mobius_conjugate_function(cols, m, order)
+        assert mapped.shape == (order, k) and residuals.shape == (k,)
+        for j in range(k):
+            single, residual = mobius_conjugate_function(HardyVector(cols[:, j]), m, order)
+            bound = 1e-14 * np.linalg.norm(cols[:, j])
+            assert np.linalg.norm(mapped[:, j] - single.coeffs) <= bound
+            assert abs(residuals[j] - residual) <= bound
 
 
 def test_mobius_function_involution():

@@ -449,6 +449,16 @@ def test_view_of_writable_matrix_is_copied():
     assert np.allclose(blocks.singular_values[:3], expected, rtol=1e-12)
 
 
+def test_writable_matrix_and_coefficients_are_copied():
+    # the caller's arrays stay writable, and writing to them does not reach Gamma
+    coeffs = np.array([1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0], dtype=complex)
+    gamma = scipy.linalg.hankel(coeffs[:4], coeffs[3:])
+    for h in (HankelMatrix(gamma), HankelMatrix(coeffs=coeffs)):
+        gamma[0, 0] = coeffs[0] = 2.0
+        assert h.gamma[0, 0] == 1.0 and h.u[0] == 1.0
+        gamma[0, 0] = coeffs[0] = 1.0
+
+
 def test_pairing_symmetry_random_vectors():
     rng = np.random.default_rng(6)
     h = build_hankel_matrix(random_symbol(rng), 128)

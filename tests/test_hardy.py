@@ -12,6 +12,7 @@ from hankelschmidt.hardy import (
     evaluate,
     grid_points,
     inner_product,
+    multiply_by_boundary,
     one,
     sample_on_grid,
     shift,
@@ -107,6 +108,38 @@ def test_finite_validation():
         HardyVector([np.inf])
 
 
+def test_hardy_vector_owns_its_coefficients():
+    x = np.zeros(4, dtype=complex)
+    f = HardyVector(x)
+    x[0] = 1.0  # the caller's array stays writable
+    assert f.coeffs[0] == 0.0
+    base = np.zeros(8, dtype=complex)
+    f = HardyVector(base[:4])
+    base[0] = 1.0
+    assert f.coeffs[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.coeffs[0] = 2.0
+    samples = np.ones(8, dtype=complex)
+    grid = BoundaryGrid(samples)
+    samples[0] = 2.0
+    assert grid.samples[0] == 1.0
+
+
+def test_batched_boundary_product_matches_each_column_alone():
+    rng = np.random.default_rng(6)
+    n, k = 64, 4
+    cols = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    g = 1.0 / (1.0 - 0.5 * np.conj(grid_points(256)))
+    for order in (n, 32, 128):
+        product, residuals = multiply_by_boundary(cols, g, order)
+        assert product.shape == (order, k) and residuals.shape == (k,)
+        for j in range(k):
+            single, residual = multiply_by_boundary(HardyVector(cols[:, j]), g, order)
+            bound = 1e-14 * np.linalg.norm(cols[:, j])
+            assert np.linalg.norm(product[:, j] - single.coeffs) <= bound
+            assert abs(residuals[j] - residual) <= bound
+
+
 def test_boundary_polynomial_exact_recovery():
     rng = np.random.default_rng(4)
     f = HardyVector(rng.normal(size=16) + 1j * rng.normal(size=16))
@@ -195,10 +228,16 @@ def test_blocked_horner_matches_plain_horner(n):
     radius = np.sqrt(rng.uniform(size=200))
     interior = radius * np.exp(2j * np.pi * rng.uniform(size=200))
     bound = n * np.finfo(float).eps * np.sum(np.abs(c))
+    # a matrix is evaluated column by column, a shorter column padded with zeros
+    cols = np.column_stack([c, 2j * c, np.concatenate([c[: n // 2], np.zeros(n - n // 2)])])
     for z in (interior, grid_points(512), np.asarray(0.6 - 0.7j)):
         blocked = _horner(c, z)
         assert blocked.shape == z.shape
         assert np.max(np.abs(blocked - plain_horner(c, z))) <= bound
+        batched = _horner(cols, z)
+        assert batched.shape == z.shape + (3,)
+        for j in range(3):
+            assert np.max(np.abs(batched[..., j] - plain_horner(cols[:, j], z))) <= 2 * bound
     assert complex(_horner(c, np.asarray(0.0j))) == c[0]
 
 

@@ -8,6 +8,7 @@ from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     RANGE_BLOCK,
+    SchmidtBlock,
     orthonormalize,
     schmidt_decompose,
     subspace_gap,
@@ -27,6 +28,19 @@ def test_shift_symbol_block():
     target[0, 0] = 1.0
     target[1, 1] = 1.0
     assert subspace_gap(b.basis, target) < 1e-12
+
+
+def test_schmidt_block_owns_its_basis():
+    base = np.eye(4, dtype=complex)
+    block = SchmidtBlock(s=1.0, basis=base[:, :1])
+    base[0, 0] = 5.0
+    assert block.basis[0, 0] == 1.0
+    basis = np.eye(4, dtype=complex)[:, :2].copy()
+    block = SchmidtBlock(s=1.0, basis=basis)
+    basis[0, 0] = 5.0  # the caller's array stays writable
+    assert block.basis[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        block.basis[0, 0] = 2.0
 
 
 def test_rank_one_block():
