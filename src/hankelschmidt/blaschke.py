@@ -12,11 +12,15 @@ in reverse order, which verification reads in closed form.  Phases are
 read from coefficients or zeros in closed form; the boundary grid is used
 only by the Moebius conjugation of functions and symbols, which are
 sampled and projected, and by the values of B that the suites' boundary
-identity reads (_on_grid).
+identity and the phase fit of extraction read (_on_grid).  A product
+keeps what depends on it alone, and canonical_blaschke returns one shared
+instance per zero set, so Schmidt blocks with the same inner function
+share that work.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +63,8 @@ class BlaschkeProduct:
     Immutable: the zeros are a read-only copy of the input, so what depends
     only on B is computed once and kept on the instance, and dies with it:
     its numerator and denominator (_polynomials), its Taylor coefficients
-    per order (blaschke_coefficients) and its values per grid (_on_grid).
+    per order (blaschke_coefficients), its values per grid (_on_grid) and
+    its model-space basis per order and tail tolerance (tm_basis).
     """
 
     zeros: np.ndarray
@@ -174,10 +179,27 @@ def _on_grid(b: BlaschkeProduct, m: int) -> np.ndarray:
     return values
 
 
+CANONICAL_CACHE_SIZE = 32
+
+
 def canonical_blaschke(zeros) -> BlaschkeProduct:
     """Blaschke product with the given zeros, phase fixed so that the first
-    nonzero Taylor coefficient is real positive."""
-    zeros = np.atleast_1d(np.asarray(zeros, dtype=np.complex128))
+    nonzero Taylor coefficient is real positive.
+
+    Zero arrays with equal bytes share one instance per process (_canonical),
+    so everything the instance keeps, such as its model-space basis and its
+    Taylor coefficients, is computed once for all the Schmidt blocks that
+    share the inner function: theta = z, the inner function of every simple
+    singular value, above all.
+    """
+    return _canonical(np.atleast_1d(np.asarray(zeros, dtype=np.complex128)).tobytes())
+
+
+@functools.lru_cache(maxsize=CANONICAL_CACHE_SIZE)
+def _canonical(key: bytes) -> BlaschkeProduct:
+    """canonical_blaschke of the zeros whose bytes are key, built once while
+    it stays among the CANONICAL_CACHE_SIZE most recently used."""
+    zeros = np.frombuffer(key, dtype=np.complex128)
     raw = BlaschkeProduct(zeros, 1.0)
     c = blaschke_coefficients(raw, zeros.size + 1).coeffs
     return BlaschkeProduct(zeros, _lead_rotation(c, 1e-12))
@@ -206,13 +228,17 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
     one row of a d x (order + 64) array.  Rejects truncation orders at which
     the basis elements have not decayed to tail_tol: the tails of all
     elements are estimated in one pass, and the error names the first
-    element whose tail exceeds tail_tol.
+    element whose tail exceeds tail_tol.  A basis that passes is kept on B
+    per (order, tail_tol), and each call returns a new list of it.
     """
     d = b.degree
     if d == 0:
         return []
     if order < d + 1:
         raise ValueError(f"order {order} too small for a degree-{d} model space")
+    kept = b._kept.get(("tm", order, tail_tol))
+    if kept is not None:
+        return list(kept)
     extra = 64
     a = b.zeros
     r = np.sqrt(1 - np.abs(a) ** 2)
@@ -236,7 +262,8 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
             f"order {order} insufficient for model-space basis: tail estimate "
             f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
         )
-    return [HardyVector(e[:order]) for e in elements]
+    kept = b._kept["tm", order, tail_tol] = tuple(HardyVector(e[:order]) for e in elements)
+    return list(kept)
 
 
 # ---------------------------------------------------------------------------

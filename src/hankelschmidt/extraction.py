@@ -26,18 +26,22 @@ the direct route, where p is zero past order J, each costs O(N J).  The
 Frostman shift of canonicalization reads its phase from coefficients.
 Only recover_theta evaluates on the boundary grid, for its inner gate and
 the constant e^{i phi}; theta is inner by construction of BlaschkeProduct,
-so verification does not re-check it.
+so verification does not re-check it.  theta comes from
+canonical_blaschke, one instance per zero set, so its grid values, Taylor
+coefficients and model-space basis are computed once for every block
+that shares it: theta = z for every simple singular value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
+    _on_grid,
     blaschke_coefficients,
     blaschke_eval,
     canonical_blaschke,
@@ -111,7 +115,7 @@ class RepresentationResiduals:
     p_origin: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def gated(self) -> dict:
         """The four checks gating acceptance; near-invariance only counts when
@@ -234,7 +238,8 @@ def recover_theta(
             f"{np.max(np.abs(zero_list)):.6f} outside the open disk"
         )
 
-    grid = grid_points(default_grid_size(max(16, 4 * (d + 1))))
+    m = default_grid_size(max(16, 4 * (d + 1)))
+    grid = grid_points(m)
     r = math.sqrt(1 - abs(alpha) ** 2)
     y = (grid - alpha) * _horner(num, grid) / _horner(den, grid) / r
     inner_dev = float(np.max(np.abs(np.abs(y) - 1.0)))
@@ -245,7 +250,7 @@ def recover_theta(
         )
     zeros = np.concatenate([[alpha], zero_list])
     theta = canonical_blaschke(zeros)
-    on_grid = blaschke_eval(theta, grid)
+    on_grid = _on_grid(theta, m)
     phase = np.vdot(on_grid, y)
     phase /= abs(phase)
     fit_residual = float(np.max(np.abs(y - phase * on_grid)))

@@ -24,7 +24,7 @@ such as a fault-injected one, is compared entry by entry in full.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -215,7 +215,7 @@ class IdentityResiduals:
     symmetry: float                # (H f, g) = (H g, f), i.e. Gamma = Gamma^T
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def max(self) -> float:
         return max(self.as_dict().values())

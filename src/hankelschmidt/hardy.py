@@ -22,6 +22,7 @@ constant, and _frozen its one rule for the arrays a value object keeps.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,7 +91,9 @@ class HardyVector:
         return self.coeffs.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """The l2 norm, by numpy's own formula for a complex vector."""
+        re, im = self.coeffs.real, self.coeffs.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
 
     def padded(self, order: int) -> np.ndarray:
         """Coefficients zero-padded (never truncated) to the requested order."""
@@ -114,7 +117,7 @@ def _support(c: np.ndarray) -> np.ndarray:
     A convolution with the result equals one with c wherever both are
     defined: the dropped terms are products with exact zeros.
     """
-    nz = np.flatnonzero(c)
+    nz = c.nonzero()[0]
     return c[: nz[-1] + 1 if nz.size else 1]
 
 

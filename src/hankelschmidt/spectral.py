@@ -204,9 +204,12 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
 
 
 def _nullspace_of_row(row: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as columns) of the vectors annihilated by a 1 x d row."""
+    """Orthonormal basis (as columns) of the vectors annihilated by a 1 x d row;
+    for a nonzero row with one entry that is the empty 1 x 0 basis."""
     if np.linalg.norm(row) < 1e-14:
         return np.eye(row.shape[1], dtype=np.complex128)
+    if row.shape[1] == 1:
+        return np.zeros((1, 0), dtype=np.complex128)
     _, _, vh = np.linalg.svd(row)
     return np.conj(vh[1:, :]).T
 
@@ -232,4 +235,4 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
             raise ValueError(f"{name} basis is not orthonormal to 1.0e-08")
     if a.shape[1] != b.shape[1] or a.shape[1] == 0:
         return float(a.shape[1] != b.shape[1])
-    return float(min(1.0, np.linalg.norm(b - a @ (a.conj().T @ b), 2)))
+    return float(min(1.0, np.linalg.svd(b - a @ (a.conj().T @ b), compute_uv=False)[0]))

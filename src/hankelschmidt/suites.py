@@ -34,7 +34,7 @@ from .hardy import (
     multiply_by_boundary,
 )
 from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
-from .symbols import PoleTerm, RationalSymbol, fourier_coefficients
+from .symbols import PoleTerm, RationalSymbol
 
 __all__ = [
     "random_blaschke",
@@ -272,7 +272,7 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
                 worst_gap = max(worst_gap, gap)
                 ok = ok and gap <= 1e-6 + 100 * tail_w
 
-        u_exact = fourier_coefficients(sym, order).coeffs
+        u_exact = gamma_u.u
         w2, _ = mobius_conjugate_symbol(RationalSymbol(poly=w.coeffs), m, order)
         double = float(np.linalg.norm(w2.coeffs - u_exact))
         worst_double = max(worst_double, double)

@@ -146,6 +146,29 @@ def test_canonical_blaschke_leading_coefficient_positive():
         assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
+def test_canonical_blaschke_is_shared_and_equals_a_fresh_build():
+    rng = np.random.default_rng(5)
+    for zeros in ([0.0], [0.0, 0.3 - 0.2j], random_blaschke(rng, max_degree=4).zeros):
+        b = canonical_blaschke(zeros)
+        assert canonical_blaschke(np.array(zeros)) is b
+        fresh = blaschke._canonical.__wrapped__(np.asarray(zeros, dtype=np.complex128).tobytes())
+        assert fresh is not b
+        assert np.array_equal(b.zeros, fresh.zeros) and b.phase == fresh.phase
+        assert np.array_equal(blaschke_coefficients(b, 64).coeffs, blaschke_coefficients(fresh, 64).coeffs)
+        assert np.array_equal(basis_matrix(tm_basis(b, 64)), basis_matrix(tm_basis(fresh, 64)))
+
+
+def test_canonical_blaschke_cache_is_bounded():
+    rng = np.random.default_rng(6)
+    first = canonical_blaschke([0.25j])
+    for _ in range(blaschke.CANONICAL_CACHE_SIZE):
+        canonical_blaschke(rng.uniform(-0.5, 0.5, size=2))
+    assert blaschke._canonical.cache_info().currsize <= blaschke.CANONICAL_CACHE_SIZE
+    again = canonical_blaschke([0.25j])
+    assert again is not first  # evicted, then built again
+    assert np.array_equal(again.zeros, first.zeros) and again.phase == first.phase
+
+
 # ---------------------------------------------------------------------------
 # model spaces
 
@@ -190,6 +213,31 @@ def test_tm_basis_membership_in_model_space():
 def test_tm_basis_insufficient_order_rejected():
     b = BlaschkeProduct([0.97], 1.0)
     with pytest.raises(ValueError):
+        tm_basis(b, 32)
+
+
+def test_tm_basis_is_kept_and_callers_get_their_own_list():
+    b = BlaschkeProduct([0.5, -0.2j, 0.1])
+    first = tm_basis(b, 64)
+    expected = basis_matrix(first)
+    first[0] = one(64)
+    first.append(one(64))
+    second = tm_basis(b, 64)
+    assert second is not first and len(second) == b.degree
+    assert np.array_equal(basis_matrix(second), expected)
+    assert all(x is y for x, y in zip(second[1:], first[1:]))  # the kept elements
+    assert np.array_equal(basis_matrix(tm_basis(BlaschkeProduct(b.zeros.copy()), 64)), expected)
+
+
+def test_tm_basis_keeps_no_basis_that_failed_its_tail_gate():
+    b = BlaschkeProduct([0.97])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="insufficient"):
+            tm_basis(b, 32)
+    assert ("tm", 32, 1e-10) not in b._kept
+    loose = tm_basis(b, 32, tail_tol=1.0)  # the same order passes a looser gate
+    assert ("tm", 32, 1.0) in b._kept and len(loose) == 1
+    with pytest.raises(ValueError, match="insufficient"):
         tm_basis(b, 32)
 
 

@@ -16,7 +16,7 @@ from hankelschmidt.blaschke import (
     mobius_conjugate_symbol,
     tm_basis,
 )
-from hankelschmidt import extraction
+from hankelschmidt import blaschke, extraction
 from hankelschmidt.extraction import (
     ExtractionError,
     Representation,
@@ -46,8 +46,11 @@ from hankelschmidt.symbols import (
     parse_symbol,
     symbol_from_coefficients,
     symbol_from_inner,
+    symbol_to_dict,
 )
 from oracles import hankel_product
+
+BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "hard_cases"
 
 
 def block_from_columns(s, cols):
@@ -432,7 +435,7 @@ def test_wrap_phase_reports_pi_at_the_branch_cut():
 
 
 def test_triple_pole_phase_is_pi():
-    path = Path(__file__).resolve().parent.parent / "bench" / "hard_cases" / "triple-pole.json"
+    path = BENCH_CASES / "triple-pole.json"
     report = analyze_symbol(parse_symbol(json.loads(path.read_text())), AnalysisConfig(n=128))
     assert report["blocks"][1]["representation"]["phi"] == math.pi
 
@@ -666,3 +669,26 @@ def test_extract_rejects_base_point_outside_disk(alpha):
     block = schmidt_decompose(gamma)[0]
     with pytest.raises(ValueError, match="base point"):
         extract_representation(gamma, block, base_point=alpha)
+
+
+def test_reports_are_identical_with_a_cold_or_a_warm_theta_cache():
+    # theta = z and the other canonical inner functions are shared across
+    # blocks and symbols (canonical_blaschke): a report must not depend on
+    # which earlier analyses filled the cache
+    rng = np.random.default_rng(21)
+    docs = [json.dumps(symbol_to_dict(random_symbol(rng))) for _ in range(12)]
+    docs += [p.read_text() for p in sorted(BENCH_CASES.glob("*.json"))]
+
+    def report(doc):
+        return json.dumps(analyze_symbol(parse_symbol(json.loads(doc)), AnalysisConfig(n=128)))
+
+    blaschke._canonical.cache_clear()
+    forward = {doc: report(doc) for doc in docs}
+    assert blaschke._canonical.cache_info().hits > 0
+    for doc in reversed(docs):
+        assert report(doc) == forward[doc]
+    cold = {}
+    for doc in docs:
+        blaschke._canonical.cache_clear()
+        cold[doc] = report(doc)
+    assert cold == forward

@@ -9,6 +9,7 @@ from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import (
     RANGE_BLOCK,
     SchmidtBlock,
+    _nullspace_of_row,
     orthonormalize,
     schmidt_decompose,
     subspace_gap,
@@ -368,3 +369,13 @@ def test_gap_dimension_mismatch_and_empty():
     assert subspace_gap(q[:, :2], q) == 1.0
     assert subspace_gap(q[:, :0], q[:, :1]) == 1.0
     assert subspace_gap(q[:, :0], q[:, :0]) == 0.0
+
+
+def test_nullspace_of_row():
+    assert _nullspace_of_row(np.array([[0.3 - 0.4j]])).shape == (1, 0)
+    assert np.array_equal(_nullspace_of_row(np.zeros((1, 1))), np.eye(1))
+    row = np.array([[1.0, 2j, -0.5]])
+    w = _nullspace_of_row(row)
+    assert w.shape == (3, 2)
+    assert np.linalg.norm(row @ w) < 1e-14
+    assert np.linalg.norm(w.conj().T @ w - np.eye(2)) < 1e-14
