@@ -6,9 +6,12 @@ A finite Blaschke product is stored by its zeros and a unimodular phase,
 
 so a zero at the origin contributes the factor (-z).  Products with B are
 computed from its exact Taylor coefficients (blaschke_coefficients).  The
-conjugation C_B needs neither: on the Takenaka-Malmquist basis of K_B
-(tm_basis) it is C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros
-in reverse order, which verification reads in closed form.  Phases are
+Takenaka-Malmquist basis of K_B (tm_basis) is one read-only N x d
+coefficient matrix, column k holding e_k, the format of every family of
+functions in the package; the Moebius conjugation of functions maps such a
+matrix to another.  The conjugation C_B needs no coefficients of B: on the
+basis it is C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in
+reverse order, which verification reads in closed form.  Phases are
 read from coefficients or zeros in closed form; the boundary grid is used
 only by the Moebius conjugation of functions and symbols, which are
 sampled and projected, and by the values of B that the suites' boundary
@@ -29,8 +32,7 @@ import scipy.linalg
 from .hardy import (
     BoundaryGrid,
     HardyVector,
-    _as_input,
-    _columns,
+    _coefficient_matrix,
     _frozen,
     _horner,
     _lead_rotation,
@@ -64,7 +66,7 @@ class BlaschkeProduct:
     only on B is computed once and kept on the instance, and dies with it:
     its numerator and denominator (_polynomials), its Taylor coefficients
     per order (blaschke_coefficients), its values per grid (_on_grid) and
-    its model-space basis per order and tail tolerance (tm_basis).
+    its model-space basis matrix per order and tail tolerance (tm_basis).
     """
 
     zeros: np.ndarray
@@ -209,7 +211,7 @@ def _canonical(key: bytes) -> BlaschkeProduct:
 # model spaces
 
 
-def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[HardyVector]:
+def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndarray:
     """Orthonormal Takenaka-Malmquist basis of the model space K_B.
 
     Element k is the normalized Szego kernel at zero a_k times the partial
@@ -228,22 +230,22 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
     one row of a d x (order + 64) array.  Rejects truncation orders at which
     the basis elements have not decayed to tail_tol: the tails of all
     elements are estimated in one pass, and the error names the first
-    element whose tail exceeds tail_tol.  A basis that passes is kept on B
-    per (order, tail_tol), and each call returns a new list of it.
+    element whose tail exceeds tail_tol.  A basis that passes is the
+    read-only, C-contiguous order x d matrix whose column k is e_k (order x 0
+    for d = 0); it is kept on B per (order, tail_tol), and every call
+    returns that same matrix.
     """
-    d = b.degree
-    if d == 0:
-        return []
-    if order < d + 1:
-        raise ValueError(f"order {order} too small for a degree-{d} model space")
     kept = b._kept.get(("tm", order, tail_tol))
     if kept is not None:
-        return list(kept)
+        return kept
+    d = b.degree
+    if order < d + 1:
+        raise ValueError(f"order {order} too small for a degree-{d} model space")
     extra = 64
     a = b.zeros
     r = np.sqrt(1 - np.abs(a) ** 2)
     elements = np.empty((d, order + extra), dtype=np.complex128)
-    c = np.array([r[0]], dtype=np.complex128)
+    c = r[:1].astype(np.complex128)
     for k in range(d):
         if k:
             num = a[k - 1] * c
@@ -262,8 +264,9 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> list[Ha
             f"order {order} insufficient for model-space basis: tail estimate "
             f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
         )
-    kept = b._kept["tm", order, tail_tol] = tuple(HardyVector(e[:order]) for e in elements)
-    return list(kept)
+    basis = b._kept["tm", order, tail_tol] = elements[:, :order].T.copy()
+    basis.setflags(write=False)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +342,24 @@ def _sort_complex(values: np.ndarray) -> np.ndarray:
 # Moebius conjugation
 
 
-def mobius_conjugate_function(f, m: MobiusMap, order: int | None = None):
-    """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z)).
+def mobius_conjugate_function(
+    f: np.ndarray, m: MobiusMap, order: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z))
+    of each coefficient column of the N x d matrix f.
 
-    Computed on the boundary and projected; the reported residual is the
-    energy dropped by the projection (f composed with mu is no longer a
-    polynomial, so the residual grows as |alpha| -> 1).  f is a HardyVector,
-    giving (HardyVector, residual), or a matrix whose columns are coefficient
-    vectors, giving the matrix of conjugated columns and one residual per
-    column, from one evaluation of all columns and one FFT.
+    Computed on the boundary and projected, from one evaluation of all
+    columns and one FFT.  Returns the matrix of conjugated columns and, per
+    column, the energy dropped by the projection (f composed with mu is no
+    longer a polynomial, so it grows as |alpha| -> 1).
     """
-    cols = _columns(f)
+    cols = _coefficient_matrix(f)
     if order is None:
         order = cols.shape[0]
     z = grid_points(default_grid_size(max(order, cols.shape[0])))
     weight = np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z)
     samples = weight[:, None] * _horner(cols, mobius_eval(m, z))
-    return _as_input(f, *_project(samples, order))
+    return _project(samples, order)
 
 
 def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[HardyVector, float]:

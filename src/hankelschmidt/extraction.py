@@ -15,10 +15,12 @@ unimodular constant, and H applied to it gives theta.  The base point is 0
 (the direct route) when the constant function has a usable component in
 the block, otherwise a grid point where the block's pointwise energy is
 largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
-phi in (-pi, pi].  Verification works on coefficients: p e_k is a
-truncated convolution, and C_theta e_k is read in closed form, -lambda
-times the Takenaka-Malmquist basis of theta's zeros in reverse order, so
-it costs one more basis per block, none when d = 1.  The work follows
+phi in (-pi, pi].  Verification works on coefficients: the weighted
+model space p K_theta is the N x d matrix of the truncated convolutions
+p e_k over the columns of theta's basis matrix (_weighted_model_space),
+and C_theta e_k is read in closed form, -lambda times the
+Takenaka-Malmquist basis of theta's zeros in reverse order, so it costs
+one more basis per block, none when d = 1.  The work follows
 Gamma's numerical order J, not N: Gamma acts as its leading J x J block
 (hankel_apply), the block bases are zero past row J, and every
 convolution with p reads p only up to its last nonzero coefficient, so on
@@ -53,7 +55,6 @@ from .hardy import (
     _horner,
     _lead_rotation,
     _support,
-    basis_matrix,
     default_grid_size,
     grid_points,
 )
@@ -417,11 +418,12 @@ def verify_representation(
     phase = np.exp(1j * rep.phi)
 
     prods = _weighted_model_space(rep.theta, rep.p, n, model_tail_tol)
-    iso = max((abs(pe.norm() - 1.0) for pe in prods), default=0.0)
-    gap = subspace_gap(block.basis, orthonormalize(basis_matrix(prods)))
+    iso = max((abs(np.linalg.norm(pe) - 1.0) for pe in prods.T), default=0.0)
+    gap = subspace_gap(block.basis, orthonormalize(prods))
 
     action = 0.0
-    for pe, pce in zip(prods, _conjugated_products(rep.theta, rep.p, prods, n, model_tail_tol)):
+    images = _conjugated_products(rep.theta, rep.p, prods, n, model_tail_tol)
+    for pe, pce in zip(prods.T, images.T):
         lhs = hankel_apply(gamma, pe).coeffs
         action = max(action, float(np.linalg.norm(lhs - s * phase * pce)) / s)
 
@@ -445,22 +447,26 @@ def verify_representation(
 
 def _weighted_model_space(
     theta: BlaschkeProduct, p: HardyVector, n: int, model_tail_tol: float = 1e-8
-) -> list[HardyVector]:
-    """The products p e_k over the Takenaka-Malmquist basis e_k of K_theta,
-    truncated convolutions with p up to its last nonzero coefficient."""
+) -> np.ndarray:
+    """The n x d matrix of p e_k over the Takenaka-Malmquist basis e_k of
+    K_theta (tm_basis at order n and model_tail_tol): column k is the
+    truncated convolution of e_k with p up to its last nonzero coefficient."""
     c = _support(p.coeffs)
     basis = tm_basis(theta, n, tail_tol=model_tail_tol)
-    return [HardyVector(np.convolve(c, e.coeffs)[:n]) for e in basis]
+    out = np.empty(basis.shape, dtype=np.complex128)
+    for k, e in enumerate(basis.T):
+        out[:, k] = np.convolve(c, e)[:n]
+    return out
 
 
 def _conjugated_products(
     theta: BlaschkeProduct,
     p: HardyVector,
-    prods: list[HardyVector],
+    prods: np.ndarray,
     n: int,
     model_tail_tol: float,
-) -> list[np.ndarray]:
-    """p C_theta e_k for k = 0..d-1, given prods = p e_k (_weighted_model_space).
+) -> np.ndarray:
+    """The n x d matrix of p C_theta e_k, given prods = p e_k (_weighted_model_space).
 
     With theta = lambda prod_j b_(a_j), b_a = (a - z) / (1 - conj(a) z), and
     conj(b_a) = 1 / b_a on the circle, C_theta e_k = theta conj(z) conj(e_k)
@@ -469,11 +475,10 @@ def _conjugated_products(
     Takenaka-Malmquist basis of theta's zeros in reverse order.  For d = 1,
     e~_0 = e_0, so the products are read from prods, with no new work.
     """
-    d = theta.degree
-    flipped = prods if d == 1 else _weighted_model_space(
+    flipped = prods if theta.degree == 1 else _weighted_model_space(
         BlaschkeProduct(theta.zeros[::-1]), p, n, model_tail_tol
     )
-    return [-theta.phase * flipped[d - 1 - k].coeffs for k in range(d)]
+    return -theta.phase * flipped[:, ::-1]
 
 
 def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:

@@ -50,23 +50,24 @@ class HankelMatrix:
 
     The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
     so Gamma alone carries everything extraction and verification read.
-    A matrix may instead be given by all 2N-1 coefficients (`coeffs`), as
-    build_hankel_matrix does; a Gamma given with them must equal their
-    Hankel matrix entry for entry.  Then no N x N array is built up front:
-    the analysis reads only `gamma_j`, the leading J x J block
-    (J = numerical_order()), built from coeffs, and `u`, read from coeffs;
-    the full `gamma` is built on first access and kept.  A matrix given
-    entry by entry has no coeffs, and gamma_j is a view of its gamma.
-    Every array is read-only, Gamma and coeffs copied first (_frozen), so
-    no caller's array can change them and the decay profile
-    (_decay) is computed once and kept: from coeffs in O(N) when they are
-    there, else by a scan of all of Gamma.  From coeffs it is made of
+    A matrix is given either entry by entry (`gamma`) or by all 2N-1
+    coefficients (`coeffs`), as build_hankel_matrix does, never both.  From
+    coefficients no N x N array is built up front: the analysis reads only
+    `gamma_j`, the leading J x J block (J = numerical_order()), built from
+    coeffs, and `u`, read from coeffs; the full `gamma` is built on first
+    access and kept.  A matrix given entry by entry has no coeffs, and
+    gamma_j is a view of its gamma.  Every array is read-only, Gamma and
+    coeffs copied first (_frozen), so no caller's array can change them and
+    the decay profile (_decay) is computed once and kept: from coeffs in
+    O(N) when they are there, else by a scan of all of Gamma.  From coeffs it is made of
     suffix sums, summed from the tail: the sums the cut compares are about
     eps^4 of the total, and a difference of prefix sums of order 1 would
     cancel them.
     """
 
     def __init__(self, gamma=None, tail: float = 0.0, coeffs=None):
+        if (gamma is None) == (coeffs is None):
+            raise ValueError("give exactly one of gamma and coeffs")
         self.__dict__.update(tail=tail, coeffs=None)
         if coeffs is None:
             g = _frozen(gamma)
@@ -78,8 +79,6 @@ class HankelMatrix:
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
         self.__dict__.update(coeffs=c, order=(c.size + 1) // 2)
-        if gamma is not None and not np.array_equal(gamma, self.gamma, equal_nan=True):
-            raise ValueError("Gamma must be the Hankel matrix of coeffs")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HankelMatrix is read-only: cannot set {name!r}")

@@ -9,8 +9,9 @@ analytic projection back to coefficients is a plain FFT that keeps the band
 0..N-1 and reports the dropped energy.  Polynomials are evaluated at many
 points by a blocked Horner scheme (_horner): one matrix product evaluates
 every block of 16 coefficients, and Horner's scheme in z^16 runs over the
-blocks, so the Python loop is N/16 steps long, not N.  A set of functions,
-the columns of a coefficient matrix, is evaluated, multiplied on the
+blocks, so the Python loop is N/16 steps long, not N.  A family of
+functions, such as a model-space basis, is always an N x d coefficient
+matrix whose column k holds function k; it is evaluated, multiplied on the
 boundary or projected in one pass: one matrix product and one FFT for all
 columns, whatever their number.  _support cuts a
 coefficient vector after its last nonzero entry, so a convolution with a
@@ -45,7 +46,6 @@ __all__ = [
     "sample_on_grid",
     "boundary_to_coefficients",
     "multiply_by_boundary",
-    "basis_matrix",
 ]
 
 
@@ -71,6 +71,14 @@ def _as_coeffs(values) -> np.ndarray:
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     return c
+
+
+def _coefficient_matrix(f) -> np.ndarray:
+    """f as a complex N x d matrix, the one format of a family of functions."""
+    m = np.asarray(f, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"expected an N x d coefficient matrix, got shape {m.shape}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,7 @@ def sample_on_grid(f: HardyVector, m: int | None = None) -> BoundaryGrid:
     """Boundary samples of f via zero-padded inverse FFT."""
     if m is None:
         m = default_grid_size(f.order)
-    return BoundaryGrid(_sample_columns(f.coeffs[:, None], m)[:, 0])
+    return BoundaryGrid(_boundary_samples(f.coeffs[:, None], m)[:, 0])
 
 
 def boundary_to_coefficients(grid: BoundaryGrid, order: int) -> tuple[HardyVector, float]:
@@ -287,33 +295,22 @@ def boundary_to_coefficients(grid: BoundaryGrid, order: int) -> tuple[HardyVecto
     return HardyVector(coeffs[:, 0]), float(residuals[0])
 
 
-def multiply_by_boundary(f, boundary_values: np.ndarray, order: int | None = None):
-    """Project f(z) * g(z) given g's samples on a grid of matching size.
+def multiply_by_boundary(
+    f: np.ndarray, boundary_values: np.ndarray, order: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project f(z) * g(z) for each coefficient column of the N x d matrix f,
+    given g's samples on a grid of matching size.
 
-    f is a HardyVector, giving (HardyVector, dropped l2 norm), or a matrix
-    of coefficient columns, giving the matrix of projected columns and one
-    dropped norm per column from one inverse FFT and one FFT.
+    Returns the matrix of projected columns and one dropped l2 norm per
+    column, from one inverse FFT and one FFT.
     """
     g = np.asarray(boundary_values, dtype=np.complex128)
-    cols = _columns(f)
-    samples = _sample_columns(cols, g.size) * g[:, None]
-    return _as_input(f, *_project(samples, cols.shape[0] if order is None else order))
+    cols = _coefficient_matrix(f)
+    samples = _boundary_samples(cols, g.size) * g[:, None]
+    return _project(samples, cols.shape[0] if order is None else order)
 
 
-def _columns(f) -> np.ndarray:
-    """The coefficient columns of a HardyVector (one) or of a matrix."""
-    return f.coeffs[:, None] if isinstance(f, HardyVector) else np.asarray(f, dtype=np.complex128)
-
-
-def _as_input(f, coeffs: np.ndarray, residuals: np.ndarray):
-    """Projected columns in the form f came in: (HardyVector, float) for a
-    HardyVector, else the coefficient matrix and the residual of each column."""
-    if isinstance(f, HardyVector):
-        return HardyVector(coeffs[:, 0]), float(residuals[0])
-    return coeffs, residuals
-
-
-def _sample_columns(cols: np.ndarray, m: int) -> np.ndarray:
+def _boundary_samples(cols: np.ndarray, m: int) -> np.ndarray:
     """Samples at the m-th roots of unity of each column of cols, by one inverse FFT."""
     if m < cols.shape[0]:
         raise ValueError(f"grid size {m} below truncation order {cols.shape[0]}")
@@ -330,9 +327,3 @@ def _project(samples: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"grid size {m} < 2*order = {2 * order}: projection would alias")
     bins = np.fft.fft(samples, axis=0) / m
     return bins[:order], np.linalg.norm(bins[order:], axis=0)
-
-
-def basis_matrix(vectors) -> np.ndarray:
-    """Stack HardyVectors (or coefficient arrays) as the columns of a matrix."""
-    cols = [v.coeffs if isinstance(v, HardyVector) else np.asarray(v) for v in vectors]
-    return np.column_stack(cols)

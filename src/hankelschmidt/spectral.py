@@ -36,13 +36,13 @@ RANGE_BLOCK = 8  # columns taken by the first range-basis step
 class SchmidtBlock:
     """One singular value with an orthonormal basis of its Schmidt subspace
     (any basis: only its span carries meaning).  The basis is a read-only
-    copy of the input, so no caller's array can change it."""
+    copy of the input, so no caller's array can change it.  A block is
+    reliable exactly when it carries no warnings."""
 
     s: float
     basis: np.ndarray
     spread: float = 0.0
     separation: float = np.inf
-    reliable: bool = True
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -50,6 +50,10 @@ class SchmidtBlock:
         if b.ndim != 2 or b.shape[1] == 0:
             raise ValueError(f"basis must be an N x d matrix with d >= 1, got shape {b.shape}")
         object.__setattr__(self, "basis", b)
+
+    @property
+    def reliable(self) -> bool:
+        return not self.warnings
 
     @property
     def multiplicity(self) -> int:
@@ -184,7 +188,6 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
                 basis=left[:, idx],
                 spread=spread,
                 separation=separation,
-                reliable=not warns,
                 warnings=tuple(warns),
             )
         )

@@ -25,14 +25,7 @@ from .blaschke import (
 )
 from .extraction import ExtractionError, _weighted_model_space, extract_representation
 from .hankel import HankelMatrix, build_hankel_matrix, residuals_from_matrix
-from .hardy import (
-    HardyVector,
-    basis_matrix,
-    default_grid_size,
-    evaluate,
-    grid_points,
-    multiply_by_boundary,
-)
+from .hardy import HardyVector, default_grid_size, evaluate, grid_points, multiply_by_boundary
 from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
 from .symbols import PoleTerm, RationalSymbol
 
@@ -133,11 +126,10 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
     while done < n_blaschke:
         b = random_blaschke(rng)
         try:
-            basis = tm_basis(b, order)
+            v = tm_basis(b, order)
         except ValueError:
             skipped += 1
             continue
-        v = basis_matrix(basis)
         worst_lemma = max(worst_lemma, _lemma_backward_shift_gap(b, v, order))
         hits = 0
         while hits < n_alpha:
@@ -193,13 +185,9 @@ def _frostman_invariance_check(
         shifted, g = frostman_shift(b, alpha, order)
     except ValueError:
         return None
-    iso = 0.0
-    cols = []
-    for h in tm_basis(shifted, order, tail_tol=np.inf):
-        gh = HardyVector(np.convolve(g.coeffs, h.coeffs)[:order])
-        iso = max(iso, abs(gh.norm() - 1.0))
-        cols.append(gh)
-    gap = subspace_gap(v, orthonormalize(basis_matrix(cols)))
+    cols = _weighted_model_space(shifted, g, order, np.inf)
+    iso = max(abs(np.linalg.norm(gh) - 1.0) for gh in cols.T)
+    gap = subspace_gap(v, orthonormalize(cols))
     # B_alpha's phase was read from coefficients; this identity is
     # g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the grid,
     # with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that phase
@@ -308,13 +296,11 @@ def _lemma_change_of_variable_gap(rng: np.random.Generator, order: int) -> float
     alpha = 0.3 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     m = MobiusMap(alpha)
     p = _random_unit_hardy(rng, order, support=8)
-    lhs = np.column_stack([np.convolve(p.coeffs, e.coeffs)[:order] for e in tm_basis(b, order)])
-    mapped, _ = mobius_conjugate_function(lhs, m, order)
+    mapped, _ = mobius_conjugate_function(_weighted_model_space(b, p, order, 1e-10), m, order)
     # p o mu is no longer a polynomial, so this product stays on the boundary
     grid = grid_points(default_grid_size(order))
     pmu_samples = evaluate(p, mobius_eval(m, grid))
-    rhs, _ = multiply_by_boundary(basis_matrix(tm_basis(compose_with_mobius(b, m), order)),
-                                  pmu_samples, order)
+    rhs, _ = multiply_by_boundary(tm_basis(compose_with_mobius(b, m), order), pmu_samples, order)
     return subspace_gap(orthonormalize(mapped), orthonormalize(rhs))
 
 
@@ -408,10 +394,9 @@ def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e
             continue
         n_off_origin += rep.canonicalized_at != 0
         worst_res = max(worst_res, max(rep.residuals.gated().values()))
-        mapped, _ = mobius_conjugate_function(HardyVector(block.basis[:, 0]), m, order)
-        image = orthonormalize(basis_matrix([mapped]))
+        mapped, _ = mobius_conjugate_function(block.basis[:, :1], m, order)
         prods = _weighted_model_space(rep.theta, rep.p, order)
-        gap = subspace_gap(image, orthonormalize(basis_matrix(prods)))
+        gap = subspace_gap(orthonormalize(mapped), orthonormalize(prods))
         worst_gap = max(worst_gap, gap)
         if gap > tol:
             failures.append(f"case {cases}: image gap {gap:.3e}")

@@ -29,7 +29,6 @@ from hankelschmidt.extraction import (
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_apply
 from hankelschmidt.hardy import (
     HardyVector,
-    basis_matrix,
     default_grid_size,
     multiply_by_boundary,
     one,
@@ -54,7 +53,7 @@ BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "hard_cases"
 
 
 def block_from_columns(s, cols):
-    return SchmidtBlock(s=s, basis=orthonormalize(basis_matrix(cols)))
+    return SchmidtBlock(s=s, basis=orthonormalize(np.column_stack([c.coeffs for c in cols])))
 
 
 def rank_one_symbol(a=0.5):
@@ -378,8 +377,8 @@ def test_extract_mobius_branch_consistency_with_mapped_subspace():
     res = verify_representation(gamma_w, block_w, rep)
     assert max(res.gated().values()) < 1e-7
 
-    mapped, _ = mobius_conjugate_function(HardyVector(block0.basis[:, 0]), m, n)
-    gap = subspace_gap(orthonormalize(basis_matrix([mapped])), block_w.basis)
+    mapped, _ = mobius_conjugate_function(block0.basis[:, :1], m, n)
+    gap = subspace_gap(orthonormalize(mapped), block_w.basis)
     assert gap < 1e-7
 
 
@@ -402,10 +401,10 @@ def test_branch_independence_when_projection_moderate():
     def weighted_basis(rep):
         cols = []
         ps = sample_on_grid(rep.p, default_grid_size(n)).samples
-        for e in tm_basis(rep.theta, n):
-            pe, _ = multiply_by_boundary(e, ps, n)
-            cols.append(pe)
-        return orthonormalize(basis_matrix(cols))
+        for e in tm_basis(rep.theta, n).T:
+            pe, _ = multiply_by_boundary(e[:, None], ps, n)
+            cols.append(pe[:, 0])
+        return orthonormalize(np.column_stack(cols))
 
     # the canonical triple does not depend on the base point
     first = reps[0]
@@ -512,8 +511,9 @@ def test_conjugation_closed_form_matches_hankel_product():
         basis = tm_basis(theta, n, tail_tol=1e-8)
         theta_hat = blaschke_coefficients(theta, 2 * n).coeffs
         closed = extraction._conjugated_products(theta, one(n), basis, n, 1e-8)
-        for e, image in zip(basis, closed):
-            worst = max(worst, float(np.linalg.norm(image - hankel_product(theta_hat[1:], e.coeffs))))
+        assert closed.shape == basis.shape
+        for e, image in zip(basis.T, closed.T):
+            worst = max(worst, float(np.linalg.norm(image - hankel_product(theta_hat[1:], e))))
     assert worst < 1e-13
 
 
@@ -523,8 +523,9 @@ def test_conjugated_products_of_degree_one_reuse_the_products():
     p = HardyVector(rng.normal(size=64) + 1j * rng.normal(size=64))
     theta = BlaschkeProduct([0.3 - 0.5j], np.exp(0.7j))
     prods = extraction._weighted_model_space(theta, p, 64)
-    (image,) = extraction._conjugated_products(theta, p, prods, 64, 1e-8)
-    assert np.array_equal(image, -theta.phase * prods[0].coeffs)
+    image = extraction._conjugated_products(theta, p, prods, 64, 1e-8)
+    assert image.shape == (64, 1)
+    assert np.array_equal(image, -theta.phase * prods)
 
 
 def test_action_catches_each_fault_class():

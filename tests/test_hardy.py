@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hankelschmidt.blaschke import MobiusMap, mobius_conjugate_function
 from hankelschmidt.hardy import (
     BoundaryGrid,
     HardyVector,
@@ -134,10 +135,19 @@ def test_batched_boundary_product_matches_each_column_alone():
         product, residuals = multiply_by_boundary(cols, g, order)
         assert product.shape == (order, k) and residuals.shape == (k,)
         for j in range(k):
-            single, residual = multiply_by_boundary(HardyVector(cols[:, j]), g, order)
+            single, residual = multiply_by_boundary(cols[:, j : j + 1], g, order)
+            assert single.shape == (order, 1) and residual.shape == (1,)
             bound = 1e-14 * np.linalg.norm(cols[:, j])
-            assert np.linalg.norm(product[:, j] - single.coeffs) <= bound
-            assert abs(residuals[j] - residual) <= bound
+            assert np.linalg.norm(product[:, j] - single[:, 0]) <= bound
+            assert abs(residuals[j] - residual[0]) <= bound
+
+
+def test_boundary_maps_refuse_a_coefficient_vector():
+    f = np.ones(16, dtype=complex)
+    with pytest.raises(ValueError, match="N x d coefficient matrix"):
+        multiply_by_boundary(f, np.ones(64))
+    with pytest.raises(ValueError, match="N x d coefficient matrix"):
+        mobius_conjugate_function(f, MobiusMap(0.2), 16)
 
 
 def test_boundary_polynomial_exact_recovery():

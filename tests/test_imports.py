@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every
-name it exports is bound in it.
+"""Every name a package module imports is used in that module, every name
+it exports is bound in it, and every private function is used.
 
 An ast scan of src/hankelschmidt/*.py (the package __init__, which imports
 to re-export, excluded): a name bound by `import` or `from ... import` must
@@ -7,7 +7,9 @@ appear as a name in the module's code or in its `__all__`.  Future imports
 are exempt.  Since an `__all__` entry counts as a use, each entry of every
 module's `__all__`, the package __init__ included, must be bound at module
 level by a def, class, assignment or import; a stale entry would otherwise
-pass unnoticed.
+pass unnoticed.  A module-level `def _name` is private to the package, so
+some module of src/hankelschmidt must refer to it, by name or as an
+attribute, outside its own definition; importing it is not a use.
 """
 
 from __future__ import annotations
@@ -92,3 +94,39 @@ def test_scan_flags_a_stale_export():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_binds_every_export(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level `def _name` (dunders aside) that no module refers to
+    outside the definition itself, as "module._name (line L)"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and ref not in own for name, ref in refs):
+                out.append(f"{module}.{node.name} (line {node.lineno})")
+    return out
+
+
+def test_scan_flags_an_unreferenced_private_def():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(n): return _dead(n - 1)\ndef __dunder__(): pass\n",
+        "b": "from a import _dead, _used\nimport a\ndef f(): return a._used()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._dead (line 2)"]
+
+
+def test_every_private_function_is_used():
+    sources = {path.stem: path.read_text() for path in ALL_MODULES}
+    assert unreferenced_private_defs(sources) == []

@@ -99,6 +99,14 @@ def test_false_merge_is_flagged():
     assert not blocks[0].reliable
 
 
+def test_reliable_is_read_from_the_warnings():
+    basis = np.eye(4, 1)
+    assert SchmidtBlock(s=1.0, basis=basis).reliable
+    assert not SchmidtBlock(s=1.0, basis=basis, warnings=("ill-separated",)).reliable
+    with pytest.raises(TypeError):
+        SchmidtBlock(s=1.0, basis=basis, reliable=False)
+
+
 def test_separation_is_on_the_singular_value_scale():
     # diag(2, 1): the gap is 1 in s, where on s^2 it would be 3
     h = HankelMatrix(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex))
