@@ -16,19 +16,7 @@ from .blaschke import (
     mobius_conjugate_symbol,
     tm_basis,
 )
-from .hardy import (
-    BoundaryGrid,
-    HardyVector,
-    boundary_to_coefficients,
-    coshift,
-    evaluate,
-    inner_product,
-    one,
-    sample_on_grid,
-    shift,
-    szego_kernel,
-    unit,
-)
+from .hardy import evaluate
 from .hankel import HankelMatrix, build_hankel_matrix, hankel_apply
 from .extraction import (
     ExtractionError,
@@ -50,7 +38,6 @@ from .symbols import (
     kronecker_rank_bound,
     parse_symbol,
     symbol_from_coefficients,
-    symbol_from_inner,
     symbol_to_dict,
     tail_bound,
 )

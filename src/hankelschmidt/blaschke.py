@@ -30,18 +30,15 @@ import numpy as np
 import scipy.linalg
 
 from .hardy import (
-    BoundaryGrid,
-    HardyVector,
     _coefficient_matrix,
     _frozen,
     _horner,
     _lead_rotation,
     _project,
-    boundary_to_coefficients,
     default_grid_size,
     grid_points,
-    one,
 )
+from .symbols import evaluate_symbol
 
 __all__ = [
     "BlaschkeProduct",
@@ -163,12 +160,12 @@ def _polynomials(b: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     return polys
 
 
-def blaschke_coefficients(b: BlaschkeProduct, order: int) -> HardyVector:
+def blaschke_coefficients(b: BlaschkeProduct, order: int) -> np.ndarray:
     """Exact Taylor coefficients of B via polynomial long division, computed
-    once per order and kept on B."""
+    once per order and kept read-only on B."""
     coeffs = b._kept.get(("taylor", order))
     if coeffs is None:
-        coeffs = b._kept["taylor", order] = HardyVector(_series_div(*_polynomials(b), order))
+        coeffs = b._kept["taylor", order] = _frozen(_series_div(*_polynomials(b), order))
     return coeffs
 
 
@@ -203,7 +200,7 @@ def _canonical(key: bytes) -> BlaschkeProduct:
     it stays among the CANONICAL_CACHE_SIZE most recently used."""
     zeros = np.frombuffer(key, dtype=np.complex128)
     raw = BlaschkeProduct(zeros, 1.0)
-    c = blaschke_coefficients(raw, zeros.size + 1).coeffs
+    c = blaschke_coefficients(raw, zeros.size + 1)
     return BlaschkeProduct(zeros, _lead_rotation(c, 1e-12))
 
 
@@ -275,7 +272,7 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndar
 
 def frostman_shift(
     b: BlaschkeProduct, alpha: complex, order: int
-) -> tuple[BlaschkeProduct, HardyVector]:
+) -> tuple[BlaschkeProduct, np.ndarray]:
     """Frostman shift of an inner function.
 
     Returns (B_alpha, g_alpha) with
@@ -316,8 +313,10 @@ def frostman_shift(
     dev /= (1 - abs(alpha)) * (np.sum(np.abs(num)) + np.sum(np.abs(den)))
     if dev > 1e-9:
         raise ValueError(f"Frostman shift deviates from its coefficients by {dev:.3e} (relative)")
-    g = one(order).coeffs - np.conj(alpha) * blaschke_coefficients(b, order).coeffs
-    return BlaschkeProduct(roots, phase), HardyVector(g / np.sqrt(1 - abs(alpha) ** 2))
+    g = np.zeros(order, dtype=np.complex128)
+    g[0] = 1.0
+    g -= np.conj(alpha) * blaschke_coefficients(b, order)
+    return BlaschkeProduct(roots, phase), g / np.sqrt(1 - abs(alpha) ** 2)
 
 
 def _stable_roots(poly_ascending: np.ndarray) -> np.ndarray:
@@ -362,21 +361,18 @@ def mobius_conjugate_function(
     return _project(samples, order)
 
 
-def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[HardyVector, float]:
+def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[np.ndarray, float]:
     """Symbol of the conjugated Hankel operator: w = -S*((S u) o mu).
 
     Returns the first `order` Taylor coefficients of w together with the
     projection residual.  The input may be any rational symbol; evaluation on
     the boundary is exact.
     """
-    from .symbols import evaluate_symbol
-
-    grid = default_grid_size(order + 1)
-    z = grid_points(grid)
+    z = grid_points(default_grid_size(order + 1))
     w = mobius_eval(m, z)
     samples = w * evaluate_symbol(sym, w)
-    g, residual = boundary_to_coefficients(BoundaryGrid(samples), order + 1)
-    return HardyVector(-g.coeffs[1:]), residual
+    g, residual = _project(samples[:, None], order + 1)
+    return -g[1:, 0], float(residual[0])
 
 
 def compose_with_mobius(b: BlaschkeProduct, m: MobiusMap) -> BlaschkeProduct:

@@ -105,7 +105,7 @@ def _cmd_conjugate(args) -> int:
         "alpha": complex_pair(alpha),
         "order": args.n,
         "projection_residual": float(residual),
-        "coefficients": [complex_pair(c) for c in w.coeffs],
+        "coefficients": [complex_pair(c) for c in w],
     }
     _emit(report, args.out)
     return 0
@@ -122,7 +122,7 @@ def _cmd_frostman(args) -> int:
             "zeros": [complex_pair(z) for z in shifted.zeros],
             "phase": complex_pair(shifted.phase),
         },
-        "multiplier_coefficients": [complex_pair(c) for c in g.coeffs],
+        "multiplier_coefficients": [complex_pair(c) for c in g],
     }
     _emit(report, args.out)
     return 0

@@ -50,14 +50,7 @@ from .blaschke import (
     frostman_shift,
     tm_basis,
 )
-from .hardy import (
-    HardyVector,
-    _horner,
-    _lead_rotation,
-    _support,
-    default_grid_size,
-    grid_points,
-)
+from .hardy import _frozen, _horner, _lead_rotation, _support, default_grid_size, grid_points
 from .hankel import HankelMatrix, hankel_apply
 from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
 
@@ -92,11 +85,12 @@ class ExtractionError(RuntimeError):
 class Representation:
     """The triple (p, theta, phi) with E(s) = p K_theta, theta(0) = 0.
 
+    p is the read-only array of the multiplier's Taylor coefficients.
     `residuals` is the verify_representation report that
     extract_representation gated on; None for a hand-built triple.
     """
 
-    p: HardyVector
+    p: np.ndarray
     theta: BlaschkeProduct
     phi: float
     canonicalized_at: complex = 0.0 + 0.0j
@@ -133,14 +127,14 @@ class RepresentationResiduals:
         return out
 
 
-def extremal_projection(block: SchmidtBlock) -> tuple[HardyVector, float]:
+def extremal_projection(block: SchmidtBlock) -> tuple[np.ndarray, float]:
     """Orthogonal projection of the constant function onto the block.
 
     With theta(0) = 0 this equals conj(p(0)) p, so its norm is |p(0)|; at
     or below DIRECT_BRANCH_THRESHOLD extraction moves off the origin.
     """
     q = block.basis @ np.conj(block.basis[0, :])
-    return HardyVector(q), float(np.linalg.norm(q))
+    return q, float(np.linalg.norm(q))
 
 
 def base_point_select(block: SchmidtBlock) -> complex:
@@ -172,7 +166,7 @@ def base_point_select(block: SchmidtBlock) -> complex:
 
 
 def recover_theta(
-    p: HardyVector, hq: HardyVector, s: float, d: int, alpha: complex
+    p: np.ndarray, hq: np.ndarray, s: float, d: int, alpha: complex
 ) -> tuple[BlaschkeProduct, float, float]:
     """Recover theta (theta(alpha) = 0, degree d) and phi from p and H q, q = p k^_alpha.
 
@@ -198,19 +192,19 @@ def recover_theta(
         raise ValueError("theta degree must be at least 1")
     if s <= 0:
         raise ValueError("singular value must be positive")
-    n = p.order
-    nrm = hq.norm()
+    n = p.size
+    nrm = float(np.linalg.norm(hq))
     if abs(nrm - s) > 0.01 * s:
         raise ExtractionError(
             f"inconsistent data: ||H q|| = {nrm:.6g} but s = {s:.6g}; "
             "the input is not a unit vector of this block"
         )
-    rhs = hq.coeffs / s
+    rhs = hq / s
     width = 2 * d + 1
-    rows = min(n, max(_support(p.coeffs).size + d, _support(rhs).size + d, width))
+    rows = min(n, max(_support(p).size + d, _support(rhs).size + d, width))
     cols = np.zeros((rows, width), dtype=np.complex128)
     for j in range(d):
-        cols[j:, j] = p.coeffs[: rows - j]
+        cols[j:, j] = p[: rows - j]
     for j in range(d + 1):
         cols[j:, d + j] = -rhs[: rows - j]
     _, _, vh = np.linalg.svd(cols, full_matrices=rows < width)
@@ -327,7 +321,7 @@ def extract_representation(
 
 def _extract_at(
     gamma: HankelMatrix, block: SchmidtBlock, alpha: complex
-) -> tuple[HardyVector, BlaschkeProduct, float]:
+) -> tuple[np.ndarray, BlaschkeProduct, float]:
     """(p, theta, phi) for the representative with theta(alpha) = 0.
 
     q is the normalized projection of the unit kernel k^_alpha onto the
@@ -346,14 +340,14 @@ def _extract_at(
     q = q / nq
     p = q.copy()
     p[1:] -= np.conj(alpha) * q[:-1]
-    p = HardyVector(p / r)
+    p /= r
     theta, phi, _ = recover_theta(p, hankel_apply(gamma, q), block.s, block.multiplicity, alpha)
     return p, theta, phi
 
 
 def _canonicalize(
-    p: HardyVector, theta: BlaschkeProduct, phi: float
-) -> tuple[HardyVector, BlaschkeProduct, float]:
+    p: np.ndarray, theta: BlaschkeProduct, phi: float
+) -> tuple[np.ndarray, BlaschkeProduct, float]:
     """Normalize to theta(0) = 0 (Frostman shift, flipping the phase sign),
     canonical theta phase, p(0) >= 0, phi in (-pi, pi].
 
@@ -364,19 +358,18 @@ def _canonicalize(
     first n coefficients is exact, and so is reading p only up to its last
     nonzero coefficient.
     """
-    n = p.order
+    n = p.size
     t0 = complex(blaschke_eval(theta, 0.0))
     if abs(t0) > 1e-10:
         shifted, g = frostman_shift(theta, t0, n)
-        p = HardyVector(np.convolve(_support(p.coeffs), g.coeffs)[:n])
+        p = np.convolve(_support(p), g)[:n]
         canon = canonical_blaschke(shifted.zeros)
         phi = phi + math.pi - np.angle(canon.phase / shifted.phase)
         theta = canon
 
-    rot = _lead_rotation(p.coeffs, 1e-8)
-    p = HardyVector(p.coeffs * rot)
+    rot = _lead_rotation(p, 1e-8)
     phi = phi - 2 * np.angle(rot)
-    return p, theta, _wrap_phase(phi)
+    return _frozen(p * rot), theta, _wrap_phase(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +417,16 @@ def verify_representation(
     action = 0.0
     images = _conjugated_products(rep.theta, rep.p, prods, n, model_tail_tol)
     for pe, pce in zip(prods.T, images.T):
-        lhs = hankel_apply(gamma, pe).coeffs
+        lhs = hankel_apply(gamma, pe)
         action = max(action, float(np.linalg.norm(lhs - s * phase * pce)) / s)
 
     near_dist, near_u = _near_invariance(block, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
     # coefficient k <= n of p theta reads theta_hat only up to k
     u_s = block.basis @ (block.basis.conj().T @ u)
-    theta_hat = blaschke_coefficients(rep.theta, n + 1).coeffs
-    p_theta_over_z = np.convolve(_support(rep.p.coeffs), theta_hat)[1 : n + 1]
-    u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p.coeffs[0] * p_theta_over_z))
+    theta_hat = blaschke_coefficients(rep.theta, n + 1)
+    p_theta_over_z = np.convolve(_support(rep.p), theta_hat)[1 : n + 1]
+    u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p[0] * p_theta_over_z))
     return RepresentationResiduals(
         subspace_gap=gap,
         isometry=iso,
@@ -441,17 +434,17 @@ def verify_representation(
         near_invariance=near_dist,
         near_invariance_u=near_u,
         u_s_cross=u_s_cross,
-        p_origin=float(abs(rep.p.coeffs[0])),
+        p_origin=float(abs(rep.p[0])),
     )
 
 
 def _weighted_model_space(
-    theta: BlaschkeProduct, p: HardyVector, n: int, model_tail_tol: float = 1e-8
+    theta: BlaschkeProduct, p: np.ndarray, n: int, model_tail_tol: float = 1e-8
 ) -> np.ndarray:
     """The n x d matrix of p e_k over the Takenaka-Malmquist basis e_k of
     K_theta (tm_basis at order n and model_tail_tol): column k is the
     truncated convolution of e_k with p up to its last nonzero coefficient."""
-    c = _support(p.coeffs)
+    c = _support(p)
     basis = tm_basis(theta, n, tail_tol=model_tail_tol)
     out = np.empty(basis.shape, dtype=np.complex128)
     for k, e in enumerate(basis.T):
@@ -461,7 +454,7 @@ def _weighted_model_space(
 
 def _conjugated_products(
     theta: BlaschkeProduct,
-    p: HardyVector,
+    p: np.ndarray,
     prods: np.ndarray,
     n: int,
     model_tail_tol: float,

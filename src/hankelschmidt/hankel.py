@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .hardy import HardyVector, _frozen, hardy
+from .hardy import _frozen
 from .symbols import _as_symbol, fourier_coefficients, tail_bound
 
 __all__ = [
@@ -171,7 +171,7 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
     sqrt(float max), where the squares of Gamma's singular values overflow.
     """
     sym = _as_symbol(sym)
-    u = fourier_coefficients(sym, 2 * order - 1).coeffs
+    u = fourier_coefficients(sym, 2 * order - 1)
     h = HankelMatrix(tail=tail_bound(sym, order), coeffs=u)
     if not order * h.largest_entry < _SQRT_MAX:
         raise ValueError(
@@ -181,8 +181,9 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
     return h
 
 
-def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
-    """Anti-linear action f -> Gamma_J @ conj(f), J = h.numerical_order().
+def hankel_apply(h: HankelMatrix, f: np.ndarray) -> np.ndarray:
+    """Anti-linear action f -> Gamma_J @ conj(f), J = h.numerical_order(),
+    on a coefficient vector f of length N; any other shape is refused.
 
     Gamma_J is Gamma with the entries outside its leading J x J block set to
     zero, the block the SVD in spectral factors: only f[:J] is read, rows
@@ -195,13 +196,13 @@ def hankel_apply(h: HankelMatrix, f: HardyVector) -> HardyVector:
     from a full scan, so noisy or fault-injected entries give J = N and
     the full product.
     """
-    f = hardy(f)
-    if f.order != h.order:
-        raise ValueError(f"order mismatch: matrix {h.order}, vector {f.order}")
+    f = np.asarray(f)
+    if f.shape != (h.order,):
+        raise ValueError(f"order mismatch: matrix {h.order}, vector of shape {f.shape}")
     j = h.numerical_order()
     out = np.zeros(h.order, dtype=np.complex128)
-    out[:j] = h.gamma_j @ np.conj(f.coeffs[:j])
-    return HardyVector(out)
+    out[:j] = h.gamma_j @ np.conj(f[:j])
+    return out
 
 
 @dataclass(frozen=True)

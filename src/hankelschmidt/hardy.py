@@ -1,56 +1,38 @@
 """Truncated Hardy-space arithmetic on the unit disk.
 
-Elements of H^2 are represented by their first N Taylor coefficients.
-Products of analytic functions are truncated convolutions, so they do not
-need the boundary.  Boundary values, for functions that really are
-evaluated on the circle, live on equispaced grids
-e^{2*pi*i*k/M}, built once per size and shared read-only (grid_points); the
-analytic projection back to coefficients is a plain FFT that keeps the band
-0..N-1 and reports the dropped energy.  Polynomials are evaluated at many
-points by a blocked Horner scheme (_horner): one matrix product evaluates
-every block of 16 coefficients, and Horner's scheme in z^16 runs over the
-blocks, so the Python loop is N/16 steps long, not N.  A family of
-functions, such as a model-space basis, is always an N x d coefficient
-matrix whose column k holds function k; it is evaluated, multiplied on the
-boundary or projected in one pass: one matrix product and one FFT for all
-columns, whatever their number.  _support cuts a
-coefficient vector after its last nonzero entry, so a convolution with a
-vector that is exactly zero past order m costs O(N m), not O(N^2).
-_lead_rotation is the package's one rule for fixing a vector's unimodular
-constant, and _frozen its one rule for the arrays a value object keeps.
+A function in H^2 is a 1-D complex array of its first N Taylor
+coefficients, and a family of functions, such as a model-space basis, is
+an N x d coefficient matrix whose column k holds function k.  An array
+that a value object or a cache keeps is a read-only copy (_frozen, the
+package's one read-only rule); a fresh result is a plain array.  Products
+of analytic functions are truncated convolutions, so they do not need the
+boundary; _support cuts a coefficient vector after its last nonzero
+entry, so a convolution with a vector that is exactly zero past order m
+costs O(N m), not O(N^2).  Boundary values, for functions that really are
+evaluated on the circle, live on equispaced grids e^{2*pi*i*k/M}, built
+once per size and shared read-only (grid_points).  A family is sampled
+(_boundary_samples), multiplied on the boundary (multiply_by_boundary) or
+projected back to coefficients (_project, which keeps the band 0..N-1 and
+reports the dropped energy) in one pass: one FFT for all columns,
+whatever their number.  Polynomials are evaluated at many points by a
+blocked Horner scheme (_horner): one matrix product evaluates every block
+of 16 coefficients, and Horner's scheme in z^16 runs over the blocks, so
+the Python loop is N/16 steps long, not N.  _lead_rotation is the
+package's one rule for fixing a vector's unimodular constant.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HardyVector",
-    "BoundaryGrid",
-    "TruncationWarning",
-    "hardy",
-    "one",
-    "unit",
-    "szego_kernel",
-    "inner_product",
-    "shift",
-    "coshift",
     "evaluate",
     "grid_points",
     "default_grid_size",
-    "sample_on_grid",
-    "boundary_to_coefficients",
     "multiply_by_boundary",
 ]
-
-
-class TruncationWarning(UserWarning):
-    """Emitted when a shift pushes a nonzero coefficient past the truncation order."""
 
 
 def _frozen(x) -> np.ndarray:
@@ -62,10 +44,8 @@ def _frozen(x) -> np.ndarray:
     return a
 
 
-def _as_coeffs(values) -> np.ndarray:
-    c = _frozen(values)
-    if c.ndim != 1:
-        raise ValueError(f"coefficient array must be 1-D, got shape {c.shape}")
+def _as_coeffs(c: np.ndarray) -> np.ndarray:
+    """c itself, once it is checked to be nonempty and finite."""
     if c.size == 0:
         raise ValueError("coefficient array must be nonempty")
     if not np.isfinite(c).all():
@@ -79,44 +59,6 @@ def _coefficient_matrix(f) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected an N x d coefficient matrix, got shape {m.shape}")
     return m
-
-
-@dataclass(frozen=True)
-class HardyVector:
-    """Order-N truncation of an H^2 element, stored by Taylor coefficients.
-
-    The coefficients are a read-only copy of the input (_frozen), so no
-    caller's array can change them.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        """The l2 norm, by numpy's own formula for a complex vector."""
-        re, im = self.coeffs.real, self.coeffs.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-
-    def padded(self, order: int) -> np.ndarray:
-        """Coefficients zero-padded (never truncated) to the requested order."""
-        if order < self.order:
-            raise ValueError(f"cannot pad order {self.order} down to {order}")
-        out = np.zeros(order, dtype=np.complex128)
-        out[: self.order] = self.coeffs
-        return out
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-
-def hardy(values) -> HardyVector:
-    return values if isinstance(values, HardyVector) else HardyVector(values)
 
 
 def _support(c: np.ndarray) -> np.ndarray:
@@ -136,66 +78,12 @@ def _lead_rotation(c: np.ndarray, rel: float):
     return np.conj(c[idx[0]]) / abs(c[idx[0]]) if idx.size else 1.0
 
 
-def one(order: int) -> HardyVector:
-    """The constant function 1 at the given truncation order."""
-    return unit(0, order)
-
-
-def unit(n: int, order: int) -> HardyVector:
-    """The monomial z^n at the given truncation order."""
-    if not 0 <= n < order:
-        raise ValueError(f"monomial degree {n} outside truncation order {order}")
-    c = np.zeros(order, dtype=np.complex128)
-    c[n] = 1.0
-    return HardyVector(c)
-
-
-def szego_kernel(a: complex, order: int) -> HardyVector:
-    """Truncated reproducing kernel k_a(z) = 1/(1 - conj(a) z), |a| < 1."""
-    a = complex(a)
-    if not abs(a) < 1:
-        raise ValueError(f"kernel point must lie in the open disk, got |a| = {abs(a)}")
-    return HardyVector(np.conj(a) ** np.arange(order))
-
-
-def inner_product(f: HardyVector, g: HardyVector) -> complex:
-    """Hermitian inner product sum_n f_n conj(g_n); shorter input is zero-padded."""
-    n = max(f.order, g.order)
-    return complex(np.vdot(g.padded(n), f.padded(n)))
-
-
-def shift(f: HardyVector) -> HardyVector:
-    """Multiplication by z: prepend a zero, dropping the top coefficient.
-
-    A nonzero dropped coefficient is reported as a TruncationWarning; callers
-    comparing interior blocks may safely ignore it.
-    """
-    lost = abs(f.coeffs[-1])
-    scale = max(f.norm(), 1.0)
-    if lost > 1e-12 * scale:
-        warnings.warn(
-            f"shift dropped coefficient of magnitude {lost:.3e}", TruncationWarning, stacklevel=2
-        )
-    out = np.empty_like(f.coeffs)
-    out[0] = 0.0
-    out[1:] = f.coeffs[:-1]
-    return HardyVector(out)
-
-
-def coshift(f: HardyVector) -> HardyVector:
-    """Adjoint shift S*: drop the constant term, append a zero."""
-    out = np.empty_like(f.coeffs)
-    out[:-1] = f.coeffs[1:]
-    out[-1] = 0.0
-    return HardyVector(out)
-
-
-def evaluate(f: HardyVector, z) -> complex | np.ndarray:
-    """Evaluate the truncated Taylor series by Horner's scheme; requires |z| <= 1."""
+def evaluate(f: np.ndarray, z) -> complex | np.ndarray:
+    """Evaluate the truncated Taylor series f by Horner's scheme; requires |z| <= 1."""
     zs = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zs) > 1 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disk")
-    acc = _horner(f.coeffs, zs)
+    acc = _horner(np.asarray(f), zs)
     return complex(acc) if np.isscalar(z) or zs.ndim == 0 else acc
 
 
@@ -241,23 +129,6 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 # boundary grids
 
 
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Samples of a function at the M-th roots of unity, M a power of two."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = _frozen(self.samples)
-        if s.ndim != 1 or s.size < 2 or (s.size & (s.size - 1)) != 0:
-            raise ValueError("samples must be a 1-D array of power-of-two length >= 2")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
-
-
 def default_grid_size(order: int) -> int:
     """Power-of-two grid size >= 4*order: Nyquist for the order, oversampled 2x.
 
@@ -276,23 +147,6 @@ def grid_points(m: int) -> np.ndarray:
     z = np.exp(2j * np.pi * np.arange(m) / m)
     z.setflags(write=False)
     return z
-
-
-def sample_on_grid(f: HardyVector, m: int | None = None) -> BoundaryGrid:
-    """Boundary samples of f via zero-padded inverse FFT."""
-    if m is None:
-        m = default_grid_size(f.order)
-    return BoundaryGrid(_boundary_samples(f.coeffs[:, None], m)[:, 0])
-
-
-def boundary_to_coefficients(grid: BoundaryGrid, order: int) -> tuple[HardyVector, float]:
-    """Analytic projection of boundary samples onto coefficients 0..order-1.
-
-    Returns the projected HardyVector together with the l2 norm of the
-    discarded bins (negative frequencies and the positive tail alike).
-    """
-    coeffs, residuals = _project(grid.samples[:, None], order)
-    return HardyVector(coeffs[:, 0]), float(residuals[0])
 
 
 def multiply_by_boundary(

@@ -71,7 +71,7 @@ def _vector_pairs(coeffs: np.ndarray) -> list[list[float]]:
 
 def _representation_entry(rep: Representation) -> dict:
     return {
-        "p": _vector_pairs(rep.p.coeffs),
+        "p": _vector_pairs(rep.p),
         "theta": {
             "zeros": [complex_pair(z) for z in rep.theta.zeros],
             "phase": complex_pair(rep.theta.phase),
@@ -102,7 +102,6 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     block_entries = []
     warnings: list[str] = []
     all_pass = True
-    any_unreliable = False
     for block in blocks:
         entry = {
             "s": float(block.s),
@@ -125,7 +124,6 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
         if not entry["pass"]:
             all_pass = False
         if not entry["reliable"]:
-            any_unreliable = True
             warnings.extend(f"s = {block.s:.6g}: {w}" for w in block.warnings)
         block_entries.append(entry)
 

@@ -25,7 +25,7 @@ from .blaschke import (
 )
 from .extraction import ExtractionError, _weighted_model_space, extract_representation
 from .hankel import HankelMatrix, build_hankel_matrix, residuals_from_matrix
-from .hardy import HardyVector, default_grid_size, evaluate, grid_points, multiply_by_boundary
+from .hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
 from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
 from .symbols import PoleTerm, RationalSymbol
 
@@ -65,11 +65,11 @@ def random_symbol(rng: np.random.Generator, max_poles: int = 4,
     return RationalSymbol(poles=poles)
 
 
-def _random_unit_hardy(rng: np.random.Generator, order: int, support: int | None = None) -> HardyVector:
+def _random_unit_vector(rng: np.random.Generator, order: int, support: int | None = None) -> np.ndarray:
     n = order if support is None else min(support, order)
     c = np.zeros(order, dtype=np.complex128)
     c[:n] = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return HardyVector(c / np.linalg.norm(c))
+    return c / np.linalg.norm(c)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def _lemma_backward_shift_gap(b: BlaschkeProduct, v: np.ndarray, order: int) -> 
         shifted = np.vstack([w[1:, :], np.zeros((1, w.shape[1]))])
         lhs = orthonormalize(shifted)
     s_theta = np.zeros(order, dtype=np.complex128)
-    theta_c = blaschke_coefficients(b, order + 1).coeffs
+    theta_c = blaschke_coefficients(b, order + 1)
     s_theta[:order] = theta_c[1:]
     c = v.conj().T @ s_theta
     rhs_null = _nullspace_of_row(c[None, :].conj())
@@ -229,9 +229,9 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
         m = MobiusMap(alpha)
         w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
         # truncation allowance for this draw, from the exact pole images
-        tail_w = _conjugated_tail_estimate(sym, m, w.coeffs)
+        tail_w = _conjugated_tail_estimate(sym, m, w)
         gamma_u = build_hankel_matrix(sym, order)
-        gamma_w = build_hankel_matrix(w.coeffs, order)
+        gamma_w = build_hankel_matrix(w, order)
         blocks_u = schmidt_decompose(gamma_u)
         blocks_w = schmidt_decompose(gamma_w)
         sig_u, sig_w = blocks_u.singular_values, blocks_w.singular_values
@@ -261,8 +261,8 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
                 ok = ok and gap <= 1e-6 + 100 * tail_w
 
         u_exact = gamma_u.u
-        w2, _ = mobius_conjugate_symbol(RationalSymbol(poly=w.coeffs), m, order)
-        double = float(np.linalg.norm(w2.coeffs - u_exact))
+        w2, _ = mobius_conjugate_symbol(RationalSymbol(poly=w), m, order)
+        double = float(np.linalg.norm(w2 - u_exact))
         worst_double = max(worst_double, double)
         ok = ok and double <= 1e-8 + 10 * tail_w
 
@@ -295,7 +295,7 @@ def _lemma_change_of_variable_gap(rng: np.random.Generator, order: int) -> float
     b = random_blaschke(rng, max_degree=4, max_radius=0.5)
     alpha = 0.3 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     m = MobiusMap(alpha)
-    p = _random_unit_hardy(rng, order, support=8)
+    p = _random_unit_vector(rng, order, support=8)
     mapped, _ = mobius_conjugate_function(_weighted_model_space(b, p, order, 1e-10), m, order)
     # p o mu is no longer a polynomial, so this product stays on the boundary
     grid = grid_points(default_grid_size(order))
@@ -380,7 +380,7 @@ def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e
         cases += 1
         m = MobiusMap(zstar)
         w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
-        gamma_w = build_hankel_matrix(w.coeffs, order)
+        gamma_w = build_hankel_matrix(w, order)
         blocks_w = [bw for bw in schmidt_decompose(gamma_w)
                     if abs(bw.s - block.s) < 1e-3 * max(block.s, 1.0)]
         if len(blocks_w) != 1:

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_coefficients
-from .hardy import HardyVector, _horner
+from .hardy import _as_coeffs, _frozen, _horner
 
 __all__ = [
     "PoleTerm",
@@ -23,7 +22,6 @@ __all__ = [
     "evaluate_symbol",
     "tail_bound",
     "kronecker_rank_bound",
-    "symbol_from_inner",
     "symbol_from_coefficients",
     "parse_symbol",
     "symbol_to_dict",
@@ -71,20 +69,18 @@ class RationalSymbol:
     poles: tuple[PoleTerm, ...] = ()
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.poly, dtype=np.complex128))
+        p = _frozen(self.poly)
         if p.ndim != 1:
             raise SymbolFormatError("polynomial part must be a 1-D coefficient list")
         if not np.all(np.isfinite(p.real)) or not np.all(np.isfinite(p.imag)):
             raise SymbolFormatError("polynomial coefficients must be finite")
         object.__setattr__(self, "poly", p)
         object.__setattr__(self, "poles", tuple(self.poles))
-        self.poly.setflags(write=False)
 
 
 def symbol_from_coefficients(coeffs) -> RationalSymbol:
     """Treat a raw coefficient list as a polynomial symbol."""
-    c = coeffs.coeffs if isinstance(coeffs, HardyVector) else coeffs
-    return RationalSymbol(poly=np.asarray(c, dtype=np.complex128))
+    return RationalSymbol(poly=coeffs)
 
 
 def _as_symbol(sym) -> RationalSymbol:
@@ -103,10 +99,10 @@ def _binomial_weights(n: np.ndarray, m: int) -> np.ndarray:
     return (n + 1) * (n + 2) * (n + 3) / 6.0
 
 
-def fourier_coefficients(sym: RationalSymbol, order: int) -> HardyVector:
+def fourier_coefficients(sym: RationalSymbol, order: int) -> np.ndarray:
     """Exact Taylor coefficients u_hat(0) .. u_hat(order-1).
 
-    Coefficients that overflow are refused by HardyVector as non-finite,
+    Coefficients that overflow are refused by _as_coeffs as non-finite,
     so the overflow itself raises no numpy warning.
     """
     n = np.arange(order)
@@ -116,7 +112,7 @@ def fourier_coefficients(sym: RationalSymbol, order: int) -> HardyVector:
     with np.errstate(over="ignore", invalid="ignore"):
         for term in sym.poles:
             out += term.c * _binomial_weights(n, term.m) * np.conj(term.b) ** n
-    return HardyVector(out)
+    return _as_coeffs(out)
 
 
 def evaluate_symbol(sym: RationalSymbol, z) -> np.ndarray | complex:
@@ -179,69 +175,6 @@ def kronecker_rank_bound(sym: RationalSymbol) -> int:
     nz = np.flatnonzero(sym.poly)
     poly_part = int(nz[-1] + 1) if nz.size else 0
     return poly_part + sum(t.m for t in sym.poles)
-
-
-# ---------------------------------------------------------------------------
-# symbols derived from inner functions
-
-
-def symbol_from_inner(b: BlaschkeProduct, order: int = 64) -> RationalSymbol:
-    """Rational form of u = S* B for a finite Blaschke product B.
-
-    The poles sit at the nonzero zeros of B (b-parameters coincide); the
-    polynomial part absorbs anything left over (e.g. B = z^d gives the pure
-    monomial z^{d-1}).  `order` controls the length of the exact series used
-    for the coefficient fit and its self-check.
-    """
-    d = b.degree
-    if d == 0:
-        return RationalSymbol()
-    rows = max(order, 4 * d + 16)
-    series = blaschke_coefficients(b, rows + 1).coeffs
-    target = series[1:]
-
-    pole_params: list[tuple[complex, int]] = []
-    for a in b.zeros:
-        if a == 0:
-            continue
-        for i, (bp, mp) in enumerate(pole_params):
-            if abs(bp - a) < 1e-13:
-                pole_params[i] = (bp, mp + 1)
-                break
-        else:
-            pole_params.append((complex(a), 1))
-    for bp, mp in pole_params:
-        if mp > MAX_MULTIPLICITY:
-            raise SymbolFormatError(
-                f"inner function has a zero of multiplicity {mp} > {MAX_MULTIPLICITY}"
-            )
-
-    n_pole_cols = sum(mp for _, mp in pole_params)
-    n_poly_cols = d - n_pole_cols
-    n = np.arange(rows)
-    cols = []
-    for j in range(n_poly_cols):
-        col = np.zeros(rows, dtype=np.complex128)
-        col[j] = 1.0
-        cols.append(col)
-    layout: list[tuple[complex, int]] = []
-    for bp, mp in pole_params:
-        for i in range(1, mp + 1):
-            cols.append(_binomial_weights(n, i) * np.conj(bp) ** n)
-            layout.append((bp, i))
-    a_mat = np.column_stack(cols)
-    coeffs, *_ = np.linalg.lstsq(a_mat, target, rcond=None)
-    resid = float(np.linalg.norm(a_mat @ coeffs - target))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(target))):
-        raise ValueError(f"rational fit of the shifted inner function failed, residual {resid:.3e}")
-
-    poly = coeffs[:n_poly_cols] if n_poly_cols else np.zeros(1, dtype=np.complex128)
-    poles = tuple(
-        PoleTerm(b=bp, m=i, c=complex(coeffs[n_poly_cols + j]))
-        for j, (bp, i) in enumerate(layout)
-        if abs(coeffs[n_poly_cols + j]) > 1e-13
-    )
-    return RationalSymbol(poly=np.asarray(poly, dtype=np.complex128), poles=poles)
 
 
 # ---------------------------------------------------------------------------

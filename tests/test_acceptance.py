@@ -11,14 +11,7 @@ import numpy as np
 from hankelschmidt.blaschke import BlaschkeProduct, tm_basis
 from hankelschmidt.cli import main
 from hankelschmidt.hankel import build_hankel_matrix
-from hankelschmidt.hardy import (
-    HardyVector,
-    default_grid_size,
-    evaluate,
-    multiply_by_boundary,
-    sample_on_grid,
-    szego_kernel,
-)
+from hankelschmidt.hardy import default_grid_size, evaluate, multiply_by_boundary
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import orthonormalize, subspace_gap
 from hankelschmidt.suites import (
@@ -29,7 +22,8 @@ from hankelschmidt.suites import (
     suite_model_spaces,
     suite_theorem,
 )
-from hankelschmidt.symbols import PoleTerm, RationalSymbol, symbol_from_inner
+from hankelschmidt.symbols import PoleTerm, RationalSymbol
+from oracles import boundary_samples, symbol_from_inner, szego_kernel
 
 N = 128
 
@@ -50,7 +44,7 @@ def _weighted_basis_from_report(block_entry: dict, order: int) -> np.ndarray:
     zeros = np.array([complex(re, im) for re, im in rep["theta"]["zeros"]])
     phase = complex(*rep["theta"]["phase"])
     theta = BlaschkeProduct(zeros, phase)
-    p_samples = sample_on_grid(HardyVector(p), default_grid_size(order)).samples
+    p_samples = boundary_samples(p, default_grid_size(order))
     cols = []
     for e in tm_basis(theta, order, tail_tol=1e-8).T:
         pe, _ = multiply_by_boundary(e[:, None], p_samples, order)
@@ -105,9 +99,9 @@ def test_criterion_2_rank_one_closed_form():
     p = np.array([complex(re, im) for re, im in blk["representation"]["p"]])
     k = szego_kernel(a, len(p))
     points = 0.6 * np.exp(2j * np.pi * np.arange(10) / 10)
-    ratio0 = evaluate(HardyVector(p), 0.0) / evaluate(k, 0.0)
+    ratio0 = evaluate(p, 0.0) / evaluate(k, 0.0)
     rel = max(
-        abs(evaluate(HardyVector(p), z) / evaluate(k, z) - ratio0) / abs(ratio0)
+        abs(evaluate(p, z) / evaluate(k, z) - ratio0) / abs(ratio0)
         for z in points
     )
     elapsed = time.perf_counter() - start

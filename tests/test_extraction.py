@@ -27,15 +27,7 @@ from hankelschmidt.extraction import (
     verify_representation,
 )
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_apply
-from hankelschmidt.hardy import (
-    HardyVector,
-    default_grid_size,
-    multiply_by_boundary,
-    one,
-    sample_on_grid,
-    szego_kernel,
-    unit,
-)
+from hankelschmidt.hardy import default_grid_size, multiply_by_boundary
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
 from hankelschmidt.spectral import SchmidtBlock, orthonormalize, schmidt_decompose, subspace_gap
 from hankelschmidt.suites import random_symbol
@@ -44,16 +36,15 @@ from hankelschmidt.symbols import (
     RationalSymbol,
     parse_symbol,
     symbol_from_coefficients,
-    symbol_from_inner,
     symbol_to_dict,
 )
-from oracles import hankel_product
+from oracles import boundary_samples, hankel_product, one, szego_kernel, symbol_from_inner, unit
 
 BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "hard_cases"
 
 
 def block_from_columns(s, cols):
-    return SchmidtBlock(s=s, basis=orthonormalize(np.column_stack([c.coeffs for c in cols])))
+    return SchmidtBlock(s=s, basis=orthonormalize(np.column_stack(cols)))
 
 
 def rank_one_symbol(a=0.5):
@@ -68,25 +59,24 @@ def test_extremal_projection_constant_in_block():
     block = block_from_columns(1.0, [one(8), unit(1, 8)])
     q, norm = extremal_projection(block)
     assert abs(norm - 1.0) < 1e-14
-    assert np.linalg.norm(q.coeffs - one(8).coeffs) < 1e-14
+    assert np.linalg.norm(q - one(8)) < 1e-14
 
 
 def test_extremal_projection_orthogonal_block():
     block = block_from_columns(1.0, [unit(1, 8)])
     q, norm = extremal_projection(block)
     assert norm < 1e-15
-    assert np.linalg.norm(q.coeffs) < 1e-15
+    assert np.linalg.norm(q) < 1e-15
 
 
 def test_extremal_projection_kernel_block():
     a = 0.5
     k = szego_kernel(a, 128)
-    f = HardyVector(k.coeffs * np.sqrt(1 - a**2))
-    block = block_from_columns(4 / 3, [f])
+    block = block_from_columns(4 / 3, [k * np.sqrt(1 - a**2)])
     q, norm = extremal_projection(block)
     assert abs(norm - np.sqrt(3) / 2) < 1e-12
-    expected = (1 - a**2) * k.coeffs
-    assert np.linalg.norm(q.coeffs - expected) < 1e-12
+    expected = (1 - a**2) * k
+    assert np.linalg.norm(q - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +98,7 @@ def test_base_point_avoids_common_zero():
     c = np.zeros(16, dtype=complex)
     c[1] = -0.3
     c[2] = 1.0  # f = z(z - 0.3), vanishes only at 0 and 0.3
-    f = HardyVector(c / np.linalg.norm(c))
-    block = block_from_columns(1.0, [f])
+    block = block_from_columns(1.0, [c / np.linalg.norm(c)])
     alpha = base_point_select(block)
     assert abs(alpha) > 1e-3
     assert abs(alpha - 0.3) > 1e-3
@@ -182,7 +171,7 @@ def test_recover_theta_rank_one():
     sym = rank_one_symbol()
     gamma = build_hankel_matrix(sym, n)
     k = szego_kernel(0.5, n)
-    p = HardyVector(k.coeffs / k.norm())
+    p = k / np.linalg.norm(k)
     hup = hankel_apply(gamma, p)
     theta, phi, fit = recover_theta(p, hup, 4.0 / 3.0, 1, 0.0)
     assert theta.degree == 1
@@ -197,7 +186,7 @@ def test_recover_theta_output_is_inner():
     gamma = build_hankel_matrix(sym, n)
     block = schmidt_decompose(gamma)[0]
     q, nq = extremal_projection(block)
-    p = HardyVector(q.coeffs / nq)
+    p = q / nq
     theta, _, _ = recover_theta(p, hankel_apply(gamma, p), block.s, block.multiplicity, 0.0)
     z = np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
     assert np.max(np.abs(np.abs(blaschke_eval(theta, z)) - 1)) < 1e-10
@@ -209,11 +198,11 @@ def test_recover_theta_at_base_point_places_the_zero_there():
     n, alpha = 128, 0.3 + 0.1j
     gamma = build_hankel_matrix(rank_one_symbol(), n)
     k = szego_kernel(0.5, n)
-    q = HardyVector(k.coeffs / k.norm())
+    q = k / np.linalg.norm(k)
     r = np.sqrt(1 - abs(alpha) ** 2)
-    p = q.coeffs.copy()
-    p[1:] -= np.conj(alpha) * q.coeffs[:-1]
-    theta, _, fit = recover_theta(HardyVector(p / r), hankel_apply(gamma, q), 4.0 / 3.0, 1, alpha)
+    p = q.copy()
+    p[1:] -= np.conj(alpha) * q[:-1]
+    theta, _, fit = recover_theta(p / r, hankel_apply(gamma, q), 4.0 / 3.0, 1, alpha)
     assert theta.degree == 1
     assert abs(theta.zeros[0] - alpha) < 1e-15
     assert fit < 1e-12
@@ -227,7 +216,7 @@ def _kernel_multiplier(block, alpha):
     q = q / np.linalg.norm(q)
     p = q.copy()
     p[1:] -= np.conj(alpha) * q[:-1]
-    return HardyVector(p / r), HardyVector(q)
+    return p / r, q
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3 - 0.2j])
@@ -248,8 +237,8 @@ def test_recover_theta_on_trimmed_rows_matches_all_rows(alpha):
         for block in schmidt_decompose(gamma):
             p, q = _kernel_multiplier(block, alpha)
             trimmed = hankel_apply(gamma, q)
-            dense = HardyVector(gamma.gamma @ np.conj(q.coeffs))
-            assert not trimmed.coeffs[j:].any() and dense.coeffs[-1] != 0
+            dense = gamma.gamma @ np.conj(q)
+            assert not trimmed[j:].any() and dense[-1] != 0
             d = block.multiplicity
             theta_t, phi_t, _ = recover_theta(p, trimmed, block.s, d, alpha)
             theta_d, phi_d, _ = recover_theta(p, dense, block.s, d, alpha)
@@ -300,8 +289,8 @@ def test_extract_pure_inner_cube():
     assert len(blocks) == 1 and blocks[0].multiplicity == 3
     rep = extract_representation(gamma, blocks[0])
     # p is a unimodular constant
-    assert abs(abs(rep.p.coeffs[0]) - 1.0) < 1e-10
-    assert np.linalg.norm(rep.p.coeffs[1:]) < 1e-10
+    assert abs(abs(rep.p[0]) - 1.0) < 1e-10
+    assert np.linalg.norm(rep.p[1:]) < 1e-10
     assert np.allclose(rep.theta.zeros, 0)
     res = verify_representation(gamma, blocks[0], rep)
     assert res.action < 1e-9
@@ -317,8 +306,18 @@ def test_extract_rank_one_closed_forms():
     assert rep.theta.degree == 1
     assert abs(rep.theta.zeros[0]) < 1e-12
     assert abs(rep.phi) < 1e-10
-    expected = np.sqrt(3) / 2 * szego_kernel(0.5, n).coeffs
-    assert np.linalg.norm(rep.p.coeffs - expected) < 1e-10
+    expected = np.sqrt(3) / 2 * szego_kernel(0.5, n)
+    assert np.linalg.norm(rep.p - expected) < 1e-10
+
+
+def test_extracted_multiplier_is_a_read_only_vector():
+    gamma = build_hankel_matrix(rank_one_symbol(a=0.7), 128)
+    for base_point in (None, 0.3 + 0.1j):
+        rep = extract_representation(gamma, schmidt_decompose(gamma)[0], base_point=base_point)
+        assert type(rep.p) is np.ndarray and rep.p.ndim == 1 and rep.p.size == 128
+        assert rep.p.dtype == np.complex128 and not rep.p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rep.p[0] = 0.0
 
 
 def test_extract_from_gamma_alone():
@@ -328,8 +327,8 @@ def test_extract_from_gamma_alone():
     gamma = HankelMatrix(scipy.linalg.hankel(c[:n], c[n - 1 :]))
     rep = extract_representation(gamma, schmidt_decompose(gamma)[0])
     assert np.array_equal(rep.theta.zeros, [0])
-    expected = np.sqrt(3) / 2 * szego_kernel(0.5, n).coeffs
-    assert np.max(np.abs(rep.p.coeffs - expected)) < 1e-12
+    expected = np.sqrt(3) / 2 * szego_kernel(0.5, n)
+    assert np.max(np.abs(rep.p - expected)) < 1e-12
     built = build_hankel_matrix(rank_one_symbol(), n)
     assert rep.residuals == extract_representation(built, schmidt_decompose(built)[0]).residuals
 
@@ -354,7 +353,7 @@ def test_extract_canonical_form():
         rep = extract_representation(gamma, block)
         assert abs(blaschke_eval(rep.theta, 0.0)) < 1e-10  # theta(0) = 0
         assert -np.pi < rep.phi <= np.pi
-        p0 = rep.p.coeffs[0]
+        p0 = rep.p[0]
         if abs(p0) > 1e-3:
             assert abs(p0.imag) < 1e-10 and p0.real > 0
 
@@ -369,7 +368,7 @@ def test_extract_mobius_branch_consistency_with_mapped_subspace():
 
     m = MobiusMap(alpha)
     w, _ = mobius_conjugate_symbol(sym0, m, 2 * n - 1)
-    gamma_w = build_hankel_matrix(w.coeffs, n)
+    gamma_w = build_hankel_matrix(w, n)
     block_w = schmidt_decompose(gamma_w)[0]
     assert abs(block_w.s - block0.s) < 1e-8
 
@@ -400,7 +399,7 @@ def test_branch_independence_when_projection_moderate():
 
     def weighted_basis(rep):
         cols = []
-        ps = sample_on_grid(rep.p, default_grid_size(n)).samples
+        ps = boundary_samples(rep.p, default_grid_size(n))
         for e in tm_basis(rep.theta, n).T:
             pe, _ = multiply_by_boundary(e[:, None], ps, n)
             cols.append(pe[:, 0])
@@ -410,7 +409,7 @@ def test_branch_independence_when_projection_moderate():
     first = reps[0]
     for rep in reps[1:]:
         assert subspace_gap(weighted_basis(first), weighted_basis(rep)) < 1e-12
-        assert np.linalg.norm(rep.p.coeffs - first.p.coeffs) < 1e-12
+        assert np.linalg.norm(rep.p - first.p) < 1e-12
         assert np.max(np.abs(rep.theta.zeros - first.theta.zeros)) < 1e-12
         assert abs(rep.theta.phase - first.theta.phase) < 1e-12
         assert abs(rep.phi - first.phi) < 1e-12
@@ -509,7 +508,7 @@ def test_conjugation_closed_form_matches_hankel_product():
         zeros = 0.8 * np.sqrt(rng.uniform(size=d)) * np.exp(2j * np.pi * rng.uniform(size=d))
         theta = BlaschkeProduct(zeros, np.exp(2j * np.pi * rng.uniform()))
         basis = tm_basis(theta, n, tail_tol=1e-8)
-        theta_hat = blaschke_coefficients(theta, 2 * n).coeffs
+        theta_hat = blaschke_coefficients(theta, 2 * n)
         closed = extraction._conjugated_products(theta, one(n), basis, n, 1e-8)
         assert closed.shape == basis.shape
         for e, image in zip(basis.T, closed.T):
@@ -520,7 +519,7 @@ def test_conjugation_closed_form_matches_hankel_product():
 def test_conjugated_products_of_degree_one_reuse_the_products():
     # for d = 1 the right side of the action is exactly -lambda p e_0
     rng = np.random.default_rng(4)
-    p = HardyVector(rng.normal(size=64) + 1j * rng.normal(size=64))
+    p = rng.normal(size=64) + 1j * rng.normal(size=64)
     theta = BlaschkeProduct([0.3 - 0.5j], np.exp(0.7j))
     prods = extraction._weighted_model_space(theta, p, 64)
     image = extraction._conjugated_products(theta, p, prods, 64, 1e-8)
@@ -542,7 +541,7 @@ def test_action_catches_each_fault_class():
             zeros[-1] += 1e-3
             faults = [
                 replace(rep, phi=rep.phi + 1e-3),
-                replace(rep, p=HardyVector(rep.p.coeffs + 1e-4 * noise / np.linalg.norm(noise))),
+                replace(rep, p=rep.p + 1e-4 * noise / np.linalg.norm(noise)),
                 replace(rep, theta=BlaschkeProduct(zeros, rep.theta.phase)),
             ]
             for bad in faults:
@@ -616,7 +615,7 @@ def test_extraction_depends_only_on_the_span():
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             turned = replace(block, basis=block.basis @ np.linalg.qr(z)[0])
             got = extract_representation(gamma, turned)
-            assert np.max(np.abs(got.p.coeffs - rep.p.coeffs)) < 1e-12
+            assert np.max(np.abs(got.p - rep.p)) < 1e-12
             assert np.max(np.abs(got.theta.zeros - rep.theta.zeros)) < 1e-12
             assert abs(got.theta.phase - rep.theta.phase) < 1e-12
             assert abs(math.remainder(got.phi - rep.phi, 2 * math.pi)) < 1e-12
@@ -656,7 +655,7 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
 
     def scaled(p, theta, phi):
         p, theta, phi = canonicalize(p, theta, phi)
-        return HardyVector(p.coeffs * (1 + 3e-10)), theta, phi
+        return p * (1 + 3e-10), theta, phi
 
     monkeypatch.setattr(extraction, "_canonicalize", scaled)
     with pytest.raises(ExtractionError, match="not isometric: deviation 3.0"):

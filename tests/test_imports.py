@@ -9,17 +9,23 @@ module's `__all__`, the package __init__ included, must be bound at module
 level by a def, class, assignment or import; a stale entry would otherwise
 pass unnoticed.  A module-level `def _name` is private to the package, so
 some module of src/hankelschmidt must refer to it, by name or as an
-attribute, outside its own definition; importing it is not a use.
+attribute, outside its own definition; importing it is not a use.  The
+same holds for every public name a module exports in `__all__`: some code
+must refer to it, by name or as an attribute, in src/hankelschmidt outside
+its own definition and the package __init__, or in bench/*.py, or README
+must name it in backticks.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hankelschmidt"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hankelschmidt"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
@@ -96,16 +102,21 @@ def test_module_binds_every_export(path):
     assert unbound_exports(path.read_text()) == []
 
 
+def references(trees) -> list[tuple[str, int]]:
+    """(name, node id) of every name and attribute in the trees."""
+    return [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     """Module-level `def _name` (dunders aside) that no module refers to
     outside the definition itself, as "module._name (line L)"."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    refs = [
-        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    ]
+    refs = references(trees.values())
     out = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -130,3 +141,47 @@ def test_scan_flags_an_unreferenced_private_def():
 def test_every_private_function_is_used():
     sources = {path.stem: path.read_text() for path in ALL_MODULES}
     assert unreferenced_private_defs(sources) == []
+
+
+def unreferenced_exports(sources: dict[str, str], others: list[str], readme: str) -> list[str]:
+    """Entries of a module's `__all__` (the package __init__ aside) that no
+    code refers to outside the name's own module-level definition, neither
+    in the modules of sources nor in the sources of others, and that README
+    never names in backticks, as "module.name"."""
+    trees = {module: ast.parse(source) for module, source in sources.items() if module != "__init__"}
+    refs = references([*trees.values(), *(ast.parse(source) for source in others)])
+    # inline code spans on one line; a fence's backticks start no span
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    quoted = {word for span in spans for word in re.findall(r"\w+", span)}
+    out = []
+    for module, tree in trees.items():
+        defs = {
+            node.name: {id(n) for n in ast.walk(node)}
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        for name in exported_names(tree):
+            own = defs.get(name, set())
+            if name not in quoted and not any(r == name and ref not in own for r, ref in refs):
+                out.append(f"{module}.{name}")
+    return out
+
+
+def test_scan_flags_an_unreferenced_export():
+    sources = {
+        "a": "__all__ = ['used', 'dead', 'quoted', 'benched']\n"
+             "def used(): pass\ndef dead(n): return dead(n - 1)\n"
+             "def quoted(): pass\ndef benched(): pass\n",
+        "b": "from a import used\nx = used()\n",
+        "__init__": "from a import dead\n__all__ = ['dead']\nx = dead\n",
+    }
+    bench = ["import a\na.benched()\n"]
+    readme = "Call `a.quoted(x)` first."
+    assert unreferenced_exports(sources, bench, readme) == ["a.dead"]
+
+
+def test_every_export_is_referenced():
+    sources = {path.stem: path.read_text() for path in ALL_MODULES}
+    bench = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unreferenced_exports(sources, bench, readme) == []

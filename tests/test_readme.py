@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hankelschmidt.hardy import szego_kernel
+from oracles import szego_kernel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,5 +16,5 @@ def test_readme_library_example_runs(capsys):
     capsys.readouterr()
     rep = namespace["rep"]
     assert np.array_equal(rep.theta.zeros, [0])
-    expected = np.sqrt(3) / 2 * szego_kernel(0.5, rep.p.order).coeffs
-    assert np.max(np.abs(rep.p.coeffs - expected)) < 1e-12
+    expected = np.sqrt(3) / 2 * szego_kernel(0.5, rep.p.size)
+    assert np.max(np.abs(rep.p - expected)) < 1e-12

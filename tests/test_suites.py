@@ -28,7 +28,7 @@ def shifted_basis_order(b, alpha):
 def direct_check(b, alpha, work, shift=frostman_shift):
     """(gap, isometry, boundary identity) from a shift at the work order."""
     shifted, g = shift(b, alpha, work)
-    cols = np.column_stack([np.convolve(g.coeffs, h)[:work] for h in tm_basis(shifted, work).T])
+    cols = np.column_stack([np.convolve(g, h)[:work] for h in tm_basis(shifted, work).T])
     iso = max(abs(np.linalg.norm(c) - 1.0) for c in cols.T)
     gap = subspace_gap(tm_basis(b, work), orthonormalize(cols))
     grid = grid_points(default_grid_size(work))
