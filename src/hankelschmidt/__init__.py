@@ -24,6 +24,7 @@ from .extraction import (
     RepresentationResiduals,
     base_point_select,
     extract_representation,
+    extract_representations,
     extremal_projection,
     recover_theta,
     verify_representation,

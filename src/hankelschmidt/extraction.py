@@ -1,4 +1,4 @@
-"""Constructive extraction of the model-space representation of a Schmidt subspace.
+"""Constructive extraction of the model-space representation of Schmidt subspaces.
 
 Every nontrivial Schmidt subspace E(s) of a finite-rank Hankel operator
 equals p K_theta for an inner theta and an isometric multiplier p, with the
@@ -15,17 +15,35 @@ unimodular constant, and H applied to it gives theta.  The base point is 0
 (the direct route) when the constant function has a usable component in
 the block, otherwise a grid point where the block's pointwise energy is
 largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
-phi in (-pi, pi].  Verification works on coefficients: the weighted
-model space p K_theta is the N x d matrix of the truncated convolutions
-p e_k over the columns of theta's basis matrix (_weighted_model_space),
-and C_theta e_k is read in closed form, -lambda times the
+phi in (-pi, pi].
+
+All blocks of one Gamma are extracted and verified in one batched pass
+(extract_representations).  Blocks are grouped by multiplicity d, and
+within a group each step is one stacked array operation over its blocks:
+the projection of the kernel (on the direct route the extremal projection
+itself, formed once), Gamma's action as one Gamma_J @ conj(.) product over
+every block's columns (hankel_apply, for H q and for the action check),
+recover_theta's null vector as one batched SVD of the systems padded with
+zero rows to a common height, the inner-modulus check and phase fit, the
+unimodular constant, and the isometry, subspace-gap, action,
+near-invariance and symbol-projection residuals.  Python loops remain only
+where the math differs per block: the base-point grid search off the
+origin, root finding, the canonical_blaschke lookups, the Frostman shift
+when theta(0) != 0, and the products with each block's own p and theta.
+A block that fails a check leaves the batch at that check with the error
+a lone extraction of it raises, and the other blocks go on.
+extract_representation, verify_representation and recover_theta are the
+one-block calls of the same code.
+
+Verification works on coefficients: the weighted model space p K_theta is
+the N x d matrix of the truncated products p e_k over the columns of
+theta's basis matrix (_weighted_model_space), each the convolution of the
+two supports, and C_theta e_k is read in closed form, -lambda times the
 Takenaka-Malmquist basis of theta's zeros in reverse order, so it costs
-one more basis per block, none when d = 1.  The work follows
-Gamma's numerical order J, not N: Gamma acts as its leading J x J block
-(hankel_apply), the block bases are zero past row J, and every
-convolution with p reads p only up to its last nonzero coefficient, so on
-the direct route, where p is zero past order J, each costs O(N J).  The
-Frostman shift of canonicalization reads its phase from coefficients.
+one more basis per block, none when d = 1.  The work follows Gamma's
+numerical order J, not N: Gamma acts as its leading J x J block, the
+block bases are zero past row J, and on the direct route p is zero past
+order J, so a product with theta = z (e_0 = 1, theta_hat = z) costs O(J).
 Only recover_theta evaluates on the boundary grid, for its inner gate and
 the constant e^{i phi}; theta is inner by construction of BlaschkeProduct,
 so verification does not re-check it.  theta comes from
@@ -37,7 +55,7 @@ that shares it: theta = z for every simple singular value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,14 +63,27 @@ from .blaschke import (
     BlaschkeProduct,
     _on_grid,
     blaschke_coefficients,
-    blaschke_eval,
     canonical_blaschke,
     frostman_shift,
     tm_basis,
 )
-from .hardy import _frozen, _horner, _lead_rotation, _support, default_grid_size, grid_points
+from .hardy import (
+    _frozen,
+    _horner,
+    _lead_rotation,
+    _series_product,
+    _support,
+    default_grid_size,
+    grid_points,
+)
 from .hankel import HankelMatrix, hankel_apply
-from .spectral import SchmidtBlock, _nullspace_of_row, orthonormalize, subspace_gap
+from .spectral import (
+    SchmidtBlock,
+    _largest_singular_value,
+    _nullspace_of_row,
+    _orthonormal_columns,
+    _subspace_gaps,
+)
 
 __all__ = [
     "Representation",
@@ -61,6 +92,7 @@ __all__ = [
     "extremal_projection",
     "base_point_select",
     "recover_theta",
+    "extract_representations",
     "extract_representation",
     "verify_representation",
     "DIRECT_BRANCH_THRESHOLD",
@@ -127,14 +159,70 @@ class RepresentationResiduals:
         return out
 
 
+class _Batch:
+    """The entries of a batch that have passed every check so far.
+
+    `at` holds their positions in `results`, which has one slot per entry
+    of the whole batch; an entry that fails a check gets its error there and
+    leaves the batch, and one that passes every check gets its result.
+    """
+
+    def __init__(self, size: int):
+        self.results: list = [None] * size
+        self.at = np.arange(size)
+
+    @property
+    def empty(self) -> bool:
+        return self.at.size == 0
+
+    def drop(self, bad, error, *arrays) -> list:
+        """Give each live entry k with bad[k] the exception error(k), and
+        return `arrays` (arrays or lists, one item per live entry) without
+        those entries."""
+        bad = np.asarray(bad, dtype=bool)
+        if not bad.any():
+            return list(arrays)
+        keep = ~bad
+        for k in np.flatnonzero(bad):
+            self.results[self.at[k]] = error(k)
+        self.at = self.at[keep]
+        return [a[keep] if isinstance(a, np.ndarray) else [x for x, kept in zip(a, keep) if kept]
+                for a in arrays]
+
+    def drop_errors(self, items: list, *arrays) -> list:
+        """drop the entries whose item is an exception, with that exception."""
+        bad = [isinstance(x, Exception) for x in items]
+        return self.drop(bad, lambda k: items[k], items, *arrays)
+
+    def finish(self, items) -> list:
+        """Give the live entries their results, in order; return all results."""
+        for at, item in zip(self.at, items):
+            self.results[at] = item
+        return self.results
+
+
+def _raised(result):
+    """Raise result if it is an exception, else return it."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _extremal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of the constant function onto each basis of the stack v
+    (m x N x d), as rows, and their norms."""
+    q = (v @ v[:, :1, :].conj().swapaxes(1, 2))[..., 0]
+    return q, np.linalg.norm(q, axis=1)
+
+
 def extremal_projection(block: SchmidtBlock) -> tuple[np.ndarray, float]:
     """Orthogonal projection of the constant function onto the block.
 
     With theta(0) = 0 this equals conj(p(0)) p, so its norm is |p(0)|; at
     or below DIRECT_BRANCH_THRESHOLD extraction moves off the origin.
     """
-    q = block.basis @ np.conj(block.basis[0, :])
-    return q, float(np.linalg.norm(q))
+    q, nq = _extremal(block.basis[None])
+    return q[0], float(nq[0])
 
 
 def base_point_select(block: SchmidtBlock) -> complex:
@@ -143,14 +231,17 @@ def base_point_select(block: SchmidtBlock) -> complex:
     Returns 0 when the projection of the constant onto the block is already
     usable; otherwise the grid point (concentric rings, 16 angles) maximizing
     the block's pointwise energy sum_j |f_j(alpha)|^2, which must exceed 1e-6.
-    All 81 points are evaluated by one product with the basis rows up to its
-    last nonzero one; ties go to the first point in ring order.
+    All 81 points are evaluated at once by _horner on the basis rows up to
+    its last nonzero one; ties go to the first point in ring order.
     """
-    _, nq = extremal_projection(block)
+    return _base_point(block.basis, extremal_projection(block)[1])
+
+
+def _base_point(basis: np.ndarray, nq: float) -> complex:
+    """base_point_select for a basis whose extremal projection has norm nq."""
     if nq > DIRECT_BRANCH_THRESHOLD:
         return 0.0 + 0.0j
-    m = _support(block.basis.any(axis=1)).size
-    values = np.power(_BASE_POINTS[:, None], np.arange(m)) @ block.basis[:m]
+    values = _horner(basis, _BASE_POINTS)
     energy = np.sum(np.abs(values) ** 2, axis=1)
     best = int(np.argmax(energy))
     if energy[best] <= 1e-6:
@@ -188,69 +279,113 @@ def recover_theta(
     phi, boundary fit residual).  Fails if the recovered function is not
     inner to 1e-6.
     """
+    (out,) = _recover_thetas(np.asarray(p)[None], np.asarray(hq)[None], [s], d, [alpha])
+    return _raised(out)
+
+
+def _recover_thetas(p: np.ndarray, hq: np.ndarray, s, d: int, alpha) -> list:
+    """recover_theta for each row of the stacks p and hq (m x N), with the
+    entries of s and alpha, at one degree d: one (theta, phi, fit) or error
+    per row.  The systems are padded with zero rows to the largest height
+    any of them needs, which leaves each null vector as it is."""
     if d < 1:
         raise ValueError("theta degree must be at least 1")
-    if s <= 0:
-        raise ValueError("singular value must be positive")
-    n = p.size
-    nrm = float(np.linalg.norm(hq))
-    if abs(nrm - s) > 0.01 * s:
-        raise ExtractionError(
-            f"inconsistent data: ||H q|| = {nrm:.6g} but s = {s:.6g}; "
+    s = np.asarray(s, dtype=float)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    batch = _Batch(s.size)
+    p, hq, s, alpha = batch.drop(
+        s <= 0, lambda k: ValueError("singular value must be positive"), p, hq, s, alpha
+    )
+    nrm = np.linalg.norm(hq, axis=1)
+    p, hq, s, alpha = batch.drop(
+        np.abs(nrm - s) > 0.01 * s,
+        lambda k: ExtractionError(
+            f"inconsistent data: ||H q|| = {nrm[k]:.6g} but s = {s[k]:.6g}; "
             "the input is not a unit vector of this block"
-        )
-    rhs = hq / s
+        ),
+        p, hq, s, alpha,
+    )
+    if batch.empty:
+        return batch.results
+    n = p.shape[1]
+    rhs = hq / s[:, None]
     width = 2 * d + 1
-    rows = min(n, max(_support(p).size + d, _support(rhs).size + d, width))
-    cols = np.zeros((rows, width), dtype=np.complex128)
+    rows = min(n, max(_support(p.any(axis=0)).size + d, _support(rhs.any(axis=0)).size + d, width))
+    cols = np.zeros((s.size, rows, width), dtype=np.complex128)
     for j in range(d):
-        cols[j:, j] = p[: rows - j]
+        cols[:, j:, j] = p[:, : rows - j]
     for j in range(d + 1):
-        cols[j:, d + j] = -rhs[: rows - j]
+        cols[:, j:, d + j] = -rhs[:, : rows - j]
     _, _, vh = np.linalg.svd(cols, full_matrices=rows < width)
-    null = np.conj(vh[-1])
-    num = null[:d]
-    den = null[d:]
-    if not abs(den[0]) > 1e-8 * np.linalg.norm(den):
-        raise ExtractionError("degenerate rational fit: denominator vanishes at the origin")
-    num = num / den[0]
-    den = den / den[0]
+    null = np.conj(vh[:, -1])
+    num = null[:, :d]
+    den = null[:, d:]
+    num, den, alpha = batch.drop(
+        ~(np.abs(den[:, 0]) > 1e-8 * np.linalg.norm(den, axis=1)),
+        lambda k: ExtractionError("degenerate rational fit: denominator vanishes at the origin"),
+        num, den, alpha,
+    )
+    num = num / den[:, :1]
+    den = den / den[:, :1]
 
-    den_roots = _poly_roots(den)
+    zero_lists = [_poly_roots(c) for c in num]
+    errors = [_root_error(_poly_roots(c), z, d) for c, z in zip(den, zero_lists)]
+    zero_lists, num, den, alpha = batch.drop(
+        [e is not None for e in errors], lambda k: errors[k], zero_lists, num, den, alpha
+    )
+    if batch.empty:
+        return batch.results
+    zeros = np.column_stack([alpha, np.array(zero_lists).reshape(alpha.size, d - 1)])
+
+    m = default_grid_size(max(16, 4 * (d + 1)))
+    grid = grid_points(m)
+    r = np.sqrt(1 - np.abs(alpha) ** 2)
+    # R and D of every row by one evaluation; R's padding row leaves it as it is
+    fit = np.zeros((d + 1, 2 * alpha.size), dtype=np.complex128)
+    fit[:d, : alpha.size] = num.T
+    fit[:, alpha.size :] = den.T
+    on_grid = _horner(fit, grid).T
+    y = (grid - alpha[:, None]) * on_grid[: alpha.size] / on_grid[alpha.size :] / r[:, None]
+    inner_dev = np.max(np.abs(np.abs(y) - 1.0), axis=1)
+    zeros, y = batch.drop(
+        inner_dev > 1e-6,
+        lambda k: ExtractionError(
+            f"fitted function deviates from unit boundary modulus by {inner_dev[k]:.3e}; "
+            "upstream data does not define an inner function"
+        ),
+        zeros, y,
+    )
+    if batch.empty:
+        return batch.results
+    thetas = [canonical_blaschke(z) for z in zeros]
+    on_grid = np.stack([_on_grid(theta, m) for theta in thetas])
+    phase = (on_grid.conj()[:, None, :] @ y[:, :, None])[:, 0, 0]
+    phase /= np.abs(phase)
+    fit = np.max(np.abs(y - phase[:, None] * on_grid), axis=1)
+    return batch.finish(
+        (theta, _wrap_phase(phi), float(f)) for theta, phi, f in zip(thetas, np.angle(phase), fit)
+    )
+
+
+def _root_error(den_roots: np.ndarray, zero_list: np.ndarray, d: int) -> ExtractionError | None:
+    """Why the fit R / D with these roots is not an inner function of degree
+    d: D has a root in the closed disk, or R is not of degree d - 1 with its
+    roots in the open disk; None when it is."""
     if den_roots.size and np.min(np.abs(den_roots)) <= 1.0:
-        raise ExtractionError(
+        return ExtractionError(
             "recovered denominator has a root inside the closed disk; theta is not inner"
         )
-    zero_list = _poly_roots(num)
     if zero_list.size != d - 1:
-        raise ExtractionError(
+        return ExtractionError(
             f"recovered numerator has degree {zero_list.size}, expected {d - 1}; "
             "block multiplicity and inner degree disagree"
         )
     if zero_list.size and np.max(np.abs(zero_list)) >= 1.0:
-        raise ExtractionError(
+        return ExtractionError(
             f"recovered inner function has a zero of modulus "
             f"{np.max(np.abs(zero_list)):.6f} outside the open disk"
         )
-
-    m = default_grid_size(max(16, 4 * (d + 1)))
-    grid = grid_points(m)
-    r = math.sqrt(1 - abs(alpha) ** 2)
-    y = (grid - alpha) * _horner(num, grid) / _horner(den, grid) / r
-    inner_dev = float(np.max(np.abs(np.abs(y) - 1.0)))
-    if inner_dev > 1e-6:
-        raise ExtractionError(
-            f"fitted function deviates from unit boundary modulus by {inner_dev:.3e}; "
-            "upstream data does not define an inner function"
-        )
-    zeros = np.concatenate([[alpha], zero_list])
-    theta = canonical_blaschke(zeros)
-    on_grid = _on_grid(theta, m)
-    phase = np.vdot(on_grid, y)
-    phase /= abs(phase)
-    fit_residual = float(np.max(np.abs(y - phase * on_grid)))
-    phi = _wrap_phase(np.angle(phase))
-    return theta, phi, fit_residual
+    return None
 
 
 def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
@@ -278,6 +413,21 @@ def _wrap_phase(phi: float) -> float:
 # extraction
 
 
+def extract_representations(
+    gamma: HankelMatrix, blocks, tol: float = 1e-7
+) -> list[Representation | ExtractionError | ValueError]:
+    """extract_representation of every block of gamma, in one batched pass.
+
+    Returns, for each block in order, its Representation or the
+    ExtractionError or ValueError that extract_representation raises for
+    it, with the same message; one failing block does not stop the others.
+    Blocks of one multiplicity are extracted and verified together, each
+    step one stacked array operation over them.
+    """
+    blocks = list(blocks)
+    return _extract(gamma, blocks, [None] * len(blocks), tol)
+
+
 def extract_representation(
     gamma: HankelMatrix,
     block: SchmidtBlock,
@@ -290,86 +440,155 @@ def extract_representation(
     and the symbol's coefficients, where verification needs them, are
     gamma's first column (gamma.u).  The multiplier is read off the
     projection of the unit reproducing kernel at the base point onto the
-    block (_extract_at).  base_point None takes base_point_select's: 0, the
+    block.  base_point None takes base_point_select's: 0, the
     direct route, when the projection of the constant onto the block exceeds
     the 0.1 threshold, otherwise a grid point of largest pointwise energy.
     The result is checked once by verify_representation, whose report is
     returned as `rep.residuals`; the multiplier isometry (to 0.1 * tol),
     subspace equality and action formula (to tol) are asserted on it before
-    returning.
+    returning.  This is the one-block call of extract_representations.
     """
-    alpha = base_point_select(block) if base_point is None else complex(base_point)
-    if not abs(alpha) < 1:
-        raise ValueError("base point must lie in the open disk")
-    p, theta, phi = _canonicalize(*_extract_at(gamma, block, alpha))
-    if theta.degree != block.multiplicity:
-        raise ExtractionError(
-            f"inner degree {theta.degree} != block multiplicity {block.multiplicity}"
+    (out,) = _extract(gamma, [block], [base_point], tol)
+    return _raised(out)
+
+
+def _extract(gamma: HankelMatrix, blocks: list, base_points: list, tol: float) -> list:
+    """Results of _extract_stack for blocks grouped by basis shape, in block order."""
+    results: list = [None] * len(blocks)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, block in enumerate(blocks):
+        groups.setdefault(block.basis.shape, []).append(i)
+    for at in groups.values():
+        out = _extract_stack(
+            gamma,
+            np.stack([blocks[i].basis for i in at]),
+            np.array([blocks[i].s for i in at]),
+            [base_points[i] for i in at],
+            tol,
         )
-    rep = Representation(p=p, theta=theta, phi=phi, canonicalized_at=alpha)
-    res = verify_representation(
-        gamma, block, rep, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol))
-    )
-    if res.isometry > 0.1 * tol:
-        raise ExtractionError(f"multiplier is not isometric: deviation {res.isometry:.3e}")
-    if res.subspace_gap > tol:
-        raise ExtractionError(f"subspace gap {res.subspace_gap:.3e} exceeds tolerance {tol:.1e}")
-    if res.action > tol:
-        raise ExtractionError(f"action residual {res.action:.3e} exceeds tolerance {tol:.1e}")
-    return replace(rep, residuals=res)
+        for i, result in zip(at, out):
+            results[i] = result
+    return results
 
 
-def _extract_at(
-    gamma: HankelMatrix, block: SchmidtBlock, alpha: complex
-) -> tuple[np.ndarray, BlaschkeProduct, float]:
-    """(p, theta, phi) for the representative with theta(alpha) = 0.
+def _extract_stack(
+    gamma: HankelMatrix, v: np.ndarray, s: np.ndarray, base_points: list, tol: float
+) -> list:
+    """extract_representation for each basis of the stack v (m x N x d), with
+    singular values s and base points (None: base_point_select's).
 
     q is the normalized projection of the unit kernel k^_alpha onto the
     block, p k^_alpha up to a unimodular constant; dividing by k^_alpha is
     the coefficient shift p_n = (q_n - conj(alpha) q_{n-1}) / sqrt(1 - |alpha|^2).
+    At alpha = 0 the kernel is the constant 1, so q is the extremal
+    projection that chose the route.
     """
-    r = math.sqrt(1 - abs(alpha) ** 2)
-    kernel = r * np.conj(alpha) ** np.arange(block.order)
-    q = block.basis @ (block.basis.conj().T @ kernel)
-    nq = float(np.linalg.norm(q))
-    if nq < 1e-6:
-        raise ExtractionError(
-            f"projection of the kernel at the base point onto the block is {nq:.3e}; "
+    m, n, d = v.shape
+    batch = _Batch(m)
+    q, nq = _extremal(v)
+    alpha = [_checked_base_point(bp, basis, nk) for bp, basis, nk in zip(base_points, v, nq)]
+    alpha, v, s, q = batch.drop_errors(alpha, v, s, q)
+    if batch.empty:
+        return batch.results
+    alpha = np.array(alpha, dtype=np.complex128)
+    r = np.sqrt(1 - np.abs(alpha) ** 2)
+    off = alpha != 0
+    if off.any():
+        kernel = r[off, None] * np.conj(alpha[off, None]) ** np.arange(n)
+        vo = v[off]
+        q[off] = (vo @ (vo.conj().swapaxes(1, 2) @ kernel[..., None]))[..., 0]
+    nq = np.linalg.norm(q, axis=1)
+    q, nq, v, s, alpha, r = batch.drop(
+        nq < 1e-6,
+        lambda k: ExtractionError(
+            f"projection of the kernel at the base point onto the block is {nq[k]:.3e}; "
             "the multiplier cannot be normalized"
-        )
-    q = q / nq
+        ),
+        q, nq, v, s, alpha, r,
+    )
+    if batch.empty:
+        return batch.results
+    q = q / nq[:, None]
     p = q.copy()
-    p[1:] -= np.conj(alpha) * q[:-1]
-    p /= r
-    theta, phi, _ = recover_theta(p, hankel_apply(gamma, q), block.s, block.multiplicity, alpha)
-    return p, theta, phi
+    p[:, 1:] -= np.conj(alpha)[:, None] * q[:, :-1]
+    p /= r[:, None]
+    fits = _recover_thetas(p, hankel_apply(gamma, q.T).T, s, d, alpha)
+    fits, p, v, s, alpha = batch.drop_errors(fits, p, v, s, alpha)
+    if batch.empty:
+        return batch.results
+
+    thetas = [theta for theta, _, _ in fits]
+    phi = np.array([f for _, f, _ in fits])
+    # theta(0) = phase * prod(zeros); a nonzero one is moved to 0 by a Frostman shift
+    t0 = np.array([t.phase for t in thetas]) * np.prod([t.zeros for t in thetas], axis=1)
+    for k in np.flatnonzero(np.abs(t0) > 1e-10):
+        try:
+            p[k], thetas[k], phi[k] = _frostman_to_origin(p[k], thetas[k], phi[k], t0[k])
+        except ValueError as exc:
+            thetas[k] = exc
+    thetas, p, phi, v, s, alpha = batch.drop_errors(thetas, p, phi, v, s, alpha)
+    if batch.empty:
+        return batch.results
+    p, phi = _canonicalize(p, phi)
+
+    res = _verify_stack(
+        gamma, v, s, p, thetas, phi, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol))
+    )
+    return batch.finish(
+        x if isinstance(x, Exception) else _gate(x, tol) or Representation(
+            p=_frozen(pk), theta=t, phi=f, canonicalized_at=complex(a), residuals=x
+        )
+        for x, pk, t, f, a in zip(res, p, thetas, phi, alpha)
+    )
 
 
-def _canonicalize(
-    p: np.ndarray, theta: BlaschkeProduct, phi: float
+def _gate(res: RepresentationResiduals, tol: float) -> ExtractionError | None:
+    """The error for the first gate a verification report fails: the
+    multiplier isometry to 0.1 * tol, then the subspace gap and the action
+    residual to tol."""
+    if res.isometry > 0.1 * tol:
+        return ExtractionError(f"multiplier is not isometric: deviation {res.isometry:.3e}")
+    if res.subspace_gap > tol:
+        return ExtractionError(f"subspace gap {res.subspace_gap:.3e} exceeds tolerance {tol:.1e}")
+    if res.action > tol:
+        return ExtractionError(f"action residual {res.action:.3e} exceeds tolerance {tol:.1e}")
+    return None
+
+
+def _checked_base_point(base_point, basis: np.ndarray, nq: float):
+    """The base point to use for one block, or the error choosing it raises."""
+    try:
+        alpha = _base_point(basis, nq) if base_point is None else complex(base_point)
+    except ExtractionError as exc:
+        return exc
+    if not abs(alpha) < 1:
+        return ValueError("base point must lie in the open disk")
+    return alpha
+
+
+def _frostman_to_origin(
+    p: np.ndarray, theta: BlaschkeProduct, phi: float, t0: complex
 ) -> tuple[np.ndarray, BlaschkeProduct, float]:
-    """Normalize to theta(0) = 0 (Frostman shift, flipping the phase sign),
-    canonical theta phase, p(0) >= 0, phi in (-pi, pi].
-
-    theta comes from recover_theta with its canonical phase, so only a
-    shifted theta needs it fixed again.  The shift multiplies p by
+    """The representative with theta(0) = 0 of one with theta(0) = t0 != 0:
+    a Frostman shift, which flips the phase sign, with theta's canonical
+    phase fixed again.  The shift multiplies p by
     g = (1 - conj(t0) theta) / sqrt(1 - |t0|^2); coefficient k of the
-    product reads g only up to k, so the truncated convolution with g's
-    first n coefficients is exact, and so is reading p only up to its last
-    nonzero coefficient.
+    product reads g only up to k, so the truncated product with g's first
+    n coefficients is exact.
     """
     n = p.size
-    t0 = complex(blaschke_eval(theta, 0.0))
-    if abs(t0) > 1e-10:
-        shifted, g = frostman_shift(theta, t0, n)
-        p = np.convolve(_support(p), g)[:n]
-        canon = canonical_blaschke(shifted.zeros)
-        phi = phi + math.pi - np.angle(canon.phase / shifted.phase)
-        theta = canon
+    shifted, g = frostman_shift(theta, t0, n)
+    canon = canonical_blaschke(shifted.zeros)
+    return _series_product(p, g, n), canon, phi + math.pi - np.angle(canon.phase / shifted.phase)
 
+
+def _canonicalize(p: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Fix each row's unimodular constant: p(0) >= 0 (the first coefficient
+    above 1e-8 max|p| real positive), phi moved to match and wrapped to
+    (-pi, pi].  theta keeps its canonical phase."""
     rot = _lead_rotation(p, 1e-8)
     phi = phi - 2 * np.angle(rot)
-    return _frozen(p * rot), theta, _wrap_phase(phi)
+    return p * rot[:, None], [_wrap_phase(f) for f in phi]
 
 
 # ---------------------------------------------------------------------------
@@ -398,44 +617,103 @@ def verify_representation(
     residual scale.
 
     Everything is computed in coefficient space: products are truncated
-    convolutions, reading p up to its last nonzero coefficient, and
-    C_theta e_k is read in closed form from theta's zeros
-    (_conjugated_products).  The left side of the action comes from Gamma
-    alone, which acts as Gamma_J (hankel_apply) and so moves the action
-    residual by at most 5e-22 ||p e_k||; theta's Taylor coefficients are
-    needed only to order N + 1, for the symbol projection.
+    convolutions of the factors' supports, and C_theta e_k is read in
+    closed form from theta's zeros (_conjugated_products).  The left side
+    of the action comes from Gamma alone, which acts as Gamma_J
+    (hankel_apply) and so moves the action residual by at most
+    5e-22 ||p e_k||; theta's Taylor coefficients are needed only to order
+    N + 1, for the symbol projection.  This is the one-block call of the
+    batched verification that extract_representations runs.
     """
-    n = block.order
+    (out,) = _verify_stack(
+        gamma, block.basis[None], np.array([block.s]), np.asarray(rep.p)[None],
+        [rep.theta], np.array([rep.phi]), model_tail_tol,
+    )
+    return _raised(out)
+
+
+def _verify_stack(
+    gamma: HankelMatrix,
+    v: np.ndarray,
+    s: np.ndarray,
+    p: np.ndarray,
+    thetas: list,
+    phi: np.ndarray,
+    model_tail_tol: float,
+) -> list:
+    """verify_representation for each basis of the stack v (m x N x d), with
+    the singular values s, the rows of p, and thetas of one degree and phi:
+    one RepresentationResiduals or ValueError per basis."""
+    n = v.shape[1]
     u = gamma.u
-    s = block.s
-    phase = np.exp(1j * rep.phi)
+    batch = _Batch(len(thetas))
+    phase = np.exp(1j * np.asarray(phi))
 
-    prods = _weighted_model_space(rep.theta, rep.p, n, model_tail_tol)
-    iso = max((abs(np.linalg.norm(pe) - 1.0) for pe in prods.T), default=0.0)
-    gap = subspace_gap(block.basis, orthonormalize(prods))
+    prods = [_attempt(_weighted_model_space, t, pk, n, model_tail_tol) for t, pk in zip(thetas, p)]
+    prods, v, s, p, thetas, phase = batch.drop_errors(prods, v, s, p, thetas, phase)
+    if batch.empty:
+        return batch.results
+    prods = np.stack(prods)
+    iso = np.abs(np.linalg.norm(prods, axis=1) - 1.0).max(axis=1)
+    basis, full_rank = _orthonormal_columns(prods)
+    gap, (bad_block, bad_basis) = _subspace_gaps(v, basis)
+    failed = np.stack([~full_rank, bad_block, bad_basis])
+    v, s, p, thetas, phase, prods, iso, gap = batch.drop(
+        failed.any(axis=0),
+        lambda k: ValueError(_UNUSABLE_PRODUCTS[failed[:, k].argmax()]),
+        v, s, p, thetas, phase, prods, iso, gap,
+    )
 
-    action = 0.0
-    images = _conjugated_products(rep.theta, rep.p, prods, n, model_tail_tol)
-    for pe, pce in zip(prods.T, images.T):
-        lhs = hankel_apply(gamma, pe)
-        action = max(action, float(np.linalg.norm(lhs - s * phase * pce)) / s)
+    images = [
+        _attempt(_conjugated_products, t, pk, pr, n, model_tail_tol)
+        for t, pk, pr in zip(thetas, p, prods)
+    ]
+    images, v, s, p, thetas, phase, prods, iso, gap = batch.drop_errors(
+        images, v, s, p, thetas, phase, prods, iso, gap
+    )
+    if batch.empty:
+        return batch.results
+    m, _, k = prods.shape
+    lhs = hankel_apply(gamma, prods.transpose(1, 0, 2).reshape(n, m * k)).reshape(n, m, k)
+    diff = lhs.transpose(1, 0, 2) - (s * phase)[:, None, None] * np.stack(images)
+    action = np.linalg.norm(diff, axis=1).max(axis=1) / s
 
-    near_dist, near_u = _near_invariance(block, u)
+    near, near_u = _near_invariance(v, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
     # coefficient k <= n of p theta reads theta_hat only up to k
-    u_s = block.basis @ (block.basis.conj().T @ u)
-    theta_hat = blaschke_coefficients(rep.theta, n + 1)
-    p_theta_over_z = np.convolve(_support(rep.p), theta_hat)[1 : n + 1]
-    u_s_cross = float(np.linalg.norm(u_s - s * phase * rep.p[0] * p_theta_over_z))
-    return RepresentationResiduals(
-        subspace_gap=gap,
-        isometry=iso,
-        action=action,
-        near_invariance=near_dist,
-        near_invariance_u=near_u,
-        u_s_cross=u_s_cross,
-        p_origin=float(abs(rep.p[0])),
+    u_s = (v @ (v.conj().swapaxes(1, 2) @ u)[..., None])[..., 0]
+    p_theta_over_z = np.stack([
+        _series_product(pk, blaschke_coefficients(t, n + 1), n + 1)[1:] for pk, t in zip(p, thetas)
+    ])
+    u_s_cross = np.linalg.norm(u_s - (s * phase * p[:, 0])[:, None] * p_theta_over_z, axis=1)
+    return batch.finish(
+        RepresentationResiduals(
+            subspace_gap=float(gap[k]),
+            isometry=float(iso[k]),
+            action=float(action[k]),
+            near_invariance=float(near[k]),
+            near_invariance_u=float(near_u[k]),
+            u_s_cross=float(u_s_cross[k]),
+            p_origin=float(abs(p[k, 0])),
+        )
+        for k in range(len(thetas))
     )
+
+
+# why the products p e_k cannot be compared with a block, in the order checked
+_UNUSABLE_PRODUCTS = (
+    "columns are numerically rank deficient",
+    "first basis is not orthonormal to 1.0e-08",
+    "second basis is not orthonormal to 1.0e-08",
+)
+
+
+def _attempt(f, *args):
+    """f(*args), or the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return exc
 
 
 def _weighted_model_space(
@@ -443,12 +721,11 @@ def _weighted_model_space(
 ) -> np.ndarray:
     """The n x d matrix of p e_k over the Takenaka-Malmquist basis e_k of
     K_theta (tm_basis at order n and model_tail_tol): column k is the
-    truncated convolution of e_k with p up to its last nonzero coefficient."""
-    c = _support(p)
+    truncated product of p and e_k, a convolution of their supports."""
     basis = tm_basis(theta, n, tail_tol=model_tail_tol)
     out = np.empty(basis.shape, dtype=np.complex128)
     for k, e in enumerate(basis.T):
-        out[:, k] = np.convolve(c, e)[:n]
+        out[:, k] = _series_product(p, e, n)
     return out
 
 
@@ -474,18 +751,28 @@ def _conjugated_products(
     return -theta.phase * flipped[:, ::-1]
 
 
-def _near_invariance(block: SchmidtBlock, u: np.ndarray) -> tuple[float, float]:
-    """Near-S*-invariance of the block, read from the subspace W of its
-    functions that vanish at the origin: the operator norm of
-    (I - V V^*) S^* on W, and the norm of the pairing w -> <S^* w, u> over
-    the unit ball of W, divided by max(1, ||u||).  Both depend only on the
-    span of the block, not on its basis."""
-    v = block.basis
-    w = v @ _nullspace_of_row(v[0:1, :])
-    if w.shape[1] == 0:
-        return 0.0, 0.0
-    sw = np.zeros_like(w)
-    sw[:-1] = w[1:]
-    resid = sw - v @ (v.conj().T @ sw)
+def _near_invariance(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Near-S*-invariance of each block basis of the stack v (m x N x d),
+    read from the subspace W of its functions that vanish at the origin:
+    the operator norm of (I - V V^*) S^* on W, and the norm of the pairing
+    w -> <S^* w, u> over the unit ball of W, divided by max(1, ||u||).  Both
+    depend only on the span of the block, not on its basis.  W is the whole
+    block where its first row vanishes, else V times the null space of that
+    row, which is {0} (both values 0) for d = 1."""
+    m, _, d = v.shape
+    dist, pairing = np.zeros(m), np.zeros(m)
+    vanishing = np.linalg.norm(v[:, 0, :], axis=1) < 1e-14
+    cases = [(vanishing, v[vanishing])]
+    if d > 1:
+        cases.append((~vanishing, v[~vanishing] @ _nullspace_of_row(v[~vanishing, :1, :])))
     u_scale = max(1.0, float(np.linalg.norm(u)))
-    return float(np.linalg.norm(resid, 2)), float(np.linalg.norm(u.conj() @ sw)) / u_scale
+    for rows, w in cases:
+        if not w.shape[0]:
+            continue
+        vr = v[rows]
+        sw = np.zeros_like(w)
+        sw[:, :-1] = w[:, 1:]
+        resid = sw - vr @ (vr.conj().swapaxes(1, 2) @ sw)
+        dist[rows] = _largest_singular_value(resid)
+        pairing[rows] = np.linalg.norm(u.conj() @ sw, axis=1) / u_scale
+    return dist, pairing

@@ -183,24 +183,25 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
 
 def hankel_apply(h: HankelMatrix, f: np.ndarray) -> np.ndarray:
     """Anti-linear action f -> Gamma_J @ conj(f), J = h.numerical_order(),
-    on a coefficient vector f of length N; any other shape is refused.
+    on a coefficient vector f of length N, or on each column of an N x m
+    matrix f by one matrix product; any other shape is refused.
 
     Gamma_J is Gamma with the entries outside its leading J x J block set to
     zero, the block the SVD in spectral factors: only f[:J] is read, rows
-    J..N-1 of the result are zero, and the product costs O(J^2).  Outside
-    the block Gamma has Frobenius norm at most eps^2 c, c <= ||Gamma|| its
-    largest column norm, so the result is within eps^2 ||Gamma|| ||f|| of
-    Gamma @ conj(f).  In an action residual, divided by a singular value
-    s > RANK_TOL s_max = 1e-10 ||Gamma||, that is at most
-    eps^2 1e10 ||f|| <= 5e-22 ||f||.  A matrix given entry by entry gets J
+    J..N-1 of the result are zero, and the product costs O(J^2) per column.
+    Outside the block Gamma has Frobenius norm at most eps^2 c,
+    c <= ||Gamma|| its largest column norm, so the result is within
+    eps^2 ||Gamma|| ||f|| of Gamma @ conj(f).  In an action residual,
+    divided by a singular value s > RANK_TOL s_max = 1e-10 ||Gamma||, that
+    is at most eps^2 1e10 ||f|| <= 5e-22 ||f||.  A matrix given entry by entry gets J
     from a full scan, so noisy or fault-injected entries give J = N and
     the full product.
     """
     f = np.asarray(f)
-    if f.shape != (h.order,):
-        raise ValueError(f"order mismatch: matrix {h.order}, vector of shape {f.shape}")
+    if f.ndim not in (1, 2) or f.shape[0] != h.order:
+        raise ValueError(f"order mismatch: matrix {h.order}, input of shape {f.shape}")
     j = h.numerical_order()
-    out = np.zeros(h.order, dtype=np.complex128)
+    out = np.zeros(f.shape, dtype=np.complex128)
     out[:j] = h.gamma_j @ np.conj(f[:j])
     return out
 

@@ -7,9 +7,11 @@ that a value object or a cache keeps is a read-only copy (_frozen, the
 package's one read-only rule); a fresh result is a plain array.  Products
 of analytic functions are truncated convolutions, so they do not need the
 boundary; _support cuts a coefficient vector after its last nonzero
-entry, so a convolution with a vector that is exactly zero past order m
-costs O(N m), not O(N^2).  Boundary values, for functions that really are
-evaluated on the circle, live on equispaced grids e^{2*pi*i*k/M}, built
+entry, and _series_product convolves the supports of both factors, so a
+product with a factor that is exactly zero past order m costs O(N m), not
+O(N^2), and a product with z costs O(m).  Boundary values, for functions
+that really are evaluated on the circle, live on equispaced grids
+e^{2*pi*i*k/M}, built
 once per size and shared read-only (grid_points).  A family is sampled
 (_boundary_samples), multiplied on the boundary (multiply_by_boundary) or
 projected back to coefficients (_project, which keeps the band 0..N-1 and
@@ -73,9 +75,23 @@ def _support(c: np.ndarray) -> np.ndarray:
 
 def _lead_rotation(c: np.ndarray, rel: float):
     """Unimodular rot making the first entry of c above rel * max|c| real
-    positive in c * rot; 1.0 when there is none (c = 0)."""
-    idx = np.flatnonzero(np.abs(c) > rel * np.abs(c).max())
-    return np.conj(c[idx[0]]) / abs(c[idx[0]]) if idx.size else 1.0
+    positive in c * rot; 1.0 when there is none (c = 0).  For a stack of
+    vectors, one rotation per vector along the last axis."""
+    a = np.abs(c)
+    above = a > rel * a.max(axis=-1, keepdims=True)
+    lead = np.take_along_axis(c, above.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    lead = np.where(above.any(axis=-1), lead, 1.0)
+    return np.conj(lead) / np.abs(lead)
+
+
+def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of the product of two power series: the
+    convolution of their supports, so it costs O(supp a * supp b), padded
+    with zeros to n."""
+    out = np.zeros(n, dtype=np.complex128)
+    c = np.convolve(_support(a), _support(b))[:n]
+    out[: c.size] = c
+    return out
 
 
 def evaluate(f: np.ndarray, z) -> complex | np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import ExtractionError, Representation, extract_representation
+from .extraction import Representation, extract_representations
 from .hankel import build_hankel_matrix, residuals_from_matrix
 from .spectral import schmidt_decompose
 from .suites import suite_identities, suite_mobius, suite_model_spaces, suite_theorem
@@ -102,7 +102,8 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     block_entries = []
     warnings: list[str] = []
     all_pass = True
-    for block in blocks:
+    reps = extract_representations(gamma, blocks, tol=config.verify_tol)
+    for block, rep in zip(blocks, reps):
         entry = {
             "s": float(block.s),
             "multiplicity": int(block.multiplicity),
@@ -111,14 +112,13 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             "reliable": bool(block.reliable),
             "warnings": list(block.warnings),
         }
-        try:
-            rep = extract_representation(gamma, block, tol=config.verify_tol)
+        if isinstance(rep, Representation):
             passed = all(v <= config.verify_tol for v in rep.residuals.gated().values())
             entry["representation"] = _representation_entry(rep)
             entry["residuals"] = {k: float(v) for k, v in rep.residuals.as_dict().items()}
             entry["pass"] = bool(passed)
-        except (ExtractionError, ValueError) as exc:
-            entry["error"] = str(exc)
+        else:
+            entry["error"] = str(rep)
             entry["pass"] = False
             entry["reliable"] = False
         if not entry["pass"]:

@@ -84,9 +84,11 @@ def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Deterministic blocked column pivoting: each step takes the largest
     columns of the residual a - Q B, RANGE_BLOCK of them or as many as the
     rank so far, keeps those whose pivoted-QR diagonal exceeds tol / sqrt(J),
-    and orthogonalizes them against Q twice.  It stops once the residual,
-    recomputed from Q and B at every step, has Frobenius norm at most
-    tol = RANGE_TOL * (largest column norm of a), or once k = J.  The
+    and orthogonalizes them against Q twice; the first step's columns are
+    the pivoted QR's own orthonormal Q, with nothing to orthogonalize
+    against.  It stops once the residual, recomputed from Q and B at every
+    step, has Frobenius norm at most tol = RANGE_TOL * (largest column norm
+    of a), or once k = J.  The
     largest residual column always exceeds tol / sqrt(J), so every step adds
     a column, and a full-rank a takes O(log J) steps of matrix products.
     """
@@ -100,9 +102,10 @@ def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pick = np.argsort(-norms, kind="stable")[: max(RANGE_BLOCK, q.shape[1])]
         w, r, _ = scipy.linalg.qr(resid[:, pick], mode="economic", pivoting=True)
         w = w[:, np.abs(np.diag(r)) > tol / np.sqrt(j)][:, : j - q.shape[1]]
-        for _ in range(2):
-            w = w - q @ (q.conj().T @ w)
-        w, _ = np.linalg.qr(w)
+        if q.shape[1]:
+            for _ in range(2):
+                w = w - q @ (q.conj().T @ w)
+            w, _ = np.linalg.qr(w)
         q = np.hstack([q, w])
         b = np.vstack([b, w.conj().T @ a])
         if q.shape[1] == j:
@@ -200,21 +203,30 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
 
 def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (QR; assumes full column rank)."""
-    q, r = np.linalg.qr(np.asarray(vectors, dtype=np.complex128))
-    if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(r)))):
+    q, full_rank = _orthonormal_columns(np.asarray(vectors, dtype=np.complex128))
+    if not full_rank:
         raise ValueError("columns are numerically rank deficient")
     return q
 
 
+def _orthonormal_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of the QR of an N x d matrix, or of each matrix in a stack, and
+    whether it has full column rank: min |R_kk| >= 1e-12 max(1, max |R_kk|)."""
+    q, r = np.linalg.qr(v)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return q, ~(diag.min(axis=-1) < 1e-12 * np.maximum(1.0, diag.max(axis=-1)))
+
+
 def _nullspace_of_row(row: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the vectors annihilated by a 1 x d row;
-    for a nonzero row with one entry that is the empty 1 x 0 basis."""
+    for a nonzero row with one entry that is the empty 1 x 0 basis.  A stack
+    of nonzero rows (m x 1 x d) gives the stack of their bases."""
     if np.linalg.norm(row) < 1e-14:
-        return np.eye(row.shape[1], dtype=np.complex128)
-    if row.shape[1] == 1:
-        return np.zeros((1, 0), dtype=np.complex128)
+        return np.eye(row.shape[-1], dtype=np.complex128)
+    if row.shape[-1] == 1:
+        return np.zeros(row.shape[:-2] + (1, 0), dtype=np.complex128)
     _, _, vh = np.linalg.svd(row)
-    return np.conj(vh[1:, :]).T
+    return np.conj(vh[..., 1:, :]).swapaxes(-1, -2)
 
 
 def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -232,10 +244,31 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
         b = b[:, None]
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    for name, mat in (("first", a), ("second", b)):
-        gram = mat.conj().T @ mat
-        if np.linalg.norm(gram - np.eye(mat.shape[1])) > 1e-8:
+    gap, not_orthonormal = _subspace_gaps(a, b)
+    for name, bad in zip(("first", "second"), not_orthonormal):
+        if bad:
             raise ValueError(f"{name} basis is not orthonormal to 1.0e-08")
-    if a.shape[1] != b.shape[1] or a.shape[1] == 0:
-        return float(a.shape[1] != b.shape[1])
-    return float(min(1.0, np.linalg.svd(b - a @ (a.conj().T @ b), compute_uv=False)[0]))
+    return float(gap)
+
+
+def _subspace_gaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """subspace_gap of two N x d matrices, or of two stacks of them pair by
+    pair, and for a and for b whether each fails the 1e-8 orthonormality
+    check; a gap is only meaningful where neither does."""
+    not_orthonormal = tuple(
+        np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) > 1e-8
+        for m in (a, b)
+    )
+    if a.shape[-1] != b.shape[-1] or a.shape[-1] == 0:
+        return np.full(a.shape[:-2], float(a.shape[-1] != b.shape[-1])), not_orthonormal
+    resid = b - a @ (a.conj().swapaxes(-1, -2) @ b)
+    return np.minimum(1.0, _largest_singular_value(resid)), not_orthonormal
+
+
+def _largest_singular_value(a: np.ndarray) -> np.ndarray:
+    """||a||_2 of an N x d matrix, or of each matrix in a stack: the square
+    root of the largest eigenvalue of the d x d Gram matrix a^H a, which
+    eigvalsh finds to within eps of itself, so the result is accurate to
+    eps relative, as from an SVD, at the cost of a d x d problem."""
+    top = np.linalg.eigvalsh(a.conj().swapaxes(-1, -2) @ a)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))

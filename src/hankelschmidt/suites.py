@@ -23,7 +23,13 @@ from .blaschke import (
     mobius_eval,
     tm_basis,
 )
-from .extraction import ExtractionError, _weighted_model_space, extract_representation
+from .extraction import (
+    ExtractionError,
+    Representation,
+    _weighted_model_space,
+    extract_representation,
+    extract_representations,
+)
 from .hankel import HankelMatrix, build_hankel_matrix, residuals_from_matrix
 from .hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
 from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
@@ -319,17 +325,15 @@ def suite_theorem(seed: int, count: int = 100, order: int = 128, tol: float = 1e
     for i in range(count):
         sym = random_symbol(rng)
         gamma = build_hankel_matrix(sym, order)
-        for block in schmidt_decompose(gamma):
-            if not block.reliable:
-                n_unreliable += 1
+        blocks = schmidt_decompose(gamma)
+        reliable = [block for block in blocks if block.reliable]
+        n_unreliable += len(blocks) - len(reliable)
+        n_blocks += len(reliable)
+        for block, rep in zip(reliable, extract_representations(gamma, reliable, tol=tol)):
+            if not isinstance(rep, Representation):
+                failures.append(f"symbol {i}, s = {block.s:.6g}: {rep}")
                 continue
-            n_blocks += 1
-            try:
-                res = extract_representation(gamma, block, tol=tol).residuals
-            except (ExtractionError, ValueError) as exc:
-                failures.append(f"symbol {i}, s = {block.s:.6g}: {exc}")
-                continue
-            for name, value in res.gated().items():
+            for name, value in rep.residuals.gated().items():
                 worst[name] = max(worst[name], value)
                 if value > tol:
                     failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")

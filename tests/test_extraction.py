@@ -209,7 +209,7 @@ def test_recover_theta_at_base_point_places_the_zero_there():
 
 
 def _kernel_multiplier(block, alpha):
-    """(p, q) as _extract_at forms them: q the normalized block projection
+    """(p, q) as extraction forms them: q the normalized block projection
     of the unit kernel at alpha, and p = q / k^_alpha."""
     r = math.sqrt(1 - abs(alpha) ** 2)
     q = block.basis @ (block.basis.conj().T @ (r * np.conj(alpha) ** np.arange(block.order)))
@@ -608,7 +608,7 @@ def test_extraction_depends_only_on_the_span():
     assert sorted({b.multiplicity for _, b in blocks}) == [1, 2, 3, 5]
     for gamma, block in blocks:
         rep = extract_representation(gamma, block)
-        near = extraction._near_invariance(block, gamma.u)
+        near = extraction._near_invariance(block.basis[None], gamma.u)
         passed = max(rep.residuals.gated().values()) <= 1e-6
         d = block.multiplicity
         for _ in range(20):
@@ -619,7 +619,7 @@ def test_extraction_depends_only_on_the_span():
             assert np.max(np.abs(got.theta.zeros - rep.theta.zeros)) < 1e-12
             assert abs(got.theta.phase - rep.theta.phase) < 1e-12
             assert abs(math.remainder(got.phi - rep.phi, 2 * math.pi)) < 1e-12
-            got_near = extraction._near_invariance(turned, gamma.u)
+            got_near = extraction._near_invariance(turned.basis[None], gamma.u)
             assert np.max(np.abs(np.subtract(got_near, near))) < 1e-12
             assert (max(got.residuals.gated().values()) <= 1e-6) == passed
             # never below the column maxima of any basis, equal to them on one column
@@ -653,9 +653,9 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
     assert rep.residuals.isometry < 1e-15
     canonicalize = extraction._canonicalize
 
-    def scaled(p, theta, phi):
-        p, theta, phi = canonicalize(p, theta, phi)
-        return p * (1 + 3e-10), theta, phi
+    def scaled(p, phi):
+        p, phi = canonicalize(p, phi)
+        return p * (1 + 3e-10), phi
 
     monkeypatch.setattr(extraction, "_canonicalize", scaled)
     with pytest.raises(ExtractionError, match="not isometric: deviation 3.0"):
@@ -692,3 +692,79 @@ def test_reports_are_identical_with_a_cold_or_a_warm_theta_cache():
         blaschke._canonical.cache_clear()
         cold[doc] = report(doc)
     assert cold == forward
+
+
+# ---------------------------------------------------------------------------
+# the batched pass
+
+
+MULTIPLE_POLES = {"poles": [
+    {"b": [-0.5373490293139898, 0.5420310713300576], "m": 4, "c": [-0.1817340575870318, -0.7765437434910089]},
+    {"b": [-0.6240873297441091, 0.35041257921138325], "m": 1, "c": [-0.26417203063295636, -0.3836678708723362]},
+    {"b": [-0.23289309139962888, 0.276432820411099], "m": 4, "c": [0.32094578325073536, -0.1981513590391076]},
+]}
+# a symbol whose smallest block (2.9e-10 s_max) fails the inner fit at N=128
+SYMBOL_183 = {
+    "poly": [[-0.08709895226163099, 2.30184206580847], [-1.2927582657112695, 0.627090644692311]],
+    "poles": [
+        {"b": [0.03746173516706306, 0.15628645771632382], "m": 2, "c": [0.1326310532547583, -0.8725106032481607]},
+        {"b": [-0.2783057406397432, -0.13847367323902898], "m": 3, "c": [0.32019080346354917, 0.8667047455286133]},
+        {"b": [-0.03616157438316852, -0.1492663171718748], "m": 3, "c": [-1.0297322814565903, -0.7549695283563244]},
+    ],
+}
+Z_SQUARED = {"poly": [[0, 0], [0, 0], [1, 0]]}
+
+
+def one_at_a_time(gamma, blocks):
+    out = []
+    for block in blocks:
+        try:
+            out.append(extract_representation(gamma, block, tol=1e-6))
+        except (ExtractionError, ValueError) as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_result(got, want, block, s_max):
+    """The same outcome: the same error, or the same base point and inner
+    degree with every float within 1e-12, widened by eps s_max / s, the
+    error of the block's Schmidt vectors, which any change in rounding order
+    can move a representation by."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        return
+    tol = 1e-12 + np.finfo(float).eps * s_max / block.s
+    assert got.canonicalized_at == want.canonicalized_at
+    assert got.theta.degree == want.theta.degree
+    assert np.max(np.abs(got.p - want.p)) <= tol
+    assert abs(math.remainder(got.phi - want.phi, 2 * math.pi)) <= tol
+    assert np.max(np.abs(got.theta.zeros - want.theta.zeros)) <= tol
+    assert abs(got.theta.phase - want.theta.phase) <= tol
+    for name, value in want.residuals.as_dict().items():
+        assert abs(getattr(got.residuals, name) - value) <= tol, name
+
+
+@pytest.mark.parametrize("doc, n, count, off_origin, failing", [
+    (MULTIPLE_POLES, 128, 9, 3, 0),
+    (Z_SQUARED, 16, 1, 0, 0),
+    (Z_SQUARED, 512, 1, 0, 0),
+    (SYMBOL_183, 128, 8, 4, 1),
+])
+def test_batched_extraction_matches_one_block_at_a_time(doc, n, count, off_origin, failing):
+    gamma = build_hankel_matrix(parse_symbol(doc), n)
+    blocks = list(schmidt_decompose(gamma))
+    assert len(blocks) == count
+    want = one_at_a_time(gamma, blocks)
+    forward = extraction.extract_representations(gamma, blocks, tol=1e-6)
+    backward = extraction.extract_representations(gamma, blocks[::-1], tol=1e-6)[::-1]
+    errors = [w for w in want if isinstance(w, Exception)]
+    assert len(errors) == failing
+    assert all("unit boundary modulus" in str(e) for e in errors)
+    assert not failing or isinstance(want[-1], ExtractionError)
+    assert sum(not isinstance(w, Exception) and w.canonicalized_at != 0 for w in want) == off_origin
+    if doc is Z_SQUARED:
+        assert blocks[0].multiplicity == 3
+    for block, w, f, b in zip(blocks, want, forward, backward):
+        assert_same_result(f, w, block, blocks[0].s)
+        assert_same_result(b, w, block, blocks[0].s)

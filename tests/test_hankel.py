@@ -543,9 +543,26 @@ def test_apply_on_a_fault_injected_matrix_is_the_full_product():
     assert np.array_equal(hankel_apply(h, f), gamma @ np.conj(f))
 
 
+def test_apply_to_a_matrix_applies_each_column():
+    # an N x m input is m coefficient vectors, applied by one matrix product;
+    # a column differs from its lone application only by rounding
+    n, eps = 512, np.finfo(float).eps
+    rng = np.random.default_rng(10)
+    h = build_hankel_matrix(random_symbol(rng), n)
+    j = h.numerical_order()
+    f = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    out = hankel_apply(h, f)
+    assert out.shape == (n, 3) and not out[j:].any()
+    scale = n * eps * np.linalg.norm(h.gamma_j, 2)
+    for k in range(3):
+        assert np.linalg.norm(out[:, k] - hankel_apply(h, f[:, k])) <= scale * np.linalg.norm(f[:, k])
+
+
 def test_order_mismatch_rejected():
     h = build_hankel_matrix(symbol_from_coefficients([0, 1]), 8)
     with pytest.raises(ValueError, match="order mismatch"):
         hankel_apply(h, one(4))
     with pytest.raises(ValueError, match="order mismatch"):
-        hankel_apply(h, one(8)[:, None])
+        hankel_apply(h, one(4)[:, None])
+    with pytest.raises(ValueError, match="order mismatch"):
+        hankel_apply(h, one(8)[:, None, None])
