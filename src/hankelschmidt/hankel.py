@@ -9,12 +9,12 @@ is numerically its leading J x J block (HankelMatrix.numerical_order): the
 part outside has l2 norm at most eps^2 c, c the largest column norm.  The
 SVD in spectral works on that block, and hankel_apply applies it, Gamma_J,
 so every product with Gamma costs O(J^2).  J is read from one decay profile
-per matrix.  For a matrix from build_hankel_matrix it comes from the 2N-1
-coefficients in O(N), since every entry of Gamma is one of them; only a
-matrix given entry by entry is scanned in full.  Such a matrix keeps its
-coefficients as the operator: Gamma_J is built from them once and cached
-(HankelMatrix.gamma_j), and the full N x N Gamma only when a caller asks for
-it, so an analysis allocates no N x N array.
+per matrix and kept.  For a matrix from build_hankel_matrix it comes from
+the 2N-1 coefficients in O(N), since every entry of Gamma is one of them;
+only a matrix given entry by entry is scanned in full.  Such a matrix keeps
+its coefficients as the operator: its one J x J array, Gamma_J / 2^e
+(HankelMatrix.block), is built from them once, and the full N x N Gamma only
+when a caller asks for it, so an analysis allocates no N x N array.
 
 The identity residuals hold exactly for every Hankel matrix, so for a
 matrix built from its coefficients residuals_from_matrix returns their
@@ -53,16 +53,16 @@ class HankelMatrix:
     A matrix is given either entry by entry (`gamma`) or by all 2N-1
     coefficients (`coeffs`), as build_hankel_matrix does, never both.  From
     coefficients no N x N array is built up front: the analysis reads only
-    `gamma_j`, the leading J x J block (J = numerical_order()), built from
-    coeffs, and `u`, read from coeffs; the full `gamma` is built on first
-    access and kept.  A matrix given entry by entry has no coeffs, and
-    gamma_j is a view of its gamma.  Every array is read-only, Gamma and
+    `block`, Gamma_J / 2^exponent, built from the 2J-1 scaled coefficients,
+    and `u`, read from coeffs; the full `gamma` is built on first access and
+    kept.  A matrix given entry by entry has no coeffs, and its block is a
+    scaled copy of gamma[:J, :J].  Every array is read-only, Gamma and
     coeffs copied first (_frozen), so no caller's array can change them and
-    the decay profile (_decay) is computed once and kept: from coeffs in
-    O(N) when they are there, else by a scan of all of Gamma.  From coeffs it is made of
+    the decay profile (_decay) and J are computed once and kept: from coeffs
+    in O(N), else by a scan of all of Gamma.  From coeffs it is made of
     suffix sums, summed from the tail: the sums the cut compares are about
     eps^4 of the total, and a difference of prefix sums of order 1 would
-    cancel them.
+    cancel them.  They also give the block's column norms (column_norms).
     """
 
     def __init__(self, gamma=None, tail: float = 0.0, coeffs=None):
@@ -89,11 +89,19 @@ class HankelMatrix:
         return _hankel(self.coeffs, self.order)
 
     @cached_property
-    def gamma_j(self) -> np.ndarray:
-        """Gamma's leading J x J block, J = numerical_order(), the block the
-        analysis reads: contiguous when built from coeffs, else a view of gamma."""
-        j = self.numerical_order()
-        return self.gamma[:j, :j] if self.coeffs is None else _hankel(self.coeffs, j)
+    def block(self) -> np.ndarray:
+        """Gamma_J / 2^exponent, J = numerical_order(): the one array the
+        analysis factors and multiplies by, read-only and C-contiguous.  Built
+        from the 2J-1 scaled coefficients, else a scaled copy of gamma[:J, :J]."""
+        j, e = self.numerical_order(), self.exponent
+        if self.coeffs is None:
+            return _ldexp(self.gamma[:j, :j], -e)
+        return _hankel(_ldexp(self.coeffs[: 2 * j - 1], -e), j)
+
+    @property
+    def exponent(self) -> int:
+        """frexp exponent e of largest_entry, so |block| < 1; 0 if Gamma is 0 or not finite."""
+        return int(np.frexp(self.largest_entry)[1])
 
     @property
     def u(self) -> np.ndarray:
@@ -111,44 +119,49 @@ class HankelMatrix:
         Outside that block Gamma has l2 norm at most eps^2 times its largest
         column norm, itself at most ||Gamma||_2.  J does not depend on the
         scale of Gamma.  Noise above that level, or a non-finite entry,
-        gives J = N.
+        gives J = N.  It is found once per matrix, with the decay profile.
         """
-        n = self.order
-        floor = min(2, n)
-        largest, dropped, column = self._decay
-        if largest == 0:
-            return floor
-        if not np.isfinite(largest):
-            return n
-        fits = np.flatnonzero(dropped[floor:] <= _EPS**4 * column)
-        return floor + int(fits[0]) if fits.size else n
+        return self._decay[1]
+
+    def column_norms(self) -> np.ndarray:
+        """The column norms of block: from the coefficients' suffix sums in
+        O(J), column j of Gamma_J weighing Q[j] - Q[j + J], else from block."""
+        q = self._decay[3]
+        if q is None:
+            return np.linalg.norm(self.block, axis=0)
+        j = self.numerical_order()
+        return np.sqrt(q[:j] - q[j : 2 * j]) * np.frexp(self.largest_entry)[0]
 
     @cached_property
-    def _decay(self) -> tuple[float, np.ndarray, float]:
-        """(largest |entry|, dropped, column) on the scale of the largest entry.
+    def _decay(self) -> tuple[float, int, float, np.ndarray | None]:
+        """(largest |entry|, J, column, Q), sums on the scale of the largest entry.
 
-        dropped[J] (J = 0..N) sums the squared entries outside the leading
-        J x J block, and column is the largest such sum over one column.
+        J is the first order >= min(2, N) whose dropped[J], the sum of the
+        squared entries outside the leading J x J block, is at most eps^4
+        column, the largest such sum over one column.
         From coeffs, with a_k = |u_hat(k)|^2 on that scale and Q[k] the sum
         of a_i over i >= k: the entries with max(i, j) = m add up to
-        2 (Q[m] - Q[2m]) + a_2m, and column j to Q[j] - Q[j + N].
+        2 (Q[m] - Q[2m]) + a_2m, and column j to Q[j] - Q[j + N].  Q is
+        None for a matrix given entry by entry.
         """
-        n = self.order
+        n, floor = self.order, min(2, self.order)
         a = np.abs(self.gamma if self.coeffs is None else self.coeffs)
         largest = a.max(initial=0.0)
         if largest == 0 or not np.isfinite(largest):
-            return largest, np.zeros(0), 0.0
+            return largest, floor if largest == 0 else n, 0.0, None
         a = (a / largest) ** 2
         if self.coeffs is None:
             # shell[k]: squared entries with max(i, j) == k
             shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0)
             column = a.sum(axis=0).max()
+            q = None
         else:
             q = _suffix_sums(a)
             m = np.arange(n)
             shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
             column = (q[:n] - q[n:]).max()
-        return largest, _suffix_sums(shell), column
+        fits = np.flatnonzero(_suffix_sums(shell)[floor:] <= _EPS**4 * column)
+        return largest, floor + int(fits[0]) if fits.size else n, column, q
 
 
 def _hankel(coeffs: np.ndarray, j: int) -> np.ndarray:
@@ -156,6 +169,15 @@ def _hankel(coeffs: np.ndarray, j: int) -> np.ndarray:
     g = scipy.linalg.hankel(coeffs[:j], coeffs[j - 1 : 2 * j - 1])
     g.setflags(write=False)
     return g
+
+
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """A read-only complex copy of z times 2^e, exact unless a part under- or overflows."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    np.ldexp(z.real, e, out=out.real)
+    np.ldexp(z.imag, e, out=out.imag)
+    out.setflags(write=False)
+    return out
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -189,6 +211,7 @@ def hankel_apply(h: HankelMatrix, f: np.ndarray) -> np.ndarray:
     Gamma_J is Gamma with the entries outside its leading J x J block set to
     zero, the block the SVD in spectral factors: only f[:J] is read, rows
     J..N-1 of the result are zero, and the product costs O(J^2) per column.
+    It multiplies by h.block = Gamma_J / 2^e and scales back, exact where normal.
     Outside the block Gamma has Frobenius norm at most eps^2 c,
     c <= ||Gamma|| its largest column norm, so the result is within
     eps^2 ||Gamma|| ||f|| of Gamma @ conj(f).  In an action residual,
@@ -202,7 +225,7 @@ def hankel_apply(h: HankelMatrix, f: np.ndarray) -> np.ndarray:
         raise ValueError(f"order mismatch: matrix {h.order}, input of shape {f.shape}")
     j = h.numerical_order()
     out = np.zeros(f.shape, dtype=np.complex128)
-    out[:j] = h.gamma_j @ np.conj(f[:j])
+    out[:j] = _ldexp(h.block @ np.conj(f[:j]), h.exponent)
     return out
 
 

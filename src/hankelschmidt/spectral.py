@@ -78,22 +78,21 @@ class SchmidtBlocks(list):
         self.singular_values.setflags(write=False)
 
 
-def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal Q (J x k) of the numerical range of a, and B = Q^H a.
+def _range_basis(a: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal Q (J x k) of the numerical range of a, and B = Q^H a, given a's column norms.
 
     Deterministic blocked column pivoting: each step takes the largest
     columns of the residual a - Q B, RANGE_BLOCK of them or as many as the
     rank so far, keeps those whose pivoted-QR diagonal exceeds tol / sqrt(J),
     and orthogonalizes them against Q twice; the first step's columns are
     the pivoted QR's own orthonormal Q, with nothing to orthogonalize
-    against.  It stops once the residual, recomputed from Q and B at every
-    step, has Frobenius norm at most tol = RANGE_TOL * (largest column norm
-    of a), or once k = J.  The
+    against.  It stops once the residual, recomputed in place from Q and B
+    at every step, has Frobenius norm at most tol = RANGE_TOL * (largest
+    column norm of a), or once k = J.  The
     largest residual column always exceeds tol / sqrt(J), so every step adds
     a column, and a full-rank a takes O(log J) steps of matrix products.
     """
     j = a.shape[0]
-    norms = np.linalg.norm(a, axis=0)
     tol = RANGE_TOL * norms.max()
     resid = a
     q = np.zeros((j, 0), dtype=np.complex128)
@@ -110,8 +109,9 @@ def _range_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = np.vstack([b, w.conj().T @ a])
         if q.shape[1] == j:
             break
-        resid = a - q @ b
-        if np.linalg.norm(resid) <= tol:
+        resid = q @ b
+        np.subtract(a, resid, out=resid)
+        if np.sqrt(np.vdot(resid, resid).real) <= tol:
             break
         norms = np.linalg.norm(resid, axis=0)
     return q, b
@@ -135,14 +135,15 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     the entries outside it move no singular value by more than eps^2 ||Gamma||,
     and a singular subspace by at most that over its gap.  Each of them is at
     most eps^2 c < c / sqrt(N) <= max |Gamma|, c the largest column norm, so
-    Gamma's largest entry lies in the block.  The block, h.gamma_j, is
-    scaled by the power of two at that entry (exactly), then
-    _range_basis gives Q (J x k) and B = Q^H Gamma_J with a residual
-    E = Gamma_J - Q B of Frobenius norm at most RANGE_TOL times the largest
-    column norm.  Gamma_J^H Gamma_J = B^H B + E^H E, so every singular value
+    Gamma's largest entry lies in the block.  h.block is the block divided
+    by the power of two at that entry, exactly; _range_basis gives Q (J x k)
+    and B = Q^H Gamma_J on that scale, with a residual E = Gamma_J - Q B of
+    Frobenius norm at most RANGE_TOL times the largest column norm.
+    Gamma_J^H Gamma_J = B^H B + E^H E, so every singular value
     left out is at most ||E||_F, far below the kernel cutoff, and every kept
     s^2 moves by at most ||E||_F^2.  The left singular vectors are Q U_B from
     the SVD of B, zero-padded to N rows; s is padded with N - k exact zeros.
+    Each block's s is averaged on that scale, where its squares do not underflow.
     """
     if not 0 < cluster_tol < 1:
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
@@ -152,14 +153,10 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     sing = np.zeros(n)
     if largest == 0:
         return SchmidtBlocks([], sing)
-    exp = int(np.frexp(largest)[1])
-    scaled = np.empty((j, j), dtype=np.complex128)
-    np.ldexp(h.gamma_j.real, -exp, out=scaled.real)
-    np.ldexp(h.gamma_j.imag, -exp, out=scaled.imag)
-    q, b = _range_basis(scaled)
+    q, b = _range_basis(h.block, h.column_norms())
     u_b, sing_b = scipy.linalg.svd(b, full_matrices=False)[:2]
     k = sing_b.size
-    sing[:k] = np.ldexp(sing_b, exp)
+    sing[:k] = np.ldexp(sing_b, h.exponent)
     left = np.zeros((n, k), dtype=np.complex128)
     left[:j] = q @ u_b
     s_max = float(sing[0])
@@ -187,7 +184,7 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
             warns.append("cluster spread far above noise floor: possible false merge")
         blocks.append(
             SchmidtBlock(
-                s=float(np.sqrt(np.mean(vals**2))),
+                s=float(np.ldexp(np.sqrt(np.mean(sing_b[idx] ** 2)), h.exponent)),
                 basis=left[:, idx],
                 spread=spread,
                 separation=separation,

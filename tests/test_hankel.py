@@ -478,6 +478,11 @@ def test_boundary_route_agreement():
         assert np.linalg.norm(direct - projected) < 10 * h.tail + 1e-10
 
 
+def ldexp(z, e):
+    """z * 2^e, part by part: exact for finite z unless a part under- or overflows."""
+    return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
+
+
 def test_analyze_builds_no_full_matrix(monkeypatch):
     # a pole at 0.5 at N=512 has J << N: analyze reads only Gamma_J and u
     n = 512
@@ -500,16 +505,53 @@ def test_analyze_builds_no_full_matrix(monkeypatch):
     (h,) = matrices
     j = h.numerical_order()
     assert report["pass"] and j < n // 4
-    assert built and max(max(shape) for shape in built) <= j
+    # one J x J array per matrix, built once from its coefficients
+    assert built == [(j, j)]
     assert "gamma" not in vars(h)
 
     monkeypatch.undo()
     c = h.coeffs
     assert np.array_equal(h.gamma, scipy.linalg.hankel(c[:n], c[n - 1 :]))
     assert not h.gamma.flags.writeable and h.gamma is h.gamma
-    assert np.array_equal(h.gamma_j, h.gamma[:j, :j])
-    assert h.gamma_j.flags.c_contiguous and not h.gamma_j.flags.writeable
+    assert np.array_equal(ldexp(h.block, h.exponent), h.gamma[:j, :j])
+    assert h.block.flags.c_contiguous and not h.block.flags.writeable
     assert np.array_equal(h.u, h.gamma[:, 0])
+
+
+@pytest.mark.parametrize("n", [16, 128, 512])
+def test_block_is_gamma_j_scaled_by_a_power_of_two(n):
+    # from coefficients and entry by entry, block is Gamma_J / 2^e with its
+    # entries within 1, so the factorizations of the two agree to eps s_max:
+    # their first-step column norms come from suffix sums and from the block
+    rng = np.random.default_rng(n)
+    for sym in (random_symbol(rng), random_symbol(rng), rank_one_symbol(c=1e-160)):
+        h = build_hankel_matrix(sym, n)
+        entrywise = HankelMatrix(h.gamma.copy())
+        j = h.numerical_order()
+        assert entrywise.numerical_order() == j and entrywise.exponent == h.exponent
+        assert 0.5 <= np.abs(h.block).max() < 1
+        for m in (h, entrywise):
+            assert np.array_equal(ldexp(m.block, m.exponent), h.gamma[:j, :j])
+            assert m.block.flags.c_contiguous and not m.block.flags.writeable
+        norms = np.linalg.norm(h.block, axis=0)
+        assert np.max(np.abs(h.column_norms() - norms)) <= 1e-14 * norms.max()
+        assert np.array_equal(entrywise.column_norms(), norms)
+        sing, dense_sing = (schmidt_decompose(m).singular_values for m in (h, entrywise))
+        assert np.max(np.abs(sing - dense_sing)) <= np.finfo(float).eps * sing[0]
+
+
+def test_numerical_order_is_found_once(monkeypatch):
+    h = build_hankel_matrix(rank_one_symbol(), 512)
+    j = h.numerical_order()
+
+    def scan(*args):
+        raise AssertionError("the numerical order was searched again")
+
+    monkeypatch.setattr(np, "flatnonzero", scan)
+    assert h.numerical_order() == j
+    hankel_apply(h, one(512))
+    hankel_apply(h, np.ones((512, 2)))
+    schmidt_decompose(h)
 
 
 def test_apply_is_gamma_j_within_its_bound():
@@ -553,7 +595,7 @@ def test_apply_to_a_matrix_applies_each_column():
     f = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     out = hankel_apply(h, f)
     assert out.shape == (n, 3) and not out[j:].any()
-    scale = n * eps * np.linalg.norm(h.gamma_j, 2)
+    scale = n * eps * np.linalg.norm(ldexp(h.block, h.exponent), 2)
     for k in range(3):
         assert np.linalg.norm(out[:, k] - hankel_apply(h, f[:, k])) <= scale * np.linalg.norm(f[:, k])
 

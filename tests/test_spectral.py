@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix
-from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
+from hankelschmidt.pipeline import AnalysisConfig, analysis_exit_code, analyze_symbol
 from hankelschmidt.spectral import (
     RANGE_BLOCK,
     SchmidtBlock,
@@ -162,6 +162,22 @@ def test_small_block_singular_value_is_exact():
     assert abs(exact[1] - 7.459432e-4) < 1e-9
     for block, s in zip(blocks, exact):
         assert abs(block.s - s) <= 1e-11 * s
+
+
+def test_tiny_residues_keep_their_singular_values():
+    # residues of 1e-160 give s near 1e-160, whose squares underflow: s is
+    # averaged on the factored block's scale and multiplied back by 2^e, so
+    # the blocks keep their values and the analysis passes
+    def two_poles(c):
+        return RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=c), PoleTerm(b=-0.3 + 0.2j, m=1, c=1j * c)))
+
+    ref = schmidt_decompose(build_hankel_matrix(two_poles(1.0), 128))
+    blocks = schmidt_decompose(build_hankel_matrix(two_poles(1e-160), 128))
+    assert len(blocks) == len(ref) == 2
+    for block, r in zip(blocks, ref):
+        assert block.s == pytest.approx(1e-160 * r.s, rel=1e-12)
+    report = analyze_symbol(two_poles(1e-160), AnalysisConfig(n=128))
+    assert report["pass"] and analysis_exit_code(report) == 0
 
 
 def record_factorizations(monkeypatch):
