@@ -163,10 +163,10 @@ def _polynomials(b: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
 def blaschke_coefficients(b: BlaschkeProduct, order: int) -> np.ndarray:
     """Exact Taylor coefficients of B via polynomial long division, computed
     once per order and kept read-only on B."""
-    coeffs = b._kept.get(("taylor", order))
-    if coeffs is None:
-        coeffs = b._kept["taylor", order] = _frozen(_series_div(*_polynomials(b), order))
-    return coeffs
+    taylor = b._kept.get(("taylor", order))
+    if taylor is None:
+        taylor = b._kept["taylor", order] = _frozen(_series_div(*_polynomials(b), order))
+    return taylor
 
 
 def _on_grid(b: BlaschkeProduct, m: int) -> np.ndarray:
@@ -341,9 +341,7 @@ def _sort_complex(values: np.ndarray) -> np.ndarray:
 # Moebius conjugation
 
 
-def mobius_conjugate_function(
-    f: np.ndarray, m: MobiusMap, order: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def mobius_conjugate_function(f: np.ndarray, m: MobiusMap, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z))
     of each coefficient column of the N x d matrix f.
 
@@ -353,8 +351,6 @@ def mobius_conjugate_function(
     longer a polynomial, so it grows as |alpha| -> 1).
     """
     cols = _coefficient_matrix(f)
-    if order is None:
-        order = cols.shape[0]
     z = grid_points(default_grid_size(max(order, cols.shape[0])))
     weight = np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z)
     samples = weight[:, None] * _horner(cols, mobius_eval(m, z))

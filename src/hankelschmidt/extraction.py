@@ -76,7 +76,7 @@ from .hardy import (
     default_grid_size,
     grid_points,
 )
-from .hankel import HankelMatrix, hankel_apply
+from .hankel import HankelMatrix, _ldexp, hankel_apply
 from .spectral import (
     SchmidtBlock,
     _largest_singular_value,
@@ -296,19 +296,20 @@ def _recover_thetas(p: np.ndarray, hq: np.ndarray, s, d: int, alpha) -> list:
     p, hq, s, alpha = batch.drop(
         s <= 0, lambda k: ValueError("singular value must be positive"), p, hq, s, alpha
     )
-    nrm = np.linalg.norm(hq, axis=1)
-    p, hq, s, alpha = batch.drop(
-        np.abs(nrm - s) > 0.01 * s,
+    # ||H q|| / s from rhs = H q / s, whose squares do not underflow where those of H q do
+    rhs = hq / s[:, None]
+    nrm = np.linalg.norm(rhs, axis=1)
+    p, rhs, s, alpha = batch.drop(
+        np.abs(nrm - 1) > 0.01,
         lambda k: ExtractionError(
-            f"inconsistent data: ||H q|| = {nrm[k]:.6g} but s = {s[k]:.6g}; "
+            f"inconsistent data: ||H q|| = {nrm[k] * s[k]:.6g} but s = {s[k]:.6g}; "
             "the input is not a unit vector of this block"
         ),
-        p, hq, s, alpha,
+        p, rhs, s, alpha,
     )
     if batch.empty:
         return batch.results
     n = p.shape[1]
-    rhs = hq / s[:, None]
     width = 2 * d + 1
     rows = min(n, max(_support(p.any(axis=0)).size + d, _support(rhs.any(axis=0)).size + d, width))
     cols = np.zeros((s.size, rows, width), dtype=np.complex128)
@@ -676,7 +677,9 @@ def _verify_stack(
     m, _, k = prods.shape
     lhs = hankel_apply(gamma, prods.transpose(1, 0, 2).reshape(n, m * k)).reshape(n, m, k)
     diff = lhs.transpose(1, 0, 2) - (s * phase)[:, None, None] * np.stack(images)
-    action = np.linalg.norm(diff, axis=1).max(axis=1) / s
+    # both norms on the scale 2^-e of s, exactly, so the squares of diff do not underflow
+    e = np.frexp(s)[1]
+    action = np.linalg.norm(_ldexp(diff, -e[:, None, None]), axis=1).max(axis=1) / np.ldexp(s, -e)
 
     near, near_u = _near_invariance(v, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;

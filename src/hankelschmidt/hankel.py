@@ -1,25 +1,22 @@
 """Truncated Hankel matrices and the operator identities they satisfy.
 
 The anti-linear operator acts as f -> Gamma @ conj(f) on coefficient
-vectors, where Gamma[n, m] = u_hat(n + m) is given by 2N-1 exactly
-generated coefficients.
+vectors, where Gamma[n, m] = u_hat(n + m): a HankelMatrix is its 2N-1
+exactly generated coefficients, which fix every entry.
 
 For a rational symbol Gamma[n, m] decays like |b|^(n + m), so the N x N matrix
 is numerically its leading J x J block (HankelMatrix.numerical_order): the
 part outside has l2 norm at most eps^2 c, c the largest column norm.  The
 SVD in spectral works on that block, and hankel_apply applies it, Gamma_J,
-so every product with Gamma costs O(J^2).  J is read from one decay profile
-per matrix and kept.  For a matrix from build_hankel_matrix it comes from
-the 2N-1 coefficients in O(N), since every entry of Gamma is one of them;
-only a matrix given entry by entry is scanned in full.  Such a matrix keeps
-its coefficients as the operator: its one J x J array, Gamma_J / 2^e
+so every product with Gamma costs O(J^2).  J is read once per matrix from
+the coefficients in O(N), and kept.  The one J x J array, Gamma_J / 2^e
 (HankelMatrix.block), is built from them once, and the full N x N Gamma only
 when a caller asks for it, so an analysis allocates no N x N array.
 
-The identity residuals hold exactly for every Hankel matrix, so for a
-matrix built from its coefficients residuals_from_matrix returns their
-exact values in closed form, in O(N); only a matrix given entry by entry,
-such as a fault-injected one, is compared entry by entry in full.
+The identity residuals hold exactly for every Hankel matrix, so
+residuals_from_matrix returns their exact values in closed form, in O(N).
+Given any square array instead, such as a fault-injected one, it compares
+the identities entry by entry in full.
 """
 
 from __future__ import annotations
@@ -46,56 +43,42 @@ _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 class HankelMatrix:
-    """N x N block of the Hankel matrix of a symbol, with its truncation tail.
+    """N x N block of the Hankel matrix of a symbol, given by its 2N-1
+    coefficients u_hat(0..2N-2), with its truncation tail.
 
-    The symbol's coefficients u_hat(0..N-1) are Gamma's first column (`u`),
-    so Gamma alone carries everything extraction and verification read.
-    A matrix is given either entry by entry (`gamma`) or by all 2N-1
-    coefficients (`coeffs`), as build_hankel_matrix does, never both.  From
-    coefficients no N x N array is built up front: the analysis reads only
-    `block`, Gamma_J / 2^exponent, built from the 2J-1 scaled coefficients,
-    and `u`, read from coeffs; the full `gamma` is built on first access and
-    kept.  A matrix given entry by entry has no coeffs, and its block is a
-    scaled copy of gamma[:J, :J].  Every array is read-only, Gamma and
-    coeffs copied first (_frozen), so no caller's array can change them and
-    the decay profile (_decay) and J are computed once and kept: from coeffs
-    in O(N), else by a scan of all of Gamma.  From coeffs it is made of
-    suffix sums, summed from the tail: the sums the cut compares are about
-    eps^4 of the total, and a difference of prefix sums of order 1 would
-    cancel them.  They also give the block's column norms (column_norms).
+    The first N coefficients are Gamma's first column (`u`), so Gamma alone
+    carries everything extraction and verification read.  No N x N array is
+    built up front: the analysis reads only `block`, Gamma_J / 2^exponent,
+    built from the 2J-1 scaled coefficients, and `u`; the full `gamma` is
+    built on first access and kept.  The coefficients are copied and made
+    read-only (_frozen), so no caller's array can change them, and the decay
+    profile (_decay) and J are computed once, in O(N), and kept.  The
+    profile is made of suffix sums, summed from the tail: the sums the cut
+    compares are about eps^4 of the total, and a difference of prefix sums of
+    order 1 would cancel them.  They also give the block's column norms
+    (column_norms).
     """
 
-    def __init__(self, gamma=None, tail: float = 0.0, coeffs=None):
-        if (gamma is None) == (coeffs is None):
-            raise ValueError("give exactly one of gamma and coeffs")
-        self.__dict__.update(tail=tail, coeffs=None)
-        if coeffs is None:
-            g = _frozen(gamma)
-            if g.ndim != 2 or g.shape[0] != g.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {g.shape}")
-            self.__dict__.update(gamma=g, order=g.shape[0])
-            return
+    def __init__(self, coeffs, tail: float = 0.0):
         c = _frozen(coeffs)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
-        self.__dict__.update(coeffs=c, order=(c.size + 1) // 2)
+        self.__dict__.update(coeffs=c, order=(c.size + 1) // 2, tail=tail)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HankelMatrix is read-only: cannot set {name!r}")
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """The full N x N matrix; built from coeffs on first access."""
+        """The full N x N matrix, built on first access."""
         return _hankel(self.coeffs, self.order)
 
     @cached_property
     def block(self) -> np.ndarray:
         """Gamma_J / 2^exponent, J = numerical_order(): the one array the
-        analysis factors and multiplies by, read-only and C-contiguous.  Built
-        from the 2J-1 scaled coefficients, else a scaled copy of gamma[:J, :J]."""
+        analysis factors and multiplies by, read-only and C-contiguous, built
+        from the 2J-1 scaled coefficients."""
         j, e = self.numerical_order(), self.exponent
-        if self.coeffs is None:
-            return _ldexp(self.gamma[:j, :j], -e)
         return _hankel(_ldexp(self.coeffs[: 2 * j - 1], -e), j)
 
     @property
@@ -105,8 +88,8 @@ class HankelMatrix:
 
     @property
     def u(self) -> np.ndarray:
-        """u_hat(0..N-1), Gamma's first column: a read-only view of coeffs, else a copy."""
-        return self.gamma[:, 0].copy() if self.coeffs is None else self.coeffs[: self.order]
+        """u_hat(0..N-1), Gamma's first column: a read-only view of coeffs."""
+        return self.coeffs[: self.order]
 
     @property
     def largest_entry(self) -> float:
@@ -118,48 +101,39 @@ class HankelMatrix:
 
         Outside that block Gamma has l2 norm at most eps^2 times its largest
         column norm, itself at most ||Gamma||_2.  J does not depend on the
-        scale of Gamma.  Noise above that level, or a non-finite entry,
-        gives J = N.  It is found once per matrix, with the decay profile.
+        scale of Gamma.  A non-finite coefficient gives J = N.  It is found
+        once per matrix, with the decay profile.
         """
         return self._decay[1]
 
     def column_norms(self) -> np.ndarray:
-        """The column norms of block: from the coefficients' suffix sums in
-        O(J), column j of Gamma_J weighing Q[j] - Q[j + J], else from block."""
-        q = self._decay[3]
-        if q is None:
-            return np.linalg.norm(self.block, axis=0)
-        j = self.numerical_order()
+        """The column norms of block, from the coefficients' suffix sums in
+        O(J): column j of Gamma_J weighs Q[j] - Q[j + J].  Gamma must be
+        finite and nonzero."""
+        j, q = self.numerical_order(), self._decay[3]
         return np.sqrt(q[:j] - q[j : 2 * j]) * np.frexp(self.largest_entry)[0]
 
     @cached_property
     def _decay(self) -> tuple[float, int, float, np.ndarray | None]:
         """(largest |entry|, J, column, Q), sums on the scale of the largest entry.
 
-        J is the first order >= min(2, N) whose dropped[J], the sum of the
-        squared entries outside the leading J x J block, is at most eps^4
-        column, the largest such sum over one column.
-        From coeffs, with a_k = |u_hat(k)|^2 on that scale and Q[k] the sum
-        of a_i over i >= k: the entries with max(i, j) = m add up to
-        2 (Q[m] - Q[2m]) + a_2m, and column j to Q[j] - Q[j + N].  Q is
-        None for a matrix given entry by entry.
+        With a_k = |u_hat(k)|^2 on that scale and Q[k] the sum of a_i over
+        i >= k, the entries with max(i, j) = m add up to 2 (Q[m] - Q[2m]) +
+        a_2m, and column j to Q[j] - Q[j + N].  J is the first order
+        >= min(2, N) whose dropped[J], the sum of the squared entries outside
+        the leading J x J block, is at most eps^4 column, the largest such sum
+        over one column.  Q is None when Gamma is zero or not finite.
         """
         n, floor = self.order, min(2, self.order)
-        a = np.abs(self.gamma if self.coeffs is None else self.coeffs)
+        a = np.abs(self.coeffs)
         largest = a.max(initial=0.0)
         if largest == 0 or not np.isfinite(largest):
             return largest, floor if largest == 0 else n, 0.0, None
         a = (a / largest) ** 2
-        if self.coeffs is None:
-            # shell[k]: squared entries with max(i, j) == k
-            shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0)
-            column = a.sum(axis=0).max()
-            q = None
-        else:
-            q = _suffix_sums(a)
-            m = np.arange(n)
-            shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
-            column = (q[:n] - q[n:]).max()
+        q = _suffix_sums(a)
+        m = np.arange(n)
+        shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
+        column = (q[:n] - q[n:]).max()
         fits = np.flatnonzero(_suffix_sums(shell)[floor:] <= _EPS**4 * column)
         return largest, floor + int(fits[0]) if fits.size else n, column, q
 
@@ -194,7 +168,7 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
     """
     sym = _as_symbol(sym)
     u = fourier_coefficients(sym, 2 * order - 1)
-    h = HankelMatrix(tail=tail_bound(sym, order), coeffs=u)
+    h = HankelMatrix(u, tail=tail_bound(sym, order))
     if not order * h.largest_entry < _SQRT_MAX:
         raise ValueError(
             f"coefficients up to {h.largest_entry:.3e} overflow the square of Gamma at order "
@@ -216,9 +190,7 @@ def hankel_apply(h: HankelMatrix, f: np.ndarray) -> np.ndarray:
     c <= ||Gamma|| its largest column norm, so the result is within
     eps^2 ||Gamma|| ||f|| of Gamma @ conj(f).  In an action residual,
     divided by a singular value s > RANK_TOL s_max = 1e-10 ||Gamma||, that
-    is at most eps^2 1e10 ||f|| <= 5e-22 ||f||.  A matrix given entry by entry gets J
-    from a full scan, so noisy or fault-injected entries give J = N and
-    the full product.
+    is at most eps^2 1e10 ||f|| <= 5e-22 ||f||.
     """
     f = np.asarray(f)
     if f.ndim not in (1, 2) or f.shape[0] != h.order:
@@ -245,15 +217,16 @@ class IdentityResiduals:
         return max(self.as_dict().values())
 
 
-def residuals_from_matrix(h: HankelMatrix) -> IdentityResiduals:
-    """Residuals of the operator identities of Gamma = h.gamma, with u its first column.
+def residuals_from_matrix(h) -> IdentityResiduals:
+    """Residuals of the operator identities of Gamma, with u its first column.
 
     Each residual is the spectral norm of a difference matrix, compared one
-    short of the truncation edge.  Gamma may be any square matrix (the fault
-    injection entry point); given entry by entry, the differences are formed
-    from Gamma and Gamma conj(Gamma) in full.
+    short of the truncation edge.  h is a HankelMatrix, or any square array
+    Gamma (the fault-injection entry point, and the reference the closed
+    form is tested against), whose differences are formed from Gamma and
+    Gamma conj(Gamma) in full.
 
-    For a matrix given by its coefficients a_k = u_hat(k), k = 0..2N-2, the
+    For a HankelMatrix, with coefficients a_k = u_hat(k), k = 0..2N-2, the
     differences are known exactly.  Gamma[i, j] = a_(i+j), so the shift and
     symmetry differences vanish.  Gamma conj(Gamma) has the entries
     M[i, j] = sum over l < N of a_(i+l) conj(a_(l+j)), and moving i and j up
@@ -266,13 +239,16 @@ def residuals_from_matrix(h: HankelMatrix) -> IdentityResiduals:
     the difference is v [0, w^H] with w = v[:-1], of norm ||v|| ||w||.
     These are read from v in O(N), with no product and no SVD.
     """
-    if h.coeffs is not None:
+    if isinstance(h, HankelMatrix):
         v = h.coeffs[h.order :]
         nv, nw = np.linalg.norm(v), np.linalg.norm(v[:-1])
         return IdentityResiduals(0.0, float(nv * nv), float(nv * nw), 0.0)
 
-    gamma, u = h.gamma, h.u
-    k = h.order - 1
+    gamma = np.asarray(h)
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {gamma.shape}")
+    u = gamma[:, 0]
+    k = gamma.shape[0] - 1
 
     # Shift products are slices: (S^T A)[i, j] = A[i+1, j] and (A S)[i, j] = A[i, j+1].
     b2 = _opnorm(gamma[1:, :k] - gamma[:k, 1:])

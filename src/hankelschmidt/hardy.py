@@ -166,7 +166,7 @@ def grid_points(m: int) -> np.ndarray:
 
 
 def multiply_by_boundary(
-    f: np.ndarray, boundary_values: np.ndarray, order: int | None = None
+    f: np.ndarray, boundary_values: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project f(z) * g(z) for each coefficient column of the N x d matrix f,
     given g's samples on a grid of matching size.
@@ -177,7 +177,7 @@ def multiply_by_boundary(
     g = np.asarray(boundary_values, dtype=np.complex128)
     cols = _coefficient_matrix(f)
     samples = _boundary_samples(cols, g.size) * g[:, None]
-    return _project(samples, cols.shape[0] if order is None else order)
+    return _project(samples, order)
 
 
 def _boundary_samples(cols: np.ndarray, m: int) -> np.ndarray:

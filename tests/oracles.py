@@ -68,6 +68,29 @@ def hankel_product(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.convolve(a[: 2 * n - 1], np.conj(f[::-1]))[n - 1 : 2 * n - 1]
 
 
+def dense_decay(gamma: np.ndarray) -> tuple[float, int, float]:
+    """(largest |entry|, J, column) of a square matrix by a scan of all its entries.
+
+    column is the largest sum of squared entries over one column, and J the
+    first order >= min(2, N) at which the squared entries outside the
+    leading J x J block sum to at most eps^4 column, all on the scale of the
+    largest entry: the definition HankelMatrix._decay reads from the
+    coefficients.  A zero matrix gives J = min(2, N).
+    """
+    n, floor = gamma.shape[0], min(2, gamma.shape[0])
+    a = np.abs(gamma)
+    largest = a.max(initial=0.0)
+    if largest == 0:
+        return largest, floor, 0.0
+    a = (a / largest) ** 2
+    # shell[k]: squared entries with max(i, j) == k
+    shell = np.tril(a).sum(axis=1) + np.triu(a, 1).sum(axis=0)
+    column = a.sum(axis=0).max()
+    dropped = np.append(np.cumsum(shell[::-1])[::-1], 0.0)
+    fits = np.flatnonzero(dropped[floor:] <= np.finfo(float).eps ** 4 * column)
+    return largest, floor + int(fits[0]) if fits.size else n, column
+
+
 def tm_basis_recurrence(b, order: int) -> tuple[list[np.ndarray], list[float]]:
     """The Takenaka-Malmquist basis of K_B one element at a time, with the
     tail estimate of each element taken as soon as it is formed.

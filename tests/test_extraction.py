@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
@@ -321,16 +320,40 @@ def test_extracted_multiplier_is_a_read_only_vector():
 
 
 def test_extract_from_gamma_alone():
-    # Gamma filled directly from u_hat(n) = 2^{-n}; no symbol object exists
+    # Gamma given directly by u_hat(n) = 2^{-n}; no symbol object exists
     n = 128
-    c = 2.0 ** -np.arange(2 * n - 1)
-    gamma = HankelMatrix(scipy.linalg.hankel(c[:n], c[n - 1 :]))
+    gamma = HankelMatrix(2.0 ** -np.arange(2 * n - 1))
     rep = extract_representation(gamma, schmidt_decompose(gamma)[0])
     assert np.array_equal(rep.theta.zeros, [0])
     expected = np.sqrt(3) / 2 * szego_kernel(0.5, n)
     assert np.max(np.abs(rep.p - expected)) < 1e-12
     built = build_hankel_matrix(rank_one_symbol(), n)
     assert rep.residuals == extract_representation(built, schmidt_decompose(built)[0]).residuals
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("k", [-900, -520, 500])
+def test_power_of_two_scaling_keeps_the_gated_residuals(k, n):
+    # 2^k u scales Gamma exactly, and every gated residual is relative, so it
+    # keeps its bits, also where the squares of s and of H q underflow (k < -511)
+    def two_poles(c):
+        return RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=c), PoleTerm(b=-0.3 + 0.2j, m=1, c=1j * c)))
+
+    def run(c):
+        h = build_hankel_matrix(two_poles(c), n)
+        blocks = schmidt_decompose(h)
+        reps = extraction.extract_representations(h, blocks)
+        return blocks.singular_values, reps, analyze_symbol(two_poles(c), AnalysisConfig(n=n))
+
+    ref_sing, ref_reps, ref_report = run(1.0)
+    sing, reps, report = run(2.0**k)
+    assert np.array_equal(sing, np.ldexp(ref_sing, k))
+    assert len(reps) == len(ref_reps) == 2
+    for rep, ref in zip(reps, ref_reps):
+        assert rep.residuals.gated() == ref.residuals.gated()
+    assert [b["pass"] for b in report["blocks"]] == [b["pass"] for b in ref_report["blocks"]]
+    # at 2^500 the absolute truncation tail exceeds verify_tol
+    assert report["pass"] == (k < 0) and ref_report["pass"]
 
 
 def test_extract_theta_degree_equals_multiplicity():

@@ -25,7 +25,7 @@ from hankelschmidt.symbols import (
     symbol_from_coefficients,
     tail_bound,
 )
-from oracles import boundary_projection, boundary_samples, one, szego_kernel, unit
+from oracles import boundary_projection, boundary_samples, dense_decay, one, szego_kernel, unit
 
 
 def rank_one_symbol(a=0.5, c=1.0):
@@ -172,8 +172,8 @@ def faulty_matrices(rng, n):
 def test_residuals_equal_shift_matrix_formulation(n):
     cases = list(faulty_matrices(np.random.default_rng(n), n))
     for gamma in cases:
-        assert residuals_from_matrix(HankelMatrix(gamma)).as_dict() == shift_matrix_residuals(gamma)
-    noise = residuals_from_matrix(HankelMatrix(cases[0]))
+        assert residuals_from_matrix(gamma).as_dict() == shift_matrix_residuals(gamma)
+    noise = residuals_from_matrix(cases[0])
     assert min(noise.shift_intertwine, noise.square_compression, noise.square_commutator, noise.symmetry) > 0
 
 
@@ -205,14 +205,8 @@ def test_numerical_order_is_the_smallest_order_within_bound(poles, n):
     assert dropped_norm(gamma, j) <= bound * (1 + 1e-9)
     if j > min(2, n):
         assert dropped_norm(gamma, j - 1) > bound * (1 - 1e-9)
-    assert HankelMatrix(gamma * 1e-200).numerical_order() == j
-    assert HankelMatrix(gamma * 1e200).numerical_order() == j
-    # a fault in the last column forces J = N
-    scale = np.max(np.abs(gamma))
-    if scale > 0:
-        faulty = gamma.copy()
-        faulty[0, -1] += 1e-20 * scale
-        assert HankelMatrix(faulty).numerical_order() == n
+    assert HankelMatrix(h.coeffs * 1e-200).numerical_order() == j
+    assert HankelMatrix(h.coeffs * 1e200).numerical_order() == j
 
 
 def dense_tolerance(gamma):
@@ -233,32 +227,29 @@ def test_closed_form_residuals_are_the_tail_norms(poles, n):
     assert got.shift_intertwine == got.symmetry == 0.0
     assert got.square_compression == pytest.approx(norm_v * norm_v, rel=1e-14, abs=1e-300)
     assert got.square_commutator == pytest.approx(norm_v * norm_w, rel=1e-14, abs=1e-300)
-    dense = residuals_from_matrix(HankelMatrix(gamma)).as_dict()
+    dense = residuals_from_matrix(gamma).as_dict()
     for name, value in got.as_dict().items():
         assert abs(dense[name] - value) <= dense_tolerance(gamma)
 
     # when J < N, one entry of 1e-3 eps c at index N - 1 is not lost to
-    # rounding; given entry by entry it breaks the symmetry by its size, and
-    # given with the coefficients it is refused
+    # rounding: on the dense path it breaks the symmetry by its size
     fault = 1e-3 * np.finfo(float).eps * np.max(np.linalg.norm(gamma, axis=0))
     faulty = gamma.copy()
     faulty[0, -1] += fault
     if h.numerical_order() < n:
-        assert residuals_from_matrix(HankelMatrix(faulty)).symmetry > 0.9 * fault
-        with pytest.raises(ValueError):
-            HankelMatrix(faulty, coeffs=h.coeffs)
+        assert residuals_from_matrix(faulty).symmetry > 0.9 * fault
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16])
 def test_numerical_order_of_zero_matrix_is_floor(n):
-    h = HankelMatrix(np.zeros((n, n)))
+    h = HankelMatrix(np.zeros(2 * n - 1))
     assert h.numerical_order() == min(2, n)
 
 
 def test_entrywise_fault_near_the_order_reaches_square_commutator():
     # square_commutator's column J is square_compression's column J - 1: a
     # symmetric fault at index J - 1, where the closed form's v is zero, must
-    # still show on the dense path, which a matrix given entry by entry takes
+    # still show on the dense path, which an array given entry by entry takes
     n = 256
     sym = RationalSymbol(poles=(PoleTerm(b=0.4, m=1, c=1.0), PoleTerm(b=-0.3j, m=2, c=0.5)))
     h = build_hankel_matrix(sym, n)
@@ -268,9 +259,7 @@ def test_entrywise_fault_near_the_order_reaches_square_commutator():
     faulty = h.gamma.copy()
     faulty[j - 1, 0] += 1e-7
     faulty[0, j - 1] += 1e-7
-    with pytest.raises(ValueError):
-        HankelMatrix(faulty, coeffs=h.coeffs)
-    got = residuals_from_matrix(HankelMatrix(faulty)).as_dict()
+    got = residuals_from_matrix(faulty).as_dict()
     assert got == shift_matrix_residuals(faulty)
     assert got["square_commutator"] > 1e-8
     assert residuals_from_matrix(h).square_commutator < 1e-30
@@ -278,7 +267,7 @@ def test_entrywise_fault_near_the_order_reaches_square_commutator():
 
 def gaussian_integer_hankel(rng, n):
     coeffs = rng.integers(-5, 6, 2 * n - 1) + 1j * rng.integers(-5, 6, 2 * n - 1)
-    return HankelMatrix(coeffs=coeffs)
+    return HankelMatrix(coeffs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64])
@@ -322,7 +311,7 @@ def test_closed_form_matches_full_oracle_on_a_trimmed_symbol(n):
 
 
 def test_built_matrix_residuals_take_no_spectral_norm(monkeypatch):
-    # the pole at 0.99 has J = N; only the entry-by-entry copy reaches a 2-norm
+    # the pole at 0.99 has J = N; only the dense path on an array reaches a 2-norm
     h = build_hankel_matrix(rank_one_symbol(a=0.99), 128)
     assert h.numerical_order() == 128
     norm = np.linalg.norm
@@ -335,15 +324,14 @@ def test_built_matrix_residuals_take_no_spectral_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     residuals_from_matrix(h)
     assert all(ndim == 1 and ord is None for ndim, ord in calls)
-    residuals_from_matrix(HankelMatrix(h.gamma.copy()))
+    residuals_from_matrix(h.gamma)
     assert (2, 2) in calls
 
 
 @pytest.mark.parametrize("b, trimmed", [(0.5, True), (0.99, False)])
 def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
     # analyze reads the cut from Gamma's 2N-1 coefficients: no N x N scan,
-    # whose shells come from np.tril; a matrix given entry by entry is
-    # scanned once, however often its cut is read
+    # whose shells would come from np.tril
     n = 128
     sym = rank_one_symbol(a=b)
     assert (build_hankel_matrix(sym, n).numerical_order() < n) == trimmed
@@ -357,12 +345,6 @@ def test_analyze_scans_gamma_decay_once(monkeypatch, b, trimmed):
     monkeypatch.setattr(np, "tril", counted)
     analyze_symbol(sym, AnalysisConfig(n=n))
     assert scans == []
-
-    entrywise = HankelMatrix(build_hankel_matrix(sym, n).gamma.copy())
-    entrywise.numerical_order()
-    entrywise.numerical_order()
-    assert np.isfinite(entrywise.largest_entry)
-    assert scans == [(n, n)]
 
 
 symbols_with_origin = st.builds(
@@ -383,56 +365,45 @@ symbols_with_origin = st.builds(
 @example(sym=RationalSymbol(poles=(PoleTerm(b=0.0, m=3, c=1.0),)), n=1024)
 def test_decay_from_coefficients_matches_dense_scan(sym, n):
     h = build_hankel_matrix(sym, n)
-    dense = HankelMatrix(h.gamma.copy())
-    assert dense.coeffs is None and h.coeffs is not None
-    assert h.numerical_order() == dense.numerical_order()
-    assert h.largest_entry == dense.largest_entry
-    column, dense_column = h._decay[2], dense._decay[2]
-    assert abs(column - dense_column) <= 1e-14 * dense_column
+    largest, j, dense_column = dense_decay(h.gamma)
+    assert h.numerical_order() == j
+    assert h.largest_entry == largest
+    assert abs(h._decay[2] - dense_column) <= 1e-14 * dense_column
 
 
 def test_coefficients_must_match_gamma():
+    # 2N-1 coefficients fix every entry of Gamma; any other count is refused
     h = build_hankel_matrix(rank_one_symbol(), 8)
     u = h.coeffs.copy()
-    kept = HankelMatrix(coeffs=u)
+    kept = HankelMatrix(u)
+    assert np.array_equal(kept.gamma, scipy.linalg.hankel(u[:8], u[7:]))
     for bad in (u[:-1], np.append(u, 0.0), u[:, None]):
         with pytest.raises(ValueError, match="2N-1"):
-            HankelMatrix(coeffs=bad)
-    for k in (0, 7, 14):  # Gamma[0, 0], the corner Gamma[7, 0] and Gamma[7, 7]
-        bad = u.copy()
-        bad[k] += 1e-9
-        with pytest.raises(ValueError, match="exactly one"):
-            HankelMatrix(h.gamma, coeffs=bad)
-    with pytest.raises(ValueError, match="exactly one"):
-        HankelMatrix()
+            HankelMatrix(bad)
     assert not kept.coeffs.flags.writeable
     u[3] = 7.0  # the matrix keeps its own copy
     assert kept.coeffs[3] == h.coeffs[3]
 
 
-def test_interior_fault_with_coefficients_is_refused():
-    # the coefficients fix every entry of Gamma, not only its first column
-    # and last row: a fault at Gamma[400, 400] must not be read through them
+def test_interior_fault_breaks_shift_intertwine():
+    # a symmetric fault at Gamma[400, 400] is no Hankel matrix: on the dense
+    # path it shows in the shift identity by its size, not in the symmetry
     h = build_hankel_matrix(rank_one_symbol(), 512)
     faulty = h.gamma.copy()
     faulty[400, 400] += 0.5
-    with pytest.raises(ValueError, match="exactly one"):
-        HankelMatrix(faulty, coeffs=h.coeffs)
-    entrywise = HankelMatrix(faulty)
-    assert entrywise.numerical_order() == 401
-    assert schmidt_decompose(entrywise).singular_values[1] == pytest.approx(0.5, rel=1e-12)
-    assert residuals_from_matrix(entrywise).symmetry == 0.0
-    assert residuals_from_matrix(entrywise).shift_intertwine == pytest.approx(0.5)
+    res = residuals_from_matrix(faulty)
+    assert res.symmetry == 0.0
+    assert res.shift_intertwine == pytest.approx(0.5)
 
 
 def test_view_of_writable_matrix_is_copied():
     # a base that changes after the decay profile is cached must not change Gamma
     n = 64
-    base = np.zeros((n, n), dtype=complex)
-    base[:] = build_hankel_matrix([1, 0.5, 0.25], n).gamma
-    h = HankelMatrix(base[:, :])
+    base = np.zeros(2 * n - 1, dtype=complex)
+    base[:3] = [1, 0.5, 0.25]
+    h = HankelMatrix(base[:])
     assert h.numerical_order() == 3
-    base[-1, -1] = 1.0
+    base[-1] = 1.0
     assert h.gamma[-1, -1] == 0.0
     blocks = schmidt_decompose(h)
     expected = np.linalg.svd(build_hankel_matrix([1, 0.5, 0.25], n).gamma, compute_uv=False)[:3]
@@ -440,13 +411,12 @@ def test_view_of_writable_matrix_is_copied():
 
 
 def test_writable_matrix_and_coefficients_are_copied():
-    # the caller's arrays stay writable, and writing to them does not reach Gamma
+    # the caller's array stays writable, and writing to it does not reach Gamma
     coeffs = np.array([1.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0], dtype=complex)
-    gamma = scipy.linalg.hankel(coeffs[:4], coeffs[3:])
-    for h in (HankelMatrix(gamma), HankelMatrix(coeffs=coeffs)):
-        gamma[0, 0] = coeffs[0] = 2.0
-        assert h.gamma[0, 0] == 1.0 and h.u[0] == 1.0
-        gamma[0, 0] = coeffs[0] = 1.0
+    h = HankelMatrix(coeffs)
+    coeffs[0] = 2.0
+    assert coeffs.flags.writeable
+    assert h.gamma[0, 0] == 1.0 and h.u[0] == 1.0
 
 
 def test_pairing_symmetry_random_vectors():
@@ -520,24 +490,17 @@ def test_analyze_builds_no_full_matrix(monkeypatch):
 
 @pytest.mark.parametrize("n", [16, 128, 512])
 def test_block_is_gamma_j_scaled_by_a_power_of_two(n):
-    # from coefficients and entry by entry, block is Gamma_J / 2^e with its
-    # entries within 1, so the factorizations of the two agree to eps s_max:
-    # their first-step column norms come from suffix sums and from the block
+    # block is Gamma_J / 2^e with its entries within 1, and the factorization's
+    # first-step column norms, from suffix sums, are the block's own
     rng = np.random.default_rng(n)
     for sym in (random_symbol(rng), random_symbol(rng), rank_one_symbol(c=1e-160)):
         h = build_hankel_matrix(sym, n)
-        entrywise = HankelMatrix(h.gamma.copy())
         j = h.numerical_order()
-        assert entrywise.numerical_order() == j and entrywise.exponent == h.exponent
         assert 0.5 <= np.abs(h.block).max() < 1
-        for m in (h, entrywise):
-            assert np.array_equal(ldexp(m.block, m.exponent), h.gamma[:j, :j])
-            assert m.block.flags.c_contiguous and not m.block.flags.writeable
+        assert np.array_equal(ldexp(h.block, h.exponent), h.gamma[:j, :j])
+        assert h.block.flags.c_contiguous and not h.block.flags.writeable
         norms = np.linalg.norm(h.block, axis=0)
         assert np.max(np.abs(h.column_norms() - norms)) <= 1e-14 * norms.max()
-        assert np.array_equal(entrywise.column_norms(), norms)
-        sing, dense_sing = (schmidt_decompose(m).singular_values for m in (h, entrywise))
-        assert np.max(np.abs(sing - dense_sing)) <= np.finfo(float).eps * sing[0]
 
 
 def test_numerical_order_is_found_once(monkeypatch):
@@ -571,18 +534,6 @@ def test_apply_is_gamma_j_within_its_bound():
         nf = np.linalg.norm(f)
         bound = eps**2 * c * nf + n * eps * np.linalg.norm(h.gamma, 2) * nf
         assert np.linalg.norm(out - h.gamma @ np.conj(f)) <= bound
-
-
-def test_apply_on_a_fault_injected_matrix_is_the_full_product():
-    # an entry given entry by entry far off the decay makes J = N
-    n = 128
-    rng = np.random.default_rng(9)
-    gamma = build_hankel_matrix(random_symbol(rng), n).gamma.copy()
-    gamma[0, -1] += 1e-3
-    h = HankelMatrix(gamma)
-    assert h.numerical_order() == n
-    f = rng.normal(size=n) + 1j * rng.normal(size=n)
-    assert np.array_equal(hankel_apply(h, f), gamma @ np.conj(f))
 
 
 def test_apply_to_a_matrix_applies_each_column():

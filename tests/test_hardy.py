@@ -74,7 +74,7 @@ def test_batched_boundary_product_matches_each_column_alone():
 def test_boundary_maps_refuse_a_coefficient_vector():
     f = np.ones(16, dtype=complex)
     with pytest.raises(ValueError, match="N x d coefficient matrix"):
-        multiply_by_boundary(f, np.ones(64))
+        multiply_by_boundary(f, np.ones(64), 16)
     with pytest.raises(ValueError, match="N x d coefficient matrix"):
         mobius_conjugate_function(f, MobiusMap(0.2), 16)
 

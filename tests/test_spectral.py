@@ -92,7 +92,7 @@ def test_false_merge_is_flagged():
     # u_hat = (1, 0, lam) gives the diagonal Hankel matrix diag(1, lam); two
     # nearly equal singular values merge into one flagged cluster
     lam = 1.0 + 5e-9
-    h = HankelMatrix(np.array([[1.0, 0.0], [0.0, lam]], dtype=complex))
+    h = HankelMatrix(np.array([1.0, 0.0, lam], dtype=complex))
     blocks = schmidt_decompose(h)
     assert len(blocks) == 1
     assert blocks[0].multiplicity == 2
@@ -108,8 +108,8 @@ def test_reliable_is_read_from_the_warnings():
 
 
 def test_separation_is_on_the_singular_value_scale():
-    # diag(2, 1): the gap is 1 in s, where on s^2 it would be 3
-    h = HankelMatrix(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex))
+    # u_hat = (2, 0, 1) gives diag(2, 1): the gap is 1 in s, where on s^2 it would be 3
+    h = HankelMatrix(np.array([2.0, 0.0, 1.0], dtype=complex))
     blocks = schmidt_decompose(h)
     assert [b.s for b in blocks] == [2.0, 1.0]
     assert [b.separation for b in blocks] == [1.0, 1.0]
@@ -258,7 +258,7 @@ def test_analyze_factors_leading_block_once(monkeypatch, n):
 def test_factorization_is_scale_invariant(factor):
     h = build_hankel_matrix(random_symbol(np.random.default_rng(12)), 128)
     ref = schmidt_decompose(h)
-    scaled = schmidt_decompose(HankelMatrix(h.gamma * factor))
+    scaled = schmidt_decompose(HankelMatrix(h.coeffs * factor))
     if np.log2(factor).is_integer():
         # a power of two scales every entry exactly, so nothing else moves
         assert np.array_equal(scaled.singular_values, ref.singular_values * factor)
@@ -310,11 +310,11 @@ def test_pole_near_circle_factors_at_its_rank():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_matrix_is_rejected(bad):
-    g = build_hankel_matrix(symbol_from_coefficients([1.0, 0.5]), 16).gamma.copy()
-    g[3, 4] = bad
-    assert HankelMatrix(g).numerical_order() == 16
+    c = build_hankel_matrix(symbol_from_coefficients([1.0, 0.5]), 16).coeffs.copy()
+    c[7] = bad  # Gamma[3, 4] and every other entry on its antidiagonal
+    assert HankelMatrix(c).numerical_order() == 16
     with pytest.raises(ValueError, match="infs or NaNs"):
-        schmidt_decompose(HankelMatrix(g))
+        schmidt_decompose(HankelMatrix(c))
 
 
 # ---------------------------------------------------------------------------
