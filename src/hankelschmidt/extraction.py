@@ -677,9 +677,8 @@ def _verify_stack(
     m, _, k = prods.shape
     lhs = hankel_apply(gamma, prods.transpose(1, 0, 2).reshape(n, m * k)).reshape(n, m, k)
     diff = lhs.transpose(1, 0, 2) - (s * phase)[:, None, None] * np.stack(images)
-    # both norms on the scale 2^-e of s, exactly, so the squares of diff do not underflow
     e = np.frexp(s)[1]
-    action = np.linalg.norm(_ldexp(diff, -e[:, None, None]), axis=1).max(axis=1) / np.ldexp(s, -e)
+    action = _norm_on_scale(diff, e[:, None, None]).max(axis=1) / np.ldexp(s, -e)
 
     near, near_u = _near_invariance(v, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
@@ -688,7 +687,8 @@ def _verify_stack(
     p_theta_over_z = np.stack([
         _series_product(pk, blaschke_coefficients(t, n + 1), n + 1)[1:] for pk, t in zip(p, thetas)
     ])
-    u_s_cross = np.linalg.norm(u_s - (s * phase * p[:, 0])[:, None] * p_theta_over_z, axis=1)
+    cross = u_s - (s * phase * p[:, 0])[:, None] * p_theta_over_z
+    u_s_cross = np.ldexp(_norm_on_scale(cross, e[:, None]), e)
     return batch.finish(
         RepresentationResiduals(
             subspace_gap=float(gap[k]),
@@ -701,6 +701,13 @@ def _verify_stack(
         )
         for k in range(len(thetas))
     )
+
+
+def _norm_on_scale(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The l2 norms along axis 1 of x / 2^e, e the frexp exponents of the
+    singular values, broadcast against x: the scaling is exact, and on the
+    scale of s the squares of a residual do not underflow."""
+    return np.linalg.norm(_ldexp(x, -e), axis=1)
 
 
 # why the products p e_k cannot be compared with a block, in the order checked
@@ -758,7 +765,9 @@ def _near_invariance(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Near-S*-invariance of each block basis of the stack v (m x N x d),
     read from the subspace W of its functions that vanish at the origin:
     the operator norm of (I - V V^*) S^* on W, and the norm of the pairing
-    w -> <S^* w, u> over the unit ball of W, divided by max(1, ||u||).  Both
+    w -> <S^* w, u> over the unit ball of W, divided by ||u||, both taken on
+    u / 2^e, e the frexp exponent of max |u|: the scaling is exact, so the
+    pairing does not depend on the scale of u (it is 0 where u is).  Both
     depend only on the span of the block, not on its basis.  W is the whole
     block where its first row vanishes, else V times the null space of that
     row, which is {0} (both values 0) for d = 1."""
@@ -768,7 +777,8 @@ def _near_invariance(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     cases = [(vanishing, v[vanishing])]
     if d > 1:
         cases.append((~vanishing, v[~vanishing] @ _nullspace_of_row(v[~vanishing, :1, :])))
-    u_scale = max(1.0, float(np.linalg.norm(u)))
+    u = _ldexp(u, -int(np.frexp(np.abs(u).max())[1]))
+    u_norm = np.linalg.norm(u) or 1.0
     for rows, w in cases:
         if not w.shape[0]:
             continue
@@ -777,5 +787,5 @@ def _near_invariance(v: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
         sw[:, :-1] = w[:, 1:]
         resid = sw - vr @ (vr.conj().swapaxes(1, 2) @ sw)
         dist[rows] = _largest_singular_value(resid)
-        pairing[rows] = np.linalg.norm(u.conj() @ sw, axis=1) / u_scale
+        pairing[rows] = np.linalg.norm(u.conj() @ sw, axis=1) / u_norm
     return dist, pairing

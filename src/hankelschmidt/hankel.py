@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .hardy import _frozen
+from .hardy import _as_coeffs, _frozen
 from .symbols import _as_symbol, fourier_coefficients, tail_bound
 
 __all__ = [
@@ -51,19 +51,19 @@ class HankelMatrix:
     built up front: the analysis reads only `block`, Gamma_J / 2^exponent,
     built from the 2J-1 scaled coefficients, and `u`; the full `gamma` is
     built on first access and kept.  The coefficients are copied and made
-    read-only (_frozen), so no caller's array can change them, and the decay
-    profile (_decay) and J are computed once, in O(N), and kept.  The
-    profile is made of suffix sums, summed from the tail: the sums the cut
-    compares are about eps^4 of the total, and a difference of prefix sums of
-    order 1 would cancel them.  They also give the block's column norms
-    (column_norms).
+    read-only (_frozen), so no caller's array can change them, and refused
+    unless finite (_as_coeffs).  The decay profile (_decay) and J are
+    computed once, in O(N), and kept.  The profile is made of suffix sums,
+    summed from the tail: the sums the cut compares are about eps^4 of the
+    total, and a difference of prefix sums of order 1 would cancel them.
+    They also give the block's column norms (column_norms).
     """
 
     def __init__(self, coeffs, tail: float = 0.0):
         c = _frozen(coeffs)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
-        self.__dict__.update(coeffs=c, order=(c.size + 1) // 2, tail=tail)
+        self.__dict__.update(coeffs=_as_coeffs(c), order=(c.size + 1) // 2, tail=tail)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HankelMatrix is read-only: cannot set {name!r}")
@@ -83,7 +83,7 @@ class HankelMatrix:
 
     @property
     def exponent(self) -> int:
-        """frexp exponent e of largest_entry, so |block| < 1; 0 if Gamma is 0 or not finite."""
+        """frexp exponent e of largest_entry, so |block| < 1; 0 if Gamma is 0."""
         return int(np.frexp(self.largest_entry)[1])
 
     @property
@@ -93,7 +93,7 @@ class HankelMatrix:
 
     @property
     def largest_entry(self) -> float:
-        """max |Gamma[n, m]|; inf or nan when Gamma is not finite."""
+        """max |Gamma[n, m]|."""
         return self._decay[0]
 
     def numerical_order(self) -> int:
@@ -101,8 +101,7 @@ class HankelMatrix:
 
         Outside that block Gamma has l2 norm at most eps^2 times its largest
         column norm, itself at most ||Gamma||_2.  J does not depend on the
-        scale of Gamma.  A non-finite coefficient gives J = N.  It is found
-        once per matrix, with the decay profile.
+        scale of Gamma.  It is found once per matrix, with the decay profile.
         """
         return self._decay[1]
 
@@ -122,13 +121,13 @@ class HankelMatrix:
         a_2m, and column j to Q[j] - Q[j + N].  J is the first order
         >= min(2, N) whose dropped[J], the sum of the squared entries outside
         the leading J x J block, is at most eps^4 column, the largest such sum
-        over one column.  Q is None when Gamma is zero or not finite.
+        over one column.  Q is None when Gamma is zero.
         """
         n, floor = self.order, min(2, self.order)
         a = np.abs(self.coeffs)
         largest = a.max(initial=0.0)
-        if largest == 0 or not np.isfinite(largest):
-            return largest, floor if largest == 0 else n, 0.0, None
+        if largest == 0:
+            return largest, floor, 0.0, None
         a = (a / largest) ** 2
         q = _suffix_sums(a)
         m = np.arange(n)
@@ -164,7 +163,9 @@ def build_hankel_matrix(sym, order: int) -> HankelMatrix:
 
     Accepts a RationalSymbol or a raw coefficient vector (treated as a
     polynomial symbol).  Raises ValueError when N max|u_hat| reaches
-    sqrt(float max), where the squares of Gamma's singular values overflow.
+    sqrt(float max), where the closed-form identity residuals ||v||^2 can
+    overflow (residuals_from_matrix); the factorization itself runs on
+    Gamma_J / 2^e and would not.
     """
     sym = _as_symbol(sym)
     u = fourier_coefficients(sym, 2 * order - 1)

@@ -125,11 +125,11 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     runs that stay within cluster_tol (relative) of the run's first value,
     each yielding one block with s = sqrt(mean s^2) and its left singular
     vectors as the factorization gives them: no check or report reads more
-    than their span.  There are no blocks when Gamma is zero, and a
-    ValueError when it is not finite.  Spread, separation and the noise
-    floor eps * s_max * N are on the scale of s, where the factorization's
-    error is about eps * s_max; clusters whose gap is within 10x of their
-    spread or of the noise floor are flagged as unreliable.
+    than their span.  There are no blocks when Gamma is zero.  Spread,
+    separation and the noise floor eps * s_max * N are on the scale of s,
+    where the factorization's error is about eps * s_max; clusters whose gap
+    is within 10x of their spread or of the noise floor are flagged as
+    unreliable.
 
     Only the leading J x J block is factored, J = h.numerical_order():
     the entries outside it move no singular value by more than eps^2 ||Gamma||,
@@ -147,11 +147,9 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     """
     if not 0 < cluster_tol < 1:
         raise ValueError(f"cluster_tol must lie in (0, 1), got {cluster_tol}")
-    n, j, largest = h.order, h.numerical_order(), h.largest_entry
-    if not np.isfinite(largest):
-        raise ValueError("array must not contain infs or NaNs")
+    n, j = h.order, h.numerical_order()
     sing = np.zeros(n)
-    if largest == 0:
+    if h.largest_entry == 0:
         return SchmidtBlocks([], sing)
     q, b = _range_basis(h.block, h.column_norms())
     u_b, sing_b = scipy.linalg.svd(b, full_matrices=False)[:2]

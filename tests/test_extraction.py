@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +49,10 @@ def block_from_columns(s, cols):
 
 def rank_one_symbol(a=0.5):
     return RationalSymbol(poles=(PoleTerm(b=a, m=1, c=1.0),))
+
+
+def two_poles(c):
+    return RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=c), PoleTerm(b=-0.3 + 0.2j, m=1, c=1j * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +341,6 @@ def test_extract_from_gamma_alone():
 def test_power_of_two_scaling_keeps_the_gated_residuals(k, n):
     # 2^k u scales Gamma exactly, and every gated residual is relative, so it
     # keeps its bits, also where the squares of s and of H q underflow (k < -511)
-    def two_poles(c):
-        return RationalSymbol(poles=(PoleTerm(b=0.5, m=1, c=c), PoleTerm(b=-0.3 + 0.2j, m=1, c=1j * c)))
-
     def run(c):
         h = build_hankel_matrix(two_poles(c), n)
         blocks = schmidt_decompose(h)
@@ -354,6 +356,53 @@ def test_power_of_two_scaling_keeps_the_gated_residuals(k, n):
     assert [b["pass"] for b in report["blocks"]] == [b["pass"] for b in ref_report["blocks"]]
     # at 2^500 the absolute truncation tail exceeds verify_tol
     assert report["pass"] == (k < 0) and ref_report["pass"]
+
+
+# the report fields that carry the scale of u, with the power of 2^k that
+# u -> 2^k u multiplies them by; "c" and "poly" are the symbol's own numbers
+SCALED_FIELDS = {
+    "s": 1, "singular_values": 1, "cluster_spread": 1, "cluster_separation": 1,
+    "tail_bound": 1, "u_s_cross": 1, "square_compression": 2, "square_commutator": 2,
+    "c": 1, "poly": 1,
+}
+
+
+def assert_scaled_report(got, ref, k: int, power: int = 0, path: str = "report") -> None:
+    """got equals ref, except that each float under a SCALED_FIELDS key is
+    multiplied by 2^(power k): bit for bit where that product is a normal
+    double, and not a normal double where it is not."""
+    if isinstance(ref, dict):
+        assert list(got) == list(ref), f"{path}: keys differ"
+        for key in ref:
+            assert_scaled_report(got[key], ref[key], k, SCALED_FIELDS.get(key, power), f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), f"{path}: lengths differ"
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert_scaled_report(g, r, k, power, f"{path}[{i}]")
+    elif isinstance(ref, float) and power:
+        want = math.ldexp(ref, power * k)
+        if ref != 0 and abs(want) < sys.float_info.min:
+            assert abs(got) < sys.float_info.min, f"{path}: {got!r} is normal, 2^k times {ref!r} is not"
+        else:
+            assert got == want, f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == ref and type(got) is type(ref), f"{path}: {got!r} != {ref!r}"
+
+
+@pytest.mark.parametrize("k", [-900, -40, 20])
+@pytest.mark.parametrize(
+    "make, n",
+    [(two_poles, 128), (lambda c: symbol_from_coefficients(np.array([0, 0.3, 0, 1]) * c), 16)],
+    ids=["two-poles", "poly"],
+)
+def test_scale_moves_only_the_fields_that_carry_it(make, n, k):
+    # Gamma of 2^k u is 2^k Gamma exactly, so every relative quantity keeps its
+    # bits: u_s_cross is taken on the scale of s and near_invariance_u divides
+    # by ||u|| (0.0 and 7.6e-29 at k = -900 and -40 when they did not)
+    ref = analyze_symbol(make(1.0), AnalysisConfig(n=n))
+    got = analyze_symbol(make(2.0**k), AnalysisConfig(n=n))
+    assert ref["pass"]
+    assert_scaled_report(got, ref, k)
 
 
 def test_extract_theta_degree_equals_multiplicity():
@@ -605,7 +654,7 @@ def column_maxima(block, u):
     sw = np.zeros_like(w)
     sw[:-1] = w[1:]
     dist = np.linalg.norm(sw - v @ (v.conj().T @ sw), axis=0)
-    ip = np.abs(u.conj() @ sw) / max(1.0, np.linalg.norm(u))
+    ip = np.abs(u.conj() @ sw) / np.linalg.norm(u)
     return (float(dist.max(initial=0.0)), float(ip.max(initial=0.0))), w.shape[1]
 
 

@@ -310,11 +310,11 @@ def test_pole_near_circle_factors_at_its_rank():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_matrix_is_rejected(bad):
+    # refused where it is built, so no scan, factorization or product sees it
     c = build_hankel_matrix(symbol_from_coefficients([1.0, 0.5]), 16).coeffs.copy()
     c[7] = bad  # Gamma[3, 4] and every other entry on its antidiagonal
-    assert HankelMatrix(c).numerical_order() == 16
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        schmidt_decompose(HankelMatrix(c))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        HankelMatrix(c)
 
 
 # ---------------------------------------------------------------------------
