@@ -26,7 +26,6 @@ from .extraction import (
     extract_representation,
     extract_representations,
     extremal_projection,
-    recover_theta,
     verify_representation,
 )
 from .pipeline import AnalysisConfig, analyze_symbol, verify_suites

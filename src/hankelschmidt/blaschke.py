@@ -15,7 +15,7 @@ reverse order, which verification reads in closed form.  Phases are
 read from coefficients or zeros in closed form; the boundary grid is used
 only by the Moebius conjugation of functions and symbols, which are
 sampled and projected, and by the values of B that the suites' boundary
-identity and the phase fit of extraction read (_on_grid).  A product
+identity reads (_on_grid).  A product
 keeps what depends on it alone, and canonical_blaschke returns one shared
 instance per zero set, so Schmidt blocks with the same inner function
 share that work.
@@ -282,7 +282,8 @@ def frostman_shift(
 
     g_alpha as an order-`order` coefficient vector.  With B = phase*P/Q,
     B_alpha = N/D for N = alpha*Q - phase*P and D = Q - conj(alpha)*phase*P:
-    its zeros r_j are the roots of N, D = D[0] prod_j (1 - conj(r_j) z), and
+    its zeros r_j are the roots of N, a multiple root given by the mean of
+    its cluster (_cluster_means), D = D[0] prod_j (1 - conj(r_j) z), and
     its phase is c = (-1)^d N[d] / D[0].  The gate is the relative backward
     error of the zeros and phase: the l1 norms of N - c D[0] prod_j (r_j - z)
     and D - D[0] prod_j (1 - conj(r_j) z), summed and divided by
@@ -297,7 +298,7 @@ def frostman_shift(
     d = b.degree
     num = alpha * q - phase_p
     den = q - np.conj(alpha) * phase_p
-    roots = _stable_roots(num)
+    roots = _cluster_means(_stable_roots(num))
     if roots.size != d:
         raise ValueError(f"Frostman root finding returned {roots.size} roots, expected {d}")
     if roots.size and np.max(np.abs(roots)) > 1 - 1e-10:
@@ -335,6 +336,33 @@ def _stable_roots(poly_ascending: np.ndarray) -> np.ndarray:
 def _sort_complex(values: np.ndarray) -> np.ndarray:
     order = np.lexsort((values.imag, values.real))
     return values[order]
+
+
+def _cluster_means(values: np.ndarray) -> np.ndarray:
+    """The complex values with each cluster replaced by its mean, at tol = 1e-12.
+
+    A k-fold root comes out of floating point as k values scattered by about
+    eps^(1/k) around a mean that is right to rounding.  A cluster is a
+    connected component under links of length 2 tol^(1/n), n = values.size
+    (so k values within tol^(1/k) of their mean are linked), merged when
+    prod_j (z - v_j) is within tol of (z - mean)^k in every coefficient:
+    the merge moves that product by at most tol.
+    """
+    n, tol = values.size, 1e-12
+    if n < 2:
+        return values
+    near = np.abs(values[:, None] - values) <= 2 * tol ** (1 / n)
+    if np.count_nonzero(near) == n:  # every value stands alone
+        return values
+    label = np.arange(n)
+    for _ in range(n):  # single linkage: each pass follows one more link
+        label = np.min(np.where(near, label, n), axis=1)
+    out = values.copy()
+    for c in np.unique(label):
+        group = values[label == c]
+        if group.size > 1 and np.max(np.abs(np.poly(group - group.mean())[2:])) <= tol:
+            out[label == c] = group.mean()
+    return out
 
 
 # ---------------------------------------------------------------------------

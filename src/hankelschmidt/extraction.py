@@ -9,13 +9,18 @@ anti-linear action
 This module recovers (p, theta, phi) from a computed SchmidtBlock by one
 route, at a base point alpha in the disk.  For the representative with
 theta(alpha) = 0 the reproducing kernel of E(s) is p(z) conj(p(w)) k_w(z)
-at w = alpha, so the projection of the Szego kernel k_alpha onto the block
-is conj(p(alpha)) p k_alpha: dividing it by k_alpha gives p up to a
-unimodular constant, and H applied to it gives theta.  The base point is 0
-(the direct route) when the constant function has a usable component in
-the block, otherwise a grid point where the block's pointwise energy is
-largest.  Results are canonicalized to theta(0) = 0, p(0) >= 0 and
-phi in (-pi, pi].
+at w = alpha, so the projection q of the Szego kernel k_alpha onto the
+block is conj(p(alpha)) p k_alpha: dividing it by k_alpha gives p up to a
+unimodular constant.  theta follows from Hitt's theorem: E(s) is nearly
+S*-invariant, and T f = (f - (f(alpha) / q(alpha)) q) / (z - alpha) maps it
+into itself, unitarily equivalent to the backward shift at alpha on
+K_theta, so theta's zeros other than alpha are read off the eigenvalues of
+a (d - 1) x (d - 1) matrix; for d = 1, theta = b_alpha.  e^{i phi} is the
+phase of one inner product with H q.  The base point is 0 (the direct
+route) when the constant function has a usable component in the block,
+otherwise a point of a fixed set of rings inside the disk where the
+block's pointwise energy is largest.  Results are canonicalized to
+theta(0) = 0, p(0) >= 0 and phi in (-pi, pi].
 
 All blocks of one Gamma are extracted and verified in one batched pass
 (extract_representations).  Blocks are grouped by multiplicity d, and
@@ -23,17 +28,15 @@ within a group each step is one stacked array operation over its blocks:
 the projection of the kernel (on the direct route the extremal projection
 itself, formed once), Gamma's action as one Gamma_J @ conj(.) product over
 every block's columns (hankel_apply, for H q and for the action check),
-recover_theta's null vector as one batched SVD of the systems padded with
-zero rows to a common height, the inner-modulus check and phase fit, the
+Hitt's eigenproblem as one batched eigvals (none for d = 1), the
 unimodular constant, and the isometry, subspace-gap, action,
 near-invariance and symbol-projection residuals.  Python loops remain only
-where the math differs per block: the base-point grid search off the
-origin, root finding, the canonical_blaschke lookups, the Frostman shift
-when theta(0) != 0, and the products with each block's own p and theta.
-A block that fails a check leaves the batch at that check with the error
-a lone extraction of it raises, and the other blocks go on.
-extract_representation, verify_representation and recover_theta are the
-one-block calls of the same code.
+where the math differs per block: the base-point search off the origin,
+the canonical_blaschke lookups, the Frostman shift when theta(0) != 0, and
+the products with each block's own p and theta.  A block that fails a
+check leaves the batch at that check with the error a lone extraction of
+it raises, and the other blocks go on.  extract_representation and
+verify_representation are the one-block calls of the same code.
 
 Verification works on coefficients: the weighted model space p K_theta is
 the N x d matrix of the truncated products p e_k over the columns of
@@ -44,10 +47,10 @@ one more basis per block, none when d = 1.  The work follows Gamma's
 numerical order J, not N: Gamma acts as its leading J x J block, the
 block bases are zero past row J, and on the direct route p is zero past
 order J, so a product with theta = z (e_0 = 1, theta_hat = z) costs O(J).
-Only recover_theta evaluates on the boundary grid, for its inner gate and
-the constant e^{i phi}; theta is inner by construction of BlaschkeProduct,
-so verification does not re-check it.  theta comes from
-canonical_blaschke, one instance per zero set, so its grid values, Taylor
+Nothing here evaluates on the boundary grid: theta is inner by
+construction of BlaschkeProduct, so no check of its modulus is needed,
+and a wrong theta fails the isometry, subspace-gap or action gate.  theta
+comes from canonical_blaschke, one instance per zero set, so its Taylor
 coefficients and model-space basis are computed once for every block
 that shares it: theta = z for every simple singular value.
 """
@@ -61,7 +64,7 @@ import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
-    _on_grid,
+    _cluster_means,
     blaschke_coefficients,
     canonical_blaschke,
     frostman_shift,
@@ -72,9 +75,6 @@ from .hardy import (
     _horner,
     _lead_rotation,
     _series_product,
-    _support,
-    default_grid_size,
-    grid_points,
 )
 from .hankel import HankelMatrix, _ldexp, hankel_apply
 from .spectral import (
@@ -91,7 +91,6 @@ __all__ = [
     "ExtractionError",
     "extremal_projection",
     "base_point_select",
-    "recover_theta",
     "extract_representations",
     "extract_representation",
     "verify_representation",
@@ -256,151 +255,74 @@ def _base_point(basis: np.ndarray, nq: float) -> complex:
 # inner-function recovery
 
 
-def recover_theta(
-    p: np.ndarray, hq: np.ndarray, s: float, d: int, alpha: complex
-) -> tuple[BlaschkeProduct, float, float]:
-    """Recover theta (theta(alpha) = 0, degree d) and phi from p and H q, q = p k^_alpha.
+def _inner_factors(v: np.ndarray, q: np.ndarray, hq: np.ndarray, s, alpha) -> list:
+    """theta (theta(alpha) = 0, degree d) and phi for each basis of the stack
+    v (m x N x d), from Hitt's operator: one (theta, phi) or error per basis.
 
-    k^_alpha = sqrt(1 - |alpha|^2) / (1 - conj(alpha) z) is the unit kernel,
-    and the action formula at h = k^_alpha reads
-    H q = s e^{i phi} p theta sqrt(1 - |alpha|^2) / (z - alpha); at alpha = 0
-    that is H p = s e^{i phi} p S* theta.  With rhs = H q / s, the smallest
-    singular vector of the triangular convolution system
-
-        [ T_p[:, :d] | -T_rhs[:, :d+1] ]
-
-    gives polynomials (R, D) with p R = rhs D as power series, so
-    e^{i phi} theta = (z - alpha) R / D / sqrt(1 - |alpha|^2), whose
-    unimodular constant is then fitted on the boundary.  Rows at or past
-    max(supp p, supp rhs) + d are zero, and dropping them leaves the null
-    vector as it is, so only the rows before that are formed, and at least
-    2d + 1 of them where N allows; with fewer rows than columns the null
-    vector comes from the full V.  Returns (theta,
-    phi, boundary fit residual).  Fails if the recovered function is not
-    inner to 1e-6.
+    q is the unit projection of the kernel at alpha onto the block, so the
+    functions of the block orthogonal to q are those that vanish at alpha,
+    W = V U, U an orthonormal basis of the complement of V^* q.  On the
+    block, T f = (f - (f(alpha) / q(alpha)) q) / (z - alpha) is unitarily
+    equivalent to the backward shift at alpha on K_theta, with T q = 0, so
+    theta's zeros other than alpha are a = conj(lam / (1 + lam alpha)) for
+    the eigenvalues lam of the compression U^* V^* T V U.  On W, T is
+    (I - alpha S^*)^{-1} S^*, and T W lies in the block, so
+    V^* T W = (I - alpha M)^{-1} M U with M = V^* S^* V.  A k-fold zero,
+    a Jordan block of the compression, comes out as k eigenvalues scattered
+    by about eps^(1/k) around a mean that is right to rounding, and
+    _cluster_means reports such a cluster by its mean.  The action formula
+    at the unit kernel reads
+    H q = s e^{i phi} sqrt(1 - |alpha|^2) p theta / (z - alpha)
+        = -s e^{i phi} lambda q prod_(j >= 2) b_(a_j), lambda theta's phase, so
+    e^{i phi} is the phase of <H q / s, -lambda q prod_(j >= 2) b_(a_j)>.
     """
-    (out,) = _recover_thetas(np.asarray(p)[None], np.asarray(hq)[None], [s], d, [alpha])
-    return _raised(out)
-
-
-def _recover_thetas(p: np.ndarray, hq: np.ndarray, s, d: int, alpha) -> list:
-    """recover_theta for each row of the stacks p and hq (m x N), with the
-    entries of s and alpha, at one degree d: one (theta, phi, fit) or error
-    per row.  The systems are padded with zero rows to the largest height
-    any of them needs, which leaves each null vector as it is."""
-    if d < 1:
-        raise ValueError("theta degree must be at least 1")
+    m, n, d = v.shape
     s = np.asarray(s, dtype=float)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    batch = _Batch(s.size)
-    p, hq, s, alpha = batch.drop(
-        s <= 0, lambda k: ValueError("singular value must be positive"), p, hq, s, alpha
+    batch = _Batch(m)
+    v, q, hq, s, alpha = batch.drop(
+        s <= 0, lambda k: ValueError("singular value must be positive"), v, q, hq, s, alpha
     )
     # ||H q|| / s from rhs = H q / s, whose squares do not underflow where those of H q do
     rhs = hq / s[:, None]
     nrm = np.linalg.norm(rhs, axis=1)
-    p, rhs, s, alpha = batch.drop(
+    v, q, rhs, s, alpha = batch.drop(
         np.abs(nrm - 1) > 0.01,
         lambda k: ExtractionError(
             f"inconsistent data: ||H q|| = {nrm[k] * s[k]:.6g} but s = {s[k]:.6g}; "
             "the input is not a unit vector of this block"
         ),
-        p, rhs, s, alpha,
+        v, q, rhs, s, alpha,
     )
     if batch.empty:
         return batch.results
-    n = p.shape[1]
-    width = 2 * d + 1
-    rows = min(n, max(_support(p.any(axis=0)).size + d, _support(rhs.any(axis=0)).size + d, width))
-    cols = np.zeros((s.size, rows, width), dtype=np.complex128)
-    for j in range(d):
-        cols[:, j:, j] = p[:, : rows - j]
-    for j in range(d + 1):
-        cols[:, j:, d + j] = -rhs[:, : rows - j]
-    _, _, vh = np.linalg.svd(cols, full_matrices=rows < width)
-    null = np.conj(vh[:, -1])
-    num = null[:, :d]
-    den = null[:, d:]
-    num, den, alpha = batch.drop(
-        ~(np.abs(den[:, 0]) > 1e-8 * np.linalg.norm(den, axis=1)),
-        lambda k: ExtractionError("degenerate rational fit: denominator vanishes at the origin"),
-        num, den, alpha,
-    )
-    num = num / den[:, :1]
-    den = den / den[:, :1]
-
-    zero_lists = [_poly_roots(c) for c in num]
-    errors = [_root_error(_poly_roots(c), z, d) for c, z in zip(den, zero_lists)]
-    zero_lists, num, den, alpha = batch.drop(
-        [e is not None for e in errors], lambda k: errors[k], zero_lists, num, den, alpha
-    )
-    if batch.empty:
-        return batch.results
-    zeros = np.column_stack([alpha, np.array(zero_lists).reshape(alpha.size, d - 1)])
-
-    m = default_grid_size(max(16, 4 * (d + 1)))
-    grid = grid_points(m)
-    r = np.sqrt(1 - np.abs(alpha) ** 2)
-    # R and D of every row by one evaluation; R's padding row leaves it as it is
-    fit = np.zeros((d + 1, 2 * alpha.size), dtype=np.complex128)
-    fit[:d, : alpha.size] = num.T
-    fit[:, alpha.size :] = den.T
-    on_grid = _horner(fit, grid).T
-    y = (grid - alpha[:, None]) * on_grid[: alpha.size] / on_grid[alpha.size :] / r[:, None]
-    inner_dev = np.max(np.abs(np.abs(y) - 1.0), axis=1)
-    zeros, y = batch.drop(
-        inner_dev > 1e-6,
-        lambda k: ExtractionError(
-            f"fitted function deviates from unit boundary modulus by {inner_dev[k]:.3e}; "
-            "upstream data does not define an inner function"
-        ),
-        zeros, y,
-    )
-    if batch.empty:
-        return batch.results
-    thetas = [canonical_blaschke(z) for z in zeros]
-    on_grid = np.stack([_on_grid(theta, m) for theta in thetas])
-    phase = (on_grid.conj()[:, None, :] @ y[:, :, None])[:, 0, 0]
-    phase /= np.abs(phase)
-    fit = np.max(np.abs(y - phase[:, None] * on_grid), axis=1)
-    return batch.finish(
-        (theta, _wrap_phase(phi), float(f)) for theta, phi, f in zip(thetas, np.angle(phase), fit)
-    )
-
-
-def _root_error(den_roots: np.ndarray, zero_list: np.ndarray, d: int) -> ExtractionError | None:
-    """Why the fit R / D with these roots is not an inner function of degree
-    d: D has a root in the closed disk, or R is not of degree d - 1 with its
-    roots in the open disk; None when it is."""
-    if den_roots.size and np.min(np.abs(den_roots)) <= 1.0:
-        return ExtractionError(
-            "recovered denominator has a root inside the closed disk; theta is not inner"
+    rest = np.empty((alpha.size, d - 1), dtype=np.complex128)
+    image = q  # prod_(j >= 2) b_(a_j) q
+    if d > 1:
+        u = _nullspace_of_row(q.conj()[:, None, :] @ v)
+        shift = v[:, :-1].conj().swapaxes(1, 2) @ v[:, 1:]  # M = V^* S^* V
+        tw = np.linalg.solve(np.eye(d) - alpha[:, None, None] * shift, shift @ u)
+        lam = np.linalg.eigvals(u.conj().swapaxes(1, 2) @ tw)
+        lam = np.array([_cluster_means(row) for row in lam])
+        rest = np.conj(lam / (1 + lam * alpha[:, None])) + 0.0  # no -0.0 in a report
+        rest = np.take_along_axis(rest, np.lexsort((rest.imag, rest.real)), axis=1)
+        worst = np.abs(rest).max(axis=1)
+        rest, q, rhs, alpha = batch.drop(
+            ~(worst < 1),
+            lambda k: ExtractionError(
+                f"recovered inner function has a zero of modulus {worst[k]:.6f} "
+                "outside the open disk"
+            ),
+            rest, q, rhs, alpha,
         )
-    if zero_list.size != d - 1:
-        return ExtractionError(
-            f"recovered numerator has degree {zero_list.size}, expected {d - 1}; "
-            "block multiplicity and inner degree disagree"
-        )
-    if zero_list.size and np.max(np.abs(zero_list)) >= 1.0:
-        return ExtractionError(
-            f"recovered inner function has a zero of modulus "
-            f"{np.max(np.abs(zero_list)):.6f} outside the open disk"
-        )
-    return None
-
-
-def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs_ascending, dtype=np.complex128)
-    scale = np.max(np.abs(c))
-    if scale == 0:
-        return np.empty(0, dtype=np.complex128)
-    nz = np.flatnonzero(np.abs(c) > 1e-10 * scale)
-    c = c[: nz[-1] + 1]
-    if c.size <= 1:
-        return np.empty(0, dtype=np.complex128)
-    roots = np.roots(c[::-1])
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+        if batch.empty:
+            return batch.results
+        image = np.stack([
+            _series_product(qk, blaschke_coefficients(BlaschkeProduct(z), n), n)
+            for qk, z in zip(q, rest)
+        ])
+    thetas = [canonical_blaschke(np.concatenate([[a], z])) for a, z in zip(alpha, rest)]
+    phase = -np.conj([t.phase for t in thetas]) * np.sum(rhs * image.conj(), axis=1)
+    return batch.finish((t, _wrap_phase(phi)) for t, phi in zip(thetas, np.angle(phase)))
 
 
 def _wrap_phase(phi: float) -> float:
@@ -513,13 +435,13 @@ def _extract_stack(
     p = q.copy()
     p[:, 1:] -= np.conj(alpha)[:, None] * q[:, :-1]
     p /= r[:, None]
-    fits = _recover_thetas(p, hankel_apply(gamma, q.T).T, s, d, alpha)
+    fits = _inner_factors(v, q, hankel_apply(gamma, q.T).T, s, alpha)
     fits, p, v, s, alpha = batch.drop_errors(fits, p, v, s, alpha)
     if batch.empty:
         return batch.results
 
-    thetas = [theta for theta, _, _ in fits]
-    phi = np.array([f for _, f, _ in fits])
+    thetas = [theta for theta, _ in fits]
+    phi = np.array([f for _, f in fits])
     # theta(0) = phase * prod(zeros); a nonzero one is moved to 0 by a Frostman shift
     t0 = np.array([t.phase for t in thetas]) * np.prod([t.zeros for t in thetas], axis=1)
     for k in np.flatnonzero(np.abs(t0) > 1e-10):

@@ -424,6 +424,18 @@ def test_frostman_preserves_degree_and_innerness():
     assert np.max(np.abs(np.abs(blaschke_eval(shifted, GRID)) - 1)) < 1e-10
 
 
+@pytest.mark.parametrize("zeros", [[0.3, 0.3, 0.3, -0.5j], [0.3, 0.301, -0.5j]])
+def test_frostman_reports_a_multiple_zero_by_its_cluster_mean(zeros):
+    # the shift by alpha is an involution; the roots of its numerator scatter
+    # a triple zero by about eps^(1/3) (1.3e-5 here), and their mean holds it
+    # to 1e-14, while two zeros 1e-3 apart, each 1.3e-12 off, are told apart
+    # and stay as they are
+    alpha = 0.4 - 0.2j
+    there, _ = frostman_shift(BlaschkeProduct(zeros), alpha, 32)
+    back, _ = frostman_shift(there, alpha, 32)
+    assert np.max(np.abs(np.sort_complex(back.zeros) - np.sort_complex(zeros))) < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # Moebius conjugation
 

@@ -318,7 +318,7 @@ def test_cli_rejects_bad_truncation_order(tmp_path, capsys, command, n):
 
 
 def test_cli_analyzes_a_block_wider_than_half_the_order(tmp_path, capsys):
-    # u = z^7 at N = 16: a block of multiplicity 8, with 2d + 1 > N
+    # u = z^7 at N = 16: a block of multiplicity 8, more than half of N
     path = write_json(tmp_path / "z7.json", {"poly": [[0, 0]] * 7 + [[1, 0]]})
     assert main(["analyze", path, "--n", "16"]) == 0
     captured = capsys.readouterr()

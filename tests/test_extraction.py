@@ -23,7 +23,6 @@ from hankelschmidt.extraction import (
     base_point_select,
     extract_representation,
     extremal_projection,
-    recover_theta,
     verify_representation,
 )
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_apply
@@ -157,128 +156,93 @@ def test_base_point_fails_on_numerically_zero_block():
 
 
 def test_recover_theta_shift_symbol():
+    # u = z: E = span{1, z} = K_(z^2), p = 1, and Hitt's compression is the
+    # 1 x 1 matrix of S^* on span{z}, whose eigenvalue 0 is the second zero
     n = 16
     gamma = build_hankel_matrix(symbol_from_coefficients([0, 1]), n)
-    p = one(n)
-    hup = hankel_apply(gamma, p)
-    theta, phi, fit = recover_theta(p, hup, 1.0, 2, 0.0)
-    assert theta.degree == 2
-    assert np.allclose(theta.zeros, 0)
-    assert abs(phi) < 1e-12
-    assert fit < 1e-12
+    (block,) = schmidt_decompose(gamma)
+    rep = extract_representation(gamma, block)
+    assert rep.theta.degree == 2
+    assert np.max(np.abs(rep.theta.zeros)) < 1e-15
+    assert abs(rep.phi) < 1e-12
+    assert rep.residuals.action < 1e-15
     # the canonical product with double zero at 0 is z^2 itself
-    assert abs(blaschke_eval(theta, 0.5) - 0.25) < 1e-12
+    assert abs(blaschke_eval(rep.theta, 0.5) - 0.25) < 1e-12
 
 
 def test_recover_theta_rank_one():
+    # d = 1 needs no eigenproblem: theta = z, and phi is the phase of <H p / s, -p>
     n = 128
-    sym = rank_one_symbol()
-    gamma = build_hankel_matrix(sym, n)
-    k = szego_kernel(0.5, n)
-    p = k / np.linalg.norm(k)
-    hup = hankel_apply(gamma, p)
-    theta, phi, fit = recover_theta(p, hup, 4.0 / 3.0, 1, 0.0)
-    assert theta.degree == 1
-    assert abs(theta.zeros[0]) < 1e-12
-    assert abs(phi) < 1e-10
-    assert fit < 1e-10
+    gamma = build_hankel_matrix(rank_one_symbol(), n)
+    (rep,) = extraction.extract_representations(gamma, schmidt_decompose(gamma))
+    assert np.array_equal(rep.theta.zeros, [0])
+    assert rep.theta.phase == -1
+    assert abs(rep.phi) < 1e-10
+    assert rep.residuals.action < 1e-10
 
 
 def test_recover_theta_output_is_inner():
+    # u = S^* B: E = K_B, so theta is B, whose zeros are the eigenvalues
     n = 64
-    sym = symbol_from_inner(BlaschkeProduct([0.0, 0.3 + 0.2j], 1.0))
-    gamma = build_hankel_matrix(sym, n)
+    zeros = [0.0, 0.3 + 0.2j]
+    gamma = build_hankel_matrix(symbol_from_inner(BlaschkeProduct(zeros, 1.0)), n)
     block = schmidt_decompose(gamma)[0]
-    q, nq = extremal_projection(block)
-    p = q / nq
-    theta, _, _ = recover_theta(p, hankel_apply(gamma, p), block.s, block.multiplicity, 0.0)
+    rep = extract_representation(gamma, block)
+    assert np.max(np.abs(rep.theta.zeros - zeros)) < 1e-12
     z = np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
-    assert np.max(np.abs(np.abs(blaschke_eval(theta, z)) - 1)) < 1e-10
+    assert np.max(np.abs(np.abs(blaschke_eval(rep.theta, z)) - 1)) < 1e-10
+    assert max(rep.residuals.gated().values()) < 1e-12
 
 
 def test_recover_theta_at_base_point_places_the_zero_there():
     # u = k_0.5: E = C k_0.5 with p = sqrt(3)/2 k_0.5 and theta = z; the
-    # representative with theta(alpha) = 0 is the Frostman shift of z
-    n, alpha = 128, 0.3 + 0.1j
-    gamma = build_hankel_matrix(rank_one_symbol(), n)
-    k = szego_kernel(0.5, n)
-    q = k / np.linalg.norm(k)
-    r = np.sqrt(1 - abs(alpha) ** 2)
-    p = q.copy()
-    p[1:] -= np.conj(alpha) * q[:-1]
-    theta, _, fit = recover_theta(p / r, hankel_apply(gamma, q), 4.0 / 3.0, 1, alpha)
-    assert theta.degree == 1
-    assert abs(theta.zeros[0] - alpha) < 1e-15
-    assert fit < 1e-12
-
-
-def _kernel_multiplier(block, alpha):
-    """(p, q) as extraction forms them: q the normalized block projection
-    of the unit kernel at alpha, and p = q / k^_alpha."""
-    r = math.sqrt(1 - abs(alpha) ** 2)
-    q = block.basis @ (block.basis.conj().T @ (r * np.conj(alpha) ** np.arange(block.order)))
-    q = q / np.linalg.norm(q)
-    p = q.copy()
-    p[1:] -= np.conj(alpha) * q[:-1]
-    return p / r, q
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.3 - 0.2j])
-def test_recover_theta_on_trimmed_rows_matches_all_rows(alpha):
-    # hankel_apply leaves H q zero past J, so recover_theta factors only the
-    # rows before max(supp p, supp rhs) + d; the dense product Gamma conj(q)
-    # has no zero tail, so with it recover_theta factors all N rows
-    n = 512
-    symbols = [
-        symbol_from_inner(BlaschkeProduct([0.7, -0.5 + 0.5j, 0.6j], 1.0)),
-        random_symbol(np.random.default_rng(3)),
-    ]
-    checked = 0
-    for sym in symbols:
-        gamma = build_hankel_matrix(sym, n)
-        j = gamma.numerical_order()
-        assert j < n
-        for block in schmidt_decompose(gamma):
-            p, q = _kernel_multiplier(block, alpha)
-            trimmed = hankel_apply(gamma, q)
-            dense = gamma.gamma @ np.conj(q)
-            assert not trimmed[j:].any() and dense[-1] != 0
-            d = block.multiplicity
-            theta_t, phi_t, _ = recover_theta(p, trimmed, block.s, d, alpha)
-            theta_d, phi_d, _ = recover_theta(p, dense, block.s, d, alpha)
-            assert np.max(np.abs(theta_t.zeros - theta_d.zeros)) <= 1e-13
-            assert abs(math.remainder(phi_t - phi_d, 2 * math.pi)) <= 1e-13
-            checked += d > 1
-    assert checked
-
-
-def test_recover_theta_with_more_unknowns_than_rows():
-    # u = z^7 at N = 16 has one block of multiplicity d = 8, so the system
-    # has 2d + 1 = 17 columns but 16 rows: the null vector is the last row
-    # of the full V, and theta = z^8
-    n = 16
-    gamma = build_hankel_matrix(symbol_from_coefficients([0] * 7 + [1]), n)
-    blocks = schmidt_decompose(gamma)
-    assert len(blocks) == 1 and blocks[0].multiplicity == 8
-    rep = extract_representation(gamma, blocks[0])
-    assert rep.theta.degree == 8
-    assert np.max(np.abs(rep.theta.zeros)) < 1e-12
-    assert rep.residuals.action < 1e-12
-    # with d = 9 the null space has more than one dimension: an error, not a crash
-    gamma = build_hankel_matrix(symbol_from_coefficients([0] * 8 + [1]), n)
+    # representative with theta(alpha) = 0 is b_alpha, which the Frostman
+    # shift moves back to theta = z
+    alpha = 0.3 + 0.1j
+    gamma = build_hankel_matrix(rank_one_symbol(), 128)
     block = schmidt_decompose(gamma)[0]
-    assert block.multiplicity == 9
-    with pytest.raises(ExtractionError):
-        extract_representation(gamma, block)
+    r = np.sqrt(1 - abs(alpha) ** 2)
+    q = block.basis @ (block.basis.conj().T @ (r * np.conj(alpha) ** np.arange(128)))
+    q /= np.linalg.norm(q)
+    ((theta, _),) = extraction._inner_factors(
+        block.basis[None], q[None], hankel_apply(gamma, q)[None], [block.s], np.array([alpha])
+    )
+    assert np.array_equal(theta.zeros, [alpha])
+    rep = extract_representation(gamma, block, base_point=alpha)
+    assert rep.canonicalized_at == alpha
+    assert np.max(np.abs(rep.theta.zeros)) < 1e-15
+    assert rep.residuals.action < 1e-12
+
+
+def test_extract_monomials_up_to_the_order():
+    # u = z^(d-1) at N = 16 is a polynomial of degree below N, so Gamma is the
+    # whole operator: one block of multiplicity d, E = K_(z^d), p = 1 and
+    # theta = z^d, up to d = 15; at d = N the model space does not fit.  The
+    # d-fold zero scatters by eps^(1/d) as eigenvalues or roots, and is
+    # reported by the cluster's mean at the origin and off it
+    n = 16
+    gammas = [build_hankel_matrix(symbol_from_coefficients([0] * (d - 1) + [1]), n)
+              for d in (8, 9, 10, 13, 16)]
+    for gamma, d in zip(gammas, (8, 9, 10, 13)):
+        (block,) = schmidt_decompose(gamma)
+        assert block.multiplicity == d
+        for alpha in (None, -0.45j):
+            rep = extract_representation(gamma, block, base_point=alpha)
+            assert rep.theta.degree == d
+            assert np.max(np.abs(rep.theta.zeros)) < 1e-15
+            assert rep.residuals.action < 1e-12
+    (block,) = schmidt_decompose(gammas[-1])
+    assert block.multiplicity == 16
+    with pytest.raises(ValueError, match="order 16 too small for a degree-16 model space"):
+        extract_representation(gammas[-1], block)
 
 
 def test_recover_theta_rejects_inconsistent_scale():
     n = 16
     gamma = build_hankel_matrix(symbol_from_coefficients([0, 1]), n)
-    p = one(n)
-    hup = hankel_apply(gamma, p)
-    with pytest.raises(ExtractionError):
-        recover_theta(p, hup, 2.0, 2, 0.0)
+    (block,) = schmidt_decompose(gamma)
+    with pytest.raises(ExtractionError, match="inconsistent data"):
+        extract_representation(gamma, replace(block, s=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +449,34 @@ def test_branch_independence_when_projection_moderate():
         assert np.max(np.abs(rep.theta.zeros - first.theta.zeros)) < 1e-12
         assert abs(rep.theta.phase - first.theta.phase) < 1e-12
         assert abs(rep.phi - first.phi) < 1e-12
+
+    # Hitt's eigenproblem at every base point, for d = 2, 3 and 5, for
+    # B = b_a^2 b_(-0.5)^2 at base point a, where the representative
+    # theta = B has double zeros, and for the blocks of two poles of
+    # multiplicity 4; below 1e-6 s_max, down to 3.5e-9 s_max, the bound
+    # widens by the error of about eps s_max / s the Schmidt vectors carry.
+    # The direct route lists the zero at alpha = 0 first, so zeros are
+    # compared as sets
+    a = 0.3 + 0.2j
+    double = build_hankel_matrix(symbol_from_inner(BlaschkeProduct([a, a, -0.5, -0.5])), n)
+    cases = [(gamma, block, ()) for gamma, block in span_test_blocks() if block.multiplicity > 1]
+    cases += [(double, block, (a,)) for block in schmidt_decompose(double)]
+    poles = build_hankel_matrix(parse_symbol(MULTIPLE_POLES), n)
+    cases += [(poles, block, ()) for block in schmidt_decompose(poles)]
+    assert sorted({block.multiplicity for _, block, _ in cases}) == [1, 2, 3, 4, 5]
+    for gamma, block, extra in cases:
+        first = extract_representation(gamma, block, base_point=0.0)
+        s_max = schmidt_decompose(gamma)[0].s
+        tol = 1e-10 if block.s >= 1e-6 * s_max else 1e-10 + np.finfo(float).eps * s_max / block.s
+        for alpha in (0.3 + 0.1j, -0.5j, *extra):
+            rep = extract_representation(gamma, block, base_point=alpha)
+            assert rep.canonicalized_at == alpha
+            assert max(rep.residuals.gated().values()) <= 1e-6
+            assert np.max(np.abs(rep.p - first.p)) <= tol
+            zeros = np.sort_complex(rep.theta.zeros) - np.sort_complex(first.theta.zeros)
+            assert np.max(np.abs(zeros)) <= tol
+            assert abs(rep.theta.phase - first.theta.phase) <= tol
+            assert abs(math.remainder(rep.phi - first.phi, 2 * math.pi)) <= tol
 
 
 def test_small_block_off_the_origin_is_exact():
@@ -775,7 +767,7 @@ MULTIPLE_POLES = {"poles": [
     {"b": [-0.6240873297441091, 0.35041257921138325], "m": 1, "c": [-0.26417203063295636, -0.3836678708723362]},
     {"b": [-0.23289309139962888, 0.276432820411099], "m": 4, "c": [0.32094578325073536, -0.1981513590391076]},
 ]}
-# a symbol whose smallest block (2.9e-10 s_max) fails the inner fit at N=128
+# a symbol whose smallest block (2.9e-10 s_max) fails the action gate at N=128
 SYMBOL_183 = {
     "poly": [[-0.08709895226163099, 2.30184206580847], [-1.2927582657112695, 0.627090644692311]],
     "poles": [
@@ -832,7 +824,7 @@ def test_batched_extraction_matches_one_block_at_a_time(doc, n, count, off_origi
     backward = extraction.extract_representations(gamma, blocks[::-1], tol=1e-6)[::-1]
     errors = [w for w in want if isinstance(w, Exception)]
     assert len(errors) == failing
-    assert all("unit boundary modulus" in str(e) for e in errors)
+    assert all(str(e).startswith("action residual") for e in errors)
     assert not failing or isinstance(want[-1], ExtractionError)
     assert sum(not isinstance(w, Exception) and w.canonicalized_at != 0 for w in want) == off_origin
     if doc is Z_SQUARED:

@@ -13,7 +13,8 @@ attribute, outside its own definition; importing it is not a use.  The
 same holds for every public name a module exports in `__all__`: some code
 must refer to it, by name or as an attribute, in src/hankelschmidt outside
 its own definition and the package __init__, or in bench/*.py, or README
-must name it in backticks.
+must name it in backticks.  extraction imports no name that evaluates on
+the boundary grid.
 """
 
 from __future__ import annotations
@@ -90,6 +91,17 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# names that evaluate on the boundary grid; extraction works on coefficients
+# and at interior points (_horner at the base points) only
+GRID_NAMES = {"grid_points", "default_grid_size", "_on_grid", "blaschke_eval"}
+
+
+def test_extraction_imports_no_boundary_grid_name():
+    tree = ast.parse((PACKAGE / "extraction.py").read_text())
+    assert sorted(GRID_NAMES & set(imported_names(tree))) == []
+    assert "_horner" in imported_names(tree)
 
 
 def test_scan_flags_a_stale_export():

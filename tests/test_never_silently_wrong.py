@@ -133,3 +133,28 @@ def test_multiple_poles_with_small_blocks_are_correct():
     report = analyze_symbol(sym, AnalysisConfig(n=N))
     exact = exact_singular_values(np.zeros(0), poles)
     assert outcome(report, analysis_exit_code(report), exact) == "correct", report
+
+
+def test_block_at_the_kernel_cutoff_is_flagged():
+    # the smallest block, at 2.9e-10 s_max, carries a Schmidt-vector error of
+    # about eps s_max / s = 8e-7 from the factorization; its action residual
+    # fails the gate, so the report is flagged, not wrong
+    poly = np.array([complex(-0.08709895226163099, 2.30184206580847),
+                     complex(-1.2927582657112695, 0.627090644692311)])
+    poles = [
+        (complex(0.03746173516706306, 0.15628645771632382), 2,
+         complex(0.1326310532547583, -0.8725106032481607)),
+        (complex(-0.2783057406397432, -0.13847367323902898), 3,
+         complex(0.32019080346354917, 0.8667047455286133)),
+        (complex(-0.03616157438316852, -0.1492663171718748), 3,
+         complex(-1.0297322814565903, -0.7549695283563244)),
+    ]
+    sym = RationalSymbol(poly=poly, poles=tuple(PoleTerm(b=b, m=m, c=c) for b, m, c in poles))
+    report = analyze_symbol(sym, AnalysisConfig(n=N))
+    smallest = report["blocks"][-1]
+    assert smallest["s"] < 1e-9 * report["blocks"][0]["s"]
+    assert smallest["pass"] is False and smallest["error"].startswith("action residual")
+    assert all(block["pass"] for block in report["blocks"][:-1])
+    assert analysis_exit_code(report) != 0
+    exact = exact_singular_values(poly, poles)
+    assert outcome(report, analysis_exit_code(report), exact) == "flagged"
