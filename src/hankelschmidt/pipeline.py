@@ -7,7 +7,12 @@ fixed (input, config, seed).
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -158,6 +163,65 @@ def analysis_exit_code(report: dict) -> int:
     return 2
 
 
+def _child_payload(calls) -> bytes:
+    """The pickled results of calls, or the exception one of them raised."""
+    try:
+        return pickle.dumps(("ok", [call() for call in calls]))
+    except BaseException as exc:  # re-raised in the parent, whatever it is
+        tb = traceback.format_exc()
+        try:
+            return pickle.dumps(("error", exc, tb))
+        except Exception:  # an exception that does not pickle keeps its type's name
+            return pickle.dumps(("error", RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
+
+
+def _run_forked(child_calls, parent_calls) -> tuple[list, list]:
+    """Results of child_calls, run in one forked child, and of parent_calls,
+    run here meanwhile.
+
+    The child sends its results through a pipe and always leaves by
+    os._exit, so it runs no exit handler of the parent.  An exception in
+    the child is raised here with its type and message (one that does not
+    pickle as a RuntimeError that names its type), from a RuntimeError that
+    carries the child's traceback.  The child is reaped before this
+    returns or raises; if parent_calls raise, it is killed first.  Where
+    the fork itself fails, every call runs here.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run every call here
+        os.close(read_fd)
+        os.close(write_fd)
+        return [call() for call in child_calls], [call() for call in parent_calls]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_child_payload(child_calls))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    data = None
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            here = [call() for call in parent_calls]
+            data = pipe.read()
+    finally:
+        if data is None:
+            os.kill(pid, signal.SIGKILL)
+        _, wait_status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"suite child process sent no result (wait status {wait_status})")
+    kind, *payload = pickle.loads(data)  # bytes written by the child forked above
+    if kind == "error":
+        exc, tb = payload
+        raise exc from RuntimeError(f"in the suite child process:\n{tb}")
+    return payload[0], here
+
+
 def verify_suites(
     config: AnalysisConfig | None = None,
     perturb: float = 0.0,
@@ -172,20 +236,37 @@ def verify_suites(
     Deterministic for a fixed seed; the perturbation knob corrupts the
     Hankel symmetry inside the identity suite so that failure paths are
     exercised.  It must be finite and nonnegative.
+
+    When os.sched_getaffinity gives the process two CPUs or more, one forked
+    child runs the model-space and structure-theorem suites while this
+    process runs the identity and Moebius suites, and the child's two dicts
+    come back pickled through a pipe.  Each suite draws only from its own
+    default_rng(seed + i), and the module caches (canonical_blaschke,
+    grid_points) change only speed, so the report is the same, byte for
+    byte, whichever process runs a suite.  On one CPU, and where
+    os.sched_getaffinity does not exist (macOS, Windows), the four suites
+    run in order in this process.  No process outlives the call, whether it
+    returns or raises.
     """
     if not (np.isfinite(perturb) and perturb >= 0):
         raise ValueError(f"perturb must be finite and >= 0, got {perturb!r}")
     config = config or AnalysisConfig()
-    identity = suite_identities(config.seed, identity_count, config.n, perturb=perturb)
-    model = suite_model_spaces(config.seed + 1, blaschke_count, alpha_count, config.n)
-    mobius = suite_mobius(config.seed + 2, mobius_count, config.n)
-    theorem = suite_theorem(config.seed + 3, theorem_count, config.n, tol=config.verify_tol)
-    suites = {
-        "identities": identity,
-        "model_spaces": model,
-        "mobius_covariance": mobius,
-        "structure_theorem": theorem,
+    seed, n = config.seed, config.n
+    calls = {
+        "identities": partial(suite_identities, seed, identity_count, n, perturb=perturb),
+        "model_spaces": partial(suite_model_spaces, seed + 1, blaschke_count, alpha_count, n),
+        "mobius_covariance": partial(suite_mobius, seed + 2, mobius_count, n),
+        "structure_theorem": partial(suite_theorem, seed + 3, theorem_count, n, tol=config.verify_tol),
     }
+    affinity = getattr(os, "sched_getaffinity", None)  # looked up per call
+    if affinity is not None and len(affinity(0)) >= 2:
+        in_child = ("model_spaces", "structure_theorem")
+        here = ("identities", "mobius_covariance")
+        from_child, from_here = _run_forked([calls[k] for k in in_child], [calls[k] for k in here])
+        done = dict(zip(in_child + here, from_child + from_here))
+        suites = {k: done[k] for k in calls}
+    else:
+        suites = {k: call() for k, call in calls.items()}
     return {
         "config": {
             "n": config.n,

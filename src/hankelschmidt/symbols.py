@@ -99,6 +99,18 @@ def _binomial_weights(n: np.ndarray, m: int) -> np.ndarray:
     return (n + 1) * (n + 2) * (n + 3) / 6.0
 
 
+def _conj_powers(b: complex, order: int) -> np.ndarray:
+    """conj(b)^n for n = 0 .. order-1 by one running product.
+
+    For n < 1023 and the dyadic b of the tests this stays within 3.6e-15
+    relative of the exact powers, where numpy's complex power (libm cpow
+    from n = 100 on) is off by up to 3.5e-13.
+    """
+    p = np.full(order, np.conj(b))
+    p[0] = 1.0
+    return np.cumprod(p)
+
+
 def fourier_coefficients(sym: RationalSymbol, order: int) -> np.ndarray:
     """Exact Taylor coefficients u_hat(0) .. u_hat(order-1).
 
@@ -111,7 +123,11 @@ def fourier_coefficients(sym: RationalSymbol, order: int) -> np.ndarray:
     out[:k] = sym.poly[:k]
     with np.errstate(over="ignore", invalid="ignore"):
         for term in sym.poles:
-            out += term.c * _binomial_weights(n, term.m) * np.conj(term.b) ** n
+            powers = _conj_powers(term.b, order)
+            if term.m == 1:
+                out += term.c * powers
+            else:
+                out += term.c * _binomial_weights(n, term.m) * powers
     return _as_coeffs(out)
 
 

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,26 @@ def test_double_pole_binomial_oracle():
     # 1/(1 - z/2)^2 = sum (n+1) 2^{-n} z^n, so u_hat(2) = 3/4
     u = fourier_coefficients(geometric_symbol(m=2), 4)
     assert abs(u[2] - 0.75) < 1e-15
+
+
+@pytest.mark.parametrize("b", [0.75 + 0.5j, -0.5 + 0.625j, 0.875j])
+def test_pole_coefficients_match_exact_powers(b):
+    # b = (x + y i) / 2^k is dyadic, so conj(b)^n = (x - y i)^n / 2^(k n) is exact
+    # in integers, and Fraction takes each coefficient's error without rounding
+    order = 1023
+    k = 3
+    x, y = int(b.real * 2**k), int(b.imag * 2**k)
+    u = fourier_coefficients(geometric_symbol(b=b), order)
+    re, im = 1, 0
+    worst = 0.0
+    for n in range(order):
+        scale = 2 ** (k * n)
+        err_re = Fraction(float(u[n].real)) - Fraction(re, scale)
+        err_im = Fraction(float(u[n].imag)) - Fraction(im, scale)
+        exact = abs(complex(Fraction(re, scale), Fraction(im, scale)))
+        worst = max(worst, abs(complex(err_re, err_im)) / exact)
+        re, im = re * x + im * y, im * x - re * y
+    assert worst < 1e-14
 
 
 def test_coefficients_additive_in_terms():
