@@ -37,7 +37,6 @@ from .symbols import (
     fourier_coefficients,
     kronecker_rank_bound,
     parse_symbol,
-    symbol_from_coefficients,
     symbol_to_dict,
     tail_bound,
 )

@@ -33,10 +33,12 @@ unimodular constant, and the isometry, subspace-gap, action,
 near-invariance and symbol-projection residuals.  Python loops remain only
 where the math differs per block: the base-point search off the origin,
 the canonical_blaschke lookups, the Frostman shift when theta(0) != 0, and
-the products with each block's own p and theta.  A block that fails a
-check leaves the batch at that check with the error a lone extraction of
-it raises, and the other blocks go on.  extract_representation and
-verify_representation are the one-block calls of the same code.
+the products with each block's own p and theta.  One _Batch per group
+holds every per-block array, from the base point to the gates; a block
+that fails a check leaves all of them at once, with the error a lone
+extraction of it raises, and the other blocks go on.
+extract_representation and verify_representation are the one-block calls
+of the same code.
 
 Verification works on coefficients: the weighted model space p K_theta is
 the N x d matrix of the truncated products p e_k over the columns of
@@ -159,52 +161,53 @@ class RepresentationResiduals:
 
 
 class _Batch:
-    """The entries of a batch that have passed every check so far.
+    """The blocks of one multiplicity group that have passed every check so
+    far, with their arrays.
 
-    `at` holds their positions in `results`, which has one slot per entry
-    of the whole batch; an entry that fails a check gets its error there and
-    leaves the batch, and one that passes every check gets its result.
+    The constructor and `hold` set the arrays as attributes, each with one
+    item (a row or a list item) per live entry.  `at` holds the live
+    entries' positions in `results`, which has one slot per entry of the
+    whole group.  An entry that fails a check gets its error there and
+    leaves every held array at once, so no array can pair one block with
+    another block's data; one that passes every check gets its result.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, **arrays):
         self.results: list = [None] * size
         self.at = np.arange(size)
+        self._held: set[str] = set()
+        self.hold(**arrays)
+
+    def hold(self, **arrays) -> None:
+        """Hold (or replace) arrays with one item per live entry."""
+        self._held |= arrays.keys()
+        self.__dict__.update(arrays)
 
     @property
     def empty(self) -> bool:
         return self.at.size == 0
 
-    def drop(self, bad, error, *arrays) -> list:
-        """Give each live entry k with bad[k] the exception error(k), and
-        return `arrays` (arrays or lists, one item per live entry) without
-        those entries."""
+    def drop(self, bad, error) -> bool:
+        """Give each live entry k with bad[k] the exception error(k), remove
+        those entries from every held array, and return whether the batch
+        is now empty."""
         bad = np.asarray(bad, dtype=bool)
-        if not bad.any():
-            return list(arrays)
-        keep = ~bad
-        for k in np.flatnonzero(bad):
-            self.results[self.at[k]] = error(k)
-        self.at = self.at[keep]
-        return [a[keep] if isinstance(a, np.ndarray) else [x for x, kept in zip(a, keep) if kept]
-                for a in arrays]
+        if bad.any():
+            keep = ~bad
+            for k in np.flatnonzero(bad):
+                self.results[self.at[k]] = error(k)
+            self.at = self.at[keep]
+            for name in self._held:
+                a = getattr(self, name)
+                setattr(self, name, a[keep] if isinstance(a, np.ndarray)
+                        else [x for x, kept in zip(a, keep) if kept])
+        return self.empty
 
-    def drop_errors(self, items: list, *arrays) -> list:
-        """drop the entries whose item is an exception, with that exception."""
-        bad = [isinstance(x, Exception) for x in items]
-        return self.drop(bad, lambda k: items[k], items, *arrays)
+    def drop_errors(self, name: str) -> bool:
+        """drop the entries whose item in the held list `name` is an exception."""
+        items = getattr(self, name)
+        return self.drop([isinstance(x, Exception) for x in items], lambda k: items[k])
 
-    def finish(self, items) -> list:
-        """Give the live entries their results, in order; return all results."""
-        for at, item in zip(self.at, items):
-            self.results[at] = item
-        return self.results
-
-
-def _raised(result):
-    """Raise result if it is an exception, else return it."""
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _extremal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,14 +258,16 @@ def _base_point(basis: np.ndarray, nq: float) -> complex:
 # inner-function recovery
 
 
-def _inner_factors(v: np.ndarray, q: np.ndarray, hq: np.ndarray, s, alpha) -> list:
-    """theta (theta(alpha) = 0, degree d) and phi for each basis of the stack
-    v (m x N x d), from Hitt's operator: one (theta, phi) or error per basis.
+def _inner_factors(b: _Batch) -> None:
+    """theta (theta(alpha) = 0, degree d) and phi for each live entry of b,
+    which holds the block bases v (m x N x d), the unit projections q of
+    the kernel at the base points alpha onto the blocks, their images
+    hq = H q and the singular values s: holds them as `theta` and `phi`,
+    or drops the entry with its error.
 
-    q is the unit projection of the kernel at alpha onto the block, so the
-    functions of the block orthogonal to q are those that vanish at alpha,
-    W = V U, U an orthonormal basis of the complement of V^* q.  On the
-    block, T f = (f - (f(alpha) / q(alpha)) q) / (z - alpha) is unitarily
+    The functions of the block orthogonal to q are those that vanish at
+    alpha, W = V U, U an orthonormal basis of the complement of V^* q.  On
+    the block, T f = (f - (f(alpha) / q(alpha)) q) / (z - alpha) is unitarily
     equivalent to the backward shift at alpha on K_theta, with T q = 0, so
     theta's zeros other than alpha are a = conj(lam / (1 + lam alpha)) for
     the eigenvalues lam of the compression U^* V^* T V U.  On W, T is
@@ -276,53 +281,47 @@ def _inner_factors(v: np.ndarray, q: np.ndarray, hq: np.ndarray, s, alpha) -> li
         = -s e^{i phi} lambda q prod_(j >= 2) b_(a_j), lambda theta's phase, so
     e^{i phi} is the phase of <H q / s, -lambda q prod_(j >= 2) b_(a_j)>.
     """
-    m, n, d = v.shape
-    s = np.asarray(s, dtype=float)
-    batch = _Batch(m)
-    v, q, hq, s, alpha = batch.drop(
-        s <= 0, lambda k: ValueError("singular value must be positive"), v, q, hq, s, alpha
-    )
+    _, n, d = b.v.shape
+    if b.drop(b.s <= 0, lambda k: ValueError("singular value must be positive")):
+        return
     # ||H q|| / s from rhs = H q / s, whose squares do not underflow where those of H q do
-    rhs = hq / s[:, None]
-    nrm = np.linalg.norm(rhs, axis=1)
-    v, q, rhs, s, alpha = batch.drop(
+    b.hold(rhs=b.hq / b.s[:, None])
+    nrm = np.linalg.norm(b.rhs, axis=1)
+    if b.drop(
         np.abs(nrm - 1) > 0.01,
         lambda k: ExtractionError(
-            f"inconsistent data: ||H q|| = {nrm[k] * s[k]:.6g} but s = {s[k]:.6g}; "
+            f"inconsistent data: ||H q|| = {nrm[k] * b.s[k]:.6g} but s = {b.s[k]:.6g}; "
             "the input is not a unit vector of this block"
         ),
-        v, q, rhs, s, alpha,
-    )
-    if batch.empty:
-        return batch.results
-    rest = np.empty((alpha.size, d - 1), dtype=np.complex128)
-    image = q  # prod_(j >= 2) b_(a_j) q
+    ):
+        return
+    image = b.q  # prod_(j >= 2) b_(a_j) q
+    b.hold(rest=np.empty((b.at.size, d - 1), dtype=np.complex128))
     if d > 1:
-        u = _nullspace_of_row(q.conj()[:, None, :] @ v)
+        v, alpha = b.v, b.alpha
+        u = _nullspace_of_row(b.q.conj()[:, None, :] @ v)
         shift = v[:, :-1].conj().swapaxes(1, 2) @ v[:, 1:]  # M = V^* S^* V
         tw = np.linalg.solve(np.eye(d) - alpha[:, None, None] * shift, shift @ u)
         lam = np.linalg.eigvals(u.conj().swapaxes(1, 2) @ tw)
         lam = np.array([_cluster_means(row) for row in lam])
         rest = np.conj(lam / (1 + lam * alpha[:, None])) + 0.0  # no -0.0 in a report
-        rest = np.take_along_axis(rest, np.lexsort((rest.imag, rest.real)), axis=1)
         worst = np.abs(rest).max(axis=1)
-        rest, q, rhs, alpha = batch.drop(
+        b.hold(rest=np.take_along_axis(rest, np.lexsort((rest.imag, rest.real)), axis=1))
+        if b.drop(
             ~(worst < 1),
             lambda k: ExtractionError(
                 f"recovered inner function has a zero of modulus {worst[k]:.6f} "
                 "outside the open disk"
             ),
-            rest, q, rhs, alpha,
-        )
-        if batch.empty:
-            return batch.results
+        ):
+            return
         image = np.stack([
             _series_product(qk, blaschke_coefficients(BlaschkeProduct(z), n), n)
-            for qk, z in zip(q, rest)
+            for qk, z in zip(b.q, b.rest)
         ])
-    thetas = [canonical_blaschke(np.concatenate([[a], z])) for a, z in zip(alpha, rest)]
-    phase = -np.conj([t.phase for t in thetas]) * np.sum(rhs * image.conj(), axis=1)
-    return batch.finish((t, _wrap_phase(phi)) for t, phi in zip(thetas, np.angle(phase)))
+    theta = [canonical_blaschke(np.concatenate([[a], z])) for a, z in zip(b.alpha, b.rest)]
+    phase = -np.conj([t.phase for t in theta]) * np.sum(b.rhs * image.conj(), axis=1)
+    b.hold(theta=theta, phi=np.array([_wrap_phase(phi) for phi in np.angle(phase)]))
 
 
 def _wrap_phase(phi: float) -> float:
@@ -372,7 +371,9 @@ def extract_representation(
     returning.  This is the one-block call of extract_representations.
     """
     (out,) = _extract(gamma, [block], [base_point], tol)
-    return _raised(out)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _extract(gamma: HankelMatrix, blocks: list, base_points: list, tol: float) -> list:
@@ -382,23 +383,16 @@ def _extract(gamma: HankelMatrix, blocks: list, base_points: list, tol: float) -
     for i, block in enumerate(blocks):
         groups.setdefault(block.basis.shape, []).append(i)
     for at in groups.values():
-        out = _extract_stack(
-            gamma,
-            np.stack([blocks[i].basis for i in at]),
-            np.array([blocks[i].s for i in at]),
-            [base_points[i] for i in at],
-            tol,
-        )
+        out = _extract_stack(gamma, [blocks[i] for i in at], [base_points[i] for i in at], tol)
         for i, result in zip(at, out):
             results[i] = result
     return results
 
 
-def _extract_stack(
-    gamma: HankelMatrix, v: np.ndarray, s: np.ndarray, base_points: list, tol: float
-) -> list:
-    """extract_representation for each basis of the stack v (m x N x d), with
-    singular values s and base points (None: base_point_select's).
+def _extract_stack(gamma: HankelMatrix, blocks: list, base_points: list, tol: float) -> list:
+    """extract_representation for each of the blocks, all of one basis shape,
+    with base points (None: base_point_select's), carried by one batch from
+    the base point to the gates.
 
     q is the normalized projection of the unit kernel k^_alpha onto the
     block, p k^_alpha up to a unimodular constant; dividing by k^_alpha is
@@ -406,76 +400,76 @@ def _extract_stack(
     At alpha = 0 the kernel is the constant 1, so q is the extremal
     projection that chose the route.
     """
-    m, n, d = v.shape
-    batch = _Batch(m)
+    v = np.stack([block.basis for block in blocks])
+    m, n, _ = v.shape
     q, nq = _extremal(v)
-    alpha = [_checked_base_point(bp, basis, nk) for bp, basis, nk in zip(base_points, v, nq)]
-    alpha, v, s, q = batch.drop_errors(alpha, v, s, q)
-    if batch.empty:
-        return batch.results
-    alpha = np.array(alpha, dtype=np.complex128)
+    b = _Batch(m, v=v, s=np.array([block.s for block in blocks]), q=q, alpha=[
+        _checked_base_point(bp, basis, nk) for bp, basis, nk in zip(base_points, v, nq)
+    ])
+    if b.drop_errors("alpha"):
+        return b.results
+    alpha = np.array(b.alpha, dtype=np.complex128)
     r = np.sqrt(1 - np.abs(alpha) ** 2)
     off = alpha != 0
     if off.any():
         kernel = r[off, None] * np.conj(alpha[off, None]) ** np.arange(n)
-        vo = v[off]
-        q[off] = (vo @ (vo.conj().swapaxes(1, 2) @ kernel[..., None]))[..., 0]
-    nq = np.linalg.norm(q, axis=1)
-    q, nq, v, s, alpha, r = batch.drop(
+        vo = b.v[off]
+        b.q[off] = (vo @ (vo.conj().swapaxes(1, 2) @ kernel[..., None]))[..., 0]
+    nq = np.linalg.norm(b.q, axis=1)
+    b.hold(alpha=alpha, r=r, nq=nq)
+    if b.drop(
         nq < 1e-6,
         lambda k: ExtractionError(
             f"projection of the kernel at the base point onto the block is {nq[k]:.3e}; "
             "the multiplier cannot be normalized"
         ),
-        q, nq, v, s, alpha, r,
-    )
-    if batch.empty:
-        return batch.results
-    q = q / nq[:, None]
+    ):
+        return b.results
+    q = b.q / b.nq[:, None]
     p = q.copy()
-    p[:, 1:] -= np.conj(alpha)[:, None] * q[:, :-1]
-    p /= r[:, None]
-    fits = _inner_factors(v, q, hankel_apply(gamma, q.T).T, s, alpha)
-    fits, p, v, s, alpha = batch.drop_errors(fits, p, v, s, alpha)
-    if batch.empty:
-        return batch.results
+    p[:, 1:] -= np.conj(b.alpha)[:, None] * q[:, :-1]
+    p /= b.r[:, None]
+    b.hold(q=q, p=p, hq=hankel_apply(gamma, q.T).T)
+    _inner_factors(b)
+    if b.empty:
+        return b.results
 
-    thetas = [theta for theta, _ in fits]
-    phi = np.array([f for _, f in fits])
     # theta(0) = phase * prod(zeros); a nonzero one is moved to 0 by a Frostman shift
-    t0 = np.array([t.phase for t in thetas]) * np.prod([t.zeros for t in thetas], axis=1)
+    t0 = np.array([t.phase for t in b.theta]) * np.prod([t.zeros for t in b.theta], axis=1)
     for k in np.flatnonzero(np.abs(t0) > 1e-10):
         try:
-            p[k], thetas[k], phi[k] = _frostman_to_origin(p[k], thetas[k], phi[k], t0[k])
+            b.p[k], b.theta[k], b.phi[k] = _frostman_to_origin(b.p[k], b.theta[k], b.phi[k], t0[k])
         except ValueError as exc:
-            thetas[k] = exc
-    thetas, p, phi, v, s, alpha = batch.drop_errors(thetas, p, phi, v, s, alpha)
-    if batch.empty:
-        return batch.results
-    p, phi = _canonicalize(p, phi)
+            b.theta[k] = exc
+    if b.drop_errors("theta"):
+        return b.results
+    p, phi = _canonicalize(b.p, b.phi)
+    b.hold(p=p, phi=phi)
 
-    res = _verify_stack(
-        gamma, v, s, p, thetas, phi, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol))
+    _verify_stack(gamma, b, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol)))
+    if b.empty:
+        return b.results
+    # the gates, in order: the isometry to 0.1 * tol, the subspace gap and the action to tol
+    checks = np.stack([b.iso, b.gap, b.action])
+    over = checks > np.array([[0.1 * tol], [tol], [tol]])
+    first = over.argmax(axis=0)
+    b.drop(
+        over.any(axis=0),
+        lambda k: ExtractionError(_GATES[first[k]].format(checks[first[k], k], tol)),
     )
-    return batch.finish(
-        x if isinstance(x, Exception) else _gate(x, tol) or Representation(
+    for at, pk, t, f, a, x in zip(b.at, b.p, b.theta, b.phi, b.alpha, b.residuals):
+        b.results[at] = Representation(
             p=_frozen(pk), theta=t, phi=f, canonicalized_at=complex(a), residuals=x
         )
-        for x, pk, t, f, a in zip(res, p, thetas, phi, alpha)
-    )
+    return b.results
 
 
-def _gate(res: RepresentationResiduals, tol: float) -> ExtractionError | None:
-    """The error for the first gate a verification report fails: the
-    multiplier isometry to 0.1 * tol, then the subspace gap and the action
-    residual to tol."""
-    if res.isometry > 0.1 * tol:
-        return ExtractionError(f"multiplier is not isometric: deviation {res.isometry:.3e}")
-    if res.subspace_gap > tol:
-        return ExtractionError(f"subspace gap {res.subspace_gap:.3e} exceeds tolerance {tol:.1e}")
-    if res.action > tol:
-        return ExtractionError(f"action residual {res.action:.3e} exceeds tolerance {tol:.1e}")
-    return None
+# the error for each gate of extraction, in the order checked
+_GATES = (
+    "multiplier is not isometric: deviation {:.3e}",
+    "subspace gap {:.3e} exceeds tolerance {:.1e}",
+    "action residual {:.3e} exceeds tolerance {:.1e}",
+)
 
 
 def _checked_base_point(base_point, basis: np.ndarray, nq: float):
@@ -519,10 +513,7 @@ def _canonicalize(p: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, list[floa
 
 
 def verify_representation(
-    gamma: HankelMatrix,
-    block: SchmidtBlock,
-    rep: Representation,
-    model_tail_tol: float = 1e-8,
+    gamma: HankelMatrix, block: SchmidtBlock, rep: Representation
 ) -> RepresentationResiduals:
     """Residual report for a representation against its block and Gamma.
 
@@ -535,9 +526,8 @@ def verify_representation(
     near-S*-invariance of the block (largest distance of S*f to the block
     and largest normalized pairing with the symbol, over unit f in the
     block orthogonal to constants), and the projection of the symbol onto
-    the block against its closed form.  model_tail_tol relaxes the basis
-    truncation gate; anything it admits stays far below the reported
-    residual scale.
+    the block against its closed form.  theta's model-space basis must
+    truncate at order N to 1e-8 (tm_basis).
 
     Everything is computed in coefficient space: products are truncated
     convolutions of the factors' supports, and C_theta e_k is read in
@@ -548,81 +538,62 @@ def verify_representation(
     N + 1, for the symbol projection.  This is the one-block call of the
     batched verification that extract_representations runs.
     """
-    (out,) = _verify_stack(
-        gamma, block.basis[None], np.array([block.s]), np.asarray(rep.p)[None],
-        [rep.theta], np.array([rep.phi]), model_tail_tol,
+    b = _Batch(
+        1, v=block.basis[None], s=np.array([block.s]), p=np.asarray(rep.p)[None],
+        theta=[rep.theta], phi=np.array([rep.phi]),
     )
-    return _raised(out)
+    _verify_stack(gamma, b, 1e-8)
+    if b.empty:
+        raise b.results[0]
+    return b.residuals[0]
 
 
-def _verify_stack(
-    gamma: HankelMatrix,
-    v: np.ndarray,
-    s: np.ndarray,
-    p: np.ndarray,
-    thetas: list,
-    phi: np.ndarray,
-    model_tail_tol: float,
-) -> list:
-    """verify_representation for each basis of the stack v (m x N x d), with
-    the singular values s, the rows of p, and thetas of one degree and phi:
-    one RepresentationResiduals or ValueError per basis."""
-    n = v.shape[1]
+def _verify_stack(gamma: HankelMatrix, b: _Batch, model_tail_tol: float) -> None:
+    """verify_representation for each live entry of b, which holds the block
+    bases v (m x N x d), singular values s, multipliers p, thetas of one
+    degree and phases phi: holds the isometry, subspace-gap and action
+    residuals (`iso`, `gap`, `action`) and the reports (`residuals`), or
+    drops the entry with its ValueError."""
+    n = b.v.shape[1]
     u = gamma.u
-    batch = _Batch(len(thetas))
-    phase = np.exp(1j * np.asarray(phi))
-
-    prods = [_attempt(_weighted_model_space, t, pk, n, model_tail_tol) for t, pk in zip(thetas, p)]
-    prods, v, s, p, thetas, phase = batch.drop_errors(prods, v, s, p, thetas, phase)
-    if batch.empty:
-        return batch.results
-    prods = np.stack(prods)
-    iso = np.abs(np.linalg.norm(prods, axis=1) - 1.0).max(axis=1)
+    b.hold(
+        phase=np.exp(1j * np.asarray(b.phi)),
+        prods=[_attempt(_weighted_model_space, t, pk, n, model_tail_tol) for t, pk in zip(b.theta, b.p)],
+    )
+    if b.drop_errors("prods"):
+        return
+    prods = np.stack(b.prods)
     basis, full_rank = _orthonormal_columns(prods)
-    gap, (bad_block, bad_basis) = _subspace_gaps(v, basis)
+    gap, (bad_block, bad_basis) = _subspace_gaps(b.v, basis)
     failed = np.stack([~full_rank, bad_block, bad_basis])
-    v, s, p, thetas, phase, prods, iso, gap = batch.drop(
-        failed.any(axis=0),
-        lambda k: ValueError(_UNUSABLE_PRODUCTS[failed[:, k].argmax()]),
-        v, s, p, thetas, phase, prods, iso, gap,
-    )
+    b.hold(prods=prods, iso=np.abs(np.linalg.norm(prods, axis=1) - 1.0).max(axis=1), gap=gap)
+    b.drop(failed.any(axis=0), lambda k: ValueError(_UNUSABLE_PRODUCTS[failed[:, k].argmax()]))
 
-    images = [
+    b.hold(images=[
         _attempt(_conjugated_products, t, pk, pr, n, model_tail_tol)
-        for t, pk, pr in zip(thetas, p, prods)
-    ]
-    images, v, s, p, thetas, phase, prods, iso, gap = batch.drop_errors(
-        images, v, s, p, thetas, phase, prods, iso, gap
-    )
-    if batch.empty:
-        return batch.results
-    m, _, k = prods.shape
-    lhs = hankel_apply(gamma, prods.transpose(1, 0, 2).reshape(n, m * k)).reshape(n, m, k)
-    diff = lhs.transpose(1, 0, 2) - (s * phase)[:, None, None] * np.stack(images)
+        for t, pk, pr in zip(b.theta, b.p, b.prods)
+    ])
+    if b.drop_errors("images"):
+        return
+    v, s, p = b.v, b.s, b.p
+    m, _, k = b.prods.shape
+    lhs = hankel_apply(gamma, b.prods.transpose(1, 0, 2).reshape(n, m * k)).reshape(n, m, k)
+    diff = lhs.transpose(1, 0, 2) - (s * b.phase)[:, None, None] * np.stack(b.images)
     e = np.frexp(s)[1]
-    action = _norm_on_scale(diff, e[:, None, None]).max(axis=1) / np.ldexp(s, -e)
+    b.hold(action=_norm_on_scale(diff, e[:, None, None]).max(axis=1) / np.ldexp(s, -e))
 
     near, near_u = _near_invariance(v, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
     # coefficient k <= n of p theta reads theta_hat only up to k
     u_s = (v @ (v.conj().swapaxes(1, 2) @ u)[..., None])[..., 0]
     p_theta_over_z = np.stack([
-        _series_product(pk, blaschke_coefficients(t, n + 1), n + 1)[1:] for pk, t in zip(p, thetas)
+        _series_product(pk, blaschke_coefficients(t, n + 1), n + 1)[1:] for pk, t in zip(p, b.theta)
     ])
-    cross = u_s - (s * phase * p[:, 0])[:, None] * p_theta_over_z
+    cross = u_s - (s * b.phase * p[:, 0])[:, None] * p_theta_over_z
     u_s_cross = np.ldexp(_norm_on_scale(cross, e[:, None]), e)
-    return batch.finish(
-        RepresentationResiduals(
-            subspace_gap=float(gap[k]),
-            isometry=float(iso[k]),
-            action=float(action[k]),
-            near_invariance=float(near[k]),
-            near_invariance_u=float(near_u[k]),
-            u_s_cross=float(u_s_cross[k]),
-            p_origin=float(abs(p[k, 0])),
-        )
-        for k in range(len(thetas))
-    )
+    # one row per entry, in the order of RepresentationResiduals' fields
+    rows = np.stack([b.gap, b.iso, b.action, near, near_u, u_s_cross, np.abs(p[:, 0])], axis=1)
+    b.hold(residuals=[RepresentationResiduals(*map(float, row)) for row in rows])
 
 
 def _norm_on_scale(x: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .hardy import _as_coeffs, _frozen
-from .symbols import _as_symbol, fourier_coefficients, tail_bound
+from .symbols import RationalSymbol, fourier_coefficients
 
 __all__ = [
     "HankelMatrix",
@@ -44,7 +44,8 @@ _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 class HankelMatrix:
     """N x N block of the Hankel matrix of a symbol, given by its 2N-1
-    coefficients u_hat(0..2N-2), with its truncation tail.
+    coefficients u_hat(0..2N-2), and nothing else: the truncation tail
+    bound belongs to the symbol (symbols.tail_bound).
 
     The first N coefficients are Gamma's first column (`u`), so Gamma alone
     carries everything extraction and verification read.  No N x N array is
@@ -59,11 +60,11 @@ class HankelMatrix:
     They also give the block's column norms (column_norms).
     """
 
-    def __init__(self, coeffs, tail: float = 0.0):
+    def __init__(self, coeffs):
         c = _frozen(coeffs)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError(f"coeffs must hold 2N-1 values, got shape {c.shape}")
-        self.__dict__.update(coeffs=_as_coeffs(c), order=(c.size + 1) // 2, tail=tail)
+        self.__dict__.update(coeffs=_as_coeffs(c), order=(c.size + 1) // 2)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HankelMatrix is read-only: cannot set {name!r}")
@@ -158,18 +159,19 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(x[::-1])[::-1], 0.0)
 
 
-def build_hankel_matrix(sym, order: int) -> HankelMatrix:
-    """Gamma[n, m] = u_hat(n + m) from 2*order - 1 exact coefficients.
+def build_hankel_matrix(sym: RationalSymbol, order: int) -> HankelMatrix:
+    """Gamma[n, m] = u_hat(n + m) from the 2*order - 1 exact coefficients of
+    a RationalSymbol; a coefficient vector c is the symbol
+    RationalSymbol(poly=c).
 
-    Accepts a RationalSymbol or a raw coefficient vector (treated as a
-    polynomial symbol).  Raises ValueError when N max|u_hat| reaches
-    sqrt(float max), where the closed-form identity residuals ||v||^2 can
-    overflow (residuals_from_matrix); the factorization itself runs on
-    Gamma_J / 2^e and would not.
+    Raises ValueError when N max|u_hat| reaches sqrt(float max), where the
+    closed-form identity residuals ||v||^2 can overflow
+    (residuals_from_matrix); the factorization itself runs on Gamma_J / 2^e
+    and would not.
     """
-    sym = _as_symbol(sym)
-    u = fourier_coefficients(sym, 2 * order - 1)
-    h = HankelMatrix(u, tail=tail_bound(sym, order))
+    if not isinstance(sym, RationalSymbol):
+        raise TypeError(f"build_hankel_matrix takes a RationalSymbol, not {type(sym).__name__}")
+    h = HankelMatrix(fourier_coefficients(sym, 2 * order - 1))
     if not order * h.largest_entry < _SQRT_MAX:
         raise ValueError(
             f"coefficients up to {h.largest_entry:.3e} overflow the square of Gamma at order "

@@ -20,7 +20,7 @@ from .extraction import Representation, extract_representations
 from .hankel import build_hankel_matrix, residuals_from_matrix
 from .spectral import schmidt_decompose
 from .suites import suite_identities, suite_mobius, suite_model_spaces, suite_theorem
-from .symbols import RationalSymbol, kronecker_rank_bound, symbol_to_dict
+from .symbols import RationalSymbol, kronecker_rank_bound, symbol_to_dict, tail_bound
 
 __all__ = [
     "AnalysisConfig",
@@ -99,6 +99,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     config = config or AnalysisConfig()
     n = config.n
     gamma = build_hankel_matrix(sym, n)
+    tail = tail_bound(sym, n)
     blocks = schmidt_decompose(gamma, config.cluster_tol)
     numerical_rank = sum(b.multiplicity for b in blocks)
     sing = blocks.singular_values[:numerical_rank]
@@ -132,10 +133,10 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             warnings.extend(f"s = {block.s:.6g}: {w}" for w in block.warnings)
         block_entries.append(entry)
 
-    if gamma.tail > config.verify_tol:
+    if tail > config.verify_tol:
         all_pass = False
         warnings.append(
-            f"truncation tail bound {gamma.tail:.3e} exceeds verify_tol "
+            f"truncation tail bound {tail:.3e} exceeds verify_tol "
             f"{config.verify_tol:.1e}: increase n"
         )
 
@@ -146,7 +147,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
             "cluster_tol": config.cluster_tol,
             "verify_tol": config.verify_tol,
         },
-        "tail_bound": float(gamma.tail) if np.isfinite(gamma.tail) else None,
+        "tail_bound": float(tail) if np.isfinite(tail) else None,
         "kronecker_rank_bound": int(kronecker_rank_bound(sym)),
         "numerical_rank": numerical_rank,
         "singular_values": [float(s) for s in sing],

@@ -233,10 +233,6 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
     gap, not_orthonormal = _subspace_gaps(a, b)

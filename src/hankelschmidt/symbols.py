@@ -22,7 +22,6 @@ __all__ = [
     "evaluate_symbol",
     "tail_bound",
     "kronecker_rank_bound",
-    "symbol_from_coefficients",
     "parse_symbol",
     "symbol_to_dict",
 ]
@@ -76,16 +75,6 @@ class RationalSymbol:
             raise SymbolFormatError("polynomial coefficients must be finite")
         object.__setattr__(self, "poly", p)
         object.__setattr__(self, "poles", tuple(self.poles))
-
-
-def symbol_from_coefficients(coeffs) -> RationalSymbol:
-    """Treat a raw coefficient list as a polynomial symbol."""
-    return RationalSymbol(poly=coeffs)
-
-
-def _as_symbol(sym) -> RationalSymbol:
-    """A RationalSymbol as is; anything else as the polynomial of its coefficients."""
-    return sym if isinstance(sym, RationalSymbol) else symbol_from_coefficients(sym)
 
 
 def _binomial_weights(n: np.ndarray, m: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from hankelschmidt.pipeline import (
     verify_exit_code,
     verify_suites,
 )
-from hankelschmidt.symbols import PoleTerm, RationalSymbol, symbol_from_coefficients
+from hankelschmidt.symbols import PoleTerm, RationalSymbol
 
 
 def write_json(path, doc):
@@ -34,7 +34,7 @@ def test_config_validation():
 
 
 def test_analyze_shift_symbol_report():
-    report = analyze_symbol(symbol_from_coefficients([0, 1]), AnalysisConfig(n=16))
+    report = analyze_symbol(RationalSymbol(poly=[0, 1]), AnalysisConfig(n=16))
     assert report["pass"] is True
     assert analysis_exit_code(report) == 0
     assert len(report["blocks"]) == 1
@@ -47,7 +47,7 @@ def test_analyze_shift_symbol_report():
 
 
 def test_analyze_zero_symbol():
-    report = analyze_symbol(symbol_from_coefficients([0.0]), AnalysisConfig(n=16))
+    report = analyze_symbol(RationalSymbol(poly=[0.0]), AnalysisConfig(n=16))
     assert report["blocks"] == []
     assert report["pass"] is True
     assert analysis_exit_code(report) == 0
@@ -198,6 +198,14 @@ def test_verify_suites_small_deterministic():
     assert verify_exit_code(r1) == 0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: at N <= 64 verify fails with correct code; at (64, seed 4) "
+    "suite_mobius' mapped_basis_gap 1.63e-6 exceeds 1e-6 + 100 tail_w, and the "
+    "energy that mobius_conjugate_function drops is not in the allowance"))
+def test_verify_passes_at_order_64_seed_4():
+    assert verify_suites(AnalysisConfig(n=64, seed=4))["pass"] is True
+
+
 def test_verify_perturbation_fails():
     cfg = AnalysisConfig(n=32, seed=5)
     report = verify_suites(cfg, perturb=1e-3, identity_count=3, blaschke_count=1,
@@ -227,6 +235,23 @@ def test_analysis_exit_code_two_for_unreliable():
     assert analysis_exit_code(report) == 2
     report = {"pass": False, "blocks": [{"reliable": True}]}
     assert analysis_exit_code(report) == 2
+
+
+def test_analyze_warns_on_an_ill_separated_cluster(tmp_path, capsys):
+    # u = 1e-3 z + z^2 at N=16 has singular values 1 +- 7.07e-4; cluster_tol
+    # 1e-3 merges them into one block of multiplicity 2 whose separation from
+    # the next value is no more than its spread, so the block is unreliable
+    sym = RationalSymbol(poly=[0, 1e-3, 1])
+    report = analyze_symbol(sym, AnalysisConfig(n=16, cluster_tol=1e-3))
+    merged = report["blocks"][0]
+    assert merged["multiplicity"] == 2
+    assert "ill-separated cluster: results near this gap are unreliable" in merged["warnings"]
+    assert merged["reliable"] is False
+    path = write_json(tmp_path / "u.json", {"poly": [[0.0, 0.0], [1e-3, 0.0], [1.0, 0.0]]})
+    assert main(["analyze", path, "--n", "16", "--cluster-tol", "1e-3"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["blocks"][0]["reliable"] is False
+    assert any("ill-separated cluster" in w for w in out["warnings"])
 
 
 def test_analyze_finds_small_block(tmp_path, capsys):

@@ -34,7 +34,6 @@ from hankelschmidt.symbols import (
     PoleTerm,
     RationalSymbol,
     parse_symbol,
-    symbol_from_coefficients,
     symbol_to_dict,
 )
 from oracles import boundary_samples, hankel_product, one, szego_kernel, symbol_from_inner, unit
@@ -159,7 +158,7 @@ def test_recover_theta_shift_symbol():
     # u = z: E = span{1, z} = K_(z^2), p = 1, and Hitt's compression is the
     # 1 x 1 matrix of S^* on span{z}, whose eigenvalue 0 is the second zero
     n = 16
-    gamma = build_hankel_matrix(symbol_from_coefficients([0, 1]), n)
+    gamma = build_hankel_matrix(RationalSymbol(poly=[0, 1]), n)
     (block,) = schmidt_decompose(gamma)
     rep = extract_representation(gamma, block)
     assert rep.theta.degree == 2
@@ -204,9 +203,12 @@ def test_recover_theta_at_base_point_places_the_zero_there():
     r = np.sqrt(1 - abs(alpha) ** 2)
     q = block.basis @ (block.basis.conj().T @ (r * np.conj(alpha) ** np.arange(128)))
     q /= np.linalg.norm(q)
-    ((theta, _),) = extraction._inner_factors(
-        block.basis[None], q[None], hankel_apply(gamma, q)[None], [block.s], np.array([alpha])
+    batch = extraction._Batch(
+        1, v=block.basis[None], q=q[None], hq=hankel_apply(gamma, q)[None],
+        s=np.array([block.s]), alpha=np.array([alpha]),
     )
+    extraction._inner_factors(batch)
+    (theta,) = batch.theta
     assert np.array_equal(theta.zeros, [alpha])
     rep = extract_representation(gamma, block, base_point=alpha)
     assert rep.canonicalized_at == alpha
@@ -221,7 +223,7 @@ def test_extract_monomials_up_to_the_order():
     # d-fold zero scatters by eps^(1/d) as eigenvalues or roots, and is
     # reported by the cluster's mean at the origin and off it
     n = 16
-    gammas = [build_hankel_matrix(symbol_from_coefficients([0] * (d - 1) + [1]), n)
+    gammas = [build_hankel_matrix(RationalSymbol(poly=[0] * (d - 1) + [1]), n)
               for d in (8, 9, 10, 13, 16)]
     for gamma, d in zip(gammas, (8, 9, 10, 13)):
         (block,) = schmidt_decompose(gamma)
@@ -239,7 +241,7 @@ def test_extract_monomials_up_to_the_order():
 
 def test_recover_theta_rejects_inconsistent_scale():
     n = 16
-    gamma = build_hankel_matrix(symbol_from_coefficients([0, 1]), n)
+    gamma = build_hankel_matrix(RationalSymbol(poly=[0, 1]), n)
     (block,) = schmidt_decompose(gamma)
     with pytest.raises(ExtractionError, match="inconsistent data"):
         extract_representation(gamma, replace(block, s=2.0))
@@ -356,7 +358,7 @@ def assert_scaled_report(got, ref, k: int, power: int = 0, path: str = "report")
 @pytest.mark.parametrize("k", [-900, -40, 20])
 @pytest.mark.parametrize(
     "make, n",
-    [(two_poles, 128), (lambda c: symbol_from_coefficients(np.array([0, 0.3, 0, 1]) * c), 16)],
+    [(two_poles, 128), (lambda c: RationalSymbol(poly=np.array([0, 0.3, 0, 1]) * c), 16)],
     ids=["two-poles", "poly"],
 )
 def test_scale_moves_only_the_fields_that_carry_it(make, n, k):
@@ -404,7 +406,7 @@ def test_extract_mobius_branch_consistency_with_mapped_subspace():
 
     m = MobiusMap(alpha)
     w, _ = mobius_conjugate_symbol(sym0, m, 2 * n - 1)
-    gamma_w = build_hankel_matrix(w, n)
+    gamma_w = build_hankel_matrix(RationalSymbol(poly=w), n)
     block_w = schmidt_decompose(gamma_w)[0]
     assert abs(block_w.s - block0.s) < 1e-8
 
@@ -654,8 +656,8 @@ def span_test_blocks():
     """(gamma, block): multiplicities 2 (u = z, whose basis columns tie at N=16),
     3 and 5, and the blocks of multiplicity 1 of random symbols."""
     gammas = [
-        build_hankel_matrix(symbol_from_coefficients([0, 1]), 16),
-        build_hankel_matrix(symbol_from_coefficients([0, 0, 1]), 16),
+        build_hankel_matrix(RationalSymbol(poly=[0, 1]), 16),
+        build_hankel_matrix(RationalSymbol(poly=[0, 0, 1]), 16),
         build_hankel_matrix(symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j])), 128),
         build_hankel_matrix(
             symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j, 0.5 - 0.3j, -0.2 - 0.6j])), 128

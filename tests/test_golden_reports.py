@@ -5,7 +5,10 @@ N=128 and of six seeded suites.random_symbol draws at N=128 and N=512, as
 written by commit 43899d4, which extracts every block by projecting the
 reproducing kernel at its base point.  The linear_form and theta_inner
 residuals it held were later deleted from the file key by key, leaving
-every other value as written.
+every other value as written.  Two reports with a block of multiplicity 4,
+so that Hitt's eigenproblem is guarded too, were appended as written by
+commit 910a5bd: u = z^3 at N=16 (theta = z^4) and u = S* B at N=128, B with
+double zeros at 0.3+0.2i and -0.5 (theta's zeros off the origin).
 Keys, list lengths, strings (warnings included), booleans (pass and
 reliable flags) and integers (multiplicities, ranks) must be identical;
 every float must lie within 1e-9 * max(1, |reference|), the phase phi
@@ -23,9 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hankelschmidt.blaschke import BlaschkeProduct
 from hankelschmidt.pipeline import AnalysisConfig, _vector_pairs, analyze_symbol, complex_pair
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import parse_symbol, symbol_to_dict
+from oracles import symbol_from_inner
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
@@ -40,6 +45,9 @@ def golden_inputs():
         doc = symbol_to_dict(random_symbol(np.random.default_rng(seed)))
         for n in (128, 512):
             yield f"random-{seed}", n, doc
+    yield "cube", 16, {"poly": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    a = 0.3 + 0.2j
+    yield "double-zeros-inner", 128, symbol_to_dict(symbol_from_inner(BlaschkeProduct([a, a, -0.5, -0.5])))
 
 
 def assert_close(got, want, path: str) -> None:

@@ -15,11 +15,11 @@ from hankelschmidt.spectral import (
     subspace_gap,
 )
 from hankelschmidt.suites import random_symbol
-from hankelschmidt.symbols import PoleTerm, RationalSymbol, symbol_from_coefficients
+from hankelschmidt.symbols import PoleTerm, RationalSymbol
 
 
 def test_shift_symbol_block():
-    h = build_hankel_matrix(symbol_from_coefficients([0, 1]), 16)
+    h = build_hankel_matrix(RationalSymbol(poly=[0, 1]), 16)
     blocks = schmidt_decompose(h)
     assert len(blocks) == 1
     b = blocks[0]
@@ -55,7 +55,7 @@ def test_rank_one_block():
 
 
 def test_zero_symbol_no_blocks():
-    h = build_hankel_matrix(symbol_from_coefficients([0.0]), 16)
+    h = build_hankel_matrix(RationalSymbol(poly=[0.0]), 16)
     blocks = schmidt_decompose(h)
     assert blocks == [] and np.array_equal(blocks.singular_values, np.zeros(16))
 
@@ -277,7 +277,7 @@ def test_full_numerical_rank_matches_dense_svd():
     # anti-triangular and well conditioned, so J = N = 64 and k = 64
     rng = np.random.default_rng(1)
     coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.5 ** np.arange(63, -1, -1)
-    h = build_hankel_matrix(symbol_from_coefficients(coeffs), 64)
+    h = build_hankel_matrix(RationalSymbol(poly=coeffs), 64)
     assert h.numerical_order() == 64
     blocks = assert_matches_dense_svd(h, 1e-12, 1e-10)
     assert sum(b.multiplicity for b in blocks) == 64
@@ -311,7 +311,7 @@ def test_pole_near_circle_factors_at_its_rank():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_matrix_is_rejected(bad):
     # refused where it is built, so no scan, factorization or product sees it
-    c = build_hankel_matrix(symbol_from_coefficients([1.0, 0.5]), 16).coeffs.copy()
+    c = build_hankel_matrix(RationalSymbol(poly=[1.0, 0.5]), 16).coeffs.copy()
     c[7] = bad  # Gamma[3, 4] and every other entry on its antidiagonal
     with pytest.raises(ValueError, match="coefficients must be finite"):
         HankelMatrix(c)

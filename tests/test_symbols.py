@@ -14,7 +14,6 @@ from hankelschmidt.symbols import (
     fourier_coefficients,
     kronecker_rank_bound,
     parse_symbol,
-    symbol_from_coefficients,
     symbol_to_dict,
     tail_bound,
     _binomial_weights,
@@ -33,7 +32,7 @@ def test_geometric_coefficients():
 
 
 def test_monomial_coefficients():
-    sym = symbol_from_coefficients([0, 0, 0, 1])
+    sym = RationalSymbol(poly=[0, 0, 0, 1])
     u = fourier_coefficients(sym, 8)
     expected = np.zeros(8)
     expected[3] = 1.0
@@ -82,7 +81,9 @@ def test_symbol_keeps_a_read_only_copy_of_the_callers_array():
 
     b = np.array([1, 0.5j, 0.25])
     sym = RationalSymbol(poly=b)
-    build_hankel_matrix(b, 4)
+    build_hankel_matrix(sym, 4)
+    with pytest.raises(TypeError, match="takes a RationalSymbol, not ndarray"):
+        build_hankel_matrix(b, 4)  # a coefficient array is RationalSymbol(poly=b)
     assert b.flags.writeable  # the caller's array stays writable
     b[0] = 7.0
     assert sym.poly[0] == 1.0
@@ -119,7 +120,7 @@ def test_tail_bound_simple_pole_closed_form():
 
 
 def test_tail_bound_polynomial_zero():
-    sym = symbol_from_coefficients([1.0, 2.0, 3.0])
+    sym = RationalSymbol(poly=[1.0, 2.0, 3.0])
     assert tail_bound(sym, 8) == 0.0
 
 
