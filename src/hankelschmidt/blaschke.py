@@ -305,7 +305,7 @@ def frostman_shift(
         raise ValueError(
             f"Frostman shift produced a zero of modulus {np.max(np.abs(roots)):.12f}, too close to the circle"
         )
-    roots = _sort_complex(roots)
+    roots = np.sort_complex(roots)
     phase = (-1) ** d * num[d] / den[0]
     phase /= abs(phase)
     dev = np.sum(np.abs(num - phase * den[0] * _poly_from_roots(roots))) + np.sum(
@@ -331,11 +331,6 @@ def _stable_roots(poly_ascending: np.ndarray) -> np.ndarray:
     if c.size <= 1:
         return np.empty(0, dtype=np.complex128)
     return np.roots(c[::-1])
-
-
-def _sort_complex(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
 
 
 def _cluster_means(values: np.ndarray) -> np.ndarray:
@@ -405,4 +400,4 @@ def compose_with_mobius(b: BlaschkeProduct, m: MobiusMap) -> BlaschkeProduct:
     so the zeros move to mu(a_j) and the phase gains these unimodular factors."""
     a = b.zeros
     phase = b.phase * np.prod(-(1 - a * np.conj(m.alpha)) / (1 - np.conj(a) * m.alpha))
-    return BlaschkeProduct(_sort_complex(mobius_eval(m, a)), phase)
+    return BlaschkeProduct(np.sort_complex(mobius_eval(m, a)), phase)

@@ -223,20 +223,13 @@ def _run_forked(child_calls, parent_calls) -> tuple[list, list]:
     return payload[0], here
 
 
-def verify_suites(
-    config: AnalysisConfig | None = None,
-    perturb: float = 0.0,
-    identity_count: int = 50,
-    blaschke_count: int = 30,
-    alpha_count: int = 3,
-    mobius_count: int = 20,
-    theorem_count: int = 20,
-) -> dict:
+def verify_suites(config: AnalysisConfig | None = None, perturb: float = 0.0) -> dict:
     """Seeded identity and lemma suites across all modules.
 
     Deterministic for a fixed seed; the perturbation knob corrupts the
     Hankel symmetry inside the identity suite so that failure paths are
-    exercised.  It must be finite and nonnegative.
+    exercised.  It must be finite and nonnegative.  Each suite runs at its
+    own default size (see its signature in suites.py), at order config.n.
 
     When os.sched_getaffinity gives the process two CPUs or more, one forked
     child runs the model-space and structure-theorem suites while this
@@ -254,10 +247,10 @@ def verify_suites(
     config = config or AnalysisConfig()
     seed, n = config.seed, config.n
     calls = {
-        "identities": partial(suite_identities, seed, identity_count, n, perturb=perturb),
-        "model_spaces": partial(suite_model_spaces, seed + 1, blaschke_count, alpha_count, n),
-        "mobius_covariance": partial(suite_mobius, seed + 2, mobius_count, n),
-        "structure_theorem": partial(suite_theorem, seed + 3, theorem_count, n, tol=config.verify_tol),
+        "identities": partial(suite_identities, seed, order=n, perturb=perturb),
+        "model_spaces": partial(suite_model_spaces, seed + 1, order=n),
+        "mobius_covariance": partial(suite_mobius, seed + 2, order=n),
+        "structure_theorem": partial(suite_theorem, seed + 3, order=n, tol=config.verify_tol),
     }
     affinity = getattr(os, "sched_getaffinity", None)  # looked up per call
     if affinity is not None and len(affinity(0)) >= 2:

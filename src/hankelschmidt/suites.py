@@ -312,7 +312,7 @@ def _lemma_change_of_variable_gap(rng: np.random.Generator, order: int) -> float
     return subspace_gap(orthonormalize(mapped), orthonormalize(rhs))
 
 
-def suite_theorem(seed: int, count: int = 100, order: int = 128, tol: float = 1e-6) -> dict:
+def suite_theorem(seed: int, count: int = 20, order: int = 128, tol: float = 1e-6) -> dict:
     """End-to-end extraction and verification over random rational symbols."""
     rng = np.random.default_rng(seed)
     worst = {

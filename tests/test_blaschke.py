@@ -93,6 +93,12 @@ def test_zeros_must_stay_inside():
         BlaschkeProduct([0.5], 0.0)  # zero phase
 
 
+@pytest.mark.parametrize("z", [1.5, np.array([0.0, 1.1j])], ids=["point", "array"])
+def test_blaschke_eval_rejects_points_outside_the_disk(z):
+    with pytest.raises(ValueError, match="^evaluation point outside the closed unit disk$"):
+        blaschke_eval(BlaschkeProduct([0.5]), z)
+
+
 def test_series_matches_boundary_sampling():
     rng = np.random.default_rng(1)
     for _ in range(5):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hankelschmidt.cli import main
+from hankelschmidt.cli import _parse_alpha, _parse_blaschke_file, main
 from hankelschmidt.pipeline import (
     AnalysisConfig,
     analysis_exit_code,
@@ -13,7 +13,7 @@ from hankelschmidt.pipeline import (
     verify_exit_code,
     verify_suites,
 )
-from hankelschmidt.symbols import PoleTerm, RationalSymbol
+from hankelschmidt.symbols import PoleTerm, RationalSymbol, SymbolFormatError
 
 
 def write_json(path, doc):
@@ -187,29 +187,50 @@ def test_cli_alpha_outside_disk(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "parse, value, message",
+    [
+        (_parse_alpha, "0.1,0.2,0.3", "--alpha expects RE or RE,IM, got '0.1,0.2,0.3'"),
+        (_parse_alpha, "a", "--alpha expects RE or RE,IM, got 'a'"),
+        (_parse_blaschke_file, [[0.5, 0.0]],
+         "Blaschke file must be an object with fields 'phase' and 'zeros'"),
+        (_parse_blaschke_file, {"zeros": {"re": 0.5}}, "'zeros' must be a list of [re, im] pairs"),
+        (_parse_blaschke_file, {"phase": [2.0, 0.0], "zeros": []},
+         "phase must be unimodular, got |phase| = 2.0"),
+    ],
+    ids=["alpha-three-parts", "alpha-not-a-number", "file-not-an-object", "zeros-not-a-list",
+         "phase-not-unimodular"],
+)
+def test_cli_frostman_input_errors(tmp_path, capsys, parse, value, message):
+    with pytest.raises(SymbolFormatError, match=f"^{re.escape(message)}$"):
+        parse(value)
+    doc, alpha = ({"zeros": [[0.5, 0.0]]}, value) if parse is _parse_alpha else (value, "0.2")
+    path = write_json(tmp_path / "b.json", doc)
+    assert main(["frostman", path, "--alpha", alpha, "--n", "16"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_suites_small_deterministic():
     cfg = AnalysisConfig(n=32, seed=5)
-    r1 = verify_suites(cfg, identity_count=3, blaschke_count=2, alpha_count=1,
-                       mobius_count=2, theorem_count=2)
-    r2 = verify_suites(cfg, identity_count=3, blaschke_count=2, alpha_count=1,
-                       mobius_count=2, theorem_count=2)
+    r1 = verify_suites(cfg)
+    r2 = verify_suites(cfg)
     assert json.dumps(r1) == json.dumps(r2)
-    assert r1["pass"] is True
-    assert verify_exit_code(r1) == 0
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect: at N <= 64 verify fails with correct code; at (64, seed 4) "
-    "suite_mobius' mapped_basis_gap 1.63e-6 exceeds 1e-6 + 100 tail_w, and the "
-    "energy that mobius_conjugate_function drops is not in the allowance"))
-def test_verify_passes_at_order_64_seed_4():
-    assert verify_suites(AnalysisConfig(n=64, seed=4))["pass"] is True
+    "known defect: at N <= 64 verify fails with correct code; suite_mobius fails "
+    "(at (64, seed 4) its mapped_basis_gap 1.63e-6 exceeds 1e-6 + 100 tail_w), and "
+    "the energy that mobius_conjugate_function drops is not in the allowance"))
+@pytest.mark.parametrize("n, seed", [(64, 4), (32, 5)])
+def test_verify_passes_at_order_64_seed_4(n, seed):
+    report = verify_suites(AnalysisConfig(n=n, seed=seed))
+    assert report["pass"] is True
+    assert verify_exit_code(report) == 0
 
 
 def test_verify_perturbation_fails():
     cfg = AnalysisConfig(n=32, seed=5)
-    report = verify_suites(cfg, perturb=1e-3, identity_count=3, blaschke_count=1,
-                           alpha_count=1, mobius_count=1, theorem_count=1)
+    report = verify_suites(cfg, perturb=1e-3)
     assert report["suites"]["identities"]["pass"] is False
     assert verify_exit_code(report) == 3
 
@@ -324,8 +345,7 @@ def test_report_config_lists_applied_settings(tmp_path, capsys):
     config = json.loads(capsys.readouterr().out)["config"]
     assert config == {"n": 16, "cluster_tol": 1e-7, "verify_tol": 1e-5}
     assert list(config) == ["n", "cluster_tol", "verify_tol"]
-    report = verify_suites(AnalysisConfig(n=32, verify_tol=1e-5, seed=5), identity_count=1,
-                           blaschke_count=1, alpha_count=1, mobius_count=1, theorem_count=1)
+    report = verify_suites(AnalysisConfig(n=32, verify_tol=1e-5, seed=5))
     assert report["config"] == {"n": 32, "verify_tol": 1e-5, "seed": 5}
     assert list(report["config"]) == ["n", "verify_tol", "seed"]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -735,6 +736,19 @@ def test_extract_rejects_base_point_outside_disk(alpha):
     block = schmidt_decompose(gamma)[0]
     with pytest.raises(ValueError, match="base point"):
         extract_representation(gamma, block, base_point=alpha)
+
+
+def test_extract_rejects_a_block_orthogonal_to_the_kernel_at_the_base_point():
+    # f = (z - 0.3) k_0.2 vanishes at 0.3, so <f, k_0.3> = f(0.3) = 0 up to rounding
+    n = 32
+    kernel = 0.2 ** np.arange(n)
+    f = np.concatenate([[0.0], kernel[:-1]]) - 0.3 * kernel
+    block = SchmidtBlock(s=1.0, basis=(f / np.linalg.norm(f))[:, None])
+    gamma = build_hankel_matrix(RationalSymbol(poly=[0, 1]), n)
+    with pytest.raises(ExtractionError, match=re.escape(
+            "projection of the kernel at the base point onto the block is 5.551e-17; "
+            "the multiplier cannot be normalized")):
+        extract_representation(gamma, block, base_point=0.3)
 
 
 def test_reports_are_identical_with_a_cold_or_a_warm_theta_cache():

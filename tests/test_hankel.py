@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -382,6 +383,21 @@ def test_coefficients_must_match_gamma():
     assert not kept.coeffs.flags.writeable
     u[3] = 7.0  # the matrix keeps its own copy
     assert kept.coeffs[3] == h.coeffs[3]
+
+
+@pytest.mark.parametrize(
+    "act, error, message",
+    [
+        (lambda: setattr(build_hankel_matrix(rank_one_symbol(), 8), "order", 4), AttributeError,
+         "HankelMatrix is read-only: cannot set 'order'"),
+        (lambda: residuals_from_matrix(np.zeros((4, 3))), ValueError,
+         "expected a square matrix, got shape (4, 3)"),
+    ],
+    ids=["assign-attribute", "non-square-residuals"],
+)
+def test_hankel_input_errors(act, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        act()
 
 
 def test_interior_fault_breaks_shift_intertwine():

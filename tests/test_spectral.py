@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -42,6 +44,25 @@ def test_schmidt_block_owns_its_basis():
     assert block.basis[0, 0] == 1.0
     with pytest.raises(ValueError, match="read-only"):
         block.basis[0, 0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        (lambda: SchmidtBlock(s=1.0, basis=np.zeros((8, 0))),
+         "basis must be an N x d matrix with d >= 1, got shape (8, 0)"),
+        (lambda: schmidt_decompose(build_hankel_matrix(RationalSymbol(poly=[0, 1]), 16),
+                                   cluster_tol=1.5),
+         "cluster_tol must lie in (0, 1), got 1.5"),
+        (lambda: subspace_gap(np.eye(4)[:, :1], np.eye(5)[:, :1]), "ambient dimensions differ: 4 vs 5"),
+        (lambda: orthonormalize(np.ones((4, 2))), "columns are numerically rank deficient"),
+    ],
+    ids=["block-without-columns", "cluster-tol-above-one", "gap-dimension-mismatch",
+         "rank-deficient-columns"],
+)
+def test_spectral_input_errors(act, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        act()
 
 
 def test_rank_one_block():

@@ -1,3 +1,6 @@
+import json
+import math
+import re
 import time
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 
 from hankelschmidt.blaschke import BlaschkeProduct, blaschke_coefficients
+from hankelschmidt.cli import main
 from hankelschmidt.hardy import grid_points
 from hankelschmidt.symbols import (
     PoleTerm,
@@ -122,6 +126,12 @@ def test_tail_bound_simple_pole_closed_form():
 def test_tail_bound_polynomial_zero():
     sym = RationalSymbol(poly=[1.0, 2.0, 3.0])
     assert tail_bound(sym, 8) == 0.0
+
+
+def test_tail_bound_of_polynomial_longer_than_order():
+    # the leftover coefficients 16..39: the sum of their squares is 19300
+    sym = RationalSymbol(poly=np.arange(40))
+    assert tail_bound(sym, 16) == pytest.approx(math.sqrt(19300), rel=1e-15)
 
 
 def test_tail_bound_sums_over_terms():
@@ -262,6 +272,24 @@ def test_parse_symbol_rejects_unknown_fields():
         parse_symbol({"poly": [], "polez": []})
     with pytest.raises(SymbolFormatError, match=r"poles\[0\]"):
         parse_symbol({"poles": [{"b": [0.5, 0], "radius": 2}]})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([[0.0, 0.0], [1.0, 0.0]], "symbol document must be a JSON object"),
+        ({"poly": {"0": [1.0, 0.0]}}, "'poly' must be a list of [re, im] pairs"),
+        ({"poles": {"b": [0.5, 0.0]}}, "'poles' must be a list of objects"),
+    ],
+    ids=["not-an-object", "poly-not-a-list", "poles-not-a-list"],
+)
+def test_parse_symbol_rejects_malformed_document(tmp_path, capsys, doc, message):
+    with pytest.raises(SymbolFormatError, match=f"^{re.escape(message)}$"):
+        parse_symbol(doc)
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--n", "16"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -18,8 +19,6 @@ from hankelschmidt import pipeline
 from hankelschmidt.pipeline import AnalysisConfig, verify_exit_code, verify_suites
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the fork path needs os.fork")
-
-SMALL = dict(identity_count=3, blaschke_count=2, alpha_count=1, mobius_count=2, theorem_count=2)
 
 
 @pytest.fixture
@@ -68,21 +67,21 @@ def test_forked_and_in_order_reports_are_byte_identical(monkeypatch, forks, n, s
 def test_suites_run_in_order_without_sched_getaffinity(monkeypatch, forks):
     # macOS and Windows have no os.sched_getaffinity
     config = AnalysisConfig(n=32, seed=5)
-    expected = json.dumps(run(monkeypatch, {0, 1}, config, **SMALL))
+    expected = json.dumps(run(monkeypatch, {0, 1}, config))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert json.dumps(verify_suites(config, **SMALL)) == expected
+    assert json.dumps(verify_suites(config)) == expected
     assert len(forks) == 1
 
 
 def test_a_failed_fork_runs_every_suite_here(monkeypatch):
     config = AnalysisConfig(n=32, seed=5)
-    expected = json.dumps(run(monkeypatch, {0}, config, **SMALL))
+    expected = json.dumps(run(monkeypatch, {0}, config))
 
     def no_fork():
         raise BlockingIOError("Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert json.dumps(run(monkeypatch, {0, 1}, config, **SMALL)) == expected
+    assert json.dumps(run(monkeypatch, {0, 1}, config)) == expected
 
 
 @pytest.mark.parametrize("suite", ["suite_theorem", "suite_mobius"], ids=["child", "parent"])
@@ -92,7 +91,7 @@ def test_a_suite_error_reaches_the_caller_and_leaves_no_child(monkeypatch, forks
 
     monkeypatch.setattr(pipeline, suite, boom)
     with pytest.raises(ValueError, match="^boom$") as info:
-        run(monkeypatch, {0, 1}, AnalysisConfig(n=32, seed=5), **SMALL)
+        run(monkeypatch, {0, 1}, AnalysisConfig(n=32, seed=5))
     assert len(forks) == 1
     if suite == "suite_theorem":  # the child's traceback comes along as the cause
         assert "boom" in str(info.value.__cause__)
@@ -108,5 +107,18 @@ def test_a_child_error_that_does_not_pickle_keeps_its_type_name(monkeypatch):
 
     monkeypatch.setattr(pipeline, "suite_model_spaces", boom)
     with pytest.raises(RuntimeError, match="^LocalError: boom$"):
-        run(monkeypatch, {0, 1}, AnalysisConfig(n=32, seed=5), **SMALL)
+        run(monkeypatch, {0, 1}, AnalysisConfig(n=32, seed=5))
+    assert_no_child_left()
+
+
+def test_a_child_that_sends_no_result_is_an_error(monkeypatch, forks):
+    def no_payload(calls):
+        raise MemoryError("no room to pickle")
+
+    # the child leaves by os._exit(1) before it writes to the pipe
+    monkeypatch.setattr(pipeline, "_child_payload", no_payload)
+    with pytest.raises(RuntimeError,
+                       match=re.escape("suite child process sent no result (wait status 256)")):
+        run(monkeypatch, {0, 1}, AnalysisConfig(n=32, seed=5))
+    assert len(forks) == 1
     assert_no_child_left()
