@@ -110,8 +110,9 @@ def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
     zs = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zs) > 1 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disk")
-    w = zs[..., None]
-    out = b.phase * np.prod((b.zeros - w) / (1 - np.conj(b.zeros) * w), axis=-1)
+    out = b.phase * np.ones(zs.shape, dtype=np.complex128)
+    for a in b.zeros:  # one factor at a time over all points
+        out = out * ((a - zs) / (1 - np.conj(a) * zs))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -290,51 +291,74 @@ def frostman_shift(
     (1 - |alpha|) (||N||_1 + ||D||_1), must be <= 1e-9.  On the circle the
     returned product then deviates by at most 2 (1 + |alpha|) ||Q||_1 / min|Q|
     times that error; the last factor is B's own conditioning, not the shift's.
+    This is the one-parameter call of _frostman_shifts.
     """
-    alpha = complex(alpha)
-    if not abs(alpha) < 1:
-        raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {abs(alpha)}")
-    phase_p, q = _polynomials(b)
-    d = b.degree
-    num = alpha * q - phase_p
-    den = q - np.conj(alpha) * phase_p
-    roots = _cluster_means(_stable_roots(num))
-    if roots.size != d:
-        raise ValueError(f"Frostman root finding returned {roots.size} roots, expected {d}")
-    if roots.size and np.max(np.abs(roots)) > 1 - 1e-10:
-        raise ValueError(
-            f"Frostman shift produced a zero of modulus {np.max(np.abs(roots)):.12f}, too close to the circle"
-        )
+    zeros, phases, g, (error,) = _frostman_shifts(b, np.array([complex(alpha)]), order)
+    if error is not None:
+        raise error
+    return BlaschkeProduct(zeros[0], phases[0]), g[0]
+
+
+def _frostman_shifts(b: BlaschkeProduct, alphas: np.ndarray, order: int) -> tuple:
+    """frostman_shift of b at each parameter of the 1-D array alphas, every
+    gate kept: the B_alpha's zeros (k x d) and phases, the g_alpha (k x
+    order), and per parameter None or the ValueError of the first gate it
+    fails (its rows then mean nothing).  One batched eigvals finds all roots."""
+    modulus = np.hypot(alphas.real, alphas.imag)  # rounded as abs() rounds a scalar; np.abs differs
+    if not np.all(modulus < 1):
+        raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {modulus.max()}")
+    (phase_p, q), d = _polynomials(b), b.degree
+    num = alphas[:, None] * q - phase_p
+    den = q - np.conj(alphas)[:, None] * phase_p
+    roots = _stable_roots(num)
+    count = np.count_nonzero(~np.isnan(roots), axis=1)
+    roots[count == d] = _cluster_means(roots[count == d])
+    largest = np.abs(roots).max(axis=1, initial=0.0)
     roots = np.sort_complex(roots)
-    phase = (-1) ** d * num[d] / den[0]
-    phase /= abs(phase)
-    dev = np.sum(np.abs(num - phase * den[0] * _poly_from_roots(roots))) + np.sum(
-        np.abs(den - den[0] * _denominator_from_zeros(roots))
-    )
-    dev /= (1 - abs(alpha)) * (np.sum(np.abs(num)) + np.sum(np.abs(den)))
-    if dev > 1e-9:
-        raise ValueError(f"Frostman shift deviates from its coefficients by {dev:.3e} (relative)")
-    g = np.zeros(order, dtype=np.complex128)
-    g[0] = 1.0
-    g -= np.conj(alpha) * blaschke_coefficients(b, order)
-    return BlaschkeProduct(roots, phase), g / np.sqrt(1 - abs(alpha) ** 2)
+    phase = (-1) ** d * num[:, d] / den[:, 0]
+    phase /= np.hypot(phase.real, phase.imag)
+    # prod_j (r_j - z) of each row, one factor at a time; prod_j (1 - conj(r_j) z)
+    # has the coefficients (-1)^d conj(prod_j (r_j - z)) in reverse order
+    prod = np.eye(1, d + 1, dtype=np.complex128).repeat(alphas.size, axis=0)
+    for j in range(d):
+        prod[:, 1:] = roots[:, j, None] * prod[:, 1:] - prod[:, :-1]
+        prod[:, 0] *= roots[:, j]
+    dev = np.abs(num - (phase * den[:, 0])[:, None] * prod).sum(axis=1)
+    dev += np.abs(den - (-1) ** d * den[:, :1] * np.conj(prod[:, ::-1])).sum(axis=1)
+    dev /= (1 - modulus) * (np.abs(num).sum(axis=1) + np.abs(den).sum(axis=1))
+    errors = [None] * alphas.size
+    for k in np.flatnonzero((count != d) | (largest > 1 - 1e-10) | ~(dev <= 1e-9)):
+        errors[k] = ValueError(
+            f"Frostman root finding returned {count[k]} roots, expected {d}" if count[k] != d
+            else f"Frostman shift produced a zero of modulus {largest[k]:.12f}, too close to the circle"
+            if largest[k] > 1 - 1e-10
+            else f"Frostman shift deviates from its coefficients by {dev[k]:.3e} (relative)"
+        )
+    g = np.eye(1, order, dtype=np.complex128) - np.conj(alphas)[:, None] * blaschke_coefficients(b, order)
+    return roots, phase, g / np.sqrt(1 - modulus**2)[:, None], errors
 
 
-def _stable_roots(poly_ascending: np.ndarray) -> np.ndarray:
-    """Roots of a polynomial given by ascending coefficients, trailing zeros trimmed."""
-    c = np.asarray(poly_ascending, dtype=np.complex128)
-    scale = np.max(np.abs(c))
-    if scale == 0:
-        return np.empty(0, dtype=np.complex128)
-    nz = np.flatnonzero(np.abs(c) > 1e-14 * scale)
-    c = c[: nz[-1] + 1]
-    if c.size <= 1:
-        return np.empty(0, dtype=np.complex128)
-    return np.roots(c[::-1])
+def _stable_roots(polys: np.ndarray) -> np.ndarray:
+    """The roots np.roots finds for each row of ascending coefficients
+    (k x (d + 1)) once those below 1e-14 of the row's largest are cut off
+    the top, as a k x d array, NaN in the places of missing roots: one
+    batched companion eigvals for the rows of full degree with no root at 0."""
+    d, kept = polys.shape[1] - 1, np.abs(polys) > 1e-14 * np.abs(polys).max(axis=1, keepdims=True)
+    roots = np.full((polys.shape[0], d), np.nan, dtype=np.complex128)
+    usual = kept[:, -1] & (polys[:, 0] != 0)
+    if d and usual.any():
+        companion = np.repeat(np.eye(d, k=-1, dtype=np.complex128)[None], np.count_nonzero(usual), axis=0)
+        companion[:, 0] = -polys[usual, -2::-1] / polys[usual, -1:]
+        roots[usual] = np.linalg.eigvals(companion)
+    for k in np.flatnonzero(~usual & kept.any(axis=1)):
+        found = np.roots(polys[k, np.flatnonzero(kept[k])[-1] :: -1])
+        roots[k, : found.size] = found
+    return roots
 
 
 def _cluster_means(values: np.ndarray) -> np.ndarray:
-    """The complex values with each cluster replaced by its mean, at tol = 1e-12.
+    """The complex values with each cluster replaced by its mean, at tol = 1e-12;
+    for a stack of rows, each row on its own.
 
     A k-fold root comes out of floating point as k values scattered by about
     eps^(1/k) around a mean that is right to rounding.  A cluster is a
@@ -343,6 +367,8 @@ def _cluster_means(values: np.ndarray) -> np.ndarray:
     prod_j (z - v_j) is within tol of (z - mean)^k in every coefficient:
     the merge moves that product by at most tol.
     """
+    if values.ndim > 1:
+        return np.array([_cluster_means(row) for row in values]).reshape(values.shape)
     n, tol = values.size, 1e-12
     if n < 2:
         return values
@@ -371,12 +397,19 @@ def mobius_conjugate_function(f: np.ndarray, m: MobiusMap, order: int) -> tuple[
     Computed on the boundary and projected, from one evaluation of all
     columns and one FFT.  Returns the matrix of conjugated columns and, per
     column, the energy dropped by the projection (f composed with mu is no
-    longer a polynomial, so it grows as |alpha| -> 1).
+    longer a polynomial, so it grows as |alpha| -> 1).  This is the one-map
+    call of _conjugate_functions.
     """
-    cols = _coefficient_matrix(f)
-    z = grid_points(default_grid_size(max(order, cols.shape[0])))
-    weight = np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z)
-    samples = weight[:, None] * _horner(cols, mobius_eval(m, z))
+    return _conjugate_functions([f], [m], order)
+
+
+def _conjugate_functions(fs: list, maps: list, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """mobius_conjugate_function of each matrix fs[i] at maps[i], the results
+    side by side: one evaluation per matrix, one FFT for all columns."""
+    cols = [_coefficient_matrix(f) for f in fs]
+    z = grid_points(default_grid_size(max([order] + [c.shape[0] for c in cols])))
+    weights = [np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z) for m in maps]
+    samples = np.hstack([w[:, None] * _horner(c, mobius_eval(m, z)) for w, c, m in zip(weights, cols, maps)])
     return _project(samples, order)
 
 
@@ -385,13 +418,19 @@ def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[np.ndarray, 
 
     Returns the first `order` Taylor coefficients of w together with the
     projection residual.  The input may be any rational symbol; evaluation on
-    the boundary is exact.
+    the boundary is exact.  This is the one-map call of _conjugate_symbols.
     """
+    w, residual = _conjugate_symbols([sym], [m], order)
+    return w[:, 0], float(residual[0])
+
+
+def _conjugate_symbols(syms: list, maps: list, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """mobius_conjugate_symbol of each syms[i] at maps[i]: the coefficients
+    as the columns of one matrix and the residuals, from one FFT."""
     z = grid_points(default_grid_size(order + 1))
-    w = mobius_eval(m, z)
-    samples = w * evaluate_symbol(sym, w)
-    g, residual = _project(samples[:, None], order + 1)
-    return -g[1:, 0], float(residual[0])
+    ws = (mobius_eval(m, z) for m in maps)
+    g, residual = _project(np.column_stack([w * evaluate_symbol(s, w) for s, w in zip(syms, ws)]), order + 1)
+    return -g[1:], residual
 
 
 def compose_with_mobius(b: BlaschkeProduct, m: MobiusMap) -> BlaschkeProduct:

@@ -22,12 +22,13 @@ otherwise a point of a fixed set of rings inside the disk where the
 block's pointwise energy is largest.  Results are canonicalized to
 theta(0) = 0, p(0) >= 0 and phi in (-pi, pi].
 
-All blocks of one Gamma are extracted and verified in one batched pass
-(extract_representations).  Blocks are grouped by multiplicity d, and
-within a group each step is one stacked array operation over its blocks:
-the projection of the kernel (on the direct route the extremal projection
-itself, formed once), Gamma's action as one Gamma_J @ conj(.) product over
-every block's columns (hankel_apply, for H q and for the action check),
+The blocks of one Gamma, or of many, are extracted and verified in one
+batched pass (extract_representations).  Blocks are grouped by
+multiplicity d, and within a group each step is one stacked array
+operation over its blocks: the projection of the kernel (on the direct
+route the extremal projection itself, formed once), Gamma's action as one
+Gamma_J @ conj(.) product per distinct Gamma over its blocks' columns
+(hankel_apply, for H q and for the action check),
 Hitt's eigenproblem as one batched eigvals (none for d = 1), the
 unimodular constant, and the isometry, subspace-gap, action,
 near-invariance and symbol-projection residuals.  Python loops remain only
@@ -303,7 +304,7 @@ def _inner_factors(b: _Batch) -> None:
         shift = v[:, :-1].conj().swapaxes(1, 2) @ v[:, 1:]  # M = V^* S^* V
         tw = np.linalg.solve(np.eye(d) - alpha[:, None, None] * shift, shift @ u)
         lam = np.linalg.eigvals(u.conj().swapaxes(1, 2) @ tw)
-        lam = np.array([_cluster_means(row) for row in lam])
+        lam = _cluster_means(lam)
         rest = np.conj(lam / (1 + lam * alpha[:, None])) + 0.0  # no -0.0 in a report
         worst = np.abs(rest).max(axis=1)
         b.hold(rest=np.take_along_axis(rest, np.lexsort((rest.imag, rest.real)), axis=1))
@@ -335,19 +336,18 @@ def _wrap_phase(phi: float) -> float:
 # extraction
 
 
-def extract_representations(
-    gamma: HankelMatrix, blocks, tol: float = 1e-7
-) -> list[Representation | ExtractionError | ValueError]:
-    """extract_representation of every block of gamma, in one batched pass.
+def extract_representations(pairs, tol: float = 1e-7) -> list[Representation | ExtractionError | ValueError]:
+    """extract_representation of the block of each (gamma, block) pair, in
+    one batched pass.
 
-    Returns, for each block in order, its Representation or the
+    Returns, for each pair in order, its Representation or the
     ExtractionError or ValueError that extract_representation raises for
     it, with the same message; one failing block does not stop the others.
-    Blocks of one multiplicity are extracted and verified together, each
-    step one stacked array operation over them.
+    Blocks of one multiplicity are extracted and verified together, whatever
+    their Gamma, each step one stacked array operation over them.
     """
-    blocks = list(blocks)
-    return _extract(gamma, blocks, [None] * len(blocks), tol)
+    pairs = list(pairs)
+    return _extract([g for g, _ in pairs], [b for _, b in pairs], [None] * len(pairs), tol)
 
 
 def extract_representation(
@@ -370,29 +370,29 @@ def extract_representation(
     subspace equality and action formula (to tol) are asserted on it before
     returning.  This is the one-block call of extract_representations.
     """
-    (out,) = _extract(gamma, [block], [base_point], tol)
+    (out,) = _extract([gamma], [block], [base_point], tol)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _extract(gamma: HankelMatrix, blocks: list, base_points: list, tol: float) -> list:
+def _extract(gammas: list, blocks: list, base_points: list, tol: float) -> list:
     """Results of _extract_stack for blocks grouped by basis shape, in block order."""
     results: list = [None] * len(blocks)
     groups: dict[tuple[int, int], list[int]] = {}
     for i, block in enumerate(blocks):
         groups.setdefault(block.basis.shape, []).append(i)
     for at in groups.values():
-        out = _extract_stack(gamma, [blocks[i] for i in at], [base_points[i] for i in at], tol)
+        out = _extract_stack(*([x[i] for i in at] for x in (gammas, blocks, base_points)), tol)
         for i, result in zip(at, out):
             results[i] = result
     return results
 
 
-def _extract_stack(gamma: HankelMatrix, blocks: list, base_points: list, tol: float) -> list:
+def _extract_stack(gammas: list, blocks: list, base_points: list, tol: float) -> list:
     """extract_representation for each of the blocks, all of one basis shape,
-    with base points (None: base_point_select's), carried by one batch from
-    the base point to the gates.
+    with its Gamma and base point (None: base_point_select's), carried by one
+    batch from the base point to the gates.
 
     q is the normalized projection of the unit kernel k^_alpha onto the
     block, p k^_alpha up to a unimodular constant; dividing by k^_alpha is
@@ -403,7 +403,7 @@ def _extract_stack(gamma: HankelMatrix, blocks: list, base_points: list, tol: fl
     v = np.stack([block.basis for block in blocks])
     m, n, _ = v.shape
     q, nq = _extremal(v)
-    b = _Batch(m, v=v, s=np.array([block.s for block in blocks]), q=q, alpha=[
+    b = _Batch(m, gamma=list(gammas), v=v, s=np.array([block.s for block in blocks]), q=q, alpha=[
         _checked_base_point(bp, basis, nk) for bp, basis, nk in zip(base_points, v, nq)
     ])
     if b.drop_errors("alpha"):
@@ -429,7 +429,7 @@ def _extract_stack(gamma: HankelMatrix, blocks: list, base_points: list, tol: fl
     p = q.copy()
     p[:, 1:] -= np.conj(b.alpha)[:, None] * q[:, :-1]
     p /= b.r[:, None]
-    b.hold(q=q, p=p, hq=hankel_apply(gamma, q.T).T)
+    b.hold(q=q, p=p, hq=_apply(b.gamma, q[:, :, None])[..., 0].T)
     _inner_factors(b)
     if b.empty:
         return b.results
@@ -446,7 +446,7 @@ def _extract_stack(gamma: HankelMatrix, blocks: list, base_points: list, tol: fl
     p, phi = _canonicalize(b.p, b.phi)
     b.hold(p=p, phi=phi)
 
-    _verify_stack(gamma, b, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol)))
+    _verify_stack(b, model_tail_tol=min(1e-8, max(1e-10, 1e-2 * tol)))
     if b.empty:
         return b.results
     # the gates, in order: the isometry to 0.1 * tol, the subspace gap and the action to tol
@@ -539,23 +539,22 @@ def verify_representation(
     batched verification that extract_representations runs.
     """
     b = _Batch(
-        1, v=block.basis[None], s=np.array([block.s]), p=np.asarray(rep.p)[None],
+        1, gamma=[gamma], v=block.basis[None], s=np.array([block.s]), p=np.asarray(rep.p)[None],
         theta=[rep.theta], phi=np.array([rep.phi]),
     )
-    _verify_stack(gamma, b, 1e-8)
+    _verify_stack(b, 1e-8)
     if b.empty:
         raise b.results[0]
     return b.residuals[0]
 
 
-def _verify_stack(gamma: HankelMatrix, b: _Batch, model_tail_tol: float) -> None:
-    """verify_representation for each live entry of b, which holds the block
-    bases v (m x N x d), singular values s, multipliers p, thetas of one
-    degree and phases phi: holds the isometry, subspace-gap and action
-    residuals (`iso`, `gap`, `action`) and the reports (`residuals`), or
-    drops the entry with its ValueError."""
+def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
+    """verify_representation for each live entry of b, which holds the
+    Gammas, block bases v (m x N x d), singular values s, multipliers p,
+    thetas of one degree and phases phi: holds the isometry, subspace-gap
+    and action residuals (`iso`, `gap`, `action`) and the reports
+    (`residuals`), or drops the entry with its ValueError."""
     n = b.v.shape[1]
-    u = gamma.u
     b.hold(
         phase=np.exp(1j * np.asarray(b.phi)),
         prods=[_attempt(_weighted_model_space, t, pk, n, model_tail_tol) for t, pk in zip(b.theta, b.p)],
@@ -577,15 +576,17 @@ def _verify_stack(gamma: HankelMatrix, b: _Batch, model_tail_tol: float) -> None
         return
     v, s, p = b.v, b.s, b.p
     m, _, k = b.prods.shape
-    lhs = hankel_apply(gamma, b.prods.transpose(1, 0, 2).reshape(n, m * k)).reshape(n, m, k)
+    lhs = _apply(b.gamma, b.prods)
     diff = lhs.transpose(1, 0, 2) - (s * b.phase)[:, None, None] * np.stack(b.images)
     e = np.frexp(s)[1]
     b.hold(action=_norm_on_scale(diff, e[:, None, None]).max(axis=1) / np.ldexp(s, -e))
 
-    near, near_u = _near_invariance(v, u)
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
     # coefficient k <= n of p theta reads theta_hat only up to k
-    u_s = (v @ (v.conj().swapaxes(1, 2) @ u)[..., None])[..., 0]
+    near, near_u, u_s = np.empty(m), np.empty(m), np.empty((m, n), dtype=np.complex128)
+    for gamma, at in _by_gamma(b.gamma):
+        near[at], near_u[at] = _near_invariance(v[at], gamma.u)
+        u_s[at] = (v[at] @ (v[at].conj().swapaxes(1, 2) @ gamma.u)[..., None])[..., 0]
     p_theta_over_z = np.stack([
         _series_product(pk, blaschke_coefficients(t, n + 1), n + 1)[1:] for pk, t in zip(p, b.theta)
     ])
@@ -594,6 +595,28 @@ def _verify_stack(gamma: HankelMatrix, b: _Batch, model_tail_tol: float) -> None
     # one row per entry, in the order of RepresentationResiduals' fields
     rows = np.stack([b.gap, b.iso, b.action, near, near_u, u_s_cross, np.abs(p[:, 0])], axis=1)
     b.hold(residuals=[RepresentationResiduals(*map(float, row)) for row in rows])
+
+
+def _by_gamma(gammas: list) -> list:
+    """(Gamma, positions of its entries) for each distinct Gamma of a batch's
+    entries, in order of first appearance; a lone Gamma's are a slice of all."""
+    if all(g is gammas[0] for g in gammas):  # analyze: no copy of any array, and no sort
+        return [(gammas[0], slice(None))]
+    ids = np.array([id(g) for g in gammas])
+    return [(gammas[i], np.flatnonzero(ids == ids[i])) for i in sorted(np.unique(ids, return_index=True)[1])]
+
+
+def _apply(gammas: list, f: np.ndarray) -> np.ndarray:
+    """The N x m x k array of hankel_apply of each entry's Gamma to its
+    columns in the stack f (m x N x k), by one product per distinct Gamma
+    over its entries' columns in entry order."""
+    n, parts = f.shape[1], _by_gamma(gammas)
+    if len(parts) == 1:
+        return hankel_apply(parts[0][0], f.transpose(1, 0, 2).reshape(n, -1)).reshape(n, len(f), -1)
+    out = np.empty((n,) + f.shape[:1] + f.shape[2:], dtype=np.complex128)
+    for gamma, at in parts:
+        out[:, at] = hankel_apply(gamma, f[at].transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, f.shape[2])
+    return out
 
 
 def _norm_on_scale(x: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -131,8 +131,8 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     blocks[:, :n] = coeffs[:n].T
     powers = np.empty(z.shape + (width,), dtype=dtype)
     powers[..., 0] = 1.0
-    powers[..., 1:] = z[..., None]
-    np.cumprod(powers, axis=-1, out=powers)
+    for j in range(1, width):  # z^j = z^(j-1) z, one column over all points: far faster than a cumprod
+        np.multiply(powers[..., j - 1], z, out=powers[..., j])
     parts = powers @ blocks.reshape(k * rows, width).T  # column c * rows + j is P_j of column c
     zw = (powers[..., -1] * z)[..., None]
     acc = parts[..., rows - 1 :: rows]
@@ -195,5 +195,6 @@ def _project(samples: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     m = samples.shape[0]
     if m < 2 * order:
         raise ValueError(f"grid size {m} < 2*order = {2 * order}: projection would alias")
-    bins = np.fft.fft(samples, axis=0) / m
-    return bins[:order], np.linalg.norm(bins[order:], axis=0)
+    bins = np.fft.fft(samples, axis=0)
+    bins /= m  # in place, and the band is returned as a copy: all the bins are freed on return
+    return bins[:order].copy(), np.linalg.norm(bins[order:], axis=0)

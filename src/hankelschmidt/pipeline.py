@@ -108,7 +108,7 @@ def analyze_symbol(sym: RationalSymbol, config: AnalysisConfig | None = None) ->
     block_entries = []
     warnings: list[str] = []
     all_pass = True
-    reps = extract_representations(gamma, blocks, tol=config.verify_tol)
+    reps = extract_representations([(gamma, block) for block in blocks], tol=config.verify_tol)
     for block, rep in zip(blocks, reps):
         entry = {
             "s": float(block.s),

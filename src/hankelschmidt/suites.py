@@ -2,8 +2,9 @@
 
 Each suite draws its inputs from a seeded generator, exercises one family
 of identities at fixed truncation order, and returns a plain dict of
-worst-case residuals plus a pass flag.  The same functions back both the
-command-line `verify` subcommand and the acceptance tests.
+worst-case residuals plus a pass flag; the model-space, Moebius and theorem
+suites draw all inputs first and check them in a few stacked passes, by
+degree or multiplicity.  The same functions back the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import numpy as np
 from .blaschke import (
     BlaschkeProduct,
     MobiusMap,
+    _conjugate_functions,
+    _conjugate_symbols,
+    _frostman_shifts,
     _on_grid,
     blaschke_coefficients,
-    blaschke_eval,
     compose_with_mobius,
-    frostman_shift,
     mobius_conjugate_function,
     mobius_conjugate_symbol,
     mobius_eval,
@@ -31,8 +33,9 @@ from .extraction import (
     extract_representations,
 )
 from .hankel import build_hankel_matrix, residuals_from_matrix
-from .hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
-from .spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
+from .hardy import _boundary_samples, _project, default_grid_size, evaluate, grid_points
+from .spectral import _nullspace_of_row, _orthonormal_columns, _subspace_gaps, schmidt_decompose
+from .spectral import orthonormalize, subspace_gap
 from .symbols import PoleTerm, RationalSymbol, tail_bound
 
 __all__ = [
@@ -121,134 +124,146 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
 
     skipped_draws counts the B draws whose basis has not decayed by `order`
     (tm_basis's tail gate) and the alpha draws whose Frostman shift fails;
-    both are drawn again.
+    both are drawn again.  A B's missing alphas are shifted as one stack,
+    so the generator is read as by one draw at a time; each check then runs
+    once over the draws of one degree.
     """
     rng = np.random.default_rng(seed)
-    worst_lemma = 0.0
-    worst_frostman_gap = 0.0
-    worst_isometry = 0.0
-    worst_boundary = 0.0
     skipped = 0
-    done = 0
-    while done < n_blaschke:
+    draws = []  # B, its basis at `order`, and its alphas with their shifts
+    while len(draws) < n_blaschke:
         b = random_blaschke(rng)
         try:
             v = tm_basis(b, order)
         except ValueError:
             skipped += 1
             continue
-        worst_lemma = max(worst_lemma, _lemma_backward_shift_gap(b, v, order))
-        hits = 0
+        hits, shifts = 0, []
         while hits < n_alpha:
-            alpha = 0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            result = _frostman_invariance_check(b, alpha, v)
-            if result is None:
-                # the shift failed (a shifted zero too close to the circle, or
-                # its backward-error gate); redraw the shift parameter
-                skipped += 1
-                continue
-            hits += 1
-            gap, iso, boundary = result
-            worst_frostman_gap = max(worst_frostman_gap, gap)
-            worst_isometry = max(worst_isometry, iso)
-            worst_boundary = max(worst_boundary, boundary)
-        done += 1
-    ok = worst_lemma < 1e-8 and worst_frostman_gap < 1e-8 and worst_boundary < 1e-10
+            new = np.array([_draw_alpha(rng) for _ in range(n_alpha - hits)])
+            *shifted, errors = _frostman_shifts(b, new, order)
+            ok = np.array([e is None for e in errors])  # a shift fails near the circle or at its error gate
+            hits, skipped = hits + int(ok.sum()), skipped + int((~ok).sum())
+            shifts.append([x[ok] for x in (new, *shifted)])
+        draws.append((b, v, *map(np.concatenate, zip(*shifts))))
+    worst = dict.fromkeys(("backward_shift_identity", "frostman_subspace_gap",
+                           "frostman_isometry", "frostman_boundary_identity"), 0.0)
+    for d in sorted({b.degree for b, *_ in draws}):
+        b, v, *shifts = zip(*(x for x in draws if x[0].degree == d))
+        values = [_backward_shift_gaps(np.stack(v), b, order),
+                  *_frostman_gaps(b, np.stack(v), *map(np.concatenate, shifts))]
+        for name, value in zip(worst, values):
+            worst[name] = max(worst[name], float(value.max()))
     return {
         "n_blaschke": n_blaschke,
         "n_alpha": n_alpha,
         "order": order,
         "skipped_draws": skipped,
-        "max_residuals": {
-            "backward_shift_identity": worst_lemma,
-            "frostman_subspace_gap": worst_frostman_gap,
-            "frostman_isometry": worst_isometry,
-            "frostman_boundary_identity": worst_boundary,
-        },
-        "pass": bool(ok and worst_isometry < 1e-8),
+        "max_residuals": worst,
+        "pass": all(value < gate for value, gate in zip(worst.values(), (1e-8, 1e-8, 1e-8, 1e-10))),
     }
 
 
-def _frostman_invariance_check(
-    b: BlaschkeProduct, alpha: complex, v: np.ndarray
-) -> tuple[float, float, float] | None:
-    """Check K_B = g_alpha K_{B_alpha} at the suite's order N.
+def _draw_alpha(rng: np.random.Generator, radius: float = 0.5) -> complex:
+    return radius * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
-    v holds K_B's orthonormal basis at order N as columns, which passed
-    tm_basis's tail gate.  K_{B_alpha}'s basis is taken at N with no tail
-    gate, as it may not have decayed by N: (g h)[:N] reads h only up to N,
-    so each P_N(g_alpha e_k) is the exact truncation of g_alpha e_k, an
-    element of K_B when the shift is right.  P_N is injective on
-    K_B + g_alpha K_{B_alpha} (dimension <= 2d <= N), so a wrong shift
-    still shows in the gap at N, and on K_B it moves norms by at most the
-    tail that v's gate bounds, so the isometry is read at N too.  What
-    depends only on B (its polynomials, its coefficients to N, its values
-    on the grid) is kept on B and shared by all of its alpha draws.
-    Returns (subspace gap, multiplier isometry deviation, boundary identity
-    residual), or None if the shift fails.
-    """
-    order = v.shape[0]
-    try:
-        shifted, g = frostman_shift(b, alpha, order)
-    except ValueError:
-        return None
-    cols = _weighted_model_space(shifted, g, order, np.inf)
-    iso = max(abs(np.linalg.norm(gh) - 1.0) for gh in cols.T)
-    gap = subspace_gap(v, orthonormalize(cols))
+
+def _frostman_gaps(bs, v, alphas, zeros, phases, g) -> tuple:
+    """(subspace gap, isometry deviation, boundary identity) of K_B = g_alpha
+    K_{B_alpha} at order N per (B, alpha) pair, for the B of one degree with
+    tail-gated bases v (k_B x N x d) and their k alphas each, with shifts.
+    K_{B_alpha} has no tail gate (_tm_bases): P_N(g_alpha e_k) reads it only
+    to N, and P_N is injective on K_B + g_alpha K_{B_alpha}, so a wrong shift
+    still shows at N; on K_B it moves norms by at most v's gated tail."""
+    k, n = alphas.size // len(bs), v.shape[1]
+    basis = np.fft.fft(_tm_bases(zeros, n), 2 * n, axis=1)
+    cols = np.fft.ifft(basis * np.fft.fft(g, 2 * n)[:, :, None], axis=1)[:, :n]
+    iso = np.abs(np.linalg.norm(cols, axis=1) - 1.0).max(axis=1)
+    gap = _span_gaps(np.repeat(v, k, axis=0), cols)
     # B_alpha's phase was read from coefficients; this identity is
     # g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the grid,
     # with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that phase
-    m = default_grid_size(order)
-    bz = _on_grid(b, m)
-    g_samples = (1 - np.conj(alpha) * bz) / np.sqrt(1 - abs(alpha) ** 2)
-    ident = g_samples * blaschke_eval(shifted, grid_points(m)) + bz * np.conj(g_samples)
-    return gap, iso, float(np.max(np.abs(ident)))
+    grid = grid_points(default_grid_size(n))
+    bz = np.repeat([_on_grid(b, grid.size) for b in bs], k, axis=0)
+    g_samples = (1 - np.conj(alphas)[:, None] * bz) / np.sqrt(1 - np.abs(alphas) ** 2)[:, None]
+    shifted = phases[:, None]  # B_alpha on the grid in product form, one factor at a time
+    for a in zeros.T[:, :, None]:
+        shifted = shifted * ((a - grid) / (1 - np.conj(a) * grid))
+    return gap, iso, np.abs(g_samples * shifted + bz * np.conj(g_samples)).max(axis=1)
 
 
-def _lemma_backward_shift_gap(b: BlaschkeProduct, v: np.ndarray, order: int) -> float:
-    """Gap between S*(K meet constants-perp) and K meet (S*B)-perp."""
-    lhs_null = _nullspace_of_row(v[0, :][None, :])
-    if lhs_null.shape[1] == 0:
-        lhs = np.zeros((order, 0), dtype=np.complex128)
-    else:
-        w = v @ lhs_null
-        shifted = np.vstack([w[1:, :], np.zeros((1, w.shape[1]))])
-        lhs = orthonormalize(shifted)
-    s_theta = np.zeros(order, dtype=np.complex128)
-    theta_c = blaschke_coefficients(b, order + 1)
-    s_theta[:order] = theta_c[1:]
-    c = v.conj().T @ s_theta
-    rhs_null = _nullspace_of_row(c[None, :].conj())
-    return subspace_gap(lhs, v @ rhs_null)
+def _tm_bases(zeros: np.ndarray, n: int) -> np.ndarray:
+    """tm_basis of each zero set in the rows of zeros (k x d) at order n, as
+    k x n x d, with no tail gate: its recurrence over all rows at once, each
+    division by 1 - conj(a) z in log2(n) doubling steps, exact to n."""
+    r = np.sqrt(1 - np.abs(zeros) ** 2)
+    basis = np.empty(zeros.shape[:1] + (n,) + zeros.shape[1:], dtype=np.complex128)
+    e = r[:, :1] * np.eye(1, n, dtype=np.complex128)
+    for j in range(zeros.shape[1]):
+        if j:
+            num = zeros[:, j - 1, None] * e
+            num[:, 1:] -= e[:, :-1]
+            e = num * (r[:, j] / r[:, j - 1])[:, None]
+        step, power = 1, np.conj(zeros[:, j, None])
+        while step < n:  # now e_m sums conj(a_j)^i e_(m - i) over i < 2 step
+            e[:, step:] += power * e[:, :-step]
+            step, power = 2 * step, power * power
+        basis[:, :, j] = e
+    return basis
+
+
+def _backward_shift_gaps(v: np.ndarray, bs, order: int) -> np.ndarray:
+    """Gap between S*(K meet constants-perp) and K meet (S*B)-perp for each
+    B of one degree, its basis in the stack v (k x N x d)."""
+    w = v @ _nullspace_of_row(v[:, :1, :])
+    shifted = np.concatenate([w[:, 1:], np.zeros_like(w[:, :1])], axis=1)
+    s_theta = np.stack([blaschke_coefficients(b, order + 1)[1:] for b in bs])
+    return _span_gaps(shifted, v @ _nullspace_of_row(s_theta.conj()[:, None, :] @ v))
+
+
+def _span_gaps(a, b) -> np.ndarray:
+    """subspace_gap between the column spans of a[i] and b[i], N x d matrices
+    of one d per pair, orthonormalized by one batched QR per d; 1 where
+    either is numerically rank deficient, 0 where both are empty."""
+    dims = np.array([x.shape[1] for x in a])
+    out = np.zeros(len(a))
+    for d in np.unique(dims[dims > 0]):
+        at = np.flatnonzero(dims == d)
+        (qa, full_a), (qb, full_b) = (_orthonormal_columns(np.stack([x[i] for i in at])) for x in (a, b))
+        out[at] = np.where(full_a & full_b, _subspace_gaps(qa, qb)[0], 1.0)
+    return out
 
 
 def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
-    """Moebius covariance at |alpha| <= 0.5: spectrum invariance, mapped Schmidt bases, involution."""
+    """Moebius covariance at |alpha| <= 0.5: spectrum invariance, mapped Schmidt bases, involution.
+
+    All draws come first.  Each conjugation then runs as one FFT over all
+    draws and each gap as one stack per dimension; the Schmidt blocks and
+    their matching stay per draw."""
     rng = np.random.default_rng(seed)
-    worst_sigma = 0.0
-    worst_gap = 0.0
-    worst_double = 0.0
-    worst_lemma32 = 0.0
-    ok = True
-    for _ in range(count):
-        sym = random_symbol(rng)
-        alpha = 0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        m = MobiusMap(alpha)
-        w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
+    lemma_order = max(order, 128)  # composed zeros need this much resolution
+    # per draw a symbol and its map, then the change-of-variable lemma's B, map and weight
+    syms, maps, lemma_bs, lemma_maps, weights = zip(*[
+        (random_symbol(rng), MobiusMap(_draw_alpha(rng)), random_blaschke(rng, max_degree=4, max_radius=0.5),
+         MobiusMap(_draw_alpha(rng, 0.3)), _random_unit_vector(rng, lemma_order, support=8))
+        for _ in range(count)
+    ])
+    ws, _ = _conjugate_symbols(syms, maps, 2 * order - 1)
+    w2, _ = _conjugate_symbols([RationalSymbol(poly=w) for w in ws.T], maps, order)
+    worst_sigma, worst_double, ok = 0.0, 0.0, True
+    matched, targets, allowances = [], [], []
+    for sym, m, w, back in zip(syms, maps, ws.T, w2.T):
         # truncation allowance for this draw, from the exact pole images
         tail_w = _conjugated_tail_estimate(sym, m, w)
-        w = RationalSymbol(poly=w)
         gamma_u = build_hankel_matrix(sym, order)
-        gamma_w = build_hankel_matrix(w, order)
         blocks_u = schmidt_decompose(gamma_u)
-        blocks_w = schmidt_decompose(gamma_w)
+        blocks_w = schmidt_decompose(build_hankel_matrix(RationalSymbol(poly=w), order))
         sig_u, sig_w = blocks_u.singular_values, blocks_w.singular_values
         smax = max(sig_u[0], 1.0)
         keep = sig_u > 1e-6 * smax
         diff = float(np.max(np.abs(sig_u[keep] - sig_w[keep]))) if np.any(keep) else 0.0
         worst_sigma = max(worst_sigma, diff)
         ok = ok and diff <= 1e-6 + 10 * tail_w * (1 + smax)
-
         pairs = []
         for bu in blocks_u:
             if not bu.reliable:
@@ -256,25 +271,29 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
             match = [bw for bw in blocks_w if abs(bw.s - bu.s) < 1e-3 * max(bu.s, 1.0)]
             if len(match) == 1 and match[0].multiplicity == bu.multiplicity:
                 pairs.append((bu, match[0]))
-        if pairs:
-            # every matched column of the draw in one conjugation
-            columns = np.hstack([bu.basis for bu, _ in pairs])
-            mapped, _ = mobius_conjugate_function(columns, m, order)
-            start = 0
-            for bu, bw in pairs:
-                stop = start + bu.multiplicity
-                gap = subspace_gap(orthonormalize(mapped[:, start:stop]), bw.basis)
-                start = stop
-                worst_gap = max(worst_gap, gap)
-                ok = ok and gap <= 1e-6 + 100 * tail_w
-
-        u_exact = gamma_u.u
-        w2, _ = mobius_conjugate_symbol(w, m, order)
-        double = float(np.linalg.norm(w2 - u_exact))
+        # every matched column of the draw, conjugated below with all others
+        matched.append(np.hstack([bu.basis for bu, _ in pairs] or [np.empty((order, 0))]))
+        targets += [bw.basis for _, bw in pairs]
+        allowances += [1e-6 + 100 * tail_w] * len(pairs)
+        double = float(np.linalg.norm(back - gamma_u.u))
         worst_double = max(worst_double, double)
         ok = ok and double <= 1e-8 + 10 * tail_w
-
-        worst_lemma32 = max(worst_lemma32, _lemma_change_of_variable_gap(rng, order))
+    cut = np.cumsum([x.shape[1] for x in targets])[:-1]
+    gaps = _span_gaps(np.split(_conjugate_functions(matched, maps, order)[0], cut, axis=1), targets)
+    worst_gap = float(gaps.max(initial=0.0))
+    ok = ok and bool(np.all(gaps <= allowances))
+    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p
+    spaces = [_weighted_model_space(b, p, lemma_order, 1e-10) for b, p in zip(lemma_bs, weights)]
+    lhs, _ = _conjugate_functions(spaces, lemma_maps, lemma_order)
+    grid = grid_points(default_grid_size(lemma_order))
+    # p o mu is no longer a polynomial, so this product stays on the boundary
+    bases = [tm_basis(compose_with_mobius(b, m), lemma_order) for b, m in zip(lemma_bs, lemma_maps)]
+    pmu = [evaluate(p, mobius_eval(m, grid)) for p, m in zip(weights, lemma_maps)]
+    widths = [x.shape[1] for x in bases]
+    rhs, _ = _project(_boundary_samples(np.hstack(bases), grid.size)
+                      * np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)
+    cut = np.cumsum(widths)[:-1]
+    worst_lemma32 = float(_span_gaps(np.split(lhs, cut, axis=1), np.split(rhs, cut, axis=1)).max())
     ok = ok and worst_lemma32 < 1e-8
     return {
         "count": count,
@@ -297,52 +316,30 @@ def _conjugated_tail_estimate(sym: RationalSymbol, m: MobiusMap, w_coeffs: np.nd
     return chunk / max(1 - rate, 1e-6)
 
 
-def _lemma_change_of_variable_gap(rng: np.random.Generator, order: int) -> float:
-    """U (p K_B) versus (p o mu) K_{B o mu} for random polynomial weights."""
-    order = max(order, 128)  # composed zeros need this much resolution
-    b = random_blaschke(rng, max_degree=4, max_radius=0.5)
-    alpha = 0.3 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    m = MobiusMap(alpha)
-    p = _random_unit_vector(rng, order, support=8)
-    mapped, _ = mobius_conjugate_function(_weighted_model_space(b, p, order, 1e-10), m, order)
-    # p o mu is no longer a polynomial, so this product stays on the boundary
-    grid = grid_points(default_grid_size(order))
-    pmu_samples = evaluate(p, mobius_eval(m, grid))
-    rhs, _ = multiply_by_boundary(tm_basis(compose_with_mobius(b, m), order), pmu_samples, order)
-    return subspace_gap(orthonormalize(mapped), orthonormalize(rhs))
-
-
 def suite_theorem(seed: int, count: int = 20, order: int = 128, tol: float = 1e-6) -> dict:
-    """End-to-end extraction and verification over random rational symbols."""
+    """End-to-end extraction and verification over random rational symbols, in one batch."""
     rng = np.random.default_rng(seed)
-    worst = {
-        "subspace_gap": 0.0,
-        "isometry": 0.0,
-        "action": 0.0,
-        "near_invariance": 0.0,
-    }
-    n_blocks = 0
-    n_unreliable = 0
-    failures: list[str] = []
+    worst = dict.fromkeys(("subspace_gap", "isometry", "action", "near_invariance"), 0.0)
+    n_unreliable, draws = 0, []  # symbol index, Gamma and block
     for i in range(count):
-        sym = random_symbol(rng)
-        gamma = build_hankel_matrix(sym, order)
+        gamma = build_hankel_matrix(random_symbol(rng), order)
         blocks = schmidt_decompose(gamma)
         reliable = [block for block in blocks if block.reliable]
         n_unreliable += len(blocks) - len(reliable)
-        n_blocks += len(reliable)
-        for block, rep in zip(reliable, extract_representations(gamma, reliable, tol=tol)):
-            if not isinstance(rep, Representation):
-                failures.append(f"symbol {i}, s = {block.s:.6g}: {rep}")
-                continue
-            for name, value in rep.residuals.gated().items():
-                worst[name] = max(worst[name], value)
-                if value > tol:
-                    failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")
+        draws += [(i, gamma, block) for block in reliable]
+    failures: list[str] = []
+    for (i, _, block), rep in zip(draws, extract_representations([x[1:] for x in draws], tol=tol)):
+        if not isinstance(rep, Representation):
+            failures.append(f"symbol {i}, s = {block.s:.6g}: {rep}")
+            continue
+        for name, value in rep.residuals.gated().items():
+            worst[name] = max(worst[name], value)
+            if value > tol:
+                failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")
     return {
         "count": count,
         "order": order,
-        "n_blocks": n_blocks,
+        "n_blocks": len(draws),
         "n_unreliable": n_unreliable,
         "max_residuals": worst,
         "failures": failures[:20],

@@ -5,7 +5,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from hankelschmidt.blaschke import BlaschkeProduct, blaschke_coefficients
+from hankelschmidt import suites
+from hankelschmidt.blaschke import (
+    BlaschkeProduct,
+    MobiusMap,
+    _on_grid,
+    _series_div,
+    blaschke_coefficients,
+    blaschke_eval,
+    compose_with_mobius,
+    frostman_shift,
+    mobius_conjugate_function,
+    mobius_conjugate_symbol,
+    mobius_eval,
+    tm_basis,
+)
+from hankelschmidt.extraction import Representation, _weighted_model_space, extract_representations
+from hankelschmidt.hankel import build_hankel_matrix
+from hankelschmidt.hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
+from hankelschmidt.spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
 from hankelschmidt.symbols import (
     MAX_MULTIPLICITY,
     PoleTerm,
@@ -68,6 +86,18 @@ def hankel_product(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.convolve(a[: 2 * n - 1], np.conj(f[::-1]))[n - 1 : 2 * n - 1]
 
 
+def stable_roots(poly_ascending: np.ndarray) -> np.ndarray:
+    """Roots of one polynomial of ascending coefficients by np.roots, once the
+    coefficients below 1e-14 of the largest are cut off the top: what the
+    batched blaschke._stable_roots finds for each row of a stack."""
+    c = np.asarray(poly_ascending, dtype=np.complex128)
+    scale = np.max(np.abs(c))
+    if scale == 0:
+        return np.empty(0, dtype=np.complex128)
+    c = c[: np.flatnonzero(np.abs(c) > 1e-14 * scale)[-1] + 1]
+    return np.roots(c[::-1]) if c.size > 1 else np.empty(0, dtype=np.complex128)
+
+
 def dense_decay(gamma: np.ndarray) -> tuple[float, int, float]:
     """(largest |entry|, J, column) of a square matrix by a scan of all its entries.
 
@@ -100,8 +130,6 @@ def tm_basis_recurrence(b, order: int) -> tuple[list[np.ndarray], list[float]]:
     same, so the elements must agree bit for bit.  Returns each element to
     `order` coefficients and its tail estimate.
     """
-    from hankelschmidt.blaschke import _series_div
-
     a = b.zeros
     r = np.sqrt(1 - np.abs(a) ** 2)
     elements, tails = [], []
@@ -178,3 +206,163 @@ def symbol_from_inner(b: BlaschkeProduct, order: int = 64) -> RationalSymbol:
         if abs(coeffs[n_poly_cols + j]) > 1e-13
     )
     return RationalSymbol(poly=np.asarray(poly, dtype=np.complex128), poles=poles)
+
+
+# ---------------------------------------------------------------------------
+# per-draw verify suites: each draw checked on its own, as the suites in
+# hankelschmidt.suites check all draws of one suite in stacked passes
+
+
+def frostman_invariance_check(b, alpha: complex, v: np.ndarray) -> tuple[float, float, float] | None:
+    """(subspace gap, multiplier isometry deviation, boundary identity
+    residual) of K_B = g_alpha K_{B_alpha} at the order N of v, K_B's
+    orthonormal basis, or None if the shift fails.  K_{B_alpha}'s basis is
+    taken at N with no tail gate; P_N(g_alpha e_k) is the exact truncation."""
+    order = v.shape[0]
+    try:
+        shifted, g = frostman_shift(b, alpha, order)
+    except ValueError:
+        return None
+    cols = _weighted_model_space(shifted, g, order, np.inf)
+    iso = max(abs(np.linalg.norm(gh) - 1.0) for gh in cols.T)
+    gap = subspace_gap(v, orthonormalize(cols))
+    m = default_grid_size(order)
+    bz = _on_grid(b, m)
+    g_samples = (1 - np.conj(alpha) * bz) / np.sqrt(1 - abs(alpha) ** 2)
+    ident = g_samples * blaschke_eval(shifted, grid_points(m)) + bz * np.conj(g_samples)
+    return gap, iso, float(np.max(np.abs(ident)))
+
+
+def backward_shift_gap(b, v: np.ndarray, order: int) -> float:
+    """Gap between S*(K meet constants-perp) and K meet (S*B)-perp."""
+    lhs_null = _nullspace_of_row(v[0, :][None, :])
+    if lhs_null.shape[1] == 0:
+        lhs = np.zeros((order, 0), dtype=np.complex128)
+    else:
+        w = v @ lhs_null
+        lhs = orthonormalize(np.vstack([w[1:, :], np.zeros((1, w.shape[1]))]))
+    s_theta = blaschke_coefficients(b, order + 1)[1:]
+    rhs_null = _nullspace_of_row((v.conj().T @ s_theta)[None, :].conj())
+    return subspace_gap(lhs, v @ rhs_null)
+
+
+def change_of_variable_gap(rng: np.random.Generator, order: int) -> float:
+    """U (p K_B) versus (p o mu) K_{B o mu} for one random polynomial weight."""
+    order = max(order, 128)
+    b = suites.random_blaschke(rng, max_degree=4, max_radius=0.5)
+    m = MobiusMap(0.3 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    p = suites._random_unit_vector(rng, order, support=8)
+    mapped, _ = mobius_conjugate_function(_weighted_model_space(b, p, order, 1e-10), m, order)
+    grid = grid_points(default_grid_size(order))
+    pmu_samples = evaluate(p, mobius_eval(m, grid))
+    rhs, _ = multiply_by_boundary(tm_basis(compose_with_mobius(b, m), order), pmu_samples, order)
+    return subspace_gap(orthonormalize(mapped), orthonormalize(rhs))
+
+
+def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3, order: int = 128) -> dict:
+    """suites.suite_model_spaces with one shift and one check per draw."""
+    rng = np.random.default_rng(seed)
+    worst = [0.0] * 4  # lemma, gap, isometry, boundary
+    skipped = done = 0
+    while done < n_blaschke:
+        b = suites.random_blaschke(rng)
+        try:
+            v = tm_basis(b, order)
+        except ValueError:
+            skipped += 1
+            continue
+        worst[0] = max(worst[0], backward_shift_gap(b, v, order))
+        hits = 0
+        while hits < n_alpha:
+            alpha = 0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            result = frostman_invariance_check(b, alpha, v)
+            if result is None:
+                skipped += 1
+                continue
+            hits += 1
+            worst[1:] = [max(w, r) for w, r in zip(worst[1:], result)]
+        done += 1
+    ok = worst[0] < 1e-8 and worst[1] < 1e-8 and worst[3] < 1e-10
+    return {
+        "n_blaschke": n_blaschke,
+        "n_alpha": n_alpha,
+        "order": order,
+        "skipped_draws": skipped,
+        "max_residuals": dict(zip(("backward_shift_identity", "frostman_subspace_gap",
+                                   "frostman_isometry", "frostman_boundary_identity"), worst)),
+        "pass": bool(ok and worst[2] < 1e-8),
+    }
+
+
+def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
+    """suites.suite_mobius with every conjugation and gap taken per draw."""
+    rng = np.random.default_rng(seed)
+    worst = [0.0] * 4
+    ok = True
+    for _ in range(count):
+        sym = suites.random_symbol(rng)
+        m = MobiusMap(0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
+        tail_w = suites._conjugated_tail_estimate(sym, m, w)
+        w = RationalSymbol(poly=w)
+        gamma_u = build_hankel_matrix(sym, order)
+        blocks_u = schmidt_decompose(gamma_u)
+        blocks_w = schmidt_decompose(build_hankel_matrix(w, order))
+        sig_u, sig_w = blocks_u.singular_values, blocks_w.singular_values
+        smax = max(sig_u[0], 1.0)
+        keep = sig_u > 1e-6 * smax
+        diff = float(np.max(np.abs(sig_u[keep] - sig_w[keep]))) if np.any(keep) else 0.0
+        worst[0] = max(worst[0], diff)
+        ok = ok and diff <= 1e-6 + 10 * tail_w * (1 + smax)
+        for bu in blocks_u:
+            if not bu.reliable:
+                continue
+            match = [bw for bw in blocks_w if abs(bw.s - bu.s) < 1e-3 * max(bu.s, 1.0)]
+            if len(match) == 1 and match[0].multiplicity == bu.multiplicity:
+                mapped, _ = mobius_conjugate_function(bu.basis, m, order)
+                gap = subspace_gap(orthonormalize(mapped), match[0].basis)
+                worst[1] = max(worst[1], gap)
+                ok = ok and gap <= 1e-6 + 100 * tail_w
+        w2, _ = mobius_conjugate_symbol(w, m, order)
+        double = float(np.linalg.norm(w2 - gamma_u.u))
+        worst[2] = max(worst[2], double)
+        ok = ok and double <= 1e-8 + 10 * tail_w
+        worst[3] = max(worst[3], change_of_variable_gap(rng, order))
+    return {
+        "count": count,
+        "order": order,
+        "max_residuals": dict(zip(("singular_values", "mapped_basis_gap", "double_conjugation",
+                                   "weighted_subspace_covariance"), worst)),
+        "pass": bool(ok and worst[3] < 1e-8),
+    }
+
+
+def suite_theorem(seed: int, count: int = 20, order: int = 128, tol: float = 1e-6) -> dict:
+    """suites.suite_theorem with one extraction batch per symbol."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(("subspace_gap", "isometry", "action", "near_invariance"), 0.0)
+    n_blocks = n_unreliable = 0
+    failures: list[str] = []
+    for i in range(count):
+        gamma = build_hankel_matrix(suites.random_symbol(rng), order)
+        blocks = schmidt_decompose(gamma)
+        reliable = [block for block in blocks if block.reliable]
+        n_unreliable += len(blocks) - len(reliable)
+        n_blocks += len(reliable)
+        for block, rep in zip(reliable, extract_representations(((gamma, b) for b in reliable), tol=tol)):
+            if not isinstance(rep, Representation):
+                failures.append(f"symbol {i}, s = {block.s:.6g}: {rep}")
+                continue
+            for name, value in rep.residuals.gated().items():
+                worst[name] = max(worst[name], value)
+                if value > tol:
+                    failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")
+    return {
+        "count": count,
+        "order": order,
+        "n_blocks": n_blocks,
+        "n_unreliable": n_unreliable,
+        "max_residuals": worst,
+        "failures": failures[:20],
+        "pass": not failures,
+    }

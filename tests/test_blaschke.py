@@ -32,6 +32,7 @@ from oracles import (
     boundary_samples,
     hankel_product,
     one,
+    stable_roots,
     szego_kernel,
     tm_basis_recurrence,
     unit,
@@ -371,6 +372,42 @@ def test_frostman_gate_rejects_roots_off_by_1e_6(monkeypatch):
     b = BlaschkeProduct([0.3, -0.2j], np.exp(0.7j))
     with pytest.raises(ValueError, match="deviates"):
         frostman_shift(b, 0.25 - 0.1j, 32)
+
+
+def test_batched_roots_match_np_roots_row_by_row():
+    # one companion eigvals per stack gives np.roots' roots bit for bit,
+    # with exact zero roots appended and tiny top coefficients cut off
+    rng = np.random.default_rng(12)
+    polys = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    polys[1, 0] = 0.0  # one root at 0
+    polys[2, :2] = 0.0  # two
+    polys[3, -1] = 1e-16  # the top coefficient is cut: three roots
+    polys[4, 1:] = 0.0  # a constant has none
+    polys[5] = 0.0
+    got = blaschke._stable_roots(polys)
+    assert got.shape == (7, 4)
+    for row, roots in zip(polys, got):
+        want = stable_roots(row)
+        assert np.array_equal(roots[: want.size], want)
+        assert np.isnan(roots[want.size :]).all()
+
+
+def test_stacked_frostman_shifts_match_one_at_a_time():
+    rng = np.random.default_rng(13)
+    b = random_blaschke(rng, max_degree=4)
+    alphas = np.array([0.3j, -0.2 + 0.1j, 0.45, 1.0])
+    with pytest.raises(ValueError, match="Frostman parameter"):
+        blaschke._frostman_shifts(b, alphas, 32)
+    z = BlaschkeProduct([0.0, 0.0])  # z^2: a shift by 1 - 1e-11 has a zero near the circle
+    zeros, phases, g, errors = blaschke._frostman_shifts(z, np.array([0.3, 1 - 1e-11, -0.4j]), 32)
+    assert errors[0] is None and errors[2] is None and "circle" in str(errors[1])
+    zeros, phases, g, errors = blaschke._frostman_shifts(b, alphas[:3], 32)
+    for k, alpha in enumerate(alphas[:3]):
+        shifted, gk = frostman_shift(b, alpha, 32)
+        assert errors[k] is None
+        assert np.array_equal(shifted.zeros, zeros[k])
+        assert shifted.phase == BlaschkeProduct(zeros[k], phases[k]).phase
+        assert np.array_equal(gk, g[k])
 
 
 @pytest.mark.parametrize(

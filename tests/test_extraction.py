@@ -174,7 +174,7 @@ def test_recover_theta_rank_one():
     # d = 1 needs no eigenproblem: theta = z, and phi is the phase of <H p / s, -p>
     n = 128
     gamma = build_hankel_matrix(rank_one_symbol(), n)
-    (rep,) = extraction.extract_representations(gamma, schmidt_decompose(gamma))
+    (rep,) = extraction.extract_representations((gamma, b) for b in schmidt_decompose(gamma))
     assert np.array_equal(rep.theta.zeros, [0])
     assert rep.theta.phase == -1
     assert abs(rep.phi) < 1e-10
@@ -311,7 +311,7 @@ def test_power_of_two_scaling_keeps_the_gated_residuals(k, n):
     def run(c):
         h = build_hankel_matrix(two_poles(c), n)
         blocks = schmidt_decompose(h)
-        reps = extraction.extract_representations(h, blocks)
+        reps = extraction.extract_representations((h, b) for b in blocks)
         return blocks.singular_values, reps, analyze_symbol(two_poles(c), AnalysisConfig(n=n))
 
     ref_sing, ref_reps, ref_report = run(1.0)
@@ -836,8 +836,8 @@ def test_batched_extraction_matches_one_block_at_a_time(doc, n, count, off_origi
     blocks = list(schmidt_decompose(gamma))
     assert len(blocks) == count
     want = one_at_a_time(gamma, blocks)
-    forward = extraction.extract_representations(gamma, blocks, tol=1e-6)
-    backward = extraction.extract_representations(gamma, blocks[::-1], tol=1e-6)[::-1]
+    forward = extraction.extract_representations(((gamma, b) for b in blocks), tol=1e-6)
+    backward = extraction.extract_representations(((gamma, b) for b in blocks[::-1]), tol=1e-6)[::-1]
     errors = [w for w in want if isinstance(w, Exception)]
     assert len(errors) == failing
     assert all(str(e).startswith("action residual") for e in errors)
@@ -848,3 +848,26 @@ def test_batched_extraction_matches_one_block_at_a_time(doc, n, count, off_origi
     for block, w, f, b in zip(blocks, want, forward, backward):
         assert_same_result(f, w, block, blocks[0].s)
         assert_same_result(b, w, block, blocks[0].s)
+
+
+def test_one_batch_over_several_gammas_matches_one_batch_per_gamma():
+    # the blocks of four symbols, interleaved, in one call: each block is
+    # extracted and verified against its own Gamma, to the bit, as long as
+    # the blocks of one Gamma keep their order (one product per Gamma over
+    # its blocks' columns)
+    syms = [parse_symbol(doc) for doc in (MULTIPLE_POLES, SYMBOL_183, MULTIPLE_POLES)]
+    gammas = [build_hankel_matrix(sym, 128) for sym in syms + [rank_one_symbol()]]
+    per_gamma = [(g, list(schmidt_decompose(g))) for g in gammas]
+    want = {(id(g), i): r for g, blocks in per_gamma
+            for i, r in enumerate(extraction.extract_representations((g, b) for b in blocks))}
+    pairs = sorted(((g, i, b) for g, blocks in per_gamma for i, b in enumerate(blocks)),
+                   key=lambda pair: pair[1])
+    got = extraction.extract_representations((g, b) for g, _, b in pairs)
+    assert len(got) == len(want) == 27
+    for (g, i, _), r in zip(pairs, got):
+        w = want[id(g), i]
+        if isinstance(w, Exception):
+            assert type(r) is type(w) and str(r) == str(w)
+            continue
+        assert r.residuals == w.residuals and r.phi == w.phi
+        assert np.array_equal(r.p, w.p) and np.array_equal(r.theta.zeros, w.theta.zeros)
