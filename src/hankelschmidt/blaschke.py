@@ -106,14 +106,21 @@ def mobius_eval(m: MobiusMap, z) -> np.ndarray | complex:
 
 
 def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
-    """Evaluate B on |z| <= 1 (boundary included) in product form."""
+    """Evaluate B on |z| <= 1 (boundary included) in product form (_products)."""
     zs = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(zs) > 1 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disk")
-    out = b.phase * np.ones(zs.shape, dtype=np.complex128)
-    for a in b.zeros:  # one factor at a time over all points
-        out = out * ((a - zs) / (1 - np.conj(a) * zs))
+    out = _products(b.zeros[None], np.array([b.phase]), zs)[0]
     return complex(out) if out.ndim == 0 else out
+
+
+def _products(zeros: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Blaschke products with the zeros in the rows of zeros (k x d) and the
+    phases at the points z, k x z.shape, one factor at a time over all of them."""
+    out = np.multiply.outer(phases, np.ones(z.shape, dtype=np.complex128))
+    for a in zeros.T.reshape(zeros.shape[::-1] + (1,) * z.ndim):
+        out = out * ((a - z) / (1 - np.conj(a) * z))
+    return out
 
 
 def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
@@ -303,7 +310,7 @@ def _frostman_shifts(b: BlaschkeProduct, alphas: np.ndarray, order: int) -> tupl
     """frostman_shift of b at each parameter of the 1-D array alphas, every
     gate kept: the B_alpha's zeros (k x d) and phases, the g_alpha (k x
     order), and per parameter None or the ValueError of the first gate it
-    fails (its rows then mean nothing).  One batched eigvals finds all roots."""
+    fails (its rows then mean nothing).  Batched eigvals find all roots."""
     modulus = np.hypot(alphas.real, alphas.imag)  # rounded as abs() rounds a scalar; np.abs differs
     if not np.all(modulus < 1):
         raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {modulus.max()}")
@@ -339,20 +346,20 @@ def _frostman_shifts(b: BlaschkeProduct, alphas: np.ndarray, order: int) -> tupl
 
 
 def _stable_roots(polys: np.ndarray) -> np.ndarray:
-    """The roots np.roots finds for each row of ascending coefficients
-    (k x (d + 1)) once those below 1e-14 of the row's largest are cut off
-    the top, as a k x d array, NaN in the places of missing roots: one
-    batched companion eigvals for the rows of full degree with no root at 0."""
+    """The roots np.roots finds for each row of ascending coefficients (k x (d + 1))
+    once those below 1e-14 of the row's largest are cut off the top, k x d, NaN
+    where roots are missing: one batched companion eigvals per degree left and
+    count of exact zeros at the bottom, which np.roots strips and appends as 0."""
     d, kept = polys.shape[1] - 1, np.abs(polys) > 1e-14 * np.abs(polys).max(axis=1, keepdims=True)
-    roots = np.full((polys.shape[0], d), np.nan, dtype=np.complex128)
-    usual = kept[:, -1] & (polys[:, 0] != 0)
-    if d and usual.any():
-        companion = np.repeat(np.eye(d, k=-1, dtype=np.complex128)[None], np.count_nonzero(usual), axis=0)
-        companion[:, 0] = -polys[usual, -2::-1] / polys[usual, -1:]
-        roots[usual] = np.linalg.eigvals(companion)
-    for k in np.flatnonzero(~usual & kept.any(axis=1)):
-        found = np.roots(polys[k, np.flatnonzero(kept[k])[-1] :: -1])
-        roots[k, : found.size] = found
+    top, low = d - np.argmax(kept[:, ::-1], axis=1), np.argmax(polys != 0, axis=1)
+    roots, live = np.full((polys.shape[0], d), np.nan, dtype=np.complex128), kept.any(axis=1)
+    for t, z in sorted(set(zip(top[live], low[live]))):
+        rows, n = np.flatnonzero(live & (top == t) & (low == z)), t - z
+        if n:
+            companion = np.repeat(np.eye(n, k=-1, dtype=np.complex128)[None], rows.size, axis=0)
+            companion[:, 0] = -polys[rows, z:t][:, ::-1] / polys[rows, t : t + 1]
+            roots[rows, :n] = np.linalg.eigvals(companion)
+        roots[rows, n:t] = 0.0
     return roots
 
 

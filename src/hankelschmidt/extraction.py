@@ -599,23 +599,18 @@ def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
 
 def _by_gamma(gammas: list) -> list:
     """(Gamma, positions of its entries) for each distinct Gamma of a batch's
-    entries, in order of first appearance; a lone Gamma's are a slice of all."""
-    if all(g is gammas[0] for g in gammas):  # analyze: no copy of any array, and no sort
-        return [(gammas[0], slice(None))]
-    ids = np.array([id(g) for g in gammas])
-    return [(gammas[i], np.flatnonzero(ids == ids[i])) for i in sorted(np.unique(ids, return_index=True)[1])]
+    entries, in order of first appearance."""
+    ids = [id(gamma) for gamma in gammas]
+    return [(gammas[ids.index(x)], np.flatnonzero(np.array(ids) == x)) for x in dict.fromkeys(ids)]
 
 
 def _apply(gammas: list, f: np.ndarray) -> np.ndarray:
-    """The N x m x k array of hankel_apply of each entry's Gamma to its
-    columns in the stack f (m x N x k), by one product per distinct Gamma
-    over its entries' columns in entry order."""
-    n, parts = f.shape[1], _by_gamma(gammas)
-    if len(parts) == 1:
-        return hankel_apply(parts[0][0], f.transpose(1, 0, 2).reshape(n, -1)).reshape(n, len(f), -1)
-    out = np.empty((n,) + f.shape[:1] + f.shape[2:], dtype=np.complex128)
-    for gamma, at in parts:
-        out[:, at] = hankel_apply(gamma, f[at].transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, f.shape[2])
+    """hankel_apply of each entry's Gamma to its columns in the stack f (m x N x k),
+    as N x m x k: one product per distinct Gamma, over its entries' columns in order."""
+    n, k = f.shape[1:]
+    out = np.empty((n, len(f), k), dtype=np.complex128)
+    for gamma, at in _by_gamma(gammas):
+        out[:, at] = hankel_apply(gamma, f[at].transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, k)
     return out
 
 

@@ -169,14 +169,15 @@ def multiply_by_boundary(
     f: np.ndarray, boundary_values: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project f(z) * g(z) for each coefficient column of the N x d matrix f,
-    given g's samples on a grid of matching size.
+    given g's samples on a grid of matching size: one vector for all
+    columns, or an M x d matrix of one g per column.
 
     Returns the matrix of projected columns and one dropped l2 norm per
     column, from one inverse FFT and one FFT.
     """
     g = np.asarray(boundary_values, dtype=np.complex128)
     cols = _coefficient_matrix(f)
-    samples = _boundary_samples(cols, g.size) * g[:, None]
+    samples = _boundary_samples(cols, g.shape[0]) * (g[:, None] if g.ndim == 1 else g)
     return _project(samples, order)
 
 

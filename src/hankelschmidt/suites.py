@@ -18,6 +18,7 @@ from .blaschke import (
     _conjugate_symbols,
     _frostman_shifts,
     _on_grid,
+    _products,
     blaschke_coefficients,
     compose_with_mobius,
     mobius_conjugate_function,
@@ -33,7 +34,7 @@ from .extraction import (
     extract_representations,
 )
 from .hankel import build_hankel_matrix, residuals_from_matrix
-from .hardy import _boundary_samples, _project, default_grid_size, evaluate, grid_points
+from .hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
 from .spectral import _nullspace_of_row, _orthonormal_columns, _subspace_gaps, schmidt_decompose
 from .spectral import orthonormalize, subspace_gap
 from .symbols import PoleTerm, RationalSymbol, tail_bound
@@ -186,10 +187,7 @@ def _frostman_gaps(bs, v, alphas, zeros, phases, g) -> tuple:
     grid = grid_points(default_grid_size(n))
     bz = np.repeat([_on_grid(b, grid.size) for b in bs], k, axis=0)
     g_samples = (1 - np.conj(alphas)[:, None] * bz) / np.sqrt(1 - np.abs(alphas) ** 2)[:, None]
-    shifted = phases[:, None]  # B_alpha on the grid in product form, one factor at a time
-    for a in zeros.T[:, :, None]:
-        shifted = shifted * ((a - grid) / (1 - np.conj(a) * grid))
-    return gap, iso, np.abs(g_samples * shifted + bz * np.conj(g_samples)).max(axis=1)
+    return gap, iso, np.abs(g_samples * _products(zeros, phases, grid) + bz * np.conj(g_samples)).max(axis=1)
 
 
 def _tm_bases(zeros: np.ndarray, n: int) -> np.ndarray:
@@ -290,8 +288,7 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     bases = [tm_basis(compose_with_mobius(b, m), lemma_order) for b, m in zip(lemma_bs, lemma_maps)]
     pmu = [evaluate(p, mobius_eval(m, grid)) for p, m in zip(weights, lemma_maps)]
     widths = [x.shape[1] for x in bases]
-    rhs, _ = _project(_boundary_samples(np.hstack(bases), grid.size)
-                      * np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)
+    rhs, _ = multiply_by_boundary(np.hstack(bases), np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)
     cut = np.cumsum(widths)[:-1]
     worst_lemma32 = float(_span_gaps(np.split(lhs, cut, axis=1), np.split(rhs, cut, axis=1)).max())
     ok = ok and worst_lemma32 < 1e-8

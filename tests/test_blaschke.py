@@ -374,18 +374,30 @@ def test_frostman_gate_rejects_roots_off_by_1e_6(monkeypatch):
         frostman_shift(b, 0.25 - 0.1j, 32)
 
 
+def test_stacked_products_match_blaschke_eval_row_by_row():
+    rng = np.random.default_rng(14)
+    zeros = 0.7 * np.sqrt(rng.uniform(size=(4, 3))) * np.exp(2j * np.pi * rng.uniform(size=(4, 3)))
+    phases = np.exp(2j * np.pi * rng.uniform(size=4))
+    got = blaschke._products(zeros, phases, GRID)
+    assert got.shape == (4, GRID.size)
+    for row, phase, values in zip(zeros, phases, got):
+        assert np.array_equal(values, blaschke_eval(BlaschkeProduct(row, phase), GRID))
+
+
 def test_batched_roots_match_np_roots_row_by_row():
     # one companion eigvals per stack gives np.roots' roots bit for bit,
     # with exact zero roots appended and tiny top coefficients cut off
     rng = np.random.default_rng(12)
-    polys = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    polys = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
     polys[1, 0] = 0.0  # one root at 0
     polys[2, :2] = 0.0  # two
     polys[3, -1] = 1e-16  # the top coefficient is cut: three roots
     polys[4, 1:] = 0.0  # a constant has none
     polys[5] = 0.0
+    polys[6, [0, -1]] = 0.0, 1e-16  # cut at the top and a root at 0
+    polys[7, :-1] = 0.0  # only roots at 0
     got = blaschke._stable_roots(polys)
-    assert got.shape == (7, 4)
+    assert got.shape == (9, 4)
     for row, roots in zip(polys, got):
         want = stable_roots(row)
         assert np.array_equal(roots[: want.size], want)

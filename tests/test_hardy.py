@@ -71,6 +71,20 @@ def test_batched_boundary_product_matches_each_column_alone():
             assert abs(residuals[j] - residual[0]) <= bound
 
 
+def test_boundary_product_takes_one_multiplier_per_column():
+    rng = np.random.default_rng(7)
+    n, k = 64, 3
+    cols = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    gs = np.column_stack([1.0 / (1.0 - a * np.conj(grid_points(256))) for a in (0.5, -0.3j, 0.0)])
+    product, residuals = multiply_by_boundary(cols, gs, 32)
+    assert product.shape == (32, k) and residuals.shape == (k,)
+    for j in range(k):
+        single, residual = multiply_by_boundary(cols[:, j : j + 1], gs[:, j], 32)
+        bound = 1e-14 * np.linalg.norm(cols[:, j])
+        assert np.linalg.norm(product[:, j] - single[:, 0]) <= bound
+        assert abs(residuals[j] - residual[0]) <= bound
+
+
 def test_boundary_maps_refuse_a_coefficient_vector():
     f = np.ones(16, dtype=complex)
     with pytest.raises(ValueError, match="N x d coefficient matrix"):
