@@ -377,11 +377,12 @@ def extract_representation(
 
 
 def _extract(gammas: list, blocks: list, base_points: list, tol: float) -> list:
-    """Results of _extract_stack for blocks grouped by basis shape, in block order."""
-    results: list = [None] * len(blocks)
+    """Results of _extract_stack for blocks grouped by basis shape, in block order;
+    within a group the blocks of one Gamma are one run, in their order."""
+    results, ids = [None] * len(blocks), [id(gamma) for gamma in gammas]
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, block in enumerate(blocks):
-        groups.setdefault(block.basis.shape, []).append(i)
+    for i in sorted(range(len(blocks)), key=lambda i: ids.index(ids[i])):
+        groups.setdefault(blocks[i].basis.shape, []).append(i)
     for at in groups.values():
         out = _extract_stack(*([x[i] for i in at] for x in (gammas, blocks, base_points)), tol)
         for i, result in zip(at, out):
@@ -584,7 +585,7 @@ def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
     # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
     # coefficient k <= n of p theta reads theta_hat only up to k
     near, near_u, u_s = np.empty(m), np.empty(m), np.empty((m, n), dtype=np.complex128)
-    for gamma, at in _by_gamma(b.gamma):
+    for gamma, at in _runs(b.gamma):
         near[at], near_u[at] = _near_invariance(v[at], gamma.u)
         u_s[at] = (v[at] @ (v[at].conj().swapaxes(1, 2) @ gamma.u)[..., None])[..., 0]
     p_theta_over_z = np.stack([
@@ -597,19 +598,18 @@ def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
     b.hold(residuals=[RepresentationResiduals(*map(float, row)) for row in rows])
 
 
-def _by_gamma(gammas: list) -> list:
-    """(Gamma, positions of its entries) for each distinct Gamma of a batch's
-    entries, in order of first appearance."""
-    ids = [id(gamma) for gamma in gammas]
-    return [(gammas[ids.index(x)], np.flatnonzero(np.array(ids) == x)) for x in dict.fromkeys(ids)]
+def _runs(gammas: list) -> list:
+    """(Gamma, slice) for each run of a batch's entries with one Gamma."""
+    starts = [i for i, gamma in enumerate(gammas) if i == 0 or gamma is not gammas[i - 1]]
+    return [(gammas[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(gammas)])]
 
 
 def _apply(gammas: list, f: np.ndarray) -> np.ndarray:
     """hankel_apply of each entry's Gamma to its columns in the stack f (m x N x k),
-    as N x m x k: one product per distinct Gamma, over its entries' columns in order."""
+    as N x m x k: one product per run of entries with one Gamma, over their columns."""
     n, k = f.shape[1:]
     out = np.empty((n, len(f), k), dtype=np.complex128)
-    for gamma, at in _by_gamma(gammas):
+    for gamma, at in _runs(gammas):
         out[:, at] = hankel_apply(gamma, f[at].transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, k)
     return out
 
