@@ -168,9 +168,8 @@ def grid_points(m: int) -> np.ndarray:
 def multiply_by_boundary(
     f: np.ndarray, boundary_values: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project f(z) * g(z) for each coefficient column of the N x d matrix f,
-    given g's samples on a grid of matching size: one vector for all
-    columns, or an M x d matrix of one g per column.
+    """Project f(z) * g(z) for each coefficient column of the N x d matrix f, given g's
+    samples on a grid of matching size: one vector, or an M x d matrix of one g per column.
 
     Returns the matrix of projected columns and one dropped l2 norm per
     column, from one inverse FFT and one FFT.

@@ -125,10 +125,8 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
 
     skipped_draws counts the B draws whose basis has not decayed by `order`
     (tm_basis's tail gate) and the alpha draws whose Frostman shift fails;
-    both are drawn again.  A B's missing alphas are shifted as one stack,
-    so the generator is read as by one draw at a time; each check then runs
-    once over the draws of one degree.
-    """
+    both are drawn again.  A B's missing alphas are shifted as one stack, so
+    the generator is read as by one draw at a time; each check runs once per degree."""
     rng = np.random.default_rng(seed)
     skipped = 0
     draws = []  # B, its basis at `order`, and its alphas with their shifts
@@ -235,9 +233,8 @@ def _span_gaps(a, b) -> np.ndarray:
 def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     """Moebius covariance at |alpha| <= 0.5: spectrum invariance, mapped Schmidt bases, involution.
 
-    All draws come first.  Each conjugation then runs as one FFT over all
-    draws and each gap as one stack per dimension; the Schmidt blocks and
-    their matching stay per draw."""
+    All draws come first.  Each conjugation then runs as one FFT over all draws and
+    each gap as one stack per dimension; the Schmidt blocks and their matching stay per draw."""
     rng = np.random.default_rng(seed)
     lemma_order = max(order, 128)  # composed zeros need this much resolution
     # per draw a symbol and its map, then the change-of-variable lemma's B, map and weight
@@ -314,29 +311,33 @@ def _conjugated_tail_estimate(sym: RationalSymbol, m: MobiusMap, w_coeffs: np.nd
 
 
 def suite_theorem(seed: int, count: int = 20, order: int = 128, tol: float = 1e-6) -> dict:
-    """End-to-end extraction and verification over random rational symbols, in one batch."""
+    """End-to-end extraction and verification over random rational symbols,
+    one batch per five symbols: a batch holds the Gamma_J of its symbols."""
     rng = np.random.default_rng(seed)
+    syms = [random_symbol(rng) for _ in range(count)]
     worst = dict.fromkeys(("subspace_gap", "isometry", "action", "near_invariance"), 0.0)
-    n_unreliable, draws = 0, []  # symbol index, Gamma and block
-    for i in range(count):
-        gamma = build_hankel_matrix(random_symbol(rng), order)
-        blocks = schmidt_decompose(gamma)
-        reliable = [block for block in blocks if block.reliable]
-        n_unreliable += len(blocks) - len(reliable)
-        draws += [(i, gamma, block) for block in reliable]
-    failures: list[str] = []
-    for (i, _, block), rep in zip(draws, extract_representations([x[1:] for x in draws], tol=tol)):
-        if not isinstance(rep, Representation):
-            failures.append(f"symbol {i}, s = {block.s:.6g}: {rep}")
-            continue
-        for name, value in rep.residuals.gated().items():
-            worst[name] = max(worst[name], value)
-            if value > tol:
-                failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")
+    n_unreliable, n_blocks, failures = 0, 0, []
+    for start in range(0, count, 5):
+        draws = []  # symbol index, Gamma and block
+        for i in range(start, min(start + 5, count)):
+            gamma = build_hankel_matrix(syms[i], order)
+            blocks = schmidt_decompose(gamma)
+            reliable = [block for block in blocks if block.reliable]
+            n_unreliable += len(blocks) - len(reliable)
+            draws += [(i, gamma, block) for block in reliable]
+        n_blocks += len(draws)
+        for (i, _, block), rep in zip(draws, extract_representations([x[1:] for x in draws], tol=tol)):
+            if not isinstance(rep, Representation):
+                failures.append(f"symbol {i}, s = {block.s:.6g}: {rep}")
+                continue
+            for name, value in rep.residuals.gated().items():
+                worst[name] = max(worst[name], value)
+                if value > tol:
+                    failures.append(f"symbol {i}, s = {block.s:.6g}: {name} = {value:.3e}")
     return {
         "count": count,
         "order": order,
-        "n_blocks": len(draws),
+        "n_blocks": n_blocks,
         "n_unreliable": n_unreliable,
         "max_residuals": worst,
         "failures": failures[:20],
