@@ -6,19 +6,20 @@ A finite Blaschke product is stored by its zeros and a unimodular phase,
 
 so a zero at the origin contributes the factor (-z).  Products with B are
 computed from its exact Taylor coefficients (blaschke_coefficients).  The
-Takenaka-Malmquist basis of K_B (tm_basis) is one read-only N x d
-coefficient matrix, column k holding e_k, the format of every family of
-functions in the package; the Moebius conjugation of functions maps such a
-matrix to another.  The conjugation C_B needs no coefficients of B: on the
-basis it is C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in
-reverse order, which verification reads in closed form.  Phases are
-read from coefficients or zeros in closed form; the boundary grid is used
-only by the Moebius conjugation of functions and symbols, which are
-sampled and projected, and by the values of B that the suites' boundary
-identity reads (_on_grid).  A product
-keeps what depends on it alone, and canonical_blaschke returns one shared
-instance per zero set, so Schmidt blocks with the same inner function
-share that work.
+Takenaka-Malmquist basis of K_B (tm_basis, the tail-gated one-row call of
+the one recurrence _tm_bases, which runs over a stack of zero sets with one
+stacked _series_div per element) is one read-only N x d coefficient matrix,
+column k holding e_k, the format of every family of functions in the
+package; the Moebius conjugation of functions maps such a matrix to
+another.  The conjugation C_B needs no coefficients of B: on the basis it
+is C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in reverse
+order, which verification reads in closed form.  Phases are read from
+coefficients or zeros in closed form; the boundary grid is used only by
+the Moebius conjugation of functions and symbols, which are sampled and
+projected, and by the values of B that the suites' boundary identity reads
+(_on_grid).  A product keeps what depends on it alone, and
+canonical_blaschke returns one shared instance per zero set, so Schmidt
+blocks with the same inner function share that work.
 """
 
 from __future__ import annotations
@@ -140,17 +141,22 @@ def _denominator_from_zeros(zeros: np.ndarray) -> np.ndarray:
 
 
 def _series_div(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients of num(z)/den(z) with den(0) != 0, by long division.
+    """Taylor coefficients of num(z)/den(z) with den(0) != 0, by long division;
+    for a stack (k x m num, k x w den) those of each row, k x order.
 
     Long division is forward substitution with the lower-triangular Toeplitz
-    matrix of den, whose band den.size - 1 wide is solved by one BLAS tbsv.
+    matrix of den, whose band w - 1 wide is solved by one BLAS tbsv.  A stack
+    is solved as its rows laid end to end, the band cut to 0 where it would
+    reach into the next row, so each row gets the bits of its own solve.
     """
-    den = np.asarray(den, dtype=np.complex128)
-    out = np.zeros(order, dtype=np.complex128)
-    k = min(order, np.size(num))
-    out[:k] = np.asarray(num, dtype=np.complex128)[:k]
-    band = np.repeat(den[:, None], order, axis=1)
-    return scipy.linalg.blas.ztbsv(den.size - 1, band, out, lower=1)
+    num, den = np.asarray(num, dtype=np.complex128), np.asarray(den, dtype=np.complex128)
+    w, m = den.shape[-1], min(order, num.shape[-1])
+    out = np.zeros(den.shape[:-1] + (order,), dtype=np.complex128)
+    out[..., :m] = num[..., :m]
+    band = np.repeat(den[..., None, :], order, axis=-2)  # laid out as tbsv reads it
+    for i in range(1, w):
+        band[..., max(order - i, 0) :, i] = 0
+    return scipy.linalg.blas.ztbsv(w - 1, band.reshape(-1, w).T, out.ravel(), lower=1).reshape(out.shape)
 
 
 def _polynomials(b: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +237,8 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndar
 
     one multiplication by a linear polynomial and one division by another.
     Every element is computed to order + 64 coefficients, which are exact
-    power-series coefficients (truncation commutes with both steps), into
-    one row of a d x (order + 64) array.  Rejects truncation orders at which
+    power-series coefficients (truncation commutes with both steps), by the
+    one-row call of _tm_bases.  Rejects truncation orders at which
     the basis elements have not decayed to tail_tol: the tails of all
     elements are estimated in one pass, and the error names the first
     element whose tail exceeds tail_tol.  A basis that passes is the
@@ -246,21 +252,11 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndar
     d = b.degree
     if order < d + 1:
         raise ValueError(f"order {order} too small for a degree-{d} model space")
-    extra = 64
-    a = b.zeros
-    r = np.sqrt(1 - np.abs(a) ** 2)
-    elements = np.empty((d, order + extra), dtype=np.complex128)
-    c = r[:1].astype(np.complex128)
-    for k in range(d):
-        if k:
-            num = a[k - 1] * c
-            num[1:] -= c[:-1]
-            c = num * (r[k] / r[k - 1])
-        c = elements[k] = _series_div(c, np.array([1.0, -np.conj(a[k])]), order + extra)
+    elements = _tm_bases(b.zeros[None], order + 64)[0]
     # past order + 64 an element decays at least as fast as rate^n, rate its
     # largest zero modulus so far: a geometric bound from its last coefficient
-    rate_sq = np.maximum.accumulate(np.abs(a)) ** 2
-    sq = np.abs(elements[:, order:]) ** 2
+    rate_sq = np.maximum.accumulate(np.abs(b.zeros)) ** 2
+    sq = np.abs(elements[order:].T) ** 2
     tail = np.sqrt(sq.sum(axis=1) + sq[:, -1] * rate_sq / np.maximum(1 - rate_sq, 1e-16))
     failing = np.flatnonzero(tail > tail_tol)
     if failing.size:
@@ -269,9 +265,29 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndar
             f"order {order} insufficient for model-space basis: tail estimate "
             f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
         )
-    basis = b._kept["tm", order, tail_tol] = elements[:, :order].T.copy()
+    basis = b._kept["tm", order, tail_tol] = elements[:order].copy()
     basis.setflags(write=False)
     return basis
+
+
+def _tm_bases(zeros: np.ndarray, n: int) -> np.ndarray:
+    """The Takenaka-Malmquist bases of the zero sets in the rows of zeros (k x d)
+    to n coefficients, k x n x d, no tail gate: tm_basis's recurrence over all
+    rows at once, one stacked _series_div per element, each row with the bits
+    of its one-row call."""
+    r = np.sqrt(1 - np.abs(zeros) ** 2)
+    ratio = r[:, 1:] / r[:, :-1]
+    dens = np.ones(zeros.shape + (2,), dtype=np.complex128)
+    dens[..., 1] = -np.conj(zeros)  # 1 - conj(a_j) z
+    basis = np.empty((zeros.shape[1], zeros.shape[0], n), dtype=np.complex128)
+    e = r[:, :1].astype(np.complex128)
+    for j in range(zeros.shape[1]):
+        if j:
+            num = zeros[:, j - 1, None] * e
+            num[:, 1:] -= e[:, :-1]
+            e = num * ratio[:, j - 1, None]
+        e = basis[j] = _series_div(e, dens[:, j], n)
+    return basis.transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .blaschke import (
     _frostman_shifts,
     _on_grid,
     _products,
+    _tm_bases,
     blaschke_coefficients,
     compose_with_mobius,
     mobius_conjugate_function,
@@ -171,9 +172,10 @@ def _frostman_gaps(bs, v, alphas, zeros, phases, g) -> tuple:
     """(subspace gap, isometry deviation, boundary identity) of K_B = g_alpha
     K_{B_alpha} at order N per (B, alpha) pair, for the B of one degree with
     tail-gated bases v (k_B x N x d) and their k alphas each, with shifts.
-    K_{B_alpha} has no tail gate (_tm_bases): P_N(g_alpha e_k) reads it only
-    to N, and P_N is injective on K_B + g_alpha K_{B_alpha}, so a wrong shift
-    still shows at N; on K_B it moves norms by at most v's gated tail."""
+    K_{B_alpha} is blaschke._tm_bases, tm_basis's recurrence with no tail
+    gate, over all shifts: P_N(g_alpha e_k) reads it only to N, and P_N is
+    injective on K_B + g_alpha K_{B_alpha}, so a wrong shift still shows at
+    N; on K_B it moves norms by at most v's gated tail."""
     k, n = alphas.size // len(bs), v.shape[1]
     basis = np.fft.fft(_tm_bases(zeros, n), 2 * n, axis=1)
     cols = np.fft.ifft(basis * np.fft.fft(g, 2 * n)[:, :, None], axis=1)[:, :n]
@@ -186,26 +188,6 @@ def _frostman_gaps(bs, v, alphas, zeros, phases, g) -> tuple:
     bz = np.repeat([_on_grid(b, grid.size) for b in bs], k, axis=0)
     g_samples = (1 - np.conj(alphas)[:, None] * bz) / np.sqrt(1 - np.abs(alphas) ** 2)[:, None]
     return gap, iso, np.abs(g_samples * _products(zeros, phases, grid) + bz * np.conj(g_samples)).max(axis=1)
-
-
-def _tm_bases(zeros: np.ndarray, n: int) -> np.ndarray:
-    """tm_basis of each zero set in the rows of zeros (k x d) at order n, as
-    k x n x d, with no tail gate: its recurrence over all rows at once, each
-    division by 1 - conj(a) z in log2(n) doubling steps, exact to n."""
-    r = np.sqrt(1 - np.abs(zeros) ** 2)
-    basis = np.empty(zeros.shape[:1] + (n,) + zeros.shape[1:], dtype=np.complex128)
-    e = r[:, :1] * np.eye(1, n, dtype=np.complex128)
-    for j in range(zeros.shape[1]):
-        if j:
-            num = zeros[:, j - 1, None] * e
-            num[:, 1:] -= e[:, :-1]
-            e = num * (r[:, j] / r[:, j - 1])[:, None]
-        step, power = 1, np.conj(zeros[:, j, None])
-        while step < n:  # now e_m sums conj(a_j)^i e_(m - i) over i < 2 step
-            e[:, step:] += power * e[:, :-step]
-            step, power = 2 * step, power * power
-        basis[:, :, j] = e
-    return basis
 
 
 def _backward_shift_gaps(v: np.ndarray, bs, order: int) -> np.ndarray:

@@ -125,10 +125,12 @@ def tm_basis_recurrence(b, order: int) -> tuple[list[np.ndarray], list[float]]:
     """The Takenaka-Malmquist basis of K_B one element at a time, with the
     tail estimate of each element taken as soon as it is formed.
 
-    This is the loop that `tm_basis` runs with its elements in one array and
-    their tails estimated in one pass; the arithmetic of each step is the
-    same, so the elements must agree bit for bit.  Returns each element to
-    `order` coefficients and its tail estimate.
+    This is the independent per-element reference for the package's one
+    recurrence, blaschke._tm_bases, which runs these steps over a stack of
+    zero sets at once (one stacked series division per element), and for
+    tm_basis, its one-row call with the tails estimated in one pass.  The
+    arithmetic of each step is the same, so the elements must agree bit for
+    bit.  Returns each element to `order` coefficients and its tail estimate.
     """
     a = b.zeros
     r = np.sqrt(1 - np.abs(a) ** 2)

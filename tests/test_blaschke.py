@@ -138,6 +138,24 @@ def test_series_div_matches_long_division():
         out = _series_div(num, den, order)
         assert out.shape == (order,)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # stacks of k rows laid end to end: a band left uncut at a row's end would
+    # leak into the next row, and a zero of modulus 0.99 in every row leaves
+    # each row's tail large there
+    for width in (2, 3, 4, 5):
+        for order in (1, 3, 40, 300):
+            k, size = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            angles = np.exp(2j * np.pi * rng.uniform(size=(k, width - 1)))
+            zeros = 0.9 * np.sqrt(rng.uniform(size=(k, width - 1))) * angles
+            zeros[:, 0] = 0.99 * angles[:, 0]
+            dens = np.array([np.poly(1 / np.conj(z))[::-1] / np.prod(-1 / np.conj(z)) for z in zeros])
+            dens *= (rng.normal(size=k) + 1j * rng.normal(size=k))[:, None]
+            nums = rng.normal(size=(k, size)) + 1j * rng.normal(size=(k, size))
+            out = _series_div(nums, dens, order)
+            assert out.shape == (k, order)
+            for row, num, den in zip(out, nums, dens):
+                assert row.tobytes() == _series_div(num, den, order).tobytes()
+                ref = long_division(num, den, order)
+                assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_canonical_blaschke_leading_coefficient_positive():
