@@ -17,7 +17,7 @@ order, which verification reads in closed form.  Phases are read from
 coefficients or zeros in closed form; the boundary grid is used only by
 the Moebius conjugation of functions and symbols, which are sampled and
 projected, and by the values of B that the suites' boundary identity reads
-(_on_grid).  A product keeps what depends on it alone, and
+(blaschke_eval).  A product keeps what depends on it alone, and
 canonical_blaschke returns one shared instance per zero set, so Schmidt
 blocks with the same inner function share that work.
 """
@@ -63,8 +63,8 @@ class BlaschkeProduct:
     Immutable: the zeros are a read-only copy of the input, so what depends
     only on B is computed once and kept on the instance, and dies with it:
     its numerator and denominator (_polynomials), its Taylor coefficients
-    per order (blaschke_coefficients), its values per grid (_on_grid) and
-    its model-space basis matrix per order and tail tolerance (tm_basis).
+    per order (blaschke_coefficients) and its model-space basis matrix per
+    order and tail tolerance (tm_basis).
     """
 
     zeros: np.ndarray
@@ -181,15 +181,6 @@ def blaschke_coefficients(b: BlaschkeProduct, order: int) -> np.ndarray:
     if taylor is None:
         taylor = b._kept["taylor", order] = _frozen(_series_div(*_polynomials(b), order))
     return taylor
-
-
-def _on_grid(b: BlaschkeProduct, m: int) -> np.ndarray:
-    """B at the m-th roots of unity (grid_points(m)), computed once per m and
-    kept read-only on B."""
-    values = b._kept.get(("grid", m))
-    if values is None:
-        values = b._kept["grid", m] = _frozen(blaschke_eval(b, grid_points(m)))
-    return values
 
 
 CANONICAL_CACHE_SIZE = 32

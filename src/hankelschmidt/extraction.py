@@ -30,10 +30,10 @@ route the extremal projection itself, formed once), Gamma's action as one
 Gamma_J @ conj(.) product per distinct Gamma over its blocks' columns
 (hankel_apply, for H q and for the action check),
 Hitt's eigenproblem as one batched eigvals (none for d = 1), the
-unimodular constant, and the isometry, subspace-gap, action,
-near-invariance and symbol-projection residuals.  Python loops remain only
-where the math differs per block: the base-point search off the origin,
-the canonical_blaschke lookups, the Frostman shift when theta(0) != 0, and
+unimodular constant, and the isometry, subspace-gap, action and
+near-invariance residuals.  Python loops remain only where the math
+differs per block: the base-point search off the origin, the
+canonical_blaschke lookups, the Frostman shift when theta(0) != 0, and
 the products with each block's own p and theta.  One _Batch per group
 holds every per-block array, from the base point to the gates; a block
 that fails a check leaves all of them at once, with the error a lone
@@ -49,13 +49,14 @@ Takenaka-Malmquist basis of theta's zeros in reverse order, so it costs
 one more basis per block, none when d = 1.  The work follows Gamma's
 numerical order J, not N: Gamma acts as its leading J x J block, the
 block bases are zero past row J, and on the direct route p is zero past
-order J, so a product with theta = z (e_0 = 1, theta_hat = z) costs O(J).
-Nothing here evaluates on the boundary grid: theta is inner by
-construction of BlaschkeProduct, so no check of its modulus is needed,
-and a wrong theta fails the isometry, subspace-gap or action gate.  theta
-comes from canonical_blaschke, one instance per zero set, so its Taylor
-coefficients and model-space basis are computed once for every block
-that shares it: theta = z for every simple singular value.
+order J, so a product with theta = z (e_0 = 1) costs O(J).  Verification
+reads theta only through its basis and its phase, and nothing here
+evaluates on the boundary grid: theta is inner by construction of
+BlaschkeProduct, so no check of its modulus is needed, and a wrong theta
+fails the isometry, subspace-gap or action gate.  theta comes from
+canonical_blaschke, one instance per zero set, so its model-space basis
+is computed once for every block that shares it: theta = z for every
+simple singular value.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ class RepresentationResiduals:
     action: float
     near_invariance: float
     near_invariance_u: float
-    u_s_cross: float
     p_origin: float
 
     def as_dict(self) -> dict:
@@ -524,20 +524,22 @@ def verify_representation(
     Checks, in order: the subspace equality, the isometric-multiplier
     property, the anti-linear action formula (divided by s, so a gate on it
     checks phi, p and theta to the same tolerance at every s),
-    near-S*-invariance of the block (largest distance of S*f to the block
-    and largest normalized pairing with the symbol, over unit f in the
-    block orthogonal to constants), and the projection of the symbol onto
-    the block against its closed form.  theta's model-space basis must
-    truncate at order N to 1e-8 (tm_basis).
+    and near-S*-invariance of the block (largest distance of S*f to the
+    block and largest normalized pairing with the symbol, over unit f in
+    the block orthogonal to constants).  theta's model-space basis must
+    truncate at order N to 1e-8 (tm_basis).  The projection of the symbol
+    onto the block, s e^{i phi} p(0) p S*theta, is not checked on its own:
+    Gamma's first row is u, so <u, f> = (Gamma conj(f))_0, and the action
+    formula on f = p e_k gives that projection to within
+    ||u|| (gap + isometry) + sqrt(d) s action.
 
     Everything is computed in coefficient space: products are truncated
     convolutions of the factors' supports, and C_theta e_k is read in
     closed form from theta's zeros (_conjugated_products).  The left side
     of the action comes from Gamma alone, which acts as Gamma_J
     (hankel_apply) and so moves the action residual by at most
-    5e-22 ||p e_k||; theta's Taylor coefficients are needed only to order
-    N + 1, for the symbol projection.  This is the one-block call of the
-    batched verification that extract_representations runs.
+    5e-22 ||p e_k||.  This is the one-block call of the batched
+    verification that extract_representations runs.
     """
     b = _Batch(
         1, gamma=[gamma], v=block.basis[None], s=np.array([block.s]), p=np.asarray(rep.p)[None],
@@ -575,26 +577,17 @@ def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
     ])
     if b.drop_errors("images"):
         return
-    v, s, p = b.v, b.s, b.p
-    m, _, k = b.prods.shape
+    s = b.s
     lhs = _apply(b.gamma, b.prods)
     diff = lhs.transpose(1, 0, 2) - (s * b.phase)[:, None, None] * np.stack(b.images)
     e = np.frexp(s)[1]
     b.hold(action=_norm_on_scale(diff, e[:, None, None]).max(axis=1) / np.ldexp(s, -e))
 
-    # the block projection of the symbol is s e^{i phi} p(0) p (theta / z), theta(0) = 0;
-    # coefficient k <= n of p theta reads theta_hat only up to k
-    near, near_u, u_s = np.empty(m), np.empty(m), np.empty((m, n), dtype=np.complex128)
+    near, near_u = np.empty(s.size), np.empty(s.size)
     for gamma, at in _runs(b.gamma):
-        near[at], near_u[at] = _near_invariance(v[at], gamma.u)
-        u_s[at] = (v[at] @ (v[at].conj().swapaxes(1, 2) @ gamma.u)[..., None])[..., 0]
-    p_theta_over_z = np.stack([
-        _series_product(pk, blaschke_coefficients(t, n + 1), n + 1)[1:] for pk, t in zip(p, b.theta)
-    ])
-    cross = u_s - (s * b.phase * p[:, 0])[:, None] * p_theta_over_z
-    u_s_cross = np.ldexp(_norm_on_scale(cross, e[:, None]), e)
+        near[at], near_u[at] = _near_invariance(b.v[at], gamma.u)
     # one row per entry, in the order of RepresentationResiduals' fields
-    rows = np.stack([b.gap, b.iso, b.action, near, near_u, u_s_cross, np.abs(p[:, 0])], axis=1)
+    rows = np.stack([b.gap, b.iso, b.action, near, near_u, np.abs(b.p[:, 0])], axis=1)
     b.hold(residuals=[RepresentationResiduals(*map(float, row)) for row in rows])
 
 

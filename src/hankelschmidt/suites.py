@@ -17,10 +17,10 @@ from .blaschke import (
     _conjugate_functions,
     _conjugate_symbols,
     _frostman_shifts,
-    _on_grid,
     _products,
     _tm_bases,
     blaschke_coefficients,
+    blaschke_eval,
     compose_with_mobius,
     mobius_conjugate_function,
     mobius_conjugate_symbol,
@@ -185,7 +185,7 @@ def _frostman_gaps(bs, v, alphas, zeros, phases, g) -> tuple:
     # g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the grid,
     # with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that phase
     grid = grid_points(default_grid_size(n))
-    bz = np.repeat([_on_grid(b, grid.size) for b in bs], k, axis=0)
+    bz = np.repeat([blaschke_eval(b, grid) for b in bs], k, axis=0)
     g_samples = (1 - np.conj(alphas)[:, None] * bz) / np.sqrt(1 - np.abs(alphas) ** 2)[:, None]
     return gap, iso, np.abs(g_samples * _products(zeros, phases, grid) + bz * np.conj(g_samples)).max(axis=1)
 

@@ -9,7 +9,6 @@ from hankelschmidt import suites
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     MobiusMap,
-    _on_grid,
     _series_div,
     blaschke_coefficients,
     blaschke_eval,
@@ -228,10 +227,10 @@ def frostman_invariance_check(b, alpha: complex, v: np.ndarray) -> tuple[float, 
     cols = _weighted_model_space(shifted, g, order, np.inf)
     iso = max(abs(np.linalg.norm(gh) - 1.0) for gh in cols.T)
     gap = subspace_gap(v, orthonormalize(cols))
-    m = default_grid_size(order)
-    bz = _on_grid(b, m)
+    grid = grid_points(default_grid_size(order))
+    bz = blaschke_eval(b, grid)
     g_samples = (1 - np.conj(alpha) * bz) / np.sqrt(1 - abs(alpha) ** 2)
-    ident = g_samples * blaschke_eval(shifted, grid_points(m)) + bz * np.conj(g_samples)
+    ident = g_samples * blaschke_eval(shifted, grid) + bz * np.conj(g_samples)
     return gap, iso, float(np.max(np.abs(ident)))
 
 

@@ -329,7 +329,7 @@ def test_power_of_two_scaling_keeps_the_gated_residuals(k, n):
 # u -> 2^k u multiplies them by; "c" and "poly" are the symbol's own numbers
 SCALED_FIELDS = {
     "s": 1, "singular_values": 1, "cluster_spread": 1, "cluster_separation": 1,
-    "tail_bound": 1, "u_s_cross": 1, "square_compression": 2, "square_commutator": 2,
+    "tail_bound": 1, "square_compression": 2, "square_commutator": 2,
     "c": 1, "poly": 1,
 }
 
@@ -364,8 +364,8 @@ def assert_scaled_report(got, ref, k: int, power: int = 0, path: str = "report")
 )
 def test_scale_moves_only_the_fields_that_carry_it(make, n, k):
     # Gamma of 2^k u is 2^k Gamma exactly, so every relative quantity keeps its
-    # bits: u_s_cross is taken on the scale of s and near_invariance_u divides
-    # by ||u|| (0.0 and 7.6e-29 at k = -900 and -40 when they did not)
+    # bits: the action is taken on the scale of s and near_invariance_u divides
+    # by ||u||
     ref = analyze_symbol(make(1.0), AnalysisConfig(n=n))
     got = analyze_symbol(make(2.0**k), AnalysisConfig(n=n))
     assert ref["pass"]
@@ -555,13 +555,35 @@ def test_near_invariance_property_when_p_usable():
     assert checked > 0
 
 
-def test_u_s_cross_check_small_on_exact_data():
-    sym = rank_one_symbol()
-    gamma = build_hankel_matrix(sym, 128)
-    block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(gamma, block)
-    res = verify_representation(gamma, block, rep)
-    assert res.u_s_cross < 1e-9
+def symbol_projection_gap(gamma: HankelMatrix, block: SchmidtBlock, rep: Representation) -> float:
+    """||P_E u - s e^{i phi} p(0) p S*theta||: the projection of the symbol
+    onto the block against its closed form from the representation."""
+    v, n = block.basis, block.basis.shape[0]
+    projected = v @ (v.conj().T @ gamma.u)
+    closed = np.convolve(rep.p, blaschke_coefficients(rep.theta, n + 1)[1:])[:n]
+    return float(np.linalg.norm(projected - block.s * np.exp(1j * rep.phi) * rep.p[0] * closed))
+
+
+def test_symbol_projection_follows_from_the_gated_checks():
+    # Gamma's first row is u, so <u, f> = (Gamma conj(f))_0, and the action formula
+    # on f = p e_k gives P_E u = s e^{i phi} p(0) p S*theta to within
+    # ||u|| (gap + isometry) + sqrt(d) s action, with ||u|| <= s_max
+    rng = np.random.default_rng(38)
+    cases = [(rank_one_symbol(), 128),
+             (symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j])), 128)]
+    cases += [(random_symbol(rng), n) for n in (128, 512) for _ in range(3)]
+    checked = 0
+    for sym, n in cases:
+        gamma = build_hankel_matrix(sym, n)
+        blocks = [b for b in schmidt_decompose(gamma) if b.reliable]
+        s_max = max(b.s for b in blocks)
+        for block, rep in zip(blocks, extraction.extract_representations((gamma, b) for b in blocks)):
+            res = rep.residuals
+            bound = (s_max * (res.subspace_gap + res.isometry)
+                     + math.sqrt(block.multiplicity) * block.s * res.action)
+            assert symbol_projection_gap(gamma, block, rep) <= 2 * bound + 1e-13 * s_max
+            checked += 1
+    assert checked >= 10
 
 
 def test_conjugation_closed_form_matches_hankel_product():
@@ -610,6 +632,7 @@ def test_action_catches_each_fault_class():
                 replace(rep, phi=rep.phi + 1e-3),
                 replace(rep, p=rep.p + 1e-4 * noise / np.linalg.norm(noise)),
                 replace(rep, theta=BlaschkeProduct(zeros, rep.theta.phase)),
+                replace(rep, theta=BlaschkeProduct(rep.theta.zeros, rep.theta.phase * np.exp(1e-3j))),
             ]
             for bad in faults:
                 res = verify_representation(gamma, block, bad)

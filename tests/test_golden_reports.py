@@ -3,9 +3,9 @@
 tests/golden_reports.json holds the reports of the four bench/hard_cases at
 N=128 and of six seeded suites.random_symbol draws at N=128 and N=512, as
 written by commit 43899d4, which extracts every block by projecting the
-reproducing kernel at its base point.  The linear_form and theta_inner
-residuals it held were later deleted from the file key by key, leaving
-every other value as written.  Two reports with a block of multiplicity 4,
+reproducing kernel at its base point.  The linear_form, theta_inner and
+u_s_cross residuals it held were later deleted from the file key by key,
+leaving every other value as written.  Two reports with a block of multiplicity 4,
 so that Hitt's eigenproblem is guarded too, were appended as written by
 commit 910a5bd: u = z^3 at N=16 (theta = z^4) and u = S* B at N=128, B with
 double zeros at 0.3+0.2i and -0.5 (theta's zeros off the origin).
