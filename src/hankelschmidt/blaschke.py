@@ -6,14 +6,17 @@ A finite Blaschke product is stored by its zeros and a unimodular phase,
 
 so a zero at the origin contributes the factor (-z).  Products with B are
 computed from its exact Taylor coefficients (blaschke_coefficients).  The
-Takenaka-Malmquist basis of K_B (tm_basis, the tail-gated one-row call of
-the one recurrence _tm_bases, which runs over a stack of zero sets with one
-stacked _series_div per element) is one read-only N x d coefficient matrix,
-column k holding e_k, the format of every family of functions in the
-package; the Moebius conjugation of functions maps such a matrix to
-another.  The conjugation C_B needs no coefficients of B: on the basis it
-is C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in reverse
-order, which verification reads in closed form.  Phases are read from
+Takenaka-Malmquist basis of K_B (tm_basis) is one read-only N x d
+coefficient matrix, column k holding e_k, the format of every family of
+functions in the package; the Moebius conjugation of functions maps such
+a matrix to another.  tm_basis and frostman_shift are the one-product calls
+of stacked passes: _gated_tm_bases gates the bases of many products with one
+run per degree of the one recurrence _tm_bases (one stacked _series_div per
+element), and _frostman_shifts shifts many products of one degree, each at
+its own parameter; every row has the bits of its one-product call.  The
+conjugation C_B needs no coefficients of B: on the basis it is
+C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in reverse order,
+which verification reads in closed form.  Phases are read from
 coefficients or zeros in closed form; the boundary grid is used only by
 the Moebius conjugation of functions and symbols, which are sampled and
 projected, and by the values of B that the suites' boundary identity reads
@@ -235,30 +238,49 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndar
     element whose tail exceeds tail_tol.  A basis that passes is the
     read-only, C-contiguous order x d matrix whose column k is e_k (order x 0
     for d = 0); it is kept on B per (order, tail_tol), and every call
-    returns that same matrix.
+    returns that same matrix.  This is the one-product call of
+    _gated_tm_bases, which gates all products of one degree at once.
     """
-    kept = b._kept.get(("tm", order, tail_tol))
-    if kept is not None:
-        return kept
-    d = b.degree
-    if order < d + 1:
-        raise ValueError(f"order {order} too small for a degree-{d} model space")
-    elements = _tm_bases(b.zeros[None], order + 64)[0]
-    # past order + 64 an element decays at least as fast as rate^n, rate its
-    # largest zero modulus so far: a geometric bound from its last coefficient
-    rate_sq = np.maximum.accumulate(np.abs(b.zeros)) ** 2
-    sq = np.abs(elements[order:].T) ** 2
-    tail = np.sqrt(sq.sum(axis=1) + sq[:, -1] * rate_sq / np.maximum(1 - rate_sq, 1e-16))
-    failing = np.flatnonzero(tail > tail_tol)
-    if failing.size:
-        k = failing[0]
-        raise ValueError(
-            f"order {order} insufficient for model-space basis: tail estimate "
-            f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
-        )
-    basis = b._kept["tm", order, tail_tol] = elements[:order].copy()
-    basis.setflags(write=False)
+    (basis,) = _gated_tm_bases([b], order, tail_tol)
+    if isinstance(basis, ValueError):
+        raise basis
     return basis
+
+
+def _gated_tm_bases(bs: list, order: int, tail_tol: float) -> list:
+    """tm_basis of each product in bs: its kept basis, or the ValueError
+    tm_basis raises for it.  The products with no basis kept at
+    (order, tail_tol) take one pass of _tm_bases to order + 64 and one tail
+    estimate per degree; each basis that passes is a read-only view into
+    that pass's C-contiguous stack, kept on its product."""
+    key, refused = ("tm", order, tail_tol), {}
+    todo = [b for b in bs if key not in b._kept]
+    for d in sorted({b.degree for b in todo}):
+        group = [b for b in todo if b.degree == d]
+        if order < d + 1:
+            refused.update((id(b), ValueError(f"order {order} too small for a degree-{d} model space"))
+                           for b in group)
+            continue
+        zeros = np.array([b.zeros for b in group]).reshape(len(group), d)
+        elements = _tm_bases(zeros, order + 64)
+        # past order + 64 an element decays at least as fast as rate^n, rate its
+        # largest zero modulus so far: a geometric bound from its last coefficient
+        rate_sq = np.maximum.accumulate(np.abs(zeros), axis=1) ** 2
+        sq = np.abs(elements[:, order:].transpose(0, 2, 1)) ** 2
+        tails = np.sqrt(sq.sum(axis=2) + sq[..., -1] * rate_sq / np.maximum(1 - rate_sq, 1e-16))
+        bases = np.ascontiguousarray(elements[:, :order])
+        bases.setflags(write=False)
+        for b, basis, tail in zip(group, bases, tails):
+            failing = np.flatnonzero(tail > tail_tol)
+            if not failing.size:
+                b._kept[key] = basis
+                continue
+            k = failing[0]
+            refused[id(b)] = ValueError(
+                f"order {order} insufficient for model-space basis: tail estimate "
+                f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
+            )
+    return [b._kept[key] if key in b._kept else refused[id(b)] for b in bs]
 
 
 def _tm_bases(zeros: np.ndarray, n: int) -> np.ndarray:
@@ -307,21 +329,24 @@ def frostman_shift(
     times that error; the last factor is B's own conditioning, not the shift's.
     This is the one-parameter call of _frostman_shifts.
     """
-    zeros, phases, g, (error,) = _frostman_shifts(b, np.array([complex(alpha)]), order)
+    zeros, phases, g, (error,) = _frostman_shifts([b], np.array([complex(alpha)]), order)
     if error is not None:
         raise error
     return BlaschkeProduct(zeros[0], phases[0]), g[0]
 
 
-def _frostman_shifts(b: BlaschkeProduct, alphas: np.ndarray, order: int) -> tuple:
-    """frostman_shift of b at each parameter of the 1-D array alphas, every
-    gate kept: the B_alpha's zeros (k x d) and phases, the g_alpha (k x
-    order), and per parameter None or the ValueError of the first gate it
-    fails (its rows then mean nothing).  Batched eigvals find all roots."""
+def _frostman_shifts(bs: list, alphas: np.ndarray, order: int) -> tuple:
+    """frostman_shift of bs[i] at alphas[i] for each parameter of the 1-D array
+    alphas, the products all of one degree, every gate kept: the B_alpha's
+    zeros (k x d) and phases, the g_alpha (k x order), and per parameter None
+    or the ValueError of the first gate it fails (its rows then mean
+    nothing).  Each row has the bits of its own call; batched eigvals find
+    all roots."""
     modulus = np.hypot(alphas.real, alphas.imag)  # rounded as abs() rounds a scalar; np.abs differs
     if not np.all(modulus < 1):
         raise ValueError(f"Frostman parameter must satisfy |alpha| < 1, got {modulus.max()}")
-    (phase_p, q), d = _polynomials(b), b.degree
+    phase_p, q = map(np.array, zip(*map(_polynomials, bs)))
+    d = bs[0].degree
     num = alphas[:, None] * q - phase_p
     den = q - np.conj(alphas)[:, None] * phase_p
     roots = _stable_roots(num)
@@ -348,7 +373,8 @@ def _frostman_shifts(b: BlaschkeProduct, alphas: np.ndarray, order: int) -> tupl
             if largest[k] > 1 - 1e-10
             else f"Frostman shift deviates from its coefficients by {dev[k]:.3e} (relative)"
         )
-    g = np.eye(1, order, dtype=np.complex128) - np.conj(alphas)[:, None] * blaschke_coefficients(b, order)
+    taylor = np.array([blaschke_coefficients(b, order) for b in bs])
+    g = np.eye(1, order, dtype=np.complex128) - np.conj(alphas)[:, None] * taylor
     return roots, phase, g / np.sqrt(1 - modulus**2)[:, None], errors
 
 

@@ -84,8 +84,9 @@ class HankelMatrix:
 
     @property
     def exponent(self) -> int:
-        """frexp exponent e of largest_entry, so |block| < 1; 0 if Gamma is 0."""
-        return int(np.frexp(self.largest_entry)[1])
+        """frexp exponent e of largest_entry, so |block| < 1; 0 if Gamma is 0.
+        Found once, with the decay profile."""
+        return self._decay[4]
 
     @property
     def u(self) -> np.ndarray:
@@ -114,8 +115,9 @@ class HankelMatrix:
         return np.sqrt(q[:j] - q[j : 2 * j]) * np.frexp(self.largest_entry)[0]
 
     @cached_property
-    def _decay(self) -> tuple[float, int, float, np.ndarray | None]:
-        """(largest |entry|, J, column, Q), sums on the scale of the largest entry.
+    def _decay(self) -> tuple[float, int, float, np.ndarray | None, int]:
+        """(largest |entry|, J, column, Q, e), sums on the scale of the largest
+        entry, e its frexp exponent.
 
         With a_k = |u_hat(k)|^2 on that scale and Q[k] the sum of a_i over
         i >= k, the entries with max(i, j) = m add up to 2 (Q[m] - Q[2m]) +
@@ -128,14 +130,14 @@ class HankelMatrix:
         a = np.abs(self.coeffs)
         largest = a.max(initial=0.0)
         if largest == 0:
-            return largest, floor, 0.0, None
+            return largest, floor, 0.0, None, 0
         a = (a / largest) ** 2
         q = _suffix_sums(a)
         m = np.arange(n)
         shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
         column = (q[:n] - q[n:]).max()
         fits = np.flatnonzero(_suffix_sums(shell)[floor:] <= _EPS**4 * column)
-        return largest, floor + int(fits[0]) if fits.size else n, column, q
+        return largest, floor + int(fits[0]) if fits.size else n, column, q, int(np.frexp(largest)[1])
 
 
 def _hankel(coeffs: np.ndarray, j: int) -> np.ndarray:

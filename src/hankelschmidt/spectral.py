@@ -7,6 +7,9 @@ J = HankelMatrix.numerical_order(), whose outside entries are below
 eps^2 ||Gamma||, and stops at that block's numerical rank k: a basis Q of its
 range, certified by an explicit residual, and the SVD of the k x J matrix
 Q^H Gamma_J.  For a rational symbol k is the degree, so the cost is O(J^2 k).
+The pivoted QR and the SVD call LAPACK (zgeqp3 and zungqr, zgesdd) through
+scipy.linalg.lapack directly, with the workspaces scipy's own qr and svd
+query, so they give the same bits without scipy's per-call checks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .hankel import HankelMatrix
 from .hardy import _frozen
@@ -86,28 +89,28 @@ def _range_basis(a: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rank so far, keeps those whose pivoted-QR diagonal exceeds tol / sqrt(J),
     and orthogonalizes them against Q twice; the first step's columns are
     the pivoted QR's own orthonormal Q, with nothing to orthogonalize
-    against.  It stops once the residual, recomputed in place from Q and B
-    at every step, has Frobenius norm at most tol = RANGE_TOL * (largest
-    column norm of a), or once k = J.  The
+    against, and they start Q and B.  It stops once the residual, recomputed
+    in place from Q and B at every step, has Frobenius norm at most
+    tol = RANGE_TOL * (largest column norm of a), or once k = J.  The
     largest residual column always exceeds tol / sqrt(J), so every step adds
     a column, and a full-rank a takes O(log J) steps of matrix products.
     """
     j = a.shape[0]
     tol = RANGE_TOL * norms.max()
-    resid = a
-    q = np.zeros((j, 0), dtype=np.complex128)
-    b = np.zeros((0, j), dtype=np.complex128)
+    resid, k = a, 0
     while True:
-        pick = np.argsort(-norms, kind="stable")[: max(RANGE_BLOCK, q.shape[1])]
-        w, r, _ = scipy.linalg.qr(resid[:, pick], mode="economic", pivoting=True)
-        w = w[:, np.abs(np.diag(r)) > tol / np.sqrt(j)][:, : j - q.shape[1]]
-        if q.shape[1]:
+        pick = np.argsort(-norms, kind="stable")[: max(RANGE_BLOCK, k)]
+        w, r, _ = _pivoted_qr(resid[:, pick])
+        w = w[:, np.abs(np.diag(r)) > tol / np.sqrt(j)][:, : j - k]
+        if k:
             for _ in range(2):
                 w = w - q @ (q.conj().T @ w)
             w, _ = np.linalg.qr(w)
-        q = np.hstack([q, w])
-        b = np.vstack([b, w.conj().T @ a])
-        if q.shape[1] == j:
+            q, b = np.hstack([q, w]), np.vstack([b, w.conj().T @ a])
+        else:
+            q, b = w, w.conj().T @ a
+        k = q.shape[1]
+        if k == j:
             break
         resid = q @ b
         np.subtract(a, resid, out=resid)
@@ -115,6 +118,40 @@ def _range_basis(a: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarr
             break
         norms = np.linalg.norm(resid, axis=0)
     return q, b
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q, R and the pivots of scipy.linalg.qr(a, mode="economic", pivoting=True)
+    for a complex m x n matrix: zgeqp3, then zungqr on its first min(m, n) columns."""
+    n = a.shape[1]
+    qr, pivots, tau = _lapack("zgeqp3", a)
+    r = np.triu(qr[:n])
+    (q,) = _lapack("zungqr", qr[:, : qr.shape[0]], tau, overwrite_a=1)
+    return q, r, pivots - 1
+
+
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U and s of scipy.linalg.svd(a, full_matrices=False) for a complex matrix: zgesdd."""
+    work, _ = lapack.zgesdd_lwork(*a.shape, compute_uv=1, full_matrices=0)
+    u, s, _, info = lapack.zgesdd(a, compute_uv=1, full_matrices=0, lwork=int(work.real))
+    _check_info("zgesdd", info)
+    return u, s
+
+
+def _lapack(name: str, *args, **kwargs) -> list:
+    """The outputs of the LAPACK routine scipy.linalg.lapack.<name>, which
+    takes lwork, before its work array and info, run with the workspace its
+    query (lwork = -1) asks for."""
+    routine = getattr(lapack, name)
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0].real)
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    _check_info(name, info)
+    return out
+
+
+def _check_info(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed: info = {info}")
 
 
 def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBlocks:
@@ -152,38 +189,35 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     if h.largest_entry == 0:
         return SchmidtBlocks([], sing)
     q, b = _range_basis(h.block, h.column_norms())
-    u_b, sing_b = scipy.linalg.svd(b, full_matrices=False)[:2]
+    u_b, sing_b = _svd(b)
     k = sing_b.size
     sing[:k] = np.ldexp(sing_b, h.exponent)
-    left = np.zeros((n, k), dtype=np.complex128)
+    left = np.zeros((n, k), dtype=np.complex128, order="F")  # each block a contiguous column range
     left[:j] = q @ u_b
-    s_max = float(sing[0])
-    clusters: list[list[int]] = []
-    for i, s in enumerate(sing):
+    vals = sing[:k].tolist() + [0.0]  # the kernel's exact zero below the last
+    s_max, e = vals[0], h.exponent
+    starts: list[int] = []
+    for stop, s in enumerate(vals):
         if s <= RANK_TOL * s_max:
             break
-        if clusters and sing[clusters[-1][0]] - s < cluster_tol * sing[clusters[-1][0]]:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+        if not (starts and vals[starts[-1]] - s < cluster_tol * vals[starts[-1]]):
+            starts.append(stop)
     noise_floor = np.finfo(float).eps * s_max * n
     blocks = []
-    for idx in clusters:
-        vals = sing[idx]
-        spread = float(vals[0] - vals[-1])
-        below = sing[idx[-1] + 1] if idx[-1] + 1 < sing.size else 0.0
-        separation = float(vals[-1] - below)
-        if idx[0] > 0:
-            separation = min(separation, float(sing[idx[0] - 1] - vals[0]))
+    for first, end in zip(starts, starts[1:] + [stop]):
+        spread = vals[first] - vals[end - 1]
+        separation = vals[end - 1] - vals[end]
+        if first > 0:
+            separation = min(separation, vals[first - 1] - vals[first])
         warns = []
         if separation < 10 * max(spread, noise_floor):
             warns.append("ill-separated cluster: results near this gap are unreliable")
-        if len(idx) > 1 and spread > 1e3 * noise_floor:
+        if end - first > 1 and spread > 1e3 * noise_floor:
             warns.append("cluster spread far above noise floor: possible false merge")
         blocks.append(
             SchmidtBlock(
-                s=float(np.ldexp(np.sqrt(np.mean(sing_b[idx] ** 2)), h.exponent)),
-                basis=left[:, idx],
+                s=float(np.ldexp(np.sqrt(np.mean(sing_b[first:end] ** 2)), e)),
+                basis=left[:, first:end],
                 spread=spread,
                 separation=separation,
                 warnings=tuple(warns),

@@ -4,10 +4,17 @@ Each suite draws its inputs from a seeded generator, exercises one family
 of identities at fixed truncation order, and returns a plain dict of
 worst-case residuals plus a pass flag; the model-space, Moebius and theorem
 suites draw all inputs first and check them in a few stacked passes, by
-degree or multiplicity.  The same functions back the `verify` subcommand.
+degree or multiplicity.  The model-space suite redraws the inputs its gates
+refuse, so it draws speculatively: each pass draws as though nothing were
+refused, gates and shifts all its draws in one call per degree, keeps them
+up to the first refusal and rewinds the generator there
+(rng.bit_generator.state), so every draw is the one a loop over one draw at
+a time would make.  The same functions back the `verify` subcommand.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,6 +24,7 @@ from .blaschke import (
     _conjugate_functions,
     _conjugate_symbols,
     _frostman_shifts,
+    _gated_tm_bases,
     _products,
     _tm_bases,
     blaschke_coefficients,
@@ -25,7 +33,6 @@ from .blaschke import (
     mobius_conjugate_function,
     mobius_conjugate_symbol,
     mobius_eval,
-    tm_basis,
 )
 from .extraction import (
     ExtractionError,
@@ -126,26 +133,46 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
 
     skipped_draws counts the B draws whose basis has not decayed by `order`
     (tm_basis's tail gate) and the alpha draws whose Frostman shift fails;
-    both are drawn again.  A B's missing alphas are shifted as one stack, so
-    the generator is read as by one draw at a time; each check runs once per degree."""
+    both are drawn again, so the draws are those of one B at a time, each
+    followed by alphas until n_alpha shifts succeed.  They are taken in
+    speculative passes: a pass draws ahead as though nothing were refused
+    (the alphas a B still lacks, then every B still wanted with n_alpha
+    alphas), gates its new B with one _gated_tm_bases pass per degree, and
+    shifts the alphas of the B before the first refused one with one
+    _frostman_shifts call per degree.  It keeps the draws up to the first
+    refusal and rewinds the generator there: to just after a refused B, or
+    to just after the last alpha of the first B with a refused alpha, whose
+    successful shifts it keeps, so that B draws its missing alphas next.
+    Each check then runs once per degree."""
     rng = np.random.default_rng(seed)
-    skipped = 0
-    draws = []  # B, its basis at `order`, and its alphas with their shifts
-    while len(draws) < n_blaschke:
-        b = random_blaschke(rng)
-        try:
-            v = tm_basis(b, order)
-        except ValueError:
+    skipped, done, short = 0, [], None  # short: a kept B still missing alphas
+    while len(done) < n_blaschke:
+        slots = [short] if short else []
+        wanted = n_blaschke - len(done) - len(slots)
+        slots += [SimpleNamespace(b=None, v=None, hits=0, shifts=[]) for _ in range(wanted)]
+        for slot in slots:  # the generator's state after each new B and after each slot's last alpha
+            if slot.b is None:
+                slot.b, slot.after_b = random_blaschke(rng), rng.bit_generator.state
+            slot.alphas = np.array([_draw_alpha(rng) for _ in range(n_alpha - slot.hits)])
+            slot.after = rng.bit_generator.state
+        fresh = [slot for slot in slots if slot.v is None]
+        for slot, v in zip(fresh, _gated_tm_bases([slot.b for slot in fresh], order, 1e-10)):
+            slot.v = v
+        cut = next((i for i, slot in enumerate(slots) if isinstance(slot.v, ValueError)), len(slots))
+        _shift_alphas(slots[:cut], order)
+        refused = next((i for i, slot in enumerate(slots[:cut]) if not slot.ok.all()), None)
+        for slot in slots[:cut] if refused is None else slots[: refused + 1]:
+            skipped += int((~slot.ok).sum())
+            slot.hits += int(slot.ok.sum())
+            slot.shifts.append(slot.new)
+            short = None if slot.hits == n_alpha else slot
+            done += [slot] * (short is None)
+        if refused is not None:
+            rng.bit_generator.state = short.after
+        elif cut < len(slots):
             skipped += 1
-            continue
-        hits, shifts = 0, []
-        while hits < n_alpha:
-            new = np.array([_draw_alpha(rng) for _ in range(n_alpha - hits)])
-            *shifted, errors = _frostman_shifts(b, new, order)
-            ok = np.array([e is None for e in errors])  # a shift fails near the circle or at its error gate
-            hits, skipped = hits + int(ok.sum()), skipped + int((~ok).sum())
-            shifts.append([x[ok] for x in (new, *shifted)])
-        draws.append((b, v, *map(np.concatenate, zip(*shifts))))
+            rng.bit_generator.state = slots[cut].after_b
+    draws = [(slot.b, slot.v, *map(np.concatenate, zip(*slot.shifts))) for slot in done]
     worst = dict.fromkeys(("backward_shift_identity", "frostman_subspace_gap",
                            "frostman_isometry", "frostman_boundary_identity"), 0.0)
     for d in sorted({b.degree for b, *_ in draws}):
@@ -162,6 +189,22 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
         "max_residuals": worst,
         "pass": all(value < gate for value, gate in zip(worst.values(), (1e-8, 1e-8, 1e-8, 1e-10))),
     }
+
+
+def _shift_alphas(slots: list, order: int) -> None:
+    """Shift the alphas of the slots' B with one _frostman_shifts call per
+    degree, and note per slot which shifts succeed (ok) and the alphas,
+    zeros, phases and g_alpha of those (new)."""
+    for d in sorted({slot.b.degree for slot in slots}):
+        group = [slot for slot in slots if slot.b.degree == d]
+        alphas = np.concatenate([slot.alphas for slot in group])
+        *shifted, errors = _frostman_shifts([slot.b for slot in group for _ in slot.alphas], alphas, order)
+        ok = np.array([e is None for e in errors])  # a shift fails near the circle or at its error gate
+        end = 0
+        for slot in group:
+            rows = slice(end, end + slot.alphas.size)
+            slot.ok, end = ok[rows], rows.stop
+            slot.new = [x[rows][slot.ok] for x in (alphas, *shifted)]
 
 
 def _draw_alpha(rng: np.random.Generator, radius: float = 0.5) -> complex:
@@ -259,12 +302,19 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     gaps = _span_gaps(np.split(_conjugate_functions(matched, maps, order)[0], cut, axis=1), targets)
     worst_gap = float(gaps.max(initial=0.0))
     ok = ok and bool(np.all(gaps <= allowances))
-    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p
+    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p; the
+    # bases of every B and B o mu come from one gated pass per degree, which
+    # keeps each on its product, where _weighted_model_space's tm_basis reads it
+    composed = [compose_with_mobius(b, m) for b, m in zip(lemma_bs, lemma_maps)]
+    bases = _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
+    for basis in bases:
+        if isinstance(basis, ValueError):
+            raise basis
     spaces = [_weighted_model_space(b, p, lemma_order, 1e-10) for b, p in zip(lemma_bs, weights)]
     lhs, _ = _conjugate_functions(spaces, lemma_maps, lemma_order)
     grid = grid_points(default_grid_size(lemma_order))
     # p o mu is no longer a polynomial, so this product stays on the boundary
-    bases = [tm_basis(compose_with_mobius(b, m), lemma_order) for b, m in zip(lemma_bs, lemma_maps)]
+    bases = bases[count:]
     pmu = [evaluate(p, mobius_eval(m, grid)) for p, m in zip(weights, lemma_maps)]
     widths = [x.shape[1] for x in bases]
     rhs, _ = multiply_by_boundary(np.hstack(bases), np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)

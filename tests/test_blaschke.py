@@ -424,13 +424,18 @@ def test_stacked_frostman_shifts_match_one_at_a_time():
     b = random_blaschke(rng, max_degree=4)
     alphas = np.array([0.3j, -0.2 + 0.1j, 0.45, 1.0])
     with pytest.raises(ValueError, match="Frostman parameter"):
-        blaschke._frostman_shifts(b, alphas, 32)
+        blaschke._frostman_shifts([b] * 4, alphas, 32)
     z = BlaschkeProduct([0.0, 0.0])  # z^2: a shift by 1 - 1e-11 has a zero near the circle
-    zeros, phases, g, errors = blaschke._frostman_shifts(z, np.array([0.3, 1 - 1e-11, -0.4j]), 32)
+    zeros, phases, g, errors = blaschke._frostman_shifts([z] * 3, np.array([0.3, 1 - 1e-11, -0.4j]), 32)
     assert errors[0] is None and errors[2] is None and "circle" in str(errors[1])
-    zeros, phases, g, errors = blaschke._frostman_shifts(b, alphas[:3], 32)
-    for k, alpha in enumerate(alphas[:3]):
-        shifted, gk = frostman_shift(b, alpha, 32)
+    # a stack of several products of one degree, each at its own parameters
+    bs = [b, *(BlaschkeProduct(0.6 * random_blaschke(rng).zeros[:1].repeat(b.degree) ** (k + 1), 1j)
+               for k in range(2))]
+    stack = [bs[0]] * 3 + [bs[1], bs[2], bs[1]]
+    params = np.concatenate([alphas[:3], [0.1, -0.3j, 0.2 - 0.2j]])
+    zeros, phases, g, errors = blaschke._frostman_shifts(stack, params, 32)
+    for k, (bk, alpha) in enumerate(zip(stack, params)):
+        shifted, gk = frostman_shift(bk, alpha, 32)
         assert errors[k] is None
         assert np.array_equal(shifted.zeros, zeros[k])
         assert shifted.phase == BlaschkeProduct(zeros[k], phases[k]).phase

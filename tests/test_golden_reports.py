@@ -1,4 +1,4 @@
-"""analyze_symbol reports stay within 1e-9 of a stored reference run.
+"""analyze_symbol and verify_suites reports stay within 1e-9 of a stored reference run.
 
 tests/golden_reports.json holds the reports of the four bench/hard_cases at
 N=128 and of six seeded suites.random_symbol draws at N=128 and N=512, as
@@ -9,6 +9,10 @@ leaving every other value as written.  Two reports with a block of multiplicity 
 so that Hitt's eigenproblem is guarded too, were appended as written by
 commit 910a5bd: u = z^3 at N=16 (theta = z^4) and u = S* B at N=128, B with
 double zeros at 0.3+0.2i and -0.5 (theta's zeros off the origin).
+The verify_suites reports at (N, seed) = (128, 0), (128, 1) and (64, 0)
+were appended as written by commit 4533e75, the last before the
+model-space suite drew speculatively: the stacked suites are otherwise
+checked only against tests/oracles.py, which shares helpers with them.
 Keys, list lengths, strings (warnings included), booleans (pass and
 reliable flags) and integers (multiplicities, ranks) must be identical;
 every float must lie within 1e-9 * max(1, |reference|), the phase phi
@@ -27,7 +31,7 @@ import numpy as np
 import pytest
 
 from hankelschmidt.blaschke import BlaschkeProduct
-from hankelschmidt.pipeline import AnalysisConfig, _vector_pairs, analyze_symbol, complex_pair
+from hankelschmidt.pipeline import AnalysisConfig, _vector_pairs, analyze_symbol, complex_pair, verify_suites
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import parse_symbol, symbol_to_dict
 from oracles import symbol_from_inner
@@ -48,6 +52,11 @@ def golden_inputs():
     yield "cube", 16, {"poly": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
     a = 0.3 + 0.2j
     yield "double-zeros-inner", 128, symbol_to_dict(symbol_from_inner(BlaschkeProduct([a, a, -0.5, -0.5])))
+
+
+def verify_inputs():
+    """(n, seed) of every stored verify_suites report."""
+    yield from ((128, 0), (128, 1), (64, 0))
 
 
 def assert_close(got, want, path: str) -> None:
@@ -71,12 +80,20 @@ def assert_close(got, want, path: str) -> None:
 
 
 # the generator below must run before the file exists (or while it is truncated)
-CASES = [] if __name__ == "__main__" else json.loads(GOLDEN.read_text())
+STORED = [] if __name__ == "__main__" else json.loads(GOLDEN.read_text())
+CASES = [c for c in STORED if c["name"] != "verify"]
+VERIFY = [c for c in STORED if c["name"] == "verify"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{c['name']}-n{c['n']}" for c in CASES])
 def test_report_matches_reference(case):
     report = analyze_symbol(parse_symbol(case["symbol"]), AnalysisConfig(n=case["n"]))
+    assert_close(json.loads(json.dumps(report)), case["report"], "report")
+
+
+@pytest.mark.parametrize("case", VERIFY, ids=[f"n{c['n']}-seed{c['seed']}" for c in VERIFY])
+def test_verify_report_matches_reference(case):
+    report = verify_suites(AnalysisConfig(n=case["n"], seed=case["seed"]))
     assert_close(json.loads(json.dumps(report)), case["report"], "report")
 
 
@@ -99,6 +116,7 @@ def test_vector_pairs_write_the_stored_bytes():
 def test_reference_covers_every_input():
     stored = [(c["name"], c["n"], c["symbol"]) for c in CASES]
     assert stored == list(golden_inputs())
+    assert STORED == CASES + VERIFY and [(c["n"], c["seed"]) for c in VERIFY] == list(verify_inputs())
 
 
 if __name__ == "__main__":
@@ -106,5 +124,8 @@ if __name__ == "__main__":
         {"name": name, "n": n, "symbol": doc,
          "report": analyze_symbol(parse_symbol(doc), AnalysisConfig(n=n))}
         for name, n, doc in golden_inputs()
+    ] + [
+        {"name": "verify", "n": n, "seed": seed, "report": verify_suites(AnalysisConfig(n=n, seed=seed))}
+        for n, seed in verify_inputs()
     ]
     sys.stdout.write("[\n" + ",\n".join(json.dumps(c) for c in cases) + "\n]\n")

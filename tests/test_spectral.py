@@ -6,6 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import lapack
+
+from hankelschmidt import spectral
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix
 from hankelschmidt.pipeline import AnalysisConfig, analysis_exit_code, analyze_symbol
 from hankelschmidt.spectral import (
@@ -202,7 +205,8 @@ def test_tiny_residues_keep_their_singular_values():
 
 
 def record_factorizations(monkeypatch):
-    """(kind, shape, compute_uv) of every SVD and eigh run from now on."""
+    """(kind, shape, compute_uv) of every SVD and eigh run from now on,
+    LAPACK's zgesdd called directly included."""
     calls = []
 
     def counted(kind, fn):
@@ -212,6 +216,7 @@ def record_factorizations(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
+    monkeypatch.setattr(lapack, "zgesdd", counted("svd", lapack.zgesdd))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     return calls
@@ -294,15 +299,62 @@ def test_factorization_is_scale_invariant(factor):
 
 
 def test_full_numerical_rank_matches_dense_svd():
-    # a degree-63 polynomial whose coefficients grow by 2 per degree: Gamma is
-    # anti-triangular and well conditioned, so J = N = 64 and k = 64
-    rng = np.random.default_rng(1)
-    coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.5 ** np.arange(63, -1, -1)
-    h = build_hankel_matrix(RationalSymbol(poly=coeffs), 64)
+    h = full_rank_hankel()
     assert h.numerical_order() == 64
     blocks = assert_matches_dense_svd(h, 1e-12, 1e-10)
     assert sum(b.multiplicity for b in blocks) == 64
     assert np.all(blocks.singular_values > 0)
+
+
+def full_rank_hankel():
+    """A degree-63 polynomial whose coefficients grow by 2 per degree: Gamma is
+    anti-triangular and well conditioned, so J = N = 64 and k = 64."""
+    rng = np.random.default_rng(1)
+    coeffs = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 0.5 ** np.arange(63, -1, -1)
+    return build_hankel_matrix(RationalSymbol(poly=coeffs), 64)
+
+
+def assert_same_as_scipy(a):
+    q, r, pivots = spectral._pivoted_qr(a)
+    want = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    for got, w in zip((q, r, pivots), want):
+        assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes()
+    u, s = spectral._svd(a)
+    want_u, want_s, _ = scipy.linalg.svd(a, full_matrices=False)
+    assert u.tobytes() == want_u.tobytes() and s.tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(j, 8) for j in (2, 16, 46, 128, 512)] + [(k, 128) for k in (1, 4, 8)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_lapack_calls_give_the_bits_of_scipy(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert_same_as_scipy(a)
+    assert_same_as_scipy(a[:, :1] * np.ones(shape[1]))  # rank one: pivots and tiny diagonals
+
+
+def test_lapack_calls_give_the_bits_of_scipy_at_every_range_step(monkeypatch):
+    inputs = {"qr": [], "svd": []}
+    for name, kind in (("_pivoted_qr", "qr"), ("_svd", "svd")):
+        real = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda a, real=real, kind=kind: inputs[kind].append(a.copy()) or real(a))
+    schmidt_decompose(full_rank_hankel())
+    assert len(inputs["qr"]) > 2 and [x.shape for x in inputs["svd"]] == [(64, 64)]
+    for a in inputs["qr"] + inputs["svd"]:
+        assert_same_as_scipy(a)
+
+
+@pytest.mark.parametrize("routine", ["zgeqp3", "zungqr", "zgesdd"])
+def test_lapack_failure_raises(monkeypatch, routine):
+    real = getattr(lapack, routine)
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {routine} failed: info = 1"):
+        schmidt_decompose(build_hankel_matrix(random_symbol(np.random.default_rng(4)), 64))
 
 
 def test_graded_range_stays_orthonormal():

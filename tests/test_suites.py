@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hankelschmidt import extraction, suites
+from hankelschmidt import blaschke, extraction, suites
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     MobiusMap,
@@ -77,7 +77,7 @@ def moved_shift(b, alpha, order, by=1e-9):
 def stacked_check(b, alpha, by=0.0):
     """(gap, isometry, boundary identity) of the suite's stacked check for one
     (B, alpha) draw, with the first zero of B_alpha moved by `by`."""
-    zeros, phases, g, (error,) = suites._frostman_shifts(b, np.array([alpha]), ORDER)
+    zeros, phases, g, (error,) = suites._frostman_shifts([b], np.array([alpha]), ORDER)
     assert error is None
     zeros[:, 0] += by
     v = tm_basis(b, ORDER)[None]
@@ -95,7 +95,7 @@ def test_frostman_check_shifts_once_and_reuses_the_callers_basis(monkeypatch):
 
     monkeypatch.setattr(suites, "_frostman_shifts", counted(suites._frostman_shifts))
     monkeypatch.setattr(suites, "_tm_bases", counted(suites._tm_bases))
-    monkeypatch.setattr(suites, "tm_basis", counted(tm_basis))
+    monkeypatch.setattr(suites, "_gated_tm_bases", counted(suites._gated_tm_bases))
     monkeypatch.setattr(extraction, "tm_basis", counted(tm_basis))
     resolved, unresolved = find_draws(3, 3)
     assert all(work > ORDER for _, _, work in unresolved)
@@ -104,26 +104,89 @@ def test_frostman_check_shifts_once_and_reuses_the_callers_basis(monkeypatch):
         assert stacked_check(b, alpha) is not None
         # one shift of B, one basis of B_alpha at the suite order, none of B
         (shift, on_b, (alphas, order)), (basis, zeros, args) = calls
-        assert (shift, on_b is b, alphas.tolist(), order) == ("_frostman_shifts", True, [alpha], ORDER)
+        assert (shift, len(on_b), on_b[0] is b) == ("_frostman_shifts", 1, True)
+        assert (alphas.tolist(), order) == ([alpha], ORDER)
         assert (basis, zeros.shape, args) == ("_tm_bases", (1, b.degree), (ORDER,))
         assert np.array_equal(zeros[0], frostman_shift(b, alpha, ORDER)[0].zeros)
 
 
-def test_model_space_suite_shifts_once_per_alpha(monkeypatch):
-    shifts = []
-    checked = []
-    bases = []
-    shifted_bases = []
-    shift, gaps, stacked = suites._frostman_shifts, suites._frostman_gaps, suites._tm_bases
+def refusing(shifts):
+    """_frostman_shifts that also refuses every alpha with |alpha| > 0.45,
+    about one draw in five."""
+    def wrapper(bs, alphas, order):
+        *out, errors = shifts(bs, alphas, order)
+        return (*out, [ValueError("refused") if abs(a) > 0.45 else e for a, e in zip(alphas, errors)])
+    return wrapper
 
-    def counted_shifts(b, alphas, order):
-        out = shift(b, alphas, order)
-        shifts.extend((b, a, e is None) for a, e in zip(alphas, out[-1]))
+
+def refuse_large_alphas(monkeypatch):
+    # blaschke's name is the one frostman_shift, and so the oracle, calls
+    wrapper = refusing(blaschke._frostman_shifts)
+    monkeypatch.setattr(blaschke, "_frostman_shifts", wrapper)
+    monkeypatch.setattr(suites, "_frostman_shifts", wrapper)
+
+
+def sequential_draws(monkeypatch, seed, n_blaschke, n_alpha, order):
+    """The oracle's report, the B it refused, and the (B, alpha) it refused
+    and accepted, as zero arrays and alphas: the draws of one B at a time."""
+    refused_b, refused, accepted = [], [], []
+    basis, shift = oracles.tm_basis, oracles.frostman_shift
+
+    def counted_basis(b, order):
+        try:
+            return basis(b, order)
+        except ValueError:
+            refused_b.append(b.zeros)
+            raise
+
+    def counted_shift(b, alpha, order):
+        try:
+            out = shift(b, alpha, order)
+        except ValueError:
+            refused.append((b.zeros, alpha))
+            raise
+        accepted.append((b.zeros, alpha))
         return out
 
-    def counted_basis(b, order, **kwargs):
-        bases.append(b)
-        return tm_basis(b, order, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "tm_basis", counted_basis)
+        m.setattr(oracles, "frostman_shift", counted_shift)
+        report = oracles.suite_model_spaces(seed, n_blaschke=n_blaschke, n_alpha=n_alpha, order=order)
+    return report, refused_b, refused, accepted
+
+
+def key(b_zeros, alpha):
+    return b_zeros.tobytes(), float(alpha.real), float(alpha.imag)
+
+
+def test_model_space_suite_shifts_once_per_alpha(monkeypatch):
+    assert_each_alpha_shifted_once(monkeypatch, refuse=False)
+
+
+def test_model_space_suite_shifts_once_per_alpha_where_alphas_are_refused(monkeypatch):
+    refuse_large_alphas(monkeypatch)
+    assert_each_alpha_shifted_once(monkeypatch, refuse=True)
+
+
+def assert_each_alpha_shifted_once(monkeypatch, refuse):
+    want, refused_b, refused, accepted = sequential_draws(monkeypatch, 3, 6, 3, ORDER)
+    drawn, gated, shifts, checked, shifted_bases = [], [], [], [], []
+    draw, gate, shift, gaps, stacked = (suites.random_blaschke, suites._gated_tm_bases, suites._frostman_shifts,
+                                        suites._frostman_gaps, suites._tm_bases)
+
+    def counted_draw(rng):
+        drawn.append(draw(rng))
+        return drawn[-1]
+
+    def counted_gate(bs, order, tail_tol):
+        out = gate(bs, order, tail_tol)
+        gated.extend((b, not isinstance(x, ValueError)) for b, x in zip(bs, out))
+        return out
+
+    def counted_shifts(bs, alphas, order):
+        out = shift(bs, alphas, order)
+        shifts.extend((b, a, e is None) for b, a, e in zip(bs, alphas, out[-1]))
+        return out
 
     def counted_gaps(bs, v, alphas, *rest):
         checked.extend(zip(np.repeat(np.array(bs, dtype=object), alphas.size // len(bs)), alphas))
@@ -133,25 +196,32 @@ def test_model_space_suite_shifts_once_per_alpha(monkeypatch):
         shifted_bases.extend(zeros)
         return stacked(zeros, order)
 
+    monkeypatch.setattr(suites, "random_blaschke", counted_draw)
+    monkeypatch.setattr(suites, "_gated_tm_bases", counted_gate)
     monkeypatch.setattr(suites, "_frostman_shifts", counted_shifts)
-    monkeypatch.setattr(suites, "tm_basis", counted_basis)
-    monkeypatch.setattr(extraction, "tm_basis", counted_basis)
     monkeypatch.setattr(suites, "_frostman_gaps", counted_gaps)
     monkeypatch.setattr(suites, "_tm_bases", counted_stacked)
     result = suites.suite_model_spaces(3, n_blaschke=6, n_alpha=3, order=ORDER)
-    assert result["pass"]
-    assert len(shifts) >= 18
-    # each alpha is shifted once, and each one whose shift succeeds is checked once
-    assert len({a for _, a, _ in shifts}) == len(shifts)
-    key = lambda pair: (id(pair[0]), pair[1].real, pair[1].imag)  # noqa: E731
-    ok = sorted(((b, a) for b, a, good in shifts if good), key=key)
-    assert len(ok) == 18 and ok == sorted(checked, key=key)
-    assert len(shifts) - len(ok) + len(bases) - 6 == result["skipped_draws"]
-    # a check whose shift succeeds takes one basis, of B_alpha; tm_basis is
-    # taken once of each drawn B and never of a B_alpha
+    assert_same_report(result, want)
+    assert result["pass"] and len(accepted) == 18 and (len(refused) > 0) == refuse
+    # each alpha is shifted once (after a rewind the generator can give an
+    # alpha shifted ahead again, but for another B), and each shift the
+    # one-at-a-time draws accept is checked once; skipped_draws counts the B
+    # and alphas they refuse
+    assert len({(id(b), a) for b, a, _ in shifts}) == len(shifts)
+    if not refuse:  # then each alpha value is shifted once
+        assert len({a for _, a, _ in shifts}) == len(shifts)
+    assert sorted(key(b.zeros, a) for b, a in checked) == sorted(key(*x) for x in accepted)
+    assert {key(b.zeros, a) for b, a, good in shifts if good} >= {key(*x) for x in accepted}
+    assert {key(b.zeros, a) for b, a, good in shifts if not good} >= {key(*x) for x in refused}
+    assert {z.tobytes() for z in refused_b} <= {b.zeros.tobytes() for b, good in gated if not good}
+    assert result["skipped_draws"] == len(refused_b) + len(refused)
+    # the gate runs once on each drawn B and on nothing else, so never on a
+    # B_alpha; a B is shifted only once it passes, and a check whose shift
+    # succeeds takes one basis, of B_alpha
+    assert sorted(map(id, drawn)) == sorted(id(b) for b, _ in gated)
+    assert {id(b) for b, _, _ in shifts} <= {id(b) for b, good in gated if good}
     assert len(shifted_bases) == 18
-    assert len(set(map(id, bases))) == len(bases)
-    assert {id(b) for b, _, _ in shifts} <= set(map(id, bases))
 
 
 def test_suite_order_check_matches_a_direct_shift_at_the_resolving_order():
@@ -210,14 +280,98 @@ def test_stacked_suites_match_the_per_draw_oracles(order, seed):
 
 
 def test_model_spaces_match_the_oracle_where_shifts_are_redrawn():
-    # at order 64 some B fail the tail gate and some shifts fail theirs: the
-    # redraws must read the generator as one draw at a time does
+    # at order 64 some B fail the tail gate (no shift fails its gates there):
+    # the redraws must read the generator as one draw at a time does
     skipped = []
     for seed in range(8):
         want = oracles.suite_model_spaces(seed, order=64)
         assert_same_report(suites.suite_model_spaces(seed, order=64), want)
         skipped.append(want["skipped_draws"])
     assert max(skipped) > 0
+
+
+def speculative_passes(events):
+    """The passes of suite_model_spaces from its log of draws, gates and
+    shifts: per pass its slots in draw order, each [B, whether B is new,
+    its alphas, refused (None, "B" or "alpha")], a refusal read only where
+    the suite evaluated it."""
+    passes, gates, shifts, short = [], {}, {}, None
+    for kind, value in events + [("end", None)]:
+        if kind in ("B", "alpha", "end") and passes and passes[-1][1]:  # a draw after an evaluation
+            slots = passes[-1][0]
+            for slot in slots:
+                if slot[1] and not gates[id(slot[0])]:
+                    slot[3] = "B"
+                elif any(shifts.get((id(slot[0]), a)) is False for a in slot[2]):
+                    slot[3] = "alpha"
+            first = next((slot for slot in slots if slot[3]), None)
+            short = first[0] if first and first[3] == "alpha" else None
+            if kind == "end":
+                break
+            passes.append([[], False])
+        if not passes:
+            passes.append([[], False])
+        if kind == "B":
+            passes[-1][0].append([value, True, [], None])
+        elif kind == "alpha":
+            if not passes[-1][0]:
+                passes[-1][0].append([short, False, [], None])
+            passes[-1][0][-1][2].append(value)
+        elif kind == "gate":
+            gates.update(value)
+            passes[-1][1] = True
+        elif kind == "shift":
+            shifts.update(value)
+    return [slots for slots, _ in passes]
+
+
+def test_model_spaces_match_the_oracle_where_alphas_are_refused(monkeypatch):
+    # refusing every alpha with |alpha| > 0.45, in the suite and in the oracle,
+    # takes the paths no natural draw takes: rewinds to a refused alpha,
+    # refusals on the first and on the last B of a pass, and a B refused
+    # right after a B's missing alphas are drawn
+    refuse_large_alphas(monkeypatch)
+    events = []
+    draw, alpha = suites.random_blaschke, suites._draw_alpha
+    gate, shift = suites._gated_tm_bases, suites._frostman_shifts
+
+    def logged_draw(rng):
+        events.append(("B", draw(rng)))
+        return events[-1][1]
+
+    def logged_alpha(rng):
+        events.append(("alpha", alpha(rng)))
+        return events[-1][1]
+
+    def logged_gate(bs, order, tail_tol):
+        out = gate(bs, order, tail_tol)
+        events.append(("gate", {id(b): not isinstance(x, ValueError) for b, x in zip(bs, out)}))
+        return out
+
+    def logged_shifts(bs, alphas, order):
+        out = shift(bs, alphas, order)
+        events.append(("shift", {(id(b), a): e is None for b, a, e in zip(bs, alphas, out[-1])}))
+        return out
+
+    seen = dict.fromkeys(("rewind to an alpha", "first B", "last B", "B after a redraw"), 0)
+    refused_b = refused = 0
+    for seed in range(8):
+        want, *counts = sequential_draws(monkeypatch, seed, 30, 3, 64)
+        refused_b, refused = refused_b + len(counts[0]), refused + len(counts[1])
+        events.clear()
+        with monkeypatch.context() as m:
+            for name, f in (("random_blaschke", logged_draw), ("_draw_alpha", logged_alpha),
+                            ("_gated_tm_bases", logged_gate), ("_frostman_shifts", logged_shifts)):
+                m.setattr(suites, name, f)
+            assert_same_report(suites.suite_model_spaces(seed, order=64), want)
+        for slots in speculative_passes(events):
+            first = next((i for i, slot in enumerate(slots) if slot[3]), None)
+            seen["rewind to an alpha"] += first is not None and slots[first][3] == "alpha"
+            seen["first B"] += first == 0
+            seen["last B"] += len(slots) > 1 and first == len(slots) - 1
+            seen["B after a redraw"] += len(slots) > 1 and not slots[0][1] and slots[1][3] == "B"
+    assert refused_b > 0 and refused > 0
+    assert all(seen.values()), seen
 
 
 def test_stacked_tm_bases_match_tm_basis():
