@@ -179,11 +179,23 @@ def _polynomials(b: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
 
 def blaschke_coefficients(b: BlaschkeProduct, order: int) -> np.ndarray:
     """Exact Taylor coefficients of B via polynomial long division, computed
-    once per order and kept read-only on B."""
-    taylor = b._kept.get(("taylor", order))
-    if taylor is None:
-        taylor = b._kept["taylor", order] = _frozen(_series_div(*_polynomials(b), order))
-    return taylor
+    once per order and kept read-only on B: the one-product call of
+    _taylor_rows."""
+    return _taylor_rows([b], order)[0]
+
+
+def _taylor_rows(bs: list, order: int) -> list:
+    """blaschke_coefficients of each product in bs, all of one degree: the
+    products with none kept at this order take one stacked _series_div, and
+    each keeps its row, a read-only view into that stack."""
+    key = ("taylor", order)
+    todo = list({id(b): b for b in bs if key not in b._kept}.values())
+    if todo:
+        rows = _series_div(*map(np.array, zip(*map(_polynomials, todo))), order)
+        rows.setflags(write=False)
+        for b, row in zip(todo, rows):
+            b._kept[key] = row
+    return [b._kept[key] for b in bs]
 
 
 CANONICAL_CACHE_SIZE = 32
@@ -373,8 +385,7 @@ def _frostman_shifts(bs: list, alphas: np.ndarray, order: int) -> tuple:
             if largest[k] > 1 - 1e-10
             else f"Frostman shift deviates from its coefficients by {dev[k]:.3e} (relative)"
         )
-    taylor = np.array([blaschke_coefficients(b, order) for b in bs])
-    g = np.eye(1, order, dtype=np.complex128) - np.conj(alphas)[:, None] * taylor
+    g = np.eye(1, order, dtype=np.complex128) - np.conj(alphas)[:, None] * np.array(_taylor_rows(bs, order))
     return roots, phase, g / np.sqrt(1 - modulus**2)[:, None], errors
 
 

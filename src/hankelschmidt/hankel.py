@@ -21,6 +21,7 @@ the identities entry by entry in full.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -133,11 +134,10 @@ class HankelMatrix:
             return largest, floor, 0.0, None, 0
         a = (a / largest) ** 2
         q = _suffix_sums(a)
-        m = np.arange(n)
-        shell = 2 * (q[m] - q[2 * m]) + a[2 * m]
+        shell = 2 * (q[:n] - q[: 2 * n : 2]) + a[::2]  # the shells m = 0 .. N-1
         column = (q[:n] - q[n:]).max()
         fits = np.flatnonzero(_suffix_sums(shell)[floor:] <= _EPS**4 * column)
-        return largest, floor + int(fits[0]) if fits.size else n, column, q, int(np.frexp(largest)[1])
+        return largest, floor + int(fits[0]) if fits.size else n, column, q, math.frexp(largest)[1]
 
 
 def _hankel(coeffs: np.ndarray, j: int) -> np.ndarray:

@@ -14,6 +14,7 @@ query, so they give the same bits without scipy's per-call checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +123,11 @@ def _range_basis(a: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q, R and the pivots of scipy.linalg.qr(a, mode="economic", pivoting=True)
-    for a complex m x n matrix: zgeqp3, then zungqr on its first min(m, n) columns."""
-    n = a.shape[1]
+    for a complex m x n matrix, R as the upper triangle of the min(m, n) x n
+    array returned (zgeqp3's packed form, reflectors below the diagonal):
+    zgeqp3, then zungqr on its first min(m, n) columns."""
     qr, pivots, tau = _lapack("zgeqp3", a)
-    r = np.triu(qr[:n])
+    r = qr[: a.shape[1]].copy()
     (q,) = _lapack("zungqr", qr[:, : qr.shape[0]], tau, overwrite_a=1)
     return q, r, pivots - 1
 
@@ -203,7 +205,7 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
         if not (starts and vals[starts[-1]] - s < cluster_tol * vals[starts[-1]]):
             starts.append(stop)
     noise_floor = np.finfo(float).eps * s_max * n
-    blocks = []
+    squares, blocks = sing_b**2, []  # each block's s: the root mean square of its run
     for first, end in zip(starts, starts[1:] + [stop]):
         spread = vals[first] - vals[end - 1]
         separation = vals[end - 1] - vals[end]
@@ -216,7 +218,7 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
             warns.append("cluster spread far above noise floor: possible false merge")
         blocks.append(
             SchmidtBlock(
-                s=float(np.ldexp(np.sqrt(np.mean(sing_b[first:end] ** 2)), e)),
+                s=math.ldexp(math.sqrt(squares[first:end].sum() / (end - first)), e),
                 basis=left[:, first:end],
                 spread=spread,
                 separation=separation,

@@ -26,8 +26,8 @@ from .blaschke import (
     _frostman_shifts,
     _gated_tm_bases,
     _products,
+    _taylor_rows,
     _tm_bases,
-    blaschke_coefficients,
     blaschke_eval,
     compose_with_mobius,
     mobius_conjugate_function,
@@ -238,7 +238,7 @@ def _backward_shift_gaps(v: np.ndarray, bs, order: int) -> np.ndarray:
     B of one degree, its basis in the stack v (k x N x d)."""
     w = v @ _nullspace_of_row(v[:, :1, :])
     shifted = np.concatenate([w[:, 1:], np.zeros_like(w[:, :1])], axis=1)
-    s_theta = np.stack([blaschke_coefficients(b, order + 1)[1:] for b in bs])
+    s_theta = np.array(_taylor_rows(bs, order + 1))[:, 1:]
     return _span_gaps(shifted, v @ _nullspace_of_row(s_theta.conj()[:, None, :] @ v))
 
 

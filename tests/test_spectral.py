@@ -317,7 +317,7 @@ def full_rank_hankel():
 def assert_same_as_scipy(a):
     q, r, pivots = spectral._pivoted_qr(a)
     want = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    for got, w in zip((q, r, pivots), want):
+    for got, w in zip((q, np.triu(r), pivots), want):
         assert got.dtype == w.dtype and got.shape == w.shape and got.tobytes() == w.tobytes()
     u, s = spectral._svd(a)
     want_u, want_s, _ = scipy.linalg.svd(a, full_matrices=False)
