@@ -266,7 +266,7 @@ def _gated_tm_bases(bs: list, order: int, tail_tol: float) -> list:
     estimate per degree; each basis that passes is a read-only view into
     that pass's C-contiguous stack, kept on its product."""
     key, refused = ("tm", order, tail_tol), {}
-    todo = [b for b in bs if key not in b._kept]
+    todo = list({id(b): b for b in bs if key not in b._kept}.values())
     for d in sorted({b.degree for b in todo}):
         group = [b for b in todo if b.degree == d]
         if order < d + 1:

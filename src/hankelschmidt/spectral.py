@@ -194,7 +194,9 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
     u_b, sing_b = _svd(b)
     k = sing_b.size
     sing[:k] = np.ldexp(sing_b, h.exponent)
-    left = np.zeros((n, k), dtype=np.complex128, order="F")  # each block a contiguous column range
+    # column-major, so each block's basis is F-contiguous: later products with
+    # it round by their operands' layout, and the reports rely on those bits
+    left = np.zeros((n, k), dtype=np.complex128, order="F")
     left[:j] = q @ u_b
     vals = sing[:k].tolist() + [0.0]  # the kernel's exact zero below the last
     s_max, e = vals[0], h.exponent
