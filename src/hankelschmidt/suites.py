@@ -306,15 +306,15 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     # bases of every B and B o mu come from one gated pass per degree, which
     # keeps each on its product, where _weighted_model_space's tm_basis reads it
     composed = [compose_with_mobius(b, m) for b, m in zip(lemma_bs, lemma_maps)]
-    bases = _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
-    for basis in bases:
+    kept = _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
+    for basis in kept:
         if isinstance(basis, ValueError):
             raise basis
     spaces = [_weighted_model_space(b, p, lemma_order, 1e-10) for b, p in zip(lemma_bs, weights)]
     lhs, _ = _conjugate_functions(spaces, lemma_maps, lemma_order)
     grid = grid_points(default_grid_size(lemma_order))
     # p o mu is no longer a polynomial, so this product stays on the boundary
-    bases = bases[count:]
+    bases = kept[count:]
     pmu = [evaluate(p, mobius_eval(m, grid)) for p, m in zip(weights, lemma_maps)]
     widths = [x.shape[1] for x in bases]
     rhs, _ = multiply_by_boundary(np.hstack(bases), np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)
