@@ -6,10 +6,11 @@ worst-case residuals plus a pass flag; the model-space, Moebius and theorem
 suites draw all inputs first and check them in a few stacked passes, by
 degree or multiplicity.  The model-space suite redraws the inputs its gates
 refuse, so it draws speculatively: each pass draws as though nothing were
-refused, gates and shifts all its draws in one call per degree, keeps them
-up to the first refusal and rewinds the generator there
-(rng.bit_generator.state), so every draw is the one a loop over one draw at
-a time would make.  The same functions back the `verify` subcommand.
+refused, as far ahead as the refusals so far suggest, gates and shifts all
+its draws in one call per degree, keeps them up to the first refusal and
+rewinds the generator there (rng.bit_generator.state), so every draw is
+the one a loop over one draw at a time would make.  The same functions
+back the `verify` subcommand.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .blaschke import (
     mobius_conjugate_function,
     mobius_conjugate_symbol,
     mobius_eval,
+    tm_basis,
 )
 from .extraction import (
     ExtractionError,
@@ -136,29 +138,37 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
     both are drawn again, so the draws are those of one B at a time, each
     followed by alphas until n_alpha shifts succeed.  They are taken in
     speculative passes: a pass draws ahead as though nothing were refused
-    (the alphas a B still lacks, then every B still wanted with n_alpha
-    alphas), gates its new B with one _gated_tm_bases pass per degree, and
-    shifts the alphas of the B before the first refused one with one
-    _frostman_shifts call per degree.  It keeps the draws up to the first
-    refusal and rewinds the generator there: to just after a refused B, or
-    to just after the last alpha of the first B with a refused alpha, whose
-    successful shifts it keeps, so that B draws its missing alphas next.
-    Each check then runs once per degree."""
+    (the alphas a B still lacks, then new B with n_alpha alphas each, the
+    last B's alphas drawn only once it passes), gates its new B with one
+    _gated_tm_bases pass per degree, and shifts the alphas of the B before
+    the first refused one with one _frostman_shifts call per degree.  It
+    keeps the draws up to the first refusal and rewinds the generator
+    there: to just after a refused B, or to just after the last alpha of
+    the first B with a refused alpha, whose successful shifts it keeps, so
+    that B draws its missing alphas next.  A pass takes every B still
+    wanted until the first refusal, then one more than the B kept per
+    refusal so far: at order 128, where a B is rarely refused, one pass
+    takes all, and at order 32, where most B fail the tail gate, a pass
+    takes about one.  Each check then runs once per degree."""
     rng = np.random.default_rng(seed)
     skipped, done, short = 0, [], None  # short: a kept B still missing alphas
     while len(done) < n_blaschke:
         slots = [short] if short else []
-        wanted = n_blaschke - len(done) - len(slots)
+        # one more than the mean run of kept B between refusals so far
+        ahead = 1 + len(done) // skipped if skipped else n_blaschke
+        wanted = min(ahead, n_blaschke - len(done)) - len(slots)
         slots += [SimpleNamespace(b=None, v=None, hits=0, shifts=[]) for _ in range(wanted)]
-        for slot in slots:  # the generator's state after each new B and after each slot's last alpha
+        for slot in slots:  # the generator's state after each new B
             if slot.b is None:
                 slot.b, slot.after_b = random_blaschke(rng), rng.bit_generator.state
-            slot.alphas = np.array([_draw_alpha(rng) for _ in range(n_alpha - slot.hits)])
-            slot.after = rng.bit_generator.state
+            if slot is not slots[-1]:  # the last B's alphas wait for its gate
+                _draw_alphas(rng, slot, n_alpha)
         fresh = [slot for slot in slots if slot.v is None]
         for slot, v in zip(fresh, _gated_tm_bases([slot.b for slot in fresh], order, 1e-10)):
             slot.v = v
         cut = next((i for i, slot in enumerate(slots) if isinstance(slot.v, ValueError)), len(slots))
+        if cut == len(slots):
+            _draw_alphas(rng, slots[-1], n_alpha)
         _shift_alphas(slots[:cut], order)
         refused = next((i for i, slot in enumerate(slots[:cut]) if not slot.ok.all()), None)
         for slot in slots[:cut] if refused is None else slots[: refused + 1]:
@@ -189,6 +199,12 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
         "max_residuals": worst,
         "pass": all(value < gate for value, gate in zip(worst.values(), (1e-8, 1e-8, 1e-8, 1e-10))),
     }
+
+
+def _draw_alphas(rng: np.random.Generator, slot, n_alpha: int) -> None:
+    """Draw the alphas a slot's B still lacks, and note the generator's state after them."""
+    slot.alphas = np.array([_draw_alpha(rng) for _ in range(n_alpha - slot.hits)])
+    slot.after = rng.bit_generator.state
 
 
 def _shift_alphas(slots: list, order: int) -> None:
@@ -302,19 +318,17 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     gaps = _span_gaps(np.split(_conjugate_functions(matched, maps, order)[0], cut, axis=1), targets)
     worst_gap = float(gaps.max(initial=0.0))
     ok = ok and bool(np.all(gaps <= allowances))
-    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p; the
-    # bases of every B and B o mu come from one gated pass per degree, which
-    # keeps each on its product, where _weighted_model_space's tm_basis reads it
+    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p; one
+    # gated pass per degree keeps the basis of every B and B o mu on its product,
+    # where tm_basis at (lemma_order, 1e-10), here and in _weighted_model_space,
+    # reads it or raises
     composed = [compose_with_mobius(b, m) for b, m in zip(lemma_bs, lemma_maps)]
-    kept = _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
-    for basis in kept:
-        if isinstance(basis, ValueError):
-            raise basis
+    _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
     spaces = [_weighted_model_space(b, p, lemma_order, 1e-10) for b, p in zip(lemma_bs, weights)]
     lhs, _ = _conjugate_functions(spaces, lemma_maps, lemma_order)
     grid = grid_points(default_grid_size(lemma_order))
     # p o mu is no longer a polynomial, so this product stays on the boundary
-    bases = kept[count:]
+    bases = [tm_basis(b, lemma_order, 1e-10) for b in composed]
     pmu = [evaluate(p, mobius_eval(m, grid)) for p, m in zip(weights, lemma_maps)]
     widths = [x.shape[1] for x in bases]
     rhs, _ = multiply_by_boundary(np.hstack(bases), np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)

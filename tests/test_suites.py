@@ -163,13 +163,17 @@ def test_model_space_suite_shifts_once_per_alpha(monkeypatch):
     assert_each_alpha_shifted_once(monkeypatch, refuse=False)
 
 
+def test_model_space_suite_shifts_once_per_alpha_where_bases_are_refused(monkeypatch):
+    assert_each_alpha_shifted_once(monkeypatch, refuse=False, seed=4, order=64)
+
+
 def test_model_space_suite_shifts_once_per_alpha_where_alphas_are_refused(monkeypatch):
     refuse_large_alphas(monkeypatch)
     assert_each_alpha_shifted_once(monkeypatch, refuse=True)
 
 
-def assert_each_alpha_shifted_once(monkeypatch, refuse):
-    want, refused_b, refused, accepted = sequential_draws(monkeypatch, 3, 6, 3, ORDER)
+def assert_each_alpha_shifted_once(monkeypatch, refuse, seed=3, order=ORDER):
+    want, refused_b, refused, accepted = sequential_draws(monkeypatch, seed, 6, 3, order)
     drawn, gated, shifts, checked, shifted_bases = [], [], [], [], []
     draw, gate, shift, gaps, stacked = (suites.random_blaschke, suites._gated_tm_bases, suites._frostman_shifts,
                                         suites._frostman_gaps, suites._tm_bases)
@@ -198,27 +202,32 @@ def assert_each_alpha_shifted_once(monkeypatch, refuse):
 
     monkeypatch.setattr(suites, "random_blaschke", counted_draw)
     monkeypatch.setattr(suites, "_gated_tm_bases", counted_gate)
+    monkeypatch.setattr(blaschke, "_gated_tm_bases", counted_gate)  # the name tm_basis calls
     monkeypatch.setattr(suites, "_frostman_shifts", counted_shifts)
     monkeypatch.setattr(suites, "_frostman_gaps", counted_gaps)
     monkeypatch.setattr(suites, "_tm_bases", counted_stacked)
-    result = suites.suite_model_spaces(3, n_blaschke=6, n_alpha=3, order=ORDER)
+    result = suites.suite_model_spaces(seed, n_blaschke=6, n_alpha=3, order=order)
     assert_same_report(result, want)
     assert result["pass"] and len(accepted) == 18 and (len(refused) > 0) == refuse
+    assert (len(refused_b) > 0) == (order < ORDER)
     # each alpha is shifted once (after a rewind the generator can give an
     # alpha shifted ahead again, but for another B), and each shift the
     # one-at-a-time draws accept is checked once; skipped_draws counts the B
     # and alphas they refuse
     assert len({(id(b), a) for b, a, _ in shifts}) == len(shifts)
-    if not refuse:  # then each alpha value is shifted once
-        assert len({a for _, a, _ in shifts}) == len(shifts)
     assert sorted(key(b.zeros, a) for b, a in checked) == sorted(key(*x) for x in accepted)
-    assert {key(b.zeros, a) for b, a, good in shifts if good} >= {key(*x) for x in accepted}
-    assert {key(b.zeros, a) for b, a, good in shifts if not good} >= {key(*x) for x in refused}
+    good = sorted(key(b.zeros, a) for b, a, ok in shifts if ok)
+    bad = sorted(key(b.zeros, a) for b, a, ok in shifts if not ok)
+    if refuse:  # the shifts a pass made past a refused alpha are dropped
+        assert set(good) >= {key(*x) for x in accepted} and set(bad) >= {key(*x) for x in refused}
+    else:  # each alpha value is shifted once, and every shift is one the one-at-a-time draws make
+        assert len({a for _, a, _ in shifts}) == len(shifts)
+        assert good == sorted(key(*x) for x in accepted) and bad == []
     assert {z.tobytes() for z in refused_b} <= {b.zeros.tobytes() for b, good in gated if not good}
     assert result["skipped_draws"] == len(refused_b) + len(refused)
-    # the gate runs once on each drawn B and on nothing else, so never on a
-    # B_alpha; a B is shifted only once it passes, and a check whose shift
-    # succeeds takes one basis, of B_alpha
+    # the gate runs once on each drawn B and on nothing else, under either
+    # name, so tm_basis never runs on a B_alpha; a B is shifted only once it
+    # passes, and a check whose shift succeeds takes one basis, of B_alpha
     assert sorted(map(id, drawn)) == sorted(id(b) for b, _ in gated)
     assert {id(b) for b, _, _ in shifts} <= {id(b) for b, good in gated if good}
     assert len(shifted_bases) == 18
