@@ -12,17 +12,19 @@ functions in the package; the Moebius conjugation of functions maps such
 a matrix to another.  tm_basis and frostman_shift are the one-product calls
 of stacked passes: _gated_tm_bases gates the bases of many products with one
 run per degree of the one recurrence _tm_bases (one stacked _series_div per
-element), and _frostman_shifts shifts many products of one degree, each at
-its own parameter; every row has the bits of its one-product call.  The
+element) and raises the first refusal, and _frostman_shifts shifts many
+products of one degree, each at its own parameter, returning each failure
+as a value; every row has the bits of its one-product call.  The
 conjugation C_B needs no coefficients of B: on the basis it is
 C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in reverse order,
 which verification reads in closed form.  Phases are read from
 coefficients or zeros in closed form; the boundary grid is used only by
 the Moebius conjugation of functions and symbols, which are sampled and
 projected, and by the values of B that the suites' boundary identity reads
-(blaschke_eval).  A product keeps what depends on it alone, and
-canonical_blaschke returns one shared instance per zero set, so Schmidt
-blocks with the same inner function share that work.
+(_products, of which blaschke_eval is the one-product call).  A product
+keeps what depends on it alone, and canonical_blaschke returns one shared
+instance per zero set, so Schmidt blocks with the same inner function
+share that work.
 """
 
 from __future__ import annotations
@@ -253,26 +255,21 @@ def tm_basis(b: BlaschkeProduct, order: int, tail_tol: float = 1e-10) -> np.ndar
     returns that same matrix.  This is the one-product call of
     _gated_tm_bases, which gates all products of one degree at once.
     """
-    (basis,) = _gated_tm_bases([b], order, tail_tol)
-    if isinstance(basis, ValueError):
-        raise basis
-    return basis
+    return _gated_tm_bases([b], order, tail_tol)[0]
 
 
 def _gated_tm_bases(bs: list, order: int, tail_tol: float) -> list:
-    """tm_basis of each product in bs: its kept basis, or the ValueError
-    tm_basis raises for it.  The products with no basis kept at
-    (order, tail_tol) take one pass of _tm_bases to order + 64 and one tail
-    estimate per degree; each basis that passes is a read-only view into
-    that pass's C-contiguous stack, kept on its product."""
-    key, refused = ("tm", order, tail_tol), {}
+    """tm_basis of each product in bs, or the ValueError tm_basis raises for
+    the first refused product of the lowest refused degree.  The products
+    with no basis kept at (order, tail_tol) take one pass of _tm_bases to
+    order + 64 and one tail estimate per degree; each basis that passes is a
+    read-only view into that pass's C-contiguous stack, kept on its product."""
+    key = ("tm", order, tail_tol)
     todo = list({id(b): b for b in bs if key not in b._kept}.values())
     for d in sorted({b.degree for b in todo}):
         group = [b for b in todo if b.degree == d]
         if order < d + 1:
-            refused.update((id(b), ValueError(f"order {order} too small for a degree-{d} model space"))
-                           for b in group)
-            continue
+            raise ValueError(f"order {order} too small for a degree-{d} model space")
         zeros = np.array([b.zeros for b in group]).reshape(len(group), d)
         elements = _tm_bases(zeros, order + 64)
         # past order + 64 an element decays at least as fast as rate^n, rate its
@@ -284,15 +281,14 @@ def _gated_tm_bases(bs: list, order: int, tail_tol: float) -> list:
         bases.setflags(write=False)
         for b, basis, tail in zip(group, bases, tails):
             failing = np.flatnonzero(tail > tail_tol)
-            if not failing.size:
-                b._kept[key] = basis
-                continue
-            k = failing[0]
-            refused[id(b)] = ValueError(
-                f"order {order} insufficient for model-space basis: tail estimate "
-                f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
-            )
-    return [b._kept[key] if key in b._kept else refused[id(b)] for b in bs]
+            if failing.size:
+                k = failing[0]
+                raise ValueError(
+                    f"order {order} insufficient for model-space basis: tail estimate "
+                    f"{tail[k]:.3e} of element {k} exceeds {tail_tol:.1e}"
+                )
+            b._kept[key] = basis
+    return [b._kept[key] for b in bs]
 
 
 def _tm_bases(zeros: np.ndarray, n: int) -> np.ndarray:

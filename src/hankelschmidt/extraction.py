@@ -560,11 +560,11 @@ def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
     n = b.v.shape[1]
     b.hold(
         phase=np.exp(1j * np.asarray(b.phi)),
-        prods=[_attempt(_weighted_model_space, t, pk, n, model_tail_tol) for t, pk in zip(b.theta, b.p)],
+        bases=[_attempt(tm_basis, t, n, model_tail_tol) for t in b.theta],
     )
-    if b.drop_errors("prods"):
+    if b.drop_errors("bases"):
         return
-    prods = np.stack(b.prods)
+    prods = np.stack([_weighted_model_space(v, pk) for v, pk in zip(b.bases, b.p)])
     basis, full_rank = _orthonormal_columns(prods)
     gap, (bad_block, bad_basis) = _subspace_gaps(b.v, basis)
     failed = np.stack([~full_rank, bad_block, bad_basis])
@@ -630,16 +630,13 @@ def _attempt(f, *args):
         return exc
 
 
-def _weighted_model_space(
-    theta: BlaschkeProduct, p: np.ndarray, n: int, model_tail_tol: float = 1e-8
-) -> np.ndarray:
-    """The n x d matrix of p e_k over the Takenaka-Malmquist basis e_k of
-    K_theta (tm_basis at order n and model_tail_tol): column k is the
-    truncated product of p and e_k, a convolution of their supports."""
-    basis = tm_basis(theta, n, tail_tol=model_tail_tol)
+def _weighted_model_space(basis: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The n x d matrix of p e_k over the n x d Takenaka-Malmquist basis
+    matrix of K_theta (tm_basis): column k is the truncated product of p
+    and e_k, a convolution of their supports."""
     out = np.empty(basis.shape, dtype=np.complex128)
     for k, e in enumerate(basis.T):
-        out[:, k] = _series_product(p, e, n)
+        out[:, k] = _series_product(p, e, basis.shape[0])
     return out
 
 
@@ -660,7 +657,7 @@ def _conjugated_products(
     e~_0 = e_0, so the products are read from prods, with no new work.
     """
     flipped = prods if theta.degree == 1 else _weighted_model_space(
-        BlaschkeProduct(theta.zeros[::-1]), p, n, model_tail_tol
+        tm_basis(BlaschkeProduct(theta.zeros[::-1]), n, tail_tol=model_tail_tol), p
     )
     return -theta.phase * flipped[:, ::-1]
 

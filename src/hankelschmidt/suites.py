@@ -5,10 +5,9 @@ of identities at fixed truncation order, and returns a plain dict of
 worst-case residuals plus a pass flag; the model-space, Moebius and theorem
 suites draw all inputs first and check them in a few stacked passes, by
 degree or multiplicity.  The model-space suite redraws the inputs its gates
-refuse, so it draws speculatively: each pass draws as though nothing were
-refused, as far ahead as the refusals so far suggest, gates and shifts all
-its draws in one call per degree, keeps them up to the first refusal and
-rewinds the generator there (rng.bit_generator.state), so every draw is
+refuse: it gates each B as it is drawn, shifts the alphas of all kept B in
+one call per degree, and where an alpha is refused drops the B drawn after
+it and rewinds the generator (rng.bit_generator.state), so every draw is
 the one a loop over one draw at a time would make.  The same functions
 back the `verify` subcommand.
 """
@@ -29,7 +28,6 @@ from .blaschke import (
     _products,
     _taylor_rows,
     _tm_bases,
-    blaschke_eval,
     compose_with_mobius,
     mobius_conjugate_function,
     mobius_conjugate_symbol,
@@ -136,52 +134,40 @@ def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3,
     skipped_draws counts the B draws whose basis has not decayed by `order`
     (tm_basis's tail gate) and the alpha draws whose Frostman shift fails;
     both are drawn again, so the draws are those of one B at a time, each
-    followed by alphas until n_alpha shifts succeed.  They are taken in
-    speculative passes: a pass draws ahead as though nothing were refused
-    (the alphas a B still lacks, then new B with n_alpha alphas each, the
-    last B's alphas drawn only once it passes), gates its new B with one
-    _gated_tm_bases pass per degree, and shifts the alphas of the B before
-    the first refused one with one _frostman_shifts call per degree.  It
-    keeps the draws up to the first refusal and rewinds the generator
-    there: to just after a refused B, or to just after the last alpha of
-    the first B with a refused alpha, whose successful shifts it keeps, so
-    that B draws its missing alphas next.  A pass takes every B still
-    wanted until the first refusal, then one more than the B kept per
-    refusal so far: at order 128, where a B is rarely refused, one pass
-    takes all, and at order 32, where most B fail the tail gate, a pass
-    takes about one.  Each check then runs once per degree."""
+    followed by alphas until n_alpha shifts succeed.  Each B is gated as it
+    is drawn and a kept B draws its alphas at once; once every B still
+    wanted is drawn, all alphas are shifted with one _frostman_shifts call
+    per degree.  At the first B with a refused alpha the B drawn after it
+    are dropped, with the B refused among them, and the generator is set
+    back to just after that B's alphas (rng.bit_generator.state), so it
+    draws its missing alphas first in the next round.  Each check then
+    runs once per degree."""
     rng = np.random.default_rng(seed)
     skipped, done, short = 0, [], None  # short: a kept B still missing alphas
     while len(done) < n_blaschke:
-        slots = [short] if short else []
-        # one more than the mean run of kept B between refusals so far
-        ahead = 1 + len(done) // skipped if skipped else n_blaschke
-        wanted = min(ahead, n_blaschke - len(done)) - len(slots)
-        slots += [SimpleNamespace(b=None, v=None, hits=0, shifts=[]) for _ in range(wanted)]
-        for slot in slots:  # the generator's state after each new B
-            if slot.b is None:
-                slot.b, slot.after_b = random_blaschke(rng), rng.bit_generator.state
-            if slot is not slots[-1]:  # the last B's alphas wait for its gate
-                _draw_alphas(rng, slot, n_alpha)
-        fresh = [slot for slot in slots if slot.v is None]
-        for slot, v in zip(fresh, _gated_tm_bases([slot.b for slot in fresh], order, 1e-10)):
-            slot.v = v
-        cut = next((i for i, slot in enumerate(slots) if isinstance(slot.v, ValueError)), len(slots))
-        if cut == len(slots):
+        # per slot, and for the next B, the B refused just before it
+        slots, refused = ([short], [0, 0]) if short else ([], [0])
+        if short:
+            _draw_alphas(rng, short, n_alpha)
+        while len(done) + len(slots) < n_blaschke:
+            b = random_blaschke(rng)
+            try:
+                slots.append(SimpleNamespace(b=b, v=tm_basis(b, order), hits=0, shifts=[]))
+            except ValueError:
+                refused[-1] += 1
+                continue
             _draw_alphas(rng, slots[-1], n_alpha)
-        _shift_alphas(slots[:cut], order)
-        refused = next((i for i, slot in enumerate(slots[:cut]) if not slot.ok.all()), None)
-        for slot in slots[:cut] if refused is None else slots[: refused + 1]:
-            skipped += int((~slot.ok).sum())
+            refused.append(0)
+        _shift_alphas(slots, order)
+        for slot, n in zip(slots, refused):
+            skipped += n + int((~slot.ok).sum())
             slot.hits += int(slot.ok.sum())
             slot.shifts.append(slot.new)
-            short = None if slot.hits == n_alpha else slot
-            done += [slot] * (short is None)
-        if refused is not None:
-            rng.bit_generator.state = short.after
-        elif cut < len(slots):
-            skipped += 1
-            rng.bit_generator.state = slots[cut].after_b
+            short = slot if slot.hits < n_alpha else None
+            if short:
+                rng.bit_generator.state = slot.after
+                break
+            done.append(slot)
     draws = [(slot.b, slot.v, *map(np.concatenate, zip(*slot.shifts))) for slot in done]
     worst = dict.fromkeys(("backward_shift_identity", "frostman_subspace_gap",
                            "frostman_isometry", "frostman_boundary_identity"), 0.0)
@@ -244,7 +230,8 @@ def _frostman_gaps(bs, v, alphas, zeros, phases, g) -> tuple:
     # g_alpha (B_alpha - (alpha - B) / (1 - conj(alpha) B)) on the grid,
     # with |g_alpha| >= 0.577 for |alpha| <= 0.5, so it checks that phase
     grid = grid_points(default_grid_size(n))
-    bz = np.repeat([blaschke_eval(b, grid) for b in bs], k, axis=0)
+    bz = _products(np.array([b.zeros for b in bs]), np.array([b.phase for b in bs]), grid)
+    bz = np.repeat(bz, k, axis=0)
     g_samples = (1 - np.conj(alphas)[:, None] * bz) / np.sqrt(1 - np.abs(alphas) ** 2)[:, None]
     return gap, iso, np.abs(g_samples * _products(zeros, phases, grid) + bz * np.conj(g_samples)).max(axis=1)
 
@@ -318,17 +305,15 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     gaps = _span_gaps(np.split(_conjugate_functions(matched, maps, order)[0], cut, axis=1), targets)
     worst_gap = float(gaps.max(initial=0.0))
     ok = ok and bool(np.all(gaps <= allowances))
-    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p; one
-    # gated pass per degree keeps the basis of every B and B o mu on its product,
-    # where tm_basis at (lemma_order, 1e-10), here and in _weighted_model_space,
-    # reads it or raises
+    # U (p K_B) against (p o mu) K_{B o mu} for random polynomial weights p,
+    # the bases of every B and B o mu from one gated pass per degree
     composed = [compose_with_mobius(b, m) for b, m in zip(lemma_bs, lemma_maps)]
-    _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
-    spaces = [_weighted_model_space(b, p, lemma_order, 1e-10) for b, p in zip(lemma_bs, weights)]
+    bases = _gated_tm_bases([*lemma_bs, *composed], lemma_order, 1e-10)
+    spaces = [_weighted_model_space(v, p) for v, p in zip(bases[:count], weights)]
     lhs, _ = _conjugate_functions(spaces, lemma_maps, lemma_order)
     grid = grid_points(default_grid_size(lemma_order))
     # p o mu is no longer a polynomial, so this product stays on the boundary
-    bases = [tm_basis(b, lemma_order, 1e-10) for b in composed]
+    bases = bases[count:]
     pmu = [evaluate(p, mobius_eval(m, grid)) for p, m in zip(weights, lemma_maps)]
     widths = [x.shape[1] for x in bases]
     rhs, _ = multiply_by_boundary(np.hstack(bases), np.repeat(np.array(pmu).T, widths, axis=1), lemma_order)
@@ -442,7 +427,7 @@ def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e
         n_off_origin += rep.canonicalized_at != 0
         worst_res = max(worst_res, max(rep.residuals.gated().values()))
         mapped, _ = mobius_conjugate_function(block.basis[:, :1], m, order)
-        prods = _weighted_model_space(rep.theta, rep.p, order)
+        prods = _weighted_model_space(tm_basis(rep.theta, order, tail_tol=1e-8), rep.p)
         gap = subspace_gap(orthonormalize(mapped), orthonormalize(prods))
         worst_gap = max(worst_gap, gap)
         if gap > tol:

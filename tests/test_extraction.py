@@ -610,7 +610,7 @@ def test_conjugated_products_of_degree_one_reuse_the_products():
     rng = np.random.default_rng(4)
     p = rng.normal(size=64) + 1j * rng.normal(size=64)
     theta = BlaschkeProduct([0.3 - 0.5j], np.exp(0.7j))
-    prods = extraction._weighted_model_space(theta, p, 64)
+    prods = extraction._weighted_model_space(tm_basis(theta, 64, tail_tol=1e-8), p)
     image = extraction._conjugated_products(theta, p, prods, 64, 1e-8)
     assert image.shape == (64, 1)
     assert np.array_equal(image, -theta.phase * prods)

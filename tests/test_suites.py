@@ -183,8 +183,12 @@ def assert_each_alpha_shifted_once(monkeypatch, refuse, seed=3, order=ORDER):
         return drawn[-1]
 
     def counted_gate(bs, order, tail_tol):
-        out = gate(bs, order, tail_tol)
-        gated.extend((b, not isinstance(x, ValueError)) for b, x in zip(bs, out))
+        try:
+            out = gate(bs, order, tail_tol)
+        except ValueError:
+            gated.append((bs, False))
+            raise
+        gated.append((bs, True))
         return out
 
     def counted_shifts(bs, alphas, order):
@@ -211,25 +215,29 @@ def assert_each_alpha_shifted_once(monkeypatch, refuse, seed=3, order=ORDER):
     assert result["pass"] and len(accepted) == 18 and (len(refused) > 0) == refuse
     assert (len(refused_b) > 0) == (order < ORDER)
     # each alpha is shifted once (after a rewind the generator can give an
-    # alpha shifted ahead again, but for another B), and each shift the
+    # alpha shifted before again, but for another B), and each shift the
     # one-at-a-time draws accept is checked once; skipped_draws counts the B
     # and alphas they refuse
     assert len({(id(b), a) for b, a, _ in shifts}) == len(shifts)
     assert sorted(key(b.zeros, a) for b, a in checked) == sorted(key(*x) for x in accepted)
-    good = sorted(key(b.zeros, a) for b, a, ok in shifts if ok)
-    bad = sorted(key(b.zeros, a) for b, a, ok in shifts if not ok)
-    if refuse:  # the shifts a pass made past a refused alpha are dropped
-        assert set(good) >= {key(*x) for x in accepted} and set(bad) >= {key(*x) for x in refused}
-    else:  # each alpha value is shifted once, and every shift is one the one-at-a-time draws make
-        assert len({a for _, a, _ in shifts}) == len(shifts)
-        assert good == sorted(key(*x) for x in accepted) and bad == []
-    assert {z.tobytes() for z in refused_b} <= {b.zeros.tobytes() for b, good in gated if not good}
+    # the shifts of the B the one-at-a-time draws keep are theirs, accepted
+    # and refused alike; a rewind to a refused alpha drops the B drawn after
+    # its B, with their shifts
+    kept = {z.tobytes() for z, _ in accepted}
+    good = sorted(key(b.zeros, a) for b, a, ok in shifts if ok and b.zeros.tobytes() in kept)
+    bad = sorted(key(b.zeros, a) for b, a, ok in shifts if not ok and b.zeros.tobytes() in kept)
+    assert good == sorted(key(*x) for x in accepted) and bad == sorted(key(*x) for x in refused)
+    if not refuse:  # no rewind: each alpha value is shifted once, and every shift is one of theirs
+        assert len({a for _, a, _ in shifts}) == len(shifts) == len(good)
+    assert {z.tobytes() for z in refused_b} <= {bs[0].zeros.tobytes() for bs, good in gated if not good}
     assert result["skipped_draws"] == len(refused_b) + len(refused)
-    # the gate runs once on each drawn B and on nothing else, under either
-    # name, so tm_basis never runs on a B_alpha; a B is shifted only once it
-    # passes, and a check whose shift succeeds takes one basis, of B_alpha
-    assert sorted(map(id, drawn)) == sorted(id(b) for b, _ in gated)
-    assert {id(b) for b, _, _ in shifts} <= {id(b) for b, good in gated if good}
+    # the gate runs once on each drawn B, one B per call, and on nothing
+    # else, under either name, so tm_basis never runs on a B_alpha; a B is
+    # shifted only once it passes, and a check whose shift succeeds takes
+    # one basis, of B_alpha
+    assert all(len(bs) == 1 for bs, _ in gated)
+    assert sorted(map(id, drawn)) == sorted(id(bs[0]) for bs, _ in gated)
+    assert {id(b) for b, _, _ in shifts} <= {id(bs[0]) for bs, good in gated if good}
     assert len(shifted_bases) == 18
 
 
@@ -299,50 +307,45 @@ def test_model_spaces_match_the_oracle_where_shifts_are_redrawn():
     assert max(skipped) > 0
 
 
-def speculative_passes(events):
-    """The passes of suite_model_spaces from its log of draws, gates and
-    shifts: per pass its slots in draw order, each [B, whether B is new,
-    its alphas, refused (None, "B" or "alpha")], a refusal read only where
-    the suite evaluated it."""
-    passes, gates, shifts, short = [], {}, {}, None
+def model_space_rounds(events):
+    """The rounds of suite_model_spaces from its log of draws, gate results
+    and shifts (one per degree, after a round's draws): per round whether it
+    starts with the missing alphas of a B carried over from the round
+    before, and its slots in draw order, [B, whether its gate passed, its
+    alphas, whether one of them is refused], the carried B first."""
+    rounds, slots, shifted, short = [], [], {}, None
     for kind, value in events + [("end", None)]:
-        if kind in ("B", "alpha", "end") and passes and passes[-1][1]:  # a draw after an evaluation
-            slots = passes[-1][0]
+        if kind in ("B", "alpha", "end") and shifted:  # the round before is over
             for slot in slots:
-                if slot[1] and not gates[id(slot[0])]:
-                    slot[3] = "B"
-                elif any(shifts.get((id(slot[0]), a)) is False for a in slot[2]):
-                    slot[3] = "alpha"
-            first = next((slot for slot in slots if slot[3]), None)
-            short = first[0] if first and first[3] == "alpha" else None
-            if kind == "end":
-                break
-            passes.append([[], False])
-        if not passes:
-            passes.append([[], False])
+                slot[3] = any(shifted.get((id(slot[0]), a)) is False for a in slot[2])
+            rounds.append((slots[0][0] is short, slots))
+            short = next((slot[0] for slot in slots if slot[3]), None)
+            slots, shifted = [], {}
         if kind == "B":
-            passes[-1][0].append([value, True, [], None])
-        elif kind == "alpha":
-            if not passes[-1][0]:
-                passes[-1][0].append([short, False, [], None])
-            passes[-1][0][-1][2].append(value)
+            slots.append([value, None, [], False])
         elif kind == "gate":
-            gates.update(value)
-            passes[-1][1] = True
+            slots[-1][1] = value
+        elif kind == "alpha":
+            if not slots:
+                assert short is not None
+                slots.append([short, True, [], False])
+            slots[-1][2].append(value)
         elif kind == "shift":
-            shifts.update(value)
-    return [slots for slots, _ in passes]
+            shifted.update(value)
+    assert not slots
+    return rounds
 
 
 def test_model_spaces_match_the_oracle_where_alphas_are_refused(monkeypatch):
     # refusing every alpha with |alpha| > 0.45, in the suite and in the oracle,
-    # takes the paths no natural draw takes: rewinds to a refused alpha,
-    # refusals on the first and on the last B of a pass, and a B refused
-    # right after a B's missing alphas are drawn
+    # takes the paths no natural draw takes: rewinds to a refused alpha, gate
+    # refusals that such a rewind drops, so that they count in skipped_draws
+    # only as the generator draws them again, and a B refused right after a
+    # carried B's missing alphas are drawn
     refuse_large_alphas(monkeypatch)
     events = []
     draw, alpha = suites.random_blaschke, suites._draw_alpha
-    gate, shift = suites._gated_tm_bases, suites._frostman_shifts
+    gate, shift = suites.tm_basis, suites._frostman_shifts
 
     def logged_draw(rng):
         events.append(("B", draw(rng)))
@@ -352,9 +355,13 @@ def test_model_spaces_match_the_oracle_where_alphas_are_refused(monkeypatch):
         events.append(("alpha", alpha(rng)))
         return events[-1][1]
 
-    def logged_gate(bs, order, tail_tol):
-        out = gate(bs, order, tail_tol)
-        events.append(("gate", {id(b): not isinstance(x, ValueError) for b, x in zip(bs, out)}))
+    def logged_gate(*args):
+        try:
+            out = gate(*args)
+        except ValueError:
+            events.append(("gate", False))
+            raise
+        events.append(("gate", True))
         return out
 
     def logged_shifts(bs, alphas, order):
@@ -362,7 +369,8 @@ def test_model_spaces_match_the_oracle_where_alphas_are_refused(monkeypatch):
         events.append(("shift", {(id(b), a): e is None for b, a, e in zip(bs, alphas, out[-1])}))
         return out
 
-    seen = dict.fromkeys(("rewind to an alpha", "first B", "last B", "B after a redraw"), 0)
+    seen = dict.fromkeys(("rewind to an alpha", "gate refusal dropped by a rewind",
+                          "B refused after carried alphas"), 0)
     refused_b = refused = 0
     for seed in range(8):
         want, *counts = sequential_draws(monkeypatch, seed, 30, 3, 64)
@@ -370,15 +378,15 @@ def test_model_spaces_match_the_oracle_where_alphas_are_refused(monkeypatch):
         events.clear()
         with monkeypatch.context() as m:
             for name, f in (("random_blaschke", logged_draw), ("_draw_alpha", logged_alpha),
-                            ("_gated_tm_bases", logged_gate), ("_frostman_shifts", logged_shifts)):
+                            ("tm_basis", logged_gate), ("_frostman_shifts", logged_shifts)):
                 m.setattr(suites, name, f)
             assert_same_report(suites.suite_model_spaces(seed, order=64), want)
-        for slots in speculative_passes(events):
+        for carried, slots in model_space_rounds(events):
             first = next((i for i, slot in enumerate(slots) if slot[3]), None)
-            seen["rewind to an alpha"] += first is not None and slots[first][3] == "alpha"
-            seen["first B"] += first == 0
-            seen["last B"] += len(slots) > 1 and first == len(slots) - 1
-            seen["B after a redraw"] += len(slots) > 1 and not slots[0][1] and slots[1][3] == "B"
+            seen["rewind to an alpha"] += first is not None
+            seen["gate refusal dropped by a rewind"] += first is not None and any(
+                slot[1] is False for slot in slots[first + 1:])
+            seen["B refused after carried alphas"] += carried and len(slots) > 1 and slots[1][1] is False
     assert refused_b > 0 and refused > 0
     assert all(seen.values()), seen
 
