@@ -9,10 +9,8 @@ from .blaschke import (
     BlaschkeProduct,
     MobiusMap,
     blaschke_coefficients,
-    blaschke_eval,
     compose_with_mobius,
     frostman_shift,
-    mobius_conjugate_function,
     mobius_conjugate_symbol,
     tm_basis,
 )
@@ -22,14 +20,10 @@ from .extraction import (
     ExtractionError,
     Representation,
     RepresentationResiduals,
-    base_point_select,
-    extract_representation,
     extract_representations,
-    extremal_projection,
-    verify_representation,
 )
 from .pipeline import AnalysisConfig, analyze_symbol, verify_suites
-from .spectral import SchmidtBlock, schmidt_decompose, subspace_gap
+from .spectral import SchmidtBlock, schmidt_decompose
 from .symbols import (
     PoleTerm,
     RationalSymbol,

@@ -21,7 +21,7 @@ which verification reads in closed form.  Phases are read from
 coefficients or zeros in closed form; the boundary grid is used only by
 the Moebius conjugation of functions and symbols, which are sampled and
 projected, and by the values of B that the suites' boundary identity reads
-(_products, of which blaschke_eval is the one-product call).  A product
+(_products, for a stack of products at once).  A product
 keeps what depends on it alone, and canonical_blaschke returns one shared
 instance per zero set, so Schmidt blocks with the same inner function
 share that work.
@@ -49,13 +49,11 @@ from .symbols import evaluate_symbol
 __all__ = [
     "BlaschkeProduct",
     "MobiusMap",
-    "blaschke_eval",
     "blaschke_coefficients",
     "canonical_blaschke",
     "tm_basis",
     "frostman_shift",
     "mobius_eval",
-    "mobius_conjugate_function",
     "mobius_conjugate_symbol",
     "compose_with_mobius",
 ]
@@ -108,15 +106,6 @@ class MobiusMap:
 def mobius_eval(m: MobiusMap, z) -> np.ndarray | complex:
     z = np.asarray(z, dtype=np.complex128)
     out = (m.alpha - z) / (1 - np.conj(m.alpha) * z)
-    return complex(out) if out.ndim == 0 else out
-
-
-def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
-    """Evaluate B on |z| <= 1 (boundary included) in product form (_products)."""
-    zs = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(zs) > 1 + 1e-12):
-        raise ValueError("evaluation point outside the closed unit disk")
-    out = _products(b.zeros[None], np.array([b.phase]), zs)[0]
     return complex(out) if out.ndim == 0 else out
 
 
@@ -437,22 +426,16 @@ def _cluster_means(values: np.ndarray) -> np.ndarray:
 # Moebius conjugation
 
 
-def mobius_conjugate_function(f: np.ndarray, m: MobiusMap, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z))
-    of each coefficient column of the N x d matrix f.
-
-    Computed on the boundary and projected, from one evaluation of all
-    columns and one FFT.  Returns the matrix of conjugated columns and, per
-    column, the energy dropped by the projection (f composed with mu is no
-    longer a polynomial, so it grows as |alpha| -> 1).  This is the one-map
-    call of _conjugate_functions.
-    """
-    return _conjugate_functions([f], [m], order)
-
-
 def _conjugate_functions(fs: list, maps: list, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """mobius_conjugate_function of each matrix fs[i] at maps[i], the results
-    side by side: one evaluation per matrix, one FFT for all columns."""
+    """Unitary change of variable U f(z) = sqrt(1-|a|^2)/(1 - conj(a) z) * f(mu(z))
+    of each coefficient column of each N x d matrix fs[i] at maps[i].
+
+    Computed on the boundary and projected, from one evaluation per matrix
+    and one FFT for all columns.  Returns the conjugated columns side by
+    side, to `order` coefficients, and, per column, the energy dropped by
+    the projection (f composed with mu is no longer a polynomial, so it
+    grows as |alpha| -> 1).
+    """
     cols = [_coefficient_matrix(f) for f in fs]
     z = grid_points(default_grid_size(max([order] + [c.shape[0] for c in cols])))
     weights = [np.sqrt(1 - abs(m.alpha) ** 2) / (1 - np.conj(m.alpha) * z) for m in maps]

@@ -37,9 +37,8 @@ canonical_blaschke lookups, the Frostman shift when theta(0) != 0, and
 the products with each block's own p and theta.  One _Batch per group
 holds every per-block array, from the base point to the gates; a block
 that fails a check leaves all of them at once, with the error a lone
-extraction of it raises, and the other blocks go on.
-extract_representation and verify_representation are the one-block calls
-of the same code.
+extraction of it raises, and the other blocks go on.  One block is a batch
+of one.
 
 Verification works on coefficients: the weighted model space p K_theta is
 the N x d matrix of the truncated products p e_k over the columns of
@@ -80,9 +79,8 @@ from .hardy import (
     _lead_rotation,
     _series_product,
 )
-from .hankel import HankelMatrix, _ldexp, hankel_apply
+from .hankel import _ldexp, hankel_apply
 from .spectral import (
-    SchmidtBlock,
     _largest_singular_value,
     _nullspace_of_row,
     _orthonormal_columns,
@@ -93,11 +91,7 @@ __all__ = [
     "Representation",
     "RepresentationResiduals",
     "ExtractionError",
-    "extremal_projection",
-    "base_point_select",
     "extract_representations",
-    "extract_representation",
-    "verify_representation",
     "DIRECT_BRANCH_THRESHOLD",
 ]
 
@@ -121,8 +115,8 @@ class Representation:
     """The triple (p, theta, phi) with E(s) = p K_theta, theta(0) = 0.
 
     p is the read-only array of the multiplier's Taylor coefficients.
-    `residuals` is the verify_representation report that
-    extract_representation gated on; None for a hand-built triple.
+    `residuals` is the verification report (_verify_stack) that extraction
+    gated on; None for a hand-built triple.
     """
 
     p: np.ndarray
@@ -134,7 +128,8 @@ class Representation:
 
 @dataclass(frozen=True)
 class RepresentationResiduals:
-    """Residual report of verify_representation; all entries are nonnegative."""
+    """Residual report of the verification of one representation
+    (_verify_stack); all entries are nonnegative."""
 
     subspace_gap: float
     isometry: float
@@ -212,24 +207,20 @@ class _Batch:
 
 
 def _extremal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections of the constant function onto each basis of the stack v
-    (m x N x d), as rows, and their norms."""
+    """Orthogonal projections of the constant function onto each basis of
+    the stack v (m x N x d), as rows, and their norms.
+
+    With theta(0) = 0 a projection equals conj(p(0)) p, so its norm is
+    |p(0)|; at or below DIRECT_BRANCH_THRESHOLD extraction moves off the
+    origin.
+    """
     q = (v @ v[:, :1, :].conj().swapaxes(1, 2))[..., 0]
     return q, np.linalg.norm(q, axis=1)
 
 
-def extremal_projection(block: SchmidtBlock) -> tuple[np.ndarray, float]:
-    """Orthogonal projection of the constant function onto the block.
-
-    With theta(0) = 0 this equals conj(p(0)) p, so its norm is |p(0)|; at
-    or below DIRECT_BRANCH_THRESHOLD extraction moves off the origin.
-    """
-    q, nq = _extremal(block.basis[None])
-    return q[0], float(nq[0])
-
-
-def base_point_select(block: SchmidtBlock) -> complex:
-    """Deterministic base point for extraction.
+def _base_point(basis: np.ndarray, nq: float) -> complex:
+    """Deterministic base point for extraction, for an N x d block basis
+    whose extremal projection (_extremal) has norm nq.
 
     Returns 0 when the projection of the constant onto the block is already
     usable; otherwise the grid point (concentric rings, 16 angles) maximizing
@@ -237,11 +228,6 @@ def base_point_select(block: SchmidtBlock) -> complex:
     All 81 points are evaluated at once by _horner on the basis rows up to
     its last nonzero one; ties go to the first point in ring order.
     """
-    return _base_point(block.basis, extremal_projection(block)[1])
-
-
-def _base_point(basis: np.ndarray, nq: float) -> complex:
-    """base_point_select for a basis whose extremal projection has norm nq."""
     if nq > DIRECT_BRANCH_THRESHOLD:
         return 0.0 + 0.0j
     values = _horner(basis, _BASE_POINTS)
@@ -337,12 +323,23 @@ def _wrap_phase(phi: float) -> float:
 
 
 def extract_representations(pairs, tol: float = 1e-7) -> list[Representation | ExtractionError | ValueError]:
-    """extract_representation of the block of each (gamma, block) pair, in
-    one batched pass.
+    """The canonical representation of the Schmidt block of each
+    (gamma, block) pair, in one batched pass.
+
+    Only the operator is needed: each block is a singular subspace of its
+    gamma, and the symbol's coefficients, where verification needs them,
+    are gamma's first column (gamma.u).  The multiplier is read off the
+    projection of the unit reproducing kernel at the base point onto the
+    block; the base point is 0, the direct route, when the projection of
+    the constant onto the block exceeds the 0.1 threshold, otherwise a grid
+    point of largest pointwise energy (_base_point).  Each result is checked
+    once by the verification (_verify_stack), whose report is returned as
+    `rep.residuals`; the multiplier isometry (to 0.1 * tol), subspace
+    equality and action formula (to tol) are asserted on it.
 
     Returns, for each pair in order, its Representation or the
-    ExtractionError or ValueError that extract_representation raises for
-    it, with the same message; one failing block does not stop the others.
+    ExtractionError or ValueError that stopped it; one failing block does
+    not stop the others, and the same block alone gets the same result.
     Blocks of one multiplicity are extracted and verified together, whatever
     their Gamma, each step one stacked array operation over them.
     """
@@ -350,35 +347,11 @@ def extract_representations(pairs, tol: float = 1e-7) -> list[Representation | E
     return _extract([g for g, _ in pairs], [b for _, b in pairs], [None] * len(pairs), tol)
 
 
-def extract_representation(
-    gamma: HankelMatrix,
-    block: SchmidtBlock,
-    tol: float = 1e-7,
-    base_point: complex | None = None,
-) -> Representation:
-    """Extract the canonical representation of a Schmidt block of Gamma.
-
-    Only the operator is needed: the block is a singular subspace of gamma,
-    and the symbol's coefficients, where verification needs them, are
-    gamma's first column (gamma.u).  The multiplier is read off the
-    projection of the unit reproducing kernel at the base point onto the
-    block.  base_point None takes base_point_select's: 0, the
-    direct route, when the projection of the constant onto the block exceeds
-    the 0.1 threshold, otherwise a grid point of largest pointwise energy.
-    The result is checked once by verify_representation, whose report is
-    returned as `rep.residuals`; the multiplier isometry (to 0.1 * tol),
-    subspace equality and action formula (to tol) are asserted on it before
-    returning.  This is the one-block call of extract_representations.
-    """
-    (out,) = _extract([gamma], [block], [base_point], tol)
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def _extract(gammas: list, blocks: list, base_points: list, tol: float) -> list:
-    """Results of _extract_stack for blocks grouped by basis shape, in block order;
-    within a group the blocks of one Gamma are one run, in their order."""
+    """extract_representations of the blocks with their Gammas, each at its
+    base point (None: _base_point's): the results of _extract_stack for the
+    blocks grouped by basis shape, in block order; within a group the blocks
+    of one Gamma are one run, in their order."""
     results, ids = [None] * len(blocks), [id(gamma) for gamma in gammas]
     groups: dict[tuple[int, int], list[int]] = {}
     for i in sorted(range(len(blocks)), key=lambda i: ids.index(ids[i])):
@@ -391,9 +364,9 @@ def _extract(gammas: list, blocks: list, base_points: list, tol: float) -> list:
 
 
 def _extract_stack(gammas: list, blocks: list, base_points: list, tol: float) -> list:
-    """extract_representation for each of the blocks, all of one basis shape,
-    with its Gamma and base point (None: base_point_select's), carried by one
-    batch from the base point to the gates.
+    """The results of _extract for blocks all of one basis shape, each with
+    its Gamma and base point, carried by one batch from the base point to
+    the gates.
 
     q is the normalized projection of the unit kernel k^_alpha onto the
     block, p k^_alpha up to a unimodular constant; dividing by k^_alpha is
@@ -513,10 +486,12 @@ def _canonicalize(p: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, list[floa
 # verification
 
 
-def verify_representation(
-    gamma: HankelMatrix, block: SchmidtBlock, rep: Representation
-) -> RepresentationResiduals:
-    """Residual report for a representation against its block and Gamma.
+def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
+    """The residual report of each live entry of b against its block and
+    Gamma: b holds the Gammas, block bases v (m x N x d), singular values
+    s, multipliers p, thetas of one degree and phases phi.  Holds the
+    isometry, subspace-gap and action residuals (`iso`, `gap`, `action`)
+    and the reports (`residuals`), or drops the entry with its ValueError.
 
     The symbol enters only through its coefficients u_hat(0..N-1), read
     from Gamma's first column (gamma.u).
@@ -527,10 +502,10 @@ def verify_representation(
     and near-S*-invariance of the block (largest distance of S*f to the
     block and largest normalized pairing with the symbol, over unit f in
     the block orthogonal to constants).  theta's model-space basis must
-    truncate at order N to 1e-8 (tm_basis).  The projection of the symbol
-    onto the block, s e^{i phi} p(0) p S*theta, is not checked on its own:
-    Gamma's first row is u, so <u, f> = (Gamma conj(f))_0, and the action
-    formula on f = p e_k gives that projection to within
+    truncate at order N to model_tail_tol (tm_basis).  The projection of
+    the symbol onto the block, s e^{i phi} p(0) p S*theta, is not checked
+    on its own: Gamma's first row is u, so <u, f> = (Gamma conj(f))_0, and
+    the action formula on f = p e_k gives that projection to within
     ||u|| (gap + isometry) + sqrt(d) s action.
 
     Everything is computed in coefficient space: products are truncated
@@ -538,25 +513,8 @@ def verify_representation(
     closed form from theta's zeros (_conjugated_products).  The left side
     of the action comes from Gamma alone, which acts as Gamma_J
     (hankel_apply) and so moves the action residual by at most
-    5e-22 ||p e_k||.  This is the one-block call of the batched
-    verification that extract_representations runs.
+    5e-22 ||p e_k||.
     """
-    b = _Batch(
-        1, gamma=[gamma], v=block.basis[None], s=np.array([block.s]), p=np.asarray(rep.p)[None],
-        theta=[rep.theta], phi=np.array([rep.phi]),
-    )
-    _verify_stack(b, 1e-8)
-    if b.empty:
-        raise b.results[0]
-    return b.residuals[0]
-
-
-def _verify_stack(b: _Batch, model_tail_tol: float) -> None:
-    """verify_representation for each live entry of b, which holds the
-    Gammas, block bases v (m x N x d), singular values s, multipliers p,
-    thetas of one degree and phases phi: holds the isometry, subspace-gap
-    and action residuals (`iso`, `gap`, `action`) and the reports
-    (`residuals`), or drops the entry with its ValueError."""
     n = b.v.shape[1]
     b.hold(
         phase=np.exp(1j * np.asarray(b.phi)),

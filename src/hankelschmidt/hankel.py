@@ -218,9 +218,6 @@ class IdentityResiduals:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def max(self) -> float:
-        return max(self.as_dict().values())
-
 
 def residuals_from_matrix(h) -> IdentityResiduals:
     """Residuals of the operator identities of Gamma, with u its first column.

@@ -27,8 +27,6 @@ __all__ = [
     "SchmidtBlock",
     "SchmidtBlocks",
     "schmidt_decompose",
-    "subspace_gap",
-    "orthonormalize",
 ]
 
 RANK_TOL = 1e-10  # singular values at or below RANK_TOL * s_max are the kernel
@@ -62,10 +60,6 @@ class SchmidtBlock:
     @property
     def multiplicity(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def order(self) -> int:
-        return self.basis.shape[0]
 
 
 class SchmidtBlocks(list):
@@ -234,14 +228,6 @@ def schmidt_decompose(h: HankelMatrix, cluster_tol: float = 1e-8) -> SchmidtBloc
 # subspace geometry
 
 
-def orthonormalize(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span (QR; assumes full column rank)."""
-    q, full_rank = _orthonormal_columns(np.asarray(vectors, dtype=np.complex128))
-    if not full_rank:
-        raise ValueError("columns are numerically rank deficient")
-    return q
-
-
 def _orthonormal_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q of the QR of an N x d matrix, or of each matrix in a stack, and
     whether it has full column rank: min |R_kk| >= 1e-12 max(1, max |R_kk|)."""
@@ -262,28 +248,13 @@ def _nullspace_of_row(row: np.ndarray) -> np.ndarray:
     return np.conj(vh[..., 1:, :]).swapaxes(-1, -2)
 
 
-def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Operator-norm distance ||P_A - P_B|| between two subspaces.
-
-    Both inputs are N x d matrices with orthonormal columns (checked to
-    1e-8); the result lies in [0, 1], and for equal dimensions it is
-    ||B - A A^* B||, the sine of the largest principal angle.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
-    gap, not_orthonormal = _subspace_gaps(a, b)
-    for name, bad in zip(("first", "second"), not_orthonormal):
-        if bad:
-            raise ValueError(f"{name} basis is not orthonormal to 1.0e-08")
-    return float(gap)
-
-
 def _subspace_gaps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """subspace_gap of two N x d matrices, or of two stacks of them pair by
-    pair, and for a and for b whether each fails the 1e-8 orthonormality
-    check; a gap is only meaningful where neither does."""
+    """Operator-norm distance ||P_A - P_B|| between the column spans of two
+    N x d matrices with orthonormal columns, or of two stacks of them pair
+    by pair, and for a and for b whether each fails the 1e-8 orthonormality
+    check; a gap is only meaningful where neither does.  It lies in [0, 1]:
+    1 for unequal dimensions, 0 for two empty spans, and otherwise
+    ||B - A A^* B||, the sine of the largest principal angle."""
     not_orthonormal = tuple(
         np.linalg.norm(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1)) > 1e-8
         for m in (a, b)

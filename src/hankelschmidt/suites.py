@@ -29,22 +29,13 @@ from .blaschke import (
     _taylor_rows,
     _tm_bases,
     compose_with_mobius,
-    mobius_conjugate_function,
-    mobius_conjugate_symbol,
     mobius_eval,
     tm_basis,
 )
-from .extraction import (
-    ExtractionError,
-    Representation,
-    _weighted_model_space,
-    extract_representation,
-    extract_representations,
-)
+from .extraction import Representation, _weighted_model_space, extract_representations
 from .hankel import build_hankel_matrix, residuals_from_matrix
 from .hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
 from .spectral import _nullspace_of_row, _orthonormal_columns, _subspace_gaps, schmidt_decompose
-from .spectral import orthonormalize, subspace_gap
 from .symbols import PoleTerm, RationalSymbol, tail_bound
 
 __all__ = [
@@ -54,7 +45,6 @@ __all__ = [
     "suite_model_spaces",
     "suite_mobius",
     "suite_theorem",
-    "suite_branch_b",
 ]
 
 
@@ -246,7 +236,7 @@ def _backward_shift_gaps(v: np.ndarray, bs, order: int) -> np.ndarray:
 
 
 def _span_gaps(a, b) -> np.ndarray:
-    """subspace_gap between the column spans of a[i] and b[i], N x d matrices
+    """_subspace_gaps between the column spans of a[i] and b[i], N x d matrices
     of one d per pair, orthonormalized by one batched QR per d; 1 where
     either is numerically rank deficient, 0 where both are empty."""
     dims = np.array([x.shape[1] for x in a])
@@ -374,86 +364,3 @@ def suite_theorem(seed: int, count: int = 20, order: int = 128, tol: float = 1e-
         "failures": failures[:20],
         "pass": not failures,
     }
-
-
-def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e-6) -> dict:
-    """Extraction off the origin, via conjugation at an interior zero of a Schmidt vector.
-
-    Two-pole symbols whose top Schmidt vectors vanish at some z* with
-    |z*| <= 0.6 are conjugated at alpha = z*; the conjugated block is then
-    orthogonal to constants, so extraction must take a base point other
-    than 0, and the recovered subspace is compared with the mapped original.
-    """
-    rng = np.random.default_rng(seed)
-    cases = 0
-    attempts = 0
-    worst_gap = 0.0
-    worst_res = 0.0
-    failures: list[str] = []
-    n_off_origin = 0
-    while cases < count and attempts < 500:
-        attempts += 1
-        sym = random_symbol(rng, max_poles=2)
-        if len(sym.poles) != 2:
-            continue
-        gamma = build_hankel_matrix(sym, order)
-        blocks = schmidt_decompose(gamma)
-        hit = None
-        for block in blocks:
-            if block.multiplicity != 1 or not block.reliable:
-                continue
-            zstar = _kernel_combination_zero(sym, block.basis[:, 0])
-            if zstar is not None and abs(zstar) <= 0.6:
-                hit = (block, zstar)
-                break
-        if hit is None:
-            continue
-        block, zstar = hit
-        cases += 1
-        m = MobiusMap(zstar)
-        w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
-        gamma_w = build_hankel_matrix(RationalSymbol(poly=w), order)
-        blocks_w = [bw for bw in schmidt_decompose(gamma_w)
-                    if abs(bw.s - block.s) < 1e-3 * max(block.s, 1.0)]
-        if len(blocks_w) != 1:
-            failures.append(f"case {cases}: no unique matching block after conjugation")
-            continue
-        bw = blocks_w[0]
-        try:
-            rep = extract_representation(gamma_w, bw, tol=tol)
-        except (ExtractionError, ValueError) as exc:
-            failures.append(f"case {cases}: {exc}")
-            continue
-        n_off_origin += rep.canonicalized_at != 0
-        worst_res = max(worst_res, max(rep.residuals.gated().values()))
-        mapped, _ = mobius_conjugate_function(block.basis[:, :1], m, order)
-        prods = _weighted_model_space(tm_basis(rep.theta, order, tail_tol=1e-8), rep.p)
-        gap = subspace_gap(orthonormalize(mapped), orthonormalize(prods))
-        worst_gap = max(worst_gap, gap)
-        if gap > tol:
-            failures.append(f"case {cases}: image gap {gap:.3e}")
-    ok = cases == count and not failures and n_off_origin == count
-    return {
-        "count": cases,
-        "requested": count,
-        "attempts": attempts,
-        "order": order,
-        "base_point_off_origin": n_off_origin,
-        "max_residuals": {"image_gap": worst_gap, "verification": worst_res},
-        "failures": failures[:20],
-        "pass": bool(ok),
-    }
-
-
-def _kernel_combination_zero(sym: RationalSymbol, f: np.ndarray) -> complex | None:
-    """Interior zero of a two-kernel combination, from its expansion coefficients."""
-    b1, b2 = (t.b for t in sym.poles)
-    n = np.arange(f.size)
-    k1 = np.conj(b1) ** n
-    k2 = np.conj(b2) ** n
-    beta, *_ = np.linalg.lstsq(np.column_stack([k1, k2]), f, rcond=None)
-    denom = beta[0] * np.conj(b2) + beta[1] * np.conj(b1)
-    if abs(denom) < 1e-12:
-        return None
-    z = (beta[0] + beta[1]) / denom
-    return complex(z)

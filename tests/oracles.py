@@ -9,20 +9,25 @@ from hankelschmidt import blaschke, suites
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     MobiusMap,
+    _conjugate_functions,
     _series_div,
     blaschke_coefficients,
-    blaschke_eval,
     compose_with_mobius,
     frostman_shift,
-    mobius_conjugate_function,
     mobius_conjugate_symbol,
     mobius_eval,
     tm_basis,
 )
-from hankelschmidt.extraction import Representation, _weighted_model_space, extract_representations
+from hankelschmidt.extraction import (
+    Representation,
+    _Batch,
+    _verify_stack,
+    _weighted_model_space,
+    extract_representations,
+)
 from hankelschmidt.hankel import build_hankel_matrix
 from hankelschmidt.hardy import default_grid_size, evaluate, grid_points, multiply_by_boundary
-from hankelschmidt.spectral import _nullspace_of_row, orthonormalize, schmidt_decompose, subspace_gap
+from hankelschmidt.spectral import _nullspace_of_row, _orthonormal_columns, _subspace_gaps, schmidt_decompose
 from hankelschmidt.symbols import (
     MAX_MULTIPLICITY,
     PoleTerm,
@@ -54,6 +59,32 @@ def szego_kernel(a: complex, order: int) -> np.ndarray:
     if not abs(a) < 1:
         raise ValueError(f"kernel point must lie in the open disk, got |a| = {abs(a)}")
     return np.conj(a) ** np.arange(order)
+
+
+def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
+    """B at the points z from its product formula, phase times
+    (a_j - z) / (1 - conj(a_j) z) one zero at a time: the reference that
+    the stacked blaschke._products is compared with, and the values of B
+    that tests check identities on."""
+    out = b.phase * np.ones(np.shape(z), dtype=np.complex128)
+    for a in b.zeros:
+        out = out * ((a - np.asarray(z)) / (1 - np.conj(a) * np.asarray(z)))
+    return complex(out) if out.ndim == 0 else out
+
+
+def verify_representation(gamma, block, rep: Representation):
+    """The residual report of a representation, extracted or built by hand,
+    against its block and Gamma: the package's verification (_verify_stack)
+    on a batch of one, with theta's basis gated at 1e-8.  Raises the
+    ValueError that drops the entry."""
+    b = _Batch(
+        1, gamma=[gamma], v=block.basis[None], s=np.array([block.s]), p=np.asarray(rep.p)[None],
+        theta=[rep.theta], phi=np.array([rep.phi]),
+    )
+    _verify_stack(b, 1e-8)
+    if b.empty:
+        raise b.results[0]
+    return b.residuals[0]
 
 
 def boundary_samples(f: np.ndarray, m: int) -> np.ndarray:
@@ -227,7 +258,7 @@ def frostman_invariance_check(b, alpha: complex, v: np.ndarray) -> tuple[float, 
     # blaschke's name, not this module's tm_basis, which tests wrap to see the B gated
     cols = _weighted_model_space(blaschke.tm_basis(shifted, order, np.inf), g)
     iso = max(abs(np.linalg.norm(gh) - 1.0) for gh in cols.T)
-    gap = subspace_gap(v, orthonormalize(cols))
+    gap = float(_subspace_gaps(v, _orthonormal_columns(cols)[0])[0])
     grid = grid_points(default_grid_size(order))
     bz = blaschke_eval(b, grid)
     g_samples = (1 - np.conj(alpha) * bz) / np.sqrt(1 - abs(alpha) ** 2)
@@ -242,10 +273,10 @@ def backward_shift_gap(b, v: np.ndarray, order: int) -> float:
         lhs = np.zeros((order, 0), dtype=np.complex128)
     else:
         w = v @ lhs_null
-        lhs = orthonormalize(np.vstack([w[1:, :], np.zeros((1, w.shape[1]))]))
+        lhs = _orthonormal_columns(np.vstack([w[1:, :], np.zeros((1, w.shape[1]))]))[0]
     s_theta = blaschke_coefficients(b, order + 1)[1:]
     rhs_null = _nullspace_of_row((v.conj().T @ s_theta)[None, :].conj())
-    return subspace_gap(lhs, v @ rhs_null)
+    return float(_subspace_gaps(lhs, v @ rhs_null)[0])
 
 
 def change_of_variable_gap(rng: np.random.Generator, order: int) -> float:
@@ -254,11 +285,11 @@ def change_of_variable_gap(rng: np.random.Generator, order: int) -> float:
     b = suites.random_blaschke(rng, max_degree=4, max_radius=0.5)
     m = MobiusMap(0.3 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
     p = suites._random_unit_vector(rng, order, support=8)
-    mapped, _ = mobius_conjugate_function(_weighted_model_space(tm_basis(b, order), p), m, order)
+    mapped, _ = _conjugate_functions([_weighted_model_space(tm_basis(b, order), p)], [m], order)
     grid = grid_points(default_grid_size(order))
     pmu_samples = evaluate(p, mobius_eval(m, grid))
     rhs, _ = multiply_by_boundary(tm_basis(compose_with_mobius(b, m), order), pmu_samples, order)
-    return subspace_gap(orthonormalize(mapped), orthonormalize(rhs))
+    return float(_subspace_gaps(_orthonormal_columns(mapped)[0], _orthonormal_columns(rhs)[0])[0])
 
 
 def suite_model_spaces(seed: int, n_blaschke: int = 30, n_alpha: int = 3, order: int = 128) -> dict:
@@ -321,8 +352,8 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
                 continue
             match = [bw for bw in blocks_w if abs(bw.s - bu.s) < 1e-3 * max(bu.s, 1.0)]
             if len(match) == 1 and match[0].multiplicity == bu.multiplicity:
-                mapped, _ = mobius_conjugate_function(bu.basis, m, order)
-                gap = subspace_gap(orthonormalize(mapped), match[0].basis)
+                mapped, _ = _conjugate_functions([bu.basis], [m], order)
+                gap = float(_subspace_gaps(_orthonormal_columns(mapped)[0], match[0].basis)[0])
                 worst[1] = max(worst[1], gap)
                 ok = ok and gap <= 1e-6 + 100 * tail_w
         w2, _ = mobius_conjugate_symbol(w, m, order)

@@ -8,15 +8,22 @@ import time
 
 import numpy as np
 
-from hankelschmidt.blaschke import BlaschkeProduct, tm_basis
+from hankelschmidt.blaschke import (
+    BlaschkeProduct,
+    MobiusMap,
+    _conjugate_functions,
+    mobius_conjugate_symbol,
+    tm_basis,
+)
 from hankelschmidt.cli import main
+from hankelschmidt.extraction import Representation, _weighted_model_space, extract_representations
 from hankelschmidt.hankel import build_hankel_matrix
 from hankelschmidt.hardy import default_grid_size, evaluate, multiply_by_boundary
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
-from hankelschmidt.spectral import orthonormalize, subspace_gap
+from hankelschmidt.spectral import _orthonormal_columns, _subspace_gaps, schmidt_decompose
 from hankelschmidt.suites import (
     random_blaschke,
-    suite_branch_b,
+    random_symbol,
     suite_identities,
     suite_mobius,
     suite_model_spaces,
@@ -49,7 +56,7 @@ def _weighted_basis_from_report(block_entry: dict, order: int) -> np.ndarray:
     for e in tm_basis(theta, order, tail_tol=1e-8).T:
         pe, _ = multiply_by_boundary(e[:, None], p_samples, order)
         cols.append(pe[:, 0])
-    return orthonormalize(np.column_stack(cols))
+    return _orthonormal_columns(np.column_stack(cols))[0]
 
 
 def test_criterion_1_pure_inner_symbols():
@@ -71,8 +78,8 @@ def test_criterion_1_pure_inner_symbols():
         worst_s = max(worst_s, abs(blk["s"] - 1.0))
         worst_action = max(worst_action, blk["residuals"]["action"])
         extracted = _weighted_basis_from_report(blk, N)
-        reference = orthonormalize(tm_basis(b, N))
-        worst_gap = max(worst_gap, subspace_gap(extracted, reference))
+        reference = _orthonormal_columns(tm_basis(b, N))[0]
+        worst_gap = max(worst_gap, float(_subspace_gaps(extracted, reference)[0]))
     elapsed = time.perf_counter() - start
     ok = worst_s < 1e-9 and worst_gap < 1e-7 and worst_action < 1e-7 and elapsed < 5.0
     _report(
@@ -177,6 +184,87 @@ def test_criterion_6_structure_theorem_suite():
         f"{result['n_blocks']} blocks, max residual "
         f"{max(result['max_residuals'].values()):.1e}, {elapsed:.2f}s",
     )
+
+
+def suite_branch_b(seed: int, count: int = 20, order: int = 128, tol: float = 1e-6) -> dict:
+    """Extraction off the origin, via conjugation at an interior zero of a Schmidt vector.
+
+    Two-pole symbols whose top Schmidt vectors vanish at some z* with
+    |z*| <= 0.6 are conjugated at alpha = z*; the conjugated block is then
+    orthogonal to constants, so extraction must take a base point other
+    than 0, and the recovered subspace is compared with the mapped original.
+    """
+    rng = np.random.default_rng(seed)
+    cases = 0
+    attempts = 0
+    worst_gap = 0.0
+    worst_res = 0.0
+    failures: list[str] = []
+    n_off_origin = 0
+    while cases < count and attempts < 500:
+        attempts += 1
+        sym = random_symbol(rng, max_poles=2)
+        if len(sym.poles) != 2:
+            continue
+        gamma = build_hankel_matrix(sym, order)
+        blocks = schmidt_decompose(gamma)
+        hit = None
+        for block in blocks:
+            if block.multiplicity != 1 or not block.reliable:
+                continue
+            zstar = _kernel_combination_zero(sym, block.basis[:, 0])
+            if zstar is not None and abs(zstar) <= 0.6:
+                hit = (block, zstar)
+                break
+        if hit is None:
+            continue
+        block, zstar = hit
+        cases += 1
+        m = MobiusMap(zstar)
+        w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
+        gamma_w = build_hankel_matrix(RationalSymbol(poly=w), order)
+        blocks_w = [bw for bw in schmidt_decompose(gamma_w)
+                    if abs(bw.s - block.s) < 1e-3 * max(block.s, 1.0)]
+        if len(blocks_w) != 1:
+            failures.append(f"case {cases}: no unique matching block after conjugation")
+            continue
+        (rep,) = extract_representations([(gamma_w, blocks_w[0])], tol=tol)
+        if not isinstance(rep, Representation):
+            failures.append(f"case {cases}: {rep}")
+            continue
+        n_off_origin += rep.canonicalized_at != 0
+        worst_res = max(worst_res, max(rep.residuals.gated().values()))
+        mapped, _ = _conjugate_functions([block.basis[:, :1]], [m], order)
+        prods = _weighted_model_space(tm_basis(rep.theta, order, tail_tol=1e-8), rep.p)
+        gap = float(_subspace_gaps(*(_orthonormal_columns(x)[0] for x in (mapped, prods)))[0])
+        worst_gap = max(worst_gap, gap)
+        if gap > tol:
+            failures.append(f"case {cases}: image gap {gap:.3e}")
+    ok = cases == count and not failures and n_off_origin == count
+    return {
+        "count": cases,
+        "requested": count,
+        "attempts": attempts,
+        "order": order,
+        "base_point_off_origin": n_off_origin,
+        "max_residuals": {"image_gap": worst_gap, "verification": worst_res},
+        "failures": failures[:20],
+        "pass": bool(ok),
+    }
+
+
+def _kernel_combination_zero(sym: RationalSymbol, f: np.ndarray) -> complex | None:
+    """Interior zero of a two-kernel combination, from its expansion coefficients."""
+    b1, b2 = (t.b for t in sym.poles)
+    n = np.arange(f.size)
+    k1 = np.conj(b1) ** n
+    k2 = np.conj(b2) ** n
+    beta, *_ = np.linalg.lstsq(np.column_stack([k1, k2]), f, rcond=None)
+    denom = beta[0] * np.conj(b2) + beta[1] * np.conj(b1)
+    if abs(denom) < 1e-12:
+        return None
+    z = (beta[0] + beta[1]) / denom
+    return complex(z)
 
 
 def test_criterion_7_mobius_branch_coverage():

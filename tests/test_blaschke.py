@@ -9,12 +9,11 @@ from hankelschmidt.blaschke import (
     BlaschkeProduct,
     _series_div,
     MobiusMap,
+    _conjugate_functions,
     blaschke_coefficients,
-    blaschke_eval,
     canonical_blaschke,
     compose_with_mobius,
     frostman_shift,
-    mobius_conjugate_function,
     mobius_conjugate_symbol,
     mobius_eval,
     tm_basis,
@@ -28,6 +27,7 @@ from hankelschmidt.symbols import (
     fourier_coefficients,
 )
 from oracles import (
+    blaschke_eval,
     boundary_projection,
     boundary_samples,
     hankel_product,
@@ -89,12 +89,6 @@ def test_zeros_must_stay_inside():
         BlaschkeProduct([1.0], 1.0)
     with pytest.raises(ValueError):
         BlaschkeProduct([0.5], 0.0)  # zero phase
-
-
-@pytest.mark.parametrize("z", [1.5, np.array([0.0, 1.1j])], ids=["point", "array"])
-def test_blaschke_eval_rejects_points_outside_the_disk(z):
-    with pytest.raises(ValueError, match="^evaluation point outside the closed unit disk$"):
-        blaschke_eval(BlaschkeProduct([0.5]), z)
 
 
 def test_series_matches_boundary_sampling():
@@ -518,7 +512,7 @@ def test_frostman_reports_a_multiple_zero_by_its_cluster_mean(zeros):
 def test_mobius_function_alpha_zero_is_parity():
     rng = np.random.default_rng(8)
     f = rng.normal(size=(32, 1))
-    out, res = mobius_conjugate_function(f, MobiusMap(0.0), 32)
+    out, res = _conjugate_functions([f], [MobiusMap(0.0)], 32)
     assert np.linalg.norm(out[:, 0] - f[:, 0] * (-1.0) ** np.arange(32)) < 1e-12
     assert res[0] < 1e-12
 
@@ -527,7 +521,7 @@ def test_mobius_function_isometry():
     rng = np.random.default_rng(9)
     for _ in range(5):
         f = rng.normal(size=(24, 1)) + 1j * rng.normal(size=(24, 1))
-        out, _ = mobius_conjugate_function(f, MobiusMap(0.4), 128)
+        out, _ = _conjugate_functions([f], [MobiusMap(0.4)], 128)
         assert abs(np.linalg.norm(out) - np.linalg.norm(f)) < 1e-9
 
 
@@ -538,10 +532,10 @@ def test_batched_mobius_conjugation_matches_each_column_alone():
     cols = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))) * decay[:, None]
     for alpha, order in ((0.3 - 0.2j, n), (0.45j, 64), (-0.1, 2 * n)):
         m = MobiusMap(alpha)
-        mapped, residuals = mobius_conjugate_function(cols, m, order)
+        mapped, residuals = _conjugate_functions([cols], [m], order)
         assert mapped.shape == (order, k) and residuals.shape == (k,)
         for j in range(k):
-            single, residual = mobius_conjugate_function(cols[:, j : j + 1], m, order)
+            single, residual = _conjugate_functions([cols[:, j : j + 1]], [m], order)
             assert single.shape == (order, 1) and residual.shape == (1,)
             bound = 1e-14 * np.linalg.norm(cols[:, j])
             assert np.linalg.norm(mapped[:, j] - single[:, 0]) <= bound
@@ -552,8 +546,8 @@ def test_mobius_function_involution():
     rng = np.random.default_rng(10)
     f = rng.normal(size=(16, 1))
     m = MobiusMap(0.35 - 0.1j)
-    once, _ = mobius_conjugate_function(f, m, 192)
-    twice, _ = mobius_conjugate_function(once, m, 192)
+    once, _ = _conjugate_functions([f], [m], 192)
+    twice, _ = _conjugate_functions([once], [m], 192)
     assert np.linalg.norm(twice[:16] - f) < 1e-9
 
 

@@ -220,7 +220,7 @@ def test_verify_suites_small_deterministic():
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: at N <= 64 verify fails with correct code; suite_mobius fails "
     "(at (64, seed 4) its mapped_basis_gap 1.63e-6 exceeds 1e-6 + 100 tail_w), and "
-    "the energy that mobius_conjugate_function drops is not in the allowance"))
+    "the energy that blaschke._conjugate_functions drops is not in the allowance"))
 @pytest.mark.parametrize("n, seed", [(64, 4), (32, 5)])
 def test_verify_passes_at_order_64_seed_4(n, seed):
     report = verify_suites(AnalysisConfig(n=n, seed=seed))

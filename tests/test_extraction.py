@@ -1,6 +1,5 @@
 import json
 import math
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,25 +10,17 @@ import pytest
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     MobiusMap,
+    _conjugate_functions,
     blaschke_coefficients,
-    blaschke_eval,
-    mobius_conjugate_function,
     mobius_conjugate_symbol,
     tm_basis,
 )
 from hankelschmidt import blaschke, extraction
-from hankelschmidt.extraction import (
-    ExtractionError,
-    Representation,
-    base_point_select,
-    extract_representation,
-    extremal_projection,
-    verify_representation,
-)
+from hankelschmidt.extraction import ExtractionError, Representation, extract_representations
 from hankelschmidt.hankel import HankelMatrix, build_hankel_matrix, hankel_apply
 from hankelschmidt.hardy import default_grid_size, multiply_by_boundary
 from hankelschmidt.pipeline import AnalysisConfig, analyze_symbol
-from hankelschmidt.spectral import SchmidtBlock, orthonormalize, schmidt_decompose, subspace_gap
+from hankelschmidt.spectral import SchmidtBlock, _orthonormal_columns, _subspace_gaps, schmidt_decompose
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import (
     PoleTerm,
@@ -37,13 +28,35 @@ from hankelschmidt.symbols import (
     parse_symbol,
     symbol_to_dict,
 )
-from oracles import boundary_samples, hankel_product, one, szego_kernel, symbol_from_inner, unit
+from oracles import (
+    blaschke_eval,
+    boundary_samples,
+    hankel_product,
+    one,
+    symbol_from_inner,
+    szego_kernel,
+    unit,
+    verify_representation,
+)
 
 BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "hard_cases"
 
 
 def block_from_columns(s, cols):
-    return SchmidtBlock(s=s, basis=orthonormalize(np.column_stack(cols)))
+    return SchmidtBlock(s=s, basis=_orthonormal_columns(np.column_stack(cols))[0])
+
+
+def at_base_point(gamma, block, alpha, tol=1e-7):
+    """The extraction of one block at the base point alpha (None: the one
+    it selects), or the error that stopped it."""
+    (rep,) = extraction._extract([gamma], [block], [alpha], tol)
+    return rep
+
+
+def selected_base_point(block):
+    """The base point that extraction selects for a block."""
+    (nq,) = extraction._extremal(block.basis[None])[1]
+    return extraction._base_point(block.basis, nq)
 
 
 def rank_one_symbol(a=0.5):
@@ -60,14 +73,14 @@ def two_poles(c):
 
 def test_extremal_projection_constant_in_block():
     block = block_from_columns(1.0, [one(8), unit(1, 8)])
-    q, norm = extremal_projection(block)
+    (q,), (norm,) = extraction._extremal(block.basis[None])
     assert abs(norm - 1.0) < 1e-14
     assert np.linalg.norm(q - one(8)) < 1e-14
 
 
 def test_extremal_projection_orthogonal_block():
     block = block_from_columns(1.0, [unit(1, 8)])
-    q, norm = extremal_projection(block)
+    (q,), (norm,) = extraction._extremal(block.basis[None])
     assert norm < 1e-15
     assert np.linalg.norm(q) < 1e-15
 
@@ -76,7 +89,7 @@ def test_extremal_projection_kernel_block():
     a = 0.5
     k = szego_kernel(a, 128)
     block = block_from_columns(4 / 3, [k * np.sqrt(1 - a**2)])
-    q, norm = extremal_projection(block)
+    (q,), (norm,) = extraction._extremal(block.basis[None])
     assert abs(norm - np.sqrt(3) / 2) < 1e-12
     expected = (1 - a**2) * k
     assert np.linalg.norm(q - expected) < 1e-12
@@ -88,12 +101,12 @@ def test_extremal_projection_kernel_block():
 
 def test_base_point_prefers_direct_branch():
     block = block_from_columns(1.0, [one(8), unit(1, 8)])
-    assert base_point_select(block) == 0
+    assert selected_base_point(block) == 0
 
 
 def test_base_point_on_grid_for_orthogonal_block():
     block = block_from_columns(1.0, [unit(1, 16)])
-    alpha = base_point_select(block)
+    alpha = selected_base_point(block)
     assert abs(alpha) >= 0.15  # |f(alpha)|^2 = |alpha|^2 grows outward
 
 
@@ -102,13 +115,13 @@ def test_base_point_avoids_common_zero():
     c[1] = -0.3
     c[2] = 1.0  # f = z(z - 0.3), vanishes only at 0 and 0.3
     block = block_from_columns(1.0, [c / np.linalg.norm(c)])
-    alpha = base_point_select(block)
+    alpha = selected_base_point(block)
     assert abs(alpha) > 1e-3
     assert abs(alpha - 0.3) > 1e-3
 
 
 def _base_point_by_loop(block):
-    """Reference for base_point_select's grid search: one point at a time."""
+    """Reference for the base point's grid search: one point at a time."""
     best_alpha, best_val = None, -1.0
     for r in extraction.BASE_POINT_RADII:
         angles = [0.0] if r == 0.0 else [
@@ -117,7 +130,7 @@ def _base_point_by_loop(block):
         ]
         for t in angles:
             alpha = r * np.exp(1j * t)
-            vec = np.power(alpha, np.arange(block.order)) @ block.basis
+            vec = np.power(alpha, np.arange(block.basis.shape[0])) @ block.basis
             val = float(np.sum(np.abs(vec) ** 2))
             if val > best_val:
                 best_val, best_alpha = val, alpha
@@ -135,20 +148,20 @@ def test_base_point_grid_product_matches_the_loop():
         cols = np.zeros((n, d), dtype=complex)
         cols[:m] = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
         cols[0] *= rng.uniform(0.0, 0.05)
-        blocks.append(SchmidtBlock(s=1.0, basis=orthonormalize(cols)))
+        blocks.append(SchmidtBlock(s=1.0, basis=_orthonormal_columns(cols)[0]))
     for _ in range(30):
         blocks += schmidt_decompose(build_hankel_matrix(random_symbol(rng), 128))
-    blocks = [b for b in blocks if extremal_projection(b)[1] <= extraction.DIRECT_BRANCH_THRESHOLD]
+    blocks = [b for b in blocks if extraction._extremal(b.basis[None])[1][0] <= extraction.DIRECT_BRANCH_THRESHOLD]
     assert len(blocks) >= 30
     for block in blocks:
-        assert base_point_select(block) == _base_point_by_loop(block)
+        assert selected_base_point(block) == _base_point_by_loop(block)
 
 
 def test_base_point_fails_on_numerically_zero_block():
     # span{z^30}: the grid energy is at most 0.75^60 ~ 3e-8, below the 1e-6 floor
     block = block_from_columns(1.0, [unit(30, 128)])
     with pytest.raises(ExtractionError, match="numerically zero"):
-        base_point_select(block)
+        selected_base_point(block)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +174,7 @@ def test_recover_theta_shift_symbol():
     n = 16
     gamma = build_hankel_matrix(RationalSymbol(poly=[0, 1]), n)
     (block,) = schmidt_decompose(gamma)
-    rep = extract_representation(gamma, block)
+    (rep,) = extract_representations([(gamma, block)])
     assert rep.theta.degree == 2
     assert np.max(np.abs(rep.theta.zeros)) < 1e-15
     assert abs(rep.phi) < 1e-12
@@ -187,7 +200,7 @@ def test_recover_theta_output_is_inner():
     zeros = [0.0, 0.3 + 0.2j]
     gamma = build_hankel_matrix(symbol_from_inner(BlaschkeProduct(zeros, 1.0)), n)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(gamma, block)
+    (rep,) = extract_representations([(gamma, block)])
     assert np.max(np.abs(rep.theta.zeros - zeros)) < 1e-12
     z = np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
     assert np.max(np.abs(np.abs(blaschke_eval(rep.theta, z)) - 1)) < 1e-10
@@ -211,7 +224,7 @@ def test_recover_theta_at_base_point_places_the_zero_there():
     extraction._inner_factors(batch)
     (theta,) = batch.theta
     assert np.array_equal(theta.zeros, [alpha])
-    rep = extract_representation(gamma, block, base_point=alpha)
+    rep = at_base_point(gamma, block, alpha)
     assert rep.canonicalized_at == alpha
     assert np.max(np.abs(rep.theta.zeros)) < 1e-15
     assert rep.residuals.action < 1e-12
@@ -230,22 +243,22 @@ def test_extract_monomials_up_to_the_order():
         (block,) = schmidt_decompose(gamma)
         assert block.multiplicity == d
         for alpha in (None, -0.45j):
-            rep = extract_representation(gamma, block, base_point=alpha)
+            rep = at_base_point(gamma, block, alpha)
             assert rep.theta.degree == d
             assert np.max(np.abs(rep.theta.zeros)) < 1e-15
             assert rep.residuals.action < 1e-12
     (block,) = schmidt_decompose(gammas[-1])
     assert block.multiplicity == 16
-    with pytest.raises(ValueError, match="order 16 too small for a degree-16 model space"):
-        extract_representation(gammas[-1], block)
+    (err,) = extract_representations([(gammas[-1], block)])
+    assert type(err) is ValueError and str(err) == "order 16 too small for a degree-16 model space"
 
 
 def test_recover_theta_rejects_inconsistent_scale():
     n = 16
     gamma = build_hankel_matrix(RationalSymbol(poly=[0, 1]), n)
     (block,) = schmidt_decompose(gamma)
-    with pytest.raises(ExtractionError, match="inconsistent data"):
-        extract_representation(gamma, replace(block, s=2.0))
+    (err,) = extract_representations([(gamma, replace(block, s=2.0))])
+    assert isinstance(err, ExtractionError) and str(err).startswith("inconsistent data")
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +271,12 @@ def test_extract_pure_inner_cube():
     gamma = build_hankel_matrix(sym, n)
     blocks = schmidt_decompose(gamma)
     assert len(blocks) == 1 and blocks[0].multiplicity == 3
-    rep = extract_representation(gamma, blocks[0])
+    (rep,) = extract_representations([(gamma, blocks[0])])
     # p is a unimodular constant
     assert abs(abs(rep.p[0]) - 1.0) < 1e-10
     assert np.linalg.norm(rep.p[1:]) < 1e-10
     assert np.allclose(rep.theta.zeros, 0)
-    res = verify_representation(gamma, blocks[0], rep)
-    assert res.action < 1e-9
+    assert rep.residuals.action < 1e-9
 
 
 def test_extract_rank_one_closed_forms():
@@ -273,7 +285,7 @@ def test_extract_rank_one_closed_forms():
     gamma = build_hankel_matrix(sym, n)
     block = schmidt_decompose(gamma)[0]
     assert abs(block.s - 4.0 / 3.0) < 1e-10
-    rep = extract_representation(gamma, block)
+    (rep,) = extract_representations([(gamma, block)])
     assert rep.theta.degree == 1
     assert abs(rep.theta.zeros[0]) < 1e-12
     assert abs(rep.phi) < 1e-10
@@ -284,7 +296,7 @@ def test_extract_rank_one_closed_forms():
 def test_extracted_multiplier_is_a_read_only_vector():
     gamma = build_hankel_matrix(rank_one_symbol(a=0.7), 128)
     for base_point in (None, 0.3 + 0.1j):
-        rep = extract_representation(gamma, schmidt_decompose(gamma)[0], base_point=base_point)
+        rep = at_base_point(gamma, schmidt_decompose(gamma)[0], base_point)
         assert type(rep.p) is np.ndarray and rep.p.ndim == 1 and rep.p.size == 128
         assert rep.p.dtype == np.complex128 and not rep.p.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -295,12 +307,13 @@ def test_extract_from_gamma_alone():
     # Gamma given directly by u_hat(n) = 2^{-n}; no symbol object exists
     n = 128
     gamma = HankelMatrix(2.0 ** -np.arange(2 * n - 1))
-    rep = extract_representation(gamma, schmidt_decompose(gamma)[0])
+    (rep,) = extract_representations([(gamma, schmidt_decompose(gamma)[0])])
     assert np.array_equal(rep.theta.zeros, [0])
     expected = np.sqrt(3) / 2 * szego_kernel(0.5, n)
     assert np.max(np.abs(rep.p - expected)) < 1e-12
     built = build_hankel_matrix(rank_one_symbol(), n)
-    assert rep.residuals == extract_representation(built, schmidt_decompose(built)[0]).residuals
+    (want,) = extract_representations([(built, schmidt_decompose(built)[0])])
+    assert rep.residuals == want.residuals
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -380,7 +393,7 @@ def test_extract_theta_degree_equals_multiplicity():
         for block in schmidt_decompose(gamma):
             if not block.reliable:
                 continue
-            rep = extract_representation(gamma, block)
+            (rep,) = extract_representations([(gamma, block)])
             assert rep.theta.degree == block.multiplicity
 
 
@@ -389,7 +402,7 @@ def test_extract_canonical_form():
     sym = random_symbol(rng)
     gamma = build_hankel_matrix(sym, 64)
     for block in schmidt_decompose(gamma):
-        rep = extract_representation(gamma, block)
+        (rep,) = extract_representations([(gamma, block)])
         assert abs(blaschke_eval(rep.theta, 0.0)) < 1e-10  # theta(0) = 0
         assert -np.pi < rep.phi <= np.pi
         p0 = rep.p[0]
@@ -411,12 +424,11 @@ def test_extract_mobius_branch_consistency_with_mapped_subspace():
     block_w = schmidt_decompose(gamma_w)[0]
     assert abs(block_w.s - block0.s) < 1e-8
 
-    rep = extract_representation(gamma_w, block_w)
-    res = verify_representation(gamma_w, block_w, rep)
-    assert max(res.gated().values()) < 1e-7
+    (rep,) = extract_representations([(gamma_w, block_w)])
+    assert max(rep.residuals.gated().values()) < 1e-7
 
-    mapped, _ = mobius_conjugate_function(block0.basis[:, :1], m, n)
-    gap = subspace_gap(orthonormalize(mapped), block_w.basis)
+    mapped, _ = _conjugate_functions([block0.basis[:, :1]], [m], n)
+    gap, _ = _subspace_gaps(_orthonormal_columns(mapped)[0], block_w.basis)
     assert gap < 1e-7
 
 
@@ -426,15 +438,13 @@ def test_branch_independence_when_projection_moderate():
     n = 128
     gamma = build_hankel_matrix(sym, n)
     block = schmidt_decompose(gamma)[0]
-    _, nq = extremal_projection(block)
+    (nq,) = extraction._extremal(block.basis[None])[1]
     assert 0.1 < nq < 1.0
 
-    reps = [extract_representation(gamma, block, base_point=alpha)
-            for alpha in (0.0, 0.3 + 0.1j, -0.5j)]
+    reps = extraction._extract([gamma] * 3, [block] * 3, [0.0, 0.3 + 0.1j, -0.5j], 1e-7)
     assert [rep.canonicalized_at for rep in reps] == [0.0, 0.3 + 0.1j, -0.5j]
     for rep in reps:
-        res = verify_representation(gamma, block, rep)
-        assert max(res.gated().values()) < 1e-6
+        assert max(rep.residuals.gated().values()) < 1e-6
 
     def weighted_basis(rep):
         cols = []
@@ -442,12 +452,12 @@ def test_branch_independence_when_projection_moderate():
         for e in tm_basis(rep.theta, n).T:
             pe, _ = multiply_by_boundary(e[:, None], ps, n)
             cols.append(pe[:, 0])
-        return orthonormalize(np.column_stack(cols))
+        return _orthonormal_columns(np.column_stack(cols))[0]
 
     # the canonical triple does not depend on the base point
     first = reps[0]
     for rep in reps[1:]:
-        assert subspace_gap(weighted_basis(first), weighted_basis(rep)) < 1e-12
+        assert _subspace_gaps(weighted_basis(first), weighted_basis(rep))[0] < 1e-12
         assert np.linalg.norm(rep.p - first.p) < 1e-12
         assert np.max(np.abs(rep.theta.zeros - first.theta.zeros)) < 1e-12
         assert abs(rep.theta.phase - first.theta.phase) < 1e-12
@@ -468,11 +478,11 @@ def test_branch_independence_when_projection_moderate():
     cases += [(poles, block, ()) for block in schmidt_decompose(poles)]
     assert sorted({block.multiplicity for _, block, _ in cases}) == [1, 2, 3, 4, 5]
     for gamma, block, extra in cases:
-        first = extract_representation(gamma, block, base_point=0.0)
+        first = at_base_point(gamma, block, 0.0)
         s_max = schmidt_decompose(gamma)[0].s
         tol = 1e-10 if block.s >= 1e-6 * s_max else 1e-10 + np.finfo(float).eps * s_max / block.s
         for alpha in (0.3 + 0.1j, -0.5j, *extra):
-            rep = extract_representation(gamma, block, base_point=alpha)
+            rep = at_base_point(gamma, block, alpha)
             assert rep.canonicalized_at == alpha
             assert max(rep.residuals.gated().values()) <= 1e-6
             assert np.max(np.abs(rep.p - first.p)) <= tol
@@ -510,9 +520,8 @@ def test_verify_flags_perturbed_theta():
     n = 64
     gamma = build_hankel_matrix(sym, n)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(gamma, block)
-    res = verify_representation(gamma, block, rep)
-    assert max(res.gated().values()) < 1e-9
+    (rep,) = extract_representations([(gamma, block)])
+    assert max(rep.residuals.gated().values()) < 1e-9
 
     bad_zeros = rep.theta.zeros.copy()
     bad_zeros[-1] += 0.1
@@ -527,13 +536,21 @@ def test_verify_flags_perturbed_theta():
     assert res_bad.action > 1e-3
 
 
+def test_verify_refuses_a_multiplier_whose_products_are_rank_deficient():
+    # p = 0 makes every column p e_k zero, so no span can be compared with the block
+    gamma = build_hankel_matrix(symbol_from_inner(BlaschkeProduct([0.0, 0.4], 1.0)), 64)
+    block = schmidt_decompose(gamma)[0]
+    (rep,) = extract_representations([(gamma, block)])
+    with pytest.raises(ValueError, match="^columns are numerically rank deficient$"):
+        verify_representation(gamma, block, replace(rep, p=np.zeros_like(rep.p)))
+
+
 def test_verify_isometry_field_on_exact_input():
     sym = rank_one_symbol()
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(gamma, block)
-    res = verify_representation(gamma, block, rep)
-    assert res.isometry < 1e-9
+    (rep,) = extract_representations([(gamma, block)])
+    assert rep.residuals.isometry < 1e-9
 
 
 def test_near_invariance_property_when_p_usable():
@@ -546,8 +563,8 @@ def test_near_invariance_property_when_p_usable():
         for block in schmidt_decompose(gamma):
             if not block.reliable:
                 continue
-            rep = extract_representation(gamma, block)
-            res = verify_representation(gamma, block, rep)
+            (rep,) = extract_representations([(gamma, block)])
+            res = rep.residuals
             if res.p_origin > 1e-3 and block.multiplicity > 0:
                 assert res.near_invariance < 1e-7
                 assert res.near_invariance_u < 1e-7
@@ -624,7 +641,7 @@ def test_action_catches_each_fault_class():
     for _ in range(3):
         gamma = build_hankel_matrix(random_symbol(rng), 128)
         for block in schmidt_decompose(gamma):
-            rep = extract_representation(gamma, block)
+            (rep,) = extract_representations([(gamma, block)])
             noise = rng.normal(size=128) + 1j * rng.normal(size=128)
             zeros = rep.theta.zeros.copy()
             zeros[-1] += 1e-3
@@ -646,8 +663,8 @@ def test_near_invariance_on_a_block_of_multiplicity_three():
     gamma = build_hankel_matrix(symbol_from_inner(BlaschkeProduct([0.3 + 0.2j, -0.4, 0.1j])), 128)
     (block,) = schmidt_decompose(gamma)
     assert block.multiplicity == 3 and abs(block.s - 1.0) < 1e-12
-    rep = extract_representation(gamma, block)
-    res = verify_representation(gamma, block, rep)
+    (rep,) = extract_representations([(gamma, block)])
+    res = rep.residuals
     assert res.near_invariance < 1e-12
     assert res.near_invariance_u < 1e-12
 
@@ -697,14 +714,14 @@ def test_extraction_depends_only_on_the_span():
     blocks = span_test_blocks()
     assert sorted({b.multiplicity for _, b in blocks}) == [1, 2, 3, 5]
     for gamma, block in blocks:
-        rep = extract_representation(gamma, block)
+        (rep,) = extract_representations([(gamma, block)])
         near = extraction._near_invariance(block.basis[None], gamma.u)
         passed = max(rep.residuals.gated().values()) <= 1e-6
         d = block.multiplicity
         for _ in range(20):
             z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             turned = replace(block, basis=block.basis @ np.linalg.qr(z)[0])
-            got = extract_representation(gamma, turned)
+            (got,) = extract_representations([(gamma, turned)])
             assert np.max(np.abs(got.p - rep.p)) < 1e-12
             assert np.max(np.abs(got.theta.zeros - rep.theta.zeros)) < 1e-12
             assert abs(got.theta.phase - rep.theta.phase) < 1e-12
@@ -728,7 +745,7 @@ def test_extraction_residuals_equal_verify_representation(base_point):
     sym = rank_one_symbol(a=0.7)
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(gamma, block, base_point=base_point)
+    rep = at_base_point(gamma, block, base_point)
     assert rep.canonicalized_at == (base_point or 0)
     assert rep.residuals == verify_representation(gamma, block, rep)
 
@@ -739,7 +756,7 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
     sym = rank_one_symbol(a=0.7)
     gamma = build_hankel_matrix(sym, 128)
     block = schmidt_decompose(gamma)[0]
-    rep = extract_representation(gamma, block, tol=1e-9)
+    (rep,) = extract_representations([(gamma, block)], tol=1e-9)
     assert rep.residuals.isometry < 1e-15
     canonicalize = extraction._canonicalize
 
@@ -748,8 +765,8 @@ def test_extract_isometry_gate_raises_on_scaled_multiplier(monkeypatch):
         return p * (1 + 3e-10), phi
 
     monkeypatch.setattr(extraction, "_canonicalize", scaled)
-    with pytest.raises(ExtractionError, match="not isometric: deviation 3.0"):
-        extract_representation(gamma, block, tol=1e-9)
+    (err,) = extract_representations([(gamma, block)], tol=1e-9)
+    assert isinstance(err, ExtractionError) and str(err).startswith("multiplier is not isometric: deviation 3.0")
 
 
 @pytest.mark.parametrize("alpha", [1.0, float("nan"), complex(0.3, float("nan"))])
@@ -757,8 +774,8 @@ def test_extract_rejects_base_point_outside_disk(alpha):
     sym = rank_one_symbol()
     gamma = build_hankel_matrix(sym, 64)
     block = schmidt_decompose(gamma)[0]
-    with pytest.raises(ValueError, match="base point"):
-        extract_representation(gamma, block, base_point=alpha)
+    err = at_base_point(gamma, block, alpha)
+    assert type(err) is ValueError and str(err) == "base point must lie in the open disk"
 
 
 def test_extract_rejects_a_block_orthogonal_to_the_kernel_at_the_base_point():
@@ -768,10 +785,10 @@ def test_extract_rejects_a_block_orthogonal_to_the_kernel_at_the_base_point():
     f = np.concatenate([[0.0], kernel[:-1]]) - 0.3 * kernel
     block = SchmidtBlock(s=1.0, basis=(f / np.linalg.norm(f))[:, None])
     gamma = build_hankel_matrix(RationalSymbol(poly=[0, 1]), n)
-    with pytest.raises(ExtractionError, match=re.escape(
-            "projection of the kernel at the base point onto the block is 5.551e-17; "
-            "the multiplier cannot be normalized")):
-        extract_representation(gamma, block, base_point=0.3)
+    err = at_base_point(gamma, block, 0.3)
+    assert isinstance(err, ExtractionError) and str(err) == (
+        "projection of the kernel at the base point onto the block is 5.551e-17; "
+        "the multiplier cannot be normalized")
 
 
 def test_reports_are_identical_with_a_cold_or_a_warm_theta_cache():
@@ -819,13 +836,7 @@ Z_SQUARED = {"poly": [[0, 0], [0, 0], [1, 0]]}
 
 
 def one_at_a_time(gamma, blocks):
-    out = []
-    for block in blocks:
-        try:
-            out.append(extract_representation(gamma, block, tol=1e-6))
-        except (ExtractionError, ValueError) as exc:
-            out.append(exc)
-    return out
+    return [at_base_point(gamma, block, None, tol=1e-6) for block in blocks]
 
 
 def assert_same_result(got, want, block, s_max):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hankelschmidt.blaschke import MobiusMap, mobius_conjugate_function
+from hankelschmidt.blaschke import MobiusMap, _conjugate_functions
 from hankelschmidt.hardy import (
     _as_coeffs,
     _boundary_samples,
@@ -90,7 +90,7 @@ def test_boundary_maps_refuse_a_coefficient_vector():
     with pytest.raises(ValueError, match="N x d coefficient matrix"):
         multiply_by_boundary(f, np.ones(64), 16)
     with pytest.raises(ValueError, match="N x d coefficient matrix"):
-        mobius_conjugate_function(f, MobiusMap(0.2), 16)
+        _conjugate_functions([f], [MobiusMap(0.2)], 16)
 
 
 def test_boundary_polynomial_exact_recovery():

@@ -15,9 +15,9 @@ from hankelschmidt.spectral import (
     RANGE_BLOCK,
     SchmidtBlock,
     _nullspace_of_row,
-    orthonormalize,
+    _orthonormal_columns,
+    _subspace_gaps,
     schmidt_decompose,
-    subspace_gap,
 )
 from hankelschmidt.suites import random_symbol
 from hankelschmidt.symbols import PoleTerm, RationalSymbol
@@ -33,7 +33,7 @@ def test_shift_symbol_block():
     target = np.zeros((16, 2), dtype=complex)
     target[0, 0] = 1.0
     target[1, 1] = 1.0
-    assert subspace_gap(b.basis, target) < 1e-12
+    assert _subspace_gaps(b.basis, target)[0] < 1e-12
 
 
 def test_schmidt_block_owns_its_basis():
@@ -57,11 +57,8 @@ def test_schmidt_block_owns_its_basis():
         (lambda: schmidt_decompose(build_hankel_matrix(RationalSymbol(poly=[0, 1]), 16),
                                    cluster_tol=1.5),
          "cluster_tol must lie in (0, 1), got 1.5"),
-        (lambda: subspace_gap(np.eye(4)[:, :1], np.eye(5)[:, :1]), "ambient dimensions differ: 4 vs 5"),
-        (lambda: orthonormalize(np.ones((4, 2))), "columns are numerically rank deficient"),
     ],
-    ids=["block-without-columns", "cluster-tol-above-one", "gap-dimension-mismatch",
-         "rank-deficient-columns"],
+    ids=["block-without-columns", "cluster-tol-above-one"],
 )
 def test_spectral_input_errors(act, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -257,7 +254,7 @@ def assert_matches_dense_svd(h, value_tol, gap_tol):
     assert np.max(np.abs(blocks.singular_values - sing)) <= value_tol * sing[0]
     first = 0
     for b in blocks:
-        assert subspace_gap(b.basis, left[:, first : first + b.multiplicity]) <= gap_tol
+        assert _subspace_gaps(b.basis, left[:, first : first + b.multiplicity])[0] <= gap_tol
         first += b.multiplicity
     return blocks
 
@@ -395,27 +392,26 @@ def test_non_finite_matrix_is_rejected(bad):
 
 
 def test_gap_identical():
-    q = orthonormalize(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    assert subspace_gap(q, q) == 0.0
+    q, _ = _orthonormal_columns(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    assert _subspace_gaps(q, q)[0] == 0.0
 
 
 def test_gap_orthogonal_lines():
     a = np.array([[1.0], [0.0]])
     b = np.array([[0.0], [1.0]])
-    assert abs(subspace_gap(a, b) - 1.0) < 1e-14
+    assert abs(_subspace_gaps(a, b)[0] - 1.0) < 1e-14
 
 
 def test_gap_rotated_line_closed_form():
     for t in (0.1, 0.4, 1.0, np.pi / 2):
         a = np.array([[1.0], [0.0]])
         b = np.array([[np.cos(t)], [np.sin(t)]])
-        assert abs(subspace_gap(a, b) - abs(np.sin(t))) < 1e-12
+        assert abs(_subspace_gaps(a, b)[0] - abs(np.sin(t))) < 1e-12
 
 
 def test_gap_rejects_non_orthonormal():
     a = np.array([[1.0], [1.0]])
-    with pytest.raises(ValueError):
-        subspace_gap(a, a)
+    assert all(_subspace_gaps(a, a)[1])
 
 
 def projector_gap(a, b):
@@ -446,10 +442,10 @@ def test_gap_matches_projector_formula(n, d_a, d_b, log_angles, seed):
         a = q[:, :d_a]
         b = (q[:, :d_a] * np.cos(angles) + q[:, d_a:] * np.sin(angles)) @ random_isometry(rng, d_a, d_a)
         expected = float(np.sin(angles.max())) if d_a else 0.0
-        assert abs(subspace_gap(a, b) - expected) < 1e-14
+        assert abs(_subspace_gaps(a, b)[0] - expected) < 1e-14
     else:
         a, b = random_isometry(rng, n, d_a), random_isometry(rng, n, d_b)
-    assert abs(subspace_gap(a, b) - projector_gap(a, b)) < 1e-14
+    assert abs(_subspace_gaps(a, b)[0] - projector_gap(a, b)) < 1e-14
 
 
 def test_gap_tiny_rotation_is_resolved():
@@ -457,15 +453,15 @@ def test_gap_tiny_rotation_is_resolved():
     q = random_isometry(rng, 32, 2)
     t = 1e-10
     b = q[:, :1] * np.cos(t) + q[:, 1:] * np.sin(t)
-    assert abs(subspace_gap(q[:, :1], b) - t) < 1e-14
+    assert abs(_subspace_gaps(q[:, :1], b)[0] - t) < 1e-14
 
 
 def test_gap_dimension_mismatch_and_empty():
     rng = np.random.default_rng(9)
     q = random_isometry(rng, 16, 3)
-    assert subspace_gap(q[:, :2], q) == 1.0
-    assert subspace_gap(q[:, :0], q[:, :1]) == 1.0
-    assert subspace_gap(q[:, :0], q[:, :0]) == 0.0
+    assert _subspace_gaps(q[:, :2], q)[0] == 1.0
+    assert _subspace_gaps(q[:, :0], q[:, :1])[0] == 1.0
+    assert _subspace_gaps(q[:, :0], q[:, :0])[0] == 0.0
 
 
 def test_nullspace_of_row():

@@ -5,14 +5,14 @@ from hankelschmidt import blaschke, extraction, suites
 from hankelschmidt.blaschke import (
     BlaschkeProduct,
     MobiusMap,
-    blaschke_eval,
     compose_with_mobius,
     frostman_shift,
     tm_basis,
 )
 from hankelschmidt.hardy import default_grid_size, grid_points
-from hankelschmidt.spectral import orthonormalize, subspace_gap
+from hankelschmidt.spectral import _orthonormal_columns, _subspace_gaps
 import oracles
+from oracles import blaschke_eval
 
 ORDER = 128
 
@@ -39,7 +39,7 @@ def direct_check(b, alpha, work, shift=frostman_shift):
     shifted, g = shift(b, alpha, work)
     cols = np.column_stack([np.convolve(g, h)[:work] for h in tm_basis(shifted, work).T])
     iso = max(abs(np.linalg.norm(c) - 1.0) for c in cols.T)
-    gap = subspace_gap(tm_basis(b, work), orthonormalize(cols))
+    gap = float(_subspace_gaps(tm_basis(b, work), _orthonormal_columns(cols)[0])[0])
     grid = grid_points(default_grid_size(work))
     g_samples = (1 - np.conj(alpha) * blaschke_eval(b, grid)) / np.sqrt(1 - abs(alpha) ** 2)
     ident = g_samples * blaschke_eval(shifted, grid) + blaschke_eval(b, grid) * np.conj(g_samples)
