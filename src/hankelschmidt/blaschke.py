@@ -20,7 +20,8 @@ C_B e_k = -phase * e~_(d-1-k), e~ the basis of the zeros in reverse order,
 which verification reads in closed form.  Phases are read from
 coefficients or zeros in closed form; the boundary grid is used only by
 the Moebius conjugation of functions and symbols, which are sampled and
-projected, and by the values of B that the suites' boundary identity reads
+projected (a symbol of simple poles is conjugated exactly, from the images
+of its poles, by _conjugate_poles), and by the values of B that the suites' boundary identity reads
 (_products, for a stack of products at once).  A product
 keeps what depends on it alone, and canonical_blaschke returns one shared
 instance per zero set, so Schmidt blocks with the same inner function
@@ -44,7 +45,7 @@ from .hardy import (
     default_grid_size,
     grid_points,
 )
-from .symbols import evaluate_symbol
+from .symbols import PoleTerm, RationalSymbol, evaluate_symbol
 
 __all__ = [
     "BlaschkeProduct",
@@ -452,6 +453,24 @@ def mobius_conjugate_symbol(sym, m: MobiusMap, order: int) -> tuple[np.ndarray, 
     """
     w, residual = _conjugate_symbols([sym], [m], order)
     return w[:, 0], float(residual[0])
+
+
+def _conjugate_poles(sym: RationalSymbol, m: MobiusMap) -> RationalSymbol:
+    """w = -S*((S u) o mu) in closed form, for a symbol u of simple poles.
+
+    (S u) o mu of u = c / (1 - conj(b) z) is c (alpha - z) / ((1 - conj(b) alpha)
+    (1 - conj(b') z)) with b' = mu(b), and removing its value at 0 and
+    dividing by -z leaves c' / (1 - conj(b') z), c' = c (1 - |alpha|^2) /
+    (1 - conj(b) alpha)^2.  So w is exact to every order.  A polynomial part
+    or a multiple pole is refused (ValueError): the formula covers neither.
+    """
+    if np.any(sym.poly != 0) or any(t.m != 1 for t in sym.poles):
+        raise ValueError("exact Moebius conjugation takes simple poles only, with no polynomial part")
+    a = m.alpha
+    return RationalSymbol(poles=tuple(
+        PoleTerm(b=mobius_eval(m, t.b), m=1, c=t.c * (1 - abs(a) ** 2) / (1 - np.conj(t.b) * a) ** 2)
+        for t in sym.poles
+    ))
 
 
 def _conjugate_symbols(syms: list, maps: list, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from .blaschke import (
     BlaschkeProduct,
     MobiusMap,
     _conjugate_functions,
+    _conjugate_poles,
     _conjugate_symbols,
     _frostman_shifts,
     _gated_tm_bases,
@@ -251,8 +252,11 @@ def _span_gaps(a, b) -> np.ndarray:
 def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     """Moebius covariance at |alpha| <= 0.5: spectrum invariance, mapped Schmidt bases, involution.
 
-    All draws come first.  Each conjugation then runs as one FFT over all draws and
-    each gap as one stack per dimension; the Schmidt blocks and their matching stay per draw."""
+    All draws come first.  Each conjugated symbol w is exact, from the images
+    of u's poles (_conjugate_poles); the conjugation back to u, of functions
+    and of the lemma's spaces each run as one FFT over all draws, and each
+    gap as one stack per dimension; the Schmidt blocks and their matching
+    stay per draw."""
     rng = np.random.default_rng(seed)
     lemma_order = max(order, 128)  # composed zeros need this much resolution
     # per draw a symbol and its map, then the change-of-variable lemma's B, map and weight
@@ -261,16 +265,16 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
          MobiusMap(_draw_alpha(rng, 0.3)), _random_unit_vector(rng, lemma_order, support=8))
         for _ in range(count)
     ])
-    ws, _ = _conjugate_symbols(syms, maps, 2 * order - 1)
-    w2, _ = _conjugate_symbols([RationalSymbol(poly=w) for w in ws.T], maps, order)
+    ws = [_conjugate_poles(sym, m) for sym, m in zip(syms, maps)]
+    w2, _ = _conjugate_symbols(ws, maps, order)
     worst_sigma, worst_double, ok = 0.0, 0.0, True
     matched, targets, allowances = [], [], []
-    for sym, m, w, back in zip(syms, maps, ws.T, w2.T):
-        # truncation allowance for this draw, from the exact pole images
-        tail_w = _conjugated_tail_estimate(sym, m, w)
+    for sym, w, back in zip(syms, ws, w2.T):
+        gamma_w = build_hankel_matrix(w, order)
+        tail_w = _conjugated_tail_estimate(w, gamma_w.coeffs)  # this draw's truncation allowance
         gamma_u = build_hankel_matrix(sym, order)
         blocks_u = schmidt_decompose(gamma_u)
-        blocks_w = schmidt_decompose(build_hankel_matrix(RationalSymbol(poly=w), order))
+        blocks_w = schmidt_decompose(gamma_w)
         sig_u, sig_w = blocks_u.singular_values, blocks_w.singular_values
         smax = max(sig_u[0], 1.0)
         keep = sig_u > 1e-6 * smax
@@ -323,10 +327,10 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     }
 
 
-def _conjugated_tail_estimate(sym: RationalSymbol, m: MobiusMap, w_coeffs: np.ndarray) -> float:
-    """Tail proxy for a conjugated symbol from the exact images of its poles."""
-    rates = [abs(1.0 / mobius_eval(m, 1.0 / np.conj(t.b))) for t in sym.poles if t.b != 0]
-    rate = max(rates) if rates else 0.0
+def _conjugated_tail_estimate(w: RationalSymbol, w_coeffs: np.ndarray) -> float:
+    """Tail proxy for a conjugated symbol w of simple poles, from its last 8
+    coefficients w_coeffs[-8:] and the decay rate of its largest pole."""
+    rate = max((abs(t.b) for t in w.poles), default=0.0)
     chunk = float(np.linalg.norm(w_coeffs[-8:]))
     return chunk / max(1 - rate, 1e-6)
 

@@ -335,12 +335,17 @@ def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     for _ in range(count):
         sym = suites.random_symbol(rng)
         m = MobiusMap(0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        w, _ = mobius_conjugate_symbol(sym, m, 2 * order - 1)
-        tail_w = suites._conjugated_tail_estimate(sym, m, w)
-        w = RationalSymbol(poly=w)
+        # w = c' / (1 - conj(mu(b)) z) per pole, c' = c (1 - |alpha|^2) / (1 - conj(b) alpha)^2
+        a = m.alpha
+        w = RationalSymbol(poles=tuple(
+            PoleTerm(b=mobius_eval(m, t.b), m=1, c=t.c * (1 - abs(a) ** 2) / (1 - np.conj(t.b) * a) ** 2)
+            for t in sym.poles
+        ))
+        gamma_w = build_hankel_matrix(w, order)
+        tail_w = suites._conjugated_tail_estimate(w, gamma_w.coeffs)
         gamma_u = build_hankel_matrix(sym, order)
         blocks_u = schmidt_decompose(gamma_u)
-        blocks_w = schmidt_decompose(build_hankel_matrix(w, order))
+        blocks_w = schmidt_decompose(gamma_w)
         sig_u, sig_w = blocks_u.singular_values, blocks_w.singular_values
         smax = max(sig_u[0], 1.0)
         keep = sig_u > 1e-6 * smax

@@ -20,7 +20,7 @@ from hankelschmidt.blaschke import (
 )
 from hankelschmidt.hardy import default_grid_size, grid_points
 from hankelschmidt.extraction import _conjugated_products
-from hankelschmidt.suites import random_blaschke
+from hankelschmidt.suites import random_blaschke, random_symbol
 from hankelschmidt.symbols import (
     PoleTerm,
     RationalSymbol,
@@ -579,6 +579,40 @@ def test_mobius_symbol_double_conjugation():
     w2, _ = mobius_conjugate_symbol(RationalSymbol(poly=w), m, n)
     u = fourier_coefficients(sym, n)
     assert np.linalg.norm(w2 - u) < 1e-9
+
+
+@pytest.mark.parametrize("n, tol", [(32, 5e-10), (64, 1e-14), (128, 1e-14), (256, 1e-14)])
+def test_exact_pole_images_match_the_grid_conjugation(n, tol):
+    # w = -S*((S u) o mu) from the images of u's poles against the sampled and
+    # projected w; at N = 32 the grid of 2N points aliases w's tail at about 1e-10
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(100):
+        sym = random_symbol(rng)
+        m = MobiusMap(0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        exact = fourier_coefficients(blaschke._conjugate_poles(sym, m), n)
+        grid, _ = mobius_conjugate_symbol(sym, m, n)
+        worst = max(worst, np.linalg.norm(exact - grid) / np.linalg.norm(exact))
+    assert worst <= tol
+
+
+def test_a_pole_at_the_origin_maps_to_a_pole_at_alpha():
+    # u = c: b = 0 goes to mu(0) = alpha, with residue c (1 - |alpha|^2)
+    c, m = 0.3 - 0.7j, MobiusMap(0.3 + 0.2j)
+    sym = RationalSymbol(poles=(PoleTerm(b=0.0, m=1, c=c), PoleTerm(b=0.5j, m=1, c=1.0)))
+    w = blaschke._conjugate_poles(sym, m)
+    assert w.poles[0] == PoleTerm(b=m.alpha, m=1, c=c * (1 - abs(m.alpha) ** 2))
+    grid, _ = mobius_conjugate_symbol(sym, m, 64)
+    assert np.linalg.norm(fourier_coefficients(w, 64) - grid) <= 1e-14 * np.linalg.norm(grid)
+
+
+@pytest.mark.parametrize("sym", [
+    RationalSymbol(poly=[0.0, 1.0], poles=(PoleTerm(b=0.5, m=1, c=1.0),)),
+    RationalSymbol(poles=(PoleTerm(b=0.5, m=2, c=1.0),)),
+], ids=["polynomial-part", "double-pole"])
+def test_exact_pole_images_refuse_what_the_formula_does_not_cover(sym):
+    with pytest.raises(ValueError, match="^exact Moebius conjugation takes simple poles only"):
+        blaschke._conjugate_poles(sym, MobiusMap(0.2))
 
 
 def test_compose_with_mobius_agrees_pointwise():

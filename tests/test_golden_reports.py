@@ -15,7 +15,10 @@ model-space suite drew speculatively: the stacked suites are otherwise
 checked only against tests/oracles.py, which shares helpers with them.
 Those three skip 0 or 3 draws, so the verify_suites report at (32, 0),
 where the model-space suite skips 118 draws and so takes its redraw path
-most often, was appended as written by commit 82b40b6.
+most often, was appended as written by commit 82b40b6.  When the Moebius
+suite began to build the conjugated symbol exactly from the images of its
+poles, the two stored double_conjugation values that left the tolerance,
+at (64, 0) and (32, 0), were rewritten; every other value stayed.
 Keys, list lengths, strings (warnings included), booleans (pass and
 reliable flags) and integers (multiplicities, ranks) must be identical;
 every float must lie within 1e-9 * max(1, |reference|), the phase phi
