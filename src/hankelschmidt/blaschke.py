@@ -21,8 +21,9 @@ which verification reads in closed form.  Phases are read from
 coefficients or zeros in closed form; the boundary grid is used only by
 the Moebius conjugation of functions and symbols, which are sampled and
 projected (a symbol of simple poles is conjugated exactly, from the images
-of its poles, by _conjugate_poles), and by the values of B that the suites' boundary identity reads
-(_products, for a stack of products at once).  A product
+of its poles, by _conjugate_poles), and by the values of B that the
+suites' boundary identity reads (_products, for a stack of products at
+once).  A product
 keeps what depends on it alone, and canonical_blaschke returns one shared
 instance per zero set, so Schmidt blocks with the same inner function
 share that work.

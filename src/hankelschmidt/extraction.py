@@ -338,8 +338,8 @@ def extract_representations(pairs, tol: float = 1e-7) -> list[Representation | E
     equality and action formula (to tol) are asserted on it.
 
     Returns, for each pair in order, its Representation or the
-    ExtractionError or ValueError that stopped it; one failing block does
-    not stop the others, and the same block alone gets the same result.
+    ExtractionError or ValueError that stopped it, with the message it
+    would stop with alone; one failing block does not stop the others.
     Blocks of one multiplicity are extracted and verified together, whatever
     their Gamma, each step one stacked array operation over them.
     """

@@ -237,7 +237,7 @@ def _backward_shift_gaps(v: np.ndarray, bs, order: int) -> np.ndarray:
 
 
 def _span_gaps(a, b) -> np.ndarray:
-    """_subspace_gaps between the column spans of a[i] and b[i], N x d matrices
+    """The subspace gap (_subspace_gaps) between the column spans of a[i] and b[i], N x d matrices
     of one d per pair, orthonormalized by one batched QR per d; 1 where
     either is numerically rank deficient, 0 where both are empty."""
     dims = np.array([x.shape[1] for x in a])
@@ -252,11 +252,11 @@ def _span_gaps(a, b) -> np.ndarray:
 def suite_mobius(seed: int, count: int = 20, order: int = 128) -> dict:
     """Moebius covariance at |alpha| <= 0.5: spectrum invariance, mapped Schmidt bases, involution.
 
-    All draws come first.  Each conjugated symbol w is exact, from the images
-    of u's poles (_conjugate_poles); the conjugation back to u, of functions
-    and of the lemma's spaces each run as one FFT over all draws, and each
-    gap as one stack per dimension; the Schmidt blocks and their matching
-    stay per draw."""
+    All draws come first.  Each conjugated symbol w is exact, built from the
+    images of u's poles (_conjugate_poles).  The conjugation of w back to u,
+    that of the matched Schmidt columns and that of the lemma's spaces each
+    run as one FFT over all draws, and each gap as one stack per dimension;
+    the Schmidt blocks and their matching stay per draw."""
     rng = np.random.default_rng(seed)
     lemma_order = max(order, 128)  # composed zeros need this much resolution
     # per draw a symbol and its map, then the change-of-variable lemma's B, map and weight
