@@ -95,7 +95,7 @@ def test_module_uses_every_import(path):
 
 # names that evaluate on the boundary grid; extraction works on coefficients
 # and at interior points (_horner at the base points) only
-GRID_NAMES = {"grid_points", "default_grid_size", "blaschke_eval"}
+GRID_NAMES = {"grid_points", "default_grid_size", "_products"}
 
 
 def test_extraction_imports_no_boundary_grid_name():
