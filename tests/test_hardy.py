@@ -160,7 +160,7 @@ def test_hankel_product_rejects_short_symbol():
 @pytest.mark.parametrize("a", [1.0, float("nan"), complex(0.2, float("nan"))])
 def test_szego_kernel_point_in_open_disk(a):
     # the kernel oracle of the tests; the package forms k_alpha only at a
-    # base point that extract_representation has checked the same way
+    # base point that extraction has checked the same way
     with pytest.raises(ValueError, match="open disk"):
         szego_kernel(a, 8)
 
